@@ -187,8 +187,8 @@ let replication_arg =
               R = sites reproduces full replication exactly.")
 
 (* Build the shard map the CLI knobs describe.  [None] when the result is
-   full replication, so the default env path — and the printed summary —
-   stays byte-identical to the pre-sharding CLI. *)
+   full replication: the run then takes the default all-sites map, and
+   the summary prints a sharding row only for partial maps. *)
 let make_sharding ~sites ~placement ~shards ~replication =
   match Esr_store.Sharding.policy_of_string placement with
   | Error m ->

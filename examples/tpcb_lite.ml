@@ -96,7 +96,7 @@ let () =
                if o.Intf.charged > !eager_units then eager_units := o.Intf.charged)))
   done;
 
-  let settled = Harness.settle h in
+  let settled = Harness.settle_result h = Harness.Drained in
   Printf.printf "settled=%b converged=%b\n\n" settled (Harness.converged h);
 
   Printf.printf "mid-run auditors over 12 samples:\n";

@@ -508,7 +508,7 @@ let e8_crash_recovery () =
             ignore
               (Engine.schedule_at engine ~time:(400.0 +. window) (fun () ->
                    Net.recover net 2));
-            let settled = Harness.settle h in
+            let settled = Harness.settle_result h = Harness.Drained in
             [
               name;
               Tablefmt.cell_float window;
@@ -908,7 +908,7 @@ let e13_fault_availability () =
                      else Stats.add c_stale stale)))
         done;
         Harness.inject_faults h schedule;
-        let settled = Harness.settle h in
+        let settled = Harness.settle_result h = Harness.Drained in
         let replays = ref 0 in
         Trace.iter obs.Obs.trace (fun r ->
             match r.Trace.ev with
@@ -992,7 +992,7 @@ let e14_divergence_profile () =
         done;
         Harness.inject_faults h schedule;
         Harness.arm_series h ~until:horizon;
-        ignore (Harness.settle h);
+        ignore (Harness.settle_result h);
         let series = obs.Obs.series in
         let col = Option.get (Series.column_index series "esr/spread_max") in
         let by_time = Hashtbl.create 64 in
@@ -1306,7 +1306,7 @@ let e16_soak () =
         done;
         Harness.inject_faults h schedule;
         Harness.arm_series h ~until:duration;
-        let settled = Harness.settle h in
+        let settled = Harness.settle_result h = Harness.Drained in
         let res site = Intf.boxed_resources (Harness.system h) ~site in
         let sum f =
           List.fold_left (fun a i -> a + f (res i)) 0 (List.init sites Fun.id)
@@ -1625,7 +1625,7 @@ let e18_bounded_soak () =
             Harness.create ~config ~obs ~seed ~sites ~method_name:name ()
           in
           ignore (drive name h);
-          ignore (Harness.settle h);
+          ignore (Harness.settle_result h);
           List.init sites (fun i -> Store.snapshot (Harness.store h ~site:i))
         in
         let obs = Obs.create ~series:true ~series_interval () in
@@ -1641,7 +1641,7 @@ let e18_bounded_soak () =
         let committed = drive name h in
         Harness.arm_series h ~until:duration;
         Harness.arm_checkpoints h ~until:duration;
-        let settled = Harness.settle h in
+        let settled = Harness.settle_result h = Harness.Drained in
         let c =
           match (Harness.env h).Intf.checkpoint with
           | Some c -> c

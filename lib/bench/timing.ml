@@ -31,11 +31,7 @@
            "peak_heap_bytes": <peak major-heap size observed *during*
                                this experiment's four runs, sampled at
                                every major-cycle end by a GC alarm on
-                               the main domain.  Up to v5 this was the
-                               GC's process-wide top_heap high-water,
-                               which never resets and so recorded every
-                               experiment after the first big one at the
-                               same monotone value>,
+                               the main domain>,
            "identical_output": true },
          ...
        ],
@@ -45,24 +41,19 @@
                    "experiments": [...], "total": {...} }, ... ]
      }
 
-   The top-level scale/domains/experiments/total mirror the latest run so
-   v2..v4 consumers keep working; "runs" is the append-only history
-   (oldest first, capped at [max_history]).  v5/v4/v3 files carry their
-   runs over verbatim (older entries simply lack the newer fields); a v2
-   file — one run at the top level — is absorbed as a single history
-   entry.  Every history entry carries a real wall-clock "at" stamp: new
-   entries are stamped at write time, and absorbed or legacy entries
-   whose "at" is missing or 0 are repaired with the file's mtime — the
-   closest available record of when that run actually happened.  After
-   the sweep the summary prints a delta line against the previous
-   *comparable* run — same --scale and same requested domain count
-   (v6/v5/v4/v3 files carry their histories over verbatim);
-   comparing against a different tier would only measure the tier.  With
-   ESR_BENCH_GATE=1 the sweep additionally *fails* (exit 4) when total
-   parallel wall-clock regresses by more than 20% against that
-   comparable run, or any experiment's updates/sec drops by more than
-   20% — CI runs the sweep twice into a scratch file so the gate
-   compares like with like on the same machine.
+   The top-level scale/domains/experiments/total mirror the latest run;
+   "runs" is the append-only history (oldest first, capped at
+   [max_history]), each entry stamped with the wall-clock "at" of its
+   sweep.  Only a v6 file's history is carried over; any other file
+   starts a fresh history.  After the sweep the summary prints a delta
+   line against the previous *comparable* run — same --scale and same
+   requested domain count; comparing against a different tier would
+   only measure the tier.  With ESR_BENCH_GATE=1 the sweep additionally
+   *fails* (exit 4) when total parallel wall-clock regresses by more
+   than 20% against that comparable run, or any experiment's
+   updates/sec drops by more than 20% — CI runs the sweep twice into a
+   scratch file so the gate compares like with like on the same
+   machine.
 *)
 
 module Tablefmt = Esr_util.Tablefmt
@@ -194,17 +185,9 @@ let run_json ?at ~par_domains samples =
   | Some t -> Json.Obj (("at", Json.Num t) :: fields)
   | None -> Json.Obj fields
 
-(* Absorb whatever trajectory file is already on disk into a history
-   list (oldest first).  v5, v4 and v3 files carry their runs over
-   verbatim (older runs simply lack the newer fields); a v2 file — one
-   run at the top level — becomes a single entry; unreadable or foreign
-   files are treated as no history rather than an error, since the bench
-   must still run on a fresh checkout.
-
-   Every returned entry carries a real wall-clock "at": entries whose
-   stamp is missing or 0 (the old v2-absorption placeholder) are
-   repaired with the file's mtime, the closest surviving record of when
-   that run actually happened. *)
+(* The run history of the trajectory file already on disk (oldest
+   first).  A missing, unreadable or non-v6 file is no history rather
+   than an error, since the bench must still run on a fresh checkout. *)
 let read_history path =
   if not (Sys.file_exists path) then []
   else
@@ -212,41 +195,19 @@ let read_history path =
     let len = in_channel_length ic in
     let text = really_input_string ic len in
     close_in ic;
-    let mtime = (Unix.stat path).Unix.st_mtime in
-    let repair_at entry =
-      match entry with
-      | Json.Obj fields -> (
-          match Option.bind (Json.member "at" entry) Json.to_float with
-          | Some t when t > 0.0 -> entry
-          | Some _ | None ->
-              Json.Obj
-                (("at", Json.Num mtime)
-                :: List.filter (fun (k, _) -> k <> "at") fields))
-      | _ -> entry
-    in
     match Json.parse text with
     | Error _ -> []
     | Ok doc -> (
         match Option.bind (Json.member "schema" doc) Json.to_string with
-        | Some "esr-bench-experiments/6" | Some "esr-bench-experiments/5"
-        | Some "esr-bench-experiments/4" | Some "esr-bench-experiments/3" ->
-            List.map repair_at
-              (Option.value ~default:[]
-                 (Option.bind (Json.member "runs" doc) Json.to_list))
-        | Some "esr-bench-experiments/2" ->
-            let keep k = Option.map (fun v -> (k, v)) (Json.member k doc) in
-            [
-              Json.Obj
-                (("at", Json.Num mtime)
-                :: List.filter_map keep [ "domains"; "experiments"; "total" ]);
-            ]
+        | Some "esr-bench-experiments/6" ->
+            Option.value ~default:[]
+              (Option.bind (Json.member "runs" doc) Json.to_list)
         | _ -> [])
 
 (* Satellite of the regression gate: a prior run is only comparable when
    it was recorded at the same --scale and the same requested domain
    count — a 2% smoke baseline must never gate a full-scale run (or vice
-   versa), and a 1-domain run must never gate an 8-domain one.  Entries
-   predating v5 carry no scale and never match. *)
+   versa), and a 1-domain run must never gate an 8-domain one. *)
 let comparable ~scale ~requested entry =
   let scale_of =
     Option.bind (Json.member "scale" entry) Json.to_float
@@ -267,7 +228,7 @@ let last_comparable ~scale ~requested history =
     None history
 
 (* Per-experiment (parallel_s, traced_s, updates_per_sec) of a history
-   entry, for deltas; a v3 entry has no throughput field and reads 0. *)
+   entry, for deltas; an experiment without a throughput field reads 0. *)
 let run_times entry =
   match Option.bind (Json.member "experiments" entry) Json.to_list with
   | None -> []

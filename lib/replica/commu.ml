@@ -72,7 +72,6 @@ type t = {
   sites : site array;
   fabric : msg Squeue.t;
   inflight : (Et.id, inflight) Hashtbl.t;
-  full : bool;  (* replicate-everywhere: keep the historical broadcast path *)
   dests : Sharding.Dests.t;  (* scratch interest cursor (routing only) *)
   mutable n_updates : int;
   mutable n_queries : int;
@@ -112,11 +111,9 @@ let apply_mset_inner t site mset =
          { et = mset.et; site = site.id; n_ops = List.length mset.ops; order = None });
   List.iter
     (fun (i : Intf.iop) ->
-      (* Partial replication: a site executes only the ops on keys it
-         replicates (with the full map every op qualifies). *)
-      if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
+      (* A site executes only the ops on keys it replicates (with the
+         all-sites map every op qualifies). *)
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
       then begin
         let key = i.Intf.key in
         ignore (Lock_counter.incr site.counters key);
@@ -147,9 +144,8 @@ let complete_at t site charges =
       (* Only counters this site actually raised (it applied only the
          replicated subset of the MSet). *)
       if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-             ~id:(Keyspace.find t.env.Intf.keyspace key)
+        Sharding.replicates_id t.env.Intf.sharding ~site:site.id
+          ~id:(Keyspace.find t.env.Intf.keyspace key)
       then begin
         ignore (Lock_counter.decr site.counters key);
         ignore (Lock_counter.remove_weight site.counters key w)
@@ -185,11 +181,9 @@ let receive t ~site:site_id msg =
           if record.waiting_acks = 0 then begin
             Hashtbl.remove t.inflight et;
             let complete = Complete { et; charges = record.charges } in
-            if t.full then Squeue.broadcast t.fabric ~src:site_id complete
-            else
-              Squeue.multicast t.fabric ~src:site_id
-                ~dests:(interested t record.charges)
-                complete;
+            Squeue.multicast t.fabric ~src:site_id
+              ~dests:(interested t record.charges)
+              complete;
             complete_at t site record.charges
           end)
   | Complete { et = _; charges } -> complete_at t site charges
@@ -222,7 +216,6 @@ let create (env : Intf.env) =
                });
          fabric;
          inflight = Hashtbl.create 32;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
          n_updates = 0;
          n_queries = 0;
@@ -334,21 +327,16 @@ let submit_update t ~origin intents k =
                    });
             apply_mset t site mset;
             (* Interest routing: the MSet travels only to sites replicating
-               a touched shard.  With the full map that is everybody. *)
+               a touched shard.  With the all-sites map that is everybody. *)
+            let c = interested t charges in
             let n_remote =
-              if t.full then t.env.Intf.sites - 1
-              else
-                let c = interested t charges in
-                if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
-                else Sharding.Dests.count c
+              if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
+              else Sharding.Dests.count c
             in
             if n_remote > 0 then begin
               Hashtbl.replace t.inflight et { charges; waiting_acks = n_remote };
               let propagate () =
-                if t.full then Squeue.broadcast t.fabric ~src:origin (Apply mset)
-                else
-                  Squeue.multicast t.fabric ~src:origin
-                    ~dests:(interested t charges) (Apply mset)
+                Squeue.multicast t.fabric ~src:origin ~dests:c (Apply mset)
               in
               let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
               if Prof.on prof then begin

@@ -3,7 +3,7 @@
     Update MSets are applied *optimistically*, before the global update
     commits.  A later global abort triggers compensation.  Following
     §4.2's framing, MSets execute in a global order (ORDUP-style
-    sequencer tickets), and the compensation strategy depends on
+    per-site sequencer tickets), and the compensation strategy depends on
     operation semantics:
 
     - {b fast path}: if every operation of the aborted MSet has a logical
@@ -32,7 +32,6 @@ module Sharding = Esr_store.Sharding
 module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
-module Sequencer = Esr_clock.Sequencer
 module Lock_counter = Esr_cc.Lock_counter
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
@@ -116,12 +115,10 @@ type decision = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (launch path) *)
-  sequencer : Sequencer.t;
   site_issued : int array;
-      (* per-site dense ticket streams under partial replication — the
-         same interest-ordered sequencer as ordup.ml *)
+      (* per-site dense ticket streams — the same interest-ordered
+         sequencer as ordup.ml *)
   prng : Prng.t;
   sites : site array;
   fabric : msg Squeue.t;
@@ -389,13 +386,11 @@ let execute_inner t site mset =
          each site executes (and counter-covers, and may later compensate)
          only the shards it replicates. *)
       let ops =
-        if t.full then mset.ops
-        else
-          List.filter
-            (fun (key, _) ->
-              Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-                ~id:(Keyspace.find t.env.Intf.keyspace key))
-            mset.ops
+        List.filter
+          (fun (key, _) ->
+            Sharding.replicates_id t.env.Intf.sharding ~site:site.id
+              ~id:(Keyspace.find t.env.Intf.keyspace key))
+          mset.ops
       in
       let entry =
         {
@@ -474,22 +469,16 @@ let local_receive t ~site msg =
   if t.sites.(site).down then t.deferred_local <- (site, msg) :: t.deferred_local
   else receive t ~site msg
 
-(* Coordinator-record fan-out (Decide / Revoke): every site under full
-   replication, only the launch-time participant set otherwise.  The
-   origin's copy bypasses the network in both cases. *)
+(* Coordinator-record fan-out (Decide / Revoke) to the launch-time
+   participant set.  The origin's copy bypasses the network. *)
 let fan_coord t ~origin parts msg =
-  match parts with
-  | None ->
-      Squeue.broadcast t.fabric ~src:origin msg;
-      local_receive t ~site:origin msg
-  | Some arr ->
-      let has_origin = ref false in
-      Array.iter
-        (fun dst ->
-          if dst = origin then has_origin := true
-          else Squeue.send t.fabric ~src:origin ~dst msg)
-        arr;
-      if !has_origin then local_receive t ~site:origin msg
+  let has_origin = ref false in
+  Array.iter
+    (fun dst ->
+      if dst = origin then has_origin := true
+      else Squeue.send t.fabric ~src:origin ~dst msg)
+    parts;
+  if !has_origin then local_receive t ~site:origin msg
 
 let create (env : Intf.env) =
   let rec t =
@@ -503,9 +492,7 @@ let create (env : Intf.env) =
        in
        {
          env;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
-         sequencer = Sequencer.create ();
          site_issued = Array.make env.Intf.sites 0;
          prng = Prng.split env.Intf.prng;
          sites =
@@ -568,24 +555,21 @@ let intent_to_op = function
    committed", Sec 4.1). *)
 let launch_step t ~origin ~saga ops ~on_decision =
   let et = t.env.Intf.next_et () in
+  (* Participants: the union of the touched shards' replica sets (keys
+     interned here so every later lookup agrees on the shard). *)
   let parts =
-    if t.full then None
-    else begin
-      (* Participants: the union of the touched shards' replica sets
-         (keys interned here so every later lookup agrees on the shard). *)
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      List.iter
-        (fun (key, _) ->
-          Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-        ops;
-      let arr = Array.make (Sharding.Dests.count c) 0 in
-      let i = ref 0 in
-      Sharding.Dests.iter c (fun s ->
-          arr.(!i) <- s;
-          incr i);
-      Some arr
-    end
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    List.iter
+      (fun (key, _) ->
+        Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
+      ops;
+    let arr = Array.make (Sharding.Dests.count c) 0 in
+    let i = ref 0 in
+    Sharding.Dests.iter c (fun s ->
+        arr.(!i) <- s;
+        incr i);
+    arr
   in
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
@@ -598,41 +582,28 @@ let launch_step t ~origin ~saga ops ~on_decision =
            keys = List.map fst ops;
          });
   t.undecided <- t.undecided + 1;
+  (* Per-site dense tickets, assigned in one atomic step (ordup.ml). *)
+  let local = ref None in
+  let propagate () =
+    Array.iter
+      (fun dst ->
+        t.site_issued.(dst) <- t.site_issued.(dst) + 1;
+        let m = { et; ticket = t.site_issued.(dst); ops; origin; saga } in
+        if dst = origin then local := Some m
+        else Squeue.send t.fabric ~src:origin ~dst (Provisional m))
+      parts
+  in
   let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  (match parts with
-  | None ->
-      let ticket = Sequencer.next t.sequencer in
-      let mset = { et; ticket; ops; origin; saga } in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        Squeue.broadcast t.fabric ~src:origin (Provisional mset);
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-      end
-      else Squeue.broadcast t.fabric ~src:origin (Provisional mset);
-      receive t ~site:origin (Provisional mset)
-  | Some arr ->
-      (* Per-site dense tickets, assigned in one atomic step (ordup.ml). *)
-      let local = ref None in
-      let propagate () =
-        Array.iter
-          (fun dst ->
-            t.site_issued.(dst) <- t.site_issued.(dst) + 1;
-            let m = { et; ticket = t.site_issued.(dst); ops; origin; saga } in
-            if dst = origin then local := Some m
-            else Squeue.send t.fabric ~src:origin ~dst (Provisional m))
-          arr
-      in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        propagate ();
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-      end
-      else propagate ();
-      (match !local with
-      | Some m -> receive t ~site:origin (Provisional m)
-      | None -> ()));
+  if Prof.on prof then begin
+    let t0 = Prof.start prof in
+    let a0 = Prof.alloc0 prof in
+    propagate ();
+    Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
+  end
+  else propagate ();
+  (match !local with
+  | Some m -> receive t ~site:origin (Provisional m)
+  | None -> ());
   let config = t.env.Intf.config in
   let d_apply ~commit =
     if not commit then t.n_aborts <- t.n_aborts + 1;
@@ -695,29 +666,20 @@ let submit_saga t ~origin steps k =
       | [] ->
           (* All steps committed: release the deferred counters at every
              site that executed a step. *)
-          (if t.full then begin
-             Squeue.broadcast t.fabric ~src:origin (Saga_end { sid });
-             local_receive t ~site:origin (Saga_end { sid })
-           end
-           else begin
-             let seen = Array.make t.env.Intf.sites false in
-             List.iter
-               (fun (_, parts) ->
-                 match parts with
-                 | Some arr -> Array.iter (fun s -> seen.(s) <- true) arr
-                 | None -> ())
-               committed;
-             for dst = 0 to t.env.Intf.sites - 1 do
-               if seen.(dst) && dst <> origin then
-                 Squeue.send t.fabric ~src:origin ~dst (Saga_end { sid })
-             done;
-             if seen.(origin) then local_receive t ~site:origin (Saga_end { sid })
-           end);
+          let seen = Array.make t.env.Intf.sites false in
+          List.iter
+            (fun (_, parts) -> Array.iter (fun s -> seen.(s) <- true) parts)
+            committed;
+          for dst = 0 to t.env.Intf.sites - 1 do
+            if seen.(dst) && dst <> origin then
+              Squeue.send t.fabric ~src:origin ~dst (Saga_end { sid })
+          done;
+          if seen.(origin) then local_receive t ~site:origin (Saga_end { sid });
           finish (Intf.Committed { committed_at = Engine.now t.env.engine })
       | intents :: rest ->
           t.n_updates <- t.n_updates + 1;
           let ops = List.map intent_to_op intents in
-          let step_parts = ref None in
+          let step_parts = ref [||] in
           let _, parts =
             launch_step t ~origin ~saga:(Some sid) ops
               ~on_decision:(fun ~et ~commit ->
@@ -1004,12 +966,8 @@ let mvstore _ ~site:_ = None
 let history t ~site = t.sites.(site).hist
 
 let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
+    ~store:(fun site -> t.sites.(site).store)
 
 let stats t =
   [

@@ -53,13 +53,10 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
     Intf.make_env ~config ?store_hint ?sharding ~obs ?checkpoint ~engine ~net
       ~prng ()
   in
+  (* The probes below compare each site only on the keys it replicates;
+     under the all-sites map that is every key at every site. *)
   let sharding = env.Intf.sharding in
   let keyspace = env.Intf.keyspace in
-  (* Probes below only consult the shard map when replication is partial:
-     under full replication the literal historical comparisons run, so
-     every gauge and series value is byte-identical to the unsharded
-     build. *)
-  let full = Sharding.is_full sharding in
   Engine.set_prof engine obs.Obs.prof;
   let m = obs.Obs.metrics in
   let g name f = Metrics.gauge_fn m ~group:"engine" name f in
@@ -136,19 +133,9 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
         cg "max_tail" Checkpoint.max_tail
       done);
   Metrics.gauge_fn m ~group:"harness" "divergent_sites" (fun () ->
-      if full then begin
-        let s0 = Intf.boxed_store t.system ~site:0 in
-        let n = ref 0 in
-        for site = 1 to sites - 1 do
-          if not (Intf.Store.equal s0 (Intf.boxed_store t.system ~site)) then
-            incr n
-        done;
-        float_of_int !n
-      end
-      else
-        float_of_int
-          (Sharding.divergent_replicas sharding ~keyspace ~store:(fun site ->
-               Intf.boxed_store t.system ~site)));
+      float_of_int
+        (Sharding.divergent_replicas sharding ~keyspace ~store:(fun site ->
+             Intf.boxed_store t.system ~site)));
   let series = obs.Obs.series in
   if Series.on series then begin
     (* Derived ESR probes (the ["esr/"] prefix is what the report charts
@@ -161,9 +148,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
     in
     (* Per-key replica spread: for each key anywhere in the system, the
        largest pairwise distance between copies at the sites replicating
-       that key's shard (max - min for integer domains).  Under full
-       replication every site replicates every shard, so the pair set is
-       the historical all-pairs loop. *)
+       that key's shard (max - min for integer domains). *)
     let spread_stats () =
       let keys = Hashtbl.create 64 in
       for site = 0 to sites - 1 do
@@ -177,32 +162,18 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
         (fun k () ->
           incr n_keys;
           let spread = ref 0.0 in
-          (if full then
-             for a = 0 to sites - 1 do
-               for b = a + 1 to sites - 1 do
-                 let va = Intf.Store.get (Intf.boxed_store t.system ~site:a) k in
-                 let vb = Intf.Store.get (Intf.boxed_store t.system ~site:b) k in
-                 spread := Float.max !spread (vdist va vb)
-               done
-             done
-           else begin
-             let reps =
-               Sharding.replicas sharding
-                 (Sharding.shard_of_id sharding (Esr_store.Keyspace.find keyspace k))
-             in
-             let n = Array.length reps in
-             for a = 0 to n - 1 do
-               for b = a + 1 to n - 1 do
-                 let va =
-                   Intf.Store.get (Intf.boxed_store t.system ~site:reps.(a)) k
-                 in
-                 let vb =
-                   Intf.Store.get (Intf.boxed_store t.system ~site:reps.(b)) k
-                 in
-                 spread := Float.max !spread (vdist va vb)
-               done
-             done
-           end);
+          let reps =
+            Sharding.replicas sharding
+              (Sharding.shard_of_id sharding (Esr_store.Keyspace.find keyspace k))
+          in
+          let n = Array.length reps in
+          for a = 0 to n - 1 do
+            for b = a + 1 to n - 1 do
+              let va = Intf.Store.get (Intf.boxed_store t.system ~site:reps.(a)) k in
+              let vb = Intf.Store.get (Intf.boxed_store t.system ~site:reps.(b)) k in
+              spread := Float.max !spread (vdist va vb)
+            done
+          done;
           if !spread > 0.0 then incr divergent;
           s_max := Float.max !s_max !spread;
           s_sum := !s_sum +. !spread)
@@ -233,21 +204,10 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
     let last_equal = ref 0.0 in
     Series.probe series ~name:"esr/conv_lag" (fun () ->
         let t_now = Engine.now engine in
-        let equal = ref true in
-        (if full then begin
-           let s0 = Intf.boxed_store t.system ~site:0 in
-           for site = 1 to sites - 1 do
-             if
-               !equal
-               && not (Intf.Store.equal s0 (Intf.boxed_store t.system ~site))
-             then equal := false
-           done
-         end
-         else
-           equal :=
-             Sharding.converged sharding ~keyspace ~store:(fun site ->
-                 Intf.boxed_store t.system ~site));
-        if !equal then begin
+        if
+          Sharding.converged sharding ~keyspace ~store:(fun site ->
+              Intf.boxed_store t.system ~site)
+        then begin
           last_equal := t_now;
           0.0
         end
@@ -397,10 +357,6 @@ let settle_result ?(max_rounds = 10) t =
   flush ();
   loop max_rounds
 
-(** Bool-compat wrapper over {!settle_result}. *)
-let settle ?max_rounds t =
-  match settle_result ?max_rounds t with Drained -> true | Stuck _ -> false
-
 let run_with_faults ?max_rounds t ~schedule ~workload =
   inject_faults t schedule;
   workload t;
@@ -491,5 +447,3 @@ let store t ~site = Intf.boxed_store t.system ~site
 let history t ~site = Intf.boxed_history t.system ~site
 
 let stats t = Metrics.snapshot t.obs.Obs.metrics
-
-let stats_alist t = Metrics.alist ~group:"method" t.obs.Obs.metrics

@@ -32,10 +32,11 @@ val create :
     run deterministic.  [method_name] is resolved by {!Registry.make}.
     [store_hint] (expected keyspace size) and [engine_hint] (expected
     event volume) pre-size the per-site stores and the event heap.
-    [sharding] selects a partial-replication map (default: full
+    [sharding] selects the replica placement map (default: full
     replication, {!Esr_store.Sharding.full}); it must be sized for
-    [sites].  Under partial replication the divergence probes and the
-    convergence oracle compare a site only on the keys it replicates.
+    [sites].  The divergence probes and the convergence oracle compare a
+    site only on the keys it replicates — every key under the default
+    map.
     [obs] supplies the observability bundle; by default a fresh one is
     created with tracing set from {!Esr_obs.Obs.set_default_tracing}
     (normally off, which makes instrumentation zero-cost).
@@ -109,9 +110,6 @@ val settle_result : ?max_rounds:int -> t -> settle_outcome
     enough, saying why — a crashed site, a standing partition, or a stall
     in the protocol itself. *)
 
-val settle : ?max_rounds:int -> t -> bool
-(** Bool-compat wrapper over {!settle_result}: [true] iff [Drained]. *)
-
 val run_with_faults :
   ?max_rounds:int ->
   t ->
@@ -149,8 +147,5 @@ val stats : t -> Esr_obs.Metrics.entry list
 (** Typed snapshot of the whole metrics registry: method counters
     (group ["method"]), network fates (["net"]), stable-queue transport
     (["squeue"]), engine totals (["engine"]) and harness lifecycle
-    counters/histograms (["harness"]). *)
-
-val stats_alist : t -> (string * float) list
-(** The method's own counters as the historical [(name, value)] list —
-    exactly what [Intf.S.stats] returns for the running method. *)
+    counters/histograms (["harness"]).  The method's own [(name, value)]
+    list is [Intf.boxed_stats (system t)]. *)

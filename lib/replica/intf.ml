@@ -172,9 +172,8 @@ type env = {
   sharding : Sharding.t;
       (** shard -> replica-set placement map; methods route MSets and
           propagation only to the sites replicating the touched shards.
-          Defaults to {!Sharding.full} (every site replicates every
-          shard), which preserves the historical broadcast behaviour
-          byte-for-byte. *)
+          Defaults to {!Sharding.full}: every site replicates every
+          shard, so every site is routed every MSet. *)
   next_et : unit -> Esr_core.Et.id;  (** shared ET id allocator *)
   obs : Esr_obs.Obs.t;
       (** per-run trace sink + metrics registry; methods emit MSet and

@@ -27,7 +27,6 @@ module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
 module Lamport = Esr_clock.Lamport
-module Sequencer = Esr_clock.Sequencer
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
 module Trace = Esr_obs.Trace
@@ -90,14 +89,16 @@ type site = {
 type t = {
   env : Intf.env;
   mode : [ `Sequencer | `Lamport ];
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
-  sequencer : Sequencer.t;
   site_issued : int array;
-      (* sequencer mode under partial replication: per-site dense ticket
-         streams (a site executes ITS OWN stream gap-free; cross-site
-         order is inherited from submission order, which assigns every
-         interested site its next ticket atomically) *)
+      (* Sequencer mode's centralized order server (§3.1: "such ordering
+         can be generated easily by a centralized order server"): one
+         dense ticket stream 1, 2, 3, ... per site, so a site executes
+         ticket [n+1] the moment it arrives, with no gaps to wait on.
+         Submission assigns every interested site its next ticket in one
+         atomic step, so all streams list concurrent ETs in the same
+         order; under the all-sites map every stream is the one global
+         sequence. *)
   sites : site array;
   fabric : msg Squeue.t;
   (* origin site and commit callback; the callback is volatile origin-side
@@ -139,10 +140,7 @@ let apply_mset_inner t site mset =
     (fun (i : Intf.iop) ->
       (* Union routing delivers the whole MSet to every interested site;
          each site materializes only the shards it replicates. *)
-      if
-        t.full
-        || Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-             ~id:i.Intf.id
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
       then begin
         (match Store.apply_id_unit site.store i.Intf.id i.Intf.op with
         | Ok () -> ()
@@ -288,9 +286,7 @@ let create (env : Intf.env) =
        {
          env;
          mode = env.Intf.config.Intf.ordup_ordering;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
-         sequencer = Sequencer.create ();
          site_issued = Array.make env.Intf.sites 0;
          sites =
            Array.init env.Intf.sites (fun id ->
@@ -338,113 +334,69 @@ let submit_update t ~origin intents k =
     t.n_updates <- t.n_updates + 1;
     let et = t.env.Intf.next_et () in
     let ops = List.map (intent_to_op t.env) intents in
-    let site = t.sites.(origin) in
-    if t.full then begin
-      let order =
-        match t.mode with
-        | `Sequencer -> Ticket (Sequencer.next t.sequencer)
-        | `Lamport -> Stamp (Gtime.next site.clock ~site:origin)
-      in
-      let mset = { et; order; ops; origin; commit_site = origin } in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_enqueued
-             {
-               et;
-               origin;
-               n_ops = List.length ops;
-               keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-             });
-      Hashtbl.replace t.pending_commits et (origin, k);
-      (* Remote replicas get the MSet through the stable queues; the origin
-         buffers it directly (local enqueue is not subject to the network). *)
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        Squeue.broadcast t.fabric ~src:origin (Update mset);
-        Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
+    (* Interest routing: the MSet goes to the sites replicating a touched
+       shard — every site under the all-sites map. *)
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    List.iter (fun (i : Intf.iop) -> Sharding.Dests.add_id c i.Intf.id) ops;
+    let commit_site =
+      if Sharding.Dests.mem c origin then origin
+      else begin
+        let first = ref (-1) in
+        Sharding.Dests.iter c (fun s -> if !first < 0 then first := s);
+        !first
       end
-      else Squeue.broadcast t.fabric ~src:origin (Update mset);
-      receive t ~site:origin (Update mset)
-    end
-    else begin
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      List.iter (fun (i : Intf.iop) -> Sharding.Dests.add_id c i.Intf.id) ops;
-      let commit_site =
-        if Sharding.Dests.mem c origin then origin
-        else begin
-          let first = ref (-1) in
-          Sharding.Dests.iter c (fun s -> if !first < 0 then first := s);
-          !first
-        end
-      in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_enqueued
-             {
-               et;
-               origin;
-               n_ops = List.length ops;
-               keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-             });
-      Hashtbl.replace t.pending_commits et (origin, k);
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
+    in
+    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
+    if Trace.on trace then
+      Trace.emit trace ~time:(Engine.now t.env.engine)
+        (Trace.Mset_enqueued
+           {
+             et;
+             origin;
+             n_ops = List.length ops;
+             keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
+           });
+    Hashtbl.replace t.pending_commits et (origin, k);
+    (* Remote sites get their message through the stable queues; the
+       origin takes its own directly (local enqueue is not subject to the
+       network). *)
+    let local = ref None in
+    let propagate () =
       match t.mode with
       | `Sequencer ->
-          (* Per-site dense tickets: each interested site gets the next
-             number of its own stream, assigned here in one atomic step so
-             every stream lists concurrent ETs in the same (submission)
-             order. *)
-          let local = ref None in
-          let propagate () =
-            Sharding.Dests.iter c (fun dst ->
-                t.site_issued.(dst) <- t.site_issued.(dst) + 1;
-                let m =
+          (* Each interested site gets the next ticket of its own stream,
+             all assigned here in one atomic step. *)
+          Sharding.Dests.iter c (fun dst ->
+              t.site_issued.(dst) <- t.site_issued.(dst) + 1;
+              let m =
+                Update
                   { et; order = Ticket t.site_issued.(dst); ops; origin;
                     commit_site }
-                in
-                if dst = origin then local := Some m
-                else Squeue.send t.fabric ~src:origin ~dst (Update m))
-          in
-          if Prof.on prof then begin
-            let t0 = Prof.start prof in
-            let a0 = Prof.alloc0 prof in
-            propagate ();
-            Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-          end
-          else propagate ();
-          (match !local with
-          | Some m -> receive t ~site:origin (Update m)
-          | None -> ())
+              in
+              if dst = origin then local := Some m
+              else Squeue.send t.fabric ~src:origin ~dst m)
       | `Lamport ->
           (* Interested sites get the MSet; everyone else still needs the
              stamp as a watermark, or their delivery-order proof (and any
              parked SR query) would stall until the final flush. *)
-          let stamp = Gtime.next site.clock ~site:origin in
-          let mset = { et; order = Stamp stamp; ops; origin; commit_site } in
-          let propagate () =
-            for dst = 0 to t.env.Intf.sites - 1 do
-              if dst <> origin then
-                if Sharding.Dests.mem c dst then
-                  Squeue.send t.fabric ~src:origin ~dst (Update mset)
-                else Squeue.send t.fabric ~src:origin ~dst (Watermark stamp)
-            done
-          in
-          if Prof.on prof then begin
-            let t0 = Prof.start prof in
-            let a0 = Prof.alloc0 prof in
-            propagate ();
-            Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-          end
-          else propagate ();
-          if Sharding.Dests.mem c origin then
-            receive t ~site:origin (Update mset)
-          else receive t ~site:origin (Watermark stamp)
+          let stamp = Gtime.next t.sites.(origin).clock ~site:origin in
+          let mset = Update { et; order = Stamp stamp; ops; origin; commit_site } in
+          for dst = 0 to t.env.Intf.sites - 1 do
+            let m = if Sharding.Dests.mem c dst then mset else Watermark stamp in
+            if dst = origin then local := Some m
+            else Squeue.send t.fabric ~src:origin ~dst m
+          done
+    in
+    let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
+    if Prof.on prof then begin
+      let t0 = Prof.start prof in
+      let a0 = Prof.alloc0 prof in
+      propagate ();
+      Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
     end
+    else propagate ();
+    match !local with Some m -> receive t ~site:origin m | None -> ()
   end
 
 (* The query's serialization point: everything ordered at or before this
@@ -452,11 +404,9 @@ let submit_update t ~origin intents k =
 let query_order t site =
   match t.mode with
   | `Sequencer ->
-      (* Under partial replication each site executes its own dense
-         stream, so the serialization point is the last ticket issued FOR
-         this site, not the global count. *)
-      if t.full then Ticket (Sequencer.issued t.sequencer)
-      else Ticket t.site_issued.(site.id)
+      (* Each site executes its own dense stream, so the serialization
+         point is the last ticket issued FOR this site. *)
+      Ticket t.site_issued.(site.id)
   | `Lamport -> Stamp (Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id)
 
 (* Updates ordered before the query's point but not yet executed locally:
@@ -707,12 +657,8 @@ let mvstore _ ~site:_ = None
 let history t ~site = t.sites.(site).hist
 
 let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
+    ~store:(fun site -> t.sites.(site).store)
 
 let stats t =
   [

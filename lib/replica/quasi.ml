@@ -63,7 +63,6 @@ type pending_query = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (refresh path) *)
   sites : site array;
   fabric : msg Squeue.t;
@@ -109,14 +108,11 @@ let push_key t key =
   (* Refresh pushes are QUASI's update propagation: only the sites keeping
      a quasi-copy of the key's shard need them. *)
   let propagate () =
-    let msg = Refresh { key; value; version = t.next_version } in
-    if t.full then Squeue.broadcast t.fabric ~src:primary msg
-    else begin
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
-      Squeue.multicast t.fabric ~src:primary ~dests:c msg
-    end
+    let c = t.dests in
+    Sharding.Dests.reset c;
+    Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
+    Squeue.multicast t.fabric ~src:primary ~dests:c
+      (Refresh { key; value; version = t.next_version })
   in
   let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
   if Prof.on prof then begin
@@ -232,7 +228,6 @@ let create (env : Intf.env) =
        in
        {
          env;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
          sites =
            Array.init env.Intf.sites (fun id ->
@@ -455,30 +450,26 @@ let mvstore _ ~site:_ = None
 let history t ~site = t.sites.(site).hist
 
 let converged t =
+  (* The primary's copy is the master; each quasi-copy must agree with it
+     on exactly the keys (shards) it replicates. *)
   let reference = t.sites.(primary).store in
-  if t.full then
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else begin
-    (* The primary's copy is the master; each quasi-copy must agree with
-       it on exactly the keys (shards) it replicates. *)
-    let sh = t.env.Intf.sharding in
-    let n = Keyspace.size t.env.Intf.keyspace in
-    let ok = ref true in
-    let id = ref 0 in
-    while !ok && !id < n do
-      let v = Store.get_id reference !id in
-      let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-      for i = 0 to Array.length reps - 1 do
-        let s = reps.(i) in
-        if
-          !ok && s <> primary
-          && not (Value.equal (Store.get_id t.sites.(s).store !id) v)
-        then ok := false
-      done;
-      incr id
+  let sh = t.env.Intf.sharding in
+  let n = Keyspace.size t.env.Intf.keyspace in
+  let ok = ref true in
+  let id = ref 0 in
+  while !ok && !id < n do
+    let v = Store.get_id reference !id in
+    let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+    for i = 0 to Array.length reps - 1 do
+      let s = reps.(i) in
+      if
+        !ok && s <> primary
+        && not (Value.equal (Store.get_id t.sites.(s).store !id) v)
+      then ok := false
     done;
-    !ok
-  end
+    incr id
+  done;
+  !ok
 
 let stats t =
   [

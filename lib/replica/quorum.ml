@@ -82,7 +82,6 @@ type site = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   sites : site array;
   fabric : msg Squeue.t;
   reads : (int, read_round) Hashtbl.t;
@@ -167,24 +166,13 @@ and post t ~src ~dst msg =
   if src = dst then receive t ~site:dst msg
   else Squeue.send t.fabric ~src ~dst msg
 
-(* Round fan-out: every site under full replication (the historical
-   behaviour), only the key's replica set otherwise — quorums intersect
-   within the replica set, not the whole system. *)
+(* Round fan-out: the key's replica set — quorums intersect within the
+   replica set, which is every site under the all-sites map. *)
 let fan_key t key f =
-  if t.full then
-    for dst = 0 to t.env.Intf.sites - 1 do
-      f dst
-    done
-  else begin
-    let sh = t.env.Intf.sharding in
-    let reps =
-      Sharding.replicas sh
-        (Sharding.shard_of_id sh (Keyspace.find t.env.Intf.keyspace key))
-    in
-    for i = 0 to Array.length reps - 1 do
-      f reps.(i)
-    done
-  end
+  let sh = t.env.Intf.sharding in
+  Array.iter f
+    (Sharding.replicas sh
+       (Sharding.shard_of_id sh (Keyspace.find t.env.Intf.keyspace key)))
 
 let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
   let rid = t.next_round in
@@ -229,9 +217,9 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
 
 let create (env : Intf.env) =
   let n = env.Intf.sites in
-  (* Under partial replication, quorums live inside each key's replica
-     set: intersection must hold among the [factor] copies, not among all
-     sites.  With factor = sites this is exactly the historical rule. *)
+  (* Quorums live inside each key's replica set: intersection must hold
+     among the [factor] copies, which are all sites under the all-sites
+     map. *)
   let copies = Sharding.factor env.Intf.sharding in
   let majority = (copies / 2) + 1 in
   let read_quorum = Option.value env.Intf.config.Intf.quorum_reads ~default:majority in
@@ -251,7 +239,6 @@ let create (env : Intf.env) =
        in
        {
          env;
-         full = Sharding.is_full env.Intf.sharding;
          sites =
            Array.init n (fun id ->
                {
@@ -283,7 +270,7 @@ let submit_update t ~origin intents notify =
       t.n_updates <- t.n_updates + 1;
       (* Pin the key's shard before routing: both rounds and every later
          access must agree on the replica set. *)
-      if not t.full then ignore (Keyspace.intern t.env.Intf.keyspace key);
+      ignore (Keyspace.intern t.env.Intf.keyspace key);
       let et = t.env.Intf.next_et () in
       let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
       if Trace.on trace then
@@ -439,12 +426,8 @@ let mvstore _ ~site:_ = None
 let history t ~site = t.sites.(site).hist
 
 let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
+    ~store:(fun site -> t.sites.(site).store)
 
 let stats t =
   [

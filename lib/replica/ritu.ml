@@ -56,7 +56,6 @@ type site = {
 type t = {
   env : Intf.env;
   mode : [ `Single | `Multi ];
-  full : bool;  (* replication factor = sites: historical broadcast path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
   sites : site array;
   fabric : msg Squeue.t;
@@ -109,8 +108,7 @@ let apply_mset_inner t site mset =
   let stamp = mset.stamp in
   List.iter
     (fun (id, key, value) ->
-      if t.full || Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id
-      then begin
+      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id then begin
         let op =
           match t.mode with
           | `Single -> Op.Timed_write { ts = stamp; value }
@@ -171,7 +169,6 @@ let create (env : Intf.env) =
        {
          env;
          mode = env.Intf.config.Intf.ritu_mode;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
          sites =
            Array.init env.Intf.sites (fun id ->
@@ -237,12 +234,10 @@ let submit_update t ~origin intents k =
            });
     apply_mset t site mset;
     let propagate () =
-      if t.full then Squeue.broadcast t.fabric ~src:origin (Update mset)
-      else
-        (* Blind writes only matter to the replicas of their shards; commit
-           stays immediate and local either way (read-independence). *)
-        Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
-          (Update mset)
+      (* Blind writes only matter to the replicas of their shards; commit
+         stays immediate and local (read-independence). *)
+      Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
+        (Update mset)
     in
     let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
     if Prof.on prof then begin
@@ -429,36 +424,27 @@ let mvstore t ~site =
 let history t ~site = t.sites.(site).hist
 
 let converged t =
-  if t.full then
-    let reference = t.sites.(0) in
-    Array.for_all
-      (fun site ->
-        Store.equal site.store reference.store
-        && (t.mode = `Single || Mvstore.equal site.mv reference.mv))
-      t.sites
-  else begin
-    let sh = t.env.Intf.sharding in
-    let ks = t.env.Intf.keyspace in
-    Sharding.converged sh ~keyspace:ks ~store:(fun site -> t.sites.(site).store)
-    && (t.mode = `Single
-       ||
-       (* Replicas of a shard must also agree on the full version lists of
-          its keys, not just the latest-writer view. *)
-       let ok = ref true in
-       let id = ref 0 in
-       let n = Keyspace.size ks in
-       while !ok && !id < n do
-         let key = Keyspace.name ks !id in
-         let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-         let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
-         for i = 1 to Array.length reps - 1 do
-           if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference
-           then ok := false
-         done;
-         incr id
+  let sh = t.env.Intf.sharding in
+  let ks = t.env.Intf.keyspace in
+  Sharding.converged sh ~keyspace:ks ~store:(fun site -> t.sites.(site).store)
+  && (t.mode = `Single
+     ||
+     (* Replicas of a shard must also agree on the full version lists of
+        its keys, not just the latest-writer view. *)
+     let ok = ref true in
+     let id = ref 0 in
+     let n = Keyspace.size ks in
+     while !ok && !id < n do
+       let key = Keyspace.name ks !id in
+       let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+       let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
+       for i = 1 to Array.length reps - 1 do
+         if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference
+         then ok := false
        done;
-       !ok)
-  end
+       incr id
+     done;
+     !ok)
 
 let stats t =
   [

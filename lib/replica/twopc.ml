@@ -50,10 +50,9 @@ type coord_state = {
   c_et : Et.id;
   c_site : int;  (* the coordinator's site id *)
   c_ops : (string * Op.t) list;
-  c_parts : int array option;
-      (* participant sites (ascending) under partial replication: the
-         union of the touched shards' replica sets; [None] = every site
-         (full replication, the historical write-all) *)
+  c_parts : int array;
+      (* participant sites (ascending): the union of the touched shards'
+         replica sets — every site under the all-sites map *)
   mutable c_votes : int;  (* votes still awaited *)
   mutable c_acks : int;  (* completion acks still awaited *)
   mutable c_aborted : bool;
@@ -87,7 +86,6 @@ type site = {
 
 type t = {
   env : Intf.env;
-  full : bool;  (* replication factor = sites: historical write-all path *)
   dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
   sites : site array;
   fabric : msg Squeue.t;
@@ -160,19 +158,11 @@ let rec receive t ~site:site_id msg =
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
             let fan_out () =
-              match coord.c_parts with
-              | None ->
-                  for dst = 0 to Array.length t.sites - 1 do
-                    post t ~src:coord.c_site ~dst
-                      (Prepare { et; ops = coord.c_ops; coordinator = coord.c_site })
-                  done
-              | Some parts ->
-                  Array.iter
-                    (fun dst ->
-                      post t ~src:coord.c_site ~dst
-                        (Prepare
-                           { et; ops = coord.c_ops; coordinator = coord.c_site }))
-                    parts
+              Array.iter
+                (fun dst ->
+                  post t ~src:coord.c_site ~dst
+                    (Prepare { et; ops = coord.c_ops; coordinator = coord.c_site }))
+                coord.c_parts
             in
             let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
             if Prof.on prof then begin
@@ -187,13 +177,11 @@ let rec receive t ~site:site_id msg =
       (* A participant locks, logs and applies only the ops of the shards
          it replicates (it joined the union for at least one of them). *)
       let ops =
-        if t.full then ops
-        else
-          List.filter
-            (fun (key, _) ->
-              Sharding.replicates_id t.env.Intf.sharding ~site:site_id
-                ~id:(Keyspace.find t.env.Intf.keyspace key))
-            ops
+        List.filter
+          (fun (key, _) ->
+            Sharding.replicates_id t.env.Intf.sharding ~site:site_id
+              ~id:(Keyspace.find t.env.Intf.keyspace key))
+          ops
       in
       let requests =
         List.map (fun (key, op) -> (key, Lock_table.W, Some op)) ops
@@ -294,14 +282,8 @@ and send_decision t coord ~commit =
     post t ~src:coord.c_site ~dst
       (Decision { et = coord.c_et; commit; coordinator = coord.c_site })
   in
-  match coord.c_parts with
-  | None ->
-      for dst = 0 to Array.length t.sites - 1 do
-        msg dst
-      done
-  | Some parts ->
-      if Array.length parts = 0 || parts.(0) <> 0 then msg 0;
-      Array.iter msg parts
+  if coord.c_parts.(0) <> 0 then msg 0;
+  Array.iter msg coord.c_parts
 
 and coordinator_done t et =
   match Hashtbl.find_opt t.coords et with
@@ -322,7 +304,6 @@ let create (env : Intf.env) =
        in
        {
          env;
-         full = Sharding.is_full env.Intf.sharding;
          dests = Sharding.Dests.cursor env.Intf.sharding;
          sites =
            Array.init env.Intf.sites (fun id ->
@@ -372,35 +353,26 @@ let submit_update t ~origin intents notify =
              n_ops = List.length ops;
              keys = List.map fst ops;
            });
-    let n = t.env.Intf.sites in
+    (* Participants: the union of the touched shards' replica sets (keys
+       interned here so every later lookup agrees on the shard). *)
     let parts =
-      if t.full then None
-      else begin
-        (* Participants: the union of the touched shards' replica sets
-           (keys interned here so every later lookup agrees on the shard). *)
-        let c = t.dests in
-        Sharding.Dests.reset c;
-        List.iter
-          (fun (key, _) ->
-            Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-          ops;
-        let arr = Array.make (Sharding.Dests.count c) 0 in
-        let i = ref 0 in
-        Sharding.Dests.iter c (fun s ->
-            arr.(!i) <- s;
-            incr i);
-        Some arr
-      end
+      let c = t.dests in
+      Sharding.Dests.reset c;
+      List.iter
+        (fun (key, _) ->
+          Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
+        ops;
+      let arr = Array.make (Sharding.Dests.count c) 0 in
+      let i = ref 0 in
+      Sharding.Dests.iter c (fun s ->
+          arr.(!i) <- s;
+          incr i);
+      arr
     in
-    let votes = match parts with None -> n | Some p -> Array.length p in
-    let acks =
-      match parts with
-      | None -> n
-      | Some p ->
-          (* Every participant acks its decision, and so does the lock
-             service at site 0 when it is not itself a participant. *)
-          Array.length p + (if Array.length p > 0 && p.(0) = 0 then 0 else 1)
-    in
+    let votes = Array.length parts in
+    (* Every participant acks its decision, and so does the lock service
+       at site 0 when it is not itself a participant. *)
+    let acks = votes + if parts.(0) = 0 then 0 else 1 in
     let coord =
       {
         c_et = et;
@@ -582,12 +554,8 @@ let mvstore _ ~site:_ = None
 let history t ~site = t.sites.(site).hist
 
 let converged t =
-  if t.full then
-    let reference = t.sites.(0).store in
-    Array.for_all (fun site -> Store.equal site.store reference) t.sites
-  else
-    Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-      ~store:(fun site -> t.sites.(site).store)
+  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
+    ~store:(fun site -> t.sites.(site).store)
 
 let stats t =
   [

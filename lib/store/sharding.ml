@@ -4,9 +4,7 @@
    site derives the same shard -> replica-set map locally, so interest
    routing needs no coordination traffic.  Replica arrays are strictly
    ascending, and the [Dests] cursor iterates sites in ascending order,
-   because that is the order [Squeue.broadcast] sends in — the invariance
-   property (factor = sites is byte-identical to full replication) leans
-   on both. *)
+   the order [Squeue.broadcast] sends in. *)
 
 type policy = All | Ring | Hash
 
@@ -91,8 +89,7 @@ let create ?(policy = All) ?shards ?factor ~sites () =
   in
   if shards < 1 then invalid_arg "Sharding.create: shards < 1";
   (* factor = sites replicates everywhere no matter the policy; collapse
-     to the All layout so [is_full] configurations share one code path
-     (and one replica array per shard). *)
+     to the All layout so every such map places shards identically. *)
   let policy = if factor >= sites then All else policy in
   let replicas, member = place ~policy ~sites ~shards ~factor in
   { sites; shards; factor; policy; replicas; member }
@@ -120,33 +117,48 @@ let route_site t ~id ~site =
     let reps = t.replicas.(shard_of_id t id) in
     reps.(site mod Array.length reps)
 
+(* A shard's key ids are [shard], [shard + shards], ... (see
+   [shard_of_id]), so both probes below walk one shard at a time and
+   compare each replica's store with the shard's first replica, store by
+   store: a sequential scan per store, as [Store.equal] does, instead of
+   a hop across every replica for each key. *)
 let converged t ~keyspace ~store =
   let n = Keyspace.size keyspace in
   let ok = ref true in
-  let id = ref 0 in
-  while !ok && !id < n do
-    let reps = t.replicas.(shard_of_id t !id) in
-    let v0 = Store.get_id (store reps.(0)) !id in
+  let shard = ref 0 in
+  while !ok && !shard < t.shards do
+    let reps = t.replicas.(!shard) in
+    let s0 = store reps.(0) in
     let i = ref 1 in
     while !ok && !i < Array.length reps do
-      if not (Value.equal v0 (Store.get_id (store reps.(!i)) !id)) then
-        ok := false;
+      let s = store reps.(!i) in
+      let id = ref !shard in
+      while !ok && !id < n do
+        if not (Value.equal (Store.get_id s0 !id) (Store.get_id s !id)) then
+          ok := false;
+        id := !id + t.shards
+      done;
       incr i
     done;
-    incr id
+    incr shard
   done;
   !ok
 
 let divergent_replicas t ~keyspace ~store =
   let n_keys = Keyspace.size keyspace in
   let diverged = Array.make t.sites false in
-  for id = 0 to n_keys - 1 do
-    let reps = t.replicas.(shard_of_id t id) in
-    let v0 = Store.get_id (store reps.(0)) id in
+  for shard = 0 to t.shards - 1 do
+    let reps = t.replicas.(shard) in
+    let s0 = store reps.(0) in
     for i = 1 to Array.length reps - 1 do
-      let s = reps.(i) in
-      if (not diverged.(s)) && not (Value.equal v0 (Store.get_id (store s) id))
-      then diverged.(s) <- true
+      let site = reps.(i) in
+      let s = store site in
+      let id = ref shard in
+      while (not diverged.(site)) && !id < n_keys do
+        if not (Value.equal (Store.get_id s0 !id) (Store.get_id s !id)) then
+          diverged.(site) <- true;
+        id := !id + t.shards
+      done
     done
   done;
   let n = ref 0 in

@@ -8,14 +8,14 @@
     fanout from O(sites) to O(replication factor).
 
     The [All] policy — or any policy with [factor = sites] — replicates
-    every shard everywhere and is the default in {!Esr_replica.Intf.env};
-    it must be (and is tested to be) byte-identical to the historical
-    full-replication behaviour.  Placement is a pure function of
+    every shard everywhere and is the default in {!Esr_replica.Intf.env}.
+    Full replication is simply that map: the methods run the same routed
+    path under every map.  Placement is a pure function of
     [(sites, shards, factor, policy)], so every site agrees on every
     replica set without coordination. *)
 
 type policy =
-  | All  (** every site replicates every shard (historical behaviour) *)
+  | All  (** every site replicates every shard (full replication) *)
   | Ring  (** shard s lives at [factor] consecutive sites from [s mod sites] *)
   | Hash  (** shard s lives at [factor] sites picked by a splitmix hash *)
 
@@ -39,9 +39,7 @@ val factor : t -> int
 val policy : t -> policy
 
 val is_full : t -> bool
-(** Every shard is replicated at every site ([factor = sites]).  Methods
-    use this to keep the historical broadcast path — and its exact
-    payload sharing — when sharding is effectively off. *)
+(** Every shard is replicated at every site ([factor = sites]). *)
 
 val shard_of_id : t -> int -> int
 (** Shard of an interned key id: [id mod shards].  Allocation-free.
@@ -59,29 +57,27 @@ val replicates_id : t -> site:int -> id:int -> bool
 
 val route_site : t -> id:int -> site:int -> int
 (** [site] when it replicates [id]'s shard; otherwise a deterministic
-    replica of that shard ([site mod factor]-th).  Identity when
-    [is_full].  Used to re-home queries onto an interested replica
-    without consuming randomness. *)
+    replica of that shard ([site mod factor]-th).  The identity under
+    the all-sites map.  Used to re-home queries onto an interested
+    replica without consuming randomness. *)
 
 val converged : t -> keyspace:Keyspace.t -> store:(int -> Store.t) -> bool
 (** Shard-aware replica equality: for every interned key, all sites
     replicating its shard hold the same value (absent reads
-    {!Value.zero}).  With [is_full] this coincides with pairwise
-    {!Store.equal} across all sites. *)
+    {!Value.zero}).  Under the all-sites map this is {!Store.equal}
+    across all sites. *)
 
 val divergent_replicas : t -> keyspace:Keyspace.t -> store:(int -> Store.t) -> int
 (** Number of sites holding, for some key they replicate, a value that
-    differs from the lowest-numbered replica of that key's shard.  With
-    [is_full] this is the historical "sites differing from site 0"
-    count. *)
+    differs from the lowest-numbered replica of that key's shard.  Under
+    the all-sites map that is the number of sites differing from
+    site 0. *)
 
 (** Zero-allocation destination-set cursor: accumulates the union of the
     replica sets of an MSet's shards, using epoch-stamped scratch arrays
     so [reset] is O(1) and nothing is allocated after [cursor].  [iter]
     visits sites in ascending order — the same order
-    {!Esr_squeue.Squeue.broadcast} sends in, which is what keeps the
-    [factor = sites] configuration byte-identical to the historical
-    broadcast. *)
+    {!Esr_squeue.Squeue.broadcast} sends in. *)
 module Dests : sig
   type sharding := t
   type t

@@ -118,7 +118,6 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
   | Some a -> Harness.attach_audit harness a);
   let sharding = (Harness.env harness).Intf.sharding in
   let keyspace = (Harness.env harness).Intf.keyspace in
-  let full = Esr_store.Sharding.is_full sharding in
   let engine = Harness.engine harness in
   let net = Harness.net harness in
   let prng = Prng.create (seed * 7919) in
@@ -229,20 +228,18 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
       if in_window submit_time then incr w_qs;
       let site = Prng.int prng sites in
       let keys = gen_query_keys prng zipf ~key_cache spec in
-      (* Under partial replication, re-home the query onto a replica of
-         its first key's shard.  The drawn site seeds a deterministic
-         pick ([route_site]), so the PRNG call sequence — and therefore
-         the whole workload — is unchanged bit-for-bit vs. full
-         replication. *)
+      (* Re-home the query onto a replica of its first key's shard (the
+         identity under the all-sites map).  The drawn site seeds a
+         deterministic pick ([route_site]), so the PRNG call sequence —
+         and therefore the whole workload — does not depend on the
+         map. *)
       let site =
-        if full then site
-        else
-          match keys with
-          | [] -> site
-          | k :: _ ->
-              Esr_store.Sharding.route_site sharding
-                ~id:(Esr_store.Keyspace.find keyspace k)
-                ~site
+        match keys with
+        | [] -> site
+        | k :: _ ->
+            Esr_store.Sharding.route_site sharding
+              ~id:(Esr_store.Keyspace.find keyspace k)
+              ~site
       in
       Harness.submit_query harness ~site ~keys ~epsilon:spec.Spec.epsilon
         (fun outcome ->
@@ -261,7 +258,7 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
           | None -> ()
           | Some a -> Esr_obs.Audit.note_oracle a ~q ~distance);
           if outcome.Intf.consistent_path then incr fallback_queries));
-  let settled = Harness.settle harness in
+  let settled = Harness.settle_result harness = Harness.Drained in
   {
     method_name;
     sites;
@@ -289,7 +286,7 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
             w_queries_served = !w_qv;
           })
         partition;
-    method_stats = Harness.stats_alist harness;
+    method_stats = Intf.boxed_stats (Harness.system harness);
     net_counters = Net.counters net;
   }
 

@@ -25,6 +25,12 @@ module Nemesis = Esr_fault.Nemesis
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Drain the system; a run that cannot drain fails with the reason. *)
+let expect_drained h =
+  match Harness.settle_result h with
+  | Harness.Drained -> ()
+  | Harness.Stuck r -> Alcotest.fail ("stuck: " ^ Harness.stuck_reason_to_string r)
+
 (* --- cut mechanics --- *)
 
 let test_create_validates () =
@@ -280,7 +286,7 @@ let test_double_crash_between_cuts name () =
   Intf.boxed_on_recover system ~site:2;
   checki "both recoveries replayed a tail" 2 (Checkpoint.tail_replays c ~site:2);
   schedule_updates h ~sites ~name ~gap:13.0 ~until:80.0;
-  checkb "drained" true (Harness.settle h);
+  expect_drained h;
   checkb "converged" true (Harness.converged h)
 
 (* --- the headline property: checkpoint + tail ≡ full-log replay --- *)

@@ -4,7 +4,6 @@
 module Lamport = Esr_clock.Lamport
 module Gtime = Esr_clock.Gtime
 module Vclock = Esr_clock.Vclock
-module Sequencer = Esr_clock.Sequencer
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -132,16 +131,6 @@ let prop_vclock_merge_commutes =
   QCheck.Test.make ~name:"vclock merge commutes" ~count:300 gen (fun (a, b) ->
       Vclock.equal (Vclock.merge a b) (Vclock.merge b a))
 
-(* --- Sequencer --- *)
-
-let test_sequencer_dense () =
-  let s = Sequencer.create () in
-  checki "issued 0" 0 (Sequencer.issued s);
-  checki "1" 1 (Sequencer.next s);
-  checki "2" 2 (Sequencer.next s);
-  checki "3" 3 (Sequencer.next s);
-  checki "issued 3" 3 (Sequencer.issued s)
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_gtime_order_is_total; prop_vclock_leq_partial_order; prop_vclock_merge_commutes ]
@@ -169,6 +158,5 @@ let () =
           Alcotest.test_case "merge is lub" `Quick test_vclock_merge_is_lub;
           Alcotest.test_case "size mismatch" `Quick test_vclock_size_mismatch;
         ] );
-      ("sequencer", [ Alcotest.test_case "dense tickets" `Quick test_sequencer_dense ]);
       ("properties", qcheck_tests);
     ]

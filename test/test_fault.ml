@@ -20,6 +20,12 @@ module Nemesis = Esr_fault.Nemesis
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Drain the system; a run that cannot drain fails with the reason. *)
+let expect_drained h =
+  match Harness.settle_result h with
+  | Harness.Drained -> ()
+  | Harness.Stuck r -> Alcotest.fail ("stuck: " ^ Harness.stuck_reason_to_string r)
+
 (* --- schedule DSL --- *)
 
 let test_spec_roundtrip () =
@@ -230,7 +236,7 @@ let test_double_crash_recover_idempotent name () =
   Intf.boxed_on_recover system ~site:2;
   Intf.boxed_on_recover system ~site:2;
   schedule_updates h ~sites ~name ~gap:13.0 ~until:80.0;
-  checkb "drained" true (Harness.settle h);
+  expect_drained h;
   checkb "converged" true (Harness.converged h)
 
 let test_crashed_site_degrades_gracefully name () =
@@ -259,7 +265,7 @@ let test_crashed_site_degrades_gracefully name () =
   (* The rest of the system keeps going and still drains. *)
   Net.recover (Harness.net h) 2;
   Intf.boxed_on_recover system ~site:2;
-  checkb "drained" true (Harness.settle h);
+  expect_drained h;
   checkb "converged" true (Harness.converged h)
 
 (* --- the headline property: all-clear nemesis => settle + converge --- *)

@@ -18,6 +18,12 @@ module Scenario = Esr_workload.Scenario
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Drain the system; a run that cannot drain fails with the reason. *)
+let expect_drained h =
+  match Harness.settle_result h with
+  | Harness.Drained -> ()
+  | Harness.Stuck r -> Alcotest.fail ("stuck: " ^ Harness.stuck_reason_to_string r)
+
 let chaos_net =
   {
     Net.latency = Dist.Uniform (2.0, 120.0);
@@ -95,7 +101,7 @@ let history_case ~mode name () =
       Harness.submit_query h ~site:((i + 1) mod 3) ~keys:[ key; "k0" ]
         ~epsilon:(Epsilon.Limit 3) ignore
   done;
-  checkb "settled" true (Harness.settle h);
+  expect_drained h;
   for s = 0 to 2 do
     checkb
       (Printf.sprintf "%s site %d ε-serial" name s)
@@ -239,7 +245,7 @@ let crash_recovery_case name () =
   done;
   ignore (Esr_sim.Engine.schedule_at engine ~time:500.0 (fun () -> Net.crash net 2));
   ignore (Esr_sim.Engine.schedule_at engine ~time:1_500.0 (fun () -> Net.recover net 2));
-  checkb "settled" true (Harness.settle h);
+  expect_drained h;
   checkb "committed through the crash" true (!committed > 0);
   checkb "converged including the recovered site" true (Harness.converged h)
 
@@ -312,7 +318,7 @@ let test_additive_methods_agree_when_nothing_aborts () =
         [ Intf.Add ("x", i); Intf.Add ("y", 2 * i) ]
         ignore
     done;
-    checkb (name ^ " settled") true (Harness.settle h);
+    expect_drained h;
     (Store.get (Harness.store h ~site:0) "x", Store.get (Harness.store h ~site:0) "y")
   in
   let expected = final "ORDUP" in
@@ -364,7 +370,7 @@ let invariant_case name () =
                in
                if get "x" + get "y" <> 0 then incr strict_violations)))
   done;
-  checkb "settled" true (Harness.settle h);
+  expect_drained h;
   checki "all strict audits served" 8 !strict_served;
   checki (name ^ ": strict audits never see a broken invariant") 0
     !strict_violations;

@@ -201,7 +201,7 @@ let test_resource_series_monotone () =
                Harness.submit_update h ~origin:(i mod 3) intents (fun _ -> ())))
       done;
       Harness.arm_series h ~until:900.0;
-      ignore (Harness.settle h);
+      ignore (Harness.settle_result h);
       let series = obs.Obs.series in
       checkb (method_name ^ " sampled") true (Series.length series > 1);
       List.iter
@@ -248,7 +248,7 @@ let test_resources_match_history () =
              [ Intf.Add ("k", 1) ]
              (fun _ -> ())))
   done;
-  ignore (Harness.settle h);
+  ignore (Harness.settle_result h);
   for site = 0 to 2 do
     let r = Intf.boxed_resources (Harness.system h) ~site in
     checki

@@ -26,15 +26,16 @@ let mk ?(config = default) ?(net_config = Net.default_config) ?(seed = 1)
     ?(sites = 3) name =
   Harness.create ~config ~net_config ~seed ~sites ~method_name:name ()
 
+(* Drain the system; a run that cannot drain fails with the reason. *)
 let run_settle h =
-  let ok = Harness.settle h in
-  checkb "settled" true ok;
-  ok
+  match Harness.settle_result h with
+  | Harness.Drained -> ()
+  | Harness.Stuck r -> Alcotest.fail ("stuck: " ^ Harness.stuck_reason_to_string r)
 
 let get h ~site key = Store.get (Harness.store h ~site) key
 
 let stat h name =
-  match List.assoc_opt name (Harness.stats_alist h) with
+  match List.assoc_opt name (Intf.boxed_stats (Harness.system h)) with
   | Some v -> int_of_float v
   | None -> Alcotest.fail (Printf.sprintf "missing stat %s" name)
 
@@ -63,7 +64,7 @@ let test_registry_unknown () =
 
 let test_registry_case_insensitive () =
   let h = mk "ordup" in
-  checkb "created" true (Harness.settle h)
+  run_settle h
 
 let test_table1_metadata () =
   let meta name =
@@ -91,7 +92,7 @@ let test_ordup_total_order_convergence () =
       [ Intf.Set ("x", Value.int i) ]
       expect_committed
   done;
-  ignore (run_settle h);
+  run_settle h;
   all_sites_equal h ~sites:4 "x" (Value.int 9);
   checkb "converged" true (Harness.converged h)
 
@@ -101,7 +102,7 @@ let test_ordup_commit_callback_fires () =
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 5) ] (fun o ->
       expect_committed o;
       committed := true);
-  ignore (run_settle h);
+  run_settle h;
   checkb "callback fired" true !committed;
   all_sites_equal h ~sites:3 "x" (Value.int 5)
 
@@ -114,7 +115,7 @@ let test_ordup_query_epsilon_zero_is_consistent () =
   let served = ref None in
   Harness.submit_query h ~site:2 ~keys:[ "x" ] ~epsilon:(Epsilon.Limit 0)
     (fun o -> served := Some o);
-  ignore (run_settle h);
+  run_settle h;
   match !served with
   | None -> Alcotest.fail "query never served"
   | Some o ->
@@ -136,7 +137,7 @@ let test_ordup_query_unlimited_is_immediate () =
       Alcotest.check value_t "stale read allowed" Value.zero
         (List.assoc "x" o.Intf.values);
       checkb "charged the missing update" true (o.Intf.charged >= 1));
-  ignore (run_settle h)
+  run_settle h
 
 let test_ordup_epsilon_bound_respected () =
   let h = mk ~net_config:jittery ~sites:4 ~seed:5 "ORDUP" in
@@ -149,7 +150,7 @@ let test_ordup_epsilon_bound_respected () =
         ~epsilon:(Epsilon.Limit eps) (fun o ->
           if o.Intf.charged > !max_charged then max_charged := o.Intf.charged)
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "bound respected" true (!max_charged <= eps)
 
 let test_ordup_lamport_mode_converges () =
@@ -158,7 +159,7 @@ let test_ordup_lamport_mode_converges () =
   for i = 1 to 6 do
     Harness.submit_update h ~origin:(i mod 3) [ Intf.Set ("x", Value.int i) ] ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged" true (Harness.converged h);
   (* All replicas agree; the winner is the Lamport-largest stamp. *)
   let v0 = get h ~site:0 "x" in
@@ -173,7 +174,7 @@ let test_ordup_histories_are_epsilon_serial () =
     Harness.submit_query h ~site:(i mod 3) ~keys:[ "a"; "b" ]
       ~epsilon:Epsilon.Unlimited ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   for s = 0 to 2 do
     let hist = Harness.history h ~site:s in
     checkb
@@ -191,7 +192,7 @@ let test_commu_rejects_non_commutative () =
       outcomes := o :: !outcomes);
   Harness.submit_update h ~origin:0 [ Intf.Mul ("x", 2) ] (fun o ->
       outcomes := o :: !outcomes);
-  ignore (run_settle h);
+  run_settle h;
   checki "both rejected" 2
     (List.length
        (List.filter (function Intf.Rejected _ -> true | _ -> false) !outcomes))
@@ -203,7 +204,7 @@ let test_commu_convergence_any_order () =
     expected := !expected + i;
     Harness.submit_update h ~origin:(i mod 4) [ Intf.Add ("x", i) ] expect_committed
   done;
-  ignore (run_settle h);
+  run_settle h;
   all_sites_equal h ~sites:4 "x" (Value.int !expected);
   checkb "converged" true (Harness.converged h)
 
@@ -216,7 +217,7 @@ let test_commu_epsilon_zero_waits_for_completion () =
   Harness.submit_query h ~site:0 ~keys:[ "x" ] ~epsilon:(Epsilon.Limit 0)
     (fun o -> served := Some o);
   checkb "not served synchronously" true (!served = None);
-  ignore (run_settle h);
+  run_settle h;
   match !served with
   | None -> Alcotest.fail "query stuck"
   | Some o ->
@@ -236,7 +237,7 @@ let test_commu_epsilon_allows_reading_through () =
       Alcotest.check value_t "reads through" (Value.int 7)
         (List.assoc "x" o.Intf.values)
   | None -> Alcotest.fail "ε=1 query should not block");
-  ignore (run_settle h)
+  run_settle h
 
 let test_commu_update_limit_abort () =
   let config =
@@ -249,7 +250,7 @@ let test_commu_update_limit_abort () =
       | Intf.Rejected _ -> incr rejected
       | Intf.Committed _ -> ())
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "limit caused aborts" true (!rejected > 0);
   checkb "converged regardless" true (Harness.converged h)
 
@@ -264,7 +265,7 @@ let test_commu_update_limit_wait () =
       | Intf.Committed _ -> incr committed
       | Intf.Rejected _ -> ())
   done;
-  ignore (run_settle h);
+  run_settle h;
   checki "all eventually commit" 5 !committed;
   checkb "waits happened" true (stat h "update_waits" > 0);
   all_sites_equal h ~sites:3 "hot" (Value.int 5)
@@ -286,11 +287,11 @@ let test_commu_value_limit_bounds_pending_delta () =
     List.exists (function Intf.Rejected _ -> true | _ -> false) !outcomes
   in
   checkb "second update refused while first pending" true rejected_now;
-  ignore (run_settle h);
+  run_settle h;
   (* Once drained, a fresh 7-point update is admissible again. *)
   let late = ref None in
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 7) ] (fun o -> late := Some o);
-  ignore (run_settle h);
+  run_settle h;
   (match !late with
   | Some (Intf.Committed _) -> ()
   | Some (Intf.Rejected m) -> Alcotest.fail m
@@ -304,7 +305,7 @@ let test_commu_histories_epsilon_serial_semantic () =
     Harness.submit_query h ~site:((i + 1) mod 3) ~keys:[ "x" ]
       ~epsilon:Epsilon.Unlimited ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   for s = 0 to 2 do
     let hist = Harness.history h ~site:s in
     checkb "semantic ε-serial" true
@@ -319,7 +320,7 @@ let test_ritu_rejects_read_dependent () =
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 1) ] (function
     | Intf.Rejected _ -> rejected := true
     | Intf.Committed _ -> ());
-  ignore (run_settle h);
+  run_settle h;
   checkb "Add rejected" true !rejected
 
 let test_ritu_latest_wins_convergence () =
@@ -329,7 +330,7 @@ let test_ritu_latest_wins_convergence () =
       [ Intf.Set ("x", Value.int i) ]
       expect_committed
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged" true (Harness.converged h);
   checkb "stale writes were ignored somewhere" true (stat h "stale_writes_ignored" > 0)
 
@@ -339,7 +340,7 @@ let test_ritu_multi_versions_accumulate () =
   for i = 1 to 4 do
     Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int i) ] expect_committed
   done;
-  ignore (run_settle h);
+  run_settle h;
   match Intf.boxed_mvstore (Harness.system h) ~site:1 with
   | None -> Alcotest.fail "multi mode must expose mvstore"
   | Some mv ->
@@ -350,7 +351,7 @@ let test_ritu_multi_vtnc_query_modes () =
   let config = { default with ritu_mode = `Multi } in
   let h = mk ~config ~sites:3 "RITU" in
   Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int 1) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   (* A second update whose MSet has not yet reached site 1. *)
   Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int 2) ] expect_committed;
   let strict = ref None and fresh = ref None in
@@ -369,7 +370,7 @@ let test_ritu_multi_vtnc_query_modes () =
       checkb "strict is older or equal" true
         (Value.compare (List.assoc "x" s.Intf.values) (Value.int 2) <= 0)
   | _ -> Alcotest.fail "queries not served");
-  ignore (run_settle h)
+  run_settle h
 
 let test_ritu_queries_never_block () =
   let h = mk ~sites:3 "RITU" in
@@ -378,7 +379,7 @@ let test_ritu_queries_never_block () =
   Harness.submit_query h ~site:1 ~keys:[ "x" ] ~epsilon:(Epsilon.Limit 0)
     (fun _ -> served := true);
   checkb "served synchronously" true !served;
-  ignore (run_settle h)
+  run_settle h
 
 (* --- COMPE --- *)
 
@@ -388,7 +389,7 @@ let test_compe_no_aborts_behaves_normally () =
   for i = 1 to 10 do
     Harness.submit_update h ~origin:(i mod 3) [ Intf.Add ("x", i) ] expect_committed
   done;
-  ignore (run_settle h);
+  run_settle h;
   all_sites_equal h ~sites:3 "x" (Value.int 55);
   checki "no compensation" 0 (stat h "aborts")
 
@@ -401,7 +402,7 @@ let test_compe_all_aborts_cancel_out () =
       | Intf.Rejected _ -> incr rejected
       | Intf.Committed _ -> Alcotest.fail "must abort")
   done;
-  ignore (run_settle h);
+  run_settle h;
   checki "all aborted" 8 !rejected;
   all_sites_equal h ~sites:3 "x" Value.zero;
   checkb "converged" true (Harness.converged h)
@@ -416,7 +417,7 @@ let test_compe_mixed_aborts_match_committed_sum () =
       | Intf.Committed _ -> committed_sum := !committed_sum + d
       | Intf.Rejected _ -> ())
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "some aborted" true (stat h "aborts" > 0);
   checkb "some committed" true (!committed_sum > 0);
   all_sites_equal h ~sites:3 "x" (Value.int !committed_sum)
@@ -427,7 +428,7 @@ let test_compe_commutative_uses_fast_path () =
   for i = 1 to 20 do
     Harness.submit_update h ~origin:(i mod 3) [ Intf.Add ("x", i) ] ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "aborts happened" true (stat h "aborts" > 0);
   checki "no full rollback for commuting ops" 0 (stat h "full_rollbacks");
   checkb "fast compensations used" true
@@ -444,7 +445,7 @@ let test_compe_non_commutative_full_rollback () =
   for i = 1 to 24 do
     Harness.submit_update h ~origin:(i mod 3) [ Intf.Set ("x", Value.int i) ] ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "aborts happened" true (stat h "aborts" > 0);
   checkb "full rollbacks happened" true (stat h "full_rollbacks" > 0);
   checkb "converged" true (Harness.converged h);
@@ -457,7 +458,7 @@ let test_compe_mul_inc_identity_system_level () =
   let config = { default with compe_abort_probability = 0.0 } in
   let h = mk ~config ~sites:2 ~seed:53 "COMPE" in
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 5) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   (* Now an Inc that will abort, then a Mul that commits, forcing the
      rollback-undo-replay path because Inc and Mul do not commute. *)
   let sys = Harness.system h in
@@ -476,7 +477,7 @@ let test_compe_query_bound_and_taint_accounting () =
       ~epsilon:(Epsilon.Limit 2) (fun o ->
         if o.Intf.charged > !max_charged then max_charged := o.Intf.charged)
   done;
-  ignore (run_settle h);
+  run_settle h;
   (* Forced charges from compensations may exceed ε — that is the paper's
      point about backward methods — but they are counted. *)
   let forced = stat h "forced_charges" in
@@ -493,7 +494,7 @@ let test_twopc_latency_two_round_trips () =
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 1) ] (function
     | Intf.Committed { committed_at } -> latency := committed_at -. t0
     | Intf.Rejected m -> Alcotest.fail m);
-  ignore (run_settle h);
+  run_settle h;
   (* prepare (10ms) + vote (10ms) with the default constant latency. *)
   Alcotest.check (Alcotest.float 1e-6) "2 one-way hops" 20.0 !latency;
   all_sites_equal h ~sites:3 "x" (Value.int 1)
@@ -506,18 +507,18 @@ let test_twopc_convergence_under_contention () =
       | Intf.Committed _ -> committed_sum := !committed_sum + i
       | Intf.Rejected _ -> ())
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged" true (Harness.converged h);
   all_sites_equal h ~sites:3 "x" (Value.int !committed_sum)
 
 let test_twopc_queries_are_sr () =
   let h = mk ~sites:3 "2PC" in
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 9) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   let served = ref None in
   Harness.submit_query h ~site:2 ~keys:[ "x" ] ~epsilon:Epsilon.Unlimited
     (fun o -> served := Some o);
-  ignore (run_settle h);
+  run_settle h;
   match !served with
   | Some o ->
       checki "never charged" 0 o.Intf.charged;
@@ -537,7 +538,7 @@ let test_twopc_timeout_aborts_under_partition () =
   | Some (Intf.Committed _) -> Alcotest.fail "cannot commit across partition"
   | None -> Alcotest.fail "timeout should have fired");
   Net.heal (Harness.net h);
-  ignore (run_settle h);
+  run_settle h;
   (* The abort propagated: nothing applied anywhere. *)
   all_sites_equal h ~sites:4 "x" Value.zero
 
@@ -546,13 +547,13 @@ let test_twopc_timeout_aborts_under_partition () =
 let test_quorum_commit_and_read () =
   let h = mk ~sites:5 "QUORUM" in
   Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int 42) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged" true (Harness.converged h);
   all_sites_equal h ~sites:5 "x" (Value.int 42);
   let served = ref None in
   Harness.submit_query h ~site:3 ~keys:[ "x" ] ~epsilon:Epsilon.Unlimited
     (fun o -> served := Some o);
-  ignore (run_settle h);
+  run_settle h;
   match !served with
   | Some o ->
       Alcotest.check value_t "quorum read" (Value.int 42)
@@ -568,7 +569,7 @@ let test_quorum_read_sees_committed_write () =
       expect_committed o;
       Harness.submit_query h ~site:4 ~keys:[ "x" ] ~epsilon:Epsilon.Unlimited
         (fun q -> result := Some (List.assoc "x" q.Intf.values)));
-  ignore (run_settle h);
+  run_settle h;
   match !result with
   | Some v -> Alcotest.check value_t "fresh" (Value.int 7) v
   | None -> Alcotest.fail "no result"
@@ -576,9 +577,9 @@ let test_quorum_read_sees_committed_write () =
 let test_quorum_version_ordering () =
   let h = mk ~sites:3 "QUORUM" in
   Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int 1) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   Harness.submit_update h ~origin:1 [ Intf.Set ("x", Value.int 2) ] expect_committed;
-  ignore (run_settle h);
+  run_settle h;
   all_sites_equal h ~sites:3 "x" (Value.int 2)
 
 let test_quorum_rejects_unsupported () =
@@ -589,7 +590,7 @@ let test_quorum_rejects_unsupported () =
   Harness.submit_update h ~origin:0
     [ Intf.Set ("x", Value.int 1); Intf.Set ("y", Value.int 2) ]
     count;
-  ignore (run_settle h);
+  run_settle h;
   checki "both rejected" 2 !rejections
 
 (* --- QUASI --- *)
@@ -600,7 +601,7 @@ let test_quasi_primary_commit_and_propagation () =
   Harness.submit_update h ~origin:2 [ Intf.Add ("x", 5) ] (function
     | Intf.Committed _ -> committed := true
     | Intf.Rejected m -> Alcotest.fail m);
-  ignore (run_settle h);
+  run_settle h;
   checkb "committed at primary" true !committed;
   all_sites_equal h ~sites:3 "x" (Value.int 5);
   checkb "converged" true (Harness.converged h)
@@ -619,7 +620,7 @@ let test_quasi_drift_defers_refresh () =
   Alcotest.check value_t "replica refreshed" (Value.int 12) (get h ~site:1 "x");
   (* Final flush reconciles whatever is left in the band. *)
   Harness.submit_update h ~origin:0 [ Intf.Add ("x", 1) ] ignore;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged at quiescence" true (Harness.converged h);
   all_sites_equal h ~sites:3 "x" (Value.int 13)
 
@@ -633,7 +634,7 @@ let test_quasi_strict_query_reads_primary () =
     (fun o -> lazy_read := Some (List.assoc "x" o.Intf.values));
   Harness.submit_query h ~site:2 ~keys:[ "x" ] ~epsilon:(Epsilon.Limit 0)
     (fun o -> strict_read := Some (List.assoc "x" o.Intf.values));
-  ignore (run_settle h);
+  run_settle h;
   (match !lazy_read with
   | Some v -> Alcotest.check value_t "quasi-copy is stale" Value.zero v
   | None -> Alcotest.fail "lazy query not served");
@@ -647,7 +648,7 @@ let test_quasi_periodic_batches () =
   for _ = 1 to 10 do
     Harness.submit_update h ~origin:0 [ Intf.Add ("x", 1) ] ignore
   done;
-  ignore (run_settle h);
+  run_settle h;
   checkb "converged" true (Harness.converged h);
   all_sites_equal h ~sites:3 "x" (Value.int 10);
   (* Ten updates, but (at most a couple of) batched refreshes. *)
@@ -700,7 +701,7 @@ let prop_store_hint_invariance =
                        | Intf.Committed _ -> incr committed
                        | Intf.Rejected _ -> ())))
             done;
-            let settled = Harness.settle h in
+            let settled = Harness.settle_result h in
             let snaps =
               List.init 3 (fun s -> Store.snapshot (Harness.store h ~site:s))
             in
@@ -742,7 +743,7 @@ let run_sharded ?sharding ~seed ~sites ~n_updates name =
              | Intf.Committed _ -> incr committed
              | Intf.Rejected _ -> ())))
   done;
-  let settled = Harness.settle h in
+  let settled = Harness.settle_result h = Harness.Drained in
   let snaps =
     List.init sites (fun s -> Store.snapshot (Harness.store h ~site:s))
   in

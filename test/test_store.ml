@@ -572,6 +572,53 @@ let prop_sharding_placement =
       done;
       !ok)
 
+(* The shard-aware probes match their per-key definition: a site
+   diverges when, for some key of a shard it replicates, it holds a
+   value other than the shard's first replica's; the map converges when
+   no site diverges. *)
+let prop_sharding_probes =
+  QCheck.Test.make
+    ~name:"probes: converged and divergent_replicas match the per-key definition"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_range 1 12) (int_range 1 10) (int_range 1 12)
+           (pair bool (list_size (int_range 0 6) (pair (int_range 0 11) (int_range 0 29))))))
+    (fun (sites, shards, factor, (hash, flips)) ->
+      let factor = 1 + (factor mod sites) in
+      let policy = if hash then Sharding.Hash else Sharding.Ring in
+      let sh = Sharding.create ~policy ~shards ~factor ~sites () in
+      let n_keys = 30 in
+      let ks = Keyspace.create () in
+      for k = 0 to n_keys - 1 do
+        ignore (Keyspace.intern ks (Printf.sprintf "k%d" k))
+      done;
+      let stores = Array.init sites (fun _ -> Store.create ~keyspace:ks ()) in
+      Array.iter
+        (fun st ->
+          for id = 1 to n_keys - 1 do
+            Store.set_id st id (Value.Int id)
+          done)
+        stores;
+      List.iter
+        (fun (site, id) ->
+          if site < sites then Store.set_id stores.(site) id (Value.Int (-1 - id)))
+        flips;
+      let store s = stores.(s) in
+      let diverged = Array.make sites false in
+      for id = 0 to n_keys - 1 do
+        let reps = Sharding.replicas sh (Sharding.shard_of_id sh id) in
+        let v0 = Store.get_id stores.(reps.(0)) id in
+        Array.iter
+          (fun s ->
+            if not (Value.equal v0 (Store.get_id stores.(s) id)) then
+              diverged.(s) <- true)
+          reps
+      done;
+      let expected = Array.fold_left (fun n d -> if d then n + 1 else n) 0 diverged in
+      Sharding.divergent_replicas sh ~keyspace:ks ~store = expected
+      && Sharding.converged sh ~keyspace:ks ~store = (expected = 0))
+
 let () =
   Alcotest.run "esr_store"
     [
@@ -635,5 +682,6 @@ let () =
           Alcotest.test_case "dests cursor union" `Quick
             test_sharding_dests_union;
           QCheck_alcotest.to_alcotest prop_sharding_placement;
+          QCheck_alcotest.to_alcotest prop_sharding_probes;
         ] );
     ]
