@@ -29,7 +29,7 @@ bench-scale:
 # https://ui.perfetto.dev — one track per site plus a system track.
 # Same smoke as `dune build @trace` (which keeps its output in _build).
 trace:
-	dune exec bin/esrsim.exe -- trace -m ORDUP -s 3 -o trace.json --format chrome
+	dune exec bin/esrsim.exe -- run -m ORDUP -s 3 --trace trace.json --trace-format chrome
 
 # Divergence observatory end to end: a faulty 4-site ORDUP run recorded
 # as trace + series, rendered as a terminal dashboard plus report.html
@@ -58,7 +58,7 @@ audit:
 # Grow the horizon with ESR_SCALE.
 soak:
 	ESR_SCALE=$(or $(ESR_SCALE),0.1) ESR_SOAK_DIR=soak-out \
-	  dune exec bin/esrsim.exe -- experiment --profile e16_soak
+	  dune exec bench/main.exe -- --profile e16_soak
 
 clean:
 	dune clean

@@ -15,8 +15,11 @@
    domain pool; control the worker count with --domains N (or the
    ESR_DOMAINS environment variable) — the default is the machine's core
    count minus one (min 1).  The E15 scale tier shrinks or grows with
-   --scale F (or ESR_SCALE).  Tables are byte-identical for any worker
-   count. *)
+   --scale F (or ESR_SCALE).  --profile turns on the host-time/allocation
+   phase profiler in every harness the experiments create (e16_soak then
+   also writes per-method profile dumps when ESR_SOAK_DIR is set).
+   Tables are byte-identical for any worker count and either profiling
+   state. *)
 
 module Pool = Esr_exec.Pool
 
@@ -40,9 +43,12 @@ let run_target name =
       list_targets ();
       exit 1
 
-(* Strip --domains N / --scale F anywhere in the argument list; remaining
-   arguments are target names. *)
+(* Strip --domains N / --scale F / --profile anywhere in the argument
+   list; remaining arguments are target names. *)
 let rec parse_args = function
+  | "--profile" :: rest ->
+      Esr_obs.Obs.set_default_profiling true;
+      parse_args rest
   | "--domains" :: n :: rest -> (
       match int_of_string_opt n with
       | Some d when d >= 1 ->

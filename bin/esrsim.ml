@@ -4,7 +4,9 @@
      esrsim methods                      list replica-control methods (Table 1)
      esrsim run --method COMMU ...       run one workload, print the summary
      esrsim check "R1(a) W1(b) ..."      ESR-check a history in paper notation
-     esrsim overlap "..." --query 3      overlap of one query ET *)
+     esrsim overlap "..." --query 3      overlap of one query ET
+
+   The paper's tables and the experiments run from bench/main.exe. *)
 
 open Cmdliner
 module Stats = Esr_util.Stats
@@ -30,61 +32,6 @@ module Spec = Esr_workload.Spec
 module Scenario = Esr_workload.Scenario
 module Schedule = Esr_fault.Schedule
 module Nemesis = Esr_fault.Nemesis
-
-(* --- tables / experiments --- *)
-
-let tables_cmd =
-  let doc = "Regenerate the paper's tables and worked examples from the implementation." in
-  Cmd.v (Cmd.info "tables" ~doc) Term.(const Esr_bench.Tables.run_all $ const ())
-
-let domains_arg =
-  let doc =
-    "Worker domains for the experiment job pool (default: ESR_DOMAINS or \
-     the machine's recommended count minus one).  Tables are \
-     byte-identical for any value; 1 disables parallelism."
-  in
-  Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N" ~doc)
-
-let set_domains = function
-  | None -> ()
-  | Some d when d >= 1 -> Esr_exec.Pool.set_default_domains d
-  | Some _ ->
-      prerr_endline "--domains expects a positive integer";
-      exit 1
-
-let experiment_cmd =
-  let doc = "Run one of the quantitative experiments (or 'all' / 'timed'); see 'esrsim experiment list'." in
-  let target =
-    Arg.(value & pos 0 string "list" & info [] ~docv:"ID" ~doc:"Experiment id, 'all', 'timed', or 'list'.")
-  in
-  let exp_profile_arg =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:"Enable the host-time/allocation phase profiler in every \
-                harness the experiments create.  Printed tables are \
-                byte-identical either way; e16_soak additionally writes \
-                per-method profile dumps when ESR_SOAK_DIR is set.")
-  in
-  let run domains profiling target =
-    set_domains domains;
-    Obs.set_default_profiling profiling;
-    match target with
-    | "list" ->
-        print_endline "experiments:";
-        List.iter (fun (name, _) -> Printf.printf "  %s\n" name) Esr_bench.Experiments.all;
-        print_endline "  timed  (timed sweep -> BENCH_experiments.json)"
-    | "all" -> Esr_bench.Experiments.run_all ()
-    | "timed" -> Esr_bench.Timing.run_timed ()
-    | id -> (
-        match List.assoc_opt id Esr_bench.Experiments.all with
-        | Some f -> f ()
-        | None ->
-            Printf.eprintf "unknown experiment %S (try 'esrsim experiment list')\n" id;
-            exit 1)
-  in
-  Cmd.v (Cmd.info "experiment" ~doc)
-    Term.(const run $ domains_arg $ exp_profile_arg $ target)
 
 (* --- methods --- *)
 
@@ -154,10 +101,16 @@ let latency_arg =
   Arg.(value & opt float 10.0 & info [ "latency" ] ~docv:"MS" ~doc:"Mean one-way link latency (exponential).")
 
 let ordering_arg =
-  Arg.(value & opt string "sequencer" & info [ "ordup-ordering" ] ~doc:"ORDUP order source: sequencer or lamport.")
+  Arg.(
+    value
+    & opt (enum [ ("sequencer", `Sequencer); ("lamport", `Lamport) ]) `Sequencer
+    & info [ "ordup-ordering" ] ~doc:"ORDUP order source: sequencer or lamport.")
 
 let ritu_mode_arg =
-  Arg.(value & opt string "single" & info [ "ritu-mode" ] ~doc:"RITU version mode: single or multi.")
+  Arg.(
+    value
+    & opt (enum [ ("single", `Single); ("multi", `Multi) ]) `Single
+    & info [ "ritu-mode" ] ~doc:"RITU version mode: single or multi.")
 
 let abort_arg =
   Arg.(value & opt float 0.0 & info [ "abort-probability" ] ~doc:"COMPE global abort probability.")
@@ -218,47 +171,90 @@ let parse_profile ~meth s =
         | Some _ | None -> Error (`Msg "mixed:FRAC needs FRAC in [0,1]")
       else Error (`Msg (Printf.sprintf "unknown profile %S" s))
 
-(* Translate the shared CLI knobs into a scenario; both [run] and [trace]
-   use it, so a traced replay sees exactly the run it replays. *)
-let prepare_scenario ~meth ~duration ~update_rate ~query_rate ~keys ~theta
-    ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p =
-  match parse_profile ~meth profile with
-  | Error _ as e -> e
-  | Ok profile ->
-      let spec =
-        {
-          Spec.duration;
-          update_rate;
-          query_rate;
-          n_keys = keys;
-          zipf_theta = theta;
-          ops_per_update =
-            (if String.uppercase_ascii meth = "QUORUM" then 1 else 2);
-          keys_per_query = 2;
-          epsilon = Epsilon.spec_of_int epsilon;
-          profile;
-        }
-      in
-      let net_config =
-        {
-          Net.latency = Dist.Exponential latency;
-          drop_probability = loss;
-          duplicate_probability = 0.0;
-        }
-      in
-      let config =
-        {
-          Intf.default_config with
-          Intf.ordup_ordering =
-            (if String.lowercase_ascii ordering = "lamport" then `Lamport
-             else `Sequencer);
-          ritu_mode =
-            (if String.lowercase_ascii ritu_mode = "multi" then `Multi
-             else `Single);
-          compe_abort_probability = abort_p;
-        }
-      in
-      Ok (spec, net_config, config)
+(* The first failed [(flag, holds, expectation)] check, as a CLI error. *)
+let check_flags checks =
+  match List.find_opt (fun (_, holds, _) -> not holds) checks with
+  | Some (flag, _, expect) ->
+      Error (`Msg (Printf.sprintf "--%s: must be %s" flag expect))
+  | None -> Ok ()
+
+let non_negative x = Float.is_finite x && x >= 0.0
+let positive x = Float.is_finite x && x > 0.0
+
+(* Validate the knobs [run], [nemesis] and [audit] share and translate
+   them into a scenario.  Every malformed value is refused here, before
+   anything runs, instead of surfacing as an exception (or a run that
+   never drains) deep inside the simulator. *)
+let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
+    ~theta ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p =
+  let ( let* ) = Result.bind in
+  let* () =
+    if Registry.find meth <> None then Ok ()
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown method %S (known: %s)" meth
+             (String.concat ", " Registry.names)))
+  in
+  let* () =
+    check_flags
+      [
+        ("sites", sites >= 1, "a positive integer");
+        ("keys", keys >= 1, "a positive integer");
+        ("duration", positive duration, "positive");
+        ("update-rate", non_negative update_rate, "a non-negative number");
+        ("query-rate", non_negative query_rate, "a non-negative number");
+        ("theta", non_negative theta, "a non-negative number");
+        ("latency", non_negative latency, "a non-negative number");
+        ( "loss",
+          non_negative loss && loss < 1.0,
+          "in [0, 1) (at 1 no message is ever delivered)" );
+        ( "abort-probability",
+          non_negative abort_p && abort_p <= 1.0,
+          "in [0, 1]" );
+      ]
+  in
+  let* profile = parse_profile ~meth profile in
+  let spec =
+    {
+      Spec.duration;
+      update_rate;
+      query_rate;
+      n_keys = keys;
+      zipf_theta = theta;
+      ops_per_update =
+        (if String.uppercase_ascii meth = "QUORUM" then 1 else 2);
+      keys_per_query = 2;
+      epsilon = Epsilon.spec_of_int epsilon;
+      profile;
+    }
+  in
+  let net_config =
+    {
+      Net.latency = Dist.Exponential latency;
+      drop_probability = loss;
+      duplicate_probability = 0.0;
+    }
+  in
+  let config =
+    {
+      Intf.default_config with
+      Intf.ordup_ordering = ordering;
+      ritu_mode;
+      compe_abort_probability = abort_p;
+    }
+  in
+  Ok (spec, net_config, config)
+
+let or_exit = function
+  | Ok x -> x
+  | Error (`Msg m) ->
+      prerr_endline m;
+      exit 1
+
+(* [-m all] on nemesis and audit: every registered method. *)
+let methods_of meth =
+  if String.lowercase_ascii meth = "all" then Registry.names else [ meth ]
 
 let write_trace ?(extra = []) ~file ~format ~sites (trace : Trace.t) =
   let oc = open_out file in
@@ -320,19 +316,29 @@ let checkpoint_retain_arg =
         ~doc:"Snapshots retained per site (newest is used for recovery).")
 
 let make_checkpoint ~interval ~retain =
+  or_exit
+    (check_flags
+       [
+         ("checkpoint-interval", interval < infinity, "a finite number");
+         ("checkpoint-retain", retain >= 1, "at least 1");
+       ]);
   if interval <= 0.0 then None
-  else begin
-    if retain < 1 then begin
-      prerr_endline "--checkpoint-retain: must be at least 1";
-      exit 1
-    end;
-    Some { Esr_replica.Checkpoint.interval; retain }
-  end
+  else Some { Esr_replica.Checkpoint.interval; retain }
 
-let parse_faults = function
+(* Parse --faults and check it against the run: sites in range, and no
+   crash at the exact time of a checkpoint cut. *)
+let parse_faults ?checkpoint ~sites = function
   | None -> None
   | Some s -> (
-      match Schedule.of_spec s with
+      let interval =
+        Option.map (fun c -> c.Esr_replica.Checkpoint.interval) checkpoint
+      in
+      match
+        Result.bind (Schedule.of_spec s) (fun schedule ->
+            Result.map
+              (fun () -> schedule)
+              (Schedule.validate ?checkpoint:interval ~sites schedule))
+      with
       | Ok schedule -> Some schedule
       | Error m ->
           Printf.eprintf "--faults: %s\n" m;
@@ -456,148 +462,148 @@ let run_cmd =
       seed loss latency ordering ritu_mode abort_p placement shards replication
       faults_spec checkpoint_interval checkpoint_retain trace_file trace_format
       show_metrics metrics_file series_file series_interval prof_file do_audit =
-    match
-      prepare_scenario ~meth ~duration ~update_rate ~query_rate ~keys ~theta
-        ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p
-    with
-    | Error (`Msg m) ->
-        prerr_endline m;
-        exit 1
-    | Ok (spec, net_config, config) ->
-        let faults = parse_faults faults_spec in
-        let sharding = make_sharding ~sites ~placement ~shards ~replication in
-        let checkpoint =
-          make_checkpoint ~interval:checkpoint_interval
-            ~retain:checkpoint_retain
-        in
-        let obs =
-          Obs.create
-            ~tracing:(trace_file <> None || do_audit)
-            ~series:(series_file <> None) ~series_interval
-            ~profiling:(prof_file <> None) ()
-        in
-        (* A JSONL --trace streams through a file sink as events are
-           emitted, so long horizons keep their full history even after
-           the in-memory ring wraps.  Chrome exports still come from the
-           ring (the format needs the whole timeline up front). *)
-        let streamed =
-          match (trace_file, trace_format) with
-          | Some file, `Jsonl ->
-              let oc = open_out file in
-              Trace.file_sink obs.Obs.trace oc;
-              Some oc
-          | _ -> None
-        in
-        let audit =
-          if do_audit then Some (Audit.create ~label:meth ()) else None
-        in
-        let r =
-          Scenario.run ~seed ~config ~net_config ?sharding ~obs ?faults
-            ?checkpoint ?audit ~sites ~method_name:meth spec
-        in
-        let t =
-          Tablefmt.create
-            ~title:(Printf.sprintf "%s on %d sites (seed %d)" meth sites seed)
-            ~headers:[ "Metric"; "Value" ]
-        in
-        let add name v = Tablefmt.add_row t [ name; v ] in
-        add "spec" (Format.asprintf "%a" Spec.pp spec);
-        (match sharding with
-        | Some s -> add "sharding" (Format.asprintf "%a" Esr_store.Sharding.pp s)
-        | None -> ());
-        (match faults with
-        | Some schedule -> add "faults" (Schedule.to_spec schedule)
-        | None -> ());
-        (match checkpoint with
-        | Some { Esr_replica.Checkpoint.interval; retain } ->
-            add "checkpoint"
-              (Printf.sprintf "interval %g ms, retain %d" interval retain)
-        | None -> ());
-        add "updates committed" (Printf.sprintf "%d / %d" r.Scenario.committed r.Scenario.submitted_updates);
-        add "updates rejected" (string_of_int r.Scenario.rejected);
-        add "queries served" (Printf.sprintf "%d / %d" r.Scenario.served r.Scenario.submitted_queries);
-        add "update latency p50/p95 (ms)"
-          (Printf.sprintf "%.1f / %.1f"
-             (Stats.median r.Scenario.update_latency)
-             (Stats.percentile r.Scenario.update_latency 95.0));
-        add "query latency p50/p95 (ms)"
-          (Printf.sprintf "%.1f / %.1f"
-             (Stats.median r.Scenario.query_latency)
-             (Stats.percentile r.Scenario.query_latency 95.0));
-        add "query inconsistency units mean/max"
-          (Printf.sprintf "%.2f / %.0f"
-             (Stats.mean r.Scenario.charged)
-             (if Stats.count r.Scenario.charged = 0 then 0.0 else Stats.max r.Scenario.charged));
-        add "query value error mean" (Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error));
-        add "SR-path queries" (string_of_int r.Scenario.fallback_queries);
-        add "throughput (upd/s)" (Printf.sprintf "%.1f" (Scenario.throughput r));
-        add "quiesce time (ms)" (Printf.sprintf "%.1f" r.Scenario.quiesce_time);
-        add "settled / converged"
-          (Printf.sprintf "%s / %s"
-             (Tablefmt.cell_bool r.Scenario.settled)
-             (Tablefmt.cell_bool r.Scenario.converged));
-        List.iter (fun (k, v) -> add ("method: " ^ k) (Tablefmt.cell_float v)) r.Scenario.method_stats;
-        Tablefmt.print t;
-        (match trace_file with
-        | Some file -> (
-            match streamed with
-            | Some oc ->
-                close_out oc;
-                Printf.printf "trace: %d events -> %s\n"
-                  (Trace.length obs.Obs.trace + Trace.dropped obs.Obs.trace)
-                  file
-            | None ->
-                (* With profiling on, a chrome export carries the host-time
-                   phase spans as a second process track. *)
-                let extra =
-                  if Prof.on obs.Obs.prof then Prof.chrome_events obs.Obs.prof
-                  else []
-                in
-                write_trace ~extra ~file ~format:trace_format ~sites
-                  obs.Obs.trace;
-                Printf.printf "trace: %d events -> %s\n"
-                  (Trace.length obs.Obs.trace) file)
-        | None -> ());
-        if show_metrics then begin
-          print_endline "metrics:";
-          List.iter
-            (fun e -> Format.printf "  %a@." Metrics.pp_entry e)
-            (Metrics.snapshot obs.Obs.metrics)
-        end;
-        (match metrics_file with
-        | Some file ->
-            export_metrics ~file obs.Obs.metrics;
-            Printf.printf "metrics -> %s\n" file
-        | None -> ());
-        (match series_file with
-        | Some file ->
-            export_series ~file obs.Obs.series;
-            Printf.printf "series: %d samples -> %s\n"
-              (Series.length obs.Obs.series) file
-        | None -> ());
-        (match prof_file with
-        | Some file ->
-            with_out file (fun oc -> Prof.write_json oc obs.Obs.prof);
-            Printf.printf "profile: %d spans -> %s\n"
-              (Prof.span_count obs.Obs.prof) file
-        | None -> ());
-        let audit_failed =
-          match audit with
-          | None -> false
-          | Some a ->
-              let report = Audit.finish a in
-              Format.printf "%a" Audit.pp_report report;
-              not (Audit.ok report)
-        in
-        (* A schedule that leaves a site crashed or a partition standing
-           cannot converge; only all-clear runs gate the exit status. *)
-        let expect_convergence =
-          match faults with
-          | Some s -> Schedule.all_clear s
-          | None -> true
-        in
-        if audit_failed || (expect_convergence && not r.Scenario.converged)
-        then exit 2
+    let spec, net_config, config =
+      or_exit
+        (prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate
+           ~keys ~theta ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode
+           ~abort_p)
+    in
+    or_exit
+      (check_flags
+         [ ("series-interval", positive series_interval, "positive") ]);
+    let sharding = make_sharding ~sites ~placement ~shards ~replication in
+    let checkpoint =
+      make_checkpoint ~interval:checkpoint_interval ~retain:checkpoint_retain
+    in
+    let faults = parse_faults ?checkpoint ~sites faults_spec in
+    let obs =
+      Obs.create
+        ~tracing:(trace_file <> None || do_audit)
+        ~series:(series_file <> None) ~series_interval
+        ~profiling:(prof_file <> None) ()
+    in
+    (* A JSONL --trace streams through a file sink as events are
+       emitted, so long horizons keep their full history even after
+       the in-memory ring wraps.  Chrome exports still come from the
+       ring (the format needs the whole timeline up front). *)
+    let streamed =
+      match (trace_file, trace_format) with
+      | Some file, `Jsonl ->
+          let oc = open_out file in
+          Trace.file_sink obs.Obs.trace oc;
+          Some oc
+      | _ -> None
+    in
+    let audit =
+      if do_audit then Some (Audit.create ~label:meth ()) else None
+    in
+    let r =
+      Scenario.run ~seed ~config ~net_config ?sharding ~obs ?faults
+        ?checkpoint ?audit ~sites ~method_name:meth spec
+    in
+    let t =
+      Tablefmt.create
+        ~title:(Printf.sprintf "%s on %d sites (seed %d)" meth sites seed)
+        ~headers:[ "Metric"; "Value" ]
+    in
+    let add name v = Tablefmt.add_row t [ name; v ] in
+    add "spec" (Format.asprintf "%a" Spec.pp spec);
+    (match sharding with
+    | Some s -> add "sharding" (Format.asprintf "%a" Esr_store.Sharding.pp s)
+    | None -> ());
+    (match faults with
+    | Some schedule -> add "faults" (Schedule.to_spec schedule)
+    | None -> ());
+    (match checkpoint with
+    | Some { Esr_replica.Checkpoint.interval; retain } ->
+        add "checkpoint"
+          (Printf.sprintf "interval %g ms, retain %d" interval retain)
+    | None -> ());
+    add "updates committed" (Printf.sprintf "%d / %d" r.Scenario.committed r.Scenario.submitted_updates);
+    add "updates rejected" (string_of_int r.Scenario.rejected);
+    add "queries served" (Printf.sprintf "%d / %d" r.Scenario.served r.Scenario.submitted_queries);
+    add "update latency p50/p95 (ms)"
+      (Printf.sprintf "%.1f / %.1f"
+         (Stats.median r.Scenario.update_latency)
+         (Stats.percentile r.Scenario.update_latency 95.0));
+    add "query latency p50/p95 (ms)"
+      (Printf.sprintf "%.1f / %.1f"
+         (Stats.median r.Scenario.query_latency)
+         (Stats.percentile r.Scenario.query_latency 95.0));
+    add "query inconsistency units mean/max"
+      (Printf.sprintf "%.2f / %.0f"
+         (Stats.mean r.Scenario.charged)
+         (if Stats.count r.Scenario.charged = 0 then 0.0 else Stats.max r.Scenario.charged));
+    add "query value error mean" (Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error));
+    add "SR-path queries" (string_of_int r.Scenario.fallback_queries);
+    add "throughput (upd/s)" (Printf.sprintf "%.1f" (Scenario.throughput r));
+    add "quiesce time (ms)" (Printf.sprintf "%.1f" r.Scenario.quiesce_time);
+    add "settled / converged"
+      (Printf.sprintf "%s / %s"
+         (Tablefmt.cell_bool r.Scenario.settled)
+         (Tablefmt.cell_bool r.Scenario.converged));
+    List.iter (fun (k, v) -> add ("method: " ^ k) (Tablefmt.cell_float v)) r.Scenario.method_stats;
+    Tablefmt.print t;
+    (match trace_file with
+    | Some file -> (
+        match streamed with
+        | Some oc ->
+            close_out oc;
+            Printf.printf "trace: %d events -> %s\n"
+              (Trace.length obs.Obs.trace + Trace.dropped obs.Obs.trace)
+              file
+        | None ->
+            (* With profiling on, a chrome export carries the host-time
+               phase spans as a second process track. *)
+            let extra =
+              if Prof.on obs.Obs.prof then Prof.chrome_events obs.Obs.prof
+              else []
+            in
+            write_trace ~extra ~file ~format:trace_format ~sites
+              obs.Obs.trace;
+            Printf.printf "trace: %d events -> %s\n"
+              (Trace.length obs.Obs.trace) file)
+    | None -> ());
+    if show_metrics then begin
+      print_endline "metrics:";
+      List.iter
+        (fun e -> Format.printf "  %a@." Metrics.pp_entry e)
+        (Metrics.snapshot obs.Obs.metrics)
+    end;
+    (match metrics_file with
+    | Some file ->
+        export_metrics ~file obs.Obs.metrics;
+        Printf.printf "metrics -> %s\n" file
+    | None -> ());
+    (match series_file with
+    | Some file ->
+        export_series ~file obs.Obs.series;
+        Printf.printf "series: %d samples -> %s\n"
+          (Series.length obs.Obs.series) file
+    | None -> ());
+    (match prof_file with
+    | Some file ->
+        with_out file (fun oc -> Prof.write_json oc obs.Obs.prof);
+        Printf.printf "profile: %d spans -> %s\n"
+          (Prof.span_count obs.Obs.prof) file
+    | None -> ());
+    let audit_failed =
+      match audit with
+      | None -> false
+      | Some a ->
+          let report = Audit.finish a in
+          Format.printf "%a" Audit.pp_report report;
+          not (Audit.ok report)
+    in
+    (* A schedule that leaves a site crashed or a partition standing
+       cannot converge; only all-clear runs gate the exit status. *)
+    let expect_convergence =
+      match faults with
+      | Some s -> Schedule.all_clear s
+      | None -> true
+    in
+    if audit_failed || (expect_convergence && not r.Scenario.converged)
+    then exit 2
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -661,10 +667,16 @@ let nemesis_cmd =
   in
   let run meth sites duration update_rate query_rate keys theta seed windows
       crash_bias trace_dir series_dir metrics_dir =
-    let methods =
-      if String.lowercase_ascii meth = "all" then
-        List.map (fun (m : Intf.meta) -> m.Intf.name) Registry.metas
-      else [ meth ]
+    let scenarios =
+      List.map
+        (fun meth ->
+          ( meth,
+            or_exit
+              (prepare_scenario ~meth ~sites ~duration ~update_rate
+                 ~query_rate ~keys ~theta ~epsilon:(-1) ~profile:"auto"
+                 ~loss:0.0 ~latency:10.0 ~ordering:`Sequencer
+                 ~ritu_mode:`Single ~abort_p:0.0) ))
+        (methods_of meth)
     in
     let profile =
       { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
@@ -697,80 +709,71 @@ let nemesis_cmd =
     in
     let failures = ref [] in
     List.iter
-      (fun meth ->
-        match
-          prepare_scenario ~meth ~duration ~update_rate ~query_rate ~keys
-            ~theta ~epsilon:(-1) ~profile:"auto" ~loss:0.0 ~latency:10.0
-            ~ordering:"sequencer" ~ritu_mode:"single" ~abort_p:0.0
-        with
-        | Error (`Msg m) ->
-            prerr_endline m;
-            exit 1
-        | Ok (spec, net_config, config) ->
-            (* Series always on here: the divergence columns come from it,
-               and nemesis runs are already paying for tracing. *)
-            let obs = Obs.create ~tracing:true ~series:true () in
-            let r =
-              Scenario.run ~seed ~config ~net_config ~obs ~faults:schedule
-                ~sites ~method_name:meth spec
-            in
-            let replays = ref 0 in
-            Trace.iter obs.Obs.trace (fun record ->
-                match record.Trace.ev with
-                | Trace.Recovery_replay _ -> incr replays
-                | _ -> ());
-            let dump_name ext =
-              Printf.sprintf "nemesis_%s_seed%d%s"
-                (String.lowercase_ascii
-                   (String.map (function '/' -> '_' | c -> c) meth))
-                seed ext
-            in
-            (match trace_dir with
-            | Some dir ->
-                write_trace
-                  ~file:(Filename.concat dir (dump_name ".jsonl"))
-                  ~format:`Jsonl ~sites obs.Obs.trace
-            | None -> ());
-            (match series_dir with
-            | Some dir ->
-                export_series
-                  ~file:(Filename.concat dir (dump_name ".series.json"))
-                  obs.Obs.series
-            | None -> ());
-            (match metrics_dir with
-            | Some dir ->
-                export_metrics
-                  ~file:(Filename.concat dir (dump_name ".om"))
-                  obs.Obs.metrics
-            | None -> ());
-            (* Peak replica spread over the run and how long past the last
-               fault-schedule step the system needed to fully drain. *)
-            let peak_div =
-              match Series.column_index obs.Obs.series "esr/spread_max" with
-              | None -> 0.0
-              | Some i ->
-                  let peak = ref 0.0 in
-                  Series.iter obs.Obs.series (fun s ->
-                      peak := Float.max !peak s.Series.values.(i));
-                  !peak
-            in
-            let conv_lag =
-              Float.max 0.0 (r.Scenario.quiesce_time -. Schedule.clear_time schedule)
-            in
-            let ok = r.Scenario.settled && r.Scenario.converged in
-            if not ok then failures := meth :: !failures;
-            Tablefmt.add_row t
-              [
-                meth;
-                Tablefmt.cell_bool r.Scenario.settled;
-                Tablefmt.cell_bool r.Scenario.converged;
-                string_of_int !replays;
-                Printf.sprintf "%d/%d" r.Scenario.committed
-                  r.Scenario.submitted_updates;
-                Tablefmt.cell_float peak_div;
-                Tablefmt.cell_float conv_lag;
-              ])
-      methods;
+      (fun (meth, (spec, net_config, config)) ->
+        (* Series always on here: the divergence columns come from it,
+           and nemesis runs are already paying for tracing. *)
+        let obs = Obs.create ~tracing:true ~series:true () in
+        let r =
+          Scenario.run ~seed ~config ~net_config ~obs ~faults:schedule
+            ~sites ~method_name:meth spec
+        in
+        let replays = ref 0 in
+        Trace.iter obs.Obs.trace (fun record ->
+            match record.Trace.ev with
+            | Trace.Recovery_replay _ -> incr replays
+            | _ -> ());
+        let dump_name ext =
+          Printf.sprintf "nemesis_%s_seed%d%s"
+            (String.lowercase_ascii
+               (String.map (function '/' -> '_' | c -> c) meth))
+            seed ext
+        in
+        (match trace_dir with
+        | Some dir ->
+            write_trace
+              ~file:(Filename.concat dir (dump_name ".jsonl"))
+              ~format:`Jsonl ~sites obs.Obs.trace
+        | None -> ());
+        (match series_dir with
+        | Some dir ->
+            export_series
+              ~file:(Filename.concat dir (dump_name ".series.json"))
+              obs.Obs.series
+        | None -> ());
+        (match metrics_dir with
+        | Some dir ->
+            export_metrics
+              ~file:(Filename.concat dir (dump_name ".om"))
+              obs.Obs.metrics
+        | None -> ());
+        (* Peak replica spread over the run and how long past the last
+           fault-schedule step the system needed to fully drain. *)
+        let peak_div =
+          match Series.column_index obs.Obs.series "esr/spread_max" with
+          | None -> 0.0
+          | Some i ->
+              let peak = ref 0.0 in
+              Series.iter obs.Obs.series (fun s ->
+                  peak := Float.max !peak s.Series.values.(i));
+              !peak
+        in
+        let conv_lag =
+          Float.max 0.0 (r.Scenario.quiesce_time -. Schedule.clear_time schedule)
+        in
+        let ok = r.Scenario.settled && r.Scenario.converged in
+        if not ok then failures := meth :: !failures;
+        Tablefmt.add_row t
+          [
+            meth;
+            Tablefmt.cell_bool r.Scenario.settled;
+            Tablefmt.cell_bool r.Scenario.converged;
+            string_of_int !replays;
+            Printf.sprintf "%d/%d" r.Scenario.committed
+              r.Scenario.submitted_updates;
+            Tablefmt.cell_float peak_div;
+            Tablefmt.cell_float conv_lag;
+          ])
+      scenarios;
     Tablefmt.print t;
     match List.rev !failures with
     | [] -> ()
@@ -783,81 +786,6 @@ let nemesis_cmd =
       const run $ all_method_arg $ sites_arg $ duration_arg $ update_rate_arg
       $ query_rate_arg $ keys_arg $ theta_arg $ seed_arg $ windows_arg
       $ crash_bias_arg $ trace_dir_arg $ series_dir_arg $ metrics_dir_arg)
-
-(* --- trace --- *)
-
-let trace_cmd =
-  let doc =
-    "Replay a workload with tracing enabled and dump the event timeline \
-     (human-readable to stdout, or jsonl/chrome with --output)."
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the trace to $(docv) instead of pretty-printing.")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt trace_format_conv `Chrome
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output file format: chrome (default; open in Perfetto) or \
-                jsonl.")
-  in
-  let limit_arg =
-    Arg.(
-      value & opt int 40
-      & info [ "limit" ] ~docv:"N"
-          ~doc:"Pretty-print at most $(docv) events (0 = all).")
-  in
-  let run meth sites duration update_rate query_rate keys theta epsilon profile
-      seed loss latency ordering ritu_mode abort_p output format limit =
-    match
-      prepare_scenario ~meth ~duration ~update_rate ~query_rate ~keys ~theta
-        ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p
-    with
-    | Error (`Msg m) ->
-        prerr_endline m;
-        exit 1
-    | Ok (spec, net_config, config) ->
-        let obs = Obs.create ~tracing:true () in
-        let r =
-          Scenario.run ~seed ~config ~net_config ~obs ~sites ~method_name:meth
-            spec
-        in
-        let trace = obs.Obs.trace in
-        (match output with
-        | Some file ->
-            write_trace ~file ~format ~sites trace;
-            Printf.printf "%s: %d events of %s on %d sites (seed %d)\n" file
-              (Trace.length trace) meth sites seed
-        | None ->
-            Printf.printf "trace of %s on %d sites (seed %d): %d events%s\n"
-              meth sites seed (Trace.length trace)
-              (if Trace.dropped trace > 0 then
-                 Printf.sprintf " (+%d dropped)" (Trace.dropped trace)
-               else "");
-            let total = Trace.length trace in
-            let shown = if limit <= 0 then total else Stdlib.min limit total in
-            let i = ref 0 in
-            Trace.iter trace (fun record ->
-                if !i < shown then
-                  Printf.printf "%12.3f  %s\n" record.Trace.time
-                    (Trace.record_to_json record);
-                incr i);
-            if shown < total then
-              Printf.printf "... %d more events (use --limit 0 or -o FILE)\n"
-                (total - shown));
-        ignore r
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ method_arg $ sites_arg $ duration_arg $ update_rate_arg
-      $ query_rate_arg $ keys_arg $ theta_arg $ epsilon_arg $ op_profile_arg
-      $ seed_arg $ loss_arg $ latency_arg $ ordering_arg $ ritu_mode_arg
-      $ abort_arg $ output_arg $ format_arg $ limit_arg)
 
 (* --- report --- *)
 
@@ -974,10 +902,20 @@ let audit_cmd =
         Format.printf "%a" Audit.pp_report report;
         record report
     | None ->
-        let methods =
-          if String.lowercase_ascii meth = "all" then
-            List.map (fun (m : Intf.meta) -> m.Intf.name) Registry.metas
-          else [ meth ]
+        let scenarios =
+          List.map
+            (fun meth ->
+              ( meth,
+                or_exit
+                  (prepare_scenario ~meth ~sites ~duration ~update_rate
+                     ~query_rate ~keys ~theta ~epsilon ~profile:"auto"
+                     ~loss:0.0 ~latency:10.0 ~ordering:`Sequencer
+                     ~ritu_mode:`Single ~abort_p:0.0) ))
+            (methods_of meth)
+        in
+        let checkpoint =
+          make_checkpoint ~interval:checkpoint_interval
+            ~retain:checkpoint_retain
         in
         let profile =
           {
@@ -1009,65 +947,47 @@ let audit_cmd =
               ]
         in
         List.iter
-          (fun meth ->
+          (fun (meth, (spec, net_config, config)) ->
             List.iter
               (fun placement ->
-                match
-                  prepare_scenario ~meth ~duration ~update_rate ~query_rate
-                    ~keys ~theta ~epsilon ~profile:"auto" ~loss:0.0
-                    ~latency:10.0 ~ordering:"sequencer" ~ritu_mode:"single"
-                    ~abort_p:0.0
-                with
-                | Error (`Msg m) ->
-                    prerr_endline m;
-                    exit 1
-                | Ok (spec, net_config, config) ->
-                    let placement_name, sharding =
-                      match placement with
-                      | `Full -> ("full", None)
-                      | `Ring ->
-                          ( "ring",
-                            make_sharding ~sites ~placement:"ring" ~shards:None
-                              ~replication:None )
-                    in
-                    let checkpoint =
-                      make_checkpoint ~interval:checkpoint_interval
-                        ~retain:checkpoint_retain
-                    in
-                    let obs = Obs.create ~tracing:true () in
-                    let audit =
-                      Audit.create
-                        ~label:
-                          (Printf.sprintf "%s/%s/seed%d" meth placement_name
-                             seed)
-                        ()
-                    in
-                    let r =
-                      Scenario.run ~seed ~config ~net_config ?sharding ~obs
-                        ~audit ?checkpoint ~faults:schedule ~sites
-                        ~method_name:meth spec
-                    in
-                    ignore r;
-                    let report = Audit.finish audit in
-                    record report;
-                    let s = report.Audit.summary in
-                    Tablefmt.add_row t
-                      [
-                        meth;
-                        placement_name;
-                        string_of_int s.Audit.s_events;
-                        string_of_int s.Audit.s_queries;
-                        string_of_int s.Audit.s_windows;
-                        string_of_int s.Audit.s_windows_exact;
-                        string_of_int (List.length report.Audit.violations);
-                      ];
-                    List.iter
-                      (fun v ->
-                        Format.eprintf "%s: %a@." report.Audit.label
-                          Audit.pp_violation v)
-                      report.Audit.violations)
+                let placement_name, sharding =
+                  match placement with
+                  | `Full -> ("full", None)
+                  | `Ring ->
+                      ( "ring",
+                        make_sharding ~sites ~placement:"ring" ~shards:None
+                          ~replication:None )
+                in
+                let obs = Obs.create ~tracing:true () in
+                let audit =
+                  Audit.create
+                    ~label:
+                      (Printf.sprintf "%s/%s/seed%d" meth placement_name seed)
+                    ()
+                in
+                ignore
+                  (Scenario.run ~seed ~config ~net_config ?sharding ~obs ~audit
+                     ?checkpoint ~faults:schedule ~sites ~method_name:meth spec);
+                let report = Audit.finish audit in
+                record report;
+                let s = report.Audit.summary in
+                Tablefmt.add_row t
+                  [
+                    meth;
+                    placement_name;
+                    string_of_int s.Audit.s_events;
+                    string_of_int s.Audit.s_queries;
+                    string_of_int s.Audit.s_windows;
+                    string_of_int s.Audit.s_windows_exact;
+                    string_of_int (List.length report.Audit.violations);
+                  ];
+                List.iter
+                  (fun v ->
+                    Format.eprintf "%s: %a@." report.Audit.label
+                      Audit.pp_violation v)
+                  report.Audit.violations)
               placements)
-          methods;
+          scenarios;
         Tablefmt.print t;
         print_endline
           (if !failed then "audit: VIOLATIONS found"
@@ -1102,8 +1022,8 @@ let report_cmd =
       required
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"JSONL trace dump to analyze (from 'run --trace', 'trace -o' \
-                or 'nemesis --trace-dir').")
+          ~doc:"JSONL trace dump to analyze (from 'run --trace' or \
+                'nemesis --trace-dir').")
   in
   let series_arg =
     Arg.(
@@ -1299,12 +1219,9 @@ let main_cmd =
       run_cmd;
       nemesis_cmd;
       audit_cmd;
-      trace_cmd;
       report_cmd;
       check_cmd;
       overlap_cmd;
-      tables_cmd;
-      experiment_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -1835,5 +1835,3 @@ let all =
        ordering no longer affects the recorded peaks. *)
     ("e15_scale", e15_scale);
   ]
-
-let run_all () = List.iter (fun (_, f) -> f ()) all

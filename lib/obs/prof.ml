@@ -154,6 +154,16 @@ let record t ?(site = -1) phase ~t0 ~a0 =
       }
   end
 
+let span t ~site phase f =
+  if t.enabled then begin
+    let t0 = Unix.gettimeofday () in
+    let a0 = Gc.allocated_bytes () in
+    let r = f () in
+    record t ~site phase ~t0 ~a0;
+    r
+  end
+  else f ()
+
 let agg t phase =
   if not t.enabled then zero_agg
   else

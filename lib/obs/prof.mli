@@ -64,9 +64,15 @@ val make : ?span_capacity:int -> enabled:bool -> unit -> t
     [make ~enabled:false ()] returns {!disabled}. *)
 
 val on : t -> bool
-(** Fast-path guard, like {!Trace.on}: instrumentation sites do
-    [if Prof.on p then begin let t0 = Prof.start p and a0 = Prof.alloc0 p in
-    work (); Prof.record p phase ~t0 ~a0 end else work ()]. *)
+(** Fast-path guard, like {!Trace.on}, for per-event paths that build no
+    closure: [if Prof.on p then begin let t0 = Prof.start p and a0 =
+    Prof.alloc0 p in work (); Prof.record p phase ~t0 ~a0 end else work ()].
+    Code that already holds a thunk uses {!span} instead. *)
+
+val span : t -> site:int -> phase -> (unit -> 'a) -> 'a
+(** [span p ~site phase f] runs [f ()] and, when [p] is enabled, records
+    it as one [phase] span at [site].  Disabled, it is exactly [f ()]:
+    nothing is allocated beyond the thunk the caller already built. *)
 
 val start : t -> float
 (** Host seconds ([Unix.gettimeofday]); [0.] when disabled. *)

@@ -19,7 +19,6 @@ module Op = Esr_store.Op
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Lock_counter = Esr_cc.Lock_counter
@@ -53,15 +52,13 @@ type active_q = { mutable killed : bool }
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   counters : Lock_counter.t;
       (* derivable from the durable log (applied-but-uncompleted ETs), so
          recovery keeps them: modelled as durable *)
   mutable parked_queries : parked list;
   mutable parked_updates : parked list;
   mutable active_queries : active_q list;
-  mutable down : bool;
 }
 
 (* Origin-side record of an update ET awaiting acks from all replicas. *)
@@ -90,9 +87,6 @@ let meta =
     sorting_time = "doesn't matter";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let wake_queries site =
   let waiting = List.rev site.parked_queries in
   site.parked_queries <- [];
@@ -118,10 +112,10 @@ let apply_mset_inner t site mset =
         let key = i.Intf.key in
         ignore (Lock_counter.incr site.counters key);
         ignore (Lock_counter.add_weight site.counters key (op_weight i.Intf.op));
-        (match Store.apply_id_unit site.store i.Intf.id i.Intf.op with
+        (match Store.apply_id_unit site.replica.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ -> invalid_arg "COMMU: commutative op failed to apply");
-        log_action site ~et:mset.et ~key i.Intf.op
+        Replica.log site.replica ~et:mset.et ~key i.Intf.op
       end)
     mset.ops
 
@@ -204,15 +198,11 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
+                 replica = Replica.make env ~site:id;
                  counters = Lock_counter.create ~hint:env.Intf.store_hint ();
                  parked_queries = [];
                  parked_updates = [];
                  active_queries = [];
-                 down = false;
                });
          fabric;
          inflight = Hashtbl.create 32;
@@ -237,7 +227,7 @@ let intent_to_op = function
            "COMMU: Mul on %s does not commute with the additive class" k)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else
   let translated = List.map intent_to_op intents in
   match List.find_opt Result.is_error translated with
@@ -335,17 +325,9 @@ let submit_update t ~origin intents k =
             in
             if n_remote > 0 then begin
               Hashtbl.replace t.inflight et { charges; waiting_acks = n_remote };
-              let propagate () =
-                Squeue.multicast t.fabric ~src:origin ~dests:c (Apply mset)
-              in
-              let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-              if Prof.on prof then begin
-                let t0 = Prof.start prof in
-                let a0 = Prof.alloc0 prof in
-                propagate ();
-                Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-              end
-              else propagate ()
+              Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin
+                Prof.Propagate (fun () ->
+                  Squeue.multicast t.fabric ~src:origin ~dests:c (Apply mset))
             end
             else complete_at t site charges;
             (* The update ET commits locally and propagates asynchronously. *)
@@ -363,12 +345,13 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   let started_at = Engine.now t.env.engine in
   let waited = ref false in
   let values = ref [] in
-  if site.down then
+  if site.replica.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values =
+          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -388,8 +371,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let snapshot =
           List.map
             (fun key ->
-              log_action site ~et ~key Op.Read;
-              (key, Store.get site.store key))
+              Replica.log site.replica ~et ~key Op.Read;
+              (key, Store.get site.replica.store key))
             keys
         in
         k
@@ -411,7 +394,9 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
           k
             {
               Intf.values =
-                List.map (fun key -> (key, Store.get site.store key)) keys;
+                List.map
+                  (fun key -> (key, Store.get site.replica.store key))
+                  keys;
               charged = 0;
               forced = 0;
               consistent_path = false;
@@ -452,8 +437,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
           if pending > 0 then t.n_charged_units <- t.n_charged_units + pending;
-          log_action site ~et ~key Op.Read;
-          values := (key, Store.get site.store key) :: !values;
+          Replica.log site.replica ~et ~key Op.Read;
+          values := (key, Store.get site.replica.store key) :: !values;
           if rest = [] then step []
           else
             ignore
@@ -481,50 +466,31 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* COMMU applies MSets on receipt, so there is no order buffer to lose.
-       The lock counters and origin-side ack tables are derivable from the
-       durable log (applied-but-uncompleted ETs) — classic coordinator-log
-       state — so they survive; acks and completions blocked by the outage
-       arrive through the stable-queue backlog after recovery.  What dies
-       is the wait contexts: parked and in-step queries answer degraded,
-       parked (never-applied) updates are rejected. *)
-    let pq = site.parked_queries and pu = site.parked_updates in
-    site.parked_queries <- [];
-    site.parked_updates <- [];
-    List.iter (fun p -> p.fail ()) pq;
-    List.iter (fun p -> p.fail ()) pu;
-    let killed = List.length site.active_queries in
-    List.iter (fun aq -> aq.killed <- true) site.active_queries;
-    site.active_queries <- [];
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0
-      ~queries_failed:(List.length pq + killed)
-      ~updates_rejected:(List.length pu) ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env site.replica ~drop:(fun () ->
+      (* COMMU applies MSets on receipt, so there is no order buffer to
+         lose.  The lock counters and origin-side ack tables are derivable
+         from the durable log (applied-but-uncompleted ETs) — classic
+         coordinator-log state — so they survive; acks and completions
+         blocked by the outage arrive through the stable-queue backlog
+         after recovery.  What dies is the wait contexts: parked and
+         in-step queries answer degraded, parked (never-applied) updates
+         are rejected. *)
+      let pq = site.parked_queries and pu = site.parked_updates in
+      site.parked_queries <- [];
+      site.parked_updates <- [];
+      List.iter (fun p -> p.fail ()) pq;
+      List.iter (fun p -> p.fail ()) pu;
+      let killed = List.length site.active_queries in
+      List.iter (fun aq -> aq.killed <- true) site.active_queries;
+      site.active_queries <- [];
+      {
+        Replica.buffered = 0;
+        queries_failed = List.length pq + killed;
+        updates_rejected = List.length pu;
+      })
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist
-  end
-
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let on_recover t ~site = ignore (Replica.recover t.env t.sites.(site).replica)
+let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
 
 let quiescent t =
   Hashtbl.length t.inflight = 0
@@ -543,14 +509,10 @@ let backlog t =
     (Hashtbl.length t.inflight)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  (* Shard-aware: a site is only compared on the keys it replicates. *)
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+let history t ~site = t.sites.(site).replica.hist
+let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
 
 let stats t =
   [
@@ -564,13 +526,4 @@ let stats t =
 
 (* COMMU applies on receipt, so it keeps no receipt journal: the durable
    log plus the completion protocol is its whole recovery story. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica.resources t.fabric t.sites.(site).replica

@@ -29,7 +29,6 @@ module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Lock_counter = Esr_cc.Lock_counter
@@ -81,14 +80,13 @@ type parked = { resume : unit -> unit; fail : unit -> unit }
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   mutable last_exec : int;
   buffer : (int, mset) Hashtbl.t;
   mutable log : entry list;
       (* newest first.  This is COMPE's undo/redo journal (the Time Warp
-         log of §4.1): durable, like [hist] — the before-image chains ARE
-         the recovery log. *)
+         log of §4.1): durable, like the replica's log — the before-image
+         chains ARE the recovery log. *)
   counters : Lock_counter.t;
   early : (Et.id, bool) Hashtbl.t;  (* decision arrived before execution *)
   mutable parked_queries : parked list;
@@ -102,7 +100,6 @@ type site = {
   ended_sagas : (int, unit) Hashtbl.t;
       (* Saga_end may overtake a step's commit decision: late steps of an
          ended saga release their counters immediately *)
-  mutable down : bool;
 }
 
 (* A globally undecided update ET, indexed so a crash of its origin (the
@@ -157,9 +154,6 @@ let meta =
     sorting_time = "N/A";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let wake_queries site =
   let waiting = List.rev site.parked_queries in
   site.parked_queries <- [];
@@ -173,7 +167,7 @@ let apply_entry_ops site entry =
   let undos =
     List.fold_left
       (fun acc (key, op) ->
-        match Store.apply site.store key op with
+        match Store.apply site.replica.store key op with
         | Ok undo -> undo :: acc
         | Error _ -> invalid_arg "COMPE: op failed to apply")
       [] entry.e_ops
@@ -225,7 +219,9 @@ let compensate_fast t site aborted =
   in
   apply_entry_ops site entry;
   site.log <- entry :: site.log;
-  List.iter (fun (key, inv) -> log_action site ~et:comp_et ~key inv) inverse_ops
+  List.iter
+    (fun (key, inv) -> Replica.log site.replica ~et:comp_et ~key inv)
+    inverse_ops
 
 let compensate_full t site aborted later =
   t.n_full <- t.n_full + 1;
@@ -233,9 +229,9 @@ let compensate_full t site aborted later =
   t.rollback_depth_total <- t.rollback_depth_total + List.length later;
   (* Undo the log tail physically, newest first, then the aborted entry. *)
   List.iter
-    (fun entry -> List.iter (Store.rollback site.store) entry.e_undos)
+    (fun entry -> List.iter (Store.rollback site.replica.store) entry.e_undos)
     later;
-  List.iter (Store.rollback site.store) aborted.e_undos;
+  List.iter (Store.rollback site.replica.store) aborted.e_undos;
   (* Replay the tail in original order, refreshing undo images. *)
   List.iter
     (fun entry ->
@@ -245,7 +241,9 @@ let compensate_full t site aborted later =
   (* Log the repair as a compensation ET writing the restored values. *)
   let comp_et = t.env.Intf.next_et () in
   List.iter
-    (fun key -> log_action site ~et:comp_et ~key (Op.Write (Store.get site.store key)))
+    (fun key ->
+      Replica.log site.replica ~et:comp_et ~key
+        (Op.Write (Store.get site.replica.store key)))
     (List.sort_uniq String.compare (entry_keys aborted))
 
 (* The compensation of [et] contaminates exactly the queries that read a
@@ -410,7 +408,7 @@ let execute_inner t site mset =
       List.iter
         (fun (key, op) ->
           ignore (Lock_counter.incr site.counters key);
-          log_action site ~et:mset.et ~key op)
+          Replica.log site.replica ~et:mset.et ~key op)
         ops;
       site.log <- entry :: site.log;
       (match early with
@@ -466,7 +464,8 @@ let receive t ~site:site_id msg =
    down they are stashed as its durable coordinator records and replayed
    at recovery. *)
 let local_receive t ~site msg =
-  if t.sites.(site).down then t.deferred_local <- (site, msg) :: t.deferred_local
+  if t.sites.(site).replica.down then
+    t.deferred_local <- (site, msg) :: t.deferred_local
   else receive t ~site msg
 
 (* Coordinator-record fan-out (Decide / Revoke) to the launch-time
@@ -499,10 +498,7 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
+                 replica = Replica.make env ~site:id;
                  last_exec = 0;
                  buffer = Hashtbl.create 32;
                  log = [];
@@ -514,7 +510,6 @@ let create (env : Intf.env) =
                  saga_held = Hashtbl.create 8;
                  pending_revokes = Hashtbl.create 8;
                  ended_sagas = Hashtbl.create 8;
-                 down = false;
                });
          fabric;
          outcomes = Hashtbl.create 32;
@@ -593,14 +588,8 @@ let launch_step t ~origin ~saga ops ~on_decision =
         else Squeue.send t.fabric ~src:origin ~dst (Provisional m))
       parts
   in
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    propagate ();
-    Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-  end
-  else propagate ();
+  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+    propagate;
   (match !local with
   | Some m -> receive t ~site:origin (Provisional m)
   | None -> ());
@@ -629,7 +618,7 @@ let launch_step t ~origin ~saga ops ~on_decision =
   (et, parts)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -650,7 +639,7 @@ let submit_update t ~origin intents k =
    If a step's global decision is an abort, every previously committed
    step is revoked (compensated) in reverse order and the saga fails. *)
 let submit_saga t ~origin steps k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else if steps = [] || List.exists (fun intents -> intents = []) steps then
     k (Intf.Rejected "saga with an empty step")
   else begin
@@ -720,10 +709,11 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then
+  if site.replica.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
-    degraded (List.map (fun key -> (key, Store.get site.store key)) keys)
+    degraded
+      (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
   else begin
   let aq =
     {
@@ -750,8 +740,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let snapshot =
           List.map
             (fun key ->
-              log_action site ~et ~key Op.Read;
-              (key, Store.get site.store key))
+              Replica.log site.replica ~et ~key Op.Read;
+              (key, Store.get site.replica.store key))
             keys
         in
         site.active <- List.filter (fun a -> a != aq) site.active;
@@ -776,7 +766,9 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             fail =
               (fun () ->
                 fail_degraded
-                  (List.map (fun key -> (key, Store.get site.store key)) keys));
+                  (List.map
+                     (fun key -> (key, Store.get site.replica.store key))
+                     keys));
           }
           :: site.parked_queries
       end
@@ -809,10 +801,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let pending = Lock_counter.count site.counters key in
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
-          log_action site ~et ~key Op.Read;
+          Replica.log site.replica ~et ~key Op.Read;
           aq.aq_observed <-
             List.sort_uniq Int.compare (undecided_on site key @ aq.aq_observed);
-          values := (key, Store.get site.store key) :: !values;
+          values := (key, Store.get site.replica.store key) :: !values;
           if rest = [] then step []
           else
             ignore
@@ -838,56 +830,52 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Durable: [hist], the undo/redo journal ([site.log]), the
-       lock-counters and decision-bookkeeping tables (early / revokes /
-       saga holds) — all coordinator-log state.  Volatile: the order
-       buffer (receipt-journaled in [t.wal]), wait contexts, and the
-       store image. *)
-    let buffered = Hashtbl.length site.buffer in
-    Hashtbl.reset site.buffer;
-    let parked = site.parked_queries in
-    site.parked_queries <- [];
-    List.iter (fun p -> p.fail ()) parked;
-    let killed = List.length site.active in
-    List.iter (fun aq -> aq.aq_killed <- true) site.active;
-    site.active <- [];
-    (* The crashed site was the coordinator of its undecided update ETs:
-       presumed abort.  The abort records reach the remotes through the
-       stable queue (now, if reachable) and this site at replay time. *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et d acc ->
-          if d.d_origin = site_id && not d.d_done then (et, d) :: acc else acc)
-        t.decisions []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (et, d) ->
-        d.d_done <- true;
-        Hashtbl.remove t.decisions et;
-        d.d_apply ~commit:false)
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered
-      ~queries_failed:(List.length parked + killed)
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env site.replica ~drop:(fun () ->
+      (* Durable: the replica's log, the undo/redo journal ([site.log]),
+         the lock-counters and decision-bookkeeping tables (early /
+         revokes / saga holds) — all coordinator-log state.  Volatile: the
+         order buffer (receipt-journaled in [t.wal]), wait contexts, and
+         the store image. *)
+      let buffered = Hashtbl.length site.buffer in
+      Hashtbl.reset site.buffer;
+      let parked = site.parked_queries in
+      site.parked_queries <- [];
+      List.iter (fun p -> p.fail ()) parked;
+      let killed = List.length site.active in
+      List.iter (fun aq -> aq.aq_killed <- true) site.active;
+      site.active <- [];
+      (* The crashed site was the coordinator of its undecided update
+         ETs: presumed abort.  The abort records reach the remotes through
+         the stable queue (now, if reachable) and this site at replay
+         time. *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et d acc ->
+            if d.d_origin = site_id && not d.d_done then (et, d) :: acc
+            else acc)
+          t.decisions []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (et, d) ->
+          d.d_done <- true;
+          Hashtbl.remove t.decisions et;
+          d.d_apply ~commit:false)
+        orphaned;
+      {
+        Replica.buffered;
+        queries_failed = List.length parked + killed;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
   let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    (* Rebuild the store image from the durable log (every mutation —
-       provisional applies, compensations, rollback repairs — is logged,
-       so the replay lands exactly on the pre-crash image the journal's
-       before-image chains describe)... *)
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    (* ...re-ingest journaled-but-unexecuted provisional MSets... *)
+  (* The kernel rebuilds the store image from the durable log (every
+     mutation — provisional applies, compensations, rollback repairs — is
+     logged, so the replay lands exactly on the pre-crash image the
+     journal's before-image chains describe)... *)
+  if Replica.recover t.env site.replica then begin
+    (* ...then re-ingest journaled-but-unexecuted provisional MSets... *)
     List.iter
       (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
       (Recovery.Wal.entries t.wal ~site:site_id);
@@ -902,36 +890,28 @@ let on_recover t ~site:site_id =
     wake_queries site
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let dedup = Squeue.gc_site t.fabric ~site:site_id in
-        (* The Time Warp undo/redo journal is reclaimable behind the
-           oldest undecided entry: a full rollback only ever rewinds from
-           an undecided entry forward, so decided entries older than every
-           undecided one can never be rewound again.  In the newest-first
-           list that is the maximal all-decided suffix.  After pruning,
-           the before-image chains describe mutations since the cut; the
-           checkpoint image anchors them. *)
-        let keep, prunable =
-          let rec split = function
-            | [] -> ([], [])
-            | e :: rest ->
-                let keep, prunable = split rest in
-                if keep = [] && e.e_decided then ([], e :: prunable)
-                else (e :: keep, prunable)
-          in
-          split site.log
-        in
-        site.log <- keep;
-        let reclaimed = dedup + List.length prunable in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+(* The Time Warp undo/redo journal is reclaimable behind the oldest
+   undecided entry: a full rollback only ever rewinds from an undecided
+   entry forward, so decided entries older than every undecided one can
+   never be rewound again.  In the newest-first list that is the maximal
+   all-decided suffix.  After pruning, the before-image chains describe
+   mutations since the cut; the checkpoint image anchors them.  Returns
+   the number of entries pruned. *)
+let prune_decided site =
+  let rec split = function
+    | [] -> ([], 0)
+    | e :: rest ->
+        let keep, pruned = split rest in
+        if keep = [] && e.e_decided then ([], pruned + 1)
+        else (e :: keep, pruned)
+  in
+  let keep, pruned = split site.log in
+  site.log <- keep;
+  pruned
+
+let checkpoint t ~site =
+  let site = t.sites.(site) in
+  Replica.cut t.env t.fabric site.replica ~gc:(fun () -> prune_decided site)
 
 let quiescent t =
   t.undecided = 0 && t.sagas_active = 0 && t.deferred_local = []
@@ -953,7 +933,7 @@ let backlog t =
     (t.undecided + t.sagas_active + List.length t.deferred_local)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 
 (* Introspection for tests: the site's remaining log entries (oldest
    first).  Invariant: folding the entries' operations over an empty
@@ -963,11 +943,8 @@ let store t ~site = t.sites.(site).store
 let log_entries t ~site =
   List.rev_map (fun e -> (e.e_et, e.e_decided, e.e_ops)) t.sites.(site).log
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+let history t ~site = t.sites.(site).replica.hist
+let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
 
 let stats t =
   [
@@ -987,15 +964,5 @@ let stats t =
     ("revokes", float_of_int t.n_revokes);
   ]
 
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    wal_entries = Recovery.Wal.size t.wal ~site:site_id;
-    wal_appended = Recovery.Wal.appended t.wal ~site:site_id;
-    wal_high_water = Recovery.Wal.high_water t.wal ~site:site_id;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site =
+  Replica.resources ~wal:t.wal t.fabric t.sites.(site).replica

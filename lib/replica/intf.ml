@@ -74,18 +74,6 @@ type resources = {
   store_words : int;  (** live heap words of the materialized store image *)
 }
 
-let no_resources =
-  {
-    log_entries = 0;
-    log_bytes = 0;
-    wal_entries = 0;
-    wal_appended = 0;
-    wal_high_water = 0;
-    journal_depth = 0;
-    journal_enqueued = 0;
-    store_words = 0;
-  }
-
 (** Family and Table 1 characteristics of a method. *)
 type family = Forward | Backward | Synchronous
 

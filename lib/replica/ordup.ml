@@ -22,7 +22,6 @@ module Op = Esr_store.Op
 module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
@@ -72,8 +71,7 @@ type parked_query = {
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] on recovery *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   (* sequencer mode *)
   mutable last_exec : int;
   seq_buffer : (int, mset) Hashtbl.t;
@@ -83,7 +81,6 @@ type site = {
   watermarks : Gtime.t array;
   mutable active : active_query list;
   mutable parked : parked_query list;
-  mutable down : bool;
 }
 
 type t = {
@@ -122,9 +119,6 @@ let meta =
 
 (* --- execution at a site --- *)
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let apply_mset_inner t site mset =
   let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
@@ -142,7 +136,7 @@ let apply_mset_inner t site mset =
          each site materializes only the shards it replicates. *)
       if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
       then begin
-        (match Store.apply_id_unit site.store i.Intf.id i.Intf.op with
+        (match Store.apply_id_unit site.replica.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ ->
             (* ORDUP imposes no operation restriction; type errors are a
@@ -150,7 +144,7 @@ let apply_mset_inner t site mset =
             invalid_arg
               (Printf.sprintf "ORDUP: op %s failed on %s"
                  (Op.to_string i.Intf.op) i.Intf.key));
-        log_action site ~et:mset.et ~key:i.Intf.key i.Intf.op
+        Replica.log site.replica ~et:mset.et ~key:i.Intf.key i.Intf.op
       end)
     mset.ops;
   (* Charge active queries that this update interleaves: it executes after
@@ -292,10 +286,7 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
+                 replica = Replica.make env ~site:id;
                  last_exec = 0;
                  seq_buffer = Hashtbl.create 32;
                  clock = Lamport.create ();
@@ -303,7 +294,6 @@ let create (env : Intf.env) =
                  watermarks = Array.make env.Intf.sites Gtime.zero;
                  active = [];
                  parked = [];
-                 down = false;
                });
          fabric;
          pending_commits = Hashtbl.create 32;
@@ -328,7 +318,7 @@ let intent_to_op env intent =
   { Intf.id = Esr_store.Keyspace.intern env.Intf.keyspace key; key; op }
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -388,14 +378,8 @@ let submit_update t ~origin intents k =
             else Squeue.send t.fabric ~src:origin ~dst m
           done
     in
-    let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-    if Prof.on prof then begin
-      let t0 = Prof.start prof in
-      let a0 = Prof.alloc0 prof in
-      propagate ();
-      Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-    end
-    else propagate ();
+    Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+      propagate;
     match !local with Some m -> receive t ~site:origin m | None -> ()
   end
 
@@ -425,8 +409,8 @@ let missing_before site = function
 let read_all site ~et keys =
   List.map
     (fun key ->
-      log_action site ~et ~key Op.Read;
-      (key, Store.get site.store key))
+      Replica.log site.replica ~et ~key Op.Read;
+      (key, Store.get site.replica.store key))
     keys
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
@@ -446,11 +430,11 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then
+  if site.replica.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded. *)
     finish ~charged:0 ~consistent:false
-      (List.map (fun key -> (key, Store.get site.store key)) keys)
+      (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
   else begin
   let consistent_path () =
     t.n_fallbacks <- t.n_fallbacks + 1;
@@ -463,7 +447,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
       (* The site crashed while the query waited: its volatile context is
          gone, so answer degraded from whatever the site last held. *)
       finish ~charged:(Epsilon.value eps) ~consistent:false
-        (List.map (fun key -> (key, Store.get site.store key)) keys)
+        (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
     in
     if order_reached site target then resume ()
     else
@@ -528,8 +512,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             finish ~charged:(Epsilon.value eps) ~consistent:false
               (List.rev !values)
         | key :: rest ->
-            log_action site ~et ~key Op.Read;
-            values := (key, Store.get site.store key) :: !values;
+            Replica.log site.replica ~et ~key Op.Read;
+            values := (key, Store.get site.replica.store key) :: !values;
             if rest = [] then step []
             else
               ignore
@@ -558,54 +542,51 @@ let flush t =
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Volatile order buffers are gone; the receipt journal ([t.wal]) keeps
-       the only durable copy of what they held. *)
-    let buffered = Hashtbl.length site.seq_buffer + List.length site.lam_buffer in
-    Hashtbl.reset site.seq_buffer;
-    site.lam_buffer <- [];
-    (* Parked queries fail immediately with a degraded answer; active
-       queries are killed and finish degraded at their next step. *)
-    let parked = site.parked in
-    site.parked <- [];
-    List.iter (fun pq -> pq.pq_fail ()) parked;
-    let killed = List.length site.active in
-    List.iter (fun aq -> aq.aq_killed <- true) site.active;
-    site.active <- [];
-    let queries_failed = List.length parked + killed in
-    (* Origin-side commit callbacks are volatile: clients of this site get
-       a rejection.  The MSets themselves are already in the stable fabric
-       and still commit everywhere (including here, after recovery). *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et (origin, k) acc ->
-          if origin = site_id then (et, k) :: acc else acc)
-        t.pending_commits []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (et, k) ->
-        Hashtbl.remove t.pending_commits et;
-        k (Intf.Rejected "origin site crashed"))
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered ~queries_failed
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env site.replica ~drop:(fun () ->
+      (* Volatile order buffers are gone; the receipt journal ([t.wal])
+         keeps the only durable copy of what they held. *)
+      let buffered =
+        Hashtbl.length site.seq_buffer + List.length site.lam_buffer
+      in
+      Hashtbl.reset site.seq_buffer;
+      site.lam_buffer <- [];
+      (* Parked queries fail immediately with a degraded answer; active
+         queries are killed and finish degraded at their next step. *)
+      let parked = site.parked in
+      site.parked <- [];
+      List.iter (fun pq -> pq.pq_fail ()) parked;
+      let killed = List.length site.active in
+      List.iter (fun aq -> aq.aq_killed <- true) site.active;
+      site.active <- [];
+      (* Origin-side commit callbacks are volatile: clients of this site
+         get a rejection.  The MSets themselves are already in the stable
+         fabric and still commit everywhere (including here, after
+         recovery). *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et (origin, k) acc ->
+            if origin = site_id then (et, k) :: acc else acc)
+          t.pending_commits []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (et, k) ->
+          Hashtbl.remove t.pending_commits et;
+          k (Intf.Rejected "origin site crashed"))
+        orphaned;
+      {
+        Replica.buffered;
+        queries_failed = List.length parked + killed;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
   let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    (* Replay the durable log — checkpoint + tail when the run
-       checkpoints — to rebuild the store image... *)
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    (* ...then re-ingest the journaled-but-unapplied MSets into the order
-       buffers.  The stable-queue backlog redelivers everything else. *)
+  (* The kernel replays the durable log (checkpoint + tail when the run
+     checkpoints) to rebuild the store image; then the journaled but
+     unapplied MSets go back into the order buffers.  The stable-queue
+     backlog redelivers everything else. *)
+  if Replica.recover t.env site.replica then begin
     List.iter
       (fun mset ->
         match (t.mode, mset.order) with
@@ -621,20 +602,10 @@ let on_recover t ~site:site_id =
     wake_parked site
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        (* Unapplied MSets straddling the cut stay in the receipt journal
-           ([t.wal]); only the stable-queue dedup records behind the
-           delivery watermark are reclaimable here. *)
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+(* Unapplied MSets straddling the cut stay in the receipt journal
+   ([t.wal]); only the stable-queue dedup records behind the delivery
+   watermark are reclaimable here. *)
+let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
 
 let quiescent t =
   Array.for_all
@@ -652,13 +623,10 @@ let backlog t =
     (Hashtbl.length t.pending_commits)
     t.sites
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+let history t ~site = t.sites.(site).replica.hist
+let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
 
 let stats t =
   [
@@ -668,15 +636,5 @@ let stats t =
     ("charged_units", float_of_int t.n_charged_units);
   ]
 
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    wal_entries = Recovery.Wal.size t.wal ~site:site_id;
-    wal_appended = Recovery.Wal.appended t.wal ~site:site_id;
-    wal_high_water = Recovery.Wal.high_water t.wal ~site:site_id;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site =
+  Replica.resources ~wal:t.wal t.fabric t.sites.(site).replica

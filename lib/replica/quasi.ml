@@ -27,7 +27,6 @@ module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Engine = Esr_sim.Engine
@@ -46,11 +45,9 @@ type msg =
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   versions : (string, int) Hashtbl.t;
       (* refresh versions seen — durable, written with the data *)
-  mutable down : bool;
 }
 
 (* A strict query waiting on the primary's reply; the wait context is
@@ -91,9 +88,6 @@ let meta =
     sorting_time = "at primary";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let value_drift a b =
   match (a, b) with
   | Value.Int x, Value.Int y -> Float.abs (float_of_int (x - y))
@@ -101,27 +95,19 @@ let value_drift a b =
 
 let push_key t key =
   let p = t.sites.(primary) in
-  let value = Store.get p.store key in
+  let value = Store.get p.replica.store key in
   Hashtbl.replace t.last_pushed key value;
   t.next_version <- t.next_version + 1;
   t.n_refreshes <- t.n_refreshes + 1;
   (* Refresh pushes are QUASI's update propagation: only the sites keeping
      a quasi-copy of the key's shard need them. *)
-  let propagate () =
-    let c = t.dests in
-    Sharding.Dests.reset c;
-    Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
-    Squeue.multicast t.fabric ~src:primary ~dests:c
-      (Refresh { key; value; version = t.next_version })
-  in
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    propagate ();
-    Prof.record prof ~site:primary Prof.Propagate ~t0 ~a0
-  end
-  else propagate ()
+  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:primary Prof.Propagate
+    (fun () ->
+      let c = t.dests in
+      Sharding.Dests.reset c;
+      Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
+      Squeue.multicast t.fabric ~src:primary ~dests:c
+        (Refresh { key; value; version = t.next_version }))
 
 let rec arm_timer t tau =
   if not t.timer_armed then begin
@@ -146,7 +132,7 @@ let after_primary_update t keys =
   | `Drift alpha ->
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).store key in
+          let current = Store.get t.sites.(primary).replica.store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
@@ -163,23 +149,15 @@ let rec receive t ~site:site_id msg =
         Trace.emit trace ~time:(Engine.now t.env.engine)
           (Trace.Mset_applied
              { et; site = site_id; n_ops = List.length ops; order = None });
-      let apply () =
-        List.iter
-          (fun (key, op) ->
-            (match Store.apply_unit site.store key op with
-            | Ok () -> ()
-            | Error _ -> invalid_arg "QUASI: op failed at primary");
-            log_action site ~et ~key op)
-          ops
-      in
-      let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-      if Prof.on prof then begin
-        let t0 = Prof.start prof in
-        let a0 = Prof.alloc0 prof in
-        apply ();
-        Prof.record prof ~site:site_id Prof.Apply ~t0 ~a0
-      end
-      else apply ();
+      Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site_id Prof.Apply
+        (fun () ->
+          List.iter
+            (fun (key, op) ->
+              (match Store.apply_unit site.replica.store key op with
+              | Ok () -> ()
+              | Error _ -> invalid_arg "QUASI: op failed at primary");
+              Replica.log site.replica ~et ~key op)
+            ops);
       after_primary_update t (List.map fst ops);
       let reply = Update_done { et } in
       if origin = site_id then receive t ~site:origin reply
@@ -194,16 +172,17 @@ let rec receive t ~site:site_id msg =
       let seen = Option.value (Hashtbl.find_opt site.versions key) ~default:0 in
       if version > seen then begin
         Hashtbl.replace site.versions key version;
-        Store.set site.store key value;
-        log_action site ~et:(t.env.Intf.next_et ()) ~key (Op.Write value)
+        Store.set site.replica.store key value;
+        Replica.log site.replica ~et:(t.env.Intf.next_et ()) ~key
+          (Op.Write value)
       end
   | Do_query { qid; keys; origin } ->
       let query_et = t.env.Intf.next_et () in
       let values =
         List.map
           (fun key ->
-            log_action site ~et:query_et ~key Op.Read;
-            (key, Store.get site.store key))
+            Replica.log site.replica ~et:query_et ~key Op.Read;
+            (key, Store.get site.replica.store key))
           keys
       in
       let reply = Query_reply { qid; values } in
@@ -233,12 +212,8 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
+                 replica = Replica.make env ~site:id;
                  versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-                 down = false;
                });
          fabric;
          refresh = env.Intf.config.Intf.quasi_refresh;
@@ -263,7 +238,7 @@ let intent_to_op = function
   | Intf.Mul (k, f) -> (k, Op.Mult f)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -303,10 +278,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     (* Graceful failure: answer from the last local image, flagged
        degraded (nothing is logged — the site is not executing). *)
     finish ~consistent:false
-      (List.map (fun key -> (key, Store.get t.sites.(site_id).store key)) keys)
+      (List.map
+         (fun key -> (key, Store.get t.sites.(site_id).replica.store key))
+         keys)
   in
   let strict = epsilon = Epsilon.Limit 0 in
-  if t.sites.(site_id).down then local_degraded ()
+  if t.sites.(site_id).replica.down then local_degraded ()
   else if strict && site_id <> primary then begin
     (* Consult the central copy, as quasi-copies applications do when the
        local copy is not close enough. *)
@@ -328,8 +305,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     let values =
       List.map
         (fun key ->
-          log_action site ~et:query_et ~key Op.Read;
-          (key, Store.get site.store key))
+          Replica.log site.replica ~et:query_et ~key Op.Read;
+          (key, Store.get site.replica.store key))
         keys
     in
     finish ~consistent:(site_id = primary) values
@@ -346,85 +323,69 @@ let flush t =
          reconciles them. *)
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).store key in
+          let current = Store.get t.sites.(primary).replica.store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
           if not (Value.equal current last) then push_key t key)
-        (Store.keys t.sites.(primary).store)
+        (Store.keys t.sites.(primary).replica.store)
   | `Immediate | `Periodic _ -> ()
 
 let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Strict queries from this site waiting on the primary's reply: the
-       wait context is volatile — answer degraded from the local image. *)
-    let my_queries =
-      Hashtbl.fold
-        (fun qid pq acc -> if pq.q_origin = site_id then (qid, pq) :: acc else acc)
-        t.query_replies []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
-    List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
-    (* Updates submitted here still waiting on Update_done: the origin-side
-       callback is volatile, so the client sees a rejection even though the
-       primary may have (or will have) applied the ET. *)
-    let my_updates =
-      Hashtbl.fold
-        (fun et (origin, notify) acc ->
-          if origin = site_id then (et, notify) :: acc else acc)
-        t.outcomes []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
-    List.iter
-      (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
-      my_updates;
-    (* The primary's propagation bookkeeping (dirty set, last-pushed
-       images) is volatile; recovery re-pushes everything instead. *)
-    let buffered =
-      if site_id = primary then begin
-        let n = List.length (List.sort_uniq String.compare t.dirty) in
-        t.dirty <- [];
-        Hashtbl.reset t.last_pushed;
-        n
-      end
-      else 0
-    in
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered ~queries_failed:(List.length my_queries)
-      ~updates_rejected:(List.length my_updates) ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env t.sites.(site_id).replica ~drop:(fun () ->
+      (* Strict queries from this site waiting on the primary's reply: the
+         wait context is volatile — answer degraded from the local
+         image. *)
+      let my_queries =
+        Hashtbl.fold
+          (fun qid pq acc ->
+            if pq.q_origin = site_id then (qid, pq) :: acc else acc)
+          t.query_replies []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
+      List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
+      (* Updates submitted here still waiting on Update_done: the
+         origin-side callback is volatile, so the client sees a rejection
+         even though the primary may have (or will have) applied the ET. *)
+      let my_updates =
+        Hashtbl.fold
+          (fun et (origin, notify) acc ->
+            if origin = site_id then (et, notify) :: acc else acc)
+          t.outcomes []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
+      List.iter
+        (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
+        my_updates;
+      (* The primary's propagation bookkeeping (dirty set, last-pushed
+         images) is volatile; recovery re-pushes everything instead. *)
+      let buffered =
+        if site_id = primary then begin
+          let n = List.length (List.sort_uniq String.compare t.dirty) in
+          t.dirty <- [];
+          Hashtbl.reset t.last_pushed;
+          n
+        end
+        else 0
+      in
+      {
+        Replica.buffered;
+        queries_failed = List.length my_queries;
+        updates_rejected = List.length my_updates;
+      })
 
 let on_recover t ~site:site_id =
   let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    if site_id = primary then
-      (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
-         re-push the whole image so quasi-copies re-converge and the
-         closeness predicate restarts from a known state. *)
-      List.iter (push_key t)
-        (List.sort String.compare (Store.keys site.store))
-  end
+  if Replica.recover t.env site.replica && site_id = primary then
+    (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
+       re-push the whole image so quasi-copies re-converge and the
+       closeness predicate restarts from a known state. *)
+    List.iter (push_key t)
+      (List.sort String.compare (Store.keys site.replica.store))
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
 
 let backlog t =
   Hashtbl.length t.outcomes + Hashtbl.length t.query_replies
@@ -440,19 +401,19 @@ let quiescent t =
       List.for_all
         (fun key ->
           Value.equal
-            (Store.get t.sites.(primary).store key)
+            (Store.get t.sites.(primary).replica.store key)
             (Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero))
-        (Store.keys t.sites.(primary).store)
+        (Store.keys t.sites.(primary).replica.store)
   | `Immediate | `Periodic _ -> true
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
+let history t ~site = t.sites.(site).replica.hist
 
 let converged t =
   (* The primary's copy is the master; each quasi-copy must agree with it
      on exactly the keys (shards) it replicates. *)
-  let reference = t.sites.(primary).store in
+  let reference = t.sites.(primary).replica.store in
   let sh = t.env.Intf.sharding in
   let n = Keyspace.size t.env.Intf.keyspace in
   let ok = ref true in
@@ -464,7 +425,7 @@ let converged t =
       let s = reps.(i) in
       if
         !ok && s <> primary
-        && not (Value.equal (Store.get_id t.sites.(s).store !id) v)
+        && not (Value.equal (Store.get_id t.sites.(s).replica.store !id) v)
       then ok := false
     done;
     incr id
@@ -481,13 +442,4 @@ let stats t =
 
 (* Refresh versions live with the data; there is no receipt journal, so
    the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica.resources t.fabric t.sites.(site).replica

@@ -20,7 +20,6 @@ module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
@@ -72,12 +71,10 @@ type write_round = {
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   versions : (string, version) Hashtbl.t;
       (* durable: version numbers live with the data, written atomically
          with each install *)
-  mutable hist : Hist.t;  (* the durable log *)
-  mutable down : bool;
 }
 
 type t = {
@@ -103,9 +100,6 @@ let meta =
     sorting_time = "at access";
   }
 
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
-
 let local_version site key =
   Option.value (Hashtbl.find_opt site.versions key) ~default:version_zero
 
@@ -113,10 +107,15 @@ let rec receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
   match msg with
   | Version_req { rid; et; key; requester } ->
-      log_action site ~et ~key Op.Read;
+      Replica.log site.replica ~et ~key Op.Read;
       post t ~src:site_id ~dst:requester
         (Version_reply
-           { rid; key; version = local_version site key; value = Store.get site.store key })
+           {
+             rid;
+             key;
+             version = local_version site key;
+             value = Store.get site.replica.store key;
+           })
   | Version_reply { rid; key = _; version; value } -> (
       match Hashtbl.find_opt t.reads rid with
       | None -> ()  (* straggler after the quorum completed *)
@@ -135,19 +134,11 @@ let rec receive t ~site:site_id msg =
         if Trace.on trace then
           Trace.emit trace ~time:(Engine.now t.env.engine)
             (Trace.Mset_applied { et; site = site.id; n_ops = 1; order = None });
-        let install () =
-          Hashtbl.replace site.versions key version;
-          Store.set site.store key value;
-          log_action site ~et ~key (Op.Write value)
-        in
-        let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-        if Prof.on prof then begin
-          let t0 = Prof.start prof in
-          let a0 = Prof.alloc0 prof in
-          install ();
-          Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-        end
-        else install ()
+        Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site.id Prof.Apply
+          (fun () ->
+            Hashtbl.replace site.versions key version;
+            Store.set site.replica.store key value;
+            Replica.log site.replica ~et ~key (Op.Write value))
       end;
       (* Acks flow back to the writer regardless: the quorum counts
          participation, not freshness. *)
@@ -202,18 +193,10 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
       w_fail = fail;
     };
   (* The write fan-out is QUORUM's update propagation. *)
-  let fan_out () =
-    fan_key t key (fun dst ->
-        post t ~src:origin ~dst (Write_req { wid; et; key; value; version }))
-  in
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    fan_out ();
-    Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-  end
-  else fan_out ()
+  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+    (fun () ->
+      fan_key t key (fun dst ->
+          post t ~src:origin ~dst (Write_req { wid; et; key; value; version })))
 
 let create (env : Intf.env) =
   let n = env.Intf.sites in
@@ -243,12 +226,8 @@ let create (env : Intf.env) =
            Array.init n (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
+                 replica = Replica.make env ~site:id;
                  versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-                 hist = Hist.empty;
-                 down = false;
                });
          fabric;
          reads = Hashtbl.create 32;
@@ -265,7 +244,8 @@ let create (env : Intf.env) =
 
 let submit_update t ~origin intents notify =
   match intents with
-  | _ when t.sites.(origin).down -> notify (Intf.Rejected "origin site down")
+  | _ when t.sites.(origin).replica.down ->
+      notify (Intf.Rejected "origin site down")
   | [ Intf.Set (key, value) ] ->
       t.n_updates <- t.n_updates + 1;
       (* Pin the key's shard before routing: both rounds and every later
@@ -314,7 +294,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
        (the quorum guarantee needs a live coordinating site). *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values =
+          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -322,7 +303,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then degraded ()
+  if site.replica.down then degraded ()
   else begin
     let total = List.length keys in
     let collected = ref [] in
@@ -361,73 +342,52 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
 let flush _ = ()
 
 let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* The rounds this site coordinates are volatile: queries answer
-       degraded, updates report rejection (their writes may still land at
-       a quorum — the classic uncertain outcome).  Straggler replies
-       arriving after recovery find no round and are ignored. *)
-    let my_reads =
-      Hashtbl.fold
-        (fun rid r acc -> if r.r_origin = site_id then (rid, r) :: acc else acc)
-        t.reads []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    and my_writes =
-      Hashtbl.fold
-        (fun wid w acc -> if w.w_origin = site_id then (wid, w) :: acc else acc)
-        t.writes []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    let queries_failed = ref 0 and updates_rejected = ref 0 in
-    List.iter
-      (fun (rid, r) ->
-        Hashtbl.remove t.reads rid;
-        if r.r_fail () then
-          if r.r_update then incr updates_rejected else incr queries_failed)
-      my_reads;
-    List.iter
-      (fun (wid, w) ->
-        Hashtbl.remove t.writes wid;
-        if w.w_fail () then incr updates_rejected)
-      my_writes;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:!queries_failed
-      ~updates_rejected:!updates_rejected ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env t.sites.(site_id).replica ~drop:(fun () ->
+      (* The rounds this site coordinates are volatile: queries answer
+         degraded, updates report rejection (their writes may still land
+         at a quorum — the classic uncertain outcome).  Straggler replies
+         arriving after recovery find no round and are ignored. *)
+      let my_reads =
+        Hashtbl.fold
+          (fun rid r acc ->
+            if r.r_origin = site_id then (rid, r) :: acc else acc)
+          t.reads []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      and my_writes =
+        Hashtbl.fold
+          (fun wid w acc ->
+            if w.w_origin = site_id then (wid, w) :: acc else acc)
+          t.writes []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      let queries_failed = ref 0 and updates_rejected = ref 0 in
+      List.iter
+        (fun (rid, r) ->
+          Hashtbl.remove t.reads rid;
+          if r.r_fail () then
+            if r.r_update then incr updates_rejected else incr queries_failed)
+        my_reads;
+      List.iter
+        (fun (wid, w) ->
+          Hashtbl.remove t.writes wid;
+          if w.w_fail () then incr updates_rejected)
+        my_writes;
+      {
+        Replica.buffered = 0;
+        queries_failed = !queries_failed;
+        updates_rejected = !updates_rejected;
+      })
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist
-  end
-
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let on_recover t ~site = ignore (Replica.recover t.env t.sites.(site).replica)
+let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
 
 let quiescent t = Hashtbl.length t.reads = 0 && Hashtbl.length t.writes = 0
 let backlog t = Hashtbl.length t.reads + Hashtbl.length t.writes
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+let history t ~site = t.sites.(site).replica.hist
+let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
 
 let stats t =
   [
@@ -438,13 +398,4 @@ let stats t =
 
 (* Versions live with the data; there is no receipt journal, so the WAL
    fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica.resources t.fabric t.sites.(site).replica

@@ -1,67 +1,21 @@
-(** Shared crash-recovery machinery for the replica-control methods.
+(** Durable receipt journal for the replica-control methods that buffer
+    MSets before applying them (ORDUP, COMPE).
 
     The fault model (DESIGN.md §7) splits a site's state in two:
 
-    - {e durable}: the per-site operation log ({!Esr_core.Hist.t} — the
-      write-ahead journal every method already maintains), the stable
-      queue journals, and the receipt journal of order-buffered MSets
-      ({!Wal});
+    - {e durable}: the per-site operation log ({!Replica.t}'s [hist]), the
+      stable queue journals, and the receipt journal of order-buffered
+      MSets ({!Wal});
     - {e volatile}: the materialized store image (a page cache over the
       log), order buffers, parked and active queries, and un-notified
       origin-side outcome callbacks.
 
-    A crash drops the volatile half; {!replay_store} rebuilds the store
-    image by replaying the durable log (traced as [Recovery_replay]), and
-    each method re-ingests its unconsumed {!Wal} records to rebuild its
-    order buffers before the stable-queue backlog resumes delivery. *)
+    A crash drops the volatile half; {!Replica.recover} rebuilds the store
+    image by replaying the durable log, and each method re-ingests its
+    unconsumed {!Wal} records to rebuild its order buffers before the
+    stable-queue backlog resumes delivery. *)
 
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
-module Hist = Esr_core.Hist
-
-let emit_replay ~(obs : Esr_obs.Obs.t) ~engine ~site ~n_actions =
-  let trace = obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace
-      ~time:(Esr_sim.Engine.now engine)
-      (Trace.Recovery_replay { site; n_actions })
-
-let replay_store ?base ?keyspace ?size ~obs ~engine ~site hist =
-  let prof = obs.Esr_obs.Obs.prof in
-  let store =
-    if Prof.on prof then begin
-      let t0 = Prof.start prof in
-      let a0 = Prof.alloc0 prof in
-      let store = Esr_core.Logmerge.apply ?base ?keyspace ?size hist in
-      Prof.record prof ~site Prof.Replay ~t0 ~a0;
-      store
-    end
-    else Esr_core.Logmerge.apply ?base ?keyspace ?size hist
-  in
-  emit_replay ~obs ~engine ~site ~n_actions:(Hist.length hist);
-  store
-
-(* Checkpoint-aware site-image replay: start from a fresh copy of the
-   site's newest snapshot when the run checkpoints (folding only the log
-   tail), or from scratch otherwise, and record the tail length for the
-   [ckpt/] gauges.  With [ckpt = None] this is exactly the historical
-   {!replay_store}. *)
-let replay_site ?ckpt ?keyspace ?size ~obs ~engine ~site hist =
-  match ckpt with
-  | None -> replay_store ?keyspace ?size ~obs ~engine ~site hist
-  | Some c ->
-      let base = Checkpoint.base c ~site in
-      let store = replay_store ?base ?keyspace ?size ~obs ~engine ~site hist in
-      Checkpoint.note_tail_replay c ~site ~len:(Hist.length hist);
-      store
-
-let emit_volatile_dropped ~(obs : Esr_obs.Obs.t) ~engine ~site ~buffered
-    ~queries_failed ~updates_rejected ~log =
-  let trace = obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace
-      ~time:(Esr_sim.Engine.now engine)
-      (Trace.Volatile_dropped { site; buffered; queries_failed; updates_rejected; log })
 
 (** Per-site durable receipt journal.  A record is appended when the
     transport hands a message up (before it enters any volatile buffer)

@@ -44,13 +44,12 @@ type msg = Update of mset | Watermark of Gtime.t
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* latest-version view; rebuilt from [hist] *)
-  mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;
+      (* durable log, latest-version store view, up/down *)
+  mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from the log *)
   clock : Lamport.t;
   watermarks : Gtime.t array;
       (* monotonic protocol metadata, logged with the stamps: durable *)
-  mutable down : bool;
 }
 
 type t = {
@@ -75,9 +74,6 @@ let meta =
     async_propagation = "Query & Update";
     sorting_time = "at read";
   }
-
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
 
 let refresh_vtnc site =
   let low = Array.fold_left Gtime.(fun acc w -> if compare w acc < 0 then w else acc)
@@ -114,21 +110,22 @@ let apply_mset_inner t site mset =
           | `Single -> Op.Timed_write { ts = stamp; value }
           | `Multi -> Op.Append { ts = stamp; value }
         in
+        let store = site.replica.store in
         (match t.mode with
         | `Single ->
             (* Latest-writer-wins by hand: a stale stamp can only hit a key
                that already has a newer (materialized) cell, so skipping the
                write leaves the store byte-identical to [Store.apply] while
                allocating nothing. *)
-            if Gtime.compare stamp (Store.get_ts_id site.store id) > 0 then
-              Store.set_with_ts_id site.store id value stamp
+            if Gtime.compare stamp (Store.get_ts_id store id) > 0 then
+              Store.set_with_ts_id store id value stamp
             else t.n_stale_ignored <- t.n_stale_ignored + 1
         | `Multi ->
             ignore (Mvstore.append site.mv key ~ts:stamp value);
             (* Maintain the latest-version view for convergence checks. *)
-            if Gtime.compare stamp (Store.get_ts_id site.store id) > 0 then
-              Store.set_with_ts_id site.store id value stamp);
-        log_action site ~et:mset.et ~key op
+            if Gtime.compare stamp (Store.get_ts_id store id) > 0 then
+              Store.set_with_ts_id store id value stamp);
+        Replica.log site.replica ~et:mset.et ~key op
       end)
     mset.writes
 
@@ -174,16 +171,12 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
+                 replica = Replica.make env ~site:id;
                  mv =
                    Mvstore.create ~size:env.Intf.store_hint
                      ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
                  clock = Lamport.create ();
                  watermarks = Array.make env.Intf.sites Gtime.zero;
-                 down = false;
                });
          fabric;
          n_updates = 0;
@@ -202,7 +195,7 @@ let submit_update t ~origin intents k =
       (function Intf.Set (key, v) -> Some (key, v) | Intf.Add _ | Intf.Mul _ -> None)
       intents
   in
-  if t.sites.(origin).down then k (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
   else if intents = [] then k (Intf.Rejected "empty update ET")
   else if List.length writes <> List.length intents then begin
     (* Add/Mul read the current value: not read-independent, so outside
@@ -233,20 +226,12 @@ let submit_update t ~origin intents k =
              keys = List.map (fun (_, key, _) -> key) writes;
            });
     apply_mset t site mset;
-    let propagate () =
-      (* Blind writes only matter to the replicas of their shards; commit
-         stays immediate and local (read-independence). *)
-      Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
-        (Update mset)
-    in
-    let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-    if Prof.on prof then begin
-      let t0 = Prof.start prof in
-      let a0 = Prof.alloc0 prof in
-      propagate ();
-      Prof.record prof ~site:origin Prof.Propagate ~t0 ~a0
-    end
-    else propagate ();
+    (* Blind writes only matter to the replicas of their shards; commit
+       stays immediate and local (read-independence). *)
+    Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+      (fun () ->
+        Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
+          (Update mset));
     k (Intf.Committed { committed_at = Engine.now t.env.engine })
   end
 
@@ -257,11 +242,11 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   let eps = Epsilon.create epsilon in
   let started_at = Engine.now t.env.engine in
   let read_single key =
-    log_action site ~et ~key Op.Read;
-    (key, Store.get site.store key)
+    Replica.log site.replica ~et ~key Op.Read;
+    (key, Store.get site.replica.store key)
   in
   let read_multi key =
-    log_action site ~et ~key Op.Read;
+    Replica.log site.replica ~et ~key Op.Read;
     let vtnc = Mvstore.vtnc site.mv in
     let value =
       match Mvstore.read_latest site.mv key with
@@ -280,12 +265,13 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     in
     (key, Option.value value ~default:Value.zero)
   in
-  if site.down then
+  if site.replica.down then
     (* Graceful failure: a crashed site answers from its last image,
        flagged degraded (nothing is logged — the site is not executing). *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values =
+          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -318,95 +304,63 @@ let flush t =
           Squeue.broadcast t.fabric ~src:site.id (Watermark ts))
         t.sites
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* RITU applies MSets on receipt and serves queries synchronously, so
-       the only volatile state is the materialized store/version images —
-       both rebuilt from the durable log on recovery.  Nothing to fail. *)
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:0 ~updates_rejected:0
-      ~log:(Hist.length site.hist)
-  end
+(* RITU applies MSets on receipt and serves queries synchronously, so the
+   only volatile state is the materialized store/version images — both
+   rebuilt from the durable log on recovery.  Nothing to fail. *)
+let on_crash t ~site = Replica.crash t.env t.sites.(site).replica
 
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    match t.mode with
-    | `Single ->
-        site.store <-
-          Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-            ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-            ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id
-            site.hist
-    | `Multi ->
-        (* The log holds Append ops; replaying them naively is arrival
-           order, but the latest-version view is last-writer-wins on the
-           stamp — rebuild both images timestamp-aware.  When the run
-           checkpoints, both images start from copies of the newest
-           snapshot pair and only the log tail folds on top (Append is
-           idempotent and Timed_write is latest-writer-wins, so a tail
-           action already absorbed by the snapshot would be harmless
-           anyway). *)
-        let ckpt = t.env.Intf.checkpoint in
-        let store =
-          match Option.bind ckpt (fun c -> Checkpoint.base c ~site:site_id) with
-          | Some base -> base
-          | None ->
-              Store.create ~size:t.env.Intf.store_hint
-                ~keyspace:t.env.Intf.keyspace ()
-        in
-        let mv =
-          match Option.bind ckpt (fun c -> Checkpoint.base_mv c ~site:site_id) with
-          | Some base -> base
-          | None ->
-              Mvstore.create ~size:t.env.Intf.store_hint
-                ~keyspace:t.env.Intf.keyspace ()
-        in
-        let actions = Hist.actions site.hist in
-        List.iter
-          (fun { Et.key; op; _ } ->
-            match op with
-            | Op.Append { ts; value } ->
-                ignore (Mvstore.append mv key ~ts value);
-                ignore (Store.apply store key (Op.Timed_write { ts; value }))
-            | Op.Read -> ()
-            | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _
-              ->
-                invalid_arg "RITU: non-append update in a multi-version log")
-          actions;
-        Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
-        site.store <- store;
-        site.mv <- mv;
-        Recovery.emit_replay ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-          ~site:site_id ~n_actions:(List.length actions);
-        Option.iter
-          (fun c ->
-            Checkpoint.note_tail_replay c ~site:site_id
-              ~len:(Hist.length site.hist))
-          ckpt
-  end
+(* Multi mode's log holds Append ops; replaying them naively is arrival
+   order, but the latest-version view is last-writer-wins on the stamp —
+   rebuild both images timestamp-aware.  When the run checkpoints, both
+   images start from copies of the newest snapshot pair and only the log
+   tail folds on top (Append is idempotent and Timed_write is
+   latest-writer-wins, so a tail action already absorbed by the snapshot
+   would be harmless anyway). *)
+let replay_multi t site ~base hist =
+  let store =
+    match base with
+    | Some base -> base
+    | None ->
+        Store.create ~size:t.env.Intf.store_hint ~keyspace:t.env.Intf.keyspace
+          ()
+  in
+  let mv =
+    match
+      Option.bind t.env.Intf.checkpoint (fun c ->
+          Checkpoint.base_mv c ~site:site.id)
+    with
+    | Some base -> base
+    | None ->
+        Mvstore.create ~size:t.env.Intf.store_hint
+          ~keyspace:t.env.Intf.keyspace ()
+  in
+  List.iter
+    (fun { Et.key; op; _ } ->
+      match op with
+      | Op.Append { ts; value } ->
+          ignore (Mvstore.append mv key ~ts value);
+          ignore (Store.apply store key (Op.Timed_write { ts; value }))
+      | Op.Read -> ()
+      | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _ ->
+          invalid_arg "RITU: non-append update in a multi-version log")
+    (Hist.actions hist);
+  Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
+  site.mv <- mv;
+  store
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          (match t.mode with
-          | `Single ->
-              Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-                ~store:site.store ~hist:site.hist ~reclaimed ()
-          | `Multi ->
-              (* Snapshot the version store alongside the latest-writer
-                 image: Multi recovery rebuilds both. *)
-              Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-                ~mv:site.mv ~store:site.store ~hist:site.hist ~reclaimed ())
-      end
+let on_recover t ~site =
+  let site = t.sites.(site) in
+  let replay =
+    match t.mode with `Single -> None | `Multi -> Some (replay_multi t site)
+  in
+  ignore (Replica.recover ?replay t.env site.replica)
+
+(* Multi mode snapshots the version store alongside the latest-writer
+   image: its recovery rebuilds both. *)
+let checkpoint t ~site =
+  let site = t.sites.(site) in
+  let mv = match t.mode with `Single -> None | `Multi -> Some site.mv in
+  Replica.cut ?mv t.env t.fabric site.replica
 
 let quiescent _ = true
 (* RITU keeps no protocol state beyond the transport: once the stable
@@ -416,17 +370,17 @@ let backlog _ = 0
 (* Same reason: all outstanding work is in the stable queues, which the
    series already samples through the squeue registry gauges. *)
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 
 let mvstore t ~site =
   match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv
 
-let history t ~site = t.sites.(site).hist
+let history t ~site = t.sites.(site).replica.hist
 
 let converged t =
   let sh = t.env.Intf.sharding in
   let ks = t.env.Intf.keyspace in
-  Sharding.converged sh ~keyspace:ks ~store:(fun site -> t.sites.(site).store)
+  Replica.converged t.env (fun site -> t.sites.(site).replica)
   && (t.mode = `Single
      ||
      (* Replicas of a shard must also agree on the full version lists of
@@ -458,13 +412,4 @@ let stats t =
 
 (* RITU applies on receipt (stale stamps are ignored or become versions),
    so there is no receipt journal; the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica.resources t.fabric t.sites.(site).replica

@@ -28,7 +28,6 @@ module Op = Esr_store.Op
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Lock_table = Esr_cc.Lock_table
 module Lock_mgr = Esr_cc.Lock_mgr
@@ -70,8 +69,7 @@ type waiting_q = {
 
 type site = {
   id : int;
-  mutable store : Store.t;  (* volatile image; rebuilt from [hist] *)
-  mutable hist : Hist.t;  (* the durable log *)
+  replica : Replica.t;  (* durable log, store image, up/down *)
   locks : Lock_mgr.t;
       (* prepared W-locks are durable (classic prepared-state-in-the-WAL);
          query R-requests are cancelled at crash, so the table never holds
@@ -81,7 +79,6 @@ type site = {
       (* aborts decided while this site's prepare was still waiting for
          locks: when the late grant finally lands, release immediately *)
   mutable waiting : waiting_q list;
-  mutable down : bool;
 }
 
 type t = {
@@ -112,9 +109,6 @@ let meta =
     async_propagation = "None";
     sorting_time = "at commit";
   }
-
-let log_action site ~et ~key op =
-  site.hist <- Hist.append site.hist (Et.action ~et ~key op)
 
 (* Acquire [requests] one at a time on [locks]; [fail] runs on a deadlock
    refusal (locks already granted to [txn] are released). *)
@@ -157,21 +151,18 @@ let rec receive t ~site:site_id msg =
             (* Phase 1 proper: prepare at every participant, coordinator
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
-            let fan_out () =
-              Array.iter
-                (fun dst ->
-                  post t ~src:coord.c_site ~dst
-                    (Prepare { et; ops = coord.c_ops; coordinator = coord.c_site }))
-                coord.c_parts
-            in
-            let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-            if Prof.on prof then begin
-              let t0 = Prof.start prof in
-              let a0 = Prof.alloc0 prof in
-              fan_out ();
-              Prof.record prof ~site:coord.c_site Prof.Propagate ~t0 ~a0
-            end
-            else fan_out ()
+            Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:coord.c_site
+              Prof.Propagate (fun () ->
+                Array.iter
+                  (fun dst ->
+                    post t ~src:coord.c_site ~dst
+                      (Prepare
+                         {
+                           et = coord.c_et;
+                           ops = coord.c_ops;
+                           coordinator = coord.c_site;
+                         }))
+                  coord.c_parts)
           end)
   | Prepare { et; ops; coordinator } ->
       (* A participant locks, logs and applies only the ops of the shards
@@ -218,23 +209,15 @@ let rec receive t ~site:site_id msg =
               Trace.emit trace ~time:(Engine.now t.env.engine)
                 (Trace.Mset_applied
                    { et; site = site.id; n_ops = List.length ops; order = None });
-            let apply () =
-              List.iter
-                (fun (key, op) ->
-                  (match Store.apply_unit site.store key op with
-                  | Ok () -> ()
-                  | Error _ -> invalid_arg "2PC: op failed to apply");
-                  log_action site ~et ~key op)
-                ops
-            in
-            let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-            if Prof.on prof then begin
-              let t0 = Prof.start prof in
-              let a0 = Prof.alloc0 prof in
-              apply ();
-              Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-            end
-            else apply ()
+            Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site.id Prof.Apply
+              (fun () ->
+                List.iter
+                  (fun (key, op) ->
+                    (match Store.apply_unit site.replica.store key op with
+                    | Ok () -> ()
+                    | Error _ -> invalid_arg "2PC: op failed to apply");
+                    Replica.log site.replica ~et ~key op)
+                  ops)
           end;
           Lock_mgr.release_all site.locks ~txn:et);
       post t ~src:site_id ~dst:coordinator (Done { et })
@@ -246,7 +229,7 @@ let rec receive t ~site:site_id msg =
    traffic. *)
 and post t ~src ~dst msg =
   if src = dst then
-    if t.sites.(dst).down then
+    if t.sites.(dst).replica.down then
       t.deferred_local <- (dst, msg) :: t.deferred_local
     else receive t ~site:dst msg
   else Squeue.send t.fabric ~src ~dst msg
@@ -309,15 +292,11 @@ let create (env : Intf.env) =
            Array.init env.Intf.sites (fun id ->
                {
                  id;
-                 store =
-                   Store.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 hist = Hist.empty;
+                 replica = Replica.make env ~site:id;
                  locks = Lock_mgr.create ~table:Lock_table.standard ();
                  prepared = Hashtbl.create 16;
                  aborted = Hashtbl.create 16;
                  waiting = [];
-                 down = false;
                });
          fabric;
          coords = Hashtbl.create 32;
@@ -337,7 +316,8 @@ let intent_to_op = function
   | Intf.Mul (k, f) -> (k, Op.Mult f)
 
 let submit_update t ~origin intents notify =
-  if t.sites.(origin).down then notify (Intf.Rejected "origin site down")
+  if t.sites.(origin).replica.down then
+    notify (Intf.Rejected "origin site down")
   else if intents = [] then notify (Intf.Rejected "empty update ET")
   else begin
     t.n_updates <- t.n_updates + 1;
@@ -413,7 +393,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
        flagged degraded (2PC's normal path is always consistent). *)
     k
       {
-        Intf.values = List.map (fun key -> (key, Store.get site.store key)) keys;
+        Intf.values =
+          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
         charged = 0;
         forced = 0;
         consistent_path = false;
@@ -421,7 +402,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         served_at = Engine.now t.env.engine;
       }
   in
-  if site.down then degraded ()
+  if site.replica.down then degraded ()
   else begin
     let rec attempt wq =
       if wq.wq_done then ()
@@ -438,8 +419,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
               let values =
                 List.map
                   (fun key ->
-                    log_action site ~et ~key Op.Read;
-                    (key, Store.get site.store key))
+                    Replica.log site.replica ~et ~key Op.Read;
+                    (key, Store.get site.replica.store key))
                   keys
               in
               Lock_mgr.release_all site.locks ~txn:et;
@@ -478,55 +459,50 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  if not site.down then begin
-    site.down <- true;
-    (* Prepared transactions survive (prepared-state-in-the-WAL keeps
-       their W-locks held — the classic 2PC blocking window); what dies
-       is the volatile wait contexts: queries queued on locks fail
-       degraded and their requests are cancelled. *)
-    let waiting = site.waiting in
-    site.waiting <- [];
-    List.iter
-      (fun wq ->
-        if not wq.wq_done then begin
-          wq.wq_done <- true;
-          wq.wq_fail ()
-        end)
-      waiting;
-    (* The crashed site was the coordinator of its undecided update ETs:
-       presumed abort.  Remote participants learn the abort once the
-       stable queue reaches them; the local record is replayed at
-       recovery. *)
-    let orphaned =
-      Hashtbl.fold
-        (fun et coord acc ->
-          if coord.c_site = site_id && not coord.c_decided then
-            (et, coord) :: acc
-          else acc)
-        t.coords []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (_, coord) ->
-        coord.c_decided <- true;
-        t.n_aborted <- t.n_aborted + 1;
-        coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
-        send_decision t coord ~commit:false)
-      orphaned;
-    Recovery.emit_volatile_dropped ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine
-      ~site:site_id ~buffered:0 ~queries_failed:(List.length waiting)
-      ~updates_rejected:(List.length orphaned) ~log:(Hist.length site.hist)
-  end
+  Replica.crash t.env site.replica ~drop:(fun () ->
+      (* Prepared transactions survive (prepared-state-in-the-WAL keeps
+         their W-locks held — the classic 2PC blocking window); what dies
+         is the volatile wait contexts: queries queued on locks fail
+         degraded and their requests are cancelled. *)
+      let waiting = site.waiting in
+      site.waiting <- [];
+      List.iter
+        (fun wq ->
+          if not wq.wq_done then begin
+            wq.wq_done <- true;
+            wq.wq_fail ()
+          end)
+        waiting;
+      (* The crashed site was the coordinator of its undecided update
+         ETs: presumed abort.  Remote participants learn the abort once
+         the stable queue reaches them; the local record is replayed at
+         recovery. *)
+      let orphaned =
+        Hashtbl.fold
+          (fun et coord acc ->
+            if coord.c_site = site_id && not coord.c_decided then
+              (et, coord) :: acc
+            else acc)
+          t.coords []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (_, coord) ->
+          coord.c_decided <- true;
+          t.n_aborted <- t.n_aborted + 1;
+          coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
+          send_decision t coord ~commit:false)
+        orphaned;
+      {
+        Replica.buffered = 0;
+        queries_failed = List.length waiting;
+        updates_rejected = List.length orphaned;
+      })
 
 let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if site.down then begin
-    site.down <- false;
-    site.store <-
-      Recovery.replay_site ?ckpt:t.env.Intf.checkpoint
-        ~keyspace:t.env.Intf.keyspace ~size:t.env.Intf.store_hint
-        ~obs:t.env.Intf.obs ~engine:t.env.Intf.engine ~site:site_id site.hist;
-    (* Replay the site's own 2PC records that landed while it was down. *)
+  (* After the log replay, the site's own 2PC records that landed while it
+     was down. *)
+  if Replica.recover t.env t.sites.(site_id).replica then begin
     let mine, others =
       List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
     in
@@ -534,28 +510,15 @@ let on_recover t ~site:site_id =
     List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine
   end
 
-let checkpoint t ~site:site_id =
-  match t.env.Intf.checkpoint with
-  | None -> ()
-  | Some c ->
-      let site = t.sites.(site_id) in
-      if not site.down then begin
-        let reclaimed = Squeue.gc_site t.fabric ~site:site_id in
-        site.hist <-
-          Checkpoint.cut c ~engine:t.env.Intf.engine ~site:site_id
-            ~store:site.store ~hist:site.hist ~reclaimed ()
-      end
+let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
 
 let quiescent t = Hashtbl.length t.coords = 0 && t.deferred_local = []
 let backlog t = Hashtbl.length t.coords + List.length t.deferred_local
 
-let store t ~site = t.sites.(site).store
+let store t ~site = t.sites.(site).replica.store
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).hist
-
-let converged t =
-  Sharding.converged t.env.Intf.sharding ~keyspace:t.env.Intf.keyspace
-    ~store:(fun site -> t.sites.(site).store)
+let history t ~site = t.sites.(site).replica.hist
+let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
 
 let stats t =
   [
@@ -567,13 +530,4 @@ let stats t =
 
 (* 2PC's durable protocol state is the prepared table, not a receipt
    journal, so the WAL fields stay zero. *)
-let resources t ~site:site_id =
-  let site = t.sites.(site_id) in
-  {
-    Intf.no_resources with
-    Intf.log_entries = Hist.length site.hist;
-    log_bytes = Hist.approx_bytes site.hist;
-    journal_depth = Squeue.journal_depth t.fabric ~site:site_id;
-    journal_enqueued = Squeue.journaled t.fabric ~site:site_id;
-    store_words = Store.live_words site.store;
-  }
+let resources t ~site = Replica.resources t.fabric t.sites.(site).replica

@@ -9,6 +9,7 @@ module Net = Esr_sim.Net
 module Prng = Esr_util.Prng
 module Dist = Esr_util.Dist
 module Store = Esr_store.Store
+module Mvstore = Esr_store.Mvstore
 module Value = Esr_store.Value
 module Hist = Esr_core.Hist
 module Squeue = Esr_squeue.Squeue
@@ -204,7 +205,7 @@ let test_validate_rejects_crash_on_cut () =
 
 (* --- harness wiring: gauges appear only when checkpointing is on --- *)
 
-let quiet_harness ?checkpoint ?obs ?(sites = 4) ?(seed = 3) name =
+let quiet_harness ?config ?checkpoint ?obs ?(sites = 4) ?(seed = 3) name =
   let net_config =
     {
       Net.latency = Dist.Uniform (5.0, 25.0);
@@ -212,7 +213,8 @@ let quiet_harness ?checkpoint ?obs ?(sites = 4) ?(seed = 3) name =
       duplicate_probability = 0.0;
     }
   in
-  Harness.create ~net_config ~seed ?obs ?checkpoint ~sites ~method_name:name ()
+  Harness.create ?config ~net_config ~seed ?obs ?checkpoint ~sites
+    ~method_name:name ()
 
 let ckpt_gauges h =
   List.filter (fun e -> e.Metrics.group = "ckpt") (Harness.stats h)
@@ -230,7 +232,19 @@ let test_gauges_conditional () =
 
 (* --- per-method workload plumbing (mirrors test_fault) --- *)
 
-let methods = Registry.names
+(* Every method at its default config, plus the modes whose recovery
+   takes its own branch: RITU's timestamp-aware multiversion rebuild and
+   ORDUP's Lamport re-ingest.  (label, method, config). *)
+let variants =
+  List.map (fun name -> (name, name, Intf.default_config)) Registry.names
+  @ [
+      ( "RITU multi",
+        "RITU",
+        { Intf.default_config with Intf.ritu_mode = `Multi } );
+      ( "ORDUP lamport",
+        "ORDUP",
+        { Intf.default_config with Intf.ordup_ordering = `Lamport } );
+    ]
 
 let intents_for name i =
   let key = Printf.sprintf "k%d" (i mod 4) in
@@ -255,10 +269,10 @@ let schedule_updates h ~sites ~name ~gap ~until =
 
 (* --- double crash during the checkpoint window: idempotent recovery --- *)
 
-let test_double_crash_between_cuts name () =
+let test_double_crash_between_cuts ~config name () =
   let sites = 3 in
   let h =
-    quiet_harness ~sites
+    quiet_harness ~config ~sites
       ~checkpoint:{ Checkpoint.interval = 40.0; retain = 2 }
       name
   in
@@ -291,18 +305,20 @@ let test_double_crash_between_cuts name () =
 
 (* --- the headline property: checkpoint + tail ≡ full-log replay --- *)
 
-let prop_checkpoint_equiv name =
+let prop_checkpoint_equiv ~label ~config name =
   QCheck.Test.make
     ~name:
       (Printf.sprintf "%s: checkpoint+tail recovery matches full-log replay"
-         name)
+         label)
     ~count:8
     QCheck.(int_range 0 9999)
     (fun seed ->
       let sites = 4 in
       let schedule = Nemesis.generate ~seed ~sites ~duration:500.0 () in
       let run ?checkpoint () =
-        let h = quiet_harness ~seed:(seed + 1) ?checkpoint ~sites name in
+        let h =
+          quiet_harness ~config ~seed:(seed + 1) ?checkpoint ~sites name
+        in
         if checkpoint <> None then Harness.arm_checkpoints h ~until:700.0;
         (match
            Harness.run_with_faults h ~schedule ~workload:(fun h ->
@@ -323,8 +339,10 @@ let prop_checkpoint_equiv name =
       || QCheck.Test.fail_reportf "seed %d: checkpointed run diverged" seed)
       && List.for_all
            (fun i ->
-             Store.equal (Harness.store h_off ~site:i)
-               (Harness.store h_on ~site:i)
+             let mv h = Intf.boxed_mvstore (Harness.system h) ~site:i in
+             (Store.equal (Harness.store h_off ~site:i)
+                (Harness.store h_on ~site:i)
+             && Option.equal Mvstore.equal (mv h_off) (mv h_on))
              || QCheck.Test.fail_reportf
                   "seed %d: site %d differs from the full-log run (schedule \
                    %s)"
@@ -332,7 +350,8 @@ let prop_checkpoint_equiv name =
                   (Schedule.to_spec schedule))
            (List.init sites Fun.id))
 
-let per_method mk = List.map (fun name -> mk name) methods
+let per_variant mk =
+  List.map (fun (label, name, config) -> mk ~label ~config name) variants
 
 let () =
   Alcotest.run "esr_checkpoint"
@@ -365,12 +384,13 @@ let () =
           Alcotest.test_case "gauges conditional" `Quick test_gauges_conditional;
         ] );
       ( "double-crash",
-        per_method (fun name ->
+        per_variant (fun ~label ~config name ->
             Alcotest.test_case
-              (name ^ " double crash between cuts")
+              (label ^ " double crash between cuts")
               `Quick
-              (test_double_crash_between_cuts name)) );
+              (test_double_crash_between_cuts ~config name)) );
       ( "equivalence",
-        per_method (fun name ->
-            QCheck_alcotest.to_alcotest (prop_checkpoint_equiv name)) );
+        per_variant (fun ~label ~config name ->
+            QCheck_alcotest.to_alcotest
+              (prop_checkpoint_equiv ~label ~config name)) );
     ]
