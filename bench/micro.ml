@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the hot paths: the ESR checker, the lock
-   manager, the simulation engine, the stores, and the PRNG — plus a
-   bytes-per-op section (plain Gc.allocated_bytes deltas) that proves the
-   apply/propagate path stays allocation-free once warm.  The ns/op and
+   manager, the simulation engine and network, the stores, and the PRNG —
+   plus a bytes-per-op section (exact allocated-bytes deltas) that proves
+   the apply/propagate path stays allocation-free once warm.  The ns/op and
    bytes/op numbers together are what guided the interned-key store work:
    a path is only "stripped" when its bytes/op column reads 0. *)
 
@@ -21,6 +21,7 @@ module Lock_table = Esr_cc.Lock_table
 module Lock_mgr = Esr_cc.Lock_mgr
 module Engine = Esr_sim.Engine
 module Heap = Esr_sim.Heap
+module Net = Esr_sim.Net
 module Prng = Esr_util.Prng
 
 (* A representative mixed history: 12 ETs, 6 keys, 120 operations. *)
@@ -69,12 +70,30 @@ let test_heap =
   Test.make ~name:"heap/push+drop_min x1000 (warm)"
     (Staged.stage (fun () ->
          for i = 0 to 999 do
-           Heap.push h ~time:(float_of_int (i mod 97)) ~seq:i i
+           Heap.push h ~time:(float_of_int (i mod 97)) ~seq:i ~key:i i
          done;
          while not (Heap.is_empty h) do
            ignore (Heap.min_payload h);
            Heap.drop_min h
          done))
+
+(* One message 0 -> 1 whose arrival posts a reply 1 -> 0, then a drain:
+   two port events through the loss-free default network.  Only floats
+   are allocated: the boxed event times and clock values (~96 B). *)
+let net_round_trip () =
+  let e = Engine.create ~hint:1024 () in
+  let net = Net.create e ~sites:2 ~prng:(Prng.create 1) in
+  let back = Net.port ~cls:"ack" net (fun ~src:_ ~dst:_ _ -> ()) in
+  let there =
+    Net.port ~cls:"data" net (fun ~src ~dst seq ->
+        Net.post net back ~src:dst ~dst:src seq)
+  in
+  fun () ->
+    Net.post net there ~src:0 ~dst:1 0;
+    Engine.run e
+
+let test_net_round_trip =
+  Test.make ~name:"net/post round trip" (Staged.stage (net_round_trip ()))
 
 (* Shared fixtures for the store benches: one keyspace, keys interned
    once, stores pre-warmed so the timed loops measure steady state. *)
@@ -215,6 +234,7 @@ let test_prng =
 let benchmarks =
   [
     test_esr_checker; test_overlap; test_lock_mgr; test_engine; test_heap;
+    test_net_round_trip;
     test_store_get; test_store_get_id; test_store_set_id; test_store_apply;
     test_store_apply_unit; test_store_apply_id_unit; test_keyspace_intern;
     test_mset_apply; test_mset_build; test_mvstore; test_shard_lookup;
@@ -223,22 +243,30 @@ let benchmarks =
 
 (* --- bytes per operation -------------------------------------------- *)
 
-(* Minor-heap bytes allocated per call of [f], measured as a plain
-   [Gc.allocated_bytes] delta over [n] warm iterations.  This is exact
-   (the counter advances at every allocation), so a 0 here means the
-   path genuinely does not allocate. *)
+(* Bytes allocated so far.  On OCaml 5 [Gc.allocated_bytes] advances its
+   minor part only at minor collections, so a short loop could read 0;
+   [Gc.minor_words] also counts the current minor heap, which makes this
+   exact. *)
+let allocated_bytes () =
+  let s = Gc.quick_stat () in
+  (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
+  *. float_of_int (Sys.word_size / 8)
+
+(* Bytes allocated per call of [f], as an [allocated_bytes] delta over
+   [n] warm iterations, so a 0 here means the path genuinely does not
+   allocate. *)
 let bytes_per_op ?(n = 10_000) f =
   f ();
   (* warm: first call may grow tables/arrays *)
-  let before = Gc.allocated_bytes () in
+  let before = allocated_bytes () in
   for _ = 1 to n do
     f ()
   done;
-  let after = Gc.allocated_bytes () in
+  let after = allocated_bytes () in
   (after -. before) /. float_of_int n
 
 let bytes_report () =
-  print_endline "== Bytes/op (Gc.allocated_bytes delta, warm) ==";
+  print_endline "== Bytes/op (allocated-bytes delta, warm) ==";
   let row name per_call ops =
     (* per_call covers [ops] logical operations; report per-op. *)
     Printf.printf "  %-44s %10.1f bytes/op\n" name (per_call /. float_of_int ops)
@@ -302,13 +330,14 @@ let bytes_report () =
    row "heap/push+drop_min"
      (bytes_per_op (fun () ->
           for i = 0 to 63 do
-            Heap.push h ~time:(float_of_int i) ~seq:i i
+            Heap.push h ~time:(float_of_int i) ~seq:i ~key:i i
           done;
           while not (Heap.is_empty h) do
             ignore (Heap.min_payload h);
             Heap.drop_min h
           done))
      128);
+  row "net/post round trip" (bytes_per_op (net_round_trip ())) 1;
   print_newline ()
 
 let run_all () =

@@ -199,7 +199,9 @@ let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
   let* () =
     check_flags
       [
-        ("sites", sites >= 1, "a positive integer");
+        ( "sites",
+          sites >= 1 && sites <= Net.max_sites,
+          Printf.sprintf "an integer in [1, %d]" Net.max_sites );
         ("keys", keys >= 1, "a positive integer");
         ("duration", positive duration, "positive");
         ("update-rate", non_negative update_rate, "a non-negative number");

@@ -1,22 +1,36 @@
 module Prof = Esr_obs.Prof
 
-type state = Pending | Cancelled | Fired
-
-type event = { seq : int; body : unit -> unit; mutable state : state }
-
+(* An event is a heap entry: (time, seq) orders it, the key says what it
+   does.  Key -1 marks a closure event, whose payload is its body.  Any
+   other key is a port event, packed as port id (8 bits) | a (24 bits) |
+   b (30 bits); its payload is the shared [noop], so posting one stores
+   no pointer to a fresh block in the heap's payload column. *)
 type t = {
-  heap : event Heap.t;
+  heap : (unit -> unit) Heap.t;
   mutable clock : float;
+      (* boxed on purpose: [now] then returns the stored box, so a caller
+         in another module never allocates to read the clock *)
   mutable next_seq : int;
   mutable live : int;
   mutable executed : int;
   mutable cancelled : int;
+  mutable ports : (int -> int -> unit) array;  (* indexed by port id *)
+  tombstones : (int, unit) Hashtbl.t;
+      (* seqs cancelled while still in the heap; consulted at pop only
+         when non-empty *)
   mutable prof : Prof.t;
       (* host-time profiler around every dispatched event body; the shared
          disabled instance until the harness installs a live one *)
 }
 
-type event_id = event
+type event_id = int
+type port = int
+
+let max_ports = 1 lsl 8
+let a_bits = 24
+let b_bits = 30
+let closure_key = -1
+let noop () = ()
 
 let create ?(hint = 64) () =
   {
@@ -26,6 +40,8 @@ let create ?(hint = 64) () =
     live = 0;
     executed = 0;
     cancelled = 0;
+    ports = [||];
+    tombstones = Hashtbl.create 8;
     prof = Prof.disabled;
   }
 
@@ -33,83 +49,106 @@ let set_prof t prof = t.prof <- prof
 
 let now t = t.clock
 
+let push t ~time ~key body =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Heap.push t.heap ~time ~seq ~key body;
+  t.live <- t.live + 1;
+  seq
+
+(* The guards are written [not (x >= y)] so that a NaN time or delay is
+   refused: every comparison with NaN is false. *)
 let schedule_at t ~time body =
-  if time < t.clock then
+  if not (time >= t.clock) then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
          t.clock);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let ev = { seq; body; state = Pending } in
-  Heap.push t.heap ~time ~seq ev;
-  t.live <- t.live + 1;
-  ev
+  push t ~time ~key:closure_key body
 
 let schedule t ~delay body =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.clock +. delay) body
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
+  push t ~time:(t.clock +. delay) ~key:closure_key body
 
-let cancel t ev =
-  (* Lazy deletion: the entry stays in the heap and is skipped at pop.
-     Only a still-pending event counts against [live]; cancelling a fired
-     or already-cancelled event is a true no-op. *)
-  match ev.state with
-  | Pending ->
-      ev.state <- Cancelled;
-      t.live <- t.live - 1;
-      t.cancelled <- t.cancelled + 1
-  | Cancelled | Fired -> ()
+let port t handler =
+  let id = Array.length t.ports in
+  if id = max_ports then
+    invalid_arg (Printf.sprintf "Engine.port: at most %d ports" max_ports);
+  t.ports <- Array.append t.ports [| handler |];
+  id
 
-(* Pop the next live event, discarding lazily-cancelled entries as they
-   surface.  Each heap entry is examined exactly once per pop: the state
-   flag lives on the event record, so there is no side-table lookup. *)
-let rec pop_live t =
-  if Heap.is_empty t.heap then None
-  else begin
-    let time = Heap.min_time t.heap in
-    let ev = Heap.min_payload t.heap in
-    Heap.drop_min t.heap;
-    if ev.state = Cancelled then pop_live t else Some (time, ev)
+let post t ~delay port a b =
+  if not (delay >= 0.0) then invalid_arg "Engine.post: negative delay";
+  if a lsr a_bits <> 0 || b lsr b_bits <> 0 then
+    invalid_arg
+      (Printf.sprintf "Engine.post: arguments (%d, %d) outside [0, 2^%d) x [0, 2^%d)"
+         a b a_bits b_bits);
+  ignore
+    (push t ~time:(t.clock +. delay)
+       ~key:((port lsl (a_bits + b_bits)) lor (a lsl b_bits) lor b)
+       noop)
+
+(* Cancelled events stay in the heap and are skipped when they surface.
+   Only a seq still in the heap and not yet cancelled is pending, so
+   cancelling a fired or already-cancelled event is a no-op.  Nothing in
+   the simulator cancels, so the scan is off every hot path. *)
+let cancel t seq =
+  if (not (Hashtbl.mem t.tombstones seq)) && Heap.mem_seq t.heap seq then begin
+    Hashtbl.replace t.tombstones seq ();
+    t.live <- t.live - 1;
+    t.cancelled <- t.cancelled + 1
   end
 
-let execute t time ev =
+let fire t key body =
+  if key = closure_key then body ()
+  else
+    (Array.unsafe_get t.ports (key lsr (a_bits + b_bits)))
+      ((key lsr b_bits) land ((1 lsl a_bits) - 1))
+      (key land ((1 lsl b_bits) - 1))
+
+let execute t time key body =
   t.clock <- time;
   t.live <- t.live - 1;
   t.executed <- t.executed + 1;
-  ev.state <- Fired;
   (* Profiling off is the common case and must stay allocation-free on
      this path: one load-and-branch, then the direct call. *)
   if Prof.on t.prof then begin
     let t0 = Prof.start t.prof in
     let a0 = Prof.alloc0 t.prof in
-    ev.body ();
+    fire t key body;
     Prof.record t.prof Prof.Engine_dispatch ~t0 ~a0
   end
-  else ev.body ()
+  else fire t key body
 
-let step t =
-  match pop_live t with
-  | None -> false
-  | Some (time, ev) ->
-      execute t time ev;
-      true
+(* Whether the heap minimum was cancelled; forgets its tombstone if so. *)
+let tombstoned t =
+  Hashtbl.length t.tombstones > 0
+  && begin
+       let seq = Heap.min_seq t.heap in
+       let hit = Hashtbl.mem t.tombstones seq in
+       if hit then Hashtbl.remove t.tombstones seq;
+       hit
+     end
 
-(* The drain loops read the heap minimum in place ([min_time] /
-   [min_payload] / [drop_min]) instead of going through the option-boxed
-   [pop_live], so a warm event loop allocates nothing per event. *)
+(* Remove the heap minimum, due at [time], and execute it unless it was
+   cancelled; true when it ran.  The minimum is read in place, so a warm
+   event loop allocates nothing per event beyond the clock's box. *)
+let pop_execute t time =
+  let key = Heap.min_key t.heap and body = Heap.min_payload t.heap in
+  let skip = tombstoned t in
+  Heap.drop_min t.heap;
+  if not skip then execute t time key body;
+  not skip
+
+let rec step t =
+  (not (Heap.is_empty t.heap))
+  && (pop_execute t (Heap.min_time t.heap) || step t)
+
 let run ?until t =
   match until with
   | None ->
-      let rec drain () =
-        if not (Heap.is_empty t.heap) then begin
-          let time = Heap.min_time t.heap in
-          let ev = Heap.min_payload t.heap in
-          Heap.drop_min t.heap;
-          if ev.state <> Cancelled then execute t time ev;
-          drain ()
-        end
-      in
-      drain ()
+      while not (Heap.is_empty t.heap) do
+        ignore (pop_execute t (Heap.min_time t.heap))
+      done
   | Some limit ->
       let rec drain () =
         if not (Heap.is_empty t.heap) then begin
@@ -117,9 +156,7 @@ let run ?until t =
              the heap, so its (time, seq) ordering is untouched. *)
           let time = Heap.min_time t.heap in
           if time <= limit then begin
-            let ev = Heap.min_payload t.heap in
-            Heap.drop_min t.heap;
-            if ev.state <> Cancelled then execute t time ev;
+            ignore (pop_execute t time);
             drain ()
           end
         end

@@ -68,8 +68,15 @@ let register_metrics t (m : Metrics.t) =
         float_of_int t.delivered_to.(site))
   done
 
+(* A port event carries (src, dst) packed in 12 + 12 bits as its first
+   argument, so a network holds at most 4,096 sites. *)
+let site_bits = 12
+let max_sites = 1 lsl site_bits
+
 let create ?(config = default_config) ?obs engine ~sites ~prng =
   if sites <= 0 then invalid_arg "Net.create: sites must be positive";
+  if sites > max_sites then
+    invalid_arg (Printf.sprintf "Net.create: at most %d sites" max_sites);
   let t =
     {
       engine;
@@ -120,45 +127,56 @@ let site_up t s =
   check_site t s;
   t.up.(s)
 
-let deliver_later t ~src ~dst ~cls callback =
-  let latency = Dist.sample t.config.latency t.prng in
-  ignore
-    (Engine.schedule t.engine ~delay:latency (fun () ->
-         if not t.up.(dst) then begin
-           t.crashed_dst <- t.crashed_dst + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_dropped { src; dst; cls; reason = Trace.Crashed_dst })
-         end
-         else if t.group.(src) <> t.group.(dst) then begin
-           (* A partition that fired while the message was in flight cuts
-              it off too: reachability is re-checked at arrival time, just
-              like the crashed-destination check above. *)
-           t.blocked_partition <- t.blocked_partition + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_dropped { src; dst; cls; reason = Trace.Partition })
-         end
-         else begin
-           t.delivered <- t.delivered + 1;
-           t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
-           if Trace.on t.trace then
-             Trace.emit t.trace ~time:(Engine.now t.engine)
-               (Trace.Msg_delivered { src; dst; cls });
-           let prof = t.prof in
-           if Esr_obs.Prof.on prof then begin
-             let t0 = Esr_obs.Prof.start prof in
-             let a0 = Esr_obs.Prof.alloc0 prof in
-             callback ();
-             Esr_obs.Prof.record prof ~site:dst Esr_obs.Prof.Net_delivery ~t0
-               ~a0
-           end
-           else callback ()
-         end))
+type port = { cls : string; eport : Engine.port }
 
-let send ?(cls = "msg") t ~src ~dst callback =
+(* Arrival of one copy at [dst].  Reachability is re-checked here: a crash
+   or a partition that fired while the message was in flight cuts it
+   off. *)
+let arrive t ~cls handler ~src ~dst arg =
+  if not t.up.(dst) then begin
+    t.crashed_dst <- t.crashed_dst + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_dropped { src; dst; cls; reason = Trace.Crashed_dst })
+  end
+  else if t.group.(src) <> t.group.(dst) then begin
+    t.blocked_partition <- t.blocked_partition + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_dropped { src; dst; cls; reason = Trace.Partition })
+  end
+  else begin
+    t.delivered <- t.delivered + 1;
+    t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
+    if Trace.on t.trace then
+      Trace.emit t.trace ~time:(Engine.now t.engine)
+        (Trace.Msg_delivered { src; dst; cls });
+    let prof = t.prof in
+    if Esr_obs.Prof.on prof then begin
+      let t0 = Esr_obs.Prof.start prof in
+      let a0 = Esr_obs.Prof.alloc0 prof in
+      handler ~src ~dst arg;
+      Esr_obs.Prof.record prof ~site:dst Esr_obs.Prof.Net_delivery ~t0 ~a0
+    end
+    else handler ~src ~dst arg
+  end
+
+let port ?(cls = "msg") t handler =
+  let eport =
+    Engine.port t.engine (fun sd arg ->
+        arrive t ~cls handler ~src:(sd lsr site_bits)
+          ~dst:(sd land (max_sites - 1)) arg)
+  in
+  { cls; eport }
+
+let transit t p ~src ~dst arg =
+  let latency = Dist.sample t.config.latency t.prng in
+  Engine.post t.engine ~delay:latency p.eport ((src lsl site_bits) lor dst) arg
+
+let post t p ~src ~dst arg =
   check_site t src;
   check_site t dst;
+  let cls = p.cls in
   t.sent <- t.sent + 1;
   t.sent_by.(src) <- t.sent_by.(src) + 1;
   if Trace.on t.trace then
@@ -171,7 +189,7 @@ let send ?(cls = "msg") t ~src ~dst callback =
       Trace.emit t.trace ~time:(Engine.now t.engine)
         (Trace.Msg_dropped { src; dst; cls; reason = Trace.Crashed_src })
   end
-  else if not (reachable t src dst) then begin
+  else if t.group.(src) <> t.group.(dst) then begin
     t.blocked_partition <- t.blocked_partition + 1;
     if Trace.on t.trace then
       Trace.emit t.trace ~time:(Engine.now t.engine)
@@ -184,22 +202,15 @@ let send ?(cls = "msg") t ~src ~dst callback =
         (Trace.Msg_dropped { src; dst; cls; reason = Trace.Loss })
   end
   else begin
-    deliver_later t ~src ~dst ~cls callback;
+    transit t p ~src ~dst arg;
     if Prng.bernoulli t.prng t.config.duplicate_probability then begin
       t.duplicated <- t.duplicated + 1;
       if Trace.on t.trace then
         Trace.emit t.trace ~time:(Engine.now t.engine)
           (Trace.Msg_duplicated { src; dst; cls });
-      deliver_later t ~src ~dst ~cls callback
+      transit t p ~src ~dst arg
     end
   end
-
-let send_shard ?cls t ~sharding ~shard ~src callback =
-  let reps = Esr_store.Sharding.replicas sharding shard in
-  for i = 0 to Array.length reps - 1 do
-    let dst = Array.unsafe_get reps i in
-    if dst <> src then send ?cls t ~src ~dst callback
-  done
 
 let partition t groups =
   let seen = Array.make t.n_sites false in

@@ -27,6 +27,9 @@ val wan_config : config
 
 type t
 
+val max_sites : int
+(** 4,096: a message carries (src, dst) in 12 + 12 bits. *)
+
 val create :
   ?config:config ->
   ?obs:Esr_obs.Obs.t ->
@@ -34,7 +37,8 @@ val create :
   sites:int ->
   prng:Esr_util.Prng.t ->
   t
-(** With [?obs], message events are recorded into its trace sink and the
+(** Raises [Invalid_argument] unless [0 < sites <= max_sites].
+    With [?obs], message events are recorded into its trace sink and the
     fate counters (plus per-site send/delivery counts) are registered as
     group ["net"] gauges in its metrics registry.  Without it the network
     is silent: no sink, no registration, identical behaviour. *)
@@ -42,29 +46,26 @@ val create :
 val engine : t -> Engine.t
 val sites : t -> int
 
-val send : ?cls:string -> t -> src:int -> dst:int -> (unit -> unit) -> unit
-(** Deliver [callback] at [dst] after a sampled latency, unless the message
-    is lost, the two sites are partitioned (checked both at send time and
-    again at arrival time, so a partition that fires while the message is
-    in flight cuts it off), or [dst] is down at arrival time.  Sending
-    from a crashed site is a silent drop.  [cls] labels the message class
-    in trace events (default ["msg"]); stable queues pass
-    ["data"] / ["ack"]. *)
+type port
+(** A message handler registered with {!port}. *)
 
-val send_shard :
-  ?cls:string ->
-  t ->
-  sharding:Esr_store.Sharding.t ->
-  shard:int ->
-  src:int ->
-  (unit -> unit) ->
-  unit
-(** Interest-routed multicast: {!send} [callback] to every site
-    replicating [shard] under [sharding], except [src] itself, in
-    ascending site order.  Each destination goes through the full
-    per-message fate machinery (loss, partition, crash accounting), so
-    the counters read exactly as if the sends had been issued one by
-    one — because they are. *)
+val port : ?cls:string -> t -> (src:int -> dst:int -> int -> unit) -> port
+(** [port t handler] registers [handler] for {!post}.  [cls] labels the
+    port's messages in trace events (default ["msg"]); stable queues
+    register ["data"] and ["ack"] ports.  Each port takes one of the
+    engine's 256 port slots. *)
+
+val post : t -> port -> src:int -> dst:int -> int -> unit
+(** [post t p ~src ~dst arg] runs [handler ~src ~dst arg] of port [p] at
+    [dst] after a sampled latency, unless the message is lost, the two
+    sites are partitioned (checked both at send time and again at arrival
+    time, so a partition that fires while the message is in flight cuts
+    it off), or [dst] is down at arrival time.  Sending from a crashed
+    site is a silent drop.  A duplicated message runs the handler once
+    per copy.  Random draws, in order: drop, latency, duplicate, and a
+    second latency for a duplicate copy.  [arg] must lie in
+    [\[0, 2^30)] (see {!Engine.post}).  A message is a port event: it
+    allocates no closure and no event record. *)
 
 (** {2 Failure injection} *)
 

@@ -10,9 +10,11 @@ type backoff = { multiplier : float; max_interval : float; jitter : float }
 let default_backoff = { multiplier = 2.0; max_interval = 800.0; jitter = 0.1 }
 
 (* Sender-side state of one src->dst channel.  [unacked] is the journal: it
-   survives crashes of the sender (stable storage) and drives retry.  Each
-   entry remembers when it was last transmitted so a timer tick only
-   retransmits messages that have actually been waiting a full interval. *)
+   survives crashes of the sender (stable storage), drives retry, and is
+   where the receiver reads a message's payload ({!journal_payload}).
+   Each entry remembers when it was last transmitted so a timer tick only
+   retransmits messages that have actually been waiting a full interval.
+   Its iteration order is the retransmission order. *)
 type 'a pending_msg = { payload : 'a; mutable last_sent : float }
 
 type 'a chan = {
@@ -25,15 +27,17 @@ type 'a chan = {
          channel makes no progress and resets on ack *)
 }
 
-(* Receiver-side state of one src->dst channel.  [seen_floor] is the
-   dedup watermark: every sequence number below it has been delivered and
-   its individual [seen] record reclaimed (checkpoint GC).  It stays 0
-   unless {!gc_site} runs, keeping the historical behaviour bit-exact. *)
+(* Receiver-side state of one src->dst channel.  Every seq below [mark]
+   has been handed up: in [Fifo] mode [mark] is the next seq to deliver
+   and [reorder] buffers the early arrivals; in [Unordered] mode [above]
+   holds the seqs delivered out of order past [mark].  [floor] is [mark]
+   at the last checkpoint cut ({!gc_site}), so [mark - floor] counts the
+   dedup records a cut reclaims. *)
 type 'a recv = {
-  seen : (int, unit) Hashtbl.t;  (* for Unordered dedup *)
-  mutable seen_floor : int;  (* all seqs < floor are known-delivered *)
-  mutable next_expected : int;  (* for Fifo *)
-  reorder : (int, 'a) Hashtbl.t;  (* Fifo gap buffer *)
+  mutable mark : int;
+  mutable floor : int;
+  above : (int, unit) Hashtbl.t;  (* Unordered *)
+  reorder : (int, 'a) Hashtbl.t;  (* Fifo *)
 }
 
 type counters = {
@@ -53,6 +57,9 @@ type 'a t = {
   handler : site:int -> src:int -> 'a -> unit;
   chans : 'a chan array array;  (* [src].(dst) *)
   recvs : 'a recv array array;  (* [dst].(src) *)
+  data : Net.port;  (* carries seq src -> dst *)
+  ack : Net.port;  (* carries seq dst -> src *)
+  timer : Engine.port;  (* carries (src, dst) of the channel to retry *)
   mutable n_enqueued : int;
   mutable n_delivered : int;
   mutable n_dup : int;
@@ -86,37 +93,64 @@ let[@inline] note_delivered t ~src ~dst seq =
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_delivered { src; dst; seq })
 
-let deliver t ~dst ~src seq payload =
+(* The payload of [seq] from the sender's journal.  A data message
+   carries only its seq: the first arrival the receiver accepts reads the
+   payload here.  The entry is always present then, because an entry
+   leaves the journal only on an ack, an ack follows an arrival, and
+   every arrival after the first is suppressed as a duplicate before
+   this lookup. *)
+let journal_payload t ~src ~dst seq =
+  match Hashtbl.find t.chans.(src).(dst).unacked seq with
+  | pending -> pending.payload
+  | exception Not_found ->
+      failwith
+        (Printf.sprintf
+           "Squeue: channel %d->%d accepted seq %d with no journal entry" src
+           dst seq)
+
+let deliver t ~dst ~src seq =
   let recv = t.recvs.(dst).(src) in
   match t.mode with
   | Unordered ->
-      if seq < recv.seen_floor || Hashtbl.mem recv.seen seq then
+      if seq < recv.mark || Hashtbl.mem recv.above seq then
         note_dup t ~src ~dst seq
       else begin
-        Hashtbl.replace recv.seen seq ();
+        let payload = journal_payload t ~src ~dst seq in
+        if seq = recv.mark then begin
+          recv.mark <- seq + 1;
+          (* Fold in any out-of-order seqs the gap was holding back. *)
+          while
+            Hashtbl.length recv.above > 0 && Hashtbl.mem recv.above recv.mark
+          do
+            Hashtbl.remove recv.above recv.mark;
+            recv.mark <- recv.mark + 1
+          done
+        end
+        else Hashtbl.replace recv.above seq ();
         note_delivered t ~src ~dst seq;
         t.handler ~site:dst ~src payload
       end
   | Fifo ->
-      if seq < recv.next_expected || Hashtbl.mem recv.reorder seq then
+      if seq < recv.mark || Hashtbl.mem recv.reorder seq then
         note_dup t ~src ~dst seq
-      else if seq = recv.next_expected && Hashtbl.length recv.reorder = 0 then begin
+      else if seq = recv.mark && Hashtbl.length recv.reorder = 0 then begin
         (* In-order fast path — the overwhelmingly common case on a
            healthy link: no reorder-buffer round trip, no allocation. *)
-        recv.next_expected <- seq + 1;
+        let payload = journal_payload t ~src ~dst seq in
+        recv.mark <- seq + 1;
         note_delivered t ~src ~dst seq;
         t.handler ~site:dst ~src payload
       end
       else begin
-        Hashtbl.replace recv.reorder seq payload;
+        Hashtbl.replace recv.reorder seq (journal_payload t ~src ~dst seq);
         (* Hand up the contiguous prefix. *)
         let rec drain () =
-          match Hashtbl.find recv.reorder recv.next_expected with
+          match Hashtbl.find recv.reorder recv.mark with
           | exception Not_found -> ()
           | p ->
-              let seq = recv.next_expected in
+              let seq = recv.mark in
               Hashtbl.remove recv.reorder seq;
-              recv.next_expected <- seq + 1;
+              recv.mark <- seq + 1;
               note_delivered t ~src ~dst seq;
               t.handler ~site:dst ~src p;
               drain ()
@@ -124,7 +158,12 @@ let deliver t ~dst ~src seq payload =
         drain ()
       end
 
-let ack t ~src ~dst seq =
+(* A data message at [dst]: deliver (with dedup), then ack every copy. *)
+let on_data t ~src ~dst seq =
+  deliver t ~dst ~src seq;
+  Net.post t.net t.ack ~src:dst ~dst:src seq
+
+let on_ack t ~src ~dst seq =
   let chan = t.chans.(src).(dst) in
   if Hashtbl.mem chan.unacked seq then begin
     Hashtbl.remove chan.unacked seq;
@@ -134,14 +173,9 @@ let ack t ~src ~dst seq =
     chan.cur_interval <- t.retry_interval
   end
 
-let transmit t ~src ~dst seq payload =
-  (* The data message carries its own ack round trip as a closure chain:
-     arrival at [dst] delivers (with dedup) and fires an ack back. *)
-  Net.send ~cls:"data" t.net ~src ~dst (fun () ->
-      deliver t ~dst ~src seq payload;
-      Net.send ~cls:"ack" t.net ~src:dst ~dst:src (fun () -> ack t ~src ~dst seq))
+let transmit t ~src ~dst seq = Net.post t.net t.data ~src ~dst seq
 
-let rec arm_timer t ~src ~dst =
+let arm_timer t ~src ~dst =
   let chan = t.chans.(src).(dst) in
   if not chan.timer_active then begin
     chan.timer_active <- true;
@@ -154,33 +188,35 @@ let rec arm_timer t ~src ~dst =
           chan.cur_interval
           *. (1.0 +. Prng.float t.jitter_prng (Float.max 0.0 b.jitter))
     in
-    ignore
-      (Engine.schedule (Net.engine t.net) ~delay (fun () ->
-           chan.timer_active <- false;
-           if Hashtbl.length chan.unacked > 0 then begin
-             let now = Engine.now (Net.engine t.net) in
-             let retransmitted = ref false in
-             Hashtbl.iter
-               (fun seq pending ->
-                 (* Only retransmit messages that have waited a full
-                    interval; fresher ones may still be acked in flight. *)
-                 if now -. pending.last_sent >= t.retry_interval -. 1e-9 then begin
-                   retransmitted := true;
-                   t.n_retx <- t.n_retx + 1;
-                   pending.last_sent <- now;
-                   transmit t ~src ~dst seq pending.payload
-                 end)
-               chan.unacked;
-             (match t.backoff with
-             | Some b when !retransmitted ->
-                 (* No ack since the last full interval: the peer is likely
-                    crashed or partitioned away, so widen the retry gap
-                    instead of storming the link. *)
-                 chan.cur_interval <-
-                   Float.min (chan.cur_interval *. b.multiplier) b.max_interval
-             | _ -> ());
-             arm_timer t ~src ~dst
-           end))
+    Engine.post (Net.engine t.net) ~delay t.timer src dst
+  end
+
+let on_timer t ~src ~dst =
+  let chan = t.chans.(src).(dst) in
+  chan.timer_active <- false;
+  if Hashtbl.length chan.unacked > 0 then begin
+    let now = Engine.now (Net.engine t.net) in
+    let retransmitted = ref false in
+    Hashtbl.iter
+      (fun seq pending ->
+        (* Only retransmit messages that have waited a full interval;
+           fresher ones may still be acked in flight. *)
+        if now -. pending.last_sent >= t.retry_interval -. 1e-9 then begin
+          retransmitted := true;
+          t.n_retx <- t.n_retx + 1;
+          pending.last_sent <- now;
+          transmit t ~src ~dst seq
+        end)
+      chan.unacked;
+    (match t.backoff with
+    | Some b when !retransmitted ->
+        (* No ack since the last full interval: the peer is likely
+           crashed or partitioned away, so widen the retry gap instead of
+           storming the link. *)
+        chan.cur_interval <-
+          Float.min (chan.cur_interval *. b.multiplier) b.max_interval
+    | _ -> ());
+    arm_timer t ~src ~dst
   end
 
 (* Immediate retransmission of everything outstanding on one channel —
@@ -200,7 +236,7 @@ let kick_chan t ~src ~dst =
         let pending = Hashtbl.find chan.unacked seq in
         t.n_retx <- t.n_retx + 1;
         pending.last_sent <- now;
-        transmit t ~src ~dst seq pending.payload)
+        transmit t ~src ~dst seq)
       seqs;
     arm_timer t ~src ~dst
   end
@@ -234,12 +270,20 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
     }
   in
   let fresh_recv _ =
-    {
-      seen = Hashtbl.create 8;
-      seen_floor = 0;
-      next_expected = 0;
-      reorder = Hashtbl.create 8;
-    }
+    { mark = 0; floor = 0; above = Hashtbl.create 8; reorder = Hashtbl.create 8 }
+  in
+  (* The port handlers need the fabric, and the fabric holds the ports. *)
+  let self = ref None in
+  let fabric () = Option.get !self in
+  let data =
+    Net.port ~cls:"data" net (fun ~src ~dst seq -> on_data (fabric ()) ~src ~dst seq)
+  in
+  let ack =
+    Net.port ~cls:"ack" net (fun ~src ~dst seq ->
+        on_ack (fabric ()) ~src:dst ~dst:src seq)
+  in
+  let timer =
+    Engine.port (Net.engine net) (fun src dst -> on_timer (fabric ()) ~src ~dst)
   in
   let t =
     {
@@ -251,6 +295,9 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
       handler;
       chans = Array.init n (fun _ -> Array.init n fresh_chan);
       recvs = Array.init n (fun _ -> Array.init n fresh_recv);
+      data;
+      ack;
+      timer;
       n_enqueued = 0;
       n_delivered = 0;
       n_dup = 0;
@@ -264,6 +311,7 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
         | None -> Trace.make ~capacity:1 ~enabled:false ());
     }
   in
+  self := Some t;
   (match obs with
   | Some (o : Esr_obs.Obs.t) -> register_metrics t o.Esr_obs.Obs.metrics
   | None -> ());
@@ -287,7 +335,7 @@ let send t ~src ~dst payload =
     Trace.emit t.trace
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_send { src; dst; seq });
-  transmit t ~src ~dst seq payload;
+  transmit t ~src ~dst seq;
   arm_timer t ~src ~dst
 
 let broadcast t ~src payload =
@@ -310,39 +358,32 @@ let journal_depth t ~site =
 
 let journaled t ~site = t.journaled_by.(site)
 
-(* Receiver-side dedup journal footprint of one site: individually
-   retained sequence records across its inbound channels (the part the
-   checkpoint GC reclaims; the watermark itself is O(1) per channel). *)
+(* Receiver-side dedup journal footprint of one site: the delivered seqs
+   its inbound channels have not yet folded into a checkpoint cut — the
+   part {!gc_site} reclaims.  [Fifo] channels keep no per-seq record
+   ([mark] alone is their watermark), so they count none. *)
 let dedup_depth t ~site =
-  let n = ref 0 in
-  Array.iter (fun recv -> n := !n + Hashtbl.length recv.seen) t.recvs.(site);
-  !n
+  match t.mode with
+  | Fifo -> 0
+  | Unordered ->
+      Array.fold_left
+        (fun n recv -> n + (recv.mark - recv.floor) + Hashtbl.length recv.above)
+        0 t.recvs.(site)
 
-(* Checkpoint GC over one site's inbound dedup journals: advance each
-   channel's watermark over the contiguous prefix of delivered sequence
-   numbers and drop the individual records behind it.  A retransmission
-   below the floor is suppressed by the floor alone, so exactly-once
-   delivery is unaffected.  Returns the number of records reclaimed.
-   Fifo channels retain nothing per-seq ([next_expected] already is the
-   watermark), so there is nothing to collect. *)
+(* Checkpoint GC over one site's inbound dedup journals: move each
+   channel's floor up to its watermark and return how far the floors
+   moved.  A retransmission below the watermark is suppressed by the
+   watermark alone, so exactly-once delivery is unaffected. *)
 let gc_site t ~site =
   match t.mode with
   | Fifo -> 0
   | Unordered ->
-      let reclaimed = ref 0 in
-      Array.iter
-        (fun recv ->
-          let continue = ref true in
-          while !continue do
-            if Hashtbl.mem recv.seen recv.seen_floor then begin
-              Hashtbl.remove recv.seen recv.seen_floor;
-              recv.seen_floor <- recv.seen_floor + 1;
-              incr reclaimed
-            end
-            else continue := false
-          done)
-        t.recvs.(site);
-      !reclaimed
+      Array.fold_left
+        (fun n recv ->
+          let advance = recv.mark - recv.floor in
+          recv.floor <- recv.mark;
+          n + advance)
+        0 t.recvs.(site)
 
 let counters t =
   {

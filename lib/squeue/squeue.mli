@@ -53,7 +53,14 @@ val create :
     partition heals.
     With [?obs], the fabric's counters are registered as group ["squeue"]
     gauges in its metrics registry; data and ack messages are labelled
-    with classes ["data"] / ["ack"] in the underlying network trace. *)
+    with classes ["data"] / ["ack"] in the underlying network trace.
+
+    Data, ack and retry-timer events are {!Esr_sim.Engine} port events
+    carrying only (src, dst, seq): the receiver reads the payload from
+    the sender's journal when it first accepts a seq, so a message
+    allocates nothing beyond its journal entry.  A fabric takes three of
+    the engine's port slots.  Each channel carries fewer than 2^30
+    messages. *)
 
 val send : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Enqueue a message.  Returns immediately; transport is asynchronous. *)
@@ -79,19 +86,20 @@ val journaled : 'a t -> site:int -> int
     {!journal_depth}, so resource series can chart journal churn. *)
 
 val dedup_depth : 'a t -> site:int -> int
-(** Receiver-side dedup journal footprint of [site]: individually
-    retained sequence records across its inbound channels.  This is the
-    structure {!gc_site} compacts; without GC it grows with every
-    message the site ever received on an [Unordered] fabric. *)
+(** Receiver-side dedup journal footprint of [site]: the messages its
+    inbound channels delivered since the last {!gc_site} cut.  On an
+    [Unordered] fabric each channel keeps a watermark (every seq below it
+    delivered) plus the seqs delivered out of order above it, so this is
+    the watermark's advance since the cut plus that sparse set's size.
+    Without GC it grows with every message the site ever received.
+    [Fifo] fabrics keep no per-seq dedup record and report 0. *)
 
 val gc_site : 'a t -> site:int -> int
-(** Checkpoint GC of [site]'s inbound dedup journals: advance each
-    channel's seen-watermark over the contiguous prefix of delivered
-    sequence numbers and reclaim the per-seq records behind it, returning
-    how many were dropped.  Exactly-once delivery is preserved — a
-    retransmission below the watermark is suppressed by the watermark
-    itself.  Never called (the default), the fabric behaves exactly as
-    before.  [Fifo] fabrics retain nothing per-seq and return 0. *)
+(** Checkpoint GC of [site]'s inbound dedup journals: cut each channel at
+    its watermark and return how far the watermarks advanced since the
+    previous cut — the dedup records the cut reclaims.  Exactly-once
+    delivery is preserved: a retransmission below the watermark is
+    suppressed by the watermark itself.  [Fifo] fabrics return 0. *)
 
 type counters = {
   enqueued : int;

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state: four 64-bit words s0..s3 at byte offsets 0, 8, 16
+   and 24.  [Bytes.get_int64_ne]/[set_int64_ne] are compiler primitives,
+   so a draw reads and writes the words unboxed; four [mutable int64]
+   record fields would box every state write instead. *)
+type t = Bytes.t
 
 (* splitmix64 is used only to expand seeds into full xoshiro state; it is
    the seeding procedure recommended by the xoshiro authors. *)
@@ -10,59 +14,61 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_splitmix state =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (ref (Int64.of_int seed))
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let copy = Bytes.copy
 
-let bits64 t =
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256** step: advance the state, return the output.  Inlined
+   into every draw so the result stays an unboxed register value. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_ne t 0 (logxor s0 s3);
+  Bytes.set_int64_ne t 8 (logxor s1 s2);
+  Bytes.set_int64_ne t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+
+(* The top [64 - shift] bits of the next output as a native int; every
+   draw narrower than 64 bits goes through here. *)
+let[@inline] top t shift = Int64.to_int (Int64.shift_right_logical (next t) shift)
+
+let split t = of_splitmix (ref (next t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling over the top 62 bits removes modulo bias. *)
-  let mask = Int64.shift_right_logical (bits64 t) 2 in
-  let n = Int64.to_int mask in
-  let n = if n < 0 then -n else n in
+  let n = top t 2 in
   if bound land (bound - 1) = 0 then n land (bound - 1) else n mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  (* 53 random bits mapped to [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  let unit = float_of_int bits *. (1.0 /. 9007199254740992.0) in
-  unit *. bound
+(* 53 random bits mapped to [0,1). *)
+let[@inline] unit_float t = float_of_int (top t 11) *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let float t bound = unit_float t *. bound
 
-let bernoulli t p = float t 1.0 < p
+let bool t = top t 0 land 1 = 1
+
+let bernoulli t p = unit_float t < p
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -93,7 +93,8 @@ let test_partition_cuts_inflight () =
   let engine = Engine.create () in
   let net = quiet_net engine in
   let delivered = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> delivered := true);
+  let p = Net.port net (fun ~src:_ ~dst:_ _ -> delivered := true) in
+  Net.post net p ~src:0 ~dst:1 0;
   (* The message is in flight (arrives at t=20); the partition fires
      first, so the arrival-time re-check must cut it off. *)
   ignore
@@ -107,7 +108,8 @@ let test_crash_drops_inflight_arrival () =
   let engine = Engine.create () in
   let net = quiet_net engine in
   let delivered = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> delivered := true);
+  let p = Net.port net (fun ~src:_ ~dst:_ _ -> delivered := true) in
+  Net.post net p ~src:0 ~dst:1 0;
   ignore (Engine.schedule_at engine ~time:5.0 (fun () -> Net.crash net 1));
   Engine.run engine;
   checkb "not delivered to the crashed site" false !delivered;

@@ -15,9 +15,9 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  Heap.push h ~time:3.0 ~seq:0 "c";
-  Heap.push h ~time:1.0 ~seq:1 "a";
-  Heap.push h ~time:2.0 ~seq:2 "b";
+  Heap.push h ~time:3.0 ~seq:0 ~key:0 "c";
+  Heap.push h ~time:1.0 ~seq:1 ~key:1 "a";
+  Heap.push h ~time:2.0 ~seq:2 ~key:2 "b";
   let pop () =
     match Heap.pop h with Some (_, _, x) -> x | None -> Alcotest.fail "empty"
   in
@@ -29,7 +29,7 @@ let test_heap_ordering () =
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 9 do
-    Heap.push h ~time:5.0 ~seq:i i
+    Heap.push h ~time:5.0 ~seq:i ~key:i i
   done;
   for i = 0 to 9 do
     match Heap.pop h with
@@ -40,12 +40,13 @@ let test_heap_fifo_ties () =
 let test_heap_peek () =
   let h = Heap.create () in
   checkb "peek empty" true (Heap.peek h = None);
-  Heap.push h ~time:1.0 ~seq:0 42;
+  Heap.push h ~time:1.0 ~seq:0 ~key:7 42;
   (match Heap.peek h with
   | Some (t, _, x) ->
       checkf "time" 1.0 t;
       checki "payload" 42 x
   | None -> Alcotest.fail "peek");
+  checki "key column" 7 (Heap.min_key h);
   checki "peek does not remove" 1 (Heap.size h)
 
 let prop_heap_sorts =
@@ -53,7 +54,7 @@ let prop_heap_sorts =
     QCheck.(list (pair (float_range 0. 1000.) small_nat))
     (fun entries ->
       let h = Heap.create () in
-      List.iteri (fun i (t, x) -> Heap.push h ~time:t ~seq:i x) entries;
+      List.iteri (fun i (t, x) -> Heap.push h ~time:t ~seq:i ~key:x x) entries;
       let rec drain prev =
         match Heap.pop h with
         | None -> true
@@ -85,7 +86,7 @@ let prop_heap_matches_model =
           | Some time_int ->
               let time = float_of_int time_int in
               incr seq;
-              Heap.push h ~time ~seq:!seq !seq;
+              Heap.push h ~time ~seq:!seq ~key:!seq !seq;
               insert (time, !seq);
               true
           | None -> (
@@ -150,23 +151,35 @@ let test_engine_same_time_fifo () =
   Engine.run e;
   Alcotest.(check (list int)) "FIFO ties" [ 0; 1; 2; 3; 4; 5 ] (List.rev !trace)
 
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+(* NaN compares false with everything, so an unguarded NaN time would
+   sit anywhere in the heap and drag the clock backwards. *)
 let test_engine_negative_delay () =
   let e = Engine.create () in
-  checkb "raises" true
-    (try
-       ignore (Engine.schedule e ~delay:(-1.0) (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
+  let p = Engine.port e (fun _ _ -> ()) in
+  List.iter
+    (fun delay ->
+      checkb (Printf.sprintf "schedule %g raises" delay) true
+        (raises (fun () -> ignore (Engine.schedule e ~delay (fun () -> ()))));
+      checkb (Printf.sprintf "post %g raises" delay) true
+        (raises (fun () -> Engine.post e ~delay p 0 0)))
+    [ -1.0; Float.nan ];
+  checki "nothing scheduled" 0 (Engine.scheduled e)
 
 let test_engine_schedule_at_past () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~delay:5.0 (fun () -> ()));
   Engine.run e;
-  checkb "raises on past time" true
-    (try
-       ignore (Engine.schedule_at e ~time:1.0 (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun time ->
+      checkb (Printf.sprintf "raises on time %g" time) true
+        (raises (fun () -> ignore (Engine.schedule_at e ~time (fun () -> ())))))
+    [ 1.0; Float.nan ]
 
 let test_engine_pending () =
   let e = Engine.create () in
@@ -178,24 +191,38 @@ let test_engine_pending () =
   Engine.run e;
   checki "none pending" 0 (Engine.pending e)
 
-(* Reference-model property: a random mix of schedules and cancellations
-   must fire exactly the uncancelled events, in (time, insertion) order. *)
+(* Schedule one event of either kind at [time] (the engine is at 0):
+   a closure, or a post to [port], whose handler receives the event's
+   index.  Returns the event's id. *)
+let schedule_either e port ~closure ~time i body =
+  if closure then Engine.schedule_at e ~time body
+  else begin
+    let id = Engine.scheduled e in
+    Engine.post e ~delay:time port i 0;
+    id
+  end
+
+(* Reference-model property: a random mix of closure and port events and
+   cancellations must fire exactly the uncancelled events, in (time,
+   insertion) order — ties across the two kinds included. *)
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine matches sorted reference model" ~count:200
     QCheck.(
       list_of_size Gen.(int_range 1 40)
-        (pair (int_range 0 500) bool))
+        (triple (int_range 0 50) bool bool))
     (fun entries ->
       let e = Engine.create () in
       let fired = ref [] in
+      let port = Engine.port e (fun i _ -> fired := i :: !fired) in
       let scheduled =
         List.mapi
-          (fun i (delay_int, cancel) ->
-            let delay = float_of_int delay_int in
+          (fun i (delay_int, cancel, closure) ->
+            let time = float_of_int delay_int in
             let id =
-              Engine.schedule e ~delay (fun () -> fired := i :: !fired)
+              schedule_either e port ~closure ~time i (fun () ->
+                  fired := i :: !fired)
             in
-            (i, delay, id, cancel))
+            (i, time, id, cancel))
           entries
       in
       List.iter
@@ -208,41 +235,46 @@ let prop_engine_matches_reference =
         |> List.stable_sort (fun (_, d1, _, _) (_, d2, _, _) -> compare d1 d2)
         |> List.map (fun (i, _, _, _) -> i)
       in
-      List.rev !fired = expected)
+      List.rev !fired = expected
+      && Engine.cancelled e = List.length (List.filter (fun (_, c, _) -> c) entries))
 
 (* Lazy-cancellation property: cancellations issued *mid-run* from event
    bodies leave tombstones in the heap that must be skipped at pop time.
    Targets fire at odd times and cancellers at even times, so a `Before
    canceller always runs first (and the target never fires) while an
-   `After canceller exercises the cancel-after-fire no-op path. *)
+   `After canceller exercises the cancel-after-fire no-op path.  Targets
+   and cancellers are each a closure or a port event at random. *)
 let prop_engine_lazy_cancellation =
   QCheck.Test.make ~name:"engine mid-run cancellation matches model" ~count:200
     QCheck.(
       list_of_size Gen.(int_range 1 40)
-        (pair (int_range 0 100) (option bool)))
+        (triple (int_range 0 100) (option bool) (pair bool bool)))
     (fun entries ->
       let e = Engine.create () in
       let fired = ref [] in
+      let target = Engine.port e (fun i _ -> fired := i :: !fired) in
+      let canceller = Engine.port e (fun id _ -> Engine.cancel e id) in
       let targets =
         List.mapi
-          (fun i (d, cancel) ->
+          (fun i (d, cancel, (closure, _)) ->
             let time = float_of_int ((2 * d) + 1) in
             let id =
-              Engine.schedule_at e ~time (fun () -> fired := i :: !fired)
+              schedule_either e target ~closure ~time i (fun () ->
+                  fired := i :: !fired)
             in
             (i, time, id, cancel))
           entries
       in
-      List.iter
-        (fun (_, time, id, cancel) ->
+      List.iter2
+        (fun (_, time, id, cancel) (_, _, (_, closure)) ->
           match cancel with
           | None -> ()
           | Some before ->
-              let cancel_time = if before then time -. 1.0 else time +. 1.0 in
+              let time = if before then time -. 1.0 else time +. 1.0 in
               ignore
-                (Engine.schedule_at e ~time:cancel_time (fun () ->
+                (schedule_either e canceller ~closure ~time id (fun () ->
                      Engine.cancel e id)))
-        targets;
+        targets entries;
       Engine.run e;
       let expected =
         targets
@@ -319,19 +351,29 @@ let mk_net ?config ~sites seed =
   let net = Net.create ?config e ~sites ~prng:(Prng.create seed) in
   (e, net)
 
+(* A port whose every arrival runs [f]. *)
+let on_arrival net f = Net.port net (fun ~src:_ ~dst:_ _ -> f ())
+
 let test_net_delivers_with_latency () =
   let e, net = mk_net ~sites:2 1 in
-  let arrived = ref (-1.0) in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := Engine.now e);
+  let arrived = ref (-1.0) and got = ref (-1, -1, -1) in
+  let p =
+    Net.port net (fun ~src ~dst arg ->
+        arrived := Engine.now e;
+        got := (src, dst, arg))
+  in
+  Net.post net p ~src:0 ~dst:1 42;
   Engine.run e;
-  checkf "10ms default latency" 10.0 !arrived
+  checkf "10ms default latency" 10.0 !arrived;
+  checkb "handler gets src, dst and arg" true (!got = (0, 1, 42))
 
 let test_net_drop_everything () =
   let config = { Net.default_config with drop_probability = 1.0 } in
   let e, net = mk_net ~config ~sites:2 1 in
   let arrived = ref false in
+  let p = on_arrival net (fun () -> arrived := true) in
   for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 (fun () -> arrived := true)
+    Net.post net p ~src:0 ~dst:1 0
   done;
   Engine.run e;
   checkb "all lost" false !arrived;
@@ -341,7 +383,7 @@ let test_net_duplicates () =
   let config = { Net.default_config with duplicate_probability = 1.0 } in
   let e, net = mk_net ~config ~sites:2 1 in
   let count = ref 0 in
-  Net.send net ~src:0 ~dst:1 (fun () -> incr count);
+  Net.post net (on_arrival net (fun () -> incr count)) ~src:0 ~dst:1 0;
   Engine.run e;
   checki "delivered twice" 2 !count
 
@@ -351,8 +393,12 @@ let test_net_partition_blocks () =
   checkb "same group" true (Net.reachable net 0 1);
   checkb "cross group" false (Net.reachable net 0 2);
   let crossed = ref false and local = ref false in
-  Net.send net ~src:0 ~dst:2 (fun () -> crossed := true);
-  Net.send net ~src:0 ~dst:1 (fun () -> local := true);
+  let p =
+    Net.port net (fun ~src:_ ~dst _ ->
+        if dst = 2 then crossed := true else local := true)
+  in
+  Net.post net p ~src:0 ~dst:2 0;
+  Net.post net p ~src:0 ~dst:1 0;
   Engine.run e;
   checkb "cross-partition blocked" false !crossed;
   checkb "intra-partition flows" true !local;
@@ -380,11 +426,12 @@ let test_net_crash_blocks_delivery () =
   let e, net = mk_net ~sites:2 1 in
   Net.crash net 1;
   let arrived = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  let p = on_arrival net (fun () -> arrived := true) in
+  Net.post net p ~src:0 ~dst:1 0;
   Engine.run e;
   checkb "not delivered to crashed" false !arrived;
   Net.recover net 1;
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  Net.post net p ~src:0 ~dst:1 0;
   Engine.run e;
   checkb "delivered after recovery" true !arrived
 
@@ -394,9 +441,10 @@ let test_net_crashed_sender () =
   let e, net = mk_net ~sites:2 1 in
   Net.crash net 0;
   let arrived = ref false in
+  let p = on_arrival net (fun () -> arrived := true) in
   let raised =
     try
-      Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+      Net.post net p ~src:0 ~dst:1 0;
       false
     with _ -> true
   in
@@ -413,7 +461,7 @@ let test_net_crash_at_arrival_time () =
   (* Message in flight when the destination crashes: dropped on arrival. *)
   let e, net = mk_net ~sites:2 1 in
   let arrived = ref false in
-  Net.send net ~src:0 ~dst:1 (fun () -> arrived := true);
+  Net.post net (on_arrival net (fun () -> arrived := true)) ~src:0 ~dst:1 0;
   ignore (Engine.schedule e ~delay:5.0 (fun () -> Net.crash net 1));
   Engine.run e;
   checkb "dropped at arrival" false !arrived;
@@ -421,8 +469,9 @@ let test_net_crash_at_arrival_time () =
 
 let test_net_counters () =
   let e, net = mk_net ~sites:2 1 in
-  Net.send net ~src:0 ~dst:1 (fun () -> ());
-  Net.send net ~src:1 ~dst:0 (fun () -> ());
+  let p = on_arrival net ignore in
+  Net.post net p ~src:0 ~dst:1 0;
+  Net.post net p ~src:1 ~dst:0 0;
   Engine.run e;
   let c = Net.counters net in
   checki "sent" 2 c.Net.sent;
@@ -437,8 +486,9 @@ let test_net_latency_distribution () =
   let config = { Net.default_config with latency = Dist.Uniform (5.0, 15.0) } in
   let e, net = mk_net ~config ~sites:2 3 in
   let times = ref [] in
+  let p = on_arrival net (fun () -> times := Engine.now e :: !times) in
   for _ = 1 to 100 do
-    Net.send net ~src:0 ~dst:1 (fun () -> times := Engine.now e :: !times)
+    Net.post net p ~src:0 ~dst:1 0
   done;
   Engine.run e;
   checki "all arrived" 100 (List.length !times);

@@ -134,16 +134,37 @@ let test_counters_consistency () =
   checki "first deliveries" 20 c.Squeue.delivered_first;
   checki "acks" 20 c.Squeue.acks_received
 
+(* Sites 0 and 2 each send into site 1 while site 1 crashes and recovers
+   at random; message [i] travels on channel [i mod 2 * 2 -> 1] with
+   per-channel seq [i / 2].  Both delivery modes run, and checkpoint cuts
+   ([gc_site]) fire at random times.  At each cut, [dedup_depth] and the
+   reclaimed count must match a reference built from the set of seqs
+   delivered per channel: an [Unordered] channel retains every delivered
+   seq at or above its last cut's watermark and a cut reclaims the
+   watermark's advance; a [Fifo] channel retains nothing.  The 10%
+   duplication makes copies arrive after their ack has already emptied
+   the sender's journal entry, which must be suppressed, never looked
+   up. *)
 let prop_exactly_once_under_random_crashes =
   QCheck.Test.make
     ~name:"exactly-once delivery under random crash/recover schedules"
     ~count:40
-    QCheck.(triple (int_range 1 100_000) (int_range 1 25) (list_of_size Gen.(int_range 1 6) (pair (int_range 0 800) (int_range 0 1))))
-    (fun (seed, n, outages) ->
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 1 25)
+        (list_of_size Gen.(int_range 1 6) (pair (int_range 0 800) (int_range 0 1)))
+        (pair bool (list_of_size Gen.(int_range 0 10) (int_range 0 1200))))
+    (fun (seed, n, outages, (fifo, cuts)) ->
+      (* Variable latency lets a duplicate copy overtake, or trail, the
+         original by more than the ack's round trip. *)
       let config =
-        { Net.default_config with drop_probability = 0.15; duplicate_probability = 0.1 }
+        {
+          Net.latency = Dist.Uniform (1.0, 30.0);
+          drop_probability = 0.15;
+          duplicate_probability = 0.1;
+        }
       in
-      let e, net, q, received = mk ~config ~sites:3 ~retry:25.0 seed in
+      let mode = if fifo then Squeue.Fifo else Squeue.Unordered in
+      let e, net, q, received = mk ~config ~mode ~sites:3 ~retry:25.0 seed in
       (* Random crash windows on the destination site. *)
       List.iter
         (fun (start, len_factor) ->
@@ -154,16 +175,58 @@ let prop_exactly_once_under_random_crashes =
             (Engine.schedule e ~delay:(start +. duration) (fun () ->
                  Net.recover net 1)))
         outages;
+      let src_of i = if i mod 2 = 0 then 0 else 2 in
       for i = 0 to n - 1 do
         ignore
           (Engine.schedule e ~delay:(float_of_int (i * 10)) (fun () ->
-               Squeue.send q ~src:0 ~dst:1 i))
+               Squeue.send q ~src:(src_of i) ~dst:1 i))
       done;
+      (* Reference: delivered seqs per source channel, and each channel's
+         watermark at the last cut. *)
+      let delivered src =
+        List.filter_map
+          (fun (s, i) -> if s = src then Some (i / 2) else None)
+          received.(1)
+      in
+      let floors = [| 0; 0; 0 |] in
+      let mark seqs =
+        let rec go m = if List.mem m seqs then go (m + 1) else m in
+        go 0
+      in
+      let cuts_ok = ref true in
+      List.iter
+        (fun at ->
+          ignore
+            (Engine.schedule e ~delay:(float_of_int at) (fun () ->
+                 let depth = ref 0 and reclaim = ref 0 in
+                 List.iter
+                   (fun src ->
+                     let seqs = delivered src in
+                     let m = mark seqs in
+                     if not fifo then begin
+                       depth :=
+                         !depth
+                         + List.length (List.filter (fun s -> s >= floors.(src)) seqs);
+                       reclaim := !reclaim + (m - floors.(src));
+                       floors.(src) <- m
+                     end)
+                   [ 0; 2 ];
+                 let depth_ok = Squeue.dedup_depth q ~site:1 = !depth in
+                 let reclaim_ok = Squeue.gc_site q ~site:1 = !reclaim in
+                 if not (depth_ok && reclaim_ok) then cuts_ok := false)))
+        cuts;
       (* Make sure the final recovery is scheduled after every outage. *)
       ignore (Engine.schedule e ~delay:5_000.0 (fun () -> Net.recover net 1));
       Engine.run e;
       let got = List.sort compare (List.map snd received.(1)) in
-      got = List.init n Fun.id && Squeue.pending q = 0)
+      let in_order src =
+        let seqs = List.rev (delivered src) in
+        (not fifo) || seqs = List.sort compare seqs
+      in
+      got = List.init n Fun.id
+      && Squeue.pending q = 0
+      && !cuts_ok
+      && in_order 0 && in_order 2)
 
 let prop_lossy_fifo_always_delivers_in_order =
   QCheck.Test.make ~name:"fifo delivers everything in order under loss"
@@ -178,6 +241,39 @@ let prop_lossy_fifo_always_delivers_in_order =
       Engine.run e;
       List.rev_map snd received.(1) = List.init n Fun.id
       && Squeue.pending q = 0)
+
+(* The message path allocates only the sender's journal entry and a few
+   boxed floats per event: no event record, no closure, no boxed PRNG
+   state, no per-seq dedup record on an in-order link.  Batches of one
+   unit message per channel over a loss-free 4-site network, each
+   drained before the next, keep the tables at their warm size; the
+   handler only counts. *)
+let test_round_trip_allocation mode () =
+  let e = Engine.create () in
+  let net = Net.create e ~sites:4 ~prng:(Prng.create 1) in
+  let got = ref 0 in
+  let q = Squeue.create ~mode net ~handler:(fun ~site:_ ~src:_ () -> incr got) in
+  let batch () =
+    for src = 0 to 3 do
+      for dst = 0 to 3 do
+        if src <> dst then Squeue.send q ~src ~dst ()
+      done
+    done;
+    Engine.run e
+  in
+  for _ = 1 to 100 do
+    batch ()
+  done;
+  let batches = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to batches do
+    batch ()
+  done;
+  let per_msg = (Gc.minor_words () -. w0) /. float_of_int (batches * 12) in
+  checki "all delivered" ((100 + batches) * 12) !got;
+  checki "all acked" 0 (Squeue.pending q);
+  checkb (Printf.sprintf "%.1f minor words per message <= 48" per_msg) true
+    (per_msg <= 48.0)
 
 let () =
   Alcotest.run "esr_squeue"
@@ -208,5 +304,9 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters_consistency;
           QCheck_alcotest.to_alcotest prop_lossy_fifo_always_delivers_in_order;
           QCheck_alcotest.to_alcotest prop_exactly_once_under_random_crashes;
+          Alcotest.test_case "round trip allocation, unordered" `Quick
+            (test_round_trip_allocation Squeue.Unordered);
+          Alcotest.test_case "round trip allocation, fifo" `Quick
+            (test_round_trip_allocation Squeue.Fifo);
         ] );
     ]

@@ -101,6 +101,62 @@ let test_prng_choose () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.choose: empty array")
     (fun () -> ignore (Prng.choose prng [||]))
 
+(* Known-answer vectors: the first outputs of [create 42] and of a [split]
+   of it.  Every experiment table, trace digest and benchmark
+   [model_digest] is a function of this stream, so a change to the
+   generator's internals must reproduce it bit for bit. *)
+let kat_create42 =
+  ( [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L ],
+    [ 685; 775; 752; 48; 369; 646; 188; 601 ],
+    [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1;
+      0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1 ],
+    [ false; false; true; true; false; false; false; true ] )
+
+let kat_split =
+  ( [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L;
+      0x91d83a17b20e6585L; 0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L;
+      0x3162280b9dcfa5efL; 0xb4f9f0541228b854L ],
+    [ 132; 176; 457; 793; 287; 876; 947; 861 ],
+    [ 0x1.1dc88ba28c638p-1; 0x1.06fa1a13296f8p-4; 0x1.ca69da2018912p-2;
+      0x1.23b0742f641ccp-1; 0x1.c619efa217e38p-3; 0x1.c679a3725c5c8p-1;
+      0x1.8b11405cee7dp-3; 0x1.69f3e0a824517p-1 ],
+    [ true; false; true; true; true; true; true; false ] )
+
+let check_kat name mk (bits, ints, floats, bools) =
+  let draw f = let g = mk () in List.init 8 (fun _ -> f g) in
+  check Alcotest.(list int64) (name ^ " bits64") bits (draw Prng.bits64);
+  check Alcotest.(list int) (name ^ " int 1000") ints
+    (draw (fun g -> Prng.int g 1000));
+  check Alcotest.(list (float 0.0)) (name ^ " float 1.0") floats
+    (draw (fun g -> Prng.float g 1.0));
+  check Alcotest.(list bool) (name ^ " bool") bools (draw Prng.bool)
+
+let test_prng_known_answers () =
+  check_kat "create 42" (fun () -> Prng.create 42) kat_create42;
+  check_kat "split" (fun () -> Prng.split (Prng.create 42)) kat_split
+
+(* The narrow draws return native ints internally: at most a boxed float
+   result (2 words) per draw, never a boxed [int64] per state word. *)
+let test_prng_draws_allocation_free () =
+  let g = Prng.create 42 and n = 100_000 in
+  let per_draw f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let within name words =
+    checkb (Printf.sprintf "%s: %.2f words/draw <= 2" name words) true
+      (words <= 2.0)
+  in
+  within "int" (per_draw (fun () -> ignore (Prng.int g 1000)));
+  within "float" (per_draw (fun () -> ignore (Prng.float g 1.0)));
+  within "bernoulli" (per_draw (fun () -> ignore (Prng.bernoulli g 0.5)))
+
 (* --- Dist --- *)
 
 let sample_mean dist seed n =
@@ -307,6 +363,9 @@ let () =
           Alcotest.test_case "bernoulli bias" `Quick test_prng_bernoulli_bias;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "choose" `Quick test_prng_choose;
+          Alcotest.test_case "known-answer vectors" `Quick test_prng_known_answers;
+          Alcotest.test_case "draws allocate at most a float" `Quick
+            test_prng_draws_allocation_free;
         ] );
       ( "dist",
         [
