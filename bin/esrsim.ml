@@ -254,6 +254,18 @@ let or_exit = function
       prerr_endline m;
       exit 1
 
+(* The fault generator's profile for [nemesis] and [audit], its flags
+   checked: out of range, a bias turns every window into a crash (or, as
+   NaN, into a partition). *)
+let nemesis_profile ~windows ~crash_bias =
+  or_exit
+    (check_flags
+       [
+         ("windows", windows >= 0, "at least 0");
+         ("crash-bias", crash_bias >= 0.0 && crash_bias <= 1.0, "in [0, 1]");
+       ]);
+  { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
+
 (* [-m all] on nemesis and audit: every registered method. *)
 let methods_of meth =
   if String.lowercase_ascii meth = "all" then Registry.names else [ meth ]
@@ -680,9 +692,7 @@ let nemesis_cmd =
                  ~ritu_mode:`Single ~abort_p:0.0) ))
         (methods_of meth)
     in
-    let profile =
-      { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
-    in
+    let profile = nemesis_profile ~windows ~crash_bias in
     let schedule =
       Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
     in
@@ -791,8 +801,15 @@ let nemesis_cmd =
 
 (* --- report --- *)
 
+(* Reading a directory fails with an error that does not name it, so a
+   directory is refused here, by name. *)
+let open_in_file file =
+  if Sys.file_exists file && Sys.is_directory file then
+    raise (Sys_error (file ^ ": Is a directory"));
+  open_in_bin file
+
 let read_file file =
-  let ic = open_in_bin file in
+  let ic = open_in_file file in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
@@ -800,7 +817,7 @@ let read_file file =
 (* Parse a JSONL trace dump back into records.  Unparseable lines are
    counted and reported rather than silently skipped. *)
 let read_trace_jsonl file =
-  let ic = open_in file in
+  let ic = open_in_file file in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
@@ -919,13 +936,7 @@ let audit_cmd =
           make_checkpoint ~interval:checkpoint_interval
             ~retain:checkpoint_retain
         in
-        let profile =
-          {
-            Nemesis.default_profile with
-            Nemesis.max_faults = windows;
-            crash_bias;
-          }
-        in
+        let profile = nemesis_profile ~windows ~crash_bias in
         let schedule =
           Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
         in
@@ -1226,4 +1237,17 @@ let main_cmd =
       overlap_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* A file a command cannot open or write (a missing path, a directory)
+   ends it with one line naming the path.  Any other escaping exception is
+   a bug, reported as cmdliner would. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main_cmd with
+    | code -> code
+    | exception Sys_error m ->
+        Printf.eprintf "esrsim: %s\n" m;
+        1
+    | exception e ->
+        Printf.eprintf "esrsim: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -24,7 +24,6 @@ module Epsilon = Esr_core.Epsilon
 module Lock_counter = Esr_cc.Lock_counter
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
 (* Ops carry keys pre-interned at the origin ({!Intf.iop}); the string
@@ -52,7 +51,7 @@ type active_q = { mutable killed : bool }
 
 type site = {
   id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
+  replica : Replica.site;  (* durable log, store image, up/down *)
   counters : Lock_counter.t;
       (* derivable from the durable log (applied-but-uncompleted ETs), so
          recovery keeps them: modelled as durable *)
@@ -65,14 +64,9 @@ type site = {
 type inflight = { charges : (string * float) list; mutable waiting_acks : int }
 
 type t = {
-  env : Intf.env;
+  k : msg Replica.t;
   sites : site array;
-  fabric : msg Squeue.t;
   inflight : (Et.id, inflight) Hashtbl.t;
-  dests : Sharding.Dests.t;  (* scratch interest cursor (routing only) *)
-  mutable n_updates : int;
-  mutable n_queries : int;
-  mutable n_rejected : int;
   mutable n_query_waits : int;
   mutable n_update_waits : int;
   mutable n_charged_units : int;
@@ -97,17 +91,12 @@ let wake_updates site =
   site.parked_updates <- [];
   List.iter (fun p -> p.resume ()) waiting
 
-let apply_mset_inner t site mset =
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Mset_applied
-         { et = mset.et; site = site.id; n_ops = List.length mset.ops; order = None });
+let apply_ops t site mset =
   List.iter
     (fun (i : Intf.iop) ->
       (* A site executes only the ops on keys it replicates (with the
          all-sites map every op qualifies). *)
-      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
+      if Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id ~id:i.Intf.id
       then begin
         let key = i.Intf.key in
         ignore (Lock_counter.incr site.counters key);
@@ -120,14 +109,8 @@ let apply_mset_inner t site mset =
     mset.ops
 
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
-  else apply_mset_inner t site mset
+  Replica.apply t.k ~site:site.id ~et:mset.et ~n_ops:(List.length mset.ops)
+    ~order:(-1) apply_ops t site mset
 
 let charges_of ops =
   List.map (fun (i : Intf.iop) -> (i.Intf.key, op_weight i.Intf.op)) ops
@@ -138,8 +121,8 @@ let complete_at t site charges =
       (* Only counters this site actually raised (it applied only the
          replicated subset of the MSet). *)
       if
-        Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-          ~id:(Keyspace.find t.env.Intf.keyspace key)
+        Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id
+          ~id:(Keyspace.find t.k.env.Intf.keyspace key)
       then begin
         ignore (Lock_counter.decr site.counters key);
         ignore (Lock_counter.remove_weight site.counters key w)
@@ -148,24 +131,12 @@ let complete_at t site charges =
   wake_queries site;
   wake_updates site
 
-(* Interest set of an ET, rebuilt from its charge keys: the sites that
-   replicate at least one touched shard.  Shared scratch cursor — valid
-   only until the next [interested] call. *)
-let interested t charges =
-  let c = t.dests in
-  Sharding.Dests.reset c;
-  List.iter
-    (fun (key, _) ->
-      Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key))
-    charges;
-  c
-
 let receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
   match msg with
   | Apply mset ->
       apply_mset t site mset;
-      Squeue.send t.fabric ~src:site_id ~dst:mset.origin
+      Squeue.send t.k.fabric ~src:site_id ~dst:mset.origin
         (Applied { et = mset.et; by = site_id })
   | Applied { et; by = _ } -> (
       match Hashtbl.find_opt t.inflight et with
@@ -175,190 +146,135 @@ let receive t ~site:site_id msg =
           if record.waiting_acks = 0 then begin
             Hashtbl.remove t.inflight et;
             let complete = Complete { et; charges = record.charges } in
-            Squeue.multicast t.fabric ~src:site_id
-              ~dests:(interested t record.charges)
+            (* Interest set of the ET, rebuilt from its charge keys. *)
+            Squeue.multicast t.k.fabric ~src:site_id
+              ~dests:(Replica.route t.k fst record.charges)
               complete;
             complete_at t site record.charges
           end)
   | Complete { et = _; charges } -> complete_at t site charges
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 counters = Lock_counter.create ~hint:env.Intf.store_hint ();
-                 parked_queries = [];
-                 parked_updates = [];
-                 active_queries = [];
-               });
-         fabric;
-         inflight = Hashtbl.create 32;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-         n_query_waits = 0;
-         n_update_waits = 0;
-         n_charged_units = 0;
-       })
-  in
-  Lazy.force t
+  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+      {
+        k;
+        sites =
+          Array.map
+            (fun replica ->
+              {
+                id = replica.Replica.site;
+                replica;
+                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                parked_queries = [];
+                parked_updates = [];
+                active_queries = [];
+              })
+            k.Replica.sites;
+        inflight = Hashtbl.create 32;
+        n_query_waits = 0;
+        n_update_waits = 0;
+        n_charged_units = 0;
+      })
 
-let intent_to_op = function
-  | Intf.Add (k, d) -> Ok (k, Op.Incr d)
-  | Intf.Set (k, _) ->
-      Error (Printf.sprintf "COMMU: Set on %s is not commutative" k)
-  | Intf.Mul (k, _) ->
-      Error
-        (Printf.sprintf
-           "COMMU: Mul on %s does not commute with the additive class" k)
+(* The additive class is COMMU's Table 1 restriction: Set and Mul do not
+   commute with it. *)
+let refusal intents =
+  List.find_map
+    (function
+      | Intf.Add _ -> None
+      | Intf.Set (k, _) ->
+          Some (Printf.sprintf "COMMU: Set on %s is not commutative" k)
+      | Intf.Mul (k, _) ->
+          Some
+            (Printf.sprintf
+               "COMMU: Mul on %s does not commute with the additive class" k))
+    intents
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
-  else
-  let translated = List.map intent_to_op intents in
-  match List.find_opt Result.is_error translated with
-  | Some (Error message) ->
-      t.n_rejected <- t.n_rejected + 1;
-      k (Intf.Rejected message)
-  | Some (Ok _) | None ->
-      if intents = [] then k (Intf.Rejected "empty update ET")
-      else begin
-        t.n_updates <- t.n_updates + 1;
-        let ops =
-          List.map
-            (fun r ->
-              let key, op = Result.get_ok r in
-              {
-                Intf.id = Esr_store.Keyspace.intern t.env.Intf.keyspace key;
-                key;
-                op;
-              })
-            translated
-        in
-        let et = t.env.Intf.next_et () in
-        let site = t.sites.(origin) in
-        let keys = List.map Intf.iop_key ops in
-        let charges = charges_of ops in
-        (* An ET whose own |delta| exceeds the value limit can never be
-           admitted; waiting would hang it forever. *)
-        let impossible =
-          match t.env.Intf.config.Intf.commu_value_limit with
-          | None -> false
-          | Some limit -> List.exists (fun (_, w) -> w > limit +. 1e-9) charges
-        in
-        if impossible then begin
-          t.n_rejected <- t.n_rejected + 1;
-          k (Intf.Rejected "COMMU: update exceeds the value limit outright")
-        end
-        else
-        let rec attempt () =
-          let count_exceeds =
-            match t.env.Intf.config.Intf.commu_update_limit with
-            | None -> false
-            | Some limit ->
-                List.exists
-                  (fun key -> Lock_counter.would_exceed site.counters key ~limit)
-                  keys
-          in
-          let value_exceeds =
-            match t.env.Intf.config.Intf.commu_value_limit with
-            | None -> false
-            | Some limit ->
-                List.exists
-                  (fun (key, w) ->
-                    Lock_counter.weight_would_exceed site.counters key ~added:w
-                      ~limit)
-                  charges
-          in
-          if count_exceeds || value_exceeds then
-            match t.env.Intf.config.Intf.commu_limit_policy with
-            | `Abort ->
-                t.n_rejected <- t.n_rejected + 1;
-                k
-                  (Intf.Rejected
-                     (if value_exceeds then "COMMU: value limit reached"
-                      else "COMMU: lock-counter limit reached"))
-            | `Wait ->
-                t.n_update_waits <- t.n_update_waits + 1;
-                let fail () =
-                  (* The site crashed while the update waited for its
-                     counters; the wait context is volatile, so the client
-                     gets a rejection (the ET never applied anywhere). *)
-                  t.n_rejected <- t.n_rejected + 1;
-                  k (Intf.Rejected "COMMU: origin site crashed while waiting")
-                in
-                site.parked_updates <-
-                  { resume = attempt; fail } :: site.parked_updates
-          else begin
-            let mset = { et; ops; origin } in
-            let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-            if Trace.on trace then
-              Trace.emit trace ~time:(Engine.now t.env.engine)
-                (Trace.Mset_enqueued
-                   {
-                     et;
-                     origin;
-                     n_ops = List.length ops;
-                     keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-                   });
-            apply_mset t site mset;
-            (* Interest routing: the MSet travels only to sites replicating
-               a touched shard.  With the all-sites map that is everybody. *)
-            let c = interested t charges in
-            let n_remote =
-              if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
-              else Sharding.Dests.count c
+  if Replica.admit t.k ~origin ?refused:(refusal intents) intents k then begin
+    let env = t.k.env in
+    let ops = List.map (Intf.iop_of_intent env.Intf.keyspace) intents in
+    let et = env.Intf.next_et () in
+    let site = t.sites.(origin) in
+    let keys = List.map Intf.iop_key ops in
+    let charges = charges_of ops in
+    (* An ET whose own |delta| exceeds the value limit can never be
+       admitted; waiting would hang it forever. *)
+    let impossible =
+      match env.Intf.config.Intf.commu_value_limit with
+      | None -> false
+      | Some limit -> List.exists (fun (_, w) -> w > limit +. 1e-9) charges
+    in
+    if impossible then
+      Replica.reject t.k k "COMMU: update exceeds the value limit outright"
+    else
+    let rec attempt () =
+      let count_exceeds =
+        match env.Intf.config.Intf.commu_update_limit with
+        | None -> false
+        | Some limit ->
+            List.exists
+              (fun key -> Lock_counter.would_exceed site.counters key ~limit)
+              keys
+      in
+      let value_exceeds =
+        match env.Intf.config.Intf.commu_value_limit with
+        | None -> false
+        | Some limit ->
+            List.exists
+              (fun (key, w) ->
+                Lock_counter.weight_would_exceed site.counters key ~added:w
+                  ~limit)
+              charges
+      in
+      if count_exceeds || value_exceeds then
+        match env.Intf.config.Intf.commu_limit_policy with
+        | `Abort ->
+            Replica.reject t.k k
+              (if value_exceeds then "COMMU: value limit reached"
+               else "COMMU: lock-counter limit reached")
+        | `Wait ->
+            t.n_update_waits <- t.n_update_waits + 1;
+            let fail () =
+              (* The site crashed while the update waited for its
+                 counters; the wait context is volatile, so the client
+                 gets a rejection (the ET never applied anywhere). *)
+              Replica.reject t.k k "COMMU: origin site crashed while waiting"
             in
-            if n_remote > 0 then begin
-              Hashtbl.replace t.inflight et { charges; waiting_acks = n_remote };
-              Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin
-                Prof.Propagate (fun () ->
-                  Squeue.multicast t.fabric ~src:origin ~dests:c (Apply mset))
-            end
-            else complete_at t site charges;
-            (* The update ET commits locally and propagates asynchronously. *)
-            k (Intf.Committed { committed_at = Engine.now t.env.engine })
-          end
+            site.parked_updates <-
+              { resume = attempt; fail } :: site.parked_updates
+      else begin
+        let mset = { et; ops; origin } in
+        Replica.enqueued t.k ~et ~origin Intf.iop_key ops;
+        apply_mset t site mset;
+        (* Interest routing: the MSet travels only to sites replicating
+           a touched shard.  With the all-sites map that is everybody. *)
+        let c = Replica.route t.k Intf.iop_key ops in
+        let n_remote =
+          if Sharding.Dests.mem c origin then Sharding.Dests.count c - 1
+          else Sharding.Dests.count c
         in
-        attempt ()
+        if n_remote > 0 then begin
+          Hashtbl.replace t.inflight et { charges; waiting_acks = n_remote };
+          Prof.span env.Intf.obs.Esr_obs.Obs.prof ~site:origin
+            Prof.Propagate (fun () ->
+              Squeue.multicast t.k.fabric ~src:origin ~dests:c (Apply mset))
+        end
+        else complete_at t site charges;
+        (* The update ET commits locally and propagates asynchronously. *)
+        Replica.commit t.k k
       end
+    in
+    attempt ()
+  end
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
-  let et = t.env.Intf.next_et () in
+  let et = t.k.env.Intf.next_et () in
   let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
+  let started_at = Replica.now t.k in
   let waited = ref false in
-  let values = ref [] in
-  if site.replica.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    k
-      {
-        Intf.values =
-          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  else
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then
   (* A strictly serializable query must see an atomic snapshot: since
      MSets apply atomically per site, it suffices to wait until every key
      is simultaneously free of in-flight updates and read them all in one
@@ -367,42 +283,17 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   if epsilon = Epsilon.Limit 0 then begin
     let rec strict_attempt () =
       if List.for_all (fun key -> Lock_counter.count site.counters key = 0) keys
-      then begin
-        let snapshot =
-          List.map
-            (fun key ->
-              Replica.log site.replica ~et ~key Op.Read;
-              (key, Store.get site.replica.store key))
-            keys
-        in
-        k
-          {
-            Intf.values = snapshot;
-            charged = 0;
-            forced = 0;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
-      end
+      then
+        Replica.answer t.k k ~started_at ~charged:0 ~forced:0
+          ~consistent:!waited (Replica.read_all t.k ~site:site_id ~et keys)
       else begin
         waited := true;
         t.n_query_waits <- t.n_query_waits + 1;
         let fail () =
           (* Crash while waiting for a clean snapshot: answer degraded
              from whatever the site last held. *)
-          k
-            {
-              Intf.values =
-                List.map
-                  (fun key -> (key, Store.get site.replica.store key))
-                  keys;
-              charged = 0;
-              forced = 0;
-              consistent_path = false;
-              started_at;
-              served_at = Engine.now t.env.engine;
-            }
+          Replica.answer t.k k ~started_at ~charged:0 ~forced:0
+            ~consistent:false (Replica.image t.k ~site:site_id keys)
         in
         site.parked_queries <-
           { resume = strict_attempt; fail } :: site.parked_queries
@@ -415,16 +306,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   site.active_queries <- aq :: site.active_queries;
   let finish ~consistent vs =
     site.active_queries <- List.filter (fun a -> a != aq) site.active_queries;
-    k
-      {
-        Intf.values = vs;
-        charged = Epsilon.value eps;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
+    Replica.answer t.k k ~started_at ~charged:(Epsilon.value eps) ~forced:0
+      ~consistent vs
   in
+  let values = ref [] in
   let rec step remaining =
     if aq.killed then
       (* Crash mid-query: serve what was gathered, degraded. *)
@@ -437,13 +322,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
           if pending > 0 then t.n_charged_units <- t.n_charged_units + pending;
-          Replica.log site.replica ~et ~key Op.Read;
-          values := (key, Store.get site.replica.store key) :: !values;
+          values := (key, Replica.read t.k ~site:site_id ~et key) :: !values;
           if rest = [] then step []
           else
             ignore
-              (Engine.schedule t.env.engine
-                 ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
+              (Engine.schedule t.k.env.engine
+                 ~delay:t.k.env.Intf.config.Intf.query_step_delay (fun () ->
                    step rest))
         end
         else begin
@@ -466,7 +350,7 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  Replica.crash t.env site.replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* COMMU applies MSets on receipt, so there is no order buffer to
          lose.  The lock counters and origin-side ack tables are derivable
          from the durable log (applied-but-uncompleted ETs) — classic
@@ -489,8 +373,8 @@ let on_crash t ~site:site_id =
         updates_rejected = List.length pu;
       })
 
-let on_recover t ~site = ignore (Replica.recover t.env t.sites.(site).replica)
-let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
+let on_recover t ~site = Replica.recover t.k ~site
+let checkpoint t ~site = Replica.cut t.k ~site
 
 let quiescent t =
   Hashtbl.length t.inflight = 0
@@ -509,21 +393,20 @@ let backlog t =
     (Hashtbl.length t.inflight)
     t.sites
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
-let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
+let history t ~site = Replica.history t.k ~site
+let converged t = Replica.converged t.k
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("rejected", float_of_int t.n_rejected);
-    ("query_waits", float_of_int t.n_query_waits);
-    ("update_waits", float_of_int t.n_update_waits);
-    ("charged_units", float_of_int t.n_charged_units);
-  ]
+  Replica.stats t.k
+    [
+      ("rejected", float_of_int t.k.rejected);
+      ("query_waits", float_of_int t.n_query_waits);
+      ("update_waits", float_of_int t.n_update_waits);
+      ("charged_units", float_of_int t.n_charged_units);
+    ]
 
 (* COMMU applies on receipt, so it keeps no receipt journal: the durable
    log plus the completion protocol is its whole recovery story. *)
-let resources t ~site = Replica.resources t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources t.k ~site

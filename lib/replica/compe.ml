@@ -25,7 +25,6 @@
     epsilon (also reported). *)
 
 module Op = Esr_store.Op
-module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
@@ -80,7 +79,7 @@ type parked = { resume : unit -> unit; fail : unit -> unit }
 
 type site = {
   id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
+  replica : Replica.site;  (* durable log, store image, up/down *)
   mutable last_exec : int;
   buffer : (int, mset) Hashtbl.t;
   mutable log : entry list;
@@ -111,29 +110,20 @@ type decision = {
 }
 
 type t = {
-  env : Intf.env;
-  dests : Sharding.Dests.t;  (* reusable routing cursor (launch path) *)
+  k : msg Replica.t;
   site_issued : int array;
       (* per-site dense ticket streams — the same interest-ordered
          sequencer as ordup.ml *)
   prng : Prng.t;
   sites : site array;
-  fabric : msg Squeue.t;
-  outcomes : (Et.id, Intf.update_outcome -> unit) Hashtbl.t;
   wal : (Et.id, mset) Recovery.Wal.t;  (* durable MSet receipt journal *)
   decisions : (Et.id, decision) Hashtbl.t;
-  mutable deferred_local : (int * msg) list;
-      (* a site's own coordinator records (decisions, revokes) landing
-         while it is down; replayed — in order — at recovery.  Newest
-         first. *)
   mutable undecided : int;  (* globally undecided update ETs *)
   mutable next_saga : int;
   mutable sagas_active : int;
   mutable n_sagas : int;
   mutable n_saga_aborts : int;
   mutable n_revokes : int;
-  mutable n_updates : int;
-  mutable n_queries : int;
   mutable n_aborts : int;
   mutable n_fast : int;
   mutable n_full : int;
@@ -187,15 +177,15 @@ let fast_path_possible aborted later =
        later
 
 let trace_compensation t site et kind =
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
+  let trace = t.k.env.Intf.obs.Esr_obs.Obs.trace in
   if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
+    Trace.emit trace ~time:(Replica.now t.k)
       (Trace.Compensation_fired { et; site = site.id; kind })
 
 let compensate_fast t site aborted =
   t.n_fast <- t.n_fast + 1;
   trace_compensation t site aborted.e_et `Fast;
-  let comp_et = t.env.Intf.next_et () in
+  let comp_et = t.k.env.Intf.next_et () in
   let inverse_ops =
     List.rev_map
       (fun (key, op) ->
@@ -239,7 +229,7 @@ let compensate_full t site aborted later =
       t.n_replayed_ops <- t.n_replayed_ops + List.length entry.e_ops)
     (List.rev later);
   (* Log the repair as a compensation ET writing the restored values. *)
-  let comp_et = t.env.Intf.next_et () in
+  let comp_et = t.k.env.Intf.next_et () in
   List.iter
     (fun key ->
       Replica.log site.replica ~et:comp_et ~key
@@ -372,22 +362,37 @@ and remove_first key = function
   | [] -> []
   | head :: rest -> if String.equal head key then rest else head :: remove_first key rest
 
-let execute_inner t site mset =
+let execute_entry t site entry =
+  apply_entry_ops site entry;
+  List.iter
+    (fun (key, op) ->
+      ignore (Lock_counter.incr site.counters key);
+      Replica.log site.replica ~et:entry.e_et ~key op)
+    entry.e_ops;
+  site.log <- entry :: site.log;
+  (* A commit decision that overtook the MSet takes effect now. *)
+  match Hashtbl.find_opt site.early entry.e_et with
+  | Some true ->
+      Hashtbl.remove site.early entry.e_et;
+      process_decision t site entry.e_et ~commit:true
+  | Some false | None -> ()
+
+let execute t site mset =
   Recovery.Wal.consume t.wal ~site:site.id ~key:mset.et;
   match Hashtbl.find_opt site.early mset.et with
   | Some false ->
       (* Aborted before it ever executed here: skip entirely. *)
       Hashtbl.remove site.early mset.et;
       t.n_skips <- t.n_skips + 1
-  | (Some true | None) as early ->
+  | Some true | None ->
       (* Union routing delivers the whole MSet to every interested site;
          each site executes (and counter-covers, and may later compensate)
          only the shards it replicates. *)
       let ops =
         List.filter
           (fun (key, _) ->
-            Sharding.replicates_id t.env.Intf.sharding ~site:site.id
-              ~id:(Keyspace.find t.env.Intf.keyspace key))
+            Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id
+              ~id:(Keyspace.find t.k.env.Intf.keyspace key))
           mset.ops
       in
       let entry =
@@ -399,33 +404,8 @@ let execute_inner t site mset =
           e_decided = false;
         }
       in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_applied
-             { et = mset.et; site = site.id; n_ops = List.length ops; order = None });
-      apply_entry_ops site entry;
-      List.iter
-        (fun (key, op) ->
-          ignore (Lock_counter.incr site.counters key);
-          Replica.log site.replica ~et:mset.et ~key op)
-        ops;
-      site.log <- entry :: site.log;
-      (match early with
-      | Some true ->
-          Hashtbl.remove site.early mset.et;
-          process_decision t site mset.et ~commit:true
-      | Some false | None -> ())
-
-let execute t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    execute_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
-  else execute_inner t site mset
+      Replica.apply t.k ~site:site.id ~et:mset.et ~n_ops:(List.length ops)
+        ~order:(-1) execute_entry t site entry
 
 let rec drain t site =
   match Hashtbl.find_opt site.buffer (site.last_exec + 1) with
@@ -460,122 +440,75 @@ let receive t ~site:site_id msg =
   | Revoke { et } -> revoke t site et
   | Saga_end { sid } -> saga_end t site sid
 
-(* Local (origin-side) copies bypass the network; while the origin is
-   down they are stashed as its durable coordinator records and replayed
-   at recovery. *)
-let local_receive t ~site msg =
-  if t.sites.(site).replica.down then
-    t.deferred_local <- (site, msg) :: t.deferred_local
-  else receive t ~site msg
-
 (* Coordinator-record fan-out (Decide / Revoke) to the launch-time
-   participant set.  The origin's copy bypasses the network. *)
+   participant set.  The origin's copy bypasses the network, after every
+   remote send; while the origin is down it is kept as its durable
+   coordinator record and delivered at recovery. *)
 let fan_coord t ~origin parts msg =
   let has_origin = ref false in
   Array.iter
     (fun dst ->
       if dst = origin then has_origin := true
-      else Squeue.send t.fabric ~src:origin ~dst msg)
+      else Squeue.send t.k.fabric ~src:origin ~dst msg)
     parts;
-  if !has_origin then local_receive t ~site:origin msg
+  if !has_origin then Replica.local t.k ~site:origin msg
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         site_issued = Array.make env.Intf.sites 0;
-         prng = Prng.split env.Intf.prng;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 last_exec = 0;
-                 buffer = Hashtbl.create 32;
-                 log = [];
-                 counters = Lock_counter.create ~hint:env.Intf.store_hint ();
-                 early = Hashtbl.create 8;
-                 parked_queries = [];
-                 active = [];
-                 completed = [];
-                 saga_held = Hashtbl.create 8;
-                 pending_revokes = Hashtbl.create 8;
-                 ended_sagas = Hashtbl.create 8;
-               });
-         fabric;
-         outcomes = Hashtbl.create 32;
-         wal =
-           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
-         decisions = Hashtbl.create 32;
-         deferred_local = [];
-         undecided = 0;
-         next_saga = 0;
-         sagas_active = 0;
-         n_sagas = 0;
-         n_saga_aborts = 0;
-         n_revokes = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_aborts = 0;
-         n_fast = 0;
-         n_full = 0;
-         n_skips = 0;
-         n_replayed_ops = 0;
-         rollback_depth_total = 0;
-         n_tainted = 0;
-         n_forced = 0;
-         n_query_waits = 0;
-       })
-  in
-  Lazy.force t
-
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
+  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+      {
+        k;
+        site_issued = Array.make env.Intf.sites 0;
+        prng = Prng.split env.Intf.prng;
+        sites =
+          Array.map
+            (fun replica ->
+              {
+                id = replica.Replica.site;
+                replica;
+                last_exec = 0;
+                buffer = Hashtbl.create 32;
+                log = [];
+                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                early = Hashtbl.create 8;
+                parked_queries = [];
+                active = [];
+                completed = [];
+                saga_held = Hashtbl.create 8;
+                pending_revokes = Hashtbl.create 8;
+                ended_sagas = Hashtbl.create 8;
+              })
+            k.Replica.sites;
+        wal =
+          Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
+            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+        decisions = Hashtbl.create 32;
+        undecided = 0;
+        next_saga = 0;
+        sagas_active = 0;
+        n_sagas = 0;
+        n_saga_aborts = 0;
+        n_revokes = 0;
+        n_aborts = 0;
+        n_fast = 0;
+        n_full = 0;
+        n_skips = 0;
+        n_replayed_ops = 0;
+        rollback_depth_total = 0;
+        n_tainted = 0;
+        n_forced = 0;
+        n_query_waits = 0;
+      })
 
 (* Launch one update ET (or saga step): apply optimistically everywhere,
    then simulate the global commit/abort decision after a coordination
    delay ("the system may start running MSets before the global update is
    committed", Sec 4.1). *)
 let launch_step t ~origin ~saga ops ~on_decision =
-  let et = t.env.Intf.next_et () in
+  let et = t.k.env.Intf.next_et () in
   (* Participants: the union of the touched shards' replica sets (keys
      interned here so every later lookup agrees on the shard). *)
-  let parts =
-    let c = t.dests in
-    Sharding.Dests.reset c;
-    List.iter
-      (fun (key, _) ->
-        Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-      ops;
-    let arr = Array.make (Sharding.Dests.count c) 0 in
-    let i = ref 0 in
-    Sharding.Dests.iter c (fun s ->
-        arr.(!i) <- s;
-        incr i);
-    arr
-  in
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Mset_enqueued
-         {
-           et;
-           origin;
-           n_ops = List.length ops;
-           keys = List.map fst ops;
-         });
+  let parts = Replica.participants t.k fst ops in
+  Replica.enqueued t.k ~et ~origin fst ops;
   t.undecided <- t.undecided + 1;
   (* Per-site dense tickets, assigned in one atomic step (ordup.ml). *)
   let local = ref None in
@@ -585,15 +518,15 @@ let launch_step t ~origin ~saga ops ~on_decision =
         t.site_issued.(dst) <- t.site_issued.(dst) + 1;
         let m = { et; ticket = t.site_issued.(dst); ops; origin; saga } in
         if dst = origin then local := Some m
-        else Squeue.send t.fabric ~src:origin ~dst (Provisional m))
+        else Squeue.send t.k.fabric ~src:origin ~dst (Provisional m))
       parts
   in
-  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+  Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
     propagate;
   (match !local with
   | Some m -> receive t ~site:origin (Provisional m)
   | None -> ());
-  let config = t.env.Intf.config in
+  let config = t.k.env.Intf.config in
   let d_apply ~commit =
     if not commit then t.n_aborts <- t.n_aborts + 1;
     t.undecided <- t.undecided - 1;
@@ -605,7 +538,7 @@ let launch_step t ~origin ~saga ops ~on_decision =
   let d = { d_origin = origin; d_done = false; d_apply } in
   Hashtbl.replace t.decisions et d;
   ignore
-    (Engine.schedule t.env.engine ~delay:config.Intf.compe_decision_delay
+    (Engine.schedule t.k.env.engine ~delay:config.Intf.compe_decision_delay
        (fun () ->
          if not d.d_done then begin
            d.d_done <- true;
@@ -618,19 +551,14 @@ let launch_step t ~origin ~saga ops ~on_decision =
   (et, parts)
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
-  else if intents = [] then k (Intf.Rejected "empty update ET")
-  else begin
-    t.n_updates <- t.n_updates + 1;
-    let ops = List.map intent_to_op intents in
+  if Replica.admit t.k ~origin intents k then
     (* Every op must be compensatable: a logical inverse or a journaled
        before-image (all our updates qualify; reads need none). *)
     ignore
-      (launch_step t ~origin ~saga:None ops ~on_decision:(fun ~et:_ ~commit ->
-           if commit then
-             k (Intf.Committed { committed_at = Engine.now t.env.engine })
+      (launch_step t ~origin ~saga:None (List.map Intf.op_of_intent intents)
+         ~on_decision:(fun ~et:_ ~commit ->
+           if commit then Replica.commit t.k k
            else k (Intf.Rejected "global update aborted")))
-  end
 
 (* A saga (Garcia-Molina & Salem, cited by Sec 4.2): a sequence of update
    ETs executed one after another.  Each step commits optimistically, but
@@ -655,66 +583,63 @@ let submit_saga t ~origin steps k =
       | [] ->
           (* All steps committed: release the deferred counters at every
              site that executed a step. *)
-          let seen = Array.make t.env.Intf.sites false in
+          let sites = t.k.env.Intf.sites in
+          let seen = Array.make sites false in
           List.iter
             (fun (_, parts) -> Array.iter (fun s -> seen.(s) <- true) parts)
             committed;
-          for dst = 0 to t.env.Intf.sites - 1 do
+          for dst = 0 to sites - 1 do
             if seen.(dst) && dst <> origin then
-              Squeue.send t.fabric ~src:origin ~dst (Saga_end { sid })
+              Squeue.send t.k.fabric ~src:origin ~dst (Saga_end { sid })
           done;
-          if seen.(origin) then local_receive t ~site:origin (Saga_end { sid });
-          finish (Intf.Committed { committed_at = Engine.now t.env.engine })
+          if seen.(origin) then Replica.local t.k ~site:origin (Saga_end { sid });
+          Replica.commit t.k finish
       | intents :: rest ->
-          t.n_updates <- t.n_updates + 1;
-          let ops = List.map intent_to_op intents in
-          let step_parts = ref [||] in
-          let _, parts =
-            launch_step t ~origin ~saga:(Some sid) ops
-              ~on_decision:(fun ~et ~commit ->
-                if commit then
-                  run_step (step_index + 1) ((et, !step_parts) :: committed) rest
-                else begin
-                  (* Backward recovery: compensate the committed prefix,
-                     newest first, at exactly the sites that executed it. *)
-                  t.n_saga_aborts <- t.n_saga_aborts + 1;
-                  List.iter
-                    (fun (prev_et, prev_parts) ->
-                      fan_coord t ~origin prev_parts (Revoke { et = prev_et }))
-                    committed;
-                  finish
-                    (Intf.Rejected
-                       (Printf.sprintf "saga aborted at step %d" step_index))
-                end)
-          in
-          step_parts := parts
+          (* Each step is admitted as an update ET of its own: the origin
+             is up (a crash would have aborted the step before) and the
+             step is not empty. *)
+          if Replica.admit t.k ~origin intents finish then begin
+            let ops = List.map Intf.op_of_intent intents in
+            let step_parts = ref [||] in
+            let _, parts =
+              launch_step t ~origin ~saga:(Some sid) ops
+                ~on_decision:(fun ~et ~commit ->
+                  if commit then
+                    run_step (step_index + 1) ((et, !step_parts) :: committed) rest
+                  else begin
+                    (* Backward recovery: compensate the committed prefix,
+                       newest first, at exactly the sites that executed it. *)
+                    t.n_saga_aborts <- t.n_saga_aborts + 1;
+                    List.iter
+                      (fun (prev_et, prev_parts) ->
+                        fan_coord t ~origin prev_parts (Revoke { et = prev_et }))
+                      committed;
+                    finish
+                      (Intf.Rejected
+                         (Printf.sprintf "saga aborted at step %d" step_index))
+                  end)
+            in
+            step_parts := parts
+          end
     in
     run_step 1 [] steps
   end
 
+(* A query leaves the site's active list when it is answered; a completed
+   one is remembered, so that a later compensation can taint it. *)
+let leave site aq = site.active <- List.filter (fun a -> a != aq) site.active
+
+let complete site aq =
+  leave site aq;
+  site.completed <-
+    { dq_observed = aq.aq_observed; dq_tainted = false } :: site.completed
+
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
-  let et = t.env.Intf.next_et () in
+  let et = t.k.env.Intf.next_et () in
   let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let degraded ?(forced = 0) vs =
-    k
-      {
-        Intf.values = vs;
-        charged = Epsilon.value eps;
-        forced;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.replica.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    degraded
-      (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
-  else begin
+  let started_at = Replica.now t.k in
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then begin
   let aq =
     {
       aq_keys = keys;
@@ -727,9 +652,9 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
   site.active <- aq :: site.active;
   let waited = ref false in
   let values = ref [] in
-  let fail_degraded vs =
-    site.active <- List.filter (fun a -> a != aq) site.active;
-    degraded ~forced:aq.aq_forced vs
+  let answer ~consistent vs =
+    Replica.answer t.k k ~started_at ~charged:(Epsilon.value eps)
+      ~forced:aq.aq_forced ~consistent vs
   in
   (* Strict queries take an atomic snapshot once every key is free of
      undecided provisional updates (see the same reasoning in commu.ml). *)
@@ -737,25 +662,9 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     let rec strict_attempt () =
       if List.for_all (fun key -> Lock_counter.count site.counters key = 0) keys
       then begin
-        let snapshot =
-          List.map
-            (fun key ->
-              Replica.log site.replica ~et ~key Op.Read;
-              (key, Store.get site.replica.store key))
-            keys
-        in
-        site.active <- List.filter (fun a -> a != aq) site.active;
-        site.completed <-
-          { dq_observed = aq.aq_observed; dq_tainted = false } :: site.completed;
-        k
-          {
-            Intf.values = snapshot;
-            charged = Epsilon.value eps;
-            forced = aq.aq_forced;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
+        let snapshot = Replica.read_all t.k ~site:site_id ~et keys in
+        complete site aq;
+        answer ~consistent:!waited snapshot
       end
       else begin
         waited := true;
@@ -765,10 +674,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             resume = strict_attempt;
             fail =
               (fun () ->
-                fail_degraded
-                  (List.map
-                     (fun key -> (key, Store.get site.replica.store key))
-                     keys));
+                leave site aq;
+                answer ~consistent:false (Replica.image t.k ~site:site_id keys));
           }
           :: site.parked_queries
       end
@@ -781,35 +688,25 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
       (* Crash mid-query: serve what was gathered, degraded.  The query
          skips the completed list — its outcome already reports the
          inconsistency. *)
-      degraded ~forced:aq.aq_forced (List.rev !values)
+      answer ~consistent:false (List.rev !values)
     else
     match remaining with
     | [] ->
-        site.active <- List.filter (fun a -> a != aq) site.active;
-        site.completed <-
-          { dq_observed = aq.aq_observed; dq_tainted = false } :: site.completed;
-        k
-          {
-            Intf.values = List.rev !values;
-            charged = Epsilon.value eps;
-            forced = aq.aq_forced;
-            consistent_path = !waited;
-            started_at;
-            served_at = Engine.now t.env.engine;
-          }
+        complete site aq;
+        answer ~consistent:!waited (List.rev !values)
     | key :: rest ->
         let pending = Lock_counter.count site.counters key in
         let admissible = pending = 0 || Epsilon.try_charge eps pending in
         if admissible then begin
-          Replica.log site.replica ~et ~key Op.Read;
+          let value = Replica.read t.k ~site:site_id ~et key in
           aq.aq_observed <-
             List.sort_uniq Int.compare (undecided_on site key @ aq.aq_observed);
-          values := (key, Store.get site.replica.store key) :: !values;
+          values := (key, value) :: !values;
           if rest = [] then step []
           else
             ignore
-              (Engine.schedule t.env.engine
-                 ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
+              (Engine.schedule t.k.env.engine
+                 ~delay:t.k.env.Intf.config.Intf.query_step_delay (fun () ->
                    step rest))
         end
         else begin
@@ -818,7 +715,10 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
           site.parked_queries <-
             {
               resume = (fun () -> step remaining);
-              fail = (fun () -> fail_degraded (List.rev !values));
+              fail =
+                (fun () ->
+                  leave site aq;
+                  answer ~consistent:false (List.rev !values));
             }
             :: site.parked_queries
         end
@@ -830,7 +730,7 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  Replica.crash t.env site.replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* Durable: the replica's log, the undo/redo journal ([site.log]),
          the lock-counters and decision-bookkeeping tables (early /
          revokes / saga holds) — all coordinator-log state.  Volatile: the
@@ -849,12 +749,8 @@ let on_crash t ~site:site_id =
          the stable queue (now, if reachable) and this site at replay
          time. *)
       let orphaned =
-        Hashtbl.fold
-          (fun et d acc ->
-            if d.d_origin = site_id && not d.d_done then (et, d) :: acc
-            else acc)
-          t.decisions []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.decisions (fun d ->
+            d.d_origin = site_id && not d.d_done)
       in
       List.iter
         (fun (et, d) ->
@@ -873,22 +769,15 @@ let on_recover t ~site:site_id =
   (* The kernel rebuilds the store image from the durable log (every
      mutation — provisional applies, compensations, rollback repairs — is
      logged, so the replay lands exactly on the pre-crash image the
-     journal's before-image chains describe)... *)
-  if Replica.recover t.env site.replica then begin
-    (* ...then re-ingest journaled-but-unexecuted provisional MSets... *)
-    List.iter
-      (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
-      (Recovery.Wal.entries t.wal ~site:site_id);
-    drain t site;
-    (* ...and replay the site's own coordinator records that landed while
-       it was down, in arrival order. *)
-    let mine, others =
-      List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
-    in
-    t.deferred_local <- List.rev others;
-    List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine;
-    wake_queries site
-  end
+     journal's before-image chains describe), then this re-ingests the
+     journaled-but-unexecuted provisional MSets, and then the kernel
+     delivers the site's own coordinator records that landed while it was
+     down, in arrival order. *)
+  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
+      List.iter
+        (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
+        (Recovery.Wal.entries t.wal ~site:site_id);
+      drain t site)
 
 (* The Time Warp undo/redo journal is reclaimable behind the oldest
    undecided entry: a full rollback only ever rewinds from an undecided
@@ -910,11 +799,10 @@ let prune_decided site =
   pruned
 
 let checkpoint t ~site =
-  let site = t.sites.(site) in
-  Replica.cut t.env t.fabric site.replica ~gc:(fun () -> prune_decided site)
+  Replica.cut t.k ~site ~gc:(fun () -> prune_decided t.sites.(site))
 
 let quiescent t =
-  t.undecided = 0 && t.sagas_active = 0 && t.deferred_local = []
+  t.undecided = 0 && t.sagas_active = 0 && t.k.deferred = []
   && Array.for_all
        (fun site ->
          Hashtbl.length site.buffer = 0
@@ -930,10 +818,10 @@ let backlog t =
       acc + Hashtbl.length site.buffer + Hashtbl.length site.early
       + Hashtbl.length site.pending_revokes
       + List.length site.parked_queries)
-    (t.undecided + t.sagas_active + List.length t.deferred_local)
+    (t.undecided + t.sagas_active + List.length t.k.deferred)
     t.sites
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 
 (* Introspection for tests: the site's remaining log entries (oldest
    first).  Invariant: folding the entries' operations over an empty
@@ -943,13 +831,11 @@ let store t ~site = t.sites.(site).replica.store
 let log_entries t ~site =
   List.rev_map (fun e -> (e.e_et, e.e_decided, e.e_ops)) t.sites.(site).log
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
-let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
+let history t ~site = Replica.history t.k ~site
+let converged t = Replica.converged t.k
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
+  Replica.stats t.k [
     ("aborts", float_of_int t.n_aborts);
     ("fast_compensations", float_of_int t.n_fast);
     ("full_rollbacks", float_of_int t.n_full);
@@ -964,5 +850,4 @@ let stats t =
     ("revokes", float_of_int t.n_revokes);
   ]
 
-let resources t ~site =
-  Replica.resources ~wal:t.wal t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources ~wal:t.wal t.k ~site

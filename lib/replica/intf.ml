@@ -32,13 +32,25 @@ let pp_intent ppf = function
 
 let intent_key = function Set (k, _) | Add (k, _) | Mul (k, _) -> k
 
+(** The operation an intent names, for methods without a restriction on
+    it. *)
+let intent_op = function
+  | Set (_, v) -> Op.Write v
+  | Add (_, d) -> Op.Incr d
+  | Mul (_, f) -> Op.Mult f
+
+let op_of_intent i = (intent_key i, intent_op i)
+
 (** An operation with its key interned at the origin: replicas apply by
     dense id (one array load) instead of re-hashing the key string at
     every site.  The name rides along for the durable log and traces. *)
 type iop = { id : int; key : string; op : Op.t }
 
 let iop_key i = i.key
-let iop_op i = i.op
+
+let iop_of_intent keyspace intent =
+  let key = intent_key intent in
+  { id = Keyspace.intern keyspace key; key; op = intent_op intent }
 
 type update_outcome =
   | Committed of { committed_at : float }
@@ -294,7 +306,6 @@ end
 
 type boxed = B : (module S with type t = 'a) * 'a -> boxed
 
-let boxed_meta (B ((module M), _)) = M.meta
 let boxed_flush (B ((module M), sys)) = M.flush sys
 let boxed_quiescent (B ((module M), sys)) = M.quiescent sys
 let boxed_backlog (B ((module M), sys)) = M.backlog sys

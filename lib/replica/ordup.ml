@@ -19,7 +19,6 @@
       still arrive (the delivery-order cost the paper warns about). *)
 
 module Op = Esr_store.Op
-module Value = Esr_store.Value
 module Store = Esr_store.Store
 module Sharding = Esr_store.Sharding
 module Et = Esr_core.Et
@@ -71,7 +70,7 @@ type parked_query = {
 
 type site = {
   id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
+  replica : Replica.site;  (* durable log, store image, up/down *)
   (* sequencer mode *)
   mutable last_exec : int;
   seq_buffer : (int, mset) Hashtbl.t;
@@ -84,9 +83,8 @@ type site = {
 }
 
 type t = {
-  env : Intf.env;
+  k : msg Replica.t;
   mode : [ `Sequencer | `Lamport ];
-  dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
   site_issued : int array;
       (* Sequencer mode's centralized order server (§3.1: "such ordering
          can be generated easily by a centralized order server"): one
@@ -97,15 +95,12 @@ type t = {
          order; under the all-sites map every stream is the one global
          sequence. *)
   sites : site array;
-  fabric : msg Squeue.t;
   (* origin site and commit callback; the callback is volatile origin-side
      state, dropped (with a rejection) when the origin crashes *)
   pending_commits : (Et.id, int * (Intf.update_outcome -> unit)) Hashtbl.t;
   wal : (Et.id, mset) Recovery.Wal.t;  (* durable MSet receipt journal *)
   mutable n_fallbacks : int;
   mutable n_charged_units : int;
-  mutable n_updates : int;
-  mutable n_queries : int;
 }
 
 let meta =
@@ -119,22 +114,12 @@ let meta =
 
 (* --- execution at a site --- *)
 
-let apply_mset_inner t site mset =
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Mset_applied
-         {
-           et = mset.et;
-           site = site.id;
-           n_ops = List.length mset.ops;
-           order = (match mset.order with Ticket n -> Some n | Stamp _ -> None);
-         });
+let apply_ops t site mset =
   List.iter
     (fun (i : Intf.iop) ->
       (* Union routing delivers the whole MSet to every interested site;
          each site materializes only the shards it replicates. *)
-      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id:i.Intf.id
+      if Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id ~id:i.Intf.id
       then begin
         (match Store.apply_id_unit site.replica.store i.Intf.id i.Intf.op with
         | Ok () -> ()
@@ -167,18 +152,13 @@ let apply_mset_inner t site mset =
     match Hashtbl.find_opt t.pending_commits mset.et with
     | Some (_, k) ->
         Hashtbl.remove t.pending_commits mset.et;
-        k (Intf.Committed { committed_at = Engine.now t.env.engine })
+        Replica.commit t.k k
     | None -> ()
 
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
-  else apply_mset_inner t site mset
+  Replica.apply t.k ~site:site.id ~et:mset.et ~n_ops:(List.length mset.ops)
+    ~order:(match mset.order with Ticket n -> n | Stamp _ -> -1)
+    apply_ops t site mset
 
 let order_reached site = function
   | Ticket n -> site.last_exec >= n
@@ -268,67 +248,42 @@ let receive t ~site:site_id msg =
 (* --- public interface --- *)
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Fifo
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         mode = env.Intf.config.Intf.ordup_ordering;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         site_issued = Array.make env.Intf.sites 0;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 last_exec = 0;
-                 seq_buffer = Hashtbl.create 32;
-                 clock = Lamport.create ();
-                 lam_buffer = [];
-                 watermarks = Array.make env.Intf.sites Gtime.zero;
-                 active = [];
-                 parked = [];
-               });
-         fabric;
-         pending_commits = Hashtbl.create 32;
-         wal =
-           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-             ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
-         n_fallbacks = 0;
-         n_charged_units = 0;
-         n_updates = 0;
-         n_queries = 0;
-       })
-  in
-  Lazy.force t
-
-let intent_to_op env intent =
-  let key, op =
-    match intent with
-    | Intf.Set (k, v) -> (k, Op.Write v)
-    | Intf.Add (k, d) -> (k, Op.Incr d)
-    | Intf.Mul (k, f) -> (k, Op.Mult f)
-  in
-  { Intf.id = Esr_store.Keyspace.intern env.Intf.keyspace key; key; op }
+  Replica.create env ~mode:Squeue.Fifo ~receive (fun k ->
+      {
+        k;
+        mode = env.Intf.config.Intf.ordup_ordering;
+        site_issued = Array.make env.Intf.sites 0;
+        sites =
+          Array.map
+            (fun replica ->
+              {
+                id = replica.Replica.site;
+                replica;
+                last_exec = 0;
+                seq_buffer = Hashtbl.create 32;
+                clock = Lamport.create ();
+                lam_buffer = [];
+                watermarks = Array.make env.Intf.sites Gtime.zero;
+                active = [];
+                parked = [];
+              })
+            k.Replica.sites;
+        pending_commits = Hashtbl.create 32;
+        wal =
+          Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
+            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+        n_fallbacks = 0;
+        n_charged_units = 0;
+      })
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
-  else if intents = [] then k (Intf.Rejected "empty update ET")
-  else begin
-    t.n_updates <- t.n_updates + 1;
-    let et = t.env.Intf.next_et () in
-    let ops = List.map (intent_to_op t.env) intents in
+  if Replica.admit t.k ~origin intents k then begin
+    let env = t.k.env in
+    let et = env.Intf.next_et () in
+    let ops = List.map (Intf.iop_of_intent env.Intf.keyspace) intents in
     (* Interest routing: the MSet goes to the sites replicating a touched
        shard — every site under the all-sites map. *)
-    let c = t.dests in
-    Sharding.Dests.reset c;
-    List.iter (fun (i : Intf.iop) -> Sharding.Dests.add_id c i.Intf.id) ops;
+    let c = Replica.route t.k Intf.iop_key ops in
     let commit_site =
       if Sharding.Dests.mem c origin then origin
       else begin
@@ -337,16 +292,7 @@ let submit_update t ~origin intents k =
         !first
       end
     in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map (fun (i : Intf.iop) -> i.Intf.key) ops;
-           });
+    Replica.enqueued t.k ~et ~origin Intf.iop_key ops;
     Hashtbl.replace t.pending_commits et (origin, k);
     (* Remote sites get their message through the stable queues; the
        origin takes its own directly (local enqueue is not subject to the
@@ -365,20 +311,20 @@ let submit_update t ~origin intents k =
                     commit_site }
               in
               if dst = origin then local := Some m
-              else Squeue.send t.fabric ~src:origin ~dst m)
+              else Squeue.send t.k.fabric ~src:origin ~dst m)
       | `Lamport ->
           (* Interested sites get the MSet; everyone else still needs the
              stamp as a watermark, or their delivery-order proof (and any
              parked SR query) would stall until the final flush. *)
           let stamp = Gtime.next t.sites.(origin).clock ~site:origin in
           let mset = Update { et; order = Stamp stamp; ops; origin; commit_site } in
-          for dst = 0 to t.env.Intf.sites - 1 do
+          for dst = 0 to env.Intf.sites - 1 do
             let m = if Sharding.Dests.mem c dst then mset else Watermark stamp in
             if dst = origin then local := Some m
-            else Squeue.send t.fabric ~src:origin ~dst m
+            else Squeue.send t.k.fabric ~src:origin ~dst m
           done
     in
-    Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+    Prof.span env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
       propagate;
     match !local with Some m -> receive t ~site:origin m | None -> ()
   end
@@ -406,48 +352,27 @@ let missing_before site = function
              | Ticket _ -> false)
            site.lam_buffer)
 
-let read_all site ~et keys =
-  List.map
-    (fun key ->
-      Replica.log site.replica ~et ~key Op.Read;
-      (key, Store.get site.replica.store key))
-    keys
-
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  t.n_queries <- t.n_queries + 1;
+  let et = t.k.env.Intf.next_et () in
+  let started_at = Replica.now t.k in
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then begin
   let site = t.sites.(site_id) in
-  let et = t.env.Intf.next_et () in
   let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
   let finish ~charged ~consistent values =
-    k
-      {
-        Intf.values;
-        charged;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
+    Replica.answer t.k k ~started_at ~charged ~forced:0 ~consistent values
   in
-  if site.replica.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded. *)
-    finish ~charged:0 ~consistent:false
-      (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
-  else begin
   let consistent_path () =
     t.n_fallbacks <- t.n_fallbacks + 1;
     let target = query_order t site in
     let resume () =
       finish ~charged:(Epsilon.value eps) ~consistent:true
-        (read_all site ~et keys)
+        (Replica.read_all t.k ~site:site_id ~et keys)
     in
     let fail () =
       (* The site crashed while the query waited: its volatile context is
          gone, so answer degraded from whatever the site last held. *)
       finish ~charged:(Epsilon.value eps) ~consistent:false
-        (List.map (fun key -> (key, Store.get site.replica.store key)) keys)
+        (Replica.image t.k ~site:site_id keys)
     in
     if order_reached site target then resume ()
     else
@@ -474,19 +399,19 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
        reconstruction: serialization point, lump charge, read set at open;
        final charge and exit path at close.  Ticket orders only — Lamport
        stamps have no integer point to reconstruct against. *)
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    let w = t.n_queries in
+    let trace = t.k.env.Intf.obs.Esr_obs.Obs.trace in
+    let w = t.k.queries in
     let windowed = Trace.on trace && (match q_order with Ticket _ -> true | Stamp _ -> false) in
     if windowed then begin
       match q_order with
       | Ticket point ->
-          Trace.emit trace ~time:(Engine.now t.env.engine)
+          Trace.emit trace ~time:(Replica.now t.k)
             (Trace.Query_window { w; site = site_id; point; missing; keys })
       | Stamp _ -> ()
     end;
     let close outcome =
       if windowed then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
+        Trace.emit trace ~time:(Replica.now t.k)
           (Trace.Query_window_closed
              { w; site = site_id; charged = Epsilon.value eps; outcome })
     in
@@ -496,8 +421,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
         (* Crash mid-query: the remaining reads cannot happen; serve what
            was gathered, marked as the degraded (non-SR) path. *)
         close `Killed;
-        finish ~charged:(Epsilon.value eps) ~consistent:false
-          (List.rev !values)
+        finish ~charged:(Epsilon.value eps) ~consistent:false (List.rev !values)
       end
       else if aq.aq_failed then begin
         site.active <- List.filter (fun a -> a != aq) site.active;
@@ -512,13 +436,12 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             finish ~charged:(Epsilon.value eps) ~consistent:false
               (List.rev !values)
         | key :: rest ->
-            Replica.log site.replica ~et ~key Op.Read;
-            values := (key, Store.get site.replica.store key) :: !values;
+            values := (key, Replica.read t.k ~site:site_id ~et key) :: !values;
             if rest = [] then step []
             else
               ignore
-                (Engine.schedule t.env.engine
-                   ~delay:t.env.Intf.config.Intf.query_step_delay (fun () ->
+                (Engine.schedule t.k.env.engine
+                   ~delay:t.k.env.Intf.config.Intf.query_step_delay (fun () ->
                      step rest))
     in
     step keys
@@ -535,14 +458,14 @@ let flush t =
             Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id
           in
           site.watermarks.(site.id) <- ts;
-          Squeue.broadcast t.fabric ~src:site.id (Watermark ts);
+          Squeue.broadcast t.k.fabric ~src:site.id (Watermark ts);
           drain_lamport t site;
           wake_parked site)
         t.sites
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  Replica.crash t.env site.replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* Volatile order buffers are gone; the receipt journal ([t.wal])
          keeps the only durable copy of what they held. *)
       let buffered =
@@ -563,14 +486,10 @@ let on_crash t ~site:site_id =
          fabric and still commit everywhere (including here, after
          recovery). *)
       let orphaned =
-        Hashtbl.fold
-          (fun et (origin, k) acc ->
-            if origin = site_id then (et, k) :: acc else acc)
-          t.pending_commits []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.pending_commits (fun (origin, _) -> origin = site_id)
       in
       List.iter
-        (fun (et, k) ->
+        (fun (et, (_, k)) ->
           Hashtbl.remove t.pending_commits et;
           k (Intf.Rejected "origin site crashed"))
         orphaned;
@@ -586,7 +505,7 @@ let on_recover t ~site:site_id =
      checkpoints) to rebuild the store image; then the journaled but
      unapplied MSets go back into the order buffers.  The stable-queue
      backlog redelivers everything else. *)
-  if Replica.recover t.env site.replica then begin
+  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
     List.iter
       (fun mset ->
         match (t.mode, mset.order) with
@@ -599,13 +518,12 @@ let on_recover t ~site:site_id =
     (match t.mode with
     | `Sequencer -> drain_sequencer t site
     | `Lamport -> drain_lamport t site);
-    wake_parked site
-  end
+    wake_parked site)
 
 (* Unapplied MSets straddling the cut stay in the receipt journal
    ([t.wal]); only the stable-queue dedup records behind the delivery
    watermark are reclaimable here. *)
-let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
+let checkpoint t ~site = Replica.cut t.k ~site
 
 let quiescent t =
   Array.for_all
@@ -623,18 +541,16 @@ let backlog t =
     (Hashtbl.length t.pending_commits)
     t.sites
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
-let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
+let history t ~site = Replica.history t.k ~site
+let converged t = Replica.converged t.k
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("consistent_fallbacks", float_of_int t.n_fallbacks);
-    ("charged_units", float_of_int t.n_charged_units);
-  ]
+  Replica.stats t.k
+    [
+      ("consistent_fallbacks", float_of_int t.n_fallbacks);
+      ("charged_units", float_of_int t.n_charged_units);
+    ]
 
-let resources t ~site =
-  Replica.resources ~wal:t.wal t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources ~wal:t.wal t.k ~site

@@ -31,7 +31,6 @@ module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
 let primary = 0
@@ -43,13 +42,6 @@ type msg =
   | Do_query of { qid : int; keys : string list; origin : int }
   | Query_reply of { qid : int; values : (string * Value.t) list }
 
-type site = {
-  id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
-  versions : (string, int) Hashtbl.t;
-      (* refresh versions seen — durable, written with the data *)
-}
-
 (* A strict query waiting on the primary's reply; the wait context is
    volatile at the querying site. *)
 type pending_query = {
@@ -59,10 +51,9 @@ type pending_query = {
 }
 
 type t = {
-  env : Intf.env;
-  dests : Sharding.Dests.t;  (* reusable routing cursor (refresh path) *)
-  sites : site array;
-  fabric : msg Squeue.t;
+  k : msg Replica.t;
+  versions : (string, int) Hashtbl.t array;
+      (* per site: refresh versions seen — durable, written with the data *)
   refresh : [ `Immediate | `Periodic of float | `Drift of float ];
   (* primary-side propagation state *)
   last_pushed : (string, Value.t) Hashtbl.t;
@@ -73,8 +64,6 @@ type t = {
       (* origin site and commit callback — volatile origin-side state *)
   query_replies : (int, pending_query) Hashtbl.t;
   mutable next_qid : int;
-  mutable n_updates : int;
-  mutable n_queries : int;
   mutable n_refreshes : int;
   mutable n_primary_reads : int;
 }
@@ -94,26 +83,23 @@ let value_drift a b =
   | a, b -> if Value.equal a b then 0.0 else infinity
 
 let push_key t key =
-  let p = t.sites.(primary) in
-  let value = Store.get p.replica.store key in
+  let value = Store.get t.k.sites.(primary).store key in
   Hashtbl.replace t.last_pushed key value;
   t.next_version <- t.next_version + 1;
   t.n_refreshes <- t.n_refreshes + 1;
   (* Refresh pushes are QUASI's update propagation: only the sites keeping
      a quasi-copy of the key's shard need them. *)
-  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:primary Prof.Propagate
+  Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:primary Prof.Propagate
     (fun () ->
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      Sharding.Dests.add_id c (Keyspace.find t.env.Intf.keyspace key);
-      Squeue.multicast t.fabric ~src:primary ~dests:c
+      Squeue.multicast t.k.fabric ~src:primary
+        ~dests:(Replica.route t.k Fun.id [ key ])
         (Refresh { key; value; version = t.next_version }))
 
 let rec arm_timer t tau =
   if not t.timer_armed then begin
     t.timer_armed <- true;
     ignore
-      (Engine.schedule t.env.engine ~delay:tau (fun () ->
+      (Engine.schedule t.k.env.engine ~delay:tau (fun () ->
            t.timer_armed <- false;
            let dirty = List.sort_uniq String.compare t.dirty in
            t.dirty <- [];
@@ -132,62 +118,41 @@ let after_primary_update t keys =
   | `Drift alpha ->
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).replica.store key in
+          let current = Store.get t.k.sites.(primary).store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
           if value_drift current last > alpha then push_key t key)
         keys
 
-let rec receive t ~site:site_id msg =
-  let site = t.sites.(site_id) in
+let receive t ~site:site_id msg =
+  let site = t.k.sites.(site_id) in
   match msg with
   | Do_update { et; ops; origin } ->
       (* Only the primary processes updates, serially: local 1SR. *)
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_applied
-             { et; site = site_id; n_ops = List.length ops; order = None });
-      Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site_id Prof.Apply
-        (fun () ->
-          List.iter
-            (fun (key, op) ->
-              (match Store.apply_unit site.replica.store key op with
-              | Ok () -> ()
-              | Error _ -> invalid_arg "QUASI: op failed at primary");
-              Replica.log site.replica ~et ~key op)
-            ops);
+      Replica.apply t.k ~site:site_id ~et ~n_ops:(List.length ops) ~order:(-1)
+        Replica.apply_ops site et ops;
       after_primary_update t (List.map fst ops);
-      let reply = Update_done { et } in
-      if origin = site_id then receive t ~site:origin reply
-      else Squeue.send t.fabric ~src:site_id ~dst:origin reply
+      Replica.post t.k ~src:site_id ~dst:origin (Update_done { et })
   | Update_done { et } -> (
       match Hashtbl.find_opt t.outcomes et with
       | Some (_, notify) ->
           Hashtbl.remove t.outcomes et;
-          notify (Intf.Committed { committed_at = Engine.now t.env.engine })
+          Replica.commit t.k notify
       | None -> ())
   | Refresh { key; value; version } ->
-      let seen = Option.value (Hashtbl.find_opt site.versions key) ~default:0 in
+      let versions = t.versions.(site_id) in
+      let seen = Option.value (Hashtbl.find_opt versions key) ~default:0 in
       if version > seen then begin
-        Hashtbl.replace site.versions key version;
-        Store.set site.replica.store key value;
-        Replica.log site.replica ~et:(t.env.Intf.next_et ()) ~key
+        Hashtbl.replace versions key version;
+        Store.set site.store key value;
+        Replica.log site ~et:(t.k.env.Intf.next_et ()) ~key
           (Op.Write value)
       end
   | Do_query { qid; keys; origin } ->
-      let query_et = t.env.Intf.next_et () in
-      let values =
-        List.map
-          (fun key ->
-            Replica.log site.replica ~et:query_et ~key Op.Read;
-            (key, Store.get site.replica.store key))
-          keys
-      in
-      let reply = Query_reply { qid; values } in
-      if origin = site_id then receive t ~site:origin reply
-      else Squeue.send t.fabric ~src:site_id ~dst:origin reply
+      let query_et = t.k.env.Intf.next_et () in
+      let values = Replica.read_all t.k ~site:site_id ~et:query_et keys in
+      Replica.post t.k ~src:site_id ~dst:origin (Query_reply { qid; values })
   | Query_reply { qid; values } -> (
       match Hashtbl.find_opt t.query_replies qid with
       | Some pq ->
@@ -196,121 +161,62 @@ let rec receive t ~site:site_id msg =
       | None -> ())
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-               });
-         fabric;
-         refresh = env.Intf.config.Intf.quasi_refresh;
-         last_pushed = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-         dirty = [];
-         timer_armed = false;
-         next_version = 0;
-         outcomes = Hashtbl.create 32;
-         query_replies = Hashtbl.create 32;
-         next_qid = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_refreshes = 0;
-         n_primary_reads = 0;
-       })
-  in
-  Lazy.force t
-
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
+  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+      {
+        k;
+        versions =
+          Array.init env.Intf.sites (fun _ ->
+              Hashtbl.create (Stdlib.max 32 env.Intf.store_hint));
+        refresh = env.Intf.config.Intf.quasi_refresh;
+        last_pushed = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
+        dirty = [];
+        timer_armed = false;
+        next_version = 0;
+        outcomes = Hashtbl.create 32;
+        query_replies = Hashtbl.create 32;
+        next_qid = 0;
+        n_refreshes = 0;
+        n_primary_reads = 0;
+      })
 
 let submit_update t ~origin intents k =
-  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
-  else if intents = [] then k (Intf.Rejected "empty update ET")
-  else begin
-    t.n_updates <- t.n_updates + 1;
-    let et = t.env.Intf.next_et () in
-    let ops = List.map intent_to_op intents in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map fst ops;
-           });
+  if Replica.admit t.k ~origin intents k then begin
+    let et = t.k.env.Intf.next_et () in
+    let ops = List.map Intf.op_of_intent intents in
+    Replica.enqueued t.k ~et ~origin fst ops;
     Hashtbl.replace t.outcomes et (origin, k);
-    let msg = Do_update { et; ops; origin } in
-    if origin = primary then receive t ~site:primary msg
-    else Squeue.send t.fabric ~src:origin ~dst:primary msg
+    Replica.post t.k ~src:origin ~dst:primary (Do_update { et; ops; origin })
   end
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  t.n_queries <- t.n_queries + 1;
-  let started_at = Engine.now t.env.engine in
+  let started_at = Replica.now t.k in
   let finish ~consistent values =
-    k
-      {
-        Intf.values;
-        charged = 0;
-        forced = 0;
-        consistent_path = consistent;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
+    Replica.answer t.k k ~started_at ~charged:0 ~forced:0 ~consistent values
   in
-  let local_degraded () =
-    (* Graceful failure: answer from the last local image, flagged
-       degraded (nothing is logged — the site is not executing). *)
-    finish ~consistent:false
-      (List.map
-         (fun key -> (key, Store.get t.sites.(site_id).replica.store key))
-         keys)
-  in
-  let strict = epsilon = Epsilon.Limit 0 in
-  if t.sites.(site_id).replica.down then local_degraded ()
-  else if strict && site_id <> primary then begin
-    (* Consult the central copy, as quasi-copies applications do when the
-       local copy is not close enough. *)
-    t.n_primary_reads <- t.n_primary_reads + 1;
-    t.next_qid <- t.next_qid + 1;
-    let qid = t.next_qid in
-    Hashtbl.replace t.query_replies qid
-      {
-        q_origin = site_id;
-        q_notify = finish ~consistent:true;
-        q_fail = local_degraded;
-      };
-    Squeue.send t.fabric ~src:site_id ~dst:primary
-      (Do_query { qid; keys; origin = site_id })
-  end
-  else begin
-    let site = t.sites.(site_id) in
-    let query_et = t.env.Intf.next_et () in
-    let values =
-      List.map
-        (fun key ->
-          Replica.log site.replica ~et:query_et ~key Op.Read;
-          (key, Store.get site.replica.store key))
-        keys
-    in
-    finish ~consistent:(site_id = primary) values
-  end
+  (* A crashed site answers from its last local image, unlogged: it is
+     not executing. *)
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then
+    if epsilon = Epsilon.Limit 0 && site_id <> primary then begin
+      (* Consult the central copy, as quasi-copies applications do when
+         the local copy is not close enough. *)
+      t.n_primary_reads <- t.n_primary_reads + 1;
+      t.next_qid <- t.next_qid + 1;
+      let qid = t.next_qid in
+      Hashtbl.replace t.query_replies qid
+        {
+          q_origin = site_id;
+          q_notify = finish ~consistent:true;
+          q_fail =
+            (fun () ->
+              finish ~consistent:false (Replica.image t.k ~site:site_id keys));
+        };
+      Squeue.send t.k.fabric ~src:site_id ~dst:primary
+        (Do_query { qid; keys; origin = site_id })
+    end
+    else
+      let query_et = t.k.env.Intf.next_et () in
+      finish ~consistent:(site_id = primary)
+        (Replica.read_all t.k ~site:site_id ~et:query_et keys)
 
 let flush t =
   (* Push everything outstanding so quasi-copies converge at quiescence. *)
@@ -323,25 +229,21 @@ let flush t =
          reconciles them. *)
       List.iter
         (fun key ->
-          let current = Store.get t.sites.(primary).replica.store key in
+          let current = Store.get t.k.sites.(primary).store key in
           let last =
             Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero
           in
           if not (Value.equal current last) then push_key t key)
-        (Store.keys t.sites.(primary).replica.store)
+        (Store.keys t.k.sites.(primary).store)
   | `Immediate | `Periodic _ -> ()
 
 let on_crash t ~site:site_id =
-  Replica.crash t.env t.sites.(site_id).replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* Strict queries from this site waiting on the primary's reply: the
          wait context is volatile — answer degraded from the local
          image. *)
       let my_queries =
-        Hashtbl.fold
-          (fun qid pq acc ->
-            if pq.q_origin = site_id then (qid, pq) :: acc else acc)
-          t.query_replies []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.query_replies (fun pq -> pq.q_origin = site_id)
       in
       List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
       List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
@@ -349,15 +251,11 @@ let on_crash t ~site:site_id =
          origin-side callback is volatile, so the client sees a rejection
          even though the primary may have (or will have) applied the ET. *)
       let my_updates =
-        Hashtbl.fold
-          (fun et (origin, notify) acc ->
-            if origin = site_id then (et, notify) :: acc else acc)
-          t.outcomes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.outcomes (fun (origin, _) -> origin = site_id)
       in
       List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
       List.iter
-        (fun (_, notify) -> notify (Intf.Rejected "origin site crashed"))
+        (fun (_, (_, notify)) -> notify (Intf.Rejected "origin site crashed"))
         my_updates;
       (* The primary's propagation bookkeeping (dirty set, last-pushed
          images) is volatile; recovery re-pushes everything instead. *)
@@ -377,15 +275,15 @@ let on_crash t ~site:site_id =
       })
 
 let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  if Replica.recover t.env site.replica && site_id = primary then
-    (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
-       re-push the whole image so quasi-copies re-converge and the
-       closeness predicate restarts from a known state. *)
-    List.iter (push_key t)
-      (List.sort String.compare (Store.keys site.replica.store))
+  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
+      if site_id = primary then
+        (* Anti-entropy resync: with the dirty/last-pushed bookkeeping
+           lost, re-push the whole image so quasi-copies re-converge and
+           the closeness predicate restarts from a known state. *)
+        List.iter (push_key t)
+          (List.sort String.compare (Store.keys t.k.sites.(primary).store)))
 
-let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
+let checkpoint t ~site = Replica.cut t.k ~site
 
 let backlog t =
   Hashtbl.length t.outcomes + Hashtbl.length t.query_replies
@@ -401,21 +299,21 @@ let quiescent t =
       List.for_all
         (fun key ->
           Value.equal
-            (Store.get t.sites.(primary).replica.store key)
+            (Store.get t.k.sites.(primary).store key)
             (Option.value (Hashtbl.find_opt t.last_pushed key) ~default:Value.zero))
-        (Store.keys t.sites.(primary).replica.store)
+        (Store.keys t.k.sites.(primary).store)
   | `Immediate | `Periodic _ -> true
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
+let history t ~site = Replica.history t.k ~site
 
 let converged t =
   (* The primary's copy is the master; each quasi-copy must agree with it
      on exactly the keys (shards) it replicates. *)
-  let reference = t.sites.(primary).replica.store in
-  let sh = t.env.Intf.sharding in
-  let n = Keyspace.size t.env.Intf.keyspace in
+  let reference = t.k.sites.(primary).store in
+  let sh = t.k.env.Intf.sharding in
+  let n = Keyspace.size t.k.env.Intf.keyspace in
   let ok = ref true in
   let id = ref 0 in
   while !ok && !id < n do
@@ -425,7 +323,7 @@ let converged t =
       let s = reps.(i) in
       if
         !ok && s <> primary
-        && not (Value.equal (Store.get_id t.sites.(s).replica.store !id) v)
+        && not (Value.equal (Store.get_id t.k.sites.(s).store !id) v)
       then ok := false
     done;
     incr id
@@ -433,13 +331,12 @@ let converged t =
   !ok
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("refreshes", float_of_int t.n_refreshes);
-    ("primary_reads", float_of_int t.n_primary_reads);
-  ]
+  Replica.stats t.k
+    [
+      ("refreshes", float_of_int t.n_refreshes);
+      ("primary_reads", float_of_int t.n_primary_reads);
+    ]
 
 (* Refresh versions live with the data; there is no receipt journal, so
    the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources t.k ~site

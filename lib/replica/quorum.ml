@@ -21,9 +21,7 @@ module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
 module Et = Esr_core.Et
-module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
 type version = { v : int; writer : int; seq : int }
@@ -43,10 +41,12 @@ let version_compare a b =
 
 let version_zero = { v = 0; writer = -1; seq = -1 }
 
+type write = { wid : int; et : Et.id; key : string; value : Value.t; version : version }
+
 type msg =
   | Version_req of { rid : int; et : Et.id; key : string; requester : int }
   | Version_reply of { rid : int; key : string; version : version; value : Value.t }
-  | Write_req of { wid : int; et : Et.id; key : string; value : Value.t; version : version }
+  | Write_req of write
   | Write_ack of { wid : int }
 
 type read_round = {
@@ -69,26 +69,16 @@ type write_round = {
   w_fail : unit -> bool;
 }
 
-type site = {
-  id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
-  versions : (string, version) Hashtbl.t;
-      (* durable: version numbers live with the data, written atomically
-         with each install *)
-}
-
 type t = {
-  env : Intf.env;
-  sites : site array;
-  fabric : msg Squeue.t;
+  k : msg Replica.t;
+  versions : (string, version) Hashtbl.t array;
+      (* per site, durable: version numbers live with the data, written
+         atomically with each install *)
   reads : (int, read_round) Hashtbl.t;
   writes : (int, write_round) Hashtbl.t;
   read_quorum : int;
   write_quorum : int;
   mutable next_round : int;
-  mutable n_updates : int;
-  mutable n_queries : int;
-  mutable n_rejected : int;
 }
 
 let meta =
@@ -100,22 +90,25 @@ let meta =
     sorting_time = "at access";
   }
 
-let local_version site key =
-  Option.value (Hashtbl.find_opt site.versions key) ~default:version_zero
+let local_version versions key =
+  Option.value (Hashtbl.find_opt versions key) ~default:version_zero
 
-let rec receive t ~site:site_id msg =
-  let site = t.sites.(site_id) in
+(* Install a newer version: value and version number, atomically. *)
+let install versions (r : Replica.site) w =
+  Hashtbl.replace versions w.key w.version;
+  Store.set r.store w.key w.value;
+  Replica.log r ~et:w.et ~key:w.key (Op.Write w.value)
+
+let post t ~src ~dst msg = Replica.post t.k ~src ~dst msg
+
+let receive t ~site:site_id msg =
+  let versions = t.versions.(site_id) in
   match msg with
   | Version_req { rid; et; key; requester } ->
-      Replica.log site.replica ~et ~key Op.Read;
+      let value = Replica.read t.k ~site:site_id ~et key in
       post t ~src:site_id ~dst:requester
         (Version_reply
-           {
-             rid;
-             key;
-             version = local_version site key;
-             value = Store.get site.replica.store key;
-           })
+           { rid; key; version = local_version versions key; value })
   | Version_reply { rid; key = _; version; value } -> (
       match Hashtbl.find_opt t.reads rid with
       | None -> ()  (* straggler after the quorum completed *)
@@ -128,21 +121,13 @@ let rec receive t ~site:site_id msg =
             Hashtbl.remove t.reads rid;
             round.r_done round.r_best
           end)
-  | Write_req { wid; et; key; value; version } ->
-      if version_compare version (local_version site key) > 0 then begin
-        let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-        if Trace.on trace then
-          Trace.emit trace ~time:(Engine.now t.env.engine)
-            (Trace.Mset_applied { et; site = site.id; n_ops = 1; order = None });
-        Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site.id Prof.Apply
-          (fun () ->
-            Hashtbl.replace site.versions key version;
-            Store.set site.replica.store key value;
-            Replica.log site.replica ~et ~key (Op.Write value))
-      end;
+  | Write_req w ->
+      if version_compare w.version (local_version versions w.key) > 0 then
+        Replica.apply t.k ~site:site_id ~et:w.et ~n_ops:1 ~order:(-1) install
+          versions t.k.sites.(site_id) w;
       (* Acks flow back to the writer regardless: the quorum counts
          participation, not freshness. *)
-      post t ~src:site_id ~dst:version.writer (Write_ack { wid })
+      post t ~src:site_id ~dst:w.version.writer (Write_ack { wid = w.wid })
   | Write_ack { wid } -> (
       match Hashtbl.find_opt t.writes wid with
       | None -> ()
@@ -153,17 +138,13 @@ let rec receive t ~site:site_id msg =
             round.w_done ()
           end)
 
-and post t ~src ~dst msg =
-  if src = dst then receive t ~site:dst msg
-  else Squeue.send t.fabric ~src ~dst msg
-
 (* Round fan-out: the key's replica set — quorums intersect within the
    replica set, which is every site under the all-sites map. *)
 let fan_key t key f =
-  let sh = t.env.Intf.sharding in
+  let sh = t.k.env.Intf.sharding in
   Array.iter f
     (Sharding.replicas sh
-       (Sharding.shard_of_id sh (Keyspace.find t.env.Intf.keyspace key)))
+       (Sharding.shard_of_id sh (Keyspace.find t.k.env.Intf.keyspace key)))
 
 let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
   let rid = t.next_round in
@@ -178,8 +159,8 @@ let read_round t ~origin ~et ~key ~needed ~update ~done_ ~fail =
       r_fail = fail;
       r_update = update;
     };
-  fan_key t key (fun dst ->
-      post t ~src:origin ~dst (Version_req { rid; et; key; requester = origin }))
+  let req = Version_req { rid; et; key; requester = origin } in
+  fan_key t key (fun dst -> post t ~src:origin ~dst req)
 
 let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
   let wid = t.next_round in
@@ -193,13 +174,11 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
       w_fail = fail;
     };
   (* The write fan-out is QUORUM's update propagation. *)
-  Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
-    (fun () ->
-      fan_key t key (fun dst ->
-          post t ~src:origin ~dst (Write_req { wid; et; key; value; version })))
+  let req = Write_req { wid; et; key; value; version } in
+  Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+    (fun () -> fan_key t key (fun dst -> post t ~src:origin ~dst req))
 
 let create (env : Intf.env) =
-  let n = env.Intf.sites in
   (* Quorums live inside each key's replica set: intersection must hold
      among the [factor] copies, which are all sites under the all-sites
      map. *)
@@ -211,100 +190,59 @@ let create (env : Intf.env) =
     invalid_arg "Quorum.create: r + w must exceed the number of copies";
   if read_quorum > copies || write_quorum > copies then
     invalid_arg "Quorum.create: a quorum cannot exceed the replication factor";
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         sites =
-           Array.init n (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 versions = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
-               });
-         fabric;
-         reads = Hashtbl.create 32;
-         writes = Hashtbl.create 32;
-         read_quorum;
-         write_quorum;
-         next_round = 0;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-       })
-  in
-  Lazy.force t
+  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+      {
+        k;
+        versions =
+          Array.init env.Intf.sites (fun _ ->
+              Hashtbl.create (Stdlib.max 32 env.Intf.store_hint));
+        reads = Hashtbl.create 32;
+        writes = Hashtbl.create 32;
+        read_quorum;
+        write_quorum;
+        next_round = 0;
+      })
+
+let refusal = function
+  | [ Intf.Set _ ] | [] -> None
+  | [ (Intf.Add _ | Intf.Mul _) ] ->
+      Some
+        "QUORUM: read-modify-write intents need distributed locking; only \
+         single-key Set is supported"
+  | _ :: _ :: _ -> Some "QUORUM: multi-key update ETs are not atomic here"
 
 let submit_update t ~origin intents notify =
-  match intents with
-  | _ when t.sites.(origin).replica.down ->
-      notify (Intf.Rejected "origin site down")
-  | [ Intf.Set (key, value) ] ->
-      t.n_updates <- t.n_updates + 1;
-      (* Pin the key's shard before routing: both rounds and every later
-         access must agree on the replica set. *)
-      ignore (Keyspace.intern t.env.Intf.keyspace key);
-      let et = t.env.Intf.next_et () in
-      let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-      if Trace.on trace then
-        Trace.emit trace ~time:(Engine.now t.env.engine)
-          (Trace.Mset_enqueued { et; origin; n_ops = 1; keys = [ key ] });
-      let fail () =
-        (* The outcome is uncertain (a quorum may still install the write)
-           but the coordinating site is gone: report rejection. *)
-        notify (Intf.Rejected "origin site crashed");
-        true
-      in
-      (* Round 1: learn the highest version from a write quorum. *)
-      read_round t ~origin ~et ~key ~needed:t.write_quorum ~update:true ~fail
-        ~done_:(fun (best_version, _) ->
-          let seq = t.next_round in
-          t.next_round <- seq + 1;
-          let version = { v = best_version.v + 1; writer = origin; seq } in
-          (* Round 2: install value+version at a write quorum. *)
-          write_round t ~origin ~et ~key ~value ~version ~fail
-            ~done_:(fun () ->
-              notify (Intf.Committed { committed_at = Engine.now t.env.engine })))
-  | [] -> notify (Intf.Rejected "empty update ET")
-  | [ (Intf.Add _ | Intf.Mul _) ] ->
-      t.n_rejected <- t.n_rejected + 1;
-      notify
-        (Intf.Rejected
-           "QUORUM: read-modify-write intents need distributed locking; \
-            only single-key Set is supported")
-  | _ :: _ :: _ ->
-      t.n_rejected <- t.n_rejected + 1;
-      notify (Intf.Rejected "QUORUM: multi-key update ETs are not atomic here")
+  if Replica.admit t.k ~origin ?refused:(refusal intents) intents notify then
+    match intents with
+    | [ Intf.Set (key, value) ] ->
+        (* Pin the key's shard before routing: both rounds and every later
+           access must agree on the replica set. *)
+        ignore (Keyspace.intern t.k.env.Intf.keyspace key);
+        let et = t.k.env.Intf.next_et () in
+        Replica.enqueued t.k ~et ~origin Intf.intent_key intents;
+        let fail () =
+          (* The outcome is uncertain (a quorum may still install the
+             write) but the coordinating site is gone: report rejection. *)
+          notify (Intf.Rejected "origin site crashed");
+          true
+        in
+        (* Round 1: learn the highest version from a write quorum. *)
+        read_round t ~origin ~et ~key ~needed:t.write_quorum ~update:true ~fail
+          ~done_:(fun (best_version, _) ->
+            let seq = t.next_round in
+            t.next_round <- seq + 1;
+            let version = { v = best_version.v + 1; writer = origin; seq } in
+            (* Round 2: install value+version at a write quorum. *)
+            write_round t ~origin ~et ~key ~value ~version ~fail
+              ~done_:(fun () -> Replica.commit t.k notify))
+    | _ -> ()  (* [admit] refused every other shape *)
 
-let submit_query t ~site:site_id ~keys ~epsilon k =
-  ignore epsilon;
-  t.n_queries <- t.n_queries + 1;
-  let site = t.sites.(site_id) in
-  let et = t.env.Intf.next_et () in
-  let started_at = Engine.now t.env.engine in
-  let degraded () =
-    (* Graceful failure: answer from the local image, flagged degraded
-       (the quorum guarantee needs a live coordinating site). *)
-    k
-      {
-        Intf.values =
-          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.replica.down then degraded ()
-  else begin
+let submit_query t ~site:site_id ~keys ~epsilon:_ k =
+  let et = t.k.env.Intf.next_et () in
+  let started_at = Replica.now t.k in
+  (* A crashed site answers from its local image, degraded: the quorum
+     guarantee needs a live coordinating site. *)
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then begin
     let total = List.length keys in
     let collected = ref [] in
     let finished = ref 0 in
@@ -314,7 +252,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
       if !failed then false
       else begin
         failed := true;
-        degraded ();
+        Replica.answer t.k k ~started_at ~charged:0 ~forced:0 ~consistent:false
+          (Replica.image t.k ~site:site_id keys);
         true
       end
     in
@@ -326,39 +265,23 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             collected := (key, value) :: !collected;
             incr finished;
             if !finished = total && not !failed then
-              k
-                {
-                  Intf.values =
-                    List.sort (fun (a, _) (b, _) -> String.compare a b) !collected;
-                  charged = 0;
-                  forced = 0;
-                  consistent_path = true;
-                  started_at;
-                  served_at = Engine.now t.env.engine;
-                }))
+              Replica.answer t.k k ~started_at ~charged:0 ~forced:0
+                ~consistent:true
+                (List.sort (fun (a, _) (b, _) -> String.compare a b) !collected)))
       keys
   end
 
 let flush _ = ()
 
 let on_crash t ~site:site_id =
-  Replica.crash t.env t.sites.(site_id).replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* The rounds this site coordinates are volatile: queries answer
          degraded, updates report rejection (their writes may still land
          at a quorum — the classic uncertain outcome).  Straggler replies
          arriving after recovery find no round and are ignored. *)
-      let my_reads =
-        Hashtbl.fold
-          (fun rid r acc ->
-            if r.r_origin = site_id then (rid, r) :: acc else acc)
-          t.reads []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      let my_reads = Replica.orphans t.reads (fun r -> r.r_origin = site_id)
       and my_writes =
-        Hashtbl.fold
-          (fun wid w acc ->
-            if w.w_origin = site_id then (wid, w) :: acc else acc)
-          t.writes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.writes (fun w -> w.w_origin = site_id)
       in
       let queries_failed = ref 0 and updates_rejected = ref 0 in
       List.iter
@@ -378,24 +301,18 @@ let on_crash t ~site:site_id =
         updates_rejected = !updates_rejected;
       })
 
-let on_recover t ~site = ignore (Replica.recover t.env t.sites.(site).replica)
-let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
+let on_recover t ~site = Replica.recover t.k ~site
+let checkpoint t ~site = Replica.cut t.k ~site
 
 let quiescent t = Hashtbl.length t.reads = 0 && Hashtbl.length t.writes = 0
 let backlog t = Hashtbl.length t.reads + Hashtbl.length t.writes
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
-let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
-
-let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("rejected", float_of_int t.n_rejected);
-  ]
+let history t ~site = Replica.history t.k ~site
+let converged t = Replica.converged t.k
+let stats t = Replica.stats t.k [ ("rejected", float_of_int t.k.rejected) ]
 
 (* Versions live with the data; there is no receipt journal, so the WAL
    fields stay zero. *)
-let resources t ~site = Replica.resources t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources t.k ~site

@@ -1,18 +1,25 @@
-(** One site's local message processing, shared by every method
-    (paper §2.2; DESIGN.md §7, §10, §12).
+(** The replica kernel: everything the seven methods do the same way
+    (paper §2.2; DESIGN.md §3, §7, §10, §12).
 
-    A replica is the site's durable operation log, the store image
-    materialized from it, and the up/down flag.  The seven methods differ
-    in how MSets are ordered and how queries are charged; they all embed
-    one of these per site.  The checkpoint cut relies on the invariant
-    [store = Logmerge.apply hist] between engine events (folded onto the
-    newest snapshot when the run checkpoints).  The record is [private],
-    so the compiler checks that only {!recover} and {!cut} replace the
-    image or the log and that the log grows only through {!log}; a
-    method still logs every in-place store mutation before its event
-    returns. *)
+    The paper describes every method as one stable-queue transport plus
+    local message processing, and tells them apart only by their Table 1
+    restriction.  This module is the shared half: the fabric, routing,
+    the MSet lifecycle trace, update admission, query answers, crash,
+    recovery, checkpoints and the accessors.  A method builds one {!t} in
+    its [create] and keeps only its Table 1 rules: how MSets are ordered,
+    how a site applies them, how queries are charged and how aborts are
+    compensated.  The kernel never asks which method called it.
 
-type t = private {
+    A {!site} is the site's durable operation log, the store image
+    materialized from it, and the up/down flag.  The checkpoint cut relies
+    on the invariant [store = Logmerge.apply hist] between engine events
+    (folded onto the newest snapshot when the run checkpoints).  Both
+    records are [private]: only {!recover} and {!cut} replace the image or
+    the log, the log grows only through {!log}, and the counters move only
+    through {!admit}, {!reject} and {!open_query}.  A method still logs
+    every in-place store mutation before its event returns. *)
+
+type site = private {
   site : int;
   mutable store : Esr_store.Store.t;
       (** volatile image; methods mutate its cells, never replace it *)
@@ -20,51 +27,178 @@ type t = private {
   mutable down : bool;
 }
 
-val make : Intf.env -> site:int -> t
-(** An up replica with an empty log and a store pre-sized from the run's
-    store hint. *)
+type 'm t = private {
+  env : Intf.env;
+  sites : site array;
+  fabric : 'm Esr_squeue.Squeue.t;  (** the stable-queue transport *)
+  deliver : site:int -> 'm -> unit;  (** the method's message handler *)
+  dests : Esr_store.Sharding.Dests.t;  (** the one routing cursor *)
+  mutable deferred : (int * 'm) list;
+      (** {!local} messages kept while their site was down, newest first *)
+  mutable updates : int;  (** admitted update ETs *)
+  mutable queries : int;  (** submitted query ETs *)
+  mutable rejected : int;  (** update ETs refused by the method's rules *)
+}
 
-val log : t -> et:Esr_core.Et.id -> key:string -> Esr_store.Op.t -> unit
+val create :
+  Intf.env ->
+  mode:Esr_squeue.Squeue.mode ->
+  receive:('s -> site:int -> 'm -> unit) ->
+  ('m t -> 's) ->
+  's
+(** [create env ~mode ~receive make] builds the fabric (registering its
+    [squeue] gauges and Net hooks) and one up site per replica, each with
+    an empty log and a store pre-sized from the run's store hint, and
+    returns [make k], the method's state around kernel [k].  Every message
+    for a site goes to [receive sys ~site msg], [sys] being that state. *)
+
+val log : site -> et:Esr_core.Et.id -> key:string -> Esr_store.Op.t -> unit
 (** Append one executed action (update or read) to the durable log. *)
+
+val now : 'm t -> float
+
+(** {1 Updates} *)
+
+val admit :
+  ?refused:string ->
+  'm t ->
+  origin:int ->
+  Intf.intent list ->
+  (Intf.update_outcome -> unit) ->
+  bool
+(** In this order: a down origin rejects the update ET, so does an empty
+    one, and a [refused] reason (the method's Table 1 restriction)
+    rejects it through {!reject}.  Otherwise it counts one update and
+    returns [true]. *)
+
+val reject : 'm t -> (Intf.update_outcome -> unit) -> string -> unit
+(** Count one refused update ET and tell the client why. *)
+
+val commit : 'm t -> (Intf.update_outcome -> unit) -> unit
+(** Tell the client its update ET committed now. *)
+
+val route : 'm t -> ('a -> string) -> 'a list -> Esr_store.Sharding.Dests.t
+(** The sites replicating a shard touched by one of the keys (interned
+    here): every site under the all-sites map.  The kernel's one cursor,
+    valid until the next {!route}. *)
+
+val participants : 'm t -> ('a -> string) -> 'a list -> int array
+(** {!route}, copied into a fresh ascending array. *)
+
+val enqueued : 'm t -> et:Esr_core.Et.id -> origin:int -> ('a -> string) -> 'a list -> unit
+(** Trace the MSet of update ET [et] entering at [origin], one op per
+    element, named by the key function. *)
+
+val apply :
+  'm t ->
+  site:int ->
+  et:Esr_core.Et.id ->
+  n_ops:int ->
+  order:int ->
+  ('a -> 'b -> 'c -> unit) ->
+  'a ->
+  'b ->
+  'c ->
+  unit
+(** [apply k ~site ~et ~n_ops ~order f a b c] traces [Mset_applied] (with
+    the total-order position [order] unless it is negative) and runs the
+    method's apply rule [f a b c] as an [Apply] profiler span.  The
+    arguments come separately so that no closure is built per apply. *)
+
+val apply_ops : site -> Esr_core.Et.id -> (string * Esr_store.Op.t) list -> unit
+(** The plain apply rule: every op of ET [et], in order, applied to the
+    image and logged. *)
+
+val post : 'm t -> src:int -> dst:int -> 'm -> unit
+(** Send through the fabric, or hand a same-site message to {!local}. *)
+
+val local : 'm t -> site:int -> 'm -> unit
+(** Deliver a message a site sends itself, without the network.  While
+    the site is down the message is kept as a durable record, delivered
+    by {!recover}, as the stable queue does for remote traffic. *)
+
+(** {1 Queries} *)
+
+val open_query :
+  'm t ->
+  site:int ->
+  keys:string list ->
+  started_at:float ->
+  (Intf.query_outcome -> unit) ->
+  bool
+(** Count one query.  A down site answers it at once from its last image,
+    degraded and uncharged ([false]); [true] when the method serves it. *)
+
+val answer :
+  'm t ->
+  (Intf.query_outcome -> unit) ->
+  started_at:float ->
+  charged:int ->
+  forced:int ->
+  consistent:bool ->
+  (string * Esr_store.Value.t) list ->
+  unit
+(** Serve a query now. *)
+
+val read : 'm t -> site:int -> et:Esr_core.Et.id -> string -> Esr_store.Value.t
+(** Log a read by query ET [et] and return the site's value. *)
+
+val read_all :
+  'm t -> site:int -> et:Esr_core.Et.id -> string list -> (string * Esr_store.Value.t) list
+(** {!read} every key, in order. *)
+
+val image : 'm t -> site:int -> string list -> (string * Esr_store.Value.t) list
+(** The site's values, unlogged: the degraded answer of a site that is
+    down or lost its query context. *)
+
+(** {1 Crash, recovery and checkpoints} *)
 
 (** What a crash cost the method's volatile state, for the
     [Volatile_dropped] trace event. *)
 type dropped = { buffered : int; queries_failed : int; updates_rejected : int }
 
-val crash : ?drop:(unit -> dropped) -> Intf.env -> t -> unit
+val crash : ?drop:(unit -> dropped) -> 'm t -> site:int -> unit
 (** When up: mark the site down, run [drop] (the method discards its
-    order buffers and fails its wait contexts; default: nothing to drop),
-    then emit [Volatile_dropped] with [drop]'s counts and the log length.
-    No-op when already down. *)
+    order buffers and fails its wait contexts; default: nothing), then
+    emit [Volatile_dropped] with its counts and the log length. *)
+
+val orphans : ('k, 'v) Hashtbl.t -> ('v -> bool) -> ('k * 'v) list
+(** The entries the predicate picks (those a crashed origin leaves
+    behind), in ascending key order; the table is left as it is. *)
 
 val recover :
   ?replay:(base:Esr_store.Store.t option -> Esr_core.Hist.t -> Esr_store.Store.t) ->
-  Intf.env ->
-  t ->
-  bool
-(** When down: mark the site up and rebuild the store image by [replay]
-    over the durable log — from a fresh copy of the newest checkpoint
-    snapshot ([base]) when the run checkpoints, from scratch otherwise —
-    timed as a [Replay] profiler span, traced as [Recovery_replay], and
-    noted as a tail replay for the [ckpt/] gauges.  The default [replay]
-    is {!Esr_core.Logmerge.apply}.  Returns [true] when the site
-    recovered, so the method then re-ingests its journaled state; [false]
-    (and no effect) when it was already up. *)
+  ?rejoin:(unit -> unit) ->
+  'm t ->
+  site:int ->
+  unit
+(** When down: mark the site up and rebuild the image by [replay] (default
+    {!Esr_core.Logmerge.apply}) over the durable log — from a copy of the
+    newest checkpoint snapshot ([base]) when the run checkpoints — as a
+    [Replay] profiler span, traced as [Recovery_replay] and noted for the
+    [ckpt/] gauges.  Then [rejoin] re-ingests the method's journaled
+    state, and the site's kept {!local} messages are delivered in arrival
+    order. *)
 
-val cut :
-  ?gc:(unit -> int) -> ?mv:Esr_store.Mvstore.t -> Intf.env -> 'm Esr_squeue.Squeue.t -> t -> unit
-(** Take an asynchronous checkpoint cut (see {!Checkpoint.cut}): reclaim
-    the stable-queue dedup records behind the delivery watermark, then run
-    the method's own journal GC [gc] (returning how many records it
-    reclaimed), then snapshot the image (and [mv]) and truncate the log.
-    No-op when the run does not checkpoint or the site is down. *)
+val cut : ?gc:(unit -> int) -> ?mv:Esr_store.Mvstore.t -> 'm t -> site:int -> unit
+(** Checkpoint cut (see {!Checkpoint.cut}): reclaim the stable-queue dedup
+    records behind the delivery watermark, run the method's journal GC
+    [gc] (returning how many records it reclaimed), then snapshot the
+    image (and [mv]) and truncate the log.  No-op when the run does not
+    checkpoint or the site is down. *)
 
-val resources :
-  ?wal:('k, 'a) Recovery.Wal.t -> 'm Esr_squeue.Squeue.t -> t -> Intf.resources
-(** The site's footprint: log, store image and stable-queue journals,
-    plus the receipt journal [wal] for methods that keep one (the WAL
-    fields are zero otherwise). *)
+(** {1 Accessors} *)
 
-val converged : Intf.env -> (int -> t) -> bool
-(** Shard-aware replica equality over every site's store image (see
+val store : 'm t -> site:int -> Esr_store.Store.t
+val history : 'm t -> site:int -> Esr_core.Hist.t
+
+val resources : ?wal:('k, 'a) Recovery.Wal.t -> 'm t -> site:int -> Intf.resources
+(** The site's log, image and stable-queue journals, plus the receipt
+    journal [wal] of a method that keeps one (zero WAL fields otherwise). *)
+
+val converged : 'm t -> bool
+(** Shard-aware replica equality of the store images (see
     {!Esr_store.Sharding.converged}). *)
+
+val stats : 'm t -> (string * float) list -> (string * float) list
+(** The method's stats rows behind the kernel's [updates] and [queries]. *)

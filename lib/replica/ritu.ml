@@ -27,9 +27,7 @@ module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
 module Lamport = Esr_clock.Lamport
-module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
 (* Writes carry keys pre-interned at the origin: (id, name, value). *)
@@ -44,7 +42,7 @@ type msg = Update of mset | Watermark of Gtime.t
 
 type site = {
   id : int;
-  replica : Replica.t;
+  replica : Replica.site;
       (* durable log, latest-version store view, up/down *)
   mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from the log *)
   clock : Lamport.t;
@@ -53,14 +51,9 @@ type site = {
 }
 
 type t = {
-  env : Intf.env;
+  k : msg Replica.t;
   mode : [ `Single | `Multi ];
-  dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
   sites : site array;
-  fabric : msg Squeue.t;
-  mutable n_updates : int;
-  mutable n_queries : int;
-  mutable n_rejected : int;
   mutable n_stale_ignored : int;
   mutable n_fresh_reads : int;  (* reads above the VTNC (charged) *)
   mutable n_vtnc_reads : int;  (* reads clamped to the VTNC *)
@@ -89,22 +82,12 @@ let note_watermark site ~origin ts =
     Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id;
   refresh_vtnc site
 
-let apply_mset_inner t site mset =
-  let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-  if Trace.on trace then
-    Trace.emit trace ~time:(Engine.now t.env.engine)
-      (Trace.Mset_applied
-         {
-           et = mset.et;
-           site = site.id;
-           n_ops = List.length mset.writes;
-           order = None;
-         });
+let apply_ops t site mset =
   note_watermark site ~origin:mset.origin mset.stamp;
   let stamp = mset.stamp in
   List.iter
     (fun (id, key, value) ->
-      if Sharding.replicates_id t.env.Intf.sharding ~site:site.id ~id then begin
+      if Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id ~id then begin
         let op =
           match t.mode with
           | `Single -> Op.Timed_write { ts = stamp; value }
@@ -130,22 +113,10 @@ let apply_mset_inner t site mset =
     mset.writes
 
 let apply_mset t site mset =
-  let prof = t.env.Intf.obs.Esr_obs.Obs.prof in
-  if Prof.on prof then begin
-    let t0 = Prof.start prof in
-    let a0 = Prof.alloc0 prof in
-    apply_mset_inner t site mset;
-    Prof.record prof ~site:site.id Prof.Apply ~t0 ~a0
-  end
-  else apply_mset_inner t site mset
+  Replica.apply t.k ~site:site.id ~et:mset.et ~n_ops:(List.length mset.writes)
+    ~order:(-1) apply_ops t site mset
 
-(* Union of the replica sets of an MSet's write shards: the only sites
-   whose stores the writes can change. *)
-let interested t writes =
-  let c = t.dests in
-  Sharding.Dests.reset c;
-  List.iter (fun (id, _, _) -> Sharding.Dests.add_id c id) writes;
-  c
+let write_key (_, key, _) = key
 
 let receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
@@ -154,40 +125,27 @@ let receive t ~site:site_id msg =
   | Watermark ts -> note_watermark site ~origin:ts.Gtime.site ts
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Fifo
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         mode = env.Intf.config.Intf.ritu_mode;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 mv =
-                   Mvstore.create ~size:env.Intf.store_hint
-                     ~keyspace:env.Intf.keyspace ();
-                 clock = Lamport.create ();
-                 watermarks = Array.make env.Intf.sites Gtime.zero;
-               });
-         fabric;
-         n_updates = 0;
-         n_queries = 0;
-         n_rejected = 0;
-         n_stale_ignored = 0;
-         n_fresh_reads = 0;
-         n_vtnc_reads = 0;
-       })
-  in
-  Lazy.force t
+  Replica.create env ~mode:Squeue.Fifo ~receive (fun k ->
+      {
+        k;
+        mode = env.Intf.config.Intf.ritu_mode;
+        sites =
+          Array.map
+            (fun replica ->
+              {
+                id = replica.Replica.site;
+                replica;
+                mv =
+                  Mvstore.create ~size:env.Intf.store_hint
+                    ~keyspace:env.Intf.keyspace ();
+                clock = Lamport.create ();
+                watermarks = Array.make env.Intf.sites Gtime.zero;
+              })
+            k.Replica.sites;
+        n_stale_ignored = 0;
+        n_fresh_reads = 0;
+        n_vtnc_reads = 0;
+      })
 
 let submit_update t ~origin intents k =
   let writes =
@@ -195,56 +153,41 @@ let submit_update t ~origin intents k =
       (function Intf.Set (key, v) -> Some (key, v) | Intf.Add _ | Intf.Mul _ -> None)
       intents
   in
-  if t.sites.(origin).replica.down then k (Intf.Rejected "origin site down")
-  else if intents = [] then k (Intf.Rejected "empty update ET")
-  else if List.length writes <> List.length intents then begin
-    (* Add/Mul read the current value: not read-independent, so outside
-       RITU's restriction (Table 1). *)
-    t.n_rejected <- t.n_rejected + 1;
-    k (Intf.Rejected "RITU: only blind writes (Set) are read-independent")
-  end
-  else begin
-    t.n_updates <- t.n_updates + 1;
-    let et = t.env.Intf.next_et () in
+  (* Add/Mul read the current value: not read-independent, so outside
+     RITU's restriction (Table 1). *)
+  let refused =
+    if List.length writes = List.length intents then None
+    else Some "RITU: only blind writes (Set) are read-independent"
+  in
+  if Replica.admit t.k ~origin ?refused intents k then begin
+    let env = t.k.env in
+    let et = env.Intf.next_et () in
     let site = t.sites.(origin) in
     let stamp = Gtime.next site.clock ~site:origin in
     let writes =
       List.map
         (fun (key, v) ->
-          (Esr_store.Keyspace.intern t.env.Intf.keyspace key, key, v))
+          (Esr_store.Keyspace.intern env.Intf.keyspace key, key, v))
         writes
     in
     let mset = { et; stamp; writes; origin } in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length writes;
-             keys = List.map (fun (_, key, _) -> key) writes;
-           });
+    Replica.enqueued t.k ~et ~origin write_key writes;
     apply_mset t site mset;
     (* Blind writes only matter to the replicas of their shards; commit
        stays immediate and local (read-independence). *)
-    Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
+    Prof.span env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
       (fun () ->
-        Squeue.multicast t.fabric ~src:origin ~dests:(interested t writes)
+        Squeue.multicast t.k.fabric ~src:origin
+          ~dests:(Replica.route t.k write_key writes)
           (Update mset));
-    k (Intf.Committed { committed_at = Engine.now t.env.engine })
+    Replica.commit t.k k
   end
 
 let submit_query t ~site:site_id ~keys ~epsilon k =
-  t.n_queries <- t.n_queries + 1;
   let site = t.sites.(site_id) in
-  let et = t.env.Intf.next_et () in
+  let et = t.k.env.Intf.next_et () in
   let eps = Epsilon.create epsilon in
-  let started_at = Engine.now t.env.engine in
-  let read_single key =
-    Replica.log site.replica ~et ~key Op.Read;
-    (key, Store.get site.replica.store key)
-  in
+  let started_at = Replica.now t.k in
   let read_multi key =
     Replica.log site.replica ~et ~key Op.Read;
     let vtnc = Mvstore.vtnc site.mv in
@@ -265,32 +208,16 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
     in
     (key, Option.value value ~default:Value.zero)
   in
-  if site.replica.down then
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded (nothing is logged — the site is not executing). *)
-    k
-      {
-        Intf.values =
-          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  else begin
-  let reader = match t.mode with `Single -> read_single | `Multi -> read_multi in
-  let values = List.map reader keys in
-  k
-    {
-      Intf.values;
-      charged = Epsilon.value eps;
-      forced = 0;
-      consistent_path = Epsilon.value eps = 0;
-      started_at;
-      served_at = Engine.now t.env.engine;
-    }
-  end
+  (* A crashed site answers from its last image, unlogged: it is not
+     executing. *)
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then
+    let values =
+      match t.mode with
+      | `Single -> Replica.read_all t.k ~site:site_id ~et keys
+      | `Multi -> List.map read_multi keys
+    in
+    Replica.answer t.k k ~started_at ~charged:(Epsilon.value eps) ~forced:0
+      ~consistent:(Epsilon.value eps = 0) values
 
 let flush t =
   match t.mode with
@@ -301,13 +228,13 @@ let flush t =
           let ts = Gtime.make ~counter:(Lamport.peek site.clock) ~site:site.id in
           site.watermarks.(site.id) <- ts;
           refresh_vtnc site;
-          Squeue.broadcast t.fabric ~src:site.id (Watermark ts))
+          Squeue.broadcast t.k.fabric ~src:site.id (Watermark ts))
         t.sites
 
 (* RITU applies MSets on receipt and serves queries synchronously, so the
    only volatile state is the materialized store/version images — both
    rebuilt from the durable log on recovery.  Nothing to fail. *)
-let on_crash t ~site = Replica.crash t.env t.sites.(site).replica
+let on_crash t ~site = Replica.crash t.k ~site
 
 (* Multi mode's log holds Append ops; replaying them naively is arrival
    order, but the latest-version view is last-writer-wins on the stamp —
@@ -321,18 +248,18 @@ let replay_multi t site ~base hist =
     match base with
     | Some base -> base
     | None ->
-        Store.create ~size:t.env.Intf.store_hint ~keyspace:t.env.Intf.keyspace
-          ()
+        Store.create ~size:t.k.env.Intf.store_hint
+          ~keyspace:t.k.env.Intf.keyspace ()
   in
   let mv =
     match
-      Option.bind t.env.Intf.checkpoint (fun c ->
+      Option.bind t.k.env.Intf.checkpoint (fun c ->
           Checkpoint.base_mv c ~site:site.id)
     with
     | Some base -> base
     | None ->
-        Mvstore.create ~size:t.env.Intf.store_hint
-          ~keyspace:t.env.Intf.keyspace ()
+        Mvstore.create ~size:t.k.env.Intf.store_hint
+          ~keyspace:t.k.env.Intf.keyspace ()
   in
   List.iter
     (fun { Et.key; op; _ } ->
@@ -349,18 +276,18 @@ let replay_multi t site ~base hist =
   store
 
 let on_recover t ~site =
-  let site = t.sites.(site) in
   let replay =
-    match t.mode with `Single -> None | `Multi -> Some (replay_multi t site)
+    match t.mode with
+    | `Single -> None
+    | `Multi -> Some (replay_multi t t.sites.(site))
   in
-  ignore (Replica.recover ?replay t.env site.replica)
+  Replica.recover ?replay t.k ~site
 
 (* Multi mode snapshots the version store alongside the latest-writer
    image: its recovery rebuilds both. *)
 let checkpoint t ~site =
-  let site = t.sites.(site) in
-  let mv = match t.mode with `Single -> None | `Multi -> Some site.mv in
-  Replica.cut ?mv t.env t.fabric site.replica
+  let mv = match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv in
+  Replica.cut ?mv t.k ~site
 
 let quiescent _ = true
 (* RITU keeps no protocol state beyond the transport: once the stable
@@ -370,17 +297,17 @@ let backlog _ = 0
 (* Same reason: all outstanding work is in the stable queues, which the
    series already samples through the squeue registry gauges. *)
 
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 
 let mvstore t ~site =
   match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv
 
-let history t ~site = t.sites.(site).replica.hist
+let history t ~site = Replica.history t.k ~site
 
 let converged t =
-  let sh = t.env.Intf.sharding in
-  let ks = t.env.Intf.keyspace in
-  Replica.converged t.env (fun site -> t.sites.(site).replica)
+  let sh = t.k.env.Intf.sharding in
+  let ks = t.k.env.Intf.keyspace in
+  Replica.converged t.k
   && (t.mode = `Single
      ||
      (* Replicas of a shard must also agree on the full version lists of
@@ -401,15 +328,14 @@ let converged t =
      !ok)
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("rejected", float_of_int t.n_rejected);
-    ("stale_writes_ignored", float_of_int t.n_stale_ignored);
-    ("fresh_reads", float_of_int t.n_fresh_reads);
-    ("vtnc_reads", float_of_int t.n_vtnc_reads);
-  ]
+  Replica.stats t.k
+    [
+      ("rejected", float_of_int t.k.rejected);
+      ("stale_writes_ignored", float_of_int t.n_stale_ignored);
+      ("fresh_reads", float_of_int t.n_fresh_reads);
+      ("vtnc_reads", float_of_int t.n_vtnc_reads);
+    ]
 
 (* RITU applies on receipt (stale stamps are ignored or become versions),
    so there is no receipt journal; the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources t.k ~site

@@ -25,7 +25,6 @@
     returns. *)
 
 module Op = Esr_store.Op
-module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
 module Et = Esr_core.Et
@@ -33,7 +32,6 @@ module Lock_table = Esr_cc.Lock_table
 module Lock_mgr = Esr_cc.Lock_mgr
 module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
-module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
 type msg =
@@ -69,7 +67,7 @@ type waiting_q = {
 
 type site = {
   id : int;
-  replica : Replica.t;  (* durable log, store image, up/down *)
+  replica : Replica.site;  (* durable log, store image, up/down *)
   locks : Lock_mgr.t;
       (* prepared W-locks are durable (classic prepared-state-in-the-WAL);
          query R-requests are cancelled at crash, so the table never holds
@@ -82,21 +80,13 @@ type site = {
 }
 
 type t = {
-  env : Intf.env;
-  dests : Sharding.Dests.t;  (* reusable routing cursor (submit path) *)
+  k : msg Replica.t;
   sites : site array;
-  fabric : msg Squeue.t;
   coords : (Et.id, coord_state) Hashtbl.t;
-  mutable deferred_local : (int * msg) list;
-      (* a site's own 2PC records landing while it is down (same-site
-         shortcut messages); replayed in order at recovery.  Newest
-         first. *)
   global_locks : Lock_mgr.t;
       (* the lock service at site 0: serializes update ETs globally, in
          sorted key order, so update/update distributed deadlocks cannot
          form (primary-site 2PL à la Alsberg–Day) *)
-  mutable n_updates : int;
-  mutable n_queries : int;
   mutable n_aborted : int;
   mutable n_lock_waits : int;
 }
@@ -126,6 +116,8 @@ let acquire_all t locks ~txn requests ~ok ~fail =
   in
   next requests
 
+let post t ~src ~dst msg = Replica.post t.k ~src ~dst msg
+
 let rec receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
   match msg with
@@ -151,7 +143,7 @@ let rec receive t ~site:site_id msg =
             (* Phase 1 proper: prepare at every participant, coordinator
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
-            Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:coord.c_site
+            Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:coord.c_site
               Prof.Propagate (fun () ->
                 Array.iter
                   (fun dst ->
@@ -170,8 +162,8 @@ let rec receive t ~site:site_id msg =
       let ops =
         List.filter
           (fun (key, _) ->
-            Sharding.replicates_id t.env.Intf.sharding ~site:site_id
-              ~id:(Keyspace.find t.env.Intf.keyspace key))
+            Sharding.replicates_id t.k.env.Intf.sharding ~site:site_id
+              ~id:(Keyspace.find t.k.env.Intf.keyspace key))
           ops
       in
       let requests =
@@ -203,36 +195,12 @@ let rec receive t ~site:site_id msg =
           if not commit then Hashtbl.replace site.aborted et ()
       | Some ops ->
           Hashtbl.remove site.prepared et;
-          if commit then begin
-            let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-            if Trace.on trace then
-              Trace.emit trace ~time:(Engine.now t.env.engine)
-                (Trace.Mset_applied
-                   { et; site = site.id; n_ops = List.length ops; order = None });
-            Prof.span t.env.Intf.obs.Esr_obs.Obs.prof ~site:site.id Prof.Apply
-              (fun () ->
-                List.iter
-                  (fun (key, op) ->
-                    (match Store.apply_unit site.replica.store key op with
-                    | Ok () -> ()
-                    | Error _ -> invalid_arg "2PC: op failed to apply");
-                    Replica.log site.replica ~et ~key op)
-                  ops)
-          end;
+          if commit then
+            Replica.apply t.k ~site:site_id ~et ~n_ops:(List.length ops)
+              ~order:(-1) Replica.apply_ops site.replica et ops;
           Lock_mgr.release_all site.locks ~txn:et);
       post t ~src:site_id ~dst:coordinator (Done { et })
   | Done { et } -> coordinator_done t et
-
-(* Same-site messages shortcut the network (a site talking to itself);
-   while the site is down they are stashed as durable records and
-   replayed at recovery, mirroring what the stable queue does for remote
-   traffic. *)
-and post t ~src ~dst msg =
-  if src = dst then
-    if t.sites.(dst).replica.down then
-      t.deferred_local <- (dst, msg) :: t.deferred_local
-    else receive t ~site:dst msg
-  else Squeue.send t.fabric ~src ~dst msg
 
 and coordinator_vote t et yes =
   match Hashtbl.find_opt t.coords et with
@@ -245,9 +213,7 @@ and coordinator_vote t et yes =
         if coord.c_votes = 0 then begin
           coord.c_decided <- true;
           let commit = not coord.c_aborted in
-          if commit then
-            coord.c_notify
-              (Intf.Committed { committed_at = Engine.now t.env.engine })
+          if commit then Replica.commit t.k coord.c_notify
           else begin
             t.n_aborted <- t.n_aborted + 1;
             coord.c_notify (Intf.Rejected "2PC: aborted (deadlock vote)")
@@ -276,79 +242,35 @@ and coordinator_done t et =
       if coord.c_acks = 0 then Hashtbl.remove t.coords et
 
 let create (env : Intf.env) =
-  let rec t =
-    lazy
-      (let fabric =
-         Squeue.create ~mode:Squeue.Unordered
-           ~retry_interval:env.Intf.config.Intf.retry_interval
-           ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
-           ~handler:(fun ~site ~src:_ msg -> receive (Lazy.force t) ~site msg)
-       in
-       {
-         env;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
-         sites =
-           Array.init env.Intf.sites (fun id ->
-               {
-                 id;
-                 replica = Replica.make env ~site:id;
-                 locks = Lock_mgr.create ~table:Lock_table.standard ();
-                 prepared = Hashtbl.create 16;
-                 aborted = Hashtbl.create 16;
-                 waiting = [];
-               });
-         fabric;
-         coords = Hashtbl.create 32;
-         deferred_local = [];
-         global_locks = Lock_mgr.create ~table:Lock_table.standard ();
-         n_updates = 0;
-         n_queries = 0;
-         n_aborted = 0;
-         n_lock_waits = 0;
-       })
-  in
-  Lazy.force t
-
-let intent_to_op = function
-  | Intf.Set (k, v) -> (k, Op.Write v)
-  | Intf.Add (k, d) -> (k, Op.Incr d)
-  | Intf.Mul (k, f) -> (k, Op.Mult f)
+  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+      {
+        k;
+        sites =
+          Array.map
+            (fun replica ->
+              {
+                id = replica.Replica.site;
+                replica;
+                locks = Lock_mgr.create ~table:Lock_table.standard ();
+                prepared = Hashtbl.create 16;
+                aborted = Hashtbl.create 16;
+                waiting = [];
+              })
+            k.Replica.sites;
+        coords = Hashtbl.create 32;
+        global_locks = Lock_mgr.create ~table:Lock_table.standard ();
+        n_aborted = 0;
+        n_lock_waits = 0;
+      })
 
 let submit_update t ~origin intents notify =
-  if t.sites.(origin).replica.down then
-    notify (Intf.Rejected "origin site down")
-  else if intents = [] then notify (Intf.Rejected "empty update ET")
-  else begin
-    t.n_updates <- t.n_updates + 1;
-    let et = t.env.Intf.next_et () in
-    let ops = List.map intent_to_op intents in
-    let trace = t.env.Intf.obs.Esr_obs.Obs.trace in
-    if Trace.on trace then
-      Trace.emit trace ~time:(Engine.now t.env.engine)
-        (Trace.Mset_enqueued
-           {
-             et;
-             origin;
-             n_ops = List.length ops;
-             keys = List.map fst ops;
-           });
+  if Replica.admit t.k ~origin intents notify then begin
+    let et = t.k.env.Intf.next_et () in
+    let ops = List.map Intf.op_of_intent intents in
+    Replica.enqueued t.k ~et ~origin fst ops;
     (* Participants: the union of the touched shards' replica sets (keys
        interned here so every later lookup agrees on the shard). *)
-    let parts =
-      let c = t.dests in
-      Sharding.Dests.reset c;
-      List.iter
-        (fun (key, _) ->
-          Sharding.Dests.add_id c (Keyspace.intern t.env.Intf.keyspace key))
-        ops;
-      let arr = Array.make (Sharding.Dests.count c) 0 in
-      let i = ref 0 in
-      Sharding.Dests.iter c (fun s ->
-          arr.(!i) <- s;
-          incr i);
-      arr
-    in
+    let parts = Replica.participants t.k fst ops in
     let votes = Array.length parts in
     (* Every participant acks its decision, and so does the lock service
        at site 0 when it is not itself a participant. *)
@@ -373,7 +295,7 @@ let submit_update t ~origin intents notify =
     (* Presumed abort on timeout: covers distributed deadlocks (no global
        wait-for graph exists) and partitions that outlast patience. *)
     ignore
-      (Engine.schedule t.env.engine ~delay:t.env.Intf.config.Intf.twopc_timeout
+      (Engine.schedule t.k.env.engine ~delay:t.k.env.Intf.config.Intf.twopc_timeout
          (fun () ->
            if not coord.c_decided then begin
              coord.c_decided <- true;
@@ -383,31 +305,16 @@ let submit_update t ~origin intents notify =
            end))
   end
 
-let submit_query t ~site:site_id ~keys ~epsilon k =
-  ignore epsilon;
-  t.n_queries <- t.n_queries + 1;
+let submit_query t ~site:site_id ~keys ~epsilon:_ k =
   let site = t.sites.(site_id) in
-  let started_at = Engine.now t.env.engine in
-  let degraded () =
-    (* Graceful failure: a crashed site answers from its last image,
-       flagged degraded (2PC's normal path is always consistent). *)
-    k
-      {
-        Intf.values =
-          List.map (fun key -> (key, Store.get site.replica.store key)) keys;
-        charged = 0;
-        forced = 0;
-        consistent_path = false;
-        started_at;
-        served_at = Engine.now t.env.engine;
-      }
-  in
-  if site.replica.down then degraded ()
-  else begin
+  let started_at = Replica.now t.k in
+  (* A crashed site answers from its last image, degraded: 2PC's normal
+     path is always consistent. *)
+  if Replica.open_query t.k ~site:site_id ~keys ~started_at k then begin
     let rec attempt wq =
       if wq.wq_done then ()
       else begin
-        let et = t.env.Intf.next_et () in
+        let et = t.k.env.Intf.next_et () in
         wq.wq_et <- et;
         let requests = List.map (fun key -> (key, Lock_table.R, None)) keys in
         acquire_all t site.locks ~txn:et requests
@@ -416,27 +323,14 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             else begin
               wq.wq_done <- true;
               site.waiting <- List.filter (fun w -> w != wq) site.waiting;
-              let values =
-                List.map
-                  (fun key ->
-                    Replica.log site.replica ~et ~key Op.Read;
-                    (key, Store.get site.replica.store key))
-                  keys
-              in
+              let values = Replica.read_all t.k ~site:site_id ~et keys in
               Lock_mgr.release_all site.locks ~txn:et;
-              k
-                {
-                  Intf.values;
-                  charged = 0;
-                  forced = 0;
-                  consistent_path = true;
-                  started_at;
-                  served_at = Engine.now t.env.engine;
-                }
+              Replica.answer t.k k ~started_at ~charged:0 ~forced:0
+                ~consistent:true values
             end)
           ~fail:(fun () ->
             (* Deadlocked against prepared writers: retry after a beat. *)
-            ignore (Engine.schedule t.env.engine ~delay:5.0 (fun () -> attempt wq)))
+            ignore (Engine.schedule t.k.env.engine ~delay:5.0 (fun () -> attempt wq)))
       end
     in
     let rec wq =
@@ -448,7 +342,8 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
             (* Cancel the (possibly queued) lock request so the dead
                query never blocks writers, then answer degraded. *)
             Lock_mgr.release_all site.locks ~txn:wq.wq_et;
-            degraded ());
+            Replica.answer t.k k ~started_at ~charged:0 ~forced:0
+              ~consistent:false (Replica.image t.k ~site:site_id keys));
       }
     in
     site.waiting <- wq :: site.waiting;
@@ -459,7 +354,7 @@ let flush _ = ()
 
 let on_crash t ~site:site_id =
   let site = t.sites.(site_id) in
-  Replica.crash t.env site.replica ~drop:(fun () ->
+  Replica.crash t.k ~site:site_id ~drop:(fun () ->
       (* Prepared transactions survive (prepared-state-in-the-WAL keeps
          their W-locks held — the classic 2PC blocking window); what dies
          is the volatile wait contexts: queries queued on locks fail
@@ -478,13 +373,8 @@ let on_crash t ~site:site_id =
          the stable queue reaches them; the local record is replayed at
          recovery. *)
       let orphaned =
-        Hashtbl.fold
-          (fun et coord acc ->
-            if coord.c_site = site_id && not coord.c_decided then
-              (et, coord) :: acc
-            else acc)
-          t.coords []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        Replica.orphans t.coords (fun coord ->
+            coord.c_site = site_id && not coord.c_decided)
       in
       List.iter
         (fun (_, coord) ->
@@ -499,35 +389,26 @@ let on_crash t ~site:site_id =
         updates_rejected = List.length orphaned;
       })
 
-let on_recover t ~site:site_id =
-  (* After the log replay, the site's own 2PC records that landed while it
-     was down. *)
-  if Replica.recover t.env t.sites.(site_id).replica then begin
-    let mine, others =
-      List.partition (fun (s, _) -> s = site_id) (List.rev t.deferred_local)
-    in
-    t.deferred_local <- List.rev others;
-    List.iter (fun (_, msg) -> receive t ~site:site_id msg) mine
-  end
+(* After the log replay, the kernel delivers the site's own 2PC records
+   that landed while it was down. *)
+let on_recover t ~site = Replica.recover t.k ~site
+let checkpoint t ~site = Replica.cut t.k ~site
 
-let checkpoint t ~site = Replica.cut t.env t.fabric t.sites.(site).replica
+let quiescent t = Hashtbl.length t.coords = 0 && t.k.deferred = []
+let backlog t = Hashtbl.length t.coords + List.length t.k.deferred
 
-let quiescent t = Hashtbl.length t.coords = 0 && t.deferred_local = []
-let backlog t = Hashtbl.length t.coords + List.length t.deferred_local
-
-let store t ~site = t.sites.(site).replica.store
+let store t ~site = Replica.store t.k ~site
 let mvstore _ ~site:_ = None
-let history t ~site = t.sites.(site).replica.hist
-let converged t = Replica.converged t.env (fun site -> t.sites.(site).replica)
+let history t ~site = Replica.history t.k ~site
+let converged t = Replica.converged t.k
 
 let stats t =
-  [
-    ("updates", float_of_int t.n_updates);
-    ("queries", float_of_int t.n_queries);
-    ("aborted", float_of_int t.n_aborted);
-    ("lock_waits", float_of_int t.n_lock_waits);
-  ]
+  Replica.stats t.k
+    [
+      ("aborted", float_of_int t.n_aborted);
+      ("lock_waits", float_of_int t.n_lock_waits);
+    ]
 
 (* 2PC's durable protocol state is the prepared table, not a receipt
    journal, so the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.fabric t.sites.(site).replica
+let resources t ~site = Replica.resources t.k ~site
