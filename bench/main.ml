@@ -43,6 +43,14 @@ let run_target name =
       list_targets ();
       exit 1
 
+(* The scale factor of --scale or ESR_SCALE: a finite positive number. *)
+let set_scale ~source s =
+  match float_of_string_opt (String.trim s) with
+  | Some f when Float.is_finite f && f > 0.0 -> Esr_bench.Experiments.scale := f
+  | Some _ | None ->
+      Printf.eprintf "%s expects a finite positive number, got %S\n" source s;
+      exit 1
+
 (* Strip --domains N / --scale F / --profile anywhere in the argument
    list; remaining arguments are target names. *)
 let rec parse_args = function
@@ -60,21 +68,17 @@ let rec parse_args = function
   | [ "--domains" ] ->
       prerr_endline "--domains expects a positive integer";
       exit 1
-  | "--scale" :: f :: rest -> (
-      match float_of_string_opt f with
-      | Some s when s > 0.0 ->
-          Esr_bench.Experiments.set_scale s;
-          parse_args rest
-      | Some _ | None ->
-          Printf.eprintf "--scale expects a positive number, got %S\n" f;
-          exit 1)
+  | "--scale" :: f :: rest ->
+      set_scale ~source:"--scale" f;
+      parse_args rest
   | [ "--scale" ] ->
-      prerr_endline "--scale expects a positive number";
+      prerr_endline "--scale expects a finite positive number";
       exit 1
   | x :: rest -> x :: parse_args rest
   | [] -> []
 
-let () =
+let main () =
+  Option.iter (set_scale ~source:"ESR_SCALE") (Sys.getenv_opt "ESR_SCALE");
   match parse_args (List.tl (Array.to_list Sys.argv)) with
   | [] ->
       print_endline
@@ -89,3 +93,12 @@ let () =
       List.iter (fun (_, f) -> f ()) targets
   | [ "list" ] -> list_targets ()
   | args -> List.iter run_target args
+
+(* A file a target cannot open or write (ESR_SOAK_DIR under a missing
+   directory, a BENCH_experiments.json path that cannot be written) ends
+   the run with one line naming the path. *)
+let () =
+  try main ()
+  with Sys_error m ->
+    Printf.eprintf "bench: %s\n" m;
+    exit 1

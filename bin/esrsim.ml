@@ -158,10 +158,7 @@ let make_sharding ~sites ~placement ~shards ~replication =
 
 let parse_profile ~meth s =
   match String.lowercase_ascii s with
-  | "auto" -> (
-      match String.uppercase_ascii meth with
-      | "RITU" | "QUORUM" -> Ok Spec.Blind_set
-      | _ -> Ok Spec.Additive)
+  | "auto" -> Ok (Spec.method_profile meth)
   | "additive" -> Ok Spec.Additive
   | "blind-set" | "blind_set" | "set" -> Ok Spec.Blind_set
   | other ->
@@ -219,16 +216,18 @@ let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
   let* profile = parse_profile ~meth profile in
   let spec =
     {
-      Spec.duration;
-      update_rate;
-      query_rate;
-      n_keys = keys;
-      zipf_theta = theta;
-      ops_per_update =
-        (if String.uppercase_ascii meth = "QUORUM" then 1 else 2);
-      keys_per_query = 2;
-      epsilon = Epsilon.spec_of_int epsilon;
-      profile;
+      (Spec.for_method meth
+         {
+           Spec.default with
+           Spec.duration;
+           update_rate;
+           query_rate;
+           n_keys = keys;
+           zipf_theta = theta;
+           epsilon = Epsilon.spec_of_int epsilon;
+         })
+      with
+      Spec.profile;
     }
   in
   let net_config =
@@ -253,22 +252,6 @@ let or_exit = function
   | Error (`Msg m) ->
       prerr_endline m;
       exit 1
-
-(* The fault generator's profile for [nemesis] and [audit], its flags
-   checked: out of range, a bias turns every window into a crash (or, as
-   NaN, into a partition). *)
-let nemesis_profile ~windows ~crash_bias =
-  or_exit
-    (check_flags
-       [
-         ("windows", windows >= 0, "at least 0");
-         ("crash-bias", crash_bias >= 0.0 && crash_bias <= 1.0, "in [0, 1]");
-       ]);
-  { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
-
-(* [-m all] on nemesis and audit: every registered method. *)
-let methods_of meth =
-  if String.lowercase_ascii meth = "all" then Registry.names else [ meth ]
 
 let write_trace ?(extra = []) ~file ~format ~sites (trace : Trace.t) =
   let oc = open_out file in
@@ -547,7 +530,7 @@ let run_cmd =
     add "query inconsistency units mean/max"
       (Printf.sprintf "%.2f / %.0f"
          (Stats.mean r.Scenario.charged)
-         (if Stats.count r.Scenario.charged = 0 then 0.0 else Stats.max r.Scenario.charged));
+         (Stats.max r.Scenario.charged));
     add "query value error mean" (Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error));
     add "SR-path queries" (string_of_int r.Scenario.fallback_queries);
     add "throughput (upd/s)" (Printf.sprintf "%.1f" (Scenario.throughput r));
@@ -629,7 +612,55 @@ let run_cmd =
       $ trace_format_arg $ print_metrics_arg $ metrics_file_arg
       $ series_file_arg $ series_interval_arg $ prof_file_arg $ audit_flag_arg)
 
-(* --- nemesis --- *)
+(* --- nemesis and audit: seeded fault campaigns --- *)
+
+let campaign_method_arg verb =
+  let doc = Printf.sprintf "Method to %s, or 'all' for the whole registry." verb in
+  Arg.(value & opt string "all" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+
+let windows_arg =
+  Arg.(
+    value & opt int Nemesis.default_profile.Nemesis.max_faults
+    & info [ "windows" ] ~docv:"N" ~doc:"Fault windows to generate.")
+
+let crash_bias_arg =
+  Arg.(
+    value
+    & opt float Nemesis.default_profile.Nemesis.crash_bias
+    & info [ "crash-bias" ] ~docv:"P"
+        ~doc:"Probability a window is a crash rather than a partition.")
+
+(* A campaign's scenario per method ([-m all]: every registered one) under
+   the fixed flags both commands use, and its seeded nemesis schedule,
+   printed.  Every flag is checked first: out of range, a bias turns every
+   window into a crash (or, as NaN, into a partition). *)
+let campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
+    ~epsilon ~seed ~windows ~crash_bias =
+  let scenarios =
+    List.map
+      (fun meth ->
+        ( meth,
+          or_exit
+            (prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate
+               ~keys ~theta ~epsilon ~profile:"auto" ~loss:0.0 ~latency:10.0
+               ~ordering:`Sequencer ~ritu_mode:`Single ~abort_p:0.0) ))
+      (if String.lowercase_ascii meth = "all" then Registry.names else [ meth ])
+  in
+  or_exit
+    (check_flags
+       [
+         ("windows", windows >= 0, "at least 0");
+         ("crash-bias", crash_bias >= 0.0 && crash_bias <= 1.0, "in [0, 1]");
+       ]);
+  let profile =
+    { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
+  in
+  let schedule =
+    Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
+  in
+  Printf.printf "nemesis schedule (seed %d): %s\n" seed
+    (Schedule.to_spec schedule);
+  (scenarios, schedule)
 
 let nemesis_cmd =
   let doc =
@@ -638,22 +669,6 @@ let nemesis_cmd =
      that the method survives it: the system settles and the replicas \
      converge.  With --method all, every registered method faces the \
      same schedule; any failure makes the exit status non-zero."
-  in
-  let all_method_arg =
-    let doc = "Method to stress, or 'all' for the whole registry." in
-    Arg.(value & opt string "all" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
-  in
-  let windows_arg =
-    Arg.(
-      value & opt int Nemesis.default_profile.Nemesis.max_faults
-      & info [ "windows" ] ~docv:"N" ~doc:"Fault windows to generate.")
-  in
-  let crash_bias_arg =
-    Arg.(
-      value
-      & opt float Nemesis.default_profile.Nemesis.crash_bias
-      & info [ "crash-bias" ] ~docv:"P"
-          ~doc:"Probability a window is a crash rather than a partition.")
   in
   let trace_dir_arg =
     Arg.(
@@ -681,23 +696,10 @@ let nemesis_cmd =
   in
   let run meth sites duration update_rate query_rate keys theta seed windows
       crash_bias trace_dir series_dir metrics_dir =
-    let scenarios =
-      List.map
-        (fun meth ->
-          ( meth,
-            or_exit
-              (prepare_scenario ~meth ~sites ~duration ~update_rate
-                 ~query_rate ~keys ~theta ~epsilon:(-1) ~profile:"auto"
-                 ~loss:0.0 ~latency:10.0 ~ordering:`Sequencer
-                 ~ritu_mode:`Single ~abort_p:0.0) ))
-        (methods_of meth)
+    let scenarios, schedule =
+      campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
+        ~epsilon:(-1) ~seed ~windows ~crash_bias
     in
-    let profile = nemesis_profile ~windows ~crash_bias in
-    let schedule =
-      Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
-    in
-    Printf.printf "nemesis schedule (seed %d): %s\n" seed
-      (Schedule.to_spec schedule);
     List.iter
       (function
         | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
@@ -795,9 +797,10 @@ let nemesis_cmd =
   in
   Cmd.v (Cmd.info "nemesis" ~doc)
     Term.(
-      const run $ all_method_arg $ sites_arg $ duration_arg $ update_rate_arg
-      $ query_rate_arg $ keys_arg $ theta_arg $ seed_arg $ windows_arg
-      $ crash_bias_arg $ trace_dir_arg $ series_dir_arg $ metrics_dir_arg)
+      const run $ campaign_method_arg "stress" $ sites_arg $ duration_arg
+      $ update_rate_arg $ query_rate_arg $ keys_arg $ theta_arg $ seed_arg
+      $ windows_arg $ crash_bias_arg $ trace_dir_arg $ series_dir_arg
+      $ metrics_dir_arg)
 
 (* --- report --- *)
 
@@ -849,10 +852,6 @@ let audit_cmd =
      when any invariant is violated; each violation pins the first \
      offending trace event."
   in
-  let all_method_arg =
-    let doc = "Method to audit, or 'all' for the whole registry." in
-    Arg.(value & opt string "all" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
-  in
   let trace_in_arg =
     Arg.(
       value
@@ -875,18 +874,6 @@ let audit_cmd =
       & info [ "sharded" ]
           ~doc:"Also audit each method under ring-sharded partial \
                 replication (placement ring, default shard count).")
-  in
-  let windows_arg =
-    Arg.(
-      value & opt int Nemesis.default_profile.Nemesis.max_faults
-      & info [ "windows" ] ~docv:"N" ~doc:"Fault windows to generate.")
-  in
-  let crash_bias_arg =
-    Arg.(
-      value
-      & opt float Nemesis.default_profile.Nemesis.crash_bias
-      & info [ "crash-bias" ] ~docv:"P"
-          ~doc:"Probability a window is a crash rather than a partition.")
   in
   let label_arg =
     Arg.(
@@ -921,27 +908,14 @@ let audit_cmd =
         Format.printf "%a" Audit.pp_report report;
         record report
     | None ->
-        let scenarios =
-          List.map
-            (fun meth ->
-              ( meth,
-                or_exit
-                  (prepare_scenario ~meth ~sites ~duration ~update_rate
-                     ~query_rate ~keys ~theta ~epsilon ~profile:"auto"
-                     ~loss:0.0 ~latency:10.0 ~ordering:`Sequencer
-                     ~ritu_mode:`Single ~abort_p:0.0) ))
-            (methods_of meth)
-        in
         let checkpoint =
           make_checkpoint ~interval:checkpoint_interval
             ~retain:checkpoint_retain
         in
-        let profile = nemesis_profile ~windows ~crash_bias in
-        let schedule =
-          Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
+        let scenarios, schedule =
+          campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys
+            ~theta ~epsilon ~seed ~windows ~crash_bias
         in
-        Printf.printf "nemesis schedule (seed %d): %s\n" seed
-          (Schedule.to_spec schedule);
         let placements = `Full :: (if sharded then [ `Ring ] else []) in
         let t =
           Tablefmt.create
@@ -1019,9 +993,10 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const run $ all_method_arg $ sites_arg $ duration_arg $ update_rate_arg
-      $ query_rate_arg $ keys_arg $ theta_arg $ epsilon_arg $ seed_arg
-      $ windows_arg $ crash_bias_arg $ sharded_arg $ checkpoint_interval_arg
+      const run $ campaign_method_arg "audit" $ sites_arg $ duration_arg
+      $ update_rate_arg $ query_rate_arg $ keys_arg $ theta_arg $ epsilon_arg
+      $ seed_arg $ windows_arg $ crash_bias_arg $ sharded_arg
+      $ checkpoint_interval_arg
       $ checkpoint_retain_arg $ trace_in_arg $ ledger_arg $ label_arg)
 
 let report_cmd =

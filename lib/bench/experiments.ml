@@ -5,13 +5,13 @@
    is the *shape*: who wins, what is bounded, where behaviour changes.
    All runs are deterministic given the seed printed in the header.
 
-   Execution model: every experiment first builds a list of row *jobs* —
-   pure closures, each wrapping one self-contained simulation
-   ([Scenario.run] or an inline harness) and returning one formatted
-   table row — and fans them out over the {!Esr_exec.Pool} domain pool.
-   Rows come back in submission order and are only then appended to the
-   table, so the printed output is byte-identical to a sequential run
-   for any worker count (ESR_DOMAINS=1 and =N produce the same bytes). *)
+   Execution model: an experiment is a title, a parameter list and a row
+   job — one self-contained simulation ([Scenario.run] or an inline
+   harness) per parameter, returning its row as (header, cell) pairs.
+   {!grid} fans the jobs out over the {!Esr_exec.Pool} domain pool; rows
+   come back in parameter order and are only then appended to the table,
+   so the printed output is byte-identical to a sequential run for any
+   worker count (ESR_DOMAINS=1 and =N produce the same bytes). *)
 
 module Tablefmt = Esr_util.Tablefmt
 module Stats = Esr_util.Stats
@@ -22,27 +22,24 @@ module Engine = Esr_sim.Engine
 module Squeue = Esr_squeue.Squeue
 module Epsilon = Esr_core.Epsilon
 module Intf = Esr_replica.Intf
+module Harness = Esr_replica.Harness
+module Registry = Esr_replica.Registry
 module Spec = Esr_workload.Spec
 module Scenario = Esr_workload.Scenario
+module Schedule = Esr_fault.Schedule
+module Nemesis = Esr_fault.Nemesis
+module Obs = Esr_obs.Obs
+module Series = Esr_obs.Series
+module Trace = Esr_obs.Trace
 module Pool = Esr_exec.Pool
 
 let seed = 20260704
 
-(* --- scale knob (E15) ----------------------------------------------- *)
-
-(* Multiplier on the E15 scale-tier workload: sites, keys and update
-   volume all scale linearly, so `--scale 0.02` (or ESR_SCALE=0.02) is a
-   CI-sized smoke of the same shape.  1.0 is the full million-op tier. *)
-let scale =
-  ref
-    (match Sys.getenv_opt "ESR_SCALE" with
-    | None -> 1.0
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some f when f > 0.0 -> f
-        | Some _ | None -> 1.0))
-
-let set_scale f = if f > 0.0 then scale := f
+(* Multiplier on the scale-tier workloads (E15-E18): sites, keys and
+   update volume or horizon grow with it, so 0.02 is a CI-sized smoke of
+   the same shape and 1.0 the full tier.  bench/main.ml sets it from
+   --scale or ESR_SCALE. *)
+let scale = ref 1.0
 
 (* Side channel for the timed sweep: experiments that track their applied
    update-operation volume add it here; {!Timing} reads and resets it
@@ -60,563 +57,526 @@ let take_applied () =
 (* The "very slow links / moderately high latency" regime of §2.4. *)
 let wan = Net.wan_config
 
+(* 2PC's coordinator outlasts every fault window instead of aborting. *)
+let fault_config = { Intf.default_config with Intf.twopc_timeout = 30_000.0 }
+
+(* The async methods of the scale tiers (E15, E17). *)
+let scale_methods = [ "ORDUP"; "COMMU"; "RITU"; "QUASI" ]
+
 let fmt_ms v = Printf.sprintf "%.1f" v
 let fmt_pct num den =
   if den = 0 then "n/a" else Printf.sprintf "%.0f%%" (100.0 *. float_of_int num /. float_of_int den)
+let fmt_rate p = Printf.sprintf "%.0f%%" (p *. 100.0)
 
-let profile_for name =
-  match name with
-  | "RITU" | "QUORUM" -> Spec.Blind_set
-  | _ -> Spec.Additive
+(* --- the table path ------------------------------------------------ *)
 
-let stat r name = Option.value (Scenario.method_stat r name) ~default:0.0
-
-(* Run the row jobs on the pool; results arrive in job order. *)
-let par_rows jobs = Pool.map (fun job -> job ()) jobs
-
-let add_rows t rows = List.iter (Tablefmt.add_row t) rows
-
-(* Append rows with a separator after every [per_group] of them — the
-   grids below are ordered outer-dimension-major, so this reproduces the
-   per-outer-group separators of the sequential tables. *)
-let add_grouped t ~per_group rows =
+(* Run [row] for every parameter on the pool and print one table row per
+   parameter, in parameter order, with a separator after every [group]
+   rows (the grids are ordered outer-dimension-major).  A row is its
+   (header, cell) pairs, so the headers come from the rows.  [applied]
+   names the integer columns whose sum is the applied update-op volume
+   the timed sweep divides by wall-clock. *)
+let grid ~title ?group ?(applied = []) params row =
+  let rows = Pool.map row params in
+  note_applied
+    (List.fold_left
+       (fun a row ->
+         List.fold_left (fun a h -> a + int_of_string (List.assoc h row)) a applied)
+       0 rows);
+  let headers = match rows with [] -> [] | row :: _ -> List.map fst row in
+  let t = Tablefmt.create ~title ~headers in
   List.iteri
     (fun i row ->
-      Tablefmt.add_row t row;
-      if (i + 1) mod per_group = 0 then Tablefmt.add_separator t)
-    rows
+      Tablefmt.add_row t (List.map snd row);
+      match group with
+      | Some g when (i + 1) mod g = 0 -> Tablefmt.add_separator t
+      | Some _ | None -> ())
+    rows;
+  Tablefmt.print t
+
+(* Every pair, outer-major: the row order of a two-dimensional grid. *)
+let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+(* Cells, each beside its header. *)
+let int h v = (h, Tablefmt.cell_int v)
+let bool h v = (h, Tablefmt.cell_bool v)
+let num h v = (h, Tablefmt.cell_float v)
+let mean h s = (h, Printf.sprintf "%.2f" (Stats.mean s))
+let upd_lat r q =
+  ( Printf.sprintf "Upd lat p%.0f (ms)" q,
+    fmt_ms (Stats.percentile r.Scenario.update_latency q) )
+let query_lat r q =
+  ( Printf.sprintf "Query lat p%.0f (ms)" q,
+    fmt_ms (Stats.percentile r.Scenario.query_latency q) )
+let stat r h name = num h (Scenario.method_stat r name)
+
+let count committed = function
+  | Intf.Committed _ -> incr committed
+  | Intf.Rejected _ -> ()
+
+(* Durable-log replays in the trace, one per recovery. *)
+let replays obs =
+  let n = ref 0 in
+  Trace.iter obs.Obs.trace (fun r ->
+      match r.Trace.ev with Trace.Recovery_replay _ -> incr n | _ -> ());
+  !n
+
+(* [f site] summed over the sites of [h], and a resource gauge summed. *)
+let sum_sites h f =
+  List.fold_left (fun a site -> a + f site) 0
+    (List.init (Harness.env h).Intf.sites Fun.id)
+
+let sum_res h f =
+  sum_sites h (fun site -> f (Intf.boxed_resources (Harness.system h) ~site))
+
+(* The durable-log depth summed over sites, read off one series sample. *)
+let log_depth series ~sites =
+  let cols =
+    List.filter_map
+      (fun i ->
+        Series.column_index series (Printf.sprintf "res/log_entries.s%d" i))
+      (List.init sites Fun.id)
+  in
+  fun (smp : Series.sample) ->
+    List.fold_left (fun a c -> a +. smp.Series.values.(c)) 0.0 cols
+
+(* The fixed update stream of E13, E14, E16 and E18: [n] single-key
+   updates, the i-th at [(i+1) * every] on key [k(i mod keys)] from site
+   [i mod sites] — a blind write of [1000 + i] or an increment by
+   [1 + i mod 3], whichever the method admits.  [outcome ~time intents]
+   runs at submit time and returns the update's outcome callback. *)
+let update_stream h ~name ~n ~every ~keys outcome =
+  let profile = Spec.method_profile name in
+  let sites = (Harness.env h).Intf.sites in
+  for i = 0 to n - 1 do
+    let time = float_of_int (i + 1) *. every in
+    ignore
+      (Engine.schedule_at (Harness.engine h) ~time (fun () ->
+           let key = Printf.sprintf "k%d" (i mod keys) in
+           let intents =
+             [ Spec.intent profile key ~set:(1_000 + i) ~add:(1 + (i mod 3)) ]
+           in
+           Harness.submit_update h ~origin:(i mod sites) intents
+             (outcome ~time intents)))
+  done
+
+(* A 2+2 partition of four sites over [from, until). *)
+let split ~from ~until =
+  Schedule.make
+    [
+      { Schedule.at = from; action = Schedule.Partition [ [ 0; 1 ]; [ 2; 3 ] ] };
+      { Schedule.at = until; action = Schedule.Heal };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: scalability — asynchronous methods vs synchronous baselines     *)
 (* ------------------------------------------------------------------ *)
 
 let e1_scalability () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E1: scaling the number of replicas (WAN links; update latency and \
-         success; paper claim Sec 1/2.4: synchronous methods degrade with \
-         size, asynchronous methods do not)"
-      ~headers:
-        [ "Method"; "Sites"; "Committed"; "Rejected"; "Upd lat p50 (ms)";
-          "Upd lat p95 (ms)"; "Query lat p50 (ms)"; "Throughput (upd/s)" ]
-  in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ] in
-  let sites_list = [ 2; 4; 8; 16 ] in
-  let jobs =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun sites () ->
-            let spec =
-              {
-                Spec.default with
-                Spec.duration = 4_000.0;
-                update_rate = 0.02;
-                query_rate = 0.02;
-                n_keys = 24;
-                ops_per_update = 1;
-                keys_per_query = 1;
-                profile = profile_for name;
-                epsilon = Epsilon.Unlimited;
-              }
-            in
-            let r = Scenario.run ~seed ~net_config:wan ~sites ~method_name:name spec in
-            [
-              name;
-              Tablefmt.cell_int sites;
-              Tablefmt.cell_int r.Scenario.committed;
-              Tablefmt.cell_int r.Scenario.rejected;
-              fmt_ms (Stats.median r.Scenario.update_latency);
-              fmt_ms (Stats.percentile r.Scenario.update_latency 95.0);
-              fmt_ms (Stats.median r.Scenario.query_latency);
-              Printf.sprintf "%.1f" (Scenario.throughput r);
-            ])
-          sites_list)
-      methods
-  in
-  add_grouped t ~per_group:(List.length sites_list) (par_rows jobs);
-  Tablefmt.print t
+  grid ~group:4
+    ~title:
+      "E1: scaling the number of replicas (WAN links; update latency and \
+       success; paper claim Sec 1/2.4: synchronous methods degrade with \
+       size, asynchronous methods do not)"
+    (cross Registry.names [ 2; 4; 8; 16 ])
+    (fun (name, sites) ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.02;
+          query_rate = 0.02;
+          n_keys = 24;
+          ops_per_update = 1;
+          keys_per_query = 1;
+        }
+      in
+      let r =
+        Scenario.run ~seed ~net_config:wan ~sites ~method_name:name
+          (Spec.for_method name spec)
+      in
+      [
+        ("Method", name);
+        int "Sites" sites;
+        int "Committed" r.Scenario.committed;
+        int "Rejected" r.Scenario.rejected;
+        upd_lat r 50.0;
+        upd_lat r 95.0;
+        query_lat r 50.0;
+        ("Throughput (upd/s)", Printf.sprintf "%.1f" (Scenario.throughput r));
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E2: the epsilon dial — bounded inconsistency, SR in the limit       *)
 (* ------------------------------------------------------------------ *)
 
 let e2_epsilon () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E2: query inconsistency vs epsilon (ORDUP, 6 sites, WAN; paper \
-         claim Sec 2.2/3.1: error bounded by overlap, eps=0 recovers SR)"
-      ~headers:
-        [ "Epsilon"; "Max units charged"; "Mean units"; "Mean value error";
-          "Max value error"; "SR fallbacks"; "Query lat p50 (ms)"; "Query lat p95 (ms)" ]
-  in
-  let jobs =
-    List.map
-      (fun eps () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 4_000.0;
-            update_rate = 0.05;
-            query_rate = 0.05;
-            n_keys = 8;
-            zipf_theta = 0.9;
-            ops_per_update = 2;
-            keys_per_query = 2;
-            epsilon = eps;
-          }
-        in
-        let r = Scenario.run ~seed ~net_config:wan ~sites:6 ~method_name:"ORDUP" spec in
-        let charged = r.Scenario.charged in
-        [
-          Epsilon.spec_to_string eps;
-          Tablefmt.cell_float (if Stats.count charged = 0 then 0.0 else Stats.max charged);
-          Printf.sprintf "%.2f" (Stats.mean charged);
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error);
-          Tablefmt.cell_float
-            (if Stats.count r.Scenario.value_error = 0 then 0.0
-             else Stats.max r.Scenario.value_error);
-          Tablefmt.cell_int r.Scenario.fallback_queries;
-          fmt_ms (Stats.median r.Scenario.query_latency);
-          fmt_ms (Stats.percentile r.Scenario.query_latency 95.0);
-        ])
+  grid
+    ~title:
+      "E2: query inconsistency vs epsilon (ORDUP, 6 sites, WAN; paper \
+       claim Sec 2.2/3.1: error bounded by overlap, eps=0 recovers SR)"
+    [
+      Epsilon.Limit 0; Epsilon.Limit 1; Epsilon.Limit 2; Epsilon.Limit 4;
+      Epsilon.Limit 8; Epsilon.Unlimited;
+    ]
+    (fun eps ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.05;
+          query_rate = 0.05;
+          n_keys = 8;
+          zipf_theta = 0.9;
+          ops_per_update = 2;
+          keys_per_query = 2;
+          epsilon = eps;
+        }
+      in
+      let r = Scenario.run ~seed ~net_config:wan ~sites:6 ~method_name:"ORDUP" spec in
       [
-        Epsilon.Limit 0; Epsilon.Limit 1; Epsilon.Limit 2; Epsilon.Limit 4;
-        Epsilon.Limit 8; Epsilon.Unlimited;
-      ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+        ("Epsilon", Epsilon.spec_to_string eps);
+        num "Max units charged" (Stats.max r.Scenario.charged);
+        mean "Mean units" r.Scenario.charged;
+        mean "Mean value error" r.Scenario.value_error;
+        num "Max value error" (Stats.max r.Scenario.value_error);
+        int "SR fallbacks" r.Scenario.fallback_queries;
+        query_lat r 50.0;
+        query_lat r 95.0;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E3: convergence at quiescence under a hostile network               *)
 (* ------------------------------------------------------------------ *)
 
 let e3_convergence () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E3: convergence at quiescence (8% loss, 5% duplication, heavy \
-         reordering; paper claim Sec 2.2: replicas converge to 1SR when \
-         queued MSets are processed)"
-      ~headers:
-        [ "Method"; "Committed"; "Settled"; "Replicas equal"; "Quiesce time (ms)";
-          "Messages sent"; "Messages lost" ]
-  in
   let chaos =
     { Net.latency = Dist.Uniform (2.0, 150.0); drop_probability = 0.08; duplicate_probability = 0.05 }
   in
-  let jobs =
-    List.map
-      (fun name () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 3_000.0;
-            update_rate = 0.04;
-            query_rate = 0.02;
-            n_keys = 16;
-            ops_per_update = (if name = "QUORUM" then 1 else 2);
-            profile = profile_for name;
-          }
-        in
-        let r = Scenario.run ~seed ~net_config:chaos ~sites:5 ~method_name:name spec in
-        [
-          name;
-          Tablefmt.cell_int r.Scenario.committed;
-          Tablefmt.cell_bool r.Scenario.settled;
-          Tablefmt.cell_bool r.Scenario.converged;
-          fmt_ms r.Scenario.quiesce_time;
-          Tablefmt.cell_int r.Scenario.net_counters.Net.sent;
-          Tablefmt.cell_int r.Scenario.net_counters.Net.lost;
-        ])
-      [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      "E3: convergence at quiescence (8% loss, 5% duplication, heavy \
+       reordering; paper claim Sec 2.2: replicas converge to 1SR when \
+       queued MSets are processed)"
+    Registry.names
+    (fun name ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 3_000.0;
+          update_rate = 0.04;
+          query_rate = 0.02;
+          n_keys = 16;
+        }
+      in
+      let r =
+        Scenario.run ~seed ~net_config:chaos ~sites:5 ~method_name:name
+          (Spec.for_method name spec)
+      in
+      [
+        ("Method", name);
+        int "Committed" r.Scenario.committed;
+        bool "Settled" r.Scenario.settled;
+        bool "Replicas equal" r.Scenario.converged;
+        ("Quiesce time (ms)", fmt_ms r.Scenario.quiesce_time);
+        int "Messages sent" r.Scenario.net_counters.Net.sent;
+        int "Messages lost" r.Scenario.net_counters.Net.lost;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E4: availability under a network partition                          *)
 (* ------------------------------------------------------------------ *)
 
 let e4_partition () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E4: availability during a 2+2 partition, 1200ms window (paper \
-         claim Sec 1/5.3: asynchronous methods keep serving; synchronous \
-         ones stall)"
-      ~headers:
-        [ "Method"; "Updates committed in window"; "Updates submitted";
-          "Update availability"; "Queries served in window"; "Query availability";
-          "Converged after heal" ]
-  in
-  let partition =
-    { Scenario.p_start = 1_000.0; p_end = 2_200.0; groups = [ [ 0; 1 ]; [ 2; 3 ] ] }
-  in
-  let jobs =
-    List.map
-      (fun name () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 3_000.0;
-            update_rate = 0.03;
-            query_rate = 0.03;
-            n_keys = 16;
-            ops_per_update = 1;
-            keys_per_query = 1;
-            profile = profile_for name;
-          }
-        in
-        let config = { Intf.default_config with Intf.twopc_timeout = 20_000.0 } in
-        let r =
-          Scenario.run ~seed ~config ~sites:4 ~method_name:name ~partition spec
-        in
-        let w = Option.get r.Scenario.window in
-        [
-          name;
-          Tablefmt.cell_int w.Scenario.w_updates_committed;
-          Tablefmt.cell_int w.Scenario.w_updates_submitted;
-          fmt_pct w.Scenario.w_updates_committed w.Scenario.w_updates_submitted;
-          Tablefmt.cell_int w.Scenario.w_queries_served;
-          fmt_pct w.Scenario.w_queries_served w.Scenario.w_queries_submitted;
-          Tablefmt.cell_bool r.Scenario.converged;
-        ])
-      [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      "E4: availability during a 2+2 partition, 1200ms window (paper \
+       claim Sec 1/5.3: asynchronous methods keep serving; synchronous \
+       ones stall)"
+    Registry.names
+    (fun name ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 3_000.0;
+          update_rate = 0.03;
+          query_rate = 0.03;
+          n_keys = 16;
+          ops_per_update = 1;
+          keys_per_query = 1;
+        }
+      in
+      let config = { Intf.default_config with Intf.twopc_timeout = 20_000.0 } in
+      let r =
+        Scenario.run ~seed ~config ~sites:4 ~method_name:name
+          ~faults:(split ~from:1_000.0 ~until:2_200.0)
+          (Spec.for_method name spec)
+      in
+      let w = Option.get r.Scenario.window in
+      [
+        ("Method", name);
+        int "Updates committed in window" w.Scenario.w_updates_committed;
+        int "Updates submitted" w.Scenario.w_updates_submitted;
+        ( "Update availability",
+          fmt_pct w.Scenario.w_updates_committed w.Scenario.w_updates_submitted );
+        int "Queries served in window" w.Scenario.w_queries_served;
+        ( "Query availability",
+          fmt_pct w.Scenario.w_queries_served w.Scenario.w_queries_submitted );
+        bool "Converged after heal" r.Scenario.converged;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E5: the cost of backward replica control (COMPE)                    *)
 (* ------------------------------------------------------------------ *)
 
 let e5_compensation () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E5: compensation cost vs abort rate and operation mix (COMPE, 4 \
-         sites; paper Sec 4: commutative logs compensate in place, \
-         non-commutative logs need undo/redo of the tail)"
-      ~headers:
-        [ "Mix"; "Abort rate"; "Aborts"; "Fast comps"; "Full rollbacks";
-          "Mean rollback depth"; "Replayed ops"; "Tainted queries";
-          "Forced charges"; "Converged" ]
-  in
-  let mixes =
-    [ ("commutative (Add)", Spec.Additive); ("30% Mul (non-comm.)", Spec.Mixed_arith 0.3) ]
-  in
-  let abort_ps = [ 0.0; 0.1; 0.2; 0.3 ] in
-  let jobs =
-    List.concat_map
-      (fun (mix_name, profile) ->
-        List.map
-          (fun abort_p () ->
-            let spec =
-              {
-                Spec.default with
-                Spec.duration = 4_000.0;
-                update_rate = 0.04;
-                query_rate = 0.03;
-                n_keys = 10;
-                ops_per_update = 1;
-                profile;
-              }
-            in
-            let config =
-              {
-                Intf.default_config with
-                Intf.compe_abort_probability = abort_p;
-                compe_decision_delay = 120.0;
-              }
-            in
-            let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"COMPE" spec in
-            let full = stat r "full_rollbacks" in
-            let depth =
-              if full = 0.0 then 0.0 else stat r "rollback_depth_total" /. full
-            in
-            [
-              mix_name;
-              Printf.sprintf "%.0f%%" (abort_p *. 100.0);
-              Tablefmt.cell_float (stat r "aborts");
-              Tablefmt.cell_float (stat r "fast_compensations");
-              Tablefmt.cell_float full;
-              Printf.sprintf "%.1f" depth;
-              Tablefmt.cell_float (stat r "replayed_ops");
-              Tablefmt.cell_float (stat r "tainted_queries");
-              Tablefmt.cell_float (stat r "forced_charges");
-              Tablefmt.cell_bool r.Scenario.converged;
-            ])
-          abort_ps)
-      mixes
-  in
-  add_grouped t ~per_group:(List.length abort_ps) (par_rows jobs);
-  Tablefmt.print t
+  grid ~group:4
+    ~title:
+      "E5: compensation cost vs abort rate and operation mix (COMPE, 4 \
+       sites; paper Sec 4: commutative logs compensate in place, \
+       non-commutative logs need undo/redo of the tail)"
+    (cross
+       [ ("commutative (Add)", Spec.Additive); ("30% Mul (non-comm.)", Spec.Mixed_arith 0.3) ]
+       [ 0.0; 0.1; 0.2; 0.3 ])
+    (fun ((mix_name, profile), abort_p) ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.04;
+          query_rate = 0.03;
+          n_keys = 10;
+          ops_per_update = 1;
+          profile;
+        }
+      in
+      let config =
+        {
+          Intf.default_config with
+          Intf.compe_abort_probability = abort_p;
+          compe_decision_delay = 120.0;
+        }
+      in
+      let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"COMPE" spec in
+      let full = Scenario.method_stat r "full_rollbacks" in
+      let depth =
+        if full = 0.0 then 0.0
+        else Scenario.method_stat r "rollback_depth_total" /. full
+      in
+      [
+        ("Mix", mix_name);
+        ("Abort rate", fmt_rate abort_p);
+        stat r "Aborts" "aborts";
+        stat r "Fast comps" "fast_compensations";
+        num "Full rollbacks" full;
+        ("Mean rollback depth", Printf.sprintf "%.1f" depth);
+        stat r "Replayed ops" "replayed_ops";
+        stat r "Tainted queries" "tainted_queries";
+        stat r "Forced charges" "forced_charges";
+        bool "Converged" r.Scenario.converged;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E6: RITU multiversion — freshness vs consistency at the VTNC        *)
 (* ------------------------------------------------------------------ *)
 
 let e6_ritu_vtnc () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E6: RITU multiversion reads vs epsilon (5 sites, WAN; paper Sec \
-         3.3: reads above the VTNC cost inconsistency units; eps=0 reads \
-         the stable prefix)"
-      ~headers:
-        [ "Epsilon"; "Fresh reads (above VTNC)"; "VTNC reads"; "Mean units";
-          "Mean staleness (mismatched keys)"; "Converged" ]
-  in
-  let jobs =
-    List.map
-      (fun eps () ->
-        let spec =
-          {
-            Spec.duration = 4_000.0;
-            update_rate = 0.05;
-            query_rate = 0.05;
-            n_keys = 8;
-            zipf_theta = 0.9;
-            ops_per_update = 1;
-            keys_per_query = 2;
-            profile = Spec.Blind_set;
-            epsilon = eps;
-          }
-        in
-        let config = { Intf.default_config with Intf.ritu_mode = `Multi } in
-        let r = Scenario.run ~seed ~config ~net_config:wan ~sites:5 ~method_name:"RITU" spec in
-        [
-          Epsilon.spec_to_string eps;
-          Tablefmt.cell_float (stat r "fresh_reads");
-          Tablefmt.cell_float (stat r "vtnc_reads");
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.charged);
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error);
-          Tablefmt.cell_bool r.Scenario.converged;
-        ])
-      [ Epsilon.Limit 0; Epsilon.Limit 1; Epsilon.Limit 2; Epsilon.Unlimited ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      "E6: RITU multiversion reads vs epsilon (5 sites, WAN; paper Sec \
+       3.3: reads above the VTNC cost inconsistency units; eps=0 reads \
+       the stable prefix)"
+    [ Epsilon.Limit 0; Epsilon.Limit 1; Epsilon.Limit 2; Epsilon.Unlimited ]
+    (fun eps ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.05;
+          query_rate = 0.05;
+          n_keys = 8;
+          zipf_theta = 0.9;
+          ops_per_update = 1;
+          epsilon = eps;
+        }
+      in
+      let config = { Intf.default_config with Intf.ritu_mode = `Multi } in
+      let r =
+        Scenario.run ~seed ~config ~net_config:wan ~sites:5 ~method_name:"RITU"
+          (Spec.for_method "RITU" spec)
+      in
+      [
+        ("Epsilon", Epsilon.spec_to_string eps);
+        stat r "Fresh reads (above VTNC)" "fresh_reads";
+        stat r "VTNC reads" "vtnc_reads";
+        mean "Mean units" r.Scenario.charged;
+        mean "Mean staleness (mismatched keys)" r.Scenario.value_error;
+        bool "Converged" r.Scenario.converged;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E7: COMMU lock-counter back-pressure                                *)
 (* ------------------------------------------------------------------ *)
 
 let e7_lock_counter () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E7: COMMU update-side lock-counter limit (4 sites, WAN, hot key; \
-         paper Sec 3.2: limiting the counter trades update waiting for \
-         query admissibility)"
-      ~headers:
-        [ "Limit"; "Update waits"; "Upd lat p50 (ms)"; "Upd lat p95 (ms)";
-          "Mean query units"; "Max query units"; "Query waits"; "Committed" ]
-  in
-  let jobs =
-    List.map
-      (fun limit () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 4_000.0;
-            update_rate = 0.06;
-            query_rate = 0.04;
-            n_keys = 4;
-            zipf_theta = 1.1;
-            ops_per_update = 1;
-            keys_per_query = 1;
-            epsilon = Epsilon.Limit 4;
-          }
-        in
-        let config =
-          {
-            Intf.default_config with
-            Intf.commu_update_limit = limit;
-            commu_limit_policy = `Wait;
-          }
-        in
-        let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"COMMU" spec in
-        [
-          (match limit with None -> "inf" | Some l -> string_of_int l);
-          Tablefmt.cell_float (stat r "update_waits");
-          fmt_ms (Stats.median r.Scenario.update_latency);
-          fmt_ms (Stats.percentile r.Scenario.update_latency 95.0);
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.charged);
-          Tablefmt.cell_float
-            (if Stats.count r.Scenario.charged = 0 then 0.0 else Stats.max r.Scenario.charged);
-          Tablefmt.cell_float (stat r "query_waits");
-          Tablefmt.cell_int r.Scenario.committed;
-        ])
-      [ None; Some 8; Some 4; Some 2; Some 1 ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      "E7: COMMU update-side lock-counter limit (4 sites, WAN, hot key; \
+       paper Sec 3.2: limiting the counter trades update waiting for \
+       query admissibility)"
+    [ None; Some 8; Some 4; Some 2; Some 1 ]
+    (fun limit ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.06;
+          query_rate = 0.04;
+          n_keys = 4;
+          zipf_theta = 1.1;
+          ops_per_update = 1;
+          keys_per_query = 1;
+          epsilon = Epsilon.Limit 4;
+        }
+      in
+      let config =
+        {
+          Intf.default_config with
+          Intf.commu_update_limit = limit;
+          commu_limit_policy = `Wait;
+        }
+      in
+      let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"COMMU" spec in
+      [
+        ("Limit", match limit with None -> "inf" | Some l -> string_of_int l);
+        stat r "Update waits" "update_waits";
+        upd_lat r 50.0;
+        upd_lat r 95.0;
+        mean "Mean query units" r.Scenario.charged;
+        num "Max query units" (Stats.max r.Scenario.charged);
+        stat r "Query waits" "query_waits";
+        int "Committed" r.Scenario.committed;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E8: site crash and recovery                                         *)
 (* ------------------------------------------------------------------ *)
 
 let e8_crash_recovery () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E8: one of 4 sites crashes for a window, then recovers (paper \
-         Sec 2.2: stable queues make replica control robust to site \
-         failures); updates continue at live sites"
-      ~headers:
-        [ "Method"; "Crash window (ms)"; "Committed"; "Settled";
-          "Converged after recovery"; "Retx-heavy? (msgs sent)" ]
-  in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ] in
-  let windows = [ 500.0; 2_000.0 ] in
-  let jobs =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun window () ->
-            let module Harness = Esr_replica.Harness in
-            let config = { Intf.default_config with Intf.twopc_timeout = 30_000.0 } in
-            let h = Harness.create ~config ~seed ~sites:4 ~method_name:name () in
-            let engine = Harness.engine h in
-            let net = Harness.net h in
-            let committed = ref 0 in
-            let prng = Prng.create (seed + 3) in
-            for i = 0 to 59 do
-              ignore
-                (Engine.schedule_at engine
-                   ~time:(float_of_int i *. 40.0)
-                   (fun () ->
-                     let origin =
-                       let candidate = Prng.int prng 4 in
-                       if Net.site_up net candidate then candidate else 0
-                     in
-                     let intents =
-                       match name with
-                       | "RITU" | "QUORUM" -> [ Intf.Set ("k", Esr_store.Value.Int i) ]
-                       | _ -> [ Intf.Add ("k", 1) ]
-                     in
-                     Harness.submit_update h ~origin intents (function
-                       | Intf.Committed _ -> incr committed
-                       | Intf.Rejected _ -> ())))
-            done;
-            ignore (Engine.schedule_at engine ~time:400.0 (fun () -> Net.crash net 2));
-            ignore
-              (Engine.schedule_at engine ~time:(400.0 +. window) (fun () ->
-                   Net.recover net 2));
-            let settled = Harness.settle_result h = Harness.Drained in
-            [
-              name;
-              Tablefmt.cell_float window;
-              Tablefmt.cell_int !committed;
-              Tablefmt.cell_bool settled;
-              Tablefmt.cell_bool (Harness.converged h);
-              Tablefmt.cell_int (Net.counters net).Net.sent;
-            ])
-          windows)
-      methods
-  in
-  add_grouped t ~per_group:(List.length windows) (par_rows jobs);
-  Tablefmt.print t
+  grid ~group:2
+    ~title:
+      "E8: one of 4 sites crashes for a window, then recovers (paper \
+       Sec 2.2: stable queues make replica control robust to site \
+       failures); updates continue at live sites"
+    (cross Registry.names [ 500.0; 2_000.0 ])
+    (fun (name, window) ->
+      let h = Harness.create ~config:fault_config ~seed ~sites:4 ~method_name:name () in
+      let engine = Harness.engine h in
+      let net = Harness.net h in
+      let profile = Spec.method_profile name in
+      let committed = ref 0 in
+      let prng = Prng.create (seed + 3) in
+      for i = 0 to 59 do
+        ignore
+          (Engine.schedule_at engine
+             ~time:(float_of_int i *. 40.0)
+             (fun () ->
+               let origin =
+                 let candidate = Prng.int prng 4 in
+                 if Net.site_up net candidate then candidate else 0
+               in
+               Harness.submit_update h ~origin
+                 [ Spec.intent profile "k" ~set:i ~add:1 ]
+                 (count committed)))
+      done;
+      ignore (Engine.schedule_at engine ~time:400.0 (fun () -> Net.crash net 2));
+      ignore
+        (Engine.schedule_at engine ~time:(400.0 +. window) (fun () ->
+             Net.recover net 2));
+      let settled = Harness.settle_result h = Harness.Drained in
+      [
+        ("Method", name);
+        num "Crash window (ms)" window;
+        int "Committed" !committed;
+        bool "Settled" settled;
+        bool "Converged after recovery" (Harness.converged h);
+        int "Retx-heavy? (msgs sent)" (Net.counters net).Net.sent;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E9: saga-scoped lock-counters                                       *)
 (* ------------------------------------------------------------------ *)
 
 let e9_sagas () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E9: sagas vs independent updates (COMPE, 3 sites; paper Sec 4.2: \
-         holding lock-counters to saga end gives queries a conservative \
-         upper bound on the saga's total potential inconsistency)"
-      ~headers:
-        [ "Workload"; "Abort rate"; "Committed"; "Mean query units";
-          "Max query units"; "Revokes"; "Converged" ]
-  in
   let module Compe = Esr_replica.Compe in
-  let run ~label ~as_saga ~abort_p () =
-    let config =
-      {
-        Intf.default_config with
-        Intf.compe_abort_probability = abort_p;
-        compe_decision_delay = 100.0;
-      }
-    in
-    let engine = Engine.create () in
-    let prng = Prng.create seed in
-    let net =
-      Net.create ~config:wan engine ~sites:3 ~prng:(Prng.split prng)
-    in
-    let env = Intf.make_env ~config ~engine ~net ~prng () in
-    let sys = Compe.create env in
-    let committed = ref 0 in
-    let units = Stats.create () in
-    let steps i = [ [ Intf.Add ("a", i) ]; [ Intf.Add ("b", i) ]; [ Intf.Add ("c", i) ] ] in
-    for i = 1 to 40 do
-      ignore
-        (Engine.schedule_at engine
-           ~time:(float_of_int i *. 150.0)
-           (fun () ->
-             let count = function
-               | Intf.Committed _ -> incr committed
-               | Intf.Rejected _ -> ()
-             in
-             if as_saga then Compe.submit_saga sys ~origin:(i mod 3) (steps i) count
-             else
-               List.iter
-                 (fun step -> Compe.submit_update sys ~origin:(i mod 3) step count)
-                 (steps i)))
-    done;
-    for i = 1 to 30 do
-      ignore
-        (Engine.schedule_at engine
-           ~time:((float_of_int i *. 200.0) +. 90.0)
-           (fun () ->
-             Compe.submit_query sys ~site:(i mod 3) ~keys:[ "a"; "b"; "c" ]
-               ~epsilon:Esr_core.Epsilon.Unlimited (fun o ->
-                 Stats.add units (float_of_int o.Intf.charged))))
-    done;
-    let rec settle n =
-      if n = 0 then false
-      else begin
-        Engine.run engine;
-        if Compe.quiescent sys then true
+  grid ~group:2
+    ~title:
+      "E9: sagas vs independent updates (COMPE, 3 sites; paper Sec 4.2: \
+       holding lock-counters to saga end gives queries a conservative \
+       upper bound on the saga's total potential inconsistency)"
+    (cross [ 0.0; 0.15 ] [ ("3-step sagas", true); ("3 independent updates", false) ])
+    (fun (abort_p, (label, as_saga)) ->
+      let config =
+        {
+          Intf.default_config with
+          Intf.compe_abort_probability = abort_p;
+          compe_decision_delay = 100.0;
+        }
+      in
+      let engine = Engine.create () in
+      let prng = Prng.create seed in
+      let net =
+        Net.create ~config:wan engine ~sites:3 ~prng:(Prng.split prng)
+      in
+      let env = Intf.make_env ~config ~engine ~net ~prng () in
+      let sys = Compe.create env in
+      let committed = ref 0 in
+      let units = Stats.create () in
+      let steps i = [ [ Intf.Add ("a", i) ]; [ Intf.Add ("b", i) ]; [ Intf.Add ("c", i) ] ] in
+      for i = 1 to 40 do
+        ignore
+          (Engine.schedule_at engine
+             ~time:(float_of_int i *. 150.0)
+             (fun () ->
+               if as_saga then
+                 Compe.submit_saga sys ~origin:(i mod 3) (steps i) (count committed)
+               else
+                 List.iter
+                   (fun step ->
+                     Compe.submit_update sys ~origin:(i mod 3) step (count committed))
+                   (steps i)))
+      done;
+      for i = 1 to 30 do
+        ignore
+          (Engine.schedule_at engine
+             ~time:((float_of_int i *. 200.0) +. 90.0)
+             (fun () ->
+               Compe.submit_query sys ~site:(i mod 3) ~keys:[ "a"; "b"; "c" ]
+                 ~epsilon:Esr_core.Epsilon.Unlimited (fun o ->
+                   Stats.add units (float_of_int o.Intf.charged))))
+      done;
+      let rec settle n =
+        if n = 0 then false
         else begin
-          Compe.flush sys;
-          settle (n - 1)
+          Engine.run engine;
+          if Compe.quiescent sys then true
+          else begin
+            Compe.flush sys;
+            settle (n - 1)
+          end
         end
-      end
-    in
-    let settled = settle 10 in
-    let stat name =
-      Option.value (List.assoc_opt name (Compe.stats sys)) ~default:0.0
-    in
-    [
-      label;
-      Printf.sprintf "%.0f%%" (abort_p *. 100.0);
-      Tablefmt.cell_int !committed;
-      Printf.sprintf "%.2f" (Stats.mean units);
-      Tablefmt.cell_float (if Stats.count units = 0 then 0.0 else Stats.max units);
-      Tablefmt.cell_float (stat "revokes");
-      Tablefmt.cell_bool (settled && Compe.converged sys);
-    ]
-  in
-  let jobs =
-    List.concat_map
-      (fun abort_p ->
-        [
-          run ~label:"3-step sagas" ~as_saga:true ~abort_p;
-          run ~label:"3 independent updates" ~as_saga:false ~abort_p;
-        ])
-      [ 0.0; 0.15 ]
-  in
-  add_grouped t ~per_group:2 (par_rows jobs);
-  Tablefmt.print t
+      in
+      let settled = settle 10 in
+      [
+        ("Workload", label);
+        ("Abort rate", fmt_rate abort_p);
+        int "Committed" !committed;
+        mean "Mean query units" units;
+        num "Max query units" (Stats.max units);
+        num "Revokes"
+          (Option.value (List.assoc_opt "revokes" (Compe.stats sys)) ~default:0.0);
+        bool "Converged" (settled && Compe.converged sys);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E10: value-bounded divergence (COMMU)                               *)
@@ -624,310 +584,232 @@ let e9_sagas () =
 
 let e10_value_bound () =
   let sites = 4 in
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E10: value-bounded divergence (COMMU, %d sites, WAN; Sec 5.1's \
-            'data value changed asynchronously' criterion): per-key query \
-            error is bounded by (sites-1) x limit"
-           sites)
-      ~headers:
-        [ "Value limit L"; "Bound (n-1)L"; "Max query error"; "Mean query error";
-          "Bound holds"; "Update waits"; "Upd lat p95 (ms)"; "Committed" ]
-  in
-  let jobs =
-    List.map
-      (fun limit () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 4_000.0;
-            update_rate = 0.06;
-            query_rate = 0.05;
-            n_keys = 4;
-            zipf_theta = 1.0;
-            ops_per_update = 1;
-            keys_per_query = 1;
-            epsilon = Epsilon.Unlimited;
-          }
-        in
-        let config =
-          {
-            Intf.default_config with
-            Intf.commu_value_limit = limit;
-            commu_limit_policy = `Wait;
-          }
-        in
-        let r = Scenario.run ~seed ~config ~net_config:wan ~sites ~method_name:"COMMU" spec in
-        let worst =
-          if Stats.count r.Scenario.value_error = 0 then 0.0
-          else Stats.max r.Scenario.value_error
-        in
-        let bound =
-          match limit with
-          | None -> infinity
-          | Some l -> float_of_int (sites - 1) *. l
-        in
-        [
-          (match limit with None -> "inf" | Some l -> Printf.sprintf "%.0f" l);
-          (match limit with None -> "inf" | Some _ -> Printf.sprintf "%.0f" bound);
-          Printf.sprintf "%.0f" worst;
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error);
-          Tablefmt.cell_bool (worst <= bound);
-          Tablefmt.cell_float (stat r "update_waits");
-          fmt_ms (Stats.percentile r.Scenario.update_latency 95.0);
-          Tablefmt.cell_int r.Scenario.committed;
-        ])
-      [ None; Some 50.0; Some 25.0; Some 10.0; Some 5.0 ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      (Printf.sprintf
+         "E10: value-bounded divergence (COMMU, %d sites, WAN; Sec 5.1's \
+          'data value changed asynchronously' criterion): per-key query \
+          error is bounded by (sites-1) x limit"
+         sites)
+    [ None; Some 50.0; Some 25.0; Some 10.0; Some 5.0 ]
+    (fun limit ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.06;
+          query_rate = 0.05;
+          n_keys = 4;
+          zipf_theta = 1.0;
+          ops_per_update = 1;
+          keys_per_query = 1;
+          epsilon = Epsilon.Unlimited;
+        }
+      in
+      let config =
+        {
+          Intf.default_config with
+          Intf.commu_value_limit = limit;
+          commu_limit_policy = `Wait;
+        }
+      in
+      let r = Scenario.run ~seed ~config ~net_config:wan ~sites ~method_name:"COMMU" spec in
+      let worst = Stats.max r.Scenario.value_error in
+      (* "%.0f" prints an infinite limit and bound as "inf". *)
+      let limit = Option.value limit ~default:infinity in
+      let bound = float_of_int (sites - 1) *. limit in
+      [
+        ("Value limit L", Printf.sprintf "%.0f" limit);
+        ("Bound (n-1)L", Printf.sprintf "%.0f" bound);
+        ("Max query error", Printf.sprintf "%.0f" worst);
+        mean "Mean query error" r.Scenario.value_error;
+        bool "Bound holds" (worst <= bound);
+        stat r "Update waits" "update_waits";
+        upd_lat r 95.0;
+        int "Committed" r.Scenario.committed;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E11: quasi-copies closeness conditions (Sec 5.2 comparator)         *)
 (* ------------------------------------------------------------------ *)
 
 let e11_quasi () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E11: quasi-copies coherency conditions (QUASI comparator, 4 \
-         sites, WAN; Sec 5.2: inconsistency comes only from propagation \
-         lag, tuned by the closeness spec - at the price of refresh \
-         traffic and no per-query dial)"
-      ~headers:
-        [ "Closeness spec"; "Refreshes"; "Messages sent"; "Mean query error";
-          "Max query error"; "Upd lat p50 (ms)"; "Converged" ]
-  in
-  let jobs =
-    List.map
-      (fun (label, refresh) () ->
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = 4_000.0;
-            update_rate = 0.05;
-            query_rate = 0.05;
-            n_keys = 8;
-            zipf_theta = 0.9;
-            ops_per_update = 1;
-            keys_per_query = 1;
-          }
-        in
-        let config = { Intf.default_config with Intf.quasi_refresh = refresh } in
-        let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"QUASI" spec in
-        [
-          label;
-          Tablefmt.cell_float (stat r "refreshes");
-          Tablefmt.cell_int r.Scenario.net_counters.Net.sent;
-          Printf.sprintf "%.2f" (Stats.mean r.Scenario.value_error);
-          Tablefmt.cell_float
-            (if Stats.count r.Scenario.value_error = 0 then 0.0
-             else Stats.max r.Scenario.value_error);
-          fmt_ms (Stats.median r.Scenario.update_latency);
-          Tablefmt.cell_bool r.Scenario.converged;
-        ])
+  grid
+    ~title:
+      "E11: quasi-copies coherency conditions (QUASI comparator, 4 \
+       sites, WAN; Sec 5.2: inconsistency comes only from propagation \
+       lag, tuned by the closeness spec - at the price of refresh \
+       traffic and no per-query dial)"
+    [
+      ("immediate", `Immediate);
+      ("periodic 100ms", `Periodic 100.0);
+      ("periodic 500ms", `Periodic 500.0);
+      ("drift 10", `Drift 10.0);
+      ("drift 50", `Drift 50.0);
+    ]
+    (fun (label, refresh) ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 4_000.0;
+          update_rate = 0.05;
+          query_rate = 0.05;
+          n_keys = 8;
+          zipf_theta = 0.9;
+          ops_per_update = 1;
+          keys_per_query = 1;
+        }
+      in
+      let config = { Intf.default_config with Intf.quasi_refresh = refresh } in
+      let r = Scenario.run ~seed ~config ~net_config:wan ~sites:4 ~method_name:"QUASI" spec in
       [
-        ("immediate", `Immediate);
-        ("periodic 100ms", `Periodic 100.0);
-        ("periodic 500ms", `Periodic 500.0);
-        ("drift 10", `Drift 10.0);
-        ("drift 50", `Drift 50.0);
-      ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+        ("Closeness spec", label);
+        stat r "Refreshes" "refreshes";
+        int "Messages sent" r.Scenario.net_counters.Net.sent;
+        mean "Mean query error" r.Scenario.value_error;
+        num "Max query error" (Stats.max r.Scenario.value_error);
+        upd_lat r 50.0;
+        bool "Converged" r.Scenario.converged;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E12: partition length — ESR dynamic control vs off-line log merge   *)
 (* ------------------------------------------------------------------ *)
 
 let e12_partition_merge () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "E12: prolonged partitions (Sec 5.3): ESR methods control \
-         divergence while partitioned and just drain queues at heal; \
-         optimistic-1SR reconciliation merges logs off-line and must roll \
-         back conflicting work that grows with partition length (mixed \
-         30% overwrite workload)"
-      ~headers:
-        [ "Partition (ms)"; "COMMU catch-up after heal (ms)"; "COMMU rolled back";
-          "Merge: minority ETs"; "Merge: rolled back"; "Merge: conflict keys" ]
-  in
-  let jobs =
-    List.map
-      (fun duration () ->
-        (* (a) ESR dynamic: COMMU runs straight through the partition. *)
-        let partition =
-          { Scenario.p_start = 500.0; p_end = 500.0 +. duration; groups = [ [ 0; 1 ]; [ 2; 3 ] ] }
-        in
-        let spec =
-          {
-            Spec.default with
-            Spec.duration = (500.0 +. duration +. 500.0);
-            update_rate = 0.05;
-            query_rate = 0.01;
-            n_keys = 8;
-            ops_per_update = 1;
-          }
-        in
-        let r =
-          Scenario.run ~seed ~sites:4 ~method_name:"COMMU" ~partition spec
-        in
-        let catch_up = Float.max 0.0 (r.Scenario.quiesce_time -. (500.0 +. duration)) in
-        (* (b) off-line merge: two partition-side logs of the same length,
-           mixed commutative/overwrite operations on shared keys. *)
-        let module Et = Esr_core.Et in
-        let module Op = Esr_store.Op in
-        let module Logmerge = Esr_core.Logmerge in
-        let gen_log offset prng =
-          let n = int_of_float (duration *. 0.05 /. 2.0) in
-          Esr_core.Hist.of_actions
-            (List.init n (fun i ->
-                 let key = Printf.sprintf "k%d" (Prng.int prng 8) in
-                 let op =
-                   if Prng.bernoulli prng 0.3 then
-                     Op.Write (Esr_store.Value.Int (Prng.int prng 100))
-                   else Op.Incr (1 + Prng.int prng 9)
-                 in
-                 Et.action ~et:(offset + i) ~key op))
-        in
-        let prng = Prng.create (seed + int_of_float duration) in
-        let log_a = gen_log 1 prng and log_b = gen_log 100_000 prng in
-        let m = Logmerge.merge ~majority:log_a ~minority:log_b in
-        let minority_ets = List.length (Esr_core.Hist.ets log_b) in
-        [
-          Printf.sprintf "%.0f" duration;
-          fmt_ms catch_up;
-          "0";
-          Tablefmt.cell_int minority_ets;
-          Tablefmt.cell_int (List.length m.Logmerge.rolled_back);
-          Tablefmt.cell_int (List.length m.Logmerge.conflict_keys);
-        ])
-      [ 500.0; 1_000.0; 2_000.0; 4_000.0 ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  let module Et = Esr_core.Et in
+  let module Op = Esr_store.Op in
+  let module Logmerge = Esr_core.Logmerge in
+  grid
+    ~title:
+      "E12: prolonged partitions (Sec 5.3): ESR methods control \
+       divergence while partitioned and just drain queues at heal; \
+       optimistic-1SR reconciliation merges logs off-line and must roll \
+       back conflicting work that grows with partition length (mixed \
+       30% overwrite workload)"
+    [ 500.0; 1_000.0; 2_000.0; 4_000.0 ]
+    (fun duration ->
+      (* (a) ESR dynamic: COMMU runs straight through the partition. *)
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = (500.0 +. duration +. 500.0);
+          update_rate = 0.05;
+          query_rate = 0.01;
+          n_keys = 8;
+          ops_per_update = 1;
+        }
+      in
+      let r =
+        Scenario.run ~seed ~sites:4 ~method_name:"COMMU"
+          ~faults:(split ~from:500.0 ~until:(500.0 +. duration))
+          spec
+      in
+      let catch_up = Float.max 0.0 (r.Scenario.quiesce_time -. (500.0 +. duration)) in
+      (* (b) off-line merge: two partition-side logs of the same length,
+         mixed commutative/overwrite operations on shared keys. *)
+      let gen_log offset prng =
+        let n = int_of_float (duration *. 0.05 /. 2.0) in
+        Esr_core.Hist.of_actions
+          (List.init n (fun i ->
+               let key = Printf.sprintf "k%d" (Prng.int prng 8) in
+               let op =
+                 if Prng.bernoulli prng 0.3 then
+                   Op.Write (Esr_store.Value.Int (Prng.int prng 100))
+                 else Op.Incr (1 + Prng.int prng 9)
+               in
+               Et.action ~et:(offset + i) ~key op))
+      in
+      let prng = Prng.create (seed + int_of_float duration) in
+      let log_a = gen_log 1 prng and log_b = gen_log 100_000 prng in
+      let m = Logmerge.merge ~majority:log_a ~minority:log_b in
+      [
+        ("Partition (ms)", Printf.sprintf "%.0f" duration);
+        ("COMMU catch-up after heal (ms)", fmt_ms catch_up);
+        ("COMMU rolled back", "0");
+        int "Merge: minority ETs" (List.length (Esr_core.Hist.ets log_b));
+        int "Merge: rolled back" (List.length m.Logmerge.rolled_back);
+        int "Merge: conflict keys" (List.length m.Logmerge.conflict_keys);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E13: availability + staleness under real crash-recovery faults      *)
 (* ------------------------------------------------------------------ *)
+
+(* E13 and E14's fault schedule: site 1 down over [600, 1400), then a
+   2+2 partition over [1800, 2600). *)
+let e13_faults =
+  Result.get_ok
+    (Schedule.of_spec "crash@600:1;recover@1400:1;partition@1800:0 1|2 3;heal@2600")
 
 (* Unlike E8 (which only isolates a site at the network), these faults go
    through the full crash-recovery path: the crashed site's volatile
    state is wiped, in-progress work there fails degraded, and recovery
    replays the durable log before the stable queues catch the site up. *)
 let e13_fault_availability () =
-  let module Harness = Esr_replica.Harness in
-  let module Schedule = Esr_fault.Schedule in
   let module Oracle = Esr_workload.Oracle in
-  let module Obs = Esr_obs.Obs in
-  let module Trace = Esr_obs.Trace in
-  let t =
-    Tablefmt.create
-      ~title:
-        "E13: availability and query staleness under faults with full \
-         crash-recovery semantics — crash@600:1 recover@1400:1 then a 2+2 \
-         partition@1800 heal@2600 (volatile state wiped at the crash, \
-         durable log replayed at recovery; paper Sec 1/5.3: asynchronous \
-         methods keep serving through both windows)"
-      ~headers:
-        [ "Method"; "Upd avail (faulty)"; "Upd avail (clear)";
-          "Degraded queries"; "Staleness (faulty)"; "Staleness (clear)";
-          "Log replays"; "Converged" ]
-  in
-  let schedule =
-    Schedule.make
+  let faulty = Schedule.faulty e13_faults in
+  grid
+    ~title:
+      "E13: availability and query staleness under faults with full \
+       crash-recovery semantics — crash@600:1 recover@1400:1 then a 2+2 \
+       partition@1800 heal@2600 (volatile state wiped at the crash, \
+       durable log replayed at recovery; paper Sec 1/5.3: asynchronous \
+       methods keep serving through both windows)"
+    Registry.names
+    (fun name ->
+      let obs = Obs.create ~tracing:true () in
+      let h = Harness.create ~config:fault_config ~obs ~seed ~sites:4 ~method_name:name () in
+      let net = Harness.net h in
+      let oracle = Oracle.create ~size:8 () in
+      let metric = Spec.metric (Spec.method_profile name) in
+      let f_sub = ref 0 and f_com = ref 0 and c_sub = ref 0 and c_com = ref 0 in
+      let degraded = ref 0 in
+      let f_stale = Stats.create () and c_stale = Stats.create () in
+      (* Updates every 20ms from rotating origins over 8 keys.  Commits
+         bucket by commit time (as E4 does): an update that only commits
+         after the heal was not available during the fault. *)
+      update_stream h ~name ~n:160 ~every:20.0 ~keys:8 (fun ~time intents ->
+          incr (if faulty time then f_sub else c_sub);
+          function
+          | Intf.Committed { committed_at } ->
+              incr (if faulty committed_at then f_com else c_com);
+              Oracle.apply oracle intents
+          | Intf.Rejected _ -> ());
+      (* Queries every 35ms from rotating sites; staleness = distance of
+         the answer from the committed-prefix oracle at serve time. *)
+      for i = 0 to 90 do
+        let time = float_of_int (i + 1) *. 35.0 in
+        ignore
+          (Engine.schedule_at (Harness.engine h) ~time (fun () ->
+               let site = i mod 4 in
+               if not (Net.site_up net site) then incr degraded;
+               (* Stride 3 decorrelates the queried key from the querying
+                  site: update keys are written by origin [i mod 4], so a
+                  straight [i mod 8] key would only ever read writes from
+                  the query site's own partition side. *)
+               let keys = [ Printf.sprintf "k%d" (i * 3 mod 8) ] in
+               Harness.submit_query h ~site ~keys ~epsilon:Epsilon.Unlimited
+                 (fun outcome ->
+                   let stale = Oracle.error ~metric oracle outcome.Intf.values in
+                   if faulty outcome.Intf.served_at then
+                     Stats.add f_stale stale
+                   else Stats.add c_stale stale)))
+      done;
+      Harness.inject_faults h e13_faults;
+      let settled = Harness.settle_result h = Harness.Drained in
+      (* Counted before [converged] adds its own trace event. *)
+      let replays = replays obs in
       [
-        { Schedule.at = 600.0; action = Schedule.Crash 1 };
-        { Schedule.at = 1_400.0; action = Schedule.Recover 1 };
-        { Schedule.at = 1_800.0; action = Schedule.Partition [ [ 0; 1 ]; [ 2; 3 ] ] };
-        { Schedule.at = 2_600.0; action = Schedule.Heal };
-      ]
-  in
-  let faulty time =
-    (time >= 600.0 && time < 1_400.0) || (time >= 1_800.0 && time < 2_600.0)
-  in
-  let jobs =
-    List.map
-      (fun name () ->
-        let obs = Obs.create ~tracing:true () in
-        let config = { Intf.default_config with Intf.twopc_timeout = 30_000.0 } in
-        let h = Harness.create ~config ~obs ~seed ~sites:4 ~method_name:name () in
-        let engine = Harness.engine h in
-        let net = Harness.net h in
-        let oracle = Oracle.create ~size:8 () in
-        let metric =
-          match name with "RITU" | "QUORUM" -> `Mismatch | _ -> `Distance
-        in
-        let f_sub = ref 0 and f_com = ref 0 and c_sub = ref 0 and c_com = ref 0 in
-        let degraded = ref 0 in
-        let f_stale = Stats.create () and c_stale = Stats.create () in
-        (* Updates every 20ms from rotating origins over 8 keys. *)
-        for i = 0 to 159 do
-          let time = float_of_int (i + 1) *. 20.0 in
-          ignore
-            (Engine.schedule_at engine ~time (fun () ->
-                 incr (if faulty time then f_sub else c_sub);
-                 let key = Printf.sprintf "k%d" (i mod 8) in
-                 let intents =
-                   match name with
-                   | "RITU" | "QUORUM" ->
-                       [ Intf.Set (key, Esr_store.Value.Int (1_000 + i)) ]
-                   | _ -> [ Intf.Add (key, 1 + (i mod 3)) ]
-                 in
-                 Harness.submit_update h ~origin:(i mod 4) intents (function
-                   | Intf.Committed { committed_at } ->
-                       (* Bucket commits by commit time (as E4 does): an
-                          update that only commits after the heal was not
-                          available during the fault. *)
-                       incr (if faulty committed_at then f_com else c_com);
-                       Oracle.apply oracle intents
-                   | Intf.Rejected _ -> ())))
-        done;
-        (* Queries every 35ms from rotating sites; staleness = distance of
-           the answer from the committed-prefix oracle at serve time. *)
-        for i = 0 to 90 do
-          let time = float_of_int (i + 1) *. 35.0 in
-          ignore
-            (Engine.schedule_at engine ~time (fun () ->
-                 let site = i mod 4 in
-                 if not (Net.site_up net site) then incr degraded;
-                 (* Stride 3 decorrelates the queried key from the querying
-                    site: update keys are written by origin [i mod 4], so a
-                    straight [i mod 8] key would only ever read writes from
-                    the query site's own partition side. *)
-                 let keys = [ Printf.sprintf "k%d" (i * 3 mod 8) ] in
-                 Harness.submit_query h ~site ~keys ~epsilon:Epsilon.Unlimited
-                   (fun outcome ->
-                     let stale = Oracle.error ~metric oracle outcome.Intf.values in
-                     if faulty outcome.Intf.served_at then
-                       Stats.add f_stale stale
-                     else Stats.add c_stale stale)))
-        done;
-        Harness.inject_faults h schedule;
-        let settled = Harness.settle_result h = Harness.Drained in
-        let replays = ref 0 in
-        Trace.iter obs.Obs.trace (fun r ->
-            match r.Trace.ev with
-            | Trace.Recovery_replay _ -> incr replays
-            | _ -> ());
-        [
-          name;
-          fmt_pct !f_com !f_sub;
-          fmt_pct !c_com !c_sub;
-          Tablefmt.cell_int !degraded;
-          Printf.sprintf "%.2f" (Stats.mean f_stale);
-          Printf.sprintf "%.2f" (Stats.mean c_stale);
-          Tablefmt.cell_int !replays;
-          Tablefmt.cell_bool (settled && Harness.converged h);
-        ])
-      [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ]
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+        ("Method", name);
+        ("Upd avail (faulty)", fmt_pct !f_com !f_sub);
+        ("Upd avail (clear)", fmt_pct !c_com !c_sub);
+        int "Degraded queries" !degraded;
+        mean "Staleness (faulty)" f_stale;
+        mean "Staleness (clear)" c_stale;
+        int "Log replays" replays;
+        bool "Converged" (settled && Harness.converged h);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E14: divergence profile over the fault schedule                     *)
@@ -940,11 +822,6 @@ let e13_fault_availability () =
    quiescence (the paper's convergence claim, watched rather than merely
    asserted at the end). *)
 let e14_divergence_profile () =
-  let module Harness = Esr_replica.Harness in
-  let module Schedule = Esr_fault.Schedule in
-  let module Obs = Esr_obs.Obs in
-  let module Series = Esr_obs.Series in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ] in
   let t =
     Tablefmt.create
       ~title:
@@ -952,46 +829,19 @@ let e14_divergence_profile () =
          most and least advanced copy of any key) sampled every 100ms over \
          the E13 fault schedule (crash@600:1 recover@1400:1 partition@1800 \
          heal@2600); * marks rows inside a fault window"
-      ~headers:(("t (ms)" :: methods) @ [ "fault?" ])
-  in
-  let horizon = 3_400.0 in
-  let faulty time =
-    (time >= 600.0 && time < 1_400.0) || (time >= 1_800.0 && time < 2_600.0)
-  in
-  let schedule =
-    Schedule.make
-      [
-        { Schedule.at = 600.0; action = Schedule.Crash 1 };
-        { Schedule.at = 1_400.0; action = Schedule.Recover 1 };
-        { Schedule.at = 1_800.0; action = Schedule.Partition [ [ 0; 1 ]; [ 2; 3 ] ] };
-        { Schedule.at = 2_600.0; action = Schedule.Heal };
-      ]
+      ~headers:(("t (ms)" :: Registry.names) @ [ "fault?" ])
   in
   (* Each job returns (spread at time t, peak spread, time of the last
      divergent sample); the same update stream as E13, queries omitted
      since replica spread is a pure update-propagation phenomenon. *)
-  let jobs =
-    List.map
-      (fun name () ->
+  let profiles =
+    Pool.map
+      (fun name ->
         let obs = Obs.create ~series:true ~series_interval:100.0 () in
-        let config = { Intf.default_config with Intf.twopc_timeout = 30_000.0 } in
-        let h = Harness.create ~config ~obs ~seed ~sites:4 ~method_name:name () in
-        let engine = Harness.engine h in
-        for i = 0 to 159 do
-          let time = float_of_int (i + 1) *. 20.0 in
-          ignore
-            (Engine.schedule_at engine ~time (fun () ->
-                 let key = Printf.sprintf "k%d" (i mod 8) in
-                 let intents =
-                   match name with
-                   | "RITU" | "QUORUM" ->
-                       [ Intf.Set (key, Esr_store.Value.Int (1_000 + i)) ]
-                   | _ -> [ Intf.Add (key, 1 + (i mod 3)) ]
-                 in
-                 Harness.submit_update h ~origin:(i mod 4) intents (fun _ -> ())))
-        done;
-        Harness.inject_faults h schedule;
-        Harness.arm_series h ~until:horizon;
+        let h = Harness.create ~config:fault_config ~obs ~seed ~sites:4 ~method_name:name () in
+        update_stream h ~name ~n:160 ~every:20.0 ~keys:8 (fun ~time:_ _ _ -> ());
+        Harness.inject_faults h e13_faults;
+        Harness.arm_series h ~until:3_400.0;
         ignore (Harness.settle_result h);
         let series = obs.Obs.series in
         let col = Option.get (Series.column_index series "esr/spread_max") in
@@ -1003,9 +853,8 @@ let e14_divergence_profile () =
             if v > !peak then peak := v;
             if v > 0.0 then last_div := s.Series.at);
         (by_time, !peak, !last_div))
-      methods
+      Registry.names
   in
-  let profiles = Pool.map (fun job -> job ()) jobs in
   let cell v = if v = 0.0 then "0" else Printf.sprintf "%.0f" v in
   let times = List.init 17 (fun i -> float_of_int (i + 1) *. 200.0) in
   List.iter
@@ -1018,7 +867,7 @@ let e14_divergence_profile () =
                 | Some v -> cell v
                 | None -> "-")
               profiles)
-        @ [ (if faulty time then "*" else "") ]))
+        @ [ (if Schedule.faulty e13_faults time then "*" else "") ]))
     times;
   Tablefmt.add_separator t;
   Tablefmt.add_row t
@@ -1033,102 +882,76 @@ let e14_divergence_profile () =
 (* ------------------------------------------------------------------ *)
 
 let a1_ordup_ordering () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "A1 (ablation): ORDUP order source — central sequencer vs Lamport \
-         timestamps (paper Sec 3.1: with timestamps, MSets must wait until \
-         no earlier stamp can arrive)"
-      ~headers:
-        [ "Ordering"; "Sites"; "Upd lat p50 (ms)"; "Upd lat p95 (ms)";
-          "Quiesce time (ms)"; "Committed" ]
-  in
-  let sites_list = [ 4; 8 ] in
-  let jobs =
-    List.concat_map
-      (fun (label, ordering, flush_every) ->
-        List.map
-          (fun sites () ->
-            let spec =
-              {
-                Spec.default with
-                Spec.duration = 3_000.0;
-                update_rate = 0.03;
-                query_rate = 0.01;
-                n_keys = 16;
-                ops_per_update = 1;
-              }
-            in
-            let config = { Intf.default_config with Intf.ordup_ordering = ordering } in
-            let r =
-              Scenario.run ~seed ~config ~net_config:wan ?flush_every ~sites
-                ~method_name:"ORDUP" spec
-            in
-            [
-              label;
-              Tablefmt.cell_int sites;
-              fmt_ms (Stats.median r.Scenario.update_latency);
-              fmt_ms (Stats.percentile r.Scenario.update_latency 95.0);
-              fmt_ms r.Scenario.quiesce_time;
-              Tablefmt.cell_int r.Scenario.committed;
-            ])
-          sites_list)
+  grid ~group:2
+    ~title:
+      "A1 (ablation): ORDUP order source — central sequencer vs Lamport \
+       timestamps (paper Sec 3.1: with timestamps, MSets must wait until \
+       no earlier stamp can arrive)"
+    (cross
+       [
+         ("sequencer", `Sequencer, None);
+         ("lamport", `Lamport, None);
+         ("lamport + 50ms heartbeats", `Lamport, Some 50.0);
+       ]
+       [ 4; 8 ])
+    (fun ((label, ordering, flush_every), sites) ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration = 3_000.0;
+          update_rate = 0.03;
+          query_rate = 0.01;
+          n_keys = 16;
+          ops_per_update = 1;
+        }
+      in
+      let config = { Intf.default_config with Intf.ordup_ordering = ordering } in
+      let r =
+        Scenario.run ~seed ~config ~net_config:wan ?flush_every ~sites
+          ~method_name:"ORDUP" spec
+      in
       [
-        ("sequencer", `Sequencer, None);
-        ("lamport", `Lamport, None);
-        ("lamport + 50ms heartbeats", `Lamport, Some 50.0);
-      ]
-  in
-  add_grouped t ~per_group:(List.length sites_list) (par_rows jobs);
-  Tablefmt.print t
+        ("Ordering", label);
+        int "Sites" sites;
+        upd_lat r 50.0;
+        upd_lat r 95.0;
+        ("Quiesce time (ms)", fmt_ms r.Scenario.quiesce_time);
+        int "Committed" r.Scenario.committed;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* A2: ablation — stable-queue retry interval vs loss                  *)
 (* ------------------------------------------------------------------ *)
 
 let a2_squeue_retry () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "A2 (ablation): stable-queue retry interval vs link loss — time to \
-         drain 200 broadcast MSets (4 sites, 10ms links)"
-      ~headers:
-        [ "Loss"; "Retry interval (ms)"; "Drain time (ms)"; "Retransmissions";
-          "Duplicates suppressed" ]
-  in
-  let retries = [ 25.0; 50.0; 100.0; 200.0 ] in
-  let jobs =
-    List.concat_map
-      (fun drop ->
-        List.map
-          (fun retry () ->
-            let engine = Engine.create () in
-            let config = { Net.default_config with Net.drop_probability = drop } in
-            let net = Net.create ~config engine ~sites:4 ~prng:(Prng.create seed) in
-            let delivered = ref 0 in
-            let q =
-              Squeue.create ~retry_interval:retry net
-                ~handler:(fun ~site:_ ~src:_ () -> incr delivered)
-            in
-            for i = 0 to 199 do
-              ignore
-                (Engine.schedule engine ~delay:(float_of_int i) (fun () ->
-                     Squeue.send q ~src:(i mod 4) ~dst:((i + 1) mod 4) ()))
-            done;
-            Engine.run engine;
-            let c = Squeue.counters q in
-            [
-              Printf.sprintf "%.0f%%" (drop *. 100.0);
-              Tablefmt.cell_float retry;
-              fmt_ms (Engine.now engine);
-              Tablefmt.cell_int c.Squeue.retransmissions;
-              Tablefmt.cell_int c.Squeue.duplicates_suppressed;
-            ])
-          retries)
-      [ 0.0; 0.05; 0.1; 0.2 ]
-  in
-  add_grouped t ~per_group:(List.length retries) (par_rows jobs);
-  Tablefmt.print t
+  grid ~group:4
+    ~title:
+      "A2 (ablation): stable-queue retry interval vs link loss — time to \
+       drain 200 broadcast MSets (4 sites, 10ms links)"
+    (cross [ 0.0; 0.05; 0.1; 0.2 ] [ 25.0; 50.0; 100.0; 200.0 ])
+    (fun (drop, retry) ->
+      let engine = Engine.create () in
+      let config = { Net.default_config with Net.drop_probability = drop } in
+      let net = Net.create ~config engine ~sites:4 ~prng:(Prng.create seed) in
+      let delivered = ref 0 in
+      let q =
+        Squeue.create ~retry_interval:retry net
+          ~handler:(fun ~site:_ ~src:_ () -> incr delivered)
+      in
+      for i = 0 to 199 do
+        ignore
+          (Engine.schedule engine ~delay:(float_of_int i) (fun () ->
+               Squeue.send q ~src:(i mod 4) ~dst:((i + 1) mod 4) ()))
+      done;
+      Engine.run engine;
+      let c = Squeue.counters q in
+      [
+        ("Loss", fmt_rate drop);
+        num "Retry interval (ms)" retry;
+        ("Drain time (ms)", fmt_ms (Engine.now engine));
+        int "Retransmissions" c.Squeue.retransmissions;
+        int "Duplicates suppressed" c.Squeue.duplicates_suppressed;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E15: the million-op scale tier                                      *)
@@ -1154,57 +977,41 @@ let e15_scale () =
   let duration = 10_000.0 *. s in
   let update_rate = 0.5 in  (* ETs per virtual ms -> ~5_000 x s update ETs *)
   let ops_per_update = 2 in
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E15: scale tier at scale %g — %d sites, %d keys, ~%.0f update \
-            ETs x %d ops applied at every replica (async methods; \
-            deterministic columns only, throughput lands in \
-            BENCH_experiments.json)"
-           s sites n_keys (duration *. update_rate) ops_per_update)
-      ~headers:
-        [ "Method"; "Committed"; "Rejected"; "Applied ops"; "Msgs sent";
-          "Settled"; "Replicas equal" ]
-  in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "QUASI" ] in
-  let t0 = Unix.gettimeofday () in
-  let jobs =
-    List.map
-      (fun name () ->
-        let spec =
-          {
-            Spec.duration;
-            update_rate;
-            query_rate = 0.002;
-            n_keys;
-            zipf_theta = 0.6;
-            ops_per_update;
-            keys_per_query = 1;
-            epsilon = Epsilon.Unlimited;
-            profile = profile_for name;
-          }
-        in
-        let r = Scenario.run ~seed ~sites ~method_name:name spec in
-        let applied = r.Scenario.committed * ops_per_update * sites in
-        ( applied,
-          [
-            name;
-            Tablefmt.cell_int r.Scenario.committed;
-            Tablefmt.cell_int r.Scenario.rejected;
-            Tablefmt.cell_int applied;
-            Tablefmt.cell_int r.Scenario.net_counters.Net.sent;
-            Tablefmt.cell_bool r.Scenario.settled;
-            Tablefmt.cell_bool r.Scenario.converged;
-          ] ))
-      methods
-  in
-  let results = par_rows jobs in
+  (* [grid] notes the table's applied ops; the delta is this run's. *)
+  let noted = !applied_ops and t0 = Unix.gettimeofday () in
+  grid ~applied:[ "Applied ops" ]
+    ~title:
+      (Printf.sprintf
+         "E15: scale tier at scale %g — %d sites, %d keys, ~%.0f update \
+          ETs x %d ops applied at every replica (async methods; \
+          deterministic columns only, throughput lands in \
+          BENCH_experiments.json)"
+         s sites n_keys (duration *. update_rate) ops_per_update)
+    scale_methods
+    (fun name ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration;
+          update_rate;
+          query_rate = 0.002;
+          n_keys;
+          ops_per_update;
+          keys_per_query = 1;
+        }
+      in
+      let r = Scenario.run ~seed ~sites ~method_name:name (Spec.for_method name spec) in
+      [
+        ("Method", name);
+        int "Committed" r.Scenario.committed;
+        int "Rejected" r.Scenario.rejected;
+        int "Applied ops" (r.Scenario.committed * ops_per_update * sites);
+        int "Msgs sent" r.Scenario.net_counters.Net.sent;
+        bool "Settled" r.Scenario.settled;
+        bool "Replicas equal" r.Scenario.converged;
+      ]);
   let elapsed = Unix.gettimeofday () -. t0 in
-  let applied = List.fold_left (fun a (n, _) -> a + n) 0 results in
-  note_applied applied;
-  add_rows t (List.map snd results);
-  Tablefmt.print t;
+  let applied = !applied_ops - noted in
   (* stderr on purpose: wall-clock numbers must not enter the
      byte-compared stdout capture. *)
   Printf.eprintf
@@ -1234,16 +1041,10 @@ let e15_scale () =
    profiling is on) the esr-profile/1 dump — are only written when
    ESR_SOAK_DIR names a directory, so they never perturb stdout. *)
 let e16_soak () =
-  let module Harness = Esr_replica.Harness in
-  let module Obs = Esr_obs.Obs in
-  let module Series = Esr_obs.Series in
-  let module Trace = Esr_obs.Trace in
   let module Prof = Esr_obs.Prof in
   let module Report = Esr_obs.Report in
   let module Openmetrics = Esr_obs.Openmetrics in
   let module Metrics = Esr_obs.Metrics in
-  let module Nemesis = Esr_fault.Nemesis in
-  let module Schedule = Esr_fault.Schedule in
   let s = !scale in
   let sites = 4 in
   let duration = Stdlib.max 1_200.0 (12_000.0 *. s) in
@@ -1260,137 +1061,87 @@ let e16_soak () =
   in
   Printf.printf "e16 nemesis schedule (seed %d): %s\n" seed
     (Schedule.to_spec schedule);
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E16: long soak at scale %g — %d sites, %.0f virtual ms of \
-            sustained updates under the seeded nemesis above; durable \
-            log / WAL / journal growth summed over sites (cumulative \
-            counters grow, standing depth drains to 0 at quiescence)"
-           s sites duration)
-      ~headers:
-        [ "Method"; "Committed"; "Log entries"; "Log KB"; "WAL appends";
-          "Journal enq"; "Journal depth"; "Replays";
-          "Log growth /1k ms"; "Converged" ]
-  in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ] in
-  let jobs =
-    List.map
-      (fun name () ->
-        let obs =
-          Obs.create ~tracing:true ~series:true ~series_interval:interval
-            ~profiling ()
-        in
-        let config =
-          { Intf.default_config with Intf.twopc_timeout = 30_000.0 }
-        in
-        let h = Harness.create ~config ~obs ~seed ~sites ~method_name:name () in
-        let engine = Harness.engine h in
-        let committed = ref 0 in
-        for i = 0 to n_updates - 1 do
-          let time = float_of_int (i + 1) *. update_every in
-          ignore
-            (Engine.schedule_at engine ~time (fun () ->
-                 let key = Printf.sprintf "k%d" (i mod 16) in
-                 let intents =
-                   match name with
-                   | "RITU" | "QUORUM" ->
-                       [ Intf.Set (key, Esr_store.Value.Int (1_000 + i)) ]
-                   | _ -> [ Intf.Add (key, 1 + (i mod 3)) ]
-                 in
-                 Harness.submit_update h ~origin:(i mod sites) intents
-                   (function
-                     | Intf.Committed _ -> incr committed
-                     | Intf.Rejected _ -> ())))
-        done;
-        Harness.inject_faults h schedule;
-        Harness.arm_series h ~until:duration;
-        let settled = Harness.settle_result h = Harness.Drained in
-        let res site = Intf.boxed_resources (Harness.system h) ~site in
-        let sum f =
-          List.fold_left (fun a i -> a + f (res i)) 0 (List.init sites Fun.id)
-        in
-        let replays = ref 0 in
-        Trace.iter obs.Obs.trace (fun r ->
-            match r.Trace.ev with
-            | Trace.Recovery_replay _ -> incr replays
-            | _ -> ());
-        (* Growth rate of the summed durable log over the sampled window
-           (virtual time, hence deterministic). *)
-        let series = obs.Obs.series in
-        let log_cols =
-          List.filter_map
-            (fun i ->
-              Series.column_index series
-                (Printf.sprintf "res/log_entries.s%d" i))
-            (List.init sites Fun.id)
-        in
-        let first = ref None and last = ref None in
-        Series.iter series (fun smp ->
-            if !first = None then first := Some smp;
-            last := Some smp);
-        let sum_at (smp : Series.sample) =
-          List.fold_left (fun a c -> a +. smp.Series.values.(c)) 0.0 log_cols
-        in
-        let growth =
-          match (!first, !last) with
-          | Some f, Some l when l.Series.at > f.Series.at ->
-              (sum_at l -. sum_at f) /. (l.Series.at -. f.Series.at) *. 1000.0
-          | _ -> 0.0
-        in
-        (* Dump the observability artefacts for this method, if asked. *)
-        (match soak_dir with
-        | Some dir ->
-            let out file f =
-              let oc = open_out file in
-              Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-            in
-            let base =
-              Filename.concat dir
-                (Printf.sprintf "e16_%s"
-                   (String.lowercase_ascii
-                      (String.map (function '/' -> '_' | c -> c) name)))
-            in
-            out (base ^ ".series.json") (fun oc -> Series.write_json oc series);
-            out (base ^ ".om") (fun oc ->
-                Openmetrics.write_snapshot oc (Metrics.snapshot obs.Obs.metrics));
-            if Prof.on obs.Obs.prof then
-              out (base ^ ".profile.json") (fun oc ->
-                  Prof.write_json oc obs.Obs.prof);
-            let records = ref [] in
-            Trace.iter obs.Obs.trace (fun r -> records := r :: !records);
-            let input =
-              Report.make ~label:("e16 " ^ name)
-                ~series:(Series.dump series)
-                ?profile:
-                  (if Prof.on obs.Obs.prof then Some (Prof.dump obs.Obs.prof)
-                   else None)
-                (List.rev !records)
-            in
-            out (base ^ ".html") (fun oc -> output_string oc (Report.html input))
-        | None -> ());
-        let applied = sum (fun r -> r.Intf.log_entries) in
-        ( applied,
-          [
-            name;
-            Tablefmt.cell_int !committed;
-            Tablefmt.cell_int (sum (fun r -> r.Intf.log_entries));
-            Printf.sprintf "%.1f"
-              (float_of_int (sum (fun r -> r.Intf.log_bytes)) /. 1024.0);
-            Tablefmt.cell_int (sum (fun r -> r.Intf.wal_appended));
-            Tablefmt.cell_int (sum (fun r -> r.Intf.journal_enqueued));
-            Tablefmt.cell_int (sum (fun r -> r.Intf.journal_depth));
-            Tablefmt.cell_int !replays;
-            Printf.sprintf "%.1f" growth;
-            Tablefmt.cell_bool (settled && Harness.converged h);
-          ] ))
-      methods
-  in
-  let results = par_rows jobs in
-  note_applied (List.fold_left (fun a (n, _) -> a + n) 0 results);
-  add_rows t (List.map snd results);
-  Tablefmt.print t
+  grid ~applied:[ "Log entries" ]
+    ~title:
+      (Printf.sprintf
+         "E16: long soak at scale %g — %d sites, %.0f virtual ms of \
+          sustained updates under the seeded nemesis above; durable \
+          log / WAL / journal growth summed over sites (cumulative \
+          counters grow, standing depth drains to 0 at quiescence)"
+         s sites duration)
+    Registry.names
+    (fun name ->
+      let obs =
+        Obs.create ~tracing:true ~series:true ~series_interval:interval
+          ~profiling ()
+      in
+      let h = Harness.create ~config:fault_config ~obs ~seed ~sites ~method_name:name () in
+      let committed = ref 0 in
+      update_stream h ~name ~n:n_updates ~every:update_every ~keys:16
+        (fun ~time:_ _ -> count committed);
+      Harness.inject_faults h schedule;
+      Harness.arm_series h ~until:duration;
+      let settled = Harness.settle_result h = Harness.Drained in
+      let replays = replays obs in
+      (* Growth rate of the summed durable log over the sampled window
+         (virtual time, hence deterministic). *)
+      let series = obs.Obs.series in
+      let depth = log_depth series ~sites in
+      let first = ref None and last = ref None in
+      Series.iter series (fun smp ->
+          if !first = None then first := Some smp;
+          last := Some smp);
+      let growth =
+        match (!first, !last) with
+        | Some f, Some l when l.Series.at > f.Series.at ->
+            (depth l -. depth f) /. (l.Series.at -. f.Series.at) *. 1000.0
+        | _ -> 0.0
+      in
+      (* Dump the observability artefacts for this method, if asked. *)
+      (match soak_dir with
+      | Some dir ->
+          let out file f =
+            let oc = open_out file in
+            Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+          in
+          let base =
+            Filename.concat dir
+              (Printf.sprintf "e16_%s"
+                 (String.lowercase_ascii
+                    (String.map (function '/' -> '_' | c -> c) name)))
+          in
+          out (base ^ ".series.json") (fun oc -> Series.write_json oc series);
+          out (base ^ ".om") (fun oc ->
+              Openmetrics.write_snapshot oc (Metrics.snapshot obs.Obs.metrics));
+          if Prof.on obs.Obs.prof then
+            out (base ^ ".profile.json") (fun oc ->
+                Prof.write_json oc obs.Obs.prof);
+          let records = ref [] in
+          Trace.iter obs.Obs.trace (fun r -> records := r :: !records);
+          let input =
+            Report.make ~label:("e16 " ^ name)
+              ~series:(Series.dump series)
+              ?profile:
+                (if Prof.on obs.Obs.prof then Some (Prof.dump obs.Obs.prof)
+                 else None)
+              (List.rev !records)
+          in
+          out (base ^ ".html") (fun oc -> output_string oc (Report.html input))
+      | None -> ());
+      [
+        ("Method", name);
+        int "Committed" !committed;
+        int "Log entries" (sum_res h (fun r -> r.Intf.log_entries));
+        ( "Log KB",
+          Printf.sprintf "%.1f"
+            (float_of_int (sum_res h (fun r -> r.Intf.log_bytes)) /. 1024.0) );
+        int "WAL appends" (sum_res h (fun r -> r.Intf.wal_appended));
+        int "Journal enq" (sum_res h (fun r -> r.Intf.journal_enqueued));
+        int "Journal depth" (sum_res h (fun r -> r.Intf.journal_depth));
+        int "Replays" replays;
+        ("Log growth /1k ms", Printf.sprintf "%.1f" growth);
+        bool "Converged" (settled && Harness.converged h);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E17: sharded scale — interest-routed propagation vs full fanout     *)
@@ -1411,13 +1162,12 @@ let e16_soak () =
    updates/sec figure for the sharded tier too. *)
 let e17_sharded_scale () =
   let module Sharding = Esr_store.Sharding in
-  let module Obs = Esr_obs.Obs in
   let module Metrics = Esr_obs.Metrics in
   let s = !scale in
   let sites = Stdlib.max 8 (int_of_float ((200.0 *. s) +. 0.5)) in
   let factor = 3 in
   let n_keys = 4_096 in
-  let duration = 2_000.0 in
+  let ops_per_update = 2 in
   let t =
     Tablefmt.create
       ~title:
@@ -1432,77 +1182,67 @@ let e17_sharded_scale () =
         [ "Method"; "Copies"; "Committed"; "Msgs sent"; "Msgs/update";
           "vs full"; "Store words/site"; "Settled"; "Converged" ]
   in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "QUASI" ] in
-  let ops_per_update = 2 in
-  let factors = [ sites; factor ] in
-  let jobs =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun copies () ->
-            let spec =
-              {
-                Spec.duration;
-                update_rate = 0.25;
-                query_rate = 0.01;
-                n_keys;
-                zipf_theta = 0.6;
-                ops_per_update;
-                keys_per_query = 1;
-                epsilon = Epsilon.Unlimited;
-                profile = profile_for name;
-              }
-            in
-            let sharding =
-              if copies = sites then None
-              else
-                Some
-                  (Sharding.create ~policy:Sharding.Ring ~shards:sites
-                     ~factor:copies ~sites ())
-            in
-            let obs = Obs.create () in
-            let r =
-              Scenario.run ~seed ?sharding ~obs ~sites ~method_name:name spec
-            in
-            (* Mean per-site store footprint, read off the harness's
-               [res/store_words] gauges at quiescence. *)
-            let store_words =
-              List.fold_left
-                (fun a (e : Metrics.entry) ->
-                  match (e.Metrics.group, e.Metrics.name, e.Metrics.view) with
-                  | "res", "store_words", Metrics.Gauge_v v -> a +. v
-                  | _ -> a)
-                0.0
-                (Metrics.snapshot obs.Obs.metrics)
-              /. float_of_int sites
-            in
-            let applied = r.Scenario.committed * ops_per_update * copies in
-            (applied, (name, copies, r, store_words)))
-          factors)
-      methods
+  let results =
+    Pool.map
+      (fun (name, copies) ->
+        let spec =
+          {
+            Spec.default with
+            Spec.duration = 2_000.0;
+            update_rate = 0.25;
+            query_rate = 0.01;
+            n_keys;
+            ops_per_update;
+            keys_per_query = 1;
+          }
+        in
+        let sharding =
+          if copies = sites then None
+          else
+            Some
+              (Sharding.create ~policy:Sharding.Ring ~shards:sites
+                 ~factor:copies ~sites ())
+        in
+        let obs = Obs.create () in
+        let r =
+          Scenario.run ~seed ?sharding ~obs ~sites ~method_name:name
+            (Spec.for_method name spec)
+        in
+        (* Mean per-site store footprint, read off the harness's
+           [res/store_words] gauges at quiescence. *)
+        let store_words =
+          List.fold_left
+            (fun a (e : Metrics.entry) ->
+              match (e.Metrics.group, e.Metrics.name, e.Metrics.view) with
+              | "res", "store_words", Metrics.Gauge_v v -> a +. v
+              | _ -> a)
+            0.0
+            (Metrics.snapshot obs.Obs.metrics)
+          /. float_of_int sites
+        in
+        (name, copies, r, store_words))
+      (cross scale_methods [ sites; factor ])
   in
-  let results = par_rows jobs in
-  note_applied (List.fold_left (fun a (n, _) -> a + n) 0 results);
-  (* Pair each sharded run with its full-replication twin (they are
-     adjacent in job order) to print the fanout ratio. *)
+  note_applied
+    (List.fold_left
+       (fun a (_, copies, r, _) -> a + (r.Scenario.committed * ops_per_update * copies))
+       0 results);
   let msgs_per_update (r : Scenario.result) =
     if r.Scenario.committed = 0 then 0.0
     else
       float_of_int r.Scenario.net_counters.Net.sent
       /. float_of_int r.Scenario.committed
   in
-  let full_mpu = Hashtbl.create 8 in
   List.iter
-    (fun (_, (name, copies, r, _)) ->
-      if copies = sites then Hashtbl.replace full_mpu name (msgs_per_update r))
-    results;
-  List.iter
-    (fun (_, (name, copies, r, store_words)) ->
+    (fun (name, copies, r, store_words) ->
       let mpu = msgs_per_update r in
-      let ratio =
-        match Hashtbl.find_opt full_mpu name with
-        | Some f when f > 0.0 -> Printf.sprintf "%.3fx" (mpu /. f)
-        | _ -> "n/a"
+      (* The fanout ratio against the same method's full-replication
+         twin. *)
+      let full =
+        List.find_map
+          (fun (n, c, r, _) ->
+            if n = name && c = sites then Some (msgs_per_update r) else None)
+          results
       in
       Tablefmt.add_row t
         [
@@ -1511,7 +1251,9 @@ let e17_sharded_scale () =
           Tablefmt.cell_int r.Scenario.committed;
           Tablefmt.cell_int r.Scenario.net_counters.Net.sent;
           Printf.sprintf "%.1f" mpu;
-          ratio;
+          (match full with
+          | Some f when f > 0.0 -> Printf.sprintf "%.3fx" (mpu /. f)
+          | _ -> "n/a");
           Printf.sprintf "%.0f" store_words;
           Tablefmt.cell_bool r.Scenario.settled;
           Tablefmt.cell_bool r.Scenario.converged;
@@ -1543,12 +1285,7 @@ let e17_sharded_scale () =
    so the table byte-compares across domain counts, tracing and
    profiling like every other experiment. *)
 let e18_bounded_soak () =
-  let module Harness = Esr_replica.Harness in
-  let module Obs = Esr_obs.Obs in
-  let module Series = Esr_obs.Series in
   let module Checkpoint = Esr_replica.Checkpoint in
-  let module Nemesis = Esr_fault.Nemesis in
-  let module Schedule = Esr_fault.Schedule in
   let module Store = Esr_store.Store in
   let s = !scale in
   let sites = 4 in
@@ -1573,141 +1310,85 @@ let e18_bounded_soak () =
   in
   Printf.printf "e18 nemesis schedule (seed %d): %s\n" seed
     (Schedule.to_spec schedule);
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E18: bounded soak at scale %g — %d sites, %.0f virtual ms of \
-            sustained updates under the seeded nemesis above, checkpoint \
-            cut every %.0f ms (retain %d); standing log depth (Max depth) \
-            and replay length (Max tail) stay bounded while folded \
-            entries grow, and the final stores match a same-seed \
-            checkpointing-off twin (Off-match)"
-           s sites duration ckpt_interval Checkpoint.default_retain)
-      ~headers:
-        [ "Method"; "Committed"; "Cuts"; "Folded"; "Journal GC";
-          "Max depth"; "Final log"; "WAL hw"; "Replays"; "Max tail";
-          "Off-match"; "Converged" ]
-  in
-  let methods = [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ] in
-  let config = { Intf.default_config with Intf.twopc_timeout = 30_000.0 } in
   (* Identical workload for the checkpointed run and its off twin: same
      arrival times, same intents, same fault schedule. *)
   let drive name h =
-    let engine = Harness.engine h in
     let committed = ref 0 in
-    for i = 0 to n_updates - 1 do
-      let time = float_of_int (i + 1) *. update_every in
-      ignore
-        (Engine.schedule_at engine ~time (fun () ->
-             let key = Printf.sprintf "k%d" (i mod 16) in
-             let intents =
-               match name with
-               | "RITU" | "QUORUM" ->
-                   [ Intf.Set (key, Esr_store.Value.Int (1_000 + i)) ]
-               | _ -> [ Intf.Add (key, 1 + (i mod 3)) ]
-             in
-             Harness.submit_update h ~origin:(i mod sites) intents (function
-               | Intf.Committed _ -> incr committed
-               | Intf.Rejected _ -> ())))
-    done;
+    update_stream h ~name ~n:n_updates ~every:update_every ~keys:16
+      (fun ~time:_ _ -> count committed);
     Harness.inject_faults h schedule;
     committed
   in
-  let jobs =
-    List.map
-      (fun name () ->
-        (* Off twin first: its final stores are the reference the
-           checkpointed run must reproduce exactly. *)
-        let off =
-          let obs = Obs.create () in
-          let h =
-            Harness.create ~config ~obs ~seed ~sites ~method_name:name ()
-          in
-          ignore (drive name h);
-          ignore (Harness.settle_result h);
-          List.init sites (fun i -> Store.snapshot (Harness.store h ~site:i))
-        in
-        let obs = Obs.create ~series:true ~series_interval () in
+  grid ~applied:[ "Folded"; "Final log" ]
+    ~title:
+      (Printf.sprintf
+         "E18: bounded soak at scale %g — %d sites, %.0f virtual ms of \
+          sustained updates under the seeded nemesis above, checkpoint \
+          cut every %.0f ms (retain %d); standing log depth (Max depth) \
+          and replay length (Max tail) stay bounded while folded \
+          entries grow, and the final stores match a same-seed \
+          checkpointing-off twin (Off-match)"
+         s sites duration ckpt_interval Checkpoint.default_retain)
+    Registry.names
+    (fun name ->
+      (* Off twin first: its final stores are the reference the
+         checkpointed run must reproduce exactly. *)
+      let off =
+        let obs = Obs.create () in
         let h =
-          Harness.create ~config ~obs ~seed ~sites ~method_name:name
-            ~checkpoint:
-              {
-                Checkpoint.interval = ckpt_interval;
-                retain = Checkpoint.default_retain;
-              }
-            ()
+          Harness.create ~config:fault_config ~obs ~seed ~sites ~method_name:name ()
         in
-        let committed = drive name h in
-        Harness.arm_series h ~until:duration;
-        Harness.arm_checkpoints h ~until:duration;
-        let settled = Harness.settle_result h = Harness.Drained in
-        let c =
-          match (Harness.env h).Intf.checkpoint with
-          | Some c -> c
-          | None -> assert false
-        in
-        let sum f =
-          List.fold_left (fun a i -> a + f i) 0 (List.init sites Fun.id)
-        in
-        let maxi f =
-          List.fold_left (fun a i -> Stdlib.max a (f i)) 0
-            (List.init sites Fun.id)
-        in
-        let res site = Intf.boxed_resources (Harness.system h) ~site in
+        ignore (drive name h);
+        ignore (Harness.settle_result h);
+        List.init sites (fun i -> Store.snapshot (Harness.store h ~site:i))
+      in
+      let obs = Obs.create ~series:true ~series_interval () in
+      let h =
+        Harness.create ~config:fault_config ~obs ~seed ~sites ~method_name:name
+          ~checkpoint:
+            {
+              Checkpoint.interval = ckpt_interval;
+              retain = Checkpoint.default_retain;
+            }
+          ()
+      in
+      let committed = drive name h in
+      Harness.arm_series h ~until:duration;
+      Harness.arm_checkpoints h ~until:duration;
+      let settled = Harness.settle_result h = Harness.Drained in
+      let c = Option.get (Harness.env h).Intf.checkpoint in
+      (* Peak standing log depth over the sampled horizon, summed over
+         sites: the quantity checkpointing bounds.  Compare with
+         Folded, the cumulative entries absorbed into snapshots, which
+         grows with the horizon. *)
+      let depth = log_depth obs.Obs.series ~sites in
+      let max_depth = ref 0.0 in
+      Series.iter obs.Obs.series (fun smp ->
+          let v = depth smp in
+          if v > !max_depth then max_depth := v);
+      [
+        ("Method", name);
+        int "Committed" !committed;
+        int "Cuts" (sum_sites h (fun i -> Checkpoint.cuts c ~site:i));
+        int "Folded" (sum_sites h (fun i -> Checkpoint.truncated_log c ~site:i));
+        int "Journal GC" (sum_sites h (fun i -> Checkpoint.truncated_journal c ~site:i));
+        int "Max depth" (int_of_float !max_depth);
+        int "Final log" (sum_res h (fun r -> r.Intf.log_entries));
+        int "WAL hw" (sum_res h (fun r -> r.Intf.wal_high_water));
         (* Counted from the checkpoint stats rather than the trace: over
            a days-long horizon the bounded trace ring wraps and evicts
            the early Recovery_replay events. *)
-        let replays = sum (fun i -> Checkpoint.tail_replays c ~site:i) in
-        (* Peak standing log depth over the sampled horizon, summed over
-           sites: the quantity checkpointing bounds.  Compare with
-           Folded, the cumulative entries absorbed into snapshots, which
-           grows with the horizon. *)
-        let series = obs.Obs.series in
-        let log_cols =
-          List.filter_map
-            (fun i ->
-              Series.column_index series
-                (Printf.sprintf "res/log_entries.s%d" i))
-            (List.init sites Fun.id)
-        in
-        let max_depth = ref 0.0 in
-        Series.iter series (fun smp ->
-            let v =
-              List.fold_left
-                (fun a col -> a +. smp.Series.values.(col))
-                0.0 log_cols
-            in
-            if v > !max_depth then max_depth := v);
-        let final_log = sum (fun i -> (res i).Intf.log_entries) in
-        let folded = sum (fun i -> Checkpoint.truncated_log c ~site:i) in
-        let off_match =
-          List.for_all2
-            (fun snap i -> snap = Store.snapshot (Harness.store h ~site:i))
-            off (List.init sites Fun.id)
-        in
-        ( folded + final_log,
-          [
-            name;
-            Tablefmt.cell_int !committed;
-            Tablefmt.cell_int (sum (fun i -> Checkpoint.cuts c ~site:i));
-            Tablefmt.cell_int folded;
-            Tablefmt.cell_int
-              (sum (fun i -> Checkpoint.truncated_journal c ~site:i));
-            Tablefmt.cell_int (int_of_float !max_depth);
-            Tablefmt.cell_int final_log;
-            Tablefmt.cell_int (sum (fun i -> (res i).Intf.wal_high_water));
-            Tablefmt.cell_int replays;
-            Tablefmt.cell_int (maxi (fun i -> Checkpoint.max_tail c ~site:i));
-            Tablefmt.cell_bool off_match;
-            Tablefmt.cell_bool (settled && Harness.converged h);
-          ] ))
-      methods
-  in
-  let results = par_rows jobs in
-  note_applied (List.fold_left (fun a (n, _) -> a + n) 0 results);
-  add_rows t (List.map snd results);
-  Tablefmt.print t
+        int "Replays" (sum_sites h (fun i -> Checkpoint.tail_replays c ~site:i));
+        int "Max tail"
+          (List.fold_left
+             (fun a i -> Stdlib.max a (Checkpoint.max_tail c ~site:i))
+             0 (List.init sites Fun.id));
+        bool "Off-match"
+          (List.for_all2
+             (fun snap i -> snap = Store.snapshot (Harness.store h ~site:i))
+             off (List.init sites Fun.id));
+        bool "Converged" (settled && Harness.converged h);
+      ])
 
 (* --- E19: audit certificates --------------------------------------- *)
 
@@ -1718,10 +1399,7 @@ let e18_bounded_soak () =
    practice — how many bounded queries actually hit their limit, and how
    much inconsistency was charged against reconstructed overlap. *)
 let e19_audit_certificates () =
-  let module Obs = Esr_obs.Obs in
   let module Audit = Esr_obs.Audit in
-  let module Nemesis = Esr_fault.Nemesis in
-  let module Schedule = Esr_fault.Schedule in
   let module Sharding = Esr_store.Sharding in
   let sites = 4 in
   let duration = 2_000.0 in
@@ -1731,81 +1409,55 @@ let e19_audit_certificates () =
   in
   Printf.printf "e19 nemesis schedule (seed %d): %s\n" seed
     (Schedule.to_spec schedule);
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E19: audit certificates — every method over the seeded nemesis \
-            above, full and ring-sharded placement, epsilon = %d, with the \
-            runtime auditor tapped into the live trace; Violations must be \
-            0 everywhere, and the ledger columns measure bound tightness \
-            (AtBound = queries charged exactly their epsilon, Exact = \
-            query windows whose charge equals the reconstructed overlap \
-            with concurrent update ETs)"
-           epsilon)
-      ~headers:
-        [ "Method"; "Placement"; "Events"; "Queries"; "AtBound"; "Charged";
-          "Windows"; "Exact"; "MaxReplay"; "Violations"; "Certified" ]
-  in
-  let methods =
-    [ "ORDUP"; "COMMU"; "RITU"; "COMPE"; "2PC"; "QUORUM"; "QUASI" ]
-  in
-  let jobs =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun placement () ->
-            let spec =
-              {
-                Spec.duration;
-                update_rate = 0.05;
-                query_rate = 0.05;
-                n_keys = 24;
-                zipf_theta = 0.6;
-                ops_per_update = (if name = "QUORUM" then 1 else 2);
-                keys_per_query = 2;
-                epsilon = Epsilon.Limit epsilon;
-                profile =
-                  (match name with
-                  | "RITU" | "QUORUM" -> Spec.Blind_set
-                  | _ -> Spec.Additive);
-              }
-            in
-            let placement_name, sharding =
-              match placement with
-              | `Full -> ("full", None)
-              | `Ring ->
-                  ("ring", Some (Sharding.create ~policy:Sharding.Ring ~sites ()))
-            in
-            let obs = Obs.create ~tracing:true () in
-            let audit =
-              Audit.create ~label:(name ^ "/" ^ placement_name) ()
-            in
-            let r =
-              Scenario.run ~seed ?sharding ~obs ~audit ~faults:schedule ~sites
-                ~method_name:name spec
-            in
-            ignore r;
-            let report = Audit.finish audit in
-            let s = report.Audit.summary in
-            [
-              name;
-              placement_name;
-              Tablefmt.cell_int s.Audit.s_events;
-              Tablefmt.cell_int s.Audit.s_queries;
-              Tablefmt.cell_int s.Audit.s_at_bound;
-              Tablefmt.cell_int s.Audit.s_charged_total;
-              Tablefmt.cell_int s.Audit.s_windows;
-              Tablefmt.cell_int s.Audit.s_windows_exact;
-              Tablefmt.cell_int s.Audit.s_max_replay;
-              Tablefmt.cell_int (List.length report.Audit.violations);
-              Tablefmt.cell_bool (Audit.ok report);
-            ])
-          [ `Full; `Ring ])
-      methods
-  in
-  add_rows t (par_rows jobs);
-  Tablefmt.print t
+  grid
+    ~title:
+      (Printf.sprintf
+         "E19: audit certificates — every method over the seeded nemesis \
+          above, full and ring-sharded placement, epsilon = %d, with the \
+          runtime auditor tapped into the live trace; Violations must be \
+          0 everywhere, and the ledger columns measure bound tightness \
+          (AtBound = queries charged exactly their epsilon, Exact = \
+          query windows whose charge equals the reconstructed overlap \
+          with concurrent update ETs)"
+         epsilon)
+    (cross Registry.names [ `Full; `Ring ])
+    (fun (name, placement) ->
+      let spec =
+        {
+          Spec.default with
+          Spec.duration;
+          n_keys = 24;
+          epsilon = Epsilon.Limit epsilon;
+        }
+      in
+      let placement_name, sharding =
+        match placement with
+        | `Full -> ("full", None)
+        | `Ring ->
+            ("ring", Some (Sharding.create ~policy:Sharding.Ring ~sites ()))
+      in
+      let obs = Obs.create ~tracing:true () in
+      let audit =
+        Audit.create ~label:(name ^ "/" ^ placement_name) ()
+      in
+      ignore
+        (Scenario.run ~seed ?sharding ~obs ~audit ~faults:schedule ~sites
+           ~method_name:name (Spec.for_method name spec));
+      let report = Audit.finish audit in
+      let s = report.Audit.summary in
+      [
+        ("Method", name);
+        ("Placement", placement_name);
+        int "Events" s.Audit.s_events;
+        int "Queries" s.Audit.s_queries;
+        int "AtBound" s.Audit.s_at_bound;
+        int "Charged" s.Audit.s_charged_total;
+        int "Windows" s.Audit.s_windows;
+        int "Exact" s.Audit.s_windows_exact;
+        int "MaxReplay" s.Audit.s_max_replay;
+        int "Violations" (List.length report.Audit.violations);
+        bool "Certified" (Audit.ok report);
+      ])
 
 let all =
   [

@@ -78,20 +78,29 @@ let validate ?checkpoint ~sites t =
   in
   check_steps t
 
-let all_clear t =
-  (* Walk forward tracking which sites are down and whether a partition is
-     in force; the schedule is all-clear iff the final state is whole. *)
-  let down = Hashtbl.create 8 in
-  let partitioned = ref false in
-  List.iter
-    (fun { action; _ } ->
-      match action with
+(* Each step's time, paired with whether a fault is in effect once it
+   has fired: some site crashed, or a partition standing. *)
+let states t =
+  let down = Hashtbl.create 8 and partitioned = ref false in
+  List.map
+    (fun { at; action } ->
+      (match action with
       | Crash s -> Hashtbl.replace down s ()
       | Recover s -> Hashtbl.remove down s
       | Partition _ -> partitioned := true
-      | Heal -> partitioned := false)
-    t;
-  Hashtbl.length down = 0 && not !partitioned
+      | Heal -> partitioned := false);
+      (at, Hashtbl.length down > 0 || !partitioned))
+    t
+
+let all_clear t =
+  match List.rev (states t) with [] -> true | (_, faulty) :: _ -> not faulty
+
+let faulty t =
+  let states = states t in
+  fun time ->
+    List.fold_left
+      (fun acc (at, faulty) -> if at <= time then faulty else acc)
+      false states
 
 let clear_time t = List.fold_left (fun acc { at; _ } -> Float.max acc at) 0.0 t
 

@@ -52,6 +52,12 @@ val all_clear : t -> bool
     site has a later recover, and any partition is followed by a heal.
     The convergence property is only guaranteed for all-clear schedules. *)
 
+val faulty : t -> float -> bool
+(** [faulty t time]: whether a fault is in effect at virtual [time] —
+    some site crashed or a partition standing.  A step takes effect at
+    its own time, so a crash at [a] recovered at [b] is faulty over
+    [\[a, b)]. *)
+
 val clear_time : t -> float
 (** Virtual time of the last step (0 for an empty schedule). *)
 

@@ -327,7 +327,7 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
           else
             ignore
               (Engine.schedule t.k.env.engine
-                 ~delay:t.k.env.Intf.config.Intf.query_step_delay (fun () ->
+                 ~delay:Intf.query_step_delay (fun () ->
                    step rest))
         end
         else begin

@@ -102,6 +102,10 @@ type meta = {
   sorting_time : string;  (** Table 1 "sorting time" *)
 }
 
+(** Virtual ms between successive reads of a multi-key query (lets update
+    MSets interleave with the query). *)
+let query_step_delay = 1.0
+
 (** Per-run tuning knobs; each method reads the fields it cares about. *)
 type config = {
   ordup_ordering : [ `Sequencer | `Lamport ];
@@ -117,15 +121,12 @@ type config = {
       (** chance the global transaction aborts after optimistic apply *)
   compe_decision_delay : float;
       (** virtual ms between optimistic apply and global commit/abort *)
-  retry_interval : float;  (** stable-queue retransmission period *)
   retry_backoff : Esr_squeue.Squeue.backoff option;
       (** exponential-backoff policy for stable-queue retransmission;
-          [None] keeps the historical fixed interval (fault-aware runs
-          install {!Esr_squeue.Squeue.default_backoff} so long outages do
-          not storm the links) *)
-  query_step_delay : float;
-      (** virtual ms between successive reads of a multi-key query
-          (lets update MSets interleave with the query) *)
+          [None] keeps {!Esr_squeue.Squeue.create}'s fixed 50 ms
+          interval (fault-aware runs install
+          {!Esr_squeue.Squeue.default_backoff} so long outages do not
+          storm the links) *)
   quorum_reads : int option;  (** read quorum; default majority *)
   quorum_writes : int option;  (** write quorum; default majority *)
   twopc_timeout : float;
@@ -147,9 +148,7 @@ let default_config =
     commu_limit_policy = `Wait;
     compe_abort_probability = 0.0;
     compe_decision_delay = 100.0;
-    retry_interval = 50.0;
     retry_backoff = None;
-    query_step_delay = 1.0;
     quorum_reads = None;
     quorum_writes = None;
     twopc_timeout = 2_000.0;

@@ -36,10 +36,9 @@ let create (env : Intf.env) ~mode ~receive make =
   and k =
     lazy
       (let deliver ~site m = receive (Lazy.force sys) ~site m in
-       let config = env.Intf.config in
        let fabric =
-         Squeue.create ~mode ~retry_interval:config.Intf.retry_interval
-           ?backoff:config.Intf.retry_backoff ~obs:env.Intf.obs env.Intf.net
+         Squeue.create ~mode ?backoff:env.Intf.config.Intf.retry_backoff
+           ~obs:env.Intf.obs env.Intf.net
            ~handler:(fun ~site ~src:_ m -> receive (Lazy.force sys) ~site m)
        in
        let store () =

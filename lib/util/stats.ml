@@ -44,8 +44,8 @@ let variance t =
     Float.max 0.0 ((t.sum_sq /. float_of_int t.len) -. (m *. m))
 
 let stddev t = sqrt (variance t)
-let min t = t.mn
-let max t = t.mx
+let min t = if t.len = 0 then 0.0 else t.mn
+let max t = if t.len = 0 then 0.0 else t.mx
 
 let sorted t =
   match t.sorted with
@@ -81,8 +81,7 @@ let merge a b =
 
 let summary t =
   Printf.sprintf "n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f" (count t)
-    (mean t) (median t) (percentile t 99.0)
-    (if t.len = 0 then 0.0 else max t)
+    (mean t) (median t) (percentile t 99.0) (max t)
 
 module Histogram = struct
   type h = { bounds : float array; counts : int array; mutable n : int }

@@ -15,10 +15,10 @@ val variance : t -> float
 
 val stddev : t -> float
 val min : t -> float
-(** [infinity] on an empty accumulator. *)
+(** 0 on an empty accumulator. *)
 
 val max : t -> float
-(** [neg_infinity] on an empty accumulator. *)
+(** 0 on an empty accumulator. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,100\]], linear interpolation between

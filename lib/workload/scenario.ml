@@ -13,13 +13,11 @@ module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
 module Obs = Esr_obs.Obs
 module Series = Esr_obs.Series
+module Schedule = Esr_fault.Schedule
 
-type partition_spec = {
-  p_start : float;  (** virtual ms at which the network splits *)
-  p_end : float;  (** virtual ms at which it heals *)
-  groups : int list list;
-}
-
+(* What was submitted and committed or served while a fault of
+   [?faults] was in effect ({!Esr_fault.Schedule.faulty}); commits and
+   answers count by the time they land. *)
 type window_counts = {
   w_updates_submitted : int;
   w_updates_committed : int;
@@ -44,7 +42,7 @@ type result = {
   settled : bool;
   converged : bool;
   quiesce_time : float;  (** virtual time once fully drained *)
-  window : window_counts option;
+  window : window_counts option;  (** [Some] when run with [?faults] *)
   method_stats : (string * float) list;
   net_counters : Net.counters;
 }
@@ -98,7 +96,7 @@ let gen_query_keys prng zipf ~key_cache (spec : Spec.t) =
       key_cache.(Dist.Zipf.sample zipf prng))
   |> List.sort_uniq String.compare
 
-let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
+let run ?(seed = 42) ?config ?net_config ?faults ?flush_every
     ?sharding ?obs ?checkpoint ?audit ~sites ~method_name (spec : Spec.t) =
   let engine_hint =
     (* Expected arrivals; each spawns a handful of network events. *)
@@ -125,17 +123,13 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
   let key_cache = make_key_cache spec.Spec.n_keys in
   let scratch = Hashtbl.create 16 in
   let oracle = Oracle.create ~size:spec.Spec.n_keys () in
+  let metric = Spec.metric spec.Spec.profile in
   (* Derived series probes that need the workload's oracle: distance of
      each replica to the committed-prefix state, i.e. the divergence the
      paper's epsilon bounds are about.  Registered before arming so the
      columns freeze with everything in place. *)
   let series = (Harness.obs harness).Obs.series in
   if Series.on series then begin
-    let metric =
-      match spec.Spec.profile with
-      | Spec.Blind_set -> `Mismatch
-      | Spec.Additive | Spec.Mixed_arith _ -> `Distance
-    in
     let oracle_stats () =
       let worst = ref 0.0 and sum = ref 0.0 in
       for site = 0 to sites - 1 do
@@ -162,10 +156,8 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
   let charged = Stats.create () in
   let value_error = Stats.create () in
   let w_us = ref 0 and w_uc = ref 0 and w_qs = ref 0 and w_qv = ref 0 in
-  let in_window time =
-    match partition with
-    | None -> false
-    | Some p -> time >= p.p_start && time < p.p_end
+  let in_window =
+    match faults with None -> Fun.const false | Some s -> Schedule.faulty s
   in
   (* Periodic protocol flushes (watermark heartbeats): lets decentralized
      ordering (ORDUP Lamport mode) and VTNC advancement (RITU multi) make
@@ -181,15 +173,6 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
                Esr_replica.Intf.boxed_flush (Harness.system harness)));
         t := !t +. period
       done);
-  (* failure injection *)
-  (match partition with
-  | None -> ()
-  | Some p ->
-      ignore
-        (Engine.schedule_at engine ~time:p.p_start (fun () ->
-             Net.partition net p.groups));
-      ignore
-        (Engine.schedule_at engine ~time:p.p_end (fun () -> Net.heal net)));
   (match faults with
   | None -> ()
   | Some schedule -> Harness.inject_faults harness schedule);
@@ -247,11 +230,6 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
           if in_window outcome.Intf.served_at then incr w_qv;
           Stats.add query_latency (outcome.Intf.served_at -. submit_time);
           Stats.add charged (float_of_int outcome.Intf.charged);
-          let metric =
-            match spec.Spec.profile with
-            | Spec.Blind_set -> `Mismatch
-            | Spec.Additive | Spec.Mixed_arith _ -> `Distance
-          in
           let distance = Oracle.error ~metric oracle outcome.Intf.values in
           Stats.add value_error distance;
           (match audit with
@@ -285,12 +263,14 @@ let run ?(seed = 42) ?config ?net_config ?partition ?faults ?flush_every
             w_queries_submitted = !w_qs;
             w_queries_served = !w_qv;
           })
-        partition;
+        faults;
     method_stats = Intf.boxed_stats (Harness.system harness);
     net_counters = Net.counters net;
   }
 
-let method_stat r name = List.assoc_opt name r.method_stats
+(* A stat the method does not report reads 0. *)
+let method_stat r name =
+  Option.value (List.assoc_opt name r.method_stats) ~default:0.0
 
 let pp_summary ppf r =
   Format.fprintf ppf
@@ -300,5 +280,5 @@ let pp_summary ppf r =
     r.submitted_queries
     (Stats.median r.update_latency)
     (Stats.median r.query_latency)
-    (if Stats.count r.charged = 0 then 0.0 else Stats.max r.charged)
+    (Stats.max r.charged)
     (Stats.mean r.value_error) r.converged

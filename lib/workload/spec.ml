@@ -47,6 +47,36 @@ let default =
     profile = Additive;
   }
 
+(* Table 1's restriction row as a workload: RITU and QUORUM admit only
+   timestamped blind writes, QUORUM one per ET, and every other method
+   takes additive ETs.  Case-insensitive, like [Registry.find]. *)
+let method_profile name =
+  match String.uppercase_ascii name with
+  | "RITU" | "QUORUM" -> Blind_set
+  | _ -> Additive
+
+let for_method name spec =
+  {
+    spec with
+    profile = method_profile name;
+    ops_per_update =
+      (if String.uppercase_ascii name = "QUORUM" then 1 else spec.ops_per_update);
+  }
+
+(* One update intent of [profile] on [key]: a blind write of [set], or
+   an increment by [add]. *)
+let intent profile key ~set ~add =
+  match profile with
+  | Blind_set -> Esr_replica.Intf.Set (key, Esr_store.Value.Int set)
+  | Additive | Mixed_arith _ -> Esr_replica.Intf.Add (key, add)
+
+(* How a query answer is scored against the committed-prefix oracle: a
+   blind write is simply current or stale, an increment is off by how
+   much it missed. *)
+let metric = function
+  | Blind_set -> `Mismatch
+  | Additive | Mixed_arith _ -> `Distance
+
 let pp ppf s =
   Format.fprintf ppf
     "dur=%.0fms up=%.3f/ms q=%.3f/ms keys=%d theta=%.2f ops/u=%d keys/q=%d \

@@ -20,20 +20,15 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 let spec_for name ~duration =
-  {
-    Spec.duration;
-    update_rate = 0.06;
-    query_rate = 0.06;
-    n_keys = 16;
-    zipf_theta = 0.6;
-    ops_per_update = (if name = "QUORUM" then 1 else 2);
-    keys_per_query = 2;
-    epsilon = Epsilon.Limit 3;
-    profile =
-      (match name with
-      | "RITU" | "QUORUM" -> Spec.Blind_set
-      | _ -> Spec.Additive);
-  }
+  Spec.for_method name
+    {
+      Spec.default with
+      Spec.duration;
+      update_rate = 0.06;
+      query_rate = 0.06;
+      n_keys = 16;
+      epsilon = Epsilon.Limit 3;
+    }
 
 (* One live nemesis run with the auditor tapped in; returns the raw
    records (for offline mutation replays) and the sealed certificate. *)

@@ -58,6 +58,32 @@ let test_all_clear_negative () =
   in
   checkb "unhealed partition" false (Schedule.all_clear s)
 
+(* [Schedule.faulty]: a fault counts from its step's time on, up to the
+   step that clears it. *)
+let test_faulty_windows () =
+  let spec s = Result.get_ok (Schedule.of_spec s) in
+  let expect name s points =
+    List.iter
+      (fun (t, want) ->
+        checkb (Printf.sprintf "%s at %g" name t) want (Schedule.faulty s t))
+      points
+  in
+  expect "E13"
+    (spec "crash@600:1;recover@1400:1;partition@1800:0 1|2 3;heal@2600")
+    [
+      (599.0, false); (600.0, true); (1_399.0, true); (1_400.0, false);
+      (1_799.0, false); (1_800.0, true); (2_599.0, true); (2_600.0, false);
+    ];
+  expect "unrecovered crash" (spec "crash@100:2")
+    [ (99.0, false); (100.0, true); (1e9, true) ];
+  expect "crash outlasting a partition"
+    (spec "crash@100:0;partition@200:1|2;heal@300;recover@400:0")
+    [ (99.0, false); (150.0, true); (250.0, true); (350.0, true); (400.0, false) ];
+  expect "partition outlasting a crash"
+    (spec "partition@100:1|2;crash@200:0;recover@300:0;heal@400")
+    [ (99.0, false); (250.0, true); (350.0, true); (400.0, false) ];
+  expect "empty" Schedule.empty [ (0.0, false); (1e9, false) ]
+
 (* --- nemesis generator --- *)
 
 let test_nemesis_deterministic () =
@@ -307,6 +333,7 @@ let () =
           Alcotest.test_case "validate range" `Quick
             test_validate_rejects_out_of_range;
           Alcotest.test_case "all-clear detection" `Quick test_all_clear_negative;
+          Alcotest.test_case "fault windows" `Quick test_faulty_windows;
         ] );
       ( "nemesis",
         [

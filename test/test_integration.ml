@@ -32,22 +32,15 @@ let chaos_net =
   }
 
 let spec_for name =
-  let base =
+  Spec.for_method name
     {
       Spec.default with
       Spec.duration = 1_500.0;
       update_rate = 0.04;
       query_rate = 0.04;
       n_keys = 12;
-      ops_per_update = (if name = "QUORUM" then 1 else 2);
       epsilon = Epsilon.Unlimited;
-      profile =
-        (match name with
-        | "RITU" | "QUORUM" -> Spec.Blind_set
-        | _ -> Spec.Additive);
     }
-  in
-  base
 
 (* --- E3-style convergence: every method, hostile network --- *)
 
@@ -171,15 +164,15 @@ let test_epsilon_tradeoff_latency () =
 (* --- partition availability (E4 shape) --- *)
 
 let test_partition_async_stays_available_sync_stalls () =
-  let partition =
-    { Scenario.p_start = 300.0; p_end = 900.0; groups = [ [ 0; 1 ]; [ 2; 3 ] ] }
+  let faults =
+    Result.get_ok (Esr_fault.Schedule.of_spec "partition@300:0 1|2 3;heal@900")
   in
   let run name =
     let spec =
       { (spec_for name) with Spec.duration = 1_200.0; update_rate = 0.05 }
     in
     let config = { Intf.default_config with twopc_timeout = 10_000.0 } in
-    Scenario.run ~seed:808 ~config ~sites:4 ~method_name:name ~partition spec
+    Scenario.run ~seed:808 ~config ~sites:4 ~method_name:name ~faults spec
   in
   let commu = run "COMMU" in
   let twopc = run "2PC" in
@@ -195,13 +188,13 @@ let test_partition_async_stays_available_sync_stalls () =
 let test_partition_quorum_minority_blocked () =
   (* 1-vs-4 split: the majority side keeps committing, the minority site's
      updates stall until heal. *)
-  let partition =
-    { Scenario.p_start = 200.0; p_end = 800.0; groups = [ [ 0 ]; [ 1; 2; 3; 4 ] ] }
+  let faults =
+    Result.get_ok (Esr_fault.Schedule.of_spec "partition@200:0|1 2 3 4;heal@800")
   in
   let spec =
     { (spec_for "QUORUM") with Spec.duration = 1_000.0; update_rate = 0.05 }
   in
-  let r = Scenario.run ~seed:909 ~sites:5 ~method_name:"QUORUM" ~partition spec in
+  let r = Scenario.run ~seed:909 ~sites:5 ~method_name:"QUORUM" ~faults spec in
   checkb "settled after heal" true r.Scenario.settled;
   checkb "converged" true r.Scenario.converged;
   let w = match r.Scenario.window with Some w -> w | None -> Alcotest.fail "w" in

@@ -235,6 +235,8 @@ let test_stats_empty () =
   let s = Stats.create () in
   checki "count" 0 (Stats.count s);
   check (Alcotest.float 0.0) "mean" 0.0 (Stats.mean s);
+  check (Alcotest.float 0.0) "min" 0.0 (Stats.min s);
+  check (Alcotest.float 0.0) "max" 0.0 (Stats.max s);
   check (Alcotest.float 0.0) "p50" 0.0 (Stats.percentile s 50.0)
 
 let test_stats_basic () =

@@ -90,11 +90,11 @@ let test_scenario_throughput () =
   checkb "positive throughput" true (Scenario.throughput r > 0.0)
 
 let test_scenario_window_counts () =
-  let partition =
-    { Scenario.p_start = 200.0; p_end = 400.0; groups = [ [ 0; 1 ]; [ 2 ] ] }
+  let faults =
+    Result.get_ok (Esr_fault.Schedule.of_spec "partition@200:0 1|2;heal@400")
   in
   let r =
-    Scenario.run ~seed:3 ~sites:3 ~method_name:"COMMU" ~partition small_spec
+    Scenario.run ~seed:3 ~sites:3 ~method_name:"COMMU" ~faults small_spec
   in
   match r.Scenario.window with
   | None -> Alcotest.fail "window expected"
@@ -117,6 +117,41 @@ let test_scenario_profile_mismatch_rejects () =
   checki "all rejected" r.Scenario.submitted_updates r.Scenario.rejected;
   checki "none committed" 0 r.Scenario.committed
 
+(* The rule in [Spec]: every method commits an update ET drawn from its
+   own profile on a fresh harness, and the blind-write-only methods refuse
+   an increment. *)
+let submit_one name intents =
+  let module Harness = Esr_replica.Harness in
+  let h = Harness.create ~seed:5 ~sites:3 ~method_name:name () in
+  let outcome = ref None in
+  Harness.submit_update h ~origin:0 intents (fun o -> outcome := Some o);
+  ignore (Harness.settle_result h);
+  !outcome
+
+let test_spec_method_rule () =
+  List.iter
+    (fun name ->
+      let spec = Spec.for_method name Spec.default in
+      let intents =
+        List.init spec.Spec.ops_per_update (fun i ->
+            Spec.intent spec.Spec.profile (Printf.sprintf "k%d" i) ~set:7 ~add:3)
+      in
+      match submit_one name intents with
+      | Some (Intf.Committed _) -> ()
+      | Some (Intf.Rejected why) -> Alcotest.failf "%s refused: %s" name why
+      | None -> Alcotest.failf "%s: no outcome" name)
+    Esr_replica.Registry.names;
+  List.iter
+    (fun name ->
+      checkb (name ^ " refuses an Add") true
+        (match submit_one name [ Intf.Add ("k0", 1) ] with
+        | Some (Intf.Rejected _) -> true
+        | Some (Intf.Committed _) | None -> false))
+    [ "RITU"; "QUORUM" ];
+  checkb "case-insensitive" true
+    (Spec.for_method "quorum" Spec.default
+    = { Spec.default with Spec.ops_per_update = 1; profile = Spec.Blind_set })
+
 let () =
   Alcotest.run "esr_workload"
     [
@@ -127,7 +162,11 @@ let () =
           Alcotest.test_case "distance error" `Quick test_oracle_error_distance;
           Alcotest.test_case "mismatch error" `Quick test_oracle_error_mismatch;
         ] );
-      ("spec", [ Alcotest.test_case "render" `Quick test_spec_render ]);
+      ( "spec",
+        [
+          Alcotest.test_case "render" `Quick test_spec_render;
+          Alcotest.test_case "method rule" `Quick test_spec_method_rule;
+        ] );
       ( "scenario",
         [
           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
