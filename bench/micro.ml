@@ -56,6 +56,27 @@ let test_lock_mgr =
            Lock_mgr.release_all m ~txn
          done))
 
+(* One transaction locks one key and releases it, on a warm manager that
+   has locked 256 keys once, as each site's manager in esrbench's
+   sync_partition has: the release must not walk the idle keys. *)
+let idle_keys_round () =
+  let m = Lock_mgr.create () in
+  let keys = Array.init 256 (Printf.sprintf "k%d") in
+  Array.iteri
+    (fun txn key ->
+      ignore (Lock_mgr.acquire m ~txn ~key ~mode:Lock_table.W ());
+      Lock_mgr.release_all m ~txn)
+    keys;
+  let txn = ref 256 in
+  fun () ->
+    incr txn;
+    ignore (Lock_mgr.acquire m ~txn:!txn ~key:keys.(!txn land 255) ~mode:Lock_table.W ());
+    Lock_mgr.release_all m ~txn:!txn
+
+let test_lock_mgr_idle_keys =
+  Test.make ~name:"lock_mgr/acquire+release, 256 idle keys"
+    (Staged.stage (idle_keys_round ()))
+
 let test_engine =
   Test.make ~name:"engine/schedule+run 1000 events"
     (Staged.stage (fun () ->
@@ -233,7 +254,8 @@ let test_prng =
 
 let benchmarks =
   [
-    test_esr_checker; test_overlap; test_lock_mgr; test_engine; test_heap;
+    test_esr_checker; test_overlap; test_lock_mgr; test_lock_mgr_idle_keys;
+    test_engine; test_heap;
     test_net_round_trip;
     test_store_get; test_store_get_id; test_store_set_id; test_store_apply;
     test_store_apply_unit; test_store_apply_id_unit; test_keyspace_intern;
@@ -338,6 +360,7 @@ let bytes_report () =
           done))
      128);
   row "net/post round trip" (bytes_per_op (net_round_trip ())) 1;
+  row "lock_mgr/acquire+release, 256 idle keys" (bytes_per_op (idle_keys_round ())) 1;
   print_newline ()
 
 let run_all () =

@@ -7,8 +7,9 @@
     discharged against the actual operations carried by the requests.
 
     Requests are granted FIFO per key (no starvation).  Deadlocks are
-    detected eagerly on a wait-for graph; the requester whose wait would
-    close a cycle is rejected ([Deadlock]) and is expected to abort. *)
+    detected eagerly on a wait-for graph ({!Waitfor}); the requester whose
+    wait would close a cycle is rejected ([Deadlock]), keeps none of its
+    wait edges, and is expected to abort. *)
 
 type t
 
@@ -36,7 +37,24 @@ val acquire :
 val release_all : t -> txn:int -> unit
 (** Drop all locks held by [txn], cancel its queued requests, and grant
     any now-compatible waiters (their [on_grant] callbacks run inside this
-    call, in FIFO order). *)
+    call, in FIFO order per key).
+
+    {b Order across keys.}  Keys are visited in the order [Hashtbl.iter]
+    walks the manager's key table (bucket by bucket, newest key first
+    within a bucket), as if the walk covered every key ever locked; a key
+    added during the call counts only if that walk would have reached it.
+    Every grant runs an [on_grant] that may send messages, so this order
+    reaches event order, PRNG draws and every model digest: it is kept
+    exactly, not improved.  An [on_grant] may re-enter the manager.  A
+    nested [release_all] of another transaction may then grant [txn] a
+    key; [txn] loses that key again only if the walk has not passed it.
+
+    {b Cost.}  The call visits the keys [txn] holds or waits on, plus the
+    keys whose grants are still running an [on_grant] further up the
+    stack; every other queue head is already inadmissible.  Each visit
+    costs the key's holder and queue lists and the queue prefix it
+    grants.  Keys the manager locked once and no longer uses cost
+    nothing. *)
 
 val holds : t -> txn:int -> key:string -> bool
 val holders : t -> key:string -> (int * Lock_table.mode) list

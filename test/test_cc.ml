@@ -268,6 +268,229 @@ let prop_mgr_holders_always_compatible =
         keys;
       !ok)
 
+(* A release visits only the releasing transaction's keys: once 4,096
+   keys have each been locked, a one-key transaction still costs a flat
+   number of words per acquire-release pair (a walk over every key ever
+   locked cost about 12 words per key). *)
+let test_mgr_release_cost_flat () =
+  let m = Lock_mgr.create () in
+  for txn = 0 to 4095 do
+    ignore (Lock_mgr.acquire m ~txn ~key:(Printf.sprintf "k%d" txn) ~mode:Lock_table.W ());
+    Lock_mgr.release_all m ~txn
+  done;
+  let keys = Array.init 100 (fun i -> Printf.sprintf "k%d" (i * 40)) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99 do
+    let txn = 10_000 + i in
+    ignore (Lock_mgr.acquire m ~txn ~key:keys.(i) ~mode:Lock_table.W ());
+    Lock_mgr.release_all m ~txn
+  done;
+  let per_pair = (Gc.minor_words () -. w0) /. 100. in
+  checkb
+    (Printf.sprintf "%.1f minor words per acquire-release pair <= 128" per_pair)
+    true (per_pair <= 128.)
+
+(* --- Model test: the lock manager against its reference --- *)
+
+(* What both implementations offer, so one driver runs a script on
+   either. *)
+module type LOCK_MGR = sig
+  type t
+  type outcome = Granted | Blocked | Deadlock
+  type counters = { granted : int; blocked : int; deadlocks : int }
+
+  val acquire :
+    t ->
+    txn:int ->
+    key:string ->
+    mode:Lock_table.mode ->
+    ?op:Op.t ->
+    ?on_grant:(unit -> unit) ->
+    unit ->
+    outcome
+
+  val release_all : t -> txn:int -> unit
+  val holds : t -> txn:int -> key:string -> bool
+  val holders : t -> key:string -> (int * Lock_table.mode) list
+  val queue_length : t -> key:string -> int
+  val counters : t -> counters
+end
+
+(* What a transaction does once its last request is granted: nothing, as
+   a dc-scheduler ET still running; release itself, as a 2PC query after
+   its read; or release another transaction. *)
+type finish = Stay | Release_self | Release_other of int
+
+type step =
+  | Acquire of {
+      txn : int;
+      requests : (string * Lock_table.mode * Op.t option) list;
+      finish : finish;
+    }
+  | Release of int
+
+(* Run [script] on [m], logging every outcome, grant and release in
+   order, and snapshot every key's holders, queue length and
+   per-transaction [holds] plus the counters after each step (only every
+   16th step, and the last, on big key pools). *)
+module Driver (M : LOCK_MGR) = struct
+  let run m ~keys ~txns script =
+    let log = ref [] in
+    let say fmt = Printf.ksprintf (fun line -> log := line :: !log) fmt in
+    let release txn =
+      say "release %d" txn;
+      M.release_all m ~txn
+    in
+    (* 2PC's acquire_all: one key at a time, each grant continuing with
+       the next key, a deadlock refusal releasing the whole transaction. *)
+    let rec next txn finish = function
+      | [] -> (
+          match finish with
+          | Stay -> ()
+          | Release_self -> release txn
+          | Release_other other -> release other)
+      | (key, mode, op) :: rest -> (
+          let continue () = next txn finish rest in
+          let on_grant () =
+            say "grant %d %s" txn key;
+            continue ()
+          in
+          match M.acquire m ~txn ~key ~mode ?op ~on_grant () with
+          | M.Granted ->
+              say "granted %d %s" txn key;
+              continue ()
+          | M.Blocked -> say "blocked %d %s" txn key
+          | M.Deadlock ->
+              say "deadlock %d %s" txn key;
+              release txn)
+    in
+    let every = if Array.length keys > 64 then 16 else 1 in
+    let last = List.length script - 1 in
+    let snapshot () =
+      let c = M.counters m in
+      ( (c.M.granted, c.M.blocked, c.M.deadlocks),
+        Array.map
+          (fun key ->
+            ( M.holders m ~key,
+              M.queue_length m ~key,
+              List.map (fun txn -> M.holds m ~txn ~key) txns ))
+          keys )
+    in
+    let snapshots =
+      List.mapi
+        (fun i step ->
+          (match step with
+          | Acquire { txn; requests; finish } -> next txn finish requests
+          | Release txn -> release txn);
+          if i mod every = 0 || i = last then Some (snapshot ()) else None)
+        script
+    in
+    (List.rev !log, snapshots)
+end
+
+module Current = Driver (Lock_mgr)
+module Reference = Driver (Lock_mgr_ref)
+
+(* A random script: a few hot keys and a cold tail (over 128 keys in some
+   runs, so the key table grows its bucket array mid-run), transactions
+   that queue several requests or chain them 2PC-style, and grant
+   callbacks that release the same or another transaction.  Ops are
+   chosen so Table 3's [If_commutes] resolves both ways. *)
+let gen_script prng =
+  let table =
+    [| Lock_table.standard; Lock_table.ordup; Lock_table.commu |].(Prng.int prng 3)
+  in
+  let n_keys = [| 3; 8; 40; 300 |].(Prng.int prng 4) in
+  let keys = Array.init n_keys (Printf.sprintf "k%d") in
+  let n_txns = 3 + Prng.int prng 8 in
+  let txns = List.init n_txns (fun i -> i + 1) in
+  let steps = if n_keys > 64 then 400 else 10 + Prng.int prng 60 in
+  let pick_key () =
+    if Prng.bool prng then keys.(Prng.int prng (min 4 n_keys))
+    else keys.(Prng.int prng n_keys)
+  in
+  let pick_request () =
+    let key = pick_key () in
+    let mode, op =
+      if table == Lock_table.standard then
+        if Prng.bool prng then (Lock_table.R, Some Op.Read)
+        else (Lock_table.W, Some (Op.Incr 1))
+      else
+        match Prng.int prng 4 with
+        | 0 -> (Lock_table.R_u, Some Op.Read)
+        | 1 -> (Lock_table.W_u, Some (Op.Incr 1))
+        | 2 -> (Lock_table.W_u, Some (Op.Mult 2))
+        | _ -> (Lock_table.R_q, Some Op.Read)
+    in
+    (key, mode, op)
+  in
+  let script =
+    List.init steps (fun _ ->
+        let txn = 1 + Prng.int prng n_txns in
+        if Prng.int prng 4 = 0 then Release txn
+        else
+          let requests = List.init (1 + Prng.int prng 4) (fun _ -> pick_request ()) in
+          let finish =
+            match Prng.int prng 4 with
+            | 0 -> Release_self
+            | 1 -> Release_other (1 + Prng.int prng n_txns)
+            | _ -> Stay
+          in
+          Acquire { txn; requests; finish })
+  in
+  (table, keys, txns, script)
+
+(* The key table doubles its 64 buckets at its 129th key.  Here that key
+   is added during A's release, by a grant that release made; a nested
+   release then hands A a lock, and A's callback adds a 130th key.  The
+   full walk was still reading the old bucket array, so it never met the
+   130th key and A kept that lock: the manager must agree.  The key names
+   are picked so the walk meets [h] before [q] and the 130th key falls
+   after [h] in the old array. *)
+let test_mgr_release_across_resize () =
+  let bucket key = Hashtbl.hash key land 63 in
+  let name i = Printf.sprintf "x%d" i in
+  let rec find i ok = if ok (name i) then name i else find (i + 1) ok in
+  let h = find 0 (fun k -> bucket k < 32) in
+  let q = find 0 (fun k -> bucket k > bucket h) in
+  let n2 = find 0 (fun k -> k <> q && bucket k > bucket h) in
+  let n1 = find 0 (fun k -> k <> h && k <> q && k <> n2) in
+  let w key = (key, Lock_table.W, None) in
+  let prefill =
+    List.init 126 (fun i ->
+        Acquire { txn = 100 + i; requests = [ w (Printf.sprintf "p%d" i) ]; finish = Release_self })
+  in
+  let script =
+    prefill
+    @ [
+        Acquire { txn = 1; requests = [ w h ]; finish = Stay };
+        Acquire { txn = 3; requests = [ w q ]; finish = Stay };
+        Acquire { txn = 1; requests = [ w q; w n2 ]; finish = Stay };
+        Acquire { txn = 2; requests = [ w h; w n1 ]; finish = Release_other 3 };
+        Release 1;
+      ]
+  in
+  let keys = [| h; q; n1; n2 |] and txns = [ 1; 2; 3 ] in
+  let m = Lock_mgr.create () in
+  let ((log, _) as current) = Current.run m ~keys ~txns script in
+  checkb "same as reference" true
+    (current = Reference.run (Lock_mgr_ref.create ()) ~keys ~txns script);
+  let rec after first later = function
+    | [] -> false
+    | line :: rest -> if line = first then List.mem later rest else after first later rest
+  in
+  checkb "A gets the 130th key during its own release" true
+    (after "release 1" (Printf.sprintf "granted 1 %s" n2) log);
+  checkb "and keeps it" true (Lock_mgr.holds m ~txn:1 ~key:n2)
+
+let prop_mgr_matches_reference =
+  QCheck.Test.make ~name:"lock manager matches its reference" ~count:300
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let table, keys, txns, script = gen_script (Prng.create seed) in
+      Current.run (Lock_mgr.create ~table ()) ~keys ~txns script
+      = Reference.run (Lock_mgr_ref.create ~table ()) ~keys ~txns script)
+
 (* --- Lock counters --- *)
 
 let test_counter_basic () =
@@ -355,24 +578,24 @@ let test_tso_query_reads_dont_constrain () =
 
 let test_waitfor_cycle_rejected () =
   let g = Waitfor.create () in
-  checkb "1->2" true (Waitfor.add_edge g ~waiter:1 ~holder:2);
-  checkb "2->3" true (Waitfor.add_edge g ~waiter:2 ~holder:3);
-  checkb "3->1 closes cycle" false (Waitfor.add_edge g ~waiter:3 ~holder:1);
-  checkb "self edge rejected" false (Waitfor.add_edge g ~waiter:1 ~holder:1)
+  checkb "1->2" true (Waitfor.add_edges g ~waiter:1 [ 2 ]);
+  checkb "2->3" true (Waitfor.add_edges g ~waiter:2 [ 3 ]);
+  checkb "3->1 closes cycle" false (Waitfor.add_edges g ~waiter:3 [ 1 ]);
+  checkb "self edge rejected" false (Waitfor.add_edges g ~waiter:1 [ 1 ])
 
 let test_waitfor_remove_unblocks () =
   let g = Waitfor.create () in
-  ignore (Waitfor.add_edge g ~waiter:1 ~holder:2);
-  ignore (Waitfor.add_edge g ~waiter:2 ~holder:3);
+  ignore (Waitfor.add_edges g ~waiter:1 [ 2 ]);
+  ignore (Waitfor.add_edges g ~waiter:2 [ 3 ]);
   Waitfor.remove_node g 2;
   checkb "edge through removed node gone" false (Waitfor.reachable g ~src:1 ~dst:3);
-  checkb "cycle now allowed" true (Waitfor.add_edge g ~waiter:3 ~holder:1)
+  checkb "cycle now allowed" true (Waitfor.add_edges g ~waiter:3 [ 1 ])
 
 let test_waitfor_reachability () =
   let g = Waitfor.create () in
-  ignore (Waitfor.add_edge g ~waiter:1 ~holder:2);
-  ignore (Waitfor.add_edge g ~waiter:2 ~holder:3);
-  ignore (Waitfor.add_edge g ~waiter:2 ~holder:4);
+  ignore (Waitfor.add_edges g ~waiter:1 [ 2 ]);
+  ignore (Waitfor.add_edges g ~waiter:2 [ 3 ]);
+  ignore (Waitfor.add_edges g ~waiter:2 [ 4 ]);
   checkb "transitive" true (Waitfor.reachable g ~src:1 ~dst:4);
   checkb "no back path" false (Waitfor.reachable g ~src:4 ~dst:1);
   Alcotest.(check (list int)) "waits_on" [ 3; 4 ] (Waitfor.waits_on g ~waiter:2)
@@ -384,7 +607,7 @@ let prop_waitfor_stays_acyclic =
     (fun edges ->
       let g = Waitfor.create () in
       List.iter
-        (fun (a, b) -> ignore (Waitfor.add_edge g ~waiter:a ~holder:b))
+        (fun (a, b) -> ignore (Waitfor.add_edges g ~waiter:a [ b ]))
         edges;
       (* Acyclicity: no node reaches itself through at least one edge. *)
       List.for_all
@@ -424,6 +647,11 @@ let () =
           Alcotest.test_case "FIFO fairness" `Quick
             test_mgr_queued_fairness_blocks_new_compatible;
           QCheck_alcotest.to_alcotest prop_mgr_holders_always_compatible;
+          Alcotest.test_case "release cost flat in keys ever locked" `Quick
+            test_mgr_release_cost_flat;
+          Alcotest.test_case "release across a key-table resize" `Quick
+            test_mgr_release_across_resize;
+          QCheck_alcotest.to_alcotest prop_mgr_matches_reference;
         ] );
       ( "lock counters",
         [
