@@ -15,6 +15,7 @@
 
 module Harness = Esr_replica.Harness
 module Intf = Esr_replica.Intf
+module Replica = Esr_replica.Replica
 module Epsilon = Esr_core.Epsilon
 module Value = Esr_store.Value
 module Mvstore = Esr_store.Mvstore
@@ -81,7 +82,7 @@ let () =
   Printf.printf "\nsettled=%b converged=%b\n" settled (Harness.converged h);
 
   (* Show the version history a replica keeps. *)
-  match Intf.boxed_mvstore (Harness.system h) ~site:3 with
+  match Replica.mvstore (Harness.system h) ~site:3 with
   | None -> assert false
   | Some mv ->
       Printf.printf "version history of \"calton\" at site 3 (VTNC %s):\n"

@@ -16,6 +16,7 @@
 
 module Intf = Esr_replica.Intf
 module Compe = Esr_replica.Compe
+module Replica = Esr_replica.Replica
 module Epsilon = Esr_core.Epsilon
 module Value = Esr_store.Value
 module Store = Esr_store.Store
@@ -97,13 +98,13 @@ let () =
   let s, r, h = !expected in
   let show key want =
     Printf.printf "  %-10s %6s (expected %6d)\n" key
-      (Value.to_string (Store.get (Compe.store sys ~site:0) key))
+      (Value.to_string (Store.get (Replica.store (Compe.kernel sys) ~site:0) key))
       want
   in
   show "stock" s;
   show "revenue" r;
   show "shipments" h;
-  Printf.printf "replicas converged: %b\n" (Compe.converged sys);
+  Printf.printf "replicas converged: %b\n" (Replica.converged (Compe.kernel sys));
   Printf.printf
     "dashboards: %d reads, mean charge %.1f units, max %d (budget 6)\n\n"
     !n_queries

@@ -24,6 +24,7 @@ module Epsilon = Esr_core.Epsilon
 module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
 module Registry = Esr_replica.Registry
+module Replica = Esr_replica.Replica
 module Spec = Esr_workload.Spec
 module Scenario = Esr_workload.Scenario
 module Schedule = Esr_fault.Schedule
@@ -127,7 +128,7 @@ let sum_sites h f =
     (List.init (Harness.env h).Intf.sites Fun.id)
 
 let sum_res h f =
-  sum_sites h (fun site -> f (Intf.boxed_resources (Harness.system h) ~site))
+  sum_sites h (fun site -> f (Replica.resources (Harness.system h) ~site))
 
 (* The durable-log depth summed over sites, read off one series sample. *)
 let log_depth series ~sites =
@@ -575,7 +576,7 @@ let e9_sagas () =
         num "Max query units" (Stats.max units);
         num "Revokes"
           (Option.value (List.assoc_opt "revokes" (Compe.stats sys)) ~default:0.0);
-        bool "Converged" (settled && Compe.converged sys);
+        bool "Converged" (settled && Replica.converged (Compe.kernel sys));
       ])
 
 (* ------------------------------------------------------------------ *)

@@ -301,7 +301,7 @@ let feed t (r : Trace.record) =
   | Trace.Squeue_send { src; dst; seq } ->
       (* Journaling is a write to stable storage, so it is legal even at
          a crashed site (2PC/COMPE journal presumed-abort decisions in
-         [on_crash]); the crash discipline audited here is the network's
+         [drop]); the crash discipline audited here is the network's
          — physical transmissions from a down site must be dropped. *)
       let c = chan t ~src ~dst in
       if not c.c_known then begin

@@ -97,7 +97,7 @@ let view_percentile view q =
   | Histogram_v { limits; counts; count; _ } ->
       percentile_of_buckets ~limits ~counts ~count q
 
-let snapshot t =
+let materialize regs =
   List.rev_map
     (fun r ->
       let view =
@@ -114,17 +114,20 @@ let snapshot t =
               }
       in
       { group = r.r_group; name = r.r_name; site = r.r_site; view })
-    t.regs
+    regs
+
+let snapshot t = materialize t.regs
 
 let qualified e =
   match e.site with None -> e.name | Some s -> Printf.sprintf "%s.s%d" e.name s
 
+(* Filter first: evaluating every gauge would walk every site's store. *)
 let alist ?group t =
-  let entries = snapshot t in
   let entries =
     match group with
-    | None -> entries
-    | Some g -> List.filter (fun e -> String.equal e.group g) entries
+    | None -> snapshot t
+    | Some g ->
+        materialize (List.filter (fun r -> String.equal r.r_group g) t.regs)
   in
   List.concat_map
     (fun e ->

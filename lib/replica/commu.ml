@@ -154,8 +154,34 @@ let receive t ~site:site_id msg =
           end)
   | Complete { et = _; charges } -> complete_at t site charges
 
+let drop t ~site:site_id =
+  let site = t.sites.(site_id) in
+  (* COMMU applies MSets on receipt, so there is no order buffer to
+     lose.  The lock counters and origin-side ack tables are derivable
+     from the durable log (applied-but-uncompleted ETs) — classic
+     coordinator-log state — so they survive; acks and completions
+     blocked by the outage arrive through the stable-queue backlog
+     after recovery.  What dies is the wait contexts: parked and
+     in-step queries answer degraded, parked (never-applied) updates
+     are rejected. *)
+  let pq = site.parked_queries and pu = site.parked_updates in
+  site.parked_queries <- [];
+  site.parked_updates <- [];
+  List.iter (fun p -> p.fail ()) pq;
+  List.iter (fun p -> p.fail ()) pu;
+  let killed = List.length site.active_queries in
+  List.iter (fun aq -> aq.killed <- true) site.active_queries;
+  site.active_queries <- [];
+  {
+    Replica.buffered = 0;
+    queries_failed = List.length pq + killed;
+    updates_rejected = List.length pu;
+  }
+
+(* COMMU applies on receipt, so it keeps no receipt journal: the durable
+   log plus the completion protocol is its whole recovery story. *)
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Unordered ~receive ~drop (fun k ->
       {
         k;
         sites =
@@ -175,6 +201,8 @@ let create (env : Intf.env) =
         n_update_waits = 0;
         n_charged_units = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 (* The additive class is COMMU's Table 1 restriction: Set and Mul do not
    commute with it. *)
@@ -348,34 +376,6 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
 
 let flush _ = ()
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* COMMU applies MSets on receipt, so there is no order buffer to
-         lose.  The lock counters and origin-side ack tables are derivable
-         from the durable log (applied-but-uncompleted ETs) — classic
-         coordinator-log state — so they survive; acks and completions
-         blocked by the outage arrive through the stable-queue backlog
-         after recovery.  What dies is the wait contexts: parked and
-         in-step queries answer degraded, parked (never-applied) updates
-         are rejected. *)
-      let pq = site.parked_queries and pu = site.parked_updates in
-      site.parked_queries <- [];
-      site.parked_updates <- [];
-      List.iter (fun p -> p.fail ()) pq;
-      List.iter (fun p -> p.fail ()) pu;
-      let killed = List.length site.active_queries in
-      List.iter (fun aq -> aq.killed <- true) site.active_queries;
-      site.active_queries <- [];
-      {
-        Replica.buffered = 0;
-        queries_failed = List.length pq + killed;
-        updates_rejected = List.length pu;
-      })
-
-let on_recover t ~site = Replica.recover t.k ~site
-let checkpoint t ~site = Replica.cut t.k ~site
-
 let quiescent t =
   Hashtbl.length t.inflight = 0
   && Array.for_all
@@ -393,11 +393,6 @@ let backlog t =
     (Hashtbl.length t.inflight)
     t.sites
 
-let store t ~site = Replica.store t.k ~site
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-let converged t = Replica.converged t.k
-
 let stats t =
   Replica.stats t.k
     [
@@ -406,7 +401,3 @@ let stats t =
       ("update_waits", float_of_int t.n_update_waits);
       ("charged_units", float_of_int t.n_charged_units);
     ]
-
-(* COMMU applies on receipt, so it keeps no receipt journal: the durable
-   log plus the completion protocol is its whole recovery story. *)
-let resources t ~site = Replica.resources t.k ~site

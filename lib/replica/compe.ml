@@ -453,8 +453,80 @@ let fan_coord t ~origin parts msg =
     parts;
   if !has_origin then Replica.local t.k ~site:origin msg
 
+(* --- crash, recovery and checkpoint hooks --- *)
+
+let drop t ~site:site_id =
+  let site = t.sites.(site_id) in
+  (* Durable: the replica's log, the undo/redo journal ([site.log]),
+     the lock-counters and decision-bookkeeping tables (early /
+     revokes / saga holds) — all coordinator-log state.  Volatile: the
+     order buffer (receipt-journaled in [t.wal]), wait contexts, and
+     the store image. *)
+  let buffered = Hashtbl.length site.buffer in
+  Hashtbl.reset site.buffer;
+  let parked = site.parked_queries in
+  site.parked_queries <- [];
+  List.iter (fun p -> p.fail ()) parked;
+  let killed = List.length site.active in
+  List.iter (fun aq -> aq.aq_killed <- true) site.active;
+  site.active <- [];
+  (* The crashed site was the coordinator of its undecided update
+     ETs: presumed abort.  The abort records reach the remotes through
+     the stable queue (now, if reachable) and this site at replay
+     time. *)
+  let orphaned =
+    Replica.orphans t.decisions (fun d ->
+        d.d_origin = site_id && not d.d_done)
+  in
+  List.iter
+    (fun (et, d) ->
+      d.d_done <- true;
+      Hashtbl.remove t.decisions et;
+      d.d_apply ~commit:false)
+    orphaned;
+  {
+    Replica.buffered;
+    queries_failed = List.length parked + killed;
+    updates_rejected = List.length orphaned;
+  }
+
+(* The kernel rebuilds the store image from the durable log (every
+   mutation — provisional applies, compensations, rollback repairs — is
+   logged, so the replay lands exactly on the pre-crash image the
+   journal's before-image chains describe), then this re-ingests the
+   journaled-but-unexecuted provisional MSets, and then the kernel
+   delivers the site's own coordinator records that landed while it was
+   down, in arrival order. *)
+let rejoin t ~site:site_id =
+  let site = t.sites.(site_id) in
+  List.iter
+    (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
+    (Recovery.Wal.entries t.wal ~site:site_id);
+  drain t site
+
+(* The Time Warp undo/redo journal is reclaimable behind the oldest
+   undecided entry: a full rollback only ever rewinds from an undecided
+   entry forward, so decided entries older than every undecided one can
+   never be rewound again.  In the newest-first list that is the maximal
+   all-decided suffix.  After pruning, the before-image chains describe
+   mutations since the cut; the checkpoint image anchors them.  Returns
+   the number of entries pruned. *)
+let prune_decided t ~site:id =
+  let rec split = function
+    | [] -> ([], 0)
+    | e :: rest ->
+        let keep, pruned = split rest in
+        if keep = [] && e.e_decided then ([], pruned + 1)
+        else (e :: keep, pruned)
+  in
+  let site = t.sites.(id) in
+  let keep, pruned = split site.log in
+  site.log <- keep;
+  pruned
+
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Unordered ~receive ~drop ~rejoin
+    ~gc:prune_decided ~wal:(fun t -> t.wal) (fun k ->
       {
         k;
         site_issued = Array.make env.Intf.sites 0;
@@ -498,6 +570,8 @@ let create (env : Intf.env) =
         n_forced = 0;
         n_query_waits = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 (* Launch one update ET (or saga step): apply optimistically everywhere,
    then simulate the global commit/abort decision after a coordination
@@ -728,79 +802,6 @@ let submit_query t ~site:site_id ~keys ~epsilon k =
 
 let flush _ = ()
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* Durable: the replica's log, the undo/redo journal ([site.log]),
-         the lock-counters and decision-bookkeeping tables (early /
-         revokes / saga holds) — all coordinator-log state.  Volatile: the
-         order buffer (receipt-journaled in [t.wal]), wait contexts, and
-         the store image. *)
-      let buffered = Hashtbl.length site.buffer in
-      Hashtbl.reset site.buffer;
-      let parked = site.parked_queries in
-      site.parked_queries <- [];
-      List.iter (fun p -> p.fail ()) parked;
-      let killed = List.length site.active in
-      List.iter (fun aq -> aq.aq_killed <- true) site.active;
-      site.active <- [];
-      (* The crashed site was the coordinator of its undecided update
-         ETs: presumed abort.  The abort records reach the remotes through
-         the stable queue (now, if reachable) and this site at replay
-         time. *)
-      let orphaned =
-        Replica.orphans t.decisions (fun d ->
-            d.d_origin = site_id && not d.d_done)
-      in
-      List.iter
-        (fun (et, d) ->
-          d.d_done <- true;
-          Hashtbl.remove t.decisions et;
-          d.d_apply ~commit:false)
-        orphaned;
-      {
-        Replica.buffered;
-        queries_failed = List.length parked + killed;
-        updates_rejected = List.length orphaned;
-      })
-
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  (* The kernel rebuilds the store image from the durable log (every
-     mutation — provisional applies, compensations, rollback repairs — is
-     logged, so the replay lands exactly on the pre-crash image the
-     journal's before-image chains describe), then this re-ingests the
-     journaled-but-unexecuted provisional MSets, and then the kernel
-     delivers the site's own coordinator records that landed while it was
-     down, in arrival order. *)
-  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
-      List.iter
-        (fun mset -> Hashtbl.replace site.buffer mset.ticket mset)
-        (Recovery.Wal.entries t.wal ~site:site_id);
-      drain t site)
-
-(* The Time Warp undo/redo journal is reclaimable behind the oldest
-   undecided entry: a full rollback only ever rewinds from an undecided
-   entry forward, so decided entries older than every undecided one can
-   never be rewound again.  In the newest-first list that is the maximal
-   all-decided suffix.  After pruning, the before-image chains describe
-   mutations since the cut; the checkpoint image anchors them.  Returns
-   the number of entries pruned. *)
-let prune_decided site =
-  let rec split = function
-    | [] -> ([], 0)
-    | e :: rest ->
-        let keep, pruned = split rest in
-        if keep = [] && e.e_decided then ([], pruned + 1)
-        else (e :: keep, pruned)
-  in
-  let keep, pruned = split site.log in
-  site.log <- keep;
-  pruned
-
-let checkpoint t ~site =
-  Replica.cut t.k ~site ~gc:(fun () -> prune_decided t.sites.(site))
-
 let quiescent t =
   t.undecided = 0 && t.sagas_active = 0 && t.k.deferred = []
   && Array.for_all
@@ -821,8 +822,6 @@ let backlog t =
     (t.undecided + t.sagas_active + List.length t.k.deferred)
     t.sites
 
-let store t ~site = Replica.store t.k ~site
-
 (* Introspection for tests: the site's remaining log entries (oldest
    first).  Invariant: folding the entries' operations over an empty
    store reproduces the site's current store exactly — every store
@@ -830,9 +829,6 @@ let store t ~site = Replica.store t.k ~site
    used by full rollback accurate. *)
 let log_entries t ~site =
   List.rev_map (fun e -> (e.e_et, e.e_decided, e.e_ops)) t.sites.(site).log
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-let converged t = Replica.converged t.k
 
 let stats t =
   Replica.stats t.k [
@@ -849,5 +845,3 @@ let stats t =
     ("saga_aborts", float_of_int t.n_saga_aborts);
     ("revokes", float_of_int t.n_revokes);
   ]
-
-let resources t ~site = Replica.resources ~wal:t.wal t.k ~site

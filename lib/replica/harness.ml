@@ -18,7 +18,7 @@ type t = {
   engine : Engine.t;
   net : Net.t;
   env : Intf.env;
-  system : Intf.boxed;
+  system : Intf.system;
   seed : int;
   obs : Obs.t;
   (* Harness-level lifecycle sequence numbers.  ET ids are allocated
@@ -65,6 +65,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   g "cancelled" (fun () -> float_of_int (Engine.cancelled engine));
   g "pending" (fun () -> float_of_int (Engine.pending engine));
   let system = Registry.make ~name:method_name env in
+  let kernel = system.Intf.kernel in
   let t =
     {
       engine;
@@ -101,7 +102,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   for site = 0 to sites - 1 do
     let rg name f =
       Metrics.gauge_fn m ~group:"res" ~site name (fun () ->
-          float_of_int (f (Intf.boxed_resources t.system ~site)))
+          float_of_int (f (Replica.resources kernel ~site)))
     in
     rg "log_entries" (fun r -> r.Intf.log_entries);
     rg "log_bytes" (fun r -> r.Intf.log_bytes);
@@ -135,7 +136,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   Metrics.gauge_fn m ~group:"harness" "divergent_sites" (fun () ->
       float_of_int
         (Sharding.divergent_replicas sharding ~keyspace ~store:(fun site ->
-             Intf.boxed_store t.system ~site)));
+             Replica.store kernel ~site)));
   let series = obs.Obs.series in
   if Series.on series then begin
     (* Derived ESR probes (the ["esr/"] prefix is what the report charts
@@ -154,7 +155,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
       for site = 0 to sites - 1 do
         List.iter
           (fun k -> Hashtbl.replace keys k ())
-          (Intf.Store.keys (Intf.boxed_store t.system ~site))
+          (Intf.Store.keys (Replica.store kernel ~site))
       done;
       let n_keys = ref 0 and divergent = ref 0 in
       let s_max = ref 0.0 and s_sum = ref 0.0 in
@@ -169,8 +170,8 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
           let n = Array.length reps in
           for a = 0 to n - 1 do
             for b = a + 1 to n - 1 do
-              let va = Intf.Store.get (Intf.boxed_store t.system ~site:reps.(a)) k in
-              let vb = Intf.Store.get (Intf.boxed_store t.system ~site:reps.(b)) k in
+              let va = Intf.Store.get (Replica.store kernel ~site:reps.(a)) k in
+              let vb = Intf.Store.get (Replica.store kernel ~site:reps.(b)) k in
               spread := Float.max !spread (vdist va vb)
             done
           done;
@@ -206,7 +207,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
         let t_now = Engine.now engine in
         if
           Sharding.converged sharding ~keyspace ~store:(fun site ->
-              Intf.boxed_store t.system ~site)
+              Replica.store kernel ~site)
         then begin
           last_equal := t_now;
           0.0
@@ -216,19 +217,21 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
         float_of_int (List.length (Net.down_sites net)));
     (* The running method's own view of its outstanding work. *)
     Series.probe series ~name:"esr/method_backlog" (fun () ->
-        float_of_int (Intf.boxed_backlog t.system))
+        float_of_int (system.Intf.backlog ()))
   end;
   t
 
 let engine t = t.engine
 let net t = t.net
 let env t = t.env
-let system t = t.system
+let system t = t.system.kernel
 let obs t = t.obs
 
 let now t = Engine.now t.engine
 
 let run_for t duration = Engine.run ~until:(now t +. duration) t.engine
+
+let flush t = t.system.flush ()
 
 let sample_series t = Series.sample t.obs.Obs.series ~time:(now t)
 
@@ -273,7 +276,7 @@ let arm_checkpoints t ~until =
         ignore
           (Engine.schedule_at t.engine ~time:at (fun () ->
                for site = 0 to sites - 1 do
-                 Intf.boxed_checkpoint t.system ~site
+                 Replica.cut t.system.kernel ~site
                done));
         time := at +. period
       done
@@ -294,8 +297,8 @@ let inject_faults t schedule =
         else None
       in
       Esr_fault.Schedule.inject ?annotate t.engine t.net schedule
-        ~on_crash:(fun site -> Intf.boxed_on_crash t.system ~site)
-        ~on_recover:(fun site -> Intf.boxed_on_recover t.system ~site)
+        ~on_crash:(fun site -> Replica.crash t.system.kernel ~site)
+        ~on_recover:(fun site -> Replica.recover t.system.kernel ~site)
 
 type stuck_reason =
   | Sites_down of int list
@@ -330,7 +333,7 @@ let settle_result ?(max_rounds = 10) t =
     if Trace.on trace then
       Trace.emit trace ~time:(now t) (Trace.Flush_round { round = !round });
     incr round;
-    Intf.boxed_flush t.system
+    t.system.flush ()
   in
   let rec loop rounds =
     if rounds = 0 then
@@ -347,7 +350,7 @@ let settle_result ?(max_rounds = 10) t =
       (* One series row per drain round: this is where divergence decays
          toward zero, which is exactly the tail the report charts. *)
       if Series.on t.obs.Obs.series then sample_series t;
-      if Intf.boxed_quiescent t.system then Drained
+      if t.system.quiescent () then Drained
       else begin
         flush ();
         loop (rounds - 1)
@@ -366,21 +369,10 @@ let run_with_faults ?max_rounds t ~schedule ~workload =
   settle_result ?max_rounds t
 
 let converged t =
-  let ok = Intf.boxed_converged t.system in
+  let ok = Replica.converged t.system.kernel in
   let trace = t.obs.Obs.trace in
   if Trace.on trace then Trace.emit trace ~time:(now t) (Trace.Converged { ok });
   ok
-
-(** All per-site states equal and the protocol quiescent — the paper's
-    convergence property, checked exactly. *)
-let check_convergence t =
-  match settle_result t with
-  | Stuck reason ->
-      Error
-        (Printf.sprintf "system did not reach quiescence (%s)"
-           (stuck_reason_to_string reason))
-  | Drained ->
-      if not (converged t) then Error "replicas diverge at quiescence" else Ok ()
 
 let submit_update t ~origin intents k =
   let u = t.next_u in
@@ -391,7 +383,7 @@ let submit_update t ~origin intents k =
   if Trace.on trace then
     Trace.emit trace ~time:start
       (Trace.Update_begin { u; origin; n_ops = List.length intents });
-  Intf.boxed_submit_update t.system ~origin intents (fun outcome ->
+  t.system.submit_update ~origin intents (fun outcome ->
       (match outcome with
       | Intf.Committed { committed_at } ->
           Metrics.incr t.updates_committed;
@@ -420,7 +412,7 @@ let submit_query t ~site ~keys ~epsilon k =
   if Trace.on trace then
     Trace.emit trace ~time:(now t)
       (Trace.Query_begin { q; site; n_keys = List.length keys; epsilon = eps });
-  Intf.boxed_submit_query t.system ~site ~keys ~epsilon (fun outcome ->
+  t.system.submit_query ~site ~keys ~epsilon (fun outcome ->
       Metrics.incr t.queries_served;
       Metrics.observe t.query_charged (float_of_int outcome.Intf.charged);
       (if Series.on t.obs.Obs.series then
@@ -443,7 +435,7 @@ let submit_query t ~site ~keys ~epsilon k =
              });
       k outcome)
 
-let store t ~site = Intf.boxed_store t.system ~site
-let history t ~site = Intf.boxed_history t.system ~site
+let store t ~site = Replica.store t.system.kernel ~site
+let history t ~site = Replica.history t.system.kernel ~site
 
 let stats t = Metrics.snapshot t.obs.Obs.metrics

@@ -49,16 +49,18 @@ val create :
 val engine : t -> Esr_sim.Engine.t
 val net : t -> Esr_sim.Net.t
 val env : t -> Intf.env
-val system : t -> Intf.boxed
+val system : t -> Replica.any
+(** The method's kernel (see {!Replica}). *)
+
 val obs : t -> Esr_obs.Obs.t
 val now : t -> float
 
 val run_for : t -> float -> unit
 (** Advance virtual time by the given number of milliseconds. *)
 
-val sample_series : t -> unit
-(** Append one row to the bundle's {!Esr_obs.Series} at the current
-    virtual time (no-op when the series is disabled). *)
+val flush : t -> unit
+(** Flush the method now: unlike a {!settle_result} round, untraced and
+    not counted in [flush_rounds]. *)
 
 val attach_audit : t -> Esr_obs.Audit.t -> unit
 (** Tap the auditor into this run's trace sink and bind its [audit/]
@@ -78,15 +80,15 @@ val arm_checkpoints : t -> until:float -> unit
 (** Pre-schedule checkpoint cuts at every multiple of the checkpoint
     interval from now through [until] — one consistent system-wide cut
     per tick, every site cut at the same virtual instant (each via
-    {!Intf.S.checkpoint}).  Mirrors {!arm_series}: pre-scheduling keeps
+    {!Replica.cut}).  Mirrors {!arm_series}: pre-scheduling keeps
     [Engine.run]'s drain semantics.  No-op when the harness was created
     without [?checkpoint]. *)
 
 val inject_faults : t -> Esr_fault.Schedule.t -> unit
 (** Arm a fault schedule on the engine before (or while) driving the
     workload: crashes wipe the method's volatile state at the target
-    site ({!Intf.S.on_crash}), recoveries replay the durable log and
-    catch up ({!Intf.S.on_recover}); partitions and heals act on the
+    site ({!Replica.crash}), recoveries replay the durable log and
+    catch up ({!Replica.recover}); partitions and heals act on the
     network alone.  Raises [Invalid_argument] if the schedule references
     a site outside this system, or — when the run checkpoints — if a
     crash lands on the exact virtual time of a checkpoint cut
@@ -123,11 +125,7 @@ val run_with_faults :
     {!converged} [= true] afterwards. *)
 
 val converged : t -> bool
-(** All replicas hold equal state. *)
-
-val check_convergence : t -> (unit, string) result
-(** [settle_result] then [converged]; the error string carries the
-    {!stuck_reason} when the system cannot drain. *)
+(** All replicas hold equal state ({!Replica.converged}). *)
 
 val submit_update :
   t -> origin:int -> Intf.intent list -> (Intf.update_outcome -> unit) -> unit
@@ -148,4 +146,5 @@ val stats : t -> Esr_obs.Metrics.entry list
     (group ["method"]), network fates (["net"]), stable-queue transport
     (["squeue"]), engine totals (["engine"]) and harness lifecycle
     counters/histograms (["harness"]).  The method's own [(name, value)]
-    list is [Intf.boxed_stats (system t)]. *)
+    list, in its order, is [Metrics.alist ~group:"method"] over the
+    bundle's registry. *)

@@ -245,10 +245,69 @@ let receive t ~site:site_id msg =
       drain_lamport t site);
   wake_parked site
 
+(* --- crash and recovery hooks --- *)
+
+let drop t ~site:site_id =
+  let site = t.sites.(site_id) in
+  (* Volatile order buffers are gone; the receipt journal ([t.wal]) keeps
+     the only durable copy of what they held. *)
+  let buffered =
+    Hashtbl.length site.seq_buffer + List.length site.lam_buffer
+  in
+  Hashtbl.reset site.seq_buffer;
+  site.lam_buffer <- [];
+  (* Parked queries fail immediately with a degraded answer; active
+     queries are killed and finish degraded at their next step. *)
+  let parked = site.parked in
+  site.parked <- [];
+  List.iter (fun pq -> pq.pq_fail ()) parked;
+  let killed = List.length site.active in
+  List.iter (fun aq -> aq.aq_killed <- true) site.active;
+  site.active <- [];
+  (* Origin-side commit callbacks are volatile: clients of this site
+     get a rejection.  The MSets themselves are already in the stable
+     fabric and still commit everywhere (including here, after
+     recovery). *)
+  let orphaned =
+    Replica.orphans t.pending_commits (fun (origin, _) -> origin = site_id)
+  in
+  List.iter
+    (fun (et, (_, k)) ->
+      Hashtbl.remove t.pending_commits et;
+      k (Intf.Rejected "origin site crashed"))
+    orphaned;
+  {
+    Replica.buffered;
+    queries_failed = List.length parked + killed;
+    updates_rejected = List.length orphaned;
+  }
+
+(* After the kernel replays the durable log (checkpoint + tail when the
+   run checkpoints), the journaled but unapplied MSets go back into the
+   order buffers.  The stable-queue backlog redelivers everything else.
+   Unapplied MSets straddling a cut stay in the receipt journal, so the
+   cut has nothing of ORDUP's to reclaim. *)
+let rejoin t ~site:site_id =
+  let site = t.sites.(site_id) in
+  List.iter
+    (fun mset ->
+      match (t.mode, mset.order) with
+      | `Sequencer, Ticket n -> Hashtbl.replace site.seq_buffer n mset
+      | `Lamport, Stamp ts ->
+          update_watermark site ~origin:mset.origin ts;
+          site.lam_buffer <- insert_sorted mset site.lam_buffer
+      | (`Sequencer | `Lamport), _ -> assert false)
+    (Recovery.Wal.entries t.wal ~site:site_id);
+  (match t.mode with
+  | `Sequencer -> drain_sequencer t site
+  | `Lamport -> drain_lamport t site);
+  wake_parked site
+
 (* --- public interface --- *)
 
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Fifo ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Fifo ~receive ~drop ~rejoin
+    ~wal:(fun t -> t.wal) (fun k ->
       {
         k;
         mode = env.Intf.config.Intf.ordup_ordering;
@@ -275,6 +334,8 @@ let create (env : Intf.env) =
         n_fallbacks = 0;
         n_charged_units = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 let submit_update t ~origin intents k =
   if Replica.admit t.k ~origin intents k then begin
@@ -463,68 +524,6 @@ let flush t =
           wake_parked site)
         t.sites
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* Volatile order buffers are gone; the receipt journal ([t.wal])
-         keeps the only durable copy of what they held. *)
-      let buffered =
-        Hashtbl.length site.seq_buffer + List.length site.lam_buffer
-      in
-      Hashtbl.reset site.seq_buffer;
-      site.lam_buffer <- [];
-      (* Parked queries fail immediately with a degraded answer; active
-         queries are killed and finish degraded at their next step. *)
-      let parked = site.parked in
-      site.parked <- [];
-      List.iter (fun pq -> pq.pq_fail ()) parked;
-      let killed = List.length site.active in
-      List.iter (fun aq -> aq.aq_killed <- true) site.active;
-      site.active <- [];
-      (* Origin-side commit callbacks are volatile: clients of this site
-         get a rejection.  The MSets themselves are already in the stable
-         fabric and still commit everywhere (including here, after
-         recovery). *)
-      let orphaned =
-        Replica.orphans t.pending_commits (fun (origin, _) -> origin = site_id)
-      in
-      List.iter
-        (fun (et, (_, k)) ->
-          Hashtbl.remove t.pending_commits et;
-          k (Intf.Rejected "origin site crashed"))
-        orphaned;
-      {
-        Replica.buffered;
-        queries_failed = List.length parked + killed;
-        updates_rejected = List.length orphaned;
-      })
-
-let on_recover t ~site:site_id =
-  let site = t.sites.(site_id) in
-  (* The kernel replays the durable log (checkpoint + tail when the run
-     checkpoints) to rebuild the store image; then the journaled but
-     unapplied MSets go back into the order buffers.  The stable-queue
-     backlog redelivers everything else. *)
-  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
-    List.iter
-      (fun mset ->
-        match (t.mode, mset.order) with
-        | `Sequencer, Ticket n -> Hashtbl.replace site.seq_buffer n mset
-        | `Lamport, Stamp ts ->
-            update_watermark site ~origin:mset.origin ts;
-            site.lam_buffer <- insert_sorted mset site.lam_buffer
-        | (`Sequencer | `Lamport), _ -> assert false)
-      (Recovery.Wal.entries t.wal ~site:site_id);
-    (match t.mode with
-    | `Sequencer -> drain_sequencer t site
-    | `Lamport -> drain_lamport t site);
-    wake_parked site)
-
-(* Unapplied MSets straddling the cut stay in the receipt journal
-   ([t.wal]); only the stable-queue dedup records behind the delivery
-   watermark are reclaimable here. *)
-let checkpoint t ~site = Replica.cut t.k ~site
-
 let quiescent t =
   Array.for_all
     (fun site ->
@@ -541,16 +540,9 @@ let backlog t =
     (Hashtbl.length t.pending_commits)
     t.sites
 
-let store t ~site = Replica.store t.k ~site
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-let converged t = Replica.converged t.k
-
 let stats t =
   Replica.stats t.k
     [
       ("consistent_fallbacks", float_of_int t.n_fallbacks);
       ("charged_units", float_of_int t.n_charged_units);
     ]
-
-let resources t ~site = Replica.resources ~wal:t.wal t.k ~site

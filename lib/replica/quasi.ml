@@ -160,8 +160,78 @@ let receive t ~site:site_id msg =
           pq.q_notify values
       | None -> ())
 
+let drop t ~site:site_id =
+  (* Strict queries from this site waiting on the primary's reply: the
+     wait context is volatile — answer degraded from the local
+     image. *)
+  let my_queries =
+    Replica.orphans t.query_replies (fun pq -> pq.q_origin = site_id)
+  in
+  List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
+  List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
+  (* Updates submitted here still waiting on Update_done: the
+     origin-side callback is volatile, so the client sees a rejection
+     even though the primary may have (or will have) applied the ET. *)
+  let my_updates =
+    Replica.orphans t.outcomes (fun (origin, _) -> origin = site_id)
+  in
+  List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
+  List.iter
+    (fun (_, (_, notify)) -> notify (Intf.Rejected "origin site crashed"))
+    my_updates;
+  (* The primary's propagation bookkeeping (dirty set, last-pushed
+     images) is volatile; recovery re-pushes everything instead. *)
+  let buffered =
+    if site_id = primary then begin
+      let n = List.length (List.sort_uniq String.compare t.dirty) in
+      t.dirty <- [];
+      Hashtbl.reset t.last_pushed;
+      n
+    end
+    else 0
+  in
+  {
+    Replica.buffered;
+    queries_failed = List.length my_queries;
+    updates_rejected = List.length my_updates;
+  }
+
+let rejoin t ~site:site_id =
+  if site_id = primary then
+    (* Anti-entropy resync: with the dirty/last-pushed bookkeeping lost,
+       re-push the whole image so quasi-copies re-converge and the
+       closeness predicate restarts from a known state. *)
+    List.iter (push_key t)
+      (List.sort String.compare (Store.keys t.k.sites.(primary).store))
+
+(* The primary's copy is the master; each quasi-copy must agree with it
+   on exactly the keys (shards) it replicates.  The primary applies every
+   key, so this also makes each shard's replicas agree with each other. *)
+let agree t =
+  let reference = t.k.sites.(primary).store in
+  let sh = t.k.env.Intf.sharding in
+  let n = Keyspace.size t.k.env.Intf.keyspace in
+  let ok = ref true in
+  let id = ref 0 in
+  while !ok && !id < n do
+    let v = Store.get_id reference !id in
+    let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+    for i = 0 to Array.length reps - 1 do
+      let s = reps.(i) in
+      if
+        !ok && s <> primary
+        && not (Value.equal (Store.get_id t.k.sites.(s).store !id) v)
+      then ok := false
+    done;
+    incr id
+  done;
+  !ok
+
+(* Refresh versions live with the data; there is no receipt journal, so
+   the WAL fields stay zero. *)
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Unordered ~receive ~drop ~rejoin ~agree
+    (fun k ->
       {
         k;
         versions =
@@ -178,6 +248,8 @@ let create (env : Intf.env) =
         n_refreshes = 0;
         n_primary_reads = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 let submit_update t ~origin intents k =
   if Replica.admit t.k ~origin intents k then begin
@@ -237,54 +309,6 @@ let flush t =
         (Store.keys t.k.sites.(primary).store)
   | `Immediate | `Periodic _ -> ()
 
-let on_crash t ~site:site_id =
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* Strict queries from this site waiting on the primary's reply: the
-         wait context is volatile — answer degraded from the local
-         image. *)
-      let my_queries =
-        Replica.orphans t.query_replies (fun pq -> pq.q_origin = site_id)
-      in
-      List.iter (fun (qid, _) -> Hashtbl.remove t.query_replies qid) my_queries;
-      List.iter (fun (_, pq) -> pq.q_fail ()) my_queries;
-      (* Updates submitted here still waiting on Update_done: the
-         origin-side callback is volatile, so the client sees a rejection
-         even though the primary may have (or will have) applied the ET. *)
-      let my_updates =
-        Replica.orphans t.outcomes (fun (origin, _) -> origin = site_id)
-      in
-      List.iter (fun (et, _) -> Hashtbl.remove t.outcomes et) my_updates;
-      List.iter
-        (fun (_, (_, notify)) -> notify (Intf.Rejected "origin site crashed"))
-        my_updates;
-      (* The primary's propagation bookkeeping (dirty set, last-pushed
-         images) is volatile; recovery re-pushes everything instead. *)
-      let buffered =
-        if site_id = primary then begin
-          let n = List.length (List.sort_uniq String.compare t.dirty) in
-          t.dirty <- [];
-          Hashtbl.reset t.last_pushed;
-          n
-        end
-        else 0
-      in
-      {
-        Replica.buffered;
-        queries_failed = List.length my_queries;
-        updates_rejected = List.length my_updates;
-      })
-
-let on_recover t ~site:site_id =
-  Replica.recover t.k ~site:site_id ~rejoin:(fun () ->
-      if site_id = primary then
-        (* Anti-entropy resync: with the dirty/last-pushed bookkeeping
-           lost, re-push the whole image so quasi-copies re-converge and
-           the closeness predicate restarts from a known state. *)
-        List.iter (push_key t)
-          (List.sort String.compare (Store.keys t.k.sites.(primary).store)))
-
-let checkpoint t ~site = Replica.cut t.k ~site
-
 let backlog t =
   Hashtbl.length t.outcomes + Hashtbl.length t.query_replies
   + List.length t.dirty
@@ -304,39 +328,9 @@ let quiescent t =
         (Store.keys t.k.sites.(primary).store)
   | `Immediate | `Periodic _ -> true
 
-let store t ~site = Replica.store t.k ~site
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-
-let converged t =
-  (* The primary's copy is the master; each quasi-copy must agree with it
-     on exactly the keys (shards) it replicates. *)
-  let reference = t.k.sites.(primary).store in
-  let sh = t.k.env.Intf.sharding in
-  let n = Keyspace.size t.k.env.Intf.keyspace in
-  let ok = ref true in
-  let id = ref 0 in
-  while !ok && !id < n do
-    let v = Store.get_id reference !id in
-    let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-    for i = 0 to Array.length reps - 1 do
-      let s = reps.(i) in
-      if
-        !ok && s <> primary
-        && not (Value.equal (Store.get_id t.k.sites.(s).store !id) v)
-      then ok := false
-    done;
-    incr id
-  done;
-  !ok
-
 let stats t =
   Replica.stats t.k
     [
       ("refreshes", float_of_int t.n_refreshes);
       ("primary_reads", float_of_int t.n_primary_reads);
     ]
-
-(* Refresh versions live with the data; there is no receipt journal, so
-   the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.k ~site

@@ -178,6 +178,35 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
   Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:origin Prof.Propagate
     (fun () -> fan_key t key (fun dst -> post t ~src:origin ~dst req))
 
+let drop t ~site:site_id =
+  (* The rounds this site coordinates are volatile: queries answer
+     degraded, updates report rejection (their writes may still land
+     at a quorum — the classic uncertain outcome).  Straggler replies
+     arriving after recovery find no round and are ignored. *)
+  let my_reads = Replica.orphans t.reads (fun r -> r.r_origin = site_id)
+  and my_writes =
+    Replica.orphans t.writes (fun w -> w.w_origin = site_id)
+  in
+  let queries_failed = ref 0 and updates_rejected = ref 0 in
+  List.iter
+    (fun (rid, r) ->
+      Hashtbl.remove t.reads rid;
+      if r.r_fail () then
+        if r.r_update then incr updates_rejected else incr queries_failed)
+    my_reads;
+  List.iter
+    (fun (wid, w) ->
+      Hashtbl.remove t.writes wid;
+      if w.w_fail () then incr updates_rejected)
+    my_writes;
+  {
+    Replica.buffered = 0;
+    queries_failed = !queries_failed;
+    updates_rejected = !updates_rejected;
+  }
+
+(* Versions live with the data; there is no receipt journal, so the WAL
+   fields stay zero. *)
 let create (env : Intf.env) =
   (* Quorums live inside each key's replica set: intersection must hold
      among the [factor] copies, which are all sites under the all-sites
@@ -190,7 +219,7 @@ let create (env : Intf.env) =
     invalid_arg "Quorum.create: r + w must exceed the number of copies";
   if read_quorum > copies || write_quorum > copies then
     invalid_arg "Quorum.create: a quorum cannot exceed the replication factor";
-  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Unordered ~receive ~drop (fun k ->
       {
         k;
         versions =
@@ -202,6 +231,8 @@ let create (env : Intf.env) =
         write_quorum;
         next_round = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 let refusal = function
   | [ Intf.Set _ ] | [] -> None
@@ -273,46 +304,7 @@ let submit_query t ~site:site_id ~keys ~epsilon:_ k =
 
 let flush _ = ()
 
-let on_crash t ~site:site_id =
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* The rounds this site coordinates are volatile: queries answer
-         degraded, updates report rejection (their writes may still land
-         at a quorum — the classic uncertain outcome).  Straggler replies
-         arriving after recovery find no round and are ignored. *)
-      let my_reads = Replica.orphans t.reads (fun r -> r.r_origin = site_id)
-      and my_writes =
-        Replica.orphans t.writes (fun w -> w.w_origin = site_id)
-      in
-      let queries_failed = ref 0 and updates_rejected = ref 0 in
-      List.iter
-        (fun (rid, r) ->
-          Hashtbl.remove t.reads rid;
-          if r.r_fail () then
-            if r.r_update then incr updates_rejected else incr queries_failed)
-        my_reads;
-      List.iter
-        (fun (wid, w) ->
-          Hashtbl.remove t.writes wid;
-          if w.w_fail () then incr updates_rejected)
-        my_writes;
-      {
-        Replica.buffered = 0;
-        queries_failed = !queries_failed;
-        updates_rejected = !updates_rejected;
-      })
-
-let on_recover t ~site = Replica.recover t.k ~site
-let checkpoint t ~site = Replica.cut t.k ~site
-
 let quiescent t = Hashtbl.length t.reads = 0 && Hashtbl.length t.writes = 0
 let backlog t = Hashtbl.length t.reads + Hashtbl.length t.writes
 
-let store t ~site = Replica.store t.k ~site
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-let converged t = Replica.converged t.k
 let stats t = Replica.stats t.k [ ("rejected", float_of_int t.k.rejected) ]
-
-(* Versions live with the data; there is no receipt journal, so the WAL
-   fields stay zero. *)
-let resources t ~site = Replica.resources t.k ~site

@@ -72,4 +72,5 @@ module Wal = struct
   let appended t ~site = t.appended_by.(site)
 
   let high_water t ~site = t.high_water_by.(site)
+  let counts t ~site = (size t ~site, appended t ~site, high_water t ~site)
 end

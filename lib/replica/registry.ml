@@ -42,7 +42,14 @@ let make ~name env =
               | Some v -> v
               | None -> 0.0))
         (M.stats sys);
-      Intf.B ((module M), sys)
+      {
+        Intf.kernel = M.kernel sys;
+        submit_update = M.submit_update sys;
+        submit_query = M.submit_query sys;
+        flush = (fun () -> M.flush sys);
+        quiescent = (fun () -> M.quiescent sys);
+        backlog = (fun () -> M.backlog sys);
+      }
   | None ->
       invalid_arg
         (Printf.sprintf "Registry.make: unknown method %S (known: %s)" name

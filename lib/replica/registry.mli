@@ -5,7 +5,7 @@
 
 val modules : (module Intf.S) list
 (** The four asynchronous methods (ORDUP, COMMU, RITU, COMPE) followed by
-    the two synchronous baselines (2PC, QUORUM). *)
+    the three synchronous comparators (2PC, QUORUM, QUASI). *)
 
 val asynchronous : string list
 (** Names of the paper's methods. *)
@@ -21,6 +21,8 @@ val names : string list
 val find : string -> (module Intf.S) option
 (** Case-insensitive lookup. *)
 
-val make : name:string -> Intf.env -> Intf.boxed
-(** Instantiate a replicated system.  Raises [Invalid_argument] for an
-    unknown name (the message lists the known ones). *)
+val make : name:string -> Intf.env -> Intf.system
+(** Instantiate a replicated system, registering the method's stats as
+    group ["method"] gauges in [env]'s metrics registry, in the method's
+    own order.  Raises [Invalid_argument] for an unknown name (the
+    message lists the known ones). *)

@@ -19,11 +19,27 @@ type site = {
   mutable down : bool;
 }
 
+type dropped = { buffered : int; queries_failed : int; updates_rejected : int }
+
+let nothing_dropped = { buffered = 0; queries_failed = 0; updates_rejected = 0 }
+
+(* The method's hooks, closed over its lazily built state as [deliver]. *)
+type hooks = {
+  drop : (site:int -> dropped) option;
+  replay : (site:int -> base:Store.t option -> Hist.t -> Store.t) option;
+  rejoin : (site:int -> unit) option;
+  gc : (site:int -> int) option;
+  mv : (site:int -> Esr_store.Mvstore.t) option;
+  wal : (site:int -> int * int * int) option;  (* size, appended, high water *)
+  agree : (unit -> bool) option;
+}
+
 type 'm t = {
-  env : Intf.env;
+  env : Env.env;
   sites : site array;
   fabric : 'm Squeue.t;
   deliver : site:int -> 'm -> unit;
+  hooks : hooks;
   dests : Sharding.Dests.t;
   mutable deferred : (int * 'm) list;
   mutable updates : int;
@@ -31,27 +47,41 @@ type 'm t = {
   mutable rejected : int;
 }
 
-let create (env : Intf.env) ~mode ~receive make =
+let create ?drop ?replay ?rejoin ?gc ?mv ?wal ?agree (env : Env.env) ~mode
+    ~receive make =
   let rec sys = lazy (make (Lazy.force k))
   and k =
     lazy
-      (let deliver ~site m = receive (Lazy.force sys) ~site m in
+      (let on hook = Option.map (fun f ~site -> f (Lazy.force sys) ~site) hook in
+       let deliver ~site m = receive (Lazy.force sys) ~site m in
+       let hooks =
+         {
+           drop = on drop;
+           replay = on replay;
+           rejoin = on rejoin;
+           gc = on gc;
+           mv = on mv;
+           wal = on (Option.map (fun w s -> Recovery.Wal.counts (w s)) wal);
+           agree = Option.map (fun f () -> f (Lazy.force sys)) agree;
+         }
+       in
        let fabric =
-         Squeue.create ~mode ?backoff:env.Intf.config.Intf.retry_backoff
-           ~obs:env.Intf.obs env.Intf.net
+         Squeue.create ~mode ?backoff:env.Env.config.Env.retry_backoff
+           ~obs:env.Env.obs env.Env.net
            ~handler:(fun ~site ~src:_ m -> receive (Lazy.force sys) ~site m)
        in
        let store () =
-         Store.create ~size:env.Intf.store_hint ~keyspace:env.Intf.keyspace ()
+         Store.create ~size:env.Env.store_hint ~keyspace:env.Env.keyspace ()
        in
        {
          env;
          sites =
-           Array.init env.Intf.sites (fun site ->
+           Array.init env.Env.sites (fun site ->
                { site; store = store (); hist = Hist.empty; down = false });
          fabric;
          deliver;
-         dests = Sharding.Dests.cursor env.Intf.sharding;
+         hooks;
+         dests = Sharding.Dests.cursor env.Env.sharding;
          deferred = [];
          updates = 0;
          queries = 0;
@@ -61,22 +91,22 @@ let create (env : Intf.env) ~mode ~receive make =
   Lazy.force sys
 
 let log r ~et ~key op = r.hist <- Hist.append r.hist (Et.action ~et ~key op)
-let now k = Engine.now k.env.Intf.engine
-let trace k = k.env.Intf.obs.Esr_obs.Obs.trace
+let now k = Engine.now k.env.Env.engine
+let trace k = k.env.Env.obs.Esr_obs.Obs.trace
 
 (* --- updates --- *)
 
 let reject k notify reason =
   k.rejected <- k.rejected + 1;
-  notify (Intf.Rejected reason)
+  notify (Env.Rejected reason)
 
 let admit ?refused k ~origin intents notify =
   if k.sites.(origin).down then begin
-    notify (Intf.Rejected "origin site down");
+    notify (Env.Rejected "origin site down");
     false
   end
   else if intents = [] then begin
-    notify (Intf.Rejected "empty update ET");
+    notify (Env.Rejected "empty update ET");
     false
   end
   else
@@ -88,7 +118,7 @@ let admit ?refused k ~origin intents notify =
         k.updates <- k.updates + 1;
         true
 
-let commit k notify = notify (Intf.Committed { committed_at = now k })
+let commit k notify = notify (Env.Committed { committed_at = now k })
 
 (* A loop, not [List.iter] with a closure: routing runs once per MSet. *)
 let rec add_keys c ks key_of = function
@@ -100,7 +130,7 @@ let rec add_keys c ks key_of = function
 let route k key_of xs =
   let c = k.dests in
   Sharding.Dests.reset c;
-  add_keys c k.env.Intf.keyspace key_of xs;
+  add_keys c k.env.Env.keyspace key_of xs;
   c
 
 let participants k key_of xs =
@@ -124,7 +154,7 @@ let apply k ~site ~et ~n_ops ~order f a b c =
     Trace.emit trace ~time:(now k)
       (Trace.Mset_applied
          { et; site; n_ops; order = (if order < 0 then None else Some order) });
-  let prof = k.env.Intf.obs.Esr_obs.Obs.prof in
+  let prof = k.env.Env.obs.Esr_obs.Obs.prof in
   if Prof.on prof then begin
     let t0 = Prof.start prof in
     let a0 = Prof.alloc0 prof in
@@ -154,7 +184,7 @@ let post k ~src ~dst m =
 let answer k notify ~started_at ~charged ~forced ~consistent values =
   notify
     {
-      Intf.values;
+      Env.values;
       charged;
       forced;
       consistent_path = consistent;
@@ -185,15 +215,15 @@ let open_query k ~site ~keys ~started_at notify =
 
 (* --- crash, recovery, checkpoints --- *)
 
-type dropped = { buffered : int; queries_failed : int; updates_rejected : int }
+type any = Any : 'm t -> any
 
-let nothing_dropped () = { buffered = 0; queries_failed = 0; updates_rejected = 0 }
-
-let crash ?(drop = nothing_dropped) k ~site =
+let crash (Any k) ~site =
   let r = k.sites.(site) in
   if not r.down then begin
     r.down <- true;
-    let d = drop () in
+    let d =
+      Option.fold k.hooks.drop ~none:nothing_dropped ~some:(fun f -> f ~site)
+    in
     let trace = trace k in
     if Trace.on trace then
       Trace.emit trace ~time:(now k)
@@ -211,23 +241,23 @@ let orphans tbl mine =
   Hashtbl.fold (fun key v acc -> if mine v then (key, v) :: acc else acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let recover ?replay ?(rejoin = ignore) k ~site =
+let recover (Any k) ~site =
   let r = k.sites.(site) in
   if r.down then begin
     r.down <- false;
     let env = k.env in
-    let ckpt = env.Intf.checkpoint in
+    let ckpt = env.Env.checkpoint in
     let base =
       match ckpt with Some c -> Checkpoint.base c ~site | None -> None
     in
     let rebuild () =
-      match replay with
-      | Some f -> f ~base r.hist
+      match k.hooks.replay with
+      | Some f -> f ~site ~base r.hist
       | None ->
-          Esr_core.Logmerge.apply ?base ~keyspace:env.Intf.keyspace
-            ~size:env.Intf.store_hint r.hist
+          Esr_core.Logmerge.apply ?base ~keyspace:env.Env.keyspace
+            ~size:env.Env.store_hint r.hist
     in
-    r.store <- Prof.span env.Intf.obs.Esr_obs.Obs.prof ~site Prof.Replay rebuild;
+    r.store <- Prof.span env.Env.obs.Esr_obs.Obs.prof ~site Prof.Replay rebuild;
     let len = Hist.length r.hist in
     let trace = trace k in
     if Trace.on trace then
@@ -236,7 +266,7 @@ let recover ?replay ?(rejoin = ignore) k ~site =
     (match ckpt with
     | Some c -> Checkpoint.note_tail_replay c ~site ~len
     | None -> ());
-    rejoin ();
+    Option.iter (fun f -> f ~site) k.hooks.rejoin;
     let mine, others =
       List.partition (fun (s, _) -> s = site) (List.rev k.deferred)
     in
@@ -244,39 +274,45 @@ let recover ?replay ?(rejoin = ignore) k ~site =
     List.iter (fun (_, m) -> k.deliver ~site m) mine
   end
 
-let cut ?(gc = fun () -> 0) ?mv k ~site =
+let mvstore (Any k) ~site = Option.map (fun mv -> mv ~site) k.hooks.mv
+
+let cut (Any k as any) ~site =
   let r = k.sites.(site) in
-  match k.env.Intf.checkpoint with
+  match k.env.Env.checkpoint with
   | Some c when not r.down ->
       let dedup = Squeue.gc_site k.fabric ~site in
-      let reclaimed = dedup + gc () in
+      let gc = Option.fold k.hooks.gc ~none:0 ~some:(fun f -> f ~site) in
+      let reclaimed = dedup + gc in
       r.hist <-
-        Checkpoint.cut c ~engine:k.env.Intf.engine ~site ?mv ~store:r.store
-          ~hist:r.hist ~reclaimed ()
+        Checkpoint.cut c ~engine:k.env.Env.engine ~site ?mv:(mvstore any ~site)
+          ~store:r.store ~hist:r.hist ~reclaimed ()
   | Some _ | None -> ()
 
 (* --- accessors --- *)
 
-let store k ~site = k.sites.(site).store
-let history k ~site = k.sites.(site).hist
+let store (Any k) ~site = k.sites.(site).store
+let history (Any k) ~site = k.sites.(site).hist
 
-let resources ?wal k ~site =
+let resources (Any k) ~site =
   let r = k.sites.(site) in
-  let of_wal f = match wal with Some w -> f w ~site | None -> 0 in
+  let wal_entries, wal_appended, wal_high_water =
+    match k.hooks.wal with Some f -> f ~site | None -> (0, 0, 0)
+  in
   {
-    Intf.log_entries = Hist.length r.hist;
+    Env.log_entries = Hist.length r.hist;
     log_bytes = Hist.approx_bytes r.hist;
-    wal_entries = of_wal Recovery.Wal.size;
-    wal_appended = of_wal Recovery.Wal.appended;
-    wal_high_water = of_wal Recovery.Wal.high_water;
+    wal_entries;
+    wal_appended;
+    wal_high_water;
     journal_depth = Squeue.journal_depth k.fabric ~site;
     journal_enqueued = Squeue.journaled k.fabric ~site;
     store_words = Store.live_words r.store;
   }
 
-let converged k =
-  Sharding.converged k.env.Intf.sharding ~keyspace:k.env.Intf.keyspace
+let converged (Any k) =
+  Sharding.converged k.env.Env.sharding ~keyspace:k.env.Env.keyspace
     ~store:(fun site -> k.sites.(site).store)
+  && Option.fold k.hooks.agree ~none:true ~some:(fun f -> f ())
 
 let stats k rows =
   ("updates", float_of_int k.updates)

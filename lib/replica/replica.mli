@@ -6,9 +6,10 @@
     restriction.  This module is the shared half: the fabric, routing,
     the MSet lifecycle trace, update admission, query answers, crash,
     recovery, checkpoints and the accessors.  A method builds one {!t} in
-    its [create] and keeps only its Table 1 rules: how MSets are ordered,
-    how a site applies them, how queries are charged and how aborts are
-    compensated.  The kernel never asks which method called it.
+    its [create], with its hooks, and keeps only its Table 1 rules: how
+    MSets are ordered, how a site applies them, how queries are charged
+    and how aborts are compensated.  The kernel never asks which method
+    called it.
 
     A {!site} is the site's durable operation log, the store image
     materialized from it, and the up/down flag.  The checkpoint cut relies
@@ -27,11 +28,19 @@ type site = private {
   mutable down : bool;
 }
 
+(** What a crash cost the method's volatile state, for the
+    [Volatile_dropped] trace event. *)
+type dropped = { buffered : int; queries_failed : int; updates_rejected : int }
+
+type hooks
+(** The method's hooks (see {!create}), closed over its state. *)
+
 type 'm t = private {
-  env : Intf.env;
+  env : Env.env;
   sites : site array;
   fabric : 'm Esr_squeue.Squeue.t;  (** the stable-queue transport *)
   deliver : site:int -> 'm -> unit;  (** the method's message handler *)
+  hooks : hooks;
   dests : Esr_store.Sharding.Dests.t;  (** the one routing cursor *)
   mutable deferred : (int * 'm) list;
       (** {!local} messages kept while their site was down, newest first *)
@@ -41,7 +50,15 @@ type 'm t = private {
 }
 
 val create :
-  Intf.env ->
+  ?drop:('s -> site:int -> dropped) ->
+  ?replay:('s -> site:int -> base:Esr_store.Store.t option ->
+           Esr_core.Hist.t -> Esr_store.Store.t) ->
+  ?rejoin:('s -> site:int -> unit) ->
+  ?gc:('s -> site:int -> int) ->
+  ?mv:('s -> site:int -> Esr_store.Mvstore.t) ->
+  ?wal:('s -> ('k, 'a) Recovery.Wal.t) ->
+  ?agree:('s -> bool) ->
+  Env.env ->
   mode:Esr_squeue.Squeue.mode ->
   receive:('s -> site:int -> 'm -> unit) ->
   ('m t -> 's) ->
@@ -50,7 +67,14 @@ val create :
     [squeue] gauges and Net hooks) and one up site per replica, each with
     an empty log and a store pre-sized from the run's store hint, and
     returns [make k], the method's state around kernel [k].  Every message
-    for a site goes to [receive sys ~site msg], [sys] being that state. *)
+    for a site goes to [receive sys ~site msg], [sys] being that state.
+    The hooks receive [sys] too, and run only at a {!crash} ([drop]), a
+    {!recover} ([replay], by default {!Esr_core.Logmerge.apply}, then
+    [rejoin]), a {!cut} ([gc], returning how many journal records it
+    reclaimed, and [mv], the multi-version store to snapshot), a
+    {!resources} probe ([wal], the receipt journal) or a {!converged}
+    check ([agree], what it needs beyond equal store images).  A hook
+    left out does nothing. *)
 
 val log : site -> et:Esr_core.Et.id -> key:string -> Esr_store.Op.t -> unit
 (** Append one executed action (update or read) to the durable log. *)
@@ -63,18 +87,18 @@ val admit :
   ?refused:string ->
   'm t ->
   origin:int ->
-  Intf.intent list ->
-  (Intf.update_outcome -> unit) ->
+  Env.intent list ->
+  (Env.update_outcome -> unit) ->
   bool
 (** In this order: a down origin rejects the update ET, so does an empty
     one, and a [refused] reason (the method's Table 1 restriction)
     rejects it through {!reject}.  Otherwise it counts one update and
     returns [true]. *)
 
-val reject : 'm t -> (Intf.update_outcome -> unit) -> string -> unit
+val reject : 'm t -> (Env.update_outcome -> unit) -> string -> unit
 (** Count one refused update ET and tell the client why. *)
 
-val commit : 'm t -> (Intf.update_outcome -> unit) -> unit
+val commit : 'm t -> (Env.update_outcome -> unit) -> unit
 (** Tell the client its update ET committed now. *)
 
 val route : 'm t -> ('a -> string) -> 'a list -> Esr_store.Sharding.Dests.t
@@ -124,14 +148,14 @@ val open_query :
   site:int ->
   keys:string list ->
   started_at:float ->
-  (Intf.query_outcome -> unit) ->
+  (Env.query_outcome -> unit) ->
   bool
 (** Count one query.  A down site answers it at once from its last image,
     degraded and uncharged ([false]); [true] when the method serves it. *)
 
 val answer :
   'm t ->
-  (Intf.query_outcome -> unit) ->
+  (Env.query_outcome -> unit) ->
   started_at:float ->
   charged:int ->
   forced:int ->
@@ -151,54 +175,53 @@ val image : 'm t -> site:int -> string list -> (string * Esr_store.Value.t) list
 (** The site's values, unlogged: the degraded answer of a site that is
     down or lost its query context. *)
 
-(** {1 Crash, recovery and checkpoints} *)
+(** {1 Crash, recovery and checkpoints}
 
-(** What a crash cost the method's volatile state, for the
-    [Volatile_dropped] trace event. *)
-type dropped = { buffered : int; queries_failed : int; updates_rejected : int }
+    These and the accessors take any method's kernel, its message type
+    hidden. *)
 
-val crash : ?drop:(unit -> dropped) -> 'm t -> site:int -> unit
-(** When up: mark the site down, run [drop] (the method discards its
-    order buffers and fails its wait contexts; default: nothing), then
-    emit [Volatile_dropped] with its counts and the log length. *)
+type any = Any : 'm t -> any
 
 val orphans : ('k, 'v) Hashtbl.t -> ('v -> bool) -> ('k * 'v) list
 (** The entries the predicate picks (those a crashed origin leaves
     behind), in ascending key order; the table is left as it is. *)
 
-val recover :
-  ?replay:(base:Esr_store.Store.t option -> Esr_core.Hist.t -> Esr_store.Store.t) ->
-  ?rejoin:(unit -> unit) ->
-  'm t ->
-  site:int ->
-  unit
-(** When down: mark the site up and rebuild the image by [replay] (default
-    {!Esr_core.Logmerge.apply}) over the durable log — from a copy of the
-    newest checkpoint snapshot ([base]) when the run checkpoints — as a
-    [Replay] profiler span, traced as [Recovery_replay] and noted for the
-    [ckpt/] gauges.  Then [rejoin] re-ingests the method's journaled
-    state, and the site's kept {!local} messages are delivered in arrival
-    order. *)
+val crash : any -> site:int -> unit
+(** When up: mark the site down, run [drop] (the method discards its
+    order buffers, fails its wait contexts and rejects the un-notified
+    outcomes the site coordinated), then emit [Volatile_dropped] with its
+    counts and the log length.  The durable log and the stable-queue
+    journals survive.  The caller crashes the network layer first. *)
 
-val cut : ?gc:(unit -> int) -> ?mv:Esr_store.Mvstore.t -> 'm t -> site:int -> unit
+val recover : any -> site:int -> unit
+(** When down: mark the site up and rebuild the image by [replay] over
+    the durable log — from a copy of the newest checkpoint snapshot
+    ([base]) when the run checkpoints — as a [Replay] profiler span,
+    traced as [Recovery_replay] and noted for the [ckpt/] gauges.  Then
+    [rejoin] re-ingests the method's journaled state, and the site's kept
+    {!local} messages are delivered in arrival order. *)
+
+val cut : any -> site:int -> unit
 (** Checkpoint cut (see {!Checkpoint.cut}): reclaim the stable-queue dedup
-    records behind the delivery watermark, run the method's journal GC
-    [gc] (returning how many records it reclaimed), then snapshot the
+    records behind the delivery watermark, run [gc], then snapshot the
     image (and [mv]) and truncate the log.  No-op when the run does not
     checkpoint or the site is down. *)
 
 (** {1 Accessors} *)
 
-val store : 'm t -> site:int -> Esr_store.Store.t
-val history : 'm t -> site:int -> Esr_core.Hist.t
+val store : any -> site:int -> Esr_store.Store.t
+val history : any -> site:int -> Esr_core.Hist.t
 
-val resources : ?wal:('k, 'a) Recovery.Wal.t -> 'm t -> site:int -> Intf.resources
-(** The site's log, image and stable-queue journals, plus the receipt
-    journal [wal] of a method that keeps one (zero WAL fields otherwise). *)
+val mvstore : any -> site:int -> Esr_store.Mvstore.t option
+(** The [mv] hook's store, when the method keeps one. *)
 
-val converged : 'm t -> bool
+val resources : any -> site:int -> Env.resources
+(** The site's log, image and stable-queue journals, plus the [wal]
+    hook's receipt journal (zero WAL fields without one).  Pure reads. *)
+
+val converged : any -> bool
 (** Shard-aware replica equality of the store images (see
-    {!Esr_store.Sharding.converged}). *)
+    {!Esr_store.Sharding.converged}), then [agree]. *)
 
 val stats : 'm t -> (string * float) list -> (string * float) list
 (** The method's stats rows behind the kernel's [updates] and [queries]. *)

@@ -44,7 +44,9 @@ type site = {
   id : int;
   replica : Replica.site;
       (* durable log, latest-version store view, up/down *)
-  mutable mv : Mvstore.t;  (* populated in `Multi mode; rebuilt from the log *)
+  mutable mv : Mvstore.t;
+      (* `Multi: every version, rebuilt from the log; `Single: one slot,
+         tracking only the VTNC *)
   clock : Lamport.t;
   watermarks : Gtime.t array;
       (* monotonic protocol metadata, logged with the stamps: durable *)
@@ -124,11 +126,81 @@ let receive t ~site:site_id msg =
   | Update mset -> apply_mset t site mset
   | Watermark ts -> note_watermark site ~origin:ts.Gtime.site ts
 
+(* Multi mode's log holds Append ops; replaying them naively is arrival
+   order, but the latest-version view is last-writer-wins on the stamp —
+   rebuild both images timestamp-aware.  When the run checkpoints, both
+   images start from copies of the newest snapshot pair and only the log
+   tail folds on top (Append is idempotent and Timed_write is
+   latest-writer-wins, so a tail action already absorbed by the snapshot
+   would be harmless anyway). *)
+let replay_multi t ~site:id ~base hist =
+  let site = t.sites.(id) in
+  let store =
+    match base with
+    | Some base -> base
+    | None ->
+        Store.create ~size:t.k.env.Intf.store_hint
+          ~keyspace:t.k.env.Intf.keyspace ()
+  in
+  let mv =
+    match
+      Option.bind t.k.env.Intf.checkpoint (fun c ->
+          Checkpoint.base_mv c ~site:id)
+    with
+    | Some base -> base
+    | None ->
+        Mvstore.create ~size:t.k.env.Intf.store_hint
+          ~keyspace:t.k.env.Intf.keyspace ()
+  in
+  List.iter
+    (fun { Et.key; op; _ } ->
+      match op with
+      | Op.Append { ts; value } ->
+          ignore (Mvstore.append mv key ~ts value);
+          ignore (Store.apply store key (Op.Timed_write { ts; value }))
+      | Op.Read -> ()
+      | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _ ->
+          invalid_arg "RITU: non-append update in a multi-version log")
+    (Hist.actions hist);
+  Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
+  site.mv <- mv;
+  store
+
+(* Replicas of a shard must also agree on the full version lists of its
+   keys, not just the latest-writer view. *)
+let versions_agree t =
+  let sh = t.k.env.Intf.sharding in
+  let ks = t.k.env.Intf.keyspace in
+  let ok = ref true in
+  let id = ref 0 in
+  let n = Keyspace.size ks in
+  while !ok && !id < n do
+    let key = Keyspace.name ks !id in
+    let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
+    let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
+    for i = 1 to Array.length reps - 1 do
+      if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference then
+        ok := false
+    done;
+    incr id
+  done;
+  !ok
+
+(* RITU applies MSets on receipt and serves queries synchronously, so
+   the only volatile state is the materialized store/version images, both
+   rebuilt from the durable log on recovery: nothing to drop, and no
+   receipt journal.  Multi mode alone keeps versions: it replays them,
+   snapshots them at a cut and must agree on them to converge.  Single
+   mode's version store only tracks the VTNC, so it gets one slot. *)
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Fifo ~receive (fun k ->
+  let mode = env.Intf.config.Intf.ritu_mode in
+  let multi hook = match mode with `Multi -> Some hook | `Single -> None in
+  Replica.create env ~mode:Squeue.Fifo ~receive ?replay:(multi replay_multi)
+    ?mv:(multi (fun t ~site -> t.sites.(site).mv))
+    ?agree:(multi versions_agree) (fun k ->
       {
         k;
-        mode = env.Intf.config.Intf.ritu_mode;
+        mode;
         sites =
           Array.map
             (fun replica ->
@@ -136,8 +208,11 @@ let create (env : Intf.env) =
                 id = replica.Replica.site;
                 replica;
                 mv =
-                  Mvstore.create ~size:env.Intf.store_hint
-                    ~keyspace:env.Intf.keyspace ();
+                  (match mode with
+                  | `Multi ->
+                      Mvstore.create ~size:env.Intf.store_hint
+                        ~keyspace:env.Intf.keyspace ()
+                  | `Single -> Mvstore.create ~size:1 ());
                 clock = Lamport.create ();
                 watermarks = Array.make env.Intf.sites Gtime.zero;
               })
@@ -146,6 +221,8 @@ let create (env : Intf.env) =
         n_fresh_reads = 0;
         n_vtnc_reads = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 let submit_update t ~origin intents k =
   let writes =
@@ -231,64 +308,6 @@ let flush t =
           Squeue.broadcast t.k.fabric ~src:site.id (Watermark ts))
         t.sites
 
-(* RITU applies MSets on receipt and serves queries synchronously, so the
-   only volatile state is the materialized store/version images — both
-   rebuilt from the durable log on recovery.  Nothing to fail. *)
-let on_crash t ~site = Replica.crash t.k ~site
-
-(* Multi mode's log holds Append ops; replaying them naively is arrival
-   order, but the latest-version view is last-writer-wins on the stamp —
-   rebuild both images timestamp-aware.  When the run checkpoints, both
-   images start from copies of the newest snapshot pair and only the log
-   tail folds on top (Append is idempotent and Timed_write is
-   latest-writer-wins, so a tail action already absorbed by the snapshot
-   would be harmless anyway). *)
-let replay_multi t site ~base hist =
-  let store =
-    match base with
-    | Some base -> base
-    | None ->
-        Store.create ~size:t.k.env.Intf.store_hint
-          ~keyspace:t.k.env.Intf.keyspace ()
-  in
-  let mv =
-    match
-      Option.bind t.k.env.Intf.checkpoint (fun c ->
-          Checkpoint.base_mv c ~site:site.id)
-    with
-    | Some base -> base
-    | None ->
-        Mvstore.create ~size:t.k.env.Intf.store_hint
-          ~keyspace:t.k.env.Intf.keyspace ()
-  in
-  List.iter
-    (fun { Et.key; op; _ } ->
-      match op with
-      | Op.Append { ts; value } ->
-          ignore (Mvstore.append mv key ~ts value);
-          ignore (Store.apply store key (Op.Timed_write { ts; value }))
-      | Op.Read -> ()
-      | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _ ->
-          invalid_arg "RITU: non-append update in a multi-version log")
-    (Hist.actions hist);
-  Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
-  site.mv <- mv;
-  store
-
-let on_recover t ~site =
-  let replay =
-    match t.mode with
-    | `Single -> None
-    | `Multi -> Some (replay_multi t t.sites.(site))
-  in
-  Replica.recover ?replay t.k ~site
-
-(* Multi mode snapshots the version store alongside the latest-writer
-   image: its recovery rebuilds both. *)
-let checkpoint t ~site =
-  let mv = match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv in
-  Replica.cut ?mv t.k ~site
-
 let quiescent _ = true
 (* RITU keeps no protocol state beyond the transport: once the stable
    queues drain, the system is quiescent. *)
@@ -296,36 +315,6 @@ let quiescent _ = true
 let backlog _ = 0
 (* Same reason: all outstanding work is in the stable queues, which the
    series already samples through the squeue registry gauges. *)
-
-let store t ~site = Replica.store t.k ~site
-
-let mvstore t ~site =
-  match t.mode with `Single -> None | `Multi -> Some t.sites.(site).mv
-
-let history t ~site = Replica.history t.k ~site
-
-let converged t =
-  let sh = t.k.env.Intf.sharding in
-  let ks = t.k.env.Intf.keyspace in
-  Replica.converged t.k
-  && (t.mode = `Single
-     ||
-     (* Replicas of a shard must also agree on the full version lists of
-        its keys, not just the latest-writer view. *)
-     let ok = ref true in
-     let id = ref 0 in
-     let n = Keyspace.size ks in
-     while !ok && !id < n do
-       let key = Keyspace.name ks !id in
-       let reps = Sharding.replicas sh (Sharding.shard_of_id sh !id) in
-       let reference = Mvstore.versions t.sites.(reps.(0)).mv key in
-       for i = 1 to Array.length reps - 1 do
-         if !ok && Mvstore.versions t.sites.(reps.(i)).mv key <> reference
-         then ok := false
-       done;
-       incr id
-     done;
-     !ok)
 
 let stats t =
   Replica.stats t.k
@@ -335,7 +324,3 @@ let stats t =
       ("fresh_reads", float_of_int t.n_fresh_reads);
       ("vtnc_reads", float_of_int t.n_vtnc_reads);
     ]
-
-(* RITU applies on receipt (stale stamps are ignored or become versions),
-   so there is no receipt journal; the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.k ~site

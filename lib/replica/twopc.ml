@@ -241,8 +241,48 @@ and coordinator_done t et =
       coord.c_acks <- coord.c_acks - 1;
       if coord.c_acks = 0 then Hashtbl.remove t.coords et
 
+(* After the log replay, the kernel delivers the site's own 2PC records
+   that landed while it was down: recovery needs no hook of 2PC's. *)
+let drop t ~site:site_id =
+  let site = t.sites.(site_id) in
+  (* Prepared transactions survive (prepared-state-in-the-WAL keeps
+     their W-locks held — the classic 2PC blocking window); what dies
+     is the volatile wait contexts: queries queued on locks fail
+     degraded and their requests are cancelled. *)
+  let waiting = site.waiting in
+  site.waiting <- [];
+  List.iter
+    (fun wq ->
+      if not wq.wq_done then begin
+        wq.wq_done <- true;
+        wq.wq_fail ()
+      end)
+    waiting;
+  (* The crashed site was the coordinator of its undecided update
+     ETs: presumed abort.  Remote participants learn the abort once
+     the stable queue reaches them; the local record is replayed at
+     recovery. *)
+  let orphaned =
+    Replica.orphans t.coords (fun coord ->
+        coord.c_site = site_id && not coord.c_decided)
+  in
+  List.iter
+    (fun (_, coord) ->
+      coord.c_decided <- true;
+      t.n_aborted <- t.n_aborted + 1;
+      coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
+      send_decision t coord ~commit:false)
+    orphaned;
+  {
+    Replica.buffered = 0;
+    queries_failed = List.length waiting;
+    updates_rejected = List.length orphaned;
+  }
+
+(* 2PC's durable protocol state is the prepared table, not a receipt
+   journal, so the WAL fields stay zero. *)
 let create (env : Intf.env) =
-  Replica.create env ~mode:Squeue.Unordered ~receive (fun k ->
+  Replica.create env ~mode:Squeue.Unordered ~receive ~drop (fun k ->
       {
         k;
         sites =
@@ -262,6 +302,8 @@ let create (env : Intf.env) =
         n_aborted = 0;
         n_lock_waits = 0;
       })
+
+let kernel t = Replica.Any t.k
 
 let submit_update t ~origin intents notify =
   if Replica.admit t.k ~origin intents notify then begin
@@ -352,55 +394,8 @@ let submit_query t ~site:site_id ~keys ~epsilon:_ k =
 
 let flush _ = ()
 
-let on_crash t ~site:site_id =
-  let site = t.sites.(site_id) in
-  Replica.crash t.k ~site:site_id ~drop:(fun () ->
-      (* Prepared transactions survive (prepared-state-in-the-WAL keeps
-         their W-locks held — the classic 2PC blocking window); what dies
-         is the volatile wait contexts: queries queued on locks fail
-         degraded and their requests are cancelled. *)
-      let waiting = site.waiting in
-      site.waiting <- [];
-      List.iter
-        (fun wq ->
-          if not wq.wq_done then begin
-            wq.wq_done <- true;
-            wq.wq_fail ()
-          end)
-        waiting;
-      (* The crashed site was the coordinator of its undecided update
-         ETs: presumed abort.  Remote participants learn the abort once
-         the stable queue reaches them; the local record is replayed at
-         recovery. *)
-      let orphaned =
-        Replica.orphans t.coords (fun coord ->
-            coord.c_site = site_id && not coord.c_decided)
-      in
-      List.iter
-        (fun (_, coord) ->
-          coord.c_decided <- true;
-          t.n_aborted <- t.n_aborted + 1;
-          coord.c_notify (Intf.Rejected "2PC: aborted (origin site crashed)");
-          send_decision t coord ~commit:false)
-        orphaned;
-      {
-        Replica.buffered = 0;
-        queries_failed = List.length waiting;
-        updates_rejected = List.length orphaned;
-      })
-
-(* After the log replay, the kernel delivers the site's own 2PC records
-   that landed while it was down. *)
-let on_recover t ~site = Replica.recover t.k ~site
-let checkpoint t ~site = Replica.cut t.k ~site
-
 let quiescent t = Hashtbl.length t.coords = 0 && t.k.deferred = []
 let backlog t = Hashtbl.length t.coords + List.length t.k.deferred
-
-let store t ~site = Replica.store t.k ~site
-let mvstore _ ~site:_ = None
-let history t ~site = Replica.history t.k ~site
-let converged t = Replica.converged t.k
 
 let stats t =
   Replica.stats t.k
@@ -408,7 +403,3 @@ let stats t =
       ("aborted", float_of_int t.n_aborted);
       ("lock_waits", float_of_int t.n_lock_waits);
     ]
-
-(* 2PC's durable protocol state is the prepared table, not a receipt
-   journal, so the WAL fields stay zero. *)
-let resources t ~site = Replica.resources t.k ~site

@@ -264,7 +264,8 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
   let fresh_chan _ =
     {
       next_seq = 0;
-      unacked = Hashtbl.create 8;
+      (* Unseeded: [on_timer] retransmits in this table's order. *)
+      unacked = Hashtbl.create ~random:false 8;
       timer_active = false;
       cur_interval = retry_interval;
     }

@@ -169,8 +169,7 @@ let run ?(seed = 42) ?config ?net_config ?faults ?flush_every
       let t = ref period in
       while !t < spec.Spec.duration do
         ignore
-          (Engine.schedule_at engine ~time:!t (fun () ->
-               Esr_replica.Intf.boxed_flush (Harness.system harness)));
+          (Engine.schedule_at engine ~time:!t (fun () -> Harness.flush harness));
         t := !t +. period
       done);
   (match faults with
@@ -264,7 +263,8 @@ let run ?(seed = 42) ?config ?net_config ?faults ?flush_every
             w_queries_served = !w_qv;
           })
         faults;
-    method_stats = Intf.boxed_stats (Harness.system harness);
+    method_stats =
+      Esr_obs.Metrics.alist ~group:"method" (Harness.obs harness).Obs.metrics;
     net_counters = Net.counters net;
   }
 

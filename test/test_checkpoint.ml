@@ -17,6 +17,7 @@ module Metrics = Esr_obs.Metrics
 module Obs = Esr_obs.Obs
 module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
+module Replica = Esr_replica.Replica
 module Registry = Esr_replica.Registry
 module Recovery = Esr_replica.Recovery
 module Checkpoint = Esr_replica.Checkpoint
@@ -291,13 +292,13 @@ let test_double_crash_between_cuts ~config name () =
      recoveries must start from the same pristine snapshot copy (the
      base re-copies), so the second replay is as good as the first. *)
   Net.crash net 2;
-  Intf.boxed_on_crash system ~site:2;
+  Replica.crash system ~site:2;
   Net.recover net 2;
-  Intf.boxed_on_recover system ~site:2;
+  Replica.recover system ~site:2;
   Net.crash net 2;
-  Intf.boxed_on_crash system ~site:2;
+  Replica.crash system ~site:2;
   Net.recover net 2;
-  Intf.boxed_on_recover system ~site:2;
+  Replica.recover system ~site:2;
   checki "both recoveries replayed a tail" 2 (Checkpoint.tail_replays c ~site:2);
   schedule_updates h ~sites ~name ~gap:13.0 ~until:80.0;
   expect_drained h;
@@ -339,7 +340,7 @@ let prop_checkpoint_equiv ~label ~config name =
       || QCheck.Test.fail_reportf "seed %d: checkpointed run diverged" seed)
       && List.for_all
            (fun i ->
-             let mv h = Intf.boxed_mvstore (Harness.system h) ~site:i in
+             let mv h = Replica.mvstore (Harness.system h) ~site:i in
              (Store.equal (Harness.store h_off ~site:i)
                 (Harness.store h_on ~site:i)
              && Option.equal Mvstore.equal (mv h_off) (mv h_on))

@@ -13,6 +13,7 @@ module Obs = Esr_obs.Obs
 module Trace = Esr_obs.Trace
 module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
+module Replica = Esr_replica.Replica
 module Registry = Esr_replica.Registry
 module Schedule = Esr_fault.Schedule
 module Nemesis = Esr_fault.Nemesis
@@ -256,13 +257,13 @@ let test_double_crash_recover_idempotent name () =
   schedule_updates h ~sites ~name ~gap:17.0 ~until:200.0;
   Harness.run_for h 250.0;
   Net.crash net 2;
-  Intf.boxed_on_crash system ~site:2;
-  Intf.boxed_on_crash system ~site:2;
+  Replica.crash system ~site:2;
+  Replica.crash system ~site:2;
   (* second call must be a no-op *)
   Harness.run_for h 100.0;
   Net.recover net 2;
-  Intf.boxed_on_recover system ~site:2;
-  Intf.boxed_on_recover system ~site:2;
+  Replica.recover system ~site:2;
+  Replica.recover system ~site:2;
   schedule_updates h ~sites ~name ~gap:13.0 ~until:80.0;
   expect_drained h;
   checkb "converged" true (Harness.converged h)
@@ -274,7 +275,7 @@ let test_crashed_site_degrades_gracefully name () =
   schedule_updates h ~sites ~name ~gap:19.0 ~until:150.0;
   Harness.run_for h 400.0;
   Net.crash (Harness.net h) 2;
-  Intf.boxed_on_crash system ~site:2;
+  Replica.crash system ~site:2;
   (* A query at the crashed site answers immediately from the last local
      image, flagged as off the consistent path. *)
   let served = ref 0 in
@@ -292,7 +293,7 @@ let test_crashed_site_degrades_gracefully name () =
   checki "update rejected" 1 !rejected;
   (* The rest of the system keeps going and still drains. *)
   Net.recover (Harness.net h) 2;
-  Intf.boxed_on_recover system ~site:2;
+  Replica.recover system ~site:2;
   expect_drained h;
   checkb "converged" true (Harness.converged h)
 

@@ -13,6 +13,7 @@ module Prof = Esr_obs.Prof
 module Series = Esr_obs.Series
 module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
+module Replica = Esr_replica.Replica
 module Engine = Esr_sim.Engine
 module Spec = Esr_workload.Spec
 module Scenario = Esr_workload.Scenario
@@ -250,7 +251,7 @@ let test_resources_match_history () =
   done;
   ignore (Harness.settle_result h);
   for site = 0 to 2 do
-    let r = Intf.boxed_resources (Harness.system h) ~site in
+    let r = Replica.resources (Harness.system h) ~site in
     checki
       (Printf.sprintf "site %d log matches history" site)
       (Esr_core.Hist.length (Harness.history h ~site))

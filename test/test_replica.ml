@@ -11,6 +11,9 @@ module Epsilon = Esr_core.Epsilon
 module Esr_check = Esr_core.Esr_check
 module Intf = Esr_replica.Intf
 module Harness = Esr_replica.Harness
+module Replica = Esr_replica.Replica
+module Metrics = Esr_obs.Metrics
+module Obs = Esr_obs.Obs
 module Registry = Esr_replica.Registry
 
 let checkb = Alcotest.check Alcotest.bool
@@ -35,7 +38,9 @@ let run_settle h =
 let get h ~site key = Store.get (Harness.store h ~site) key
 
 let stat h name =
-  match List.assoc_opt name (Intf.boxed_stats (Harness.system h)) with
+  match
+    List.assoc_opt name (Metrics.alist ~group:"method" (Harness.obs h).Obs.metrics)
+  with
   | Some v -> int_of_float v
   | None -> Alcotest.fail (Printf.sprintf "missing stat %s" name)
 
@@ -341,7 +346,7 @@ let test_ritu_multi_versions_accumulate () =
     Harness.submit_update h ~origin:0 [ Intf.Set ("x", Value.int i) ] expect_committed
   done;
   run_settle h;
-  match Intf.boxed_mvstore (Harness.system h) ~site:1 with
+  match Replica.mvstore (Harness.system h) ~site:1 with
   | None -> Alcotest.fail "multi mode must expose mvstore"
   | Some mv ->
       checki "four versions" 4 (List.length (Mvstore.versions mv "x"));
@@ -834,6 +839,91 @@ let test_sharding_fanout_scales_with_factor () =
         (shard <= full *. 0.5))
     all_methods
 
+(* --- convergence can fail: the store-image half and each method's
+   agreement half of [Harness.converged] --- *)
+
+let images h ~sites =
+  List.init sites (fun site -> Store.snapshot (Harness.store h ~site))
+
+let all_equal = function [] -> true | x :: rest -> List.for_all (( = ) x) rest
+
+(* RITU multi mode: replicas must agree on every version, not only on the
+   latest-writer image.  An extra, older version at one site leaves all
+   store images equal and still breaks convergence. *)
+let test_converged_ritu_versions () =
+  let config = { default with ritu_mode = `Multi } in
+  let h = mk ~config ~sites:3 "RITU" in
+  for i = 1 to 3 do
+    Harness.submit_update h ~origin:(i mod 3) [ Intf.Set ("x", Value.int i) ]
+      expect_committed
+  done;
+  run_settle h;
+  checkb "settled run converged" true (Harness.converged h);
+  let before = images h ~sites:3 in
+  (match Replica.mvstore (Harness.system h) ~site:1 with
+  | None -> Alcotest.fail "multi mode must expose mvstore"
+  | Some mv ->
+      let older = Esr_clock.Gtime.make ~counter:0 ~site:2 in
+      checkb "older version appended" true
+        (Mvstore.append mv "x" ~ts:older (Value.int 99)));
+  checkb "store images untouched" true (images h ~sites:3 = before);
+  checkb "store images all equal" true (all_equal before);
+  checkb "version lists disagree" false (Harness.converged h)
+
+(* QUASI: every quasi-copy must equal the primary's copy.  One value
+   written into every replica of a shard the primary (site 0) does not
+   replicate keeps those replicas equal, and still breaks convergence. *)
+let test_converged_quasi_primary () =
+  let sites = 6 in
+  let sharding =
+    Sharding.create ~policy:Sharding.Ring ~factor:3 ~sites ()
+  in
+  let h = Harness.create ~sharding ~sites ~method_name:"QUASI" () in
+  for i = 0 to 5 do
+    Harness.submit_update h ~origin:i
+      [ Intf.Add (Printf.sprintf "k%d" i, 1) ]
+      expect_committed
+  done;
+  run_settle h;
+  checkb "settled run converged" true (Harness.converged h);
+  let keyspace = (Harness.env h).Intf.keyspace in
+  let reps key =
+    Sharding.replicas sharding
+      (Sharding.shard_of_id sharding (Esr_store.Keyspace.intern keyspace key))
+  in
+  let key =
+    List.find
+      (fun key -> not (Array.mem 0 (reps key)))
+      (List.init 12 (Printf.sprintf "k%d"))
+  in
+  Array.iter
+    (fun site -> Store.set (Harness.store h ~site) key (Value.int 42))
+    (reps key);
+  checkb "the shard's replicas agree" true
+    (Sharding.converged sharding ~keyspace ~store:(fun site ->
+         Harness.store h ~site));
+  checkb "quasi-copies differ from the primary" false (Harness.converged h)
+
+(* Every method: one changed store cell at one replica is divergence. *)
+let test_converged_detects_a_changed_cell () =
+  List.iter
+    (fun name ->
+      let h = mk ~sites:3 name in
+      for i = 0 to 5 do
+        let key = Printf.sprintf "k%d" (i mod 2) in
+        let intent =
+          match name with
+          | "RITU" | "QUORUM" -> Intf.Set (key, Value.int i)
+          | _ -> Intf.Add (key, 1)
+        in
+        Harness.submit_update h ~origin:(i mod 3) [ intent ] ignore
+      done;
+      run_settle h;
+      checkb (name ^ " settled run converged") true (Harness.converged h);
+      Store.set (Harness.store h ~site:1) "k0" (Value.int 12_345);
+      checkb (name ^ " changed cell diverges") false (Harness.converged h))
+    all_methods
+
 let () =
   Alcotest.run "esr_replica"
     [
@@ -938,5 +1028,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_sharding_convergence;
           Alcotest.test_case "fanout scales with factor" `Quick
             test_sharding_fanout_scales_with_factor;
+        ] );
+      ( "converge",
+        [
+          Alcotest.test_case "RITU multi checks version lists" `Quick
+            test_converged_ritu_versions;
+          Alcotest.test_case "QUASI checks quasi-copies against the primary"
+            `Quick test_converged_quasi_primary;
+          Alcotest.test_case "a changed cell diverges (all 7 methods)" `Quick
+            test_converged_detects_a_changed_cell;
         ] );
     ]

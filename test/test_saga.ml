@@ -11,6 +11,7 @@ module Store = Esr_store.Store
 module Epsilon = Esr_core.Epsilon
 module Intf = Esr_replica.Intf
 module Compe = Esr_replica.Compe
+module Replica = Esr_replica.Replica
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -60,11 +61,11 @@ let test_saga_commits_all_steps () =
   | Some (Intf.Rejected m) -> Alcotest.fail m
   | None -> Alcotest.fail "saga never finished");
   for site = 0 to 2 do
-    Alcotest.check value_t "stock" (Value.int (-2)) (Store.get (Compe.store sys ~site) "stock");
-    Alcotest.check value_t "reserved" (Value.int 2) (Store.get (Compe.store sys ~site) "reserved");
-    Alcotest.check value_t "shipped" (Value.int 2) (Store.get (Compe.store sys ~site) "shipped")
+    Alcotest.check value_t "stock" (Value.int (-2)) (Store.get (Replica.store (Compe.kernel sys) ~site) "stock");
+    Alcotest.check value_t "reserved" (Value.int 2) (Store.get (Replica.store (Compe.kernel sys) ~site) "reserved");
+    Alcotest.check value_t "shipped" (Value.int 2) (Store.get (Replica.store (Compe.kernel sys) ~site) "shipped")
   done;
-  checkb "converged" true (Compe.converged sys);
+  checkb "converged" true (Replica.converged (Compe.kernel sys));
   checki "one saga" 1 (stat sys "sagas");
   checki "no revokes" 0 (stat sys "revokes")
 
@@ -117,10 +118,10 @@ let test_saga_abort_at_first_step_is_clean () =
   | Some (Intf.Committed _) -> Alcotest.fail "cannot commit with p=1"
   | None -> Alcotest.fail "saga never finished");
   for site = 0 to 2 do
-    Alcotest.check value_t "a reverted" Value.zero (Store.get (Compe.store sys ~site) "a");
-    Alcotest.check value_t "b untouched" Value.zero (Store.get (Compe.store sys ~site) "b")
+    Alcotest.check value_t "a reverted" Value.zero (Store.get (Replica.store (Compe.kernel sys) ~site) "a");
+    Alcotest.check value_t "b untouched" Value.zero (Store.get (Replica.store (Compe.kernel sys) ~site) "b")
   done;
-  checkb "converged" true (Compe.converged sys);
+  checkb "converged" true (Replica.converged (Compe.kernel sys));
   checki "second step never launched" 0 (stat sys "revokes")
 
 (* Drive many sagas under a mixed abort rate: committed sagas' effects and
@@ -156,9 +157,9 @@ let test_saga_mixed_outcomes_converge () =
     Alcotest.check value_t
       (Printf.sprintf "ledger at site %d" site)
       (Value.int !committed_total)
-      (Store.get (Compe.store sys ~site) "ledger")
+      (Store.get (Replica.store (Compe.kernel sys) ~site) "ledger")
   done;
-  checkb "converged" true (Compe.converged sys)
+  checkb "converged" true (Replica.converged (Compe.kernel sys))
 
 let test_saga_revoke_non_commutative_step () =
   (* A committed Mul step revoked after later commutative traffic forces
@@ -176,7 +177,7 @@ let test_saga_revoke_non_commutative_step () =
              ignore))
   done;
   checkb "settled" true (settle engine sys);
-  checkb "converged" true (Compe.converged sys);
+  checkb "converged" true (Replica.converged (Compe.kernel sys));
   checkb "sagas aborted" true (stat sys "saga_aborts" > 0)
 
 (* Internal-consistency invariant: every store mutation is a log entry,
@@ -219,9 +220,9 @@ let test_log_fold_invariant () =
     checkb
       (Printf.sprintf "site %d: store = fold(log)" site)
       true
-      (Store.equal folded (Compe.store sys ~site))
+      (Store.equal folded (Replica.store (Compe.kernel sys) ~site))
   done;
-  checkb "converged" true (Compe.converged sys)
+  checkb "converged" true (Replica.converged (Compe.kernel sys))
 
 let test_saga_empty_rejected () =
   let engine, sys = mk () in
