@@ -86,13 +86,16 @@ let partial r = r.summary.s_dropped > 0
 
 (* --- live state --- *)
 
-(* Sender/receiver view of one (src,dst) stable-queue channel. *)
+(* Sender/receiver view of one (src,dst) stable-queue channel.  As in the
+   stable queue's own receiver, every seq in [0, c_mark) has been handed
+   up and [c_above] holds the other seqs handed up (out of order past
+   the mark), so delivery state grows with reordering, not history. *)
 type chan = {
   mutable c_sent : int;  (* next expected dense send seq *)
   mutable c_base : int;  (* first seq observed (relaxed baseline) *)
   mutable c_known : bool;
-  c_delivered : (int, unit) Hashtbl.t;
-  mutable c_n_delivered : int;
+  mutable c_mark : int;
+  c_above : (int, unit) Hashtbl.t;
 }
 
 type window = {
@@ -110,6 +113,10 @@ type closed_window = {
   cl_model : int option;  (* [Some] for `Ok closes in strict mode *)
 }
 
+(* A record of one float field is stored flat, so advancing the clock
+   allocates nothing; a float field of [t] would be boxed on each write. *)
+type clock = { mutable last_time : float }
+
 type pending_query = {
   pq_q : int;
   pq_site : int;
@@ -122,7 +129,7 @@ type t = {
   mutable n_events : int;
   mutable dropped : int;
   mutable relaxed : bool;
-  mutable last_time : float;
+  clock : clock;
   mutable violations : violation list;  (* reversed *)
   mutable n_violations : int;
   chans : (int * int, chan) Hashtbl.t;
@@ -163,7 +170,7 @@ let create ?(label = "run") () =
     n_events = 0;
     dropped = 0;
     relaxed = false;
-    last_time = neg_infinity;
+    clock = { last_time = neg_infinity };
     violations = [];
     n_violations = 0;
     chans = Hashtbl.create 64;
@@ -245,8 +252,8 @@ let chan t ~src ~dst =
           c_sent = 0;
           c_base = 0;
           c_known = false;
-          c_delivered = Hashtbl.create 32;
-          c_n_delivered = 0;
+          c_mark = 0;
+          c_above = Hashtbl.create 8;
         }
       in
       Hashtbl.add t.chans (src, dst) c;
@@ -254,18 +261,20 @@ let chan t ~src ~dst =
 
 let overlaps keys keys' = List.exists (fun k -> List.mem k keys') keys
 
+(* A violation pinned on [r].  A top-level function rather than a closure
+   over [r] in [feed], which would be allocated for every event. *)
+let flag t (r : Trace.record) ~kind ~invariant detail =
+  violate t ~kind ~invariant ~time:r.Trace.time
+    ~event:(Trace.type_name r.Trace.ev) detail
+
 let feed t (r : Trace.record) =
   let { Trace.time; ev } = r in
-  let name = Trace.type_name ev in
-  let v ~kind ~invariant detail =
-    violate t ~kind ~invariant ~time ~event:name detail
-  in
   t.n_events <- t.n_events + 1;
   (* Virtual time never runs backwards, whatever the event. *)
-  if time < t.last_time -. 1e-9 then
-    v ~kind:Ordering ~invariant:"time-regression"
-      (Printf.sprintf "event at t=%.3f after t=%.3f" time t.last_time);
-  t.last_time <- Float.max t.last_time time;
+  if time < t.clock.last_time -. 1e-9 then
+    flag t r ~kind:Ordering ~invariant:"time-regression"
+      (Printf.sprintf "event at t=%.3f after t=%.3f" time t.clock.last_time);
+  if time > t.clock.last_time then t.clock.last_time <- time;
   (* (d) a send from a crashed site must be silently dropped by the
      network: the matching [Msg_dropped Crashed_src] directly follows. *)
   (match t.expect_drop with
@@ -295,7 +304,7 @@ let feed t (r : Trace.record) =
         (not t.relaxed) && reason = Trace.Crashed_src
         && not (Hashtbl.mem t.down src)
       then
-        v ~kind:Crash ~invariant:"spurious-crashed-src-drop"
+        flag t r ~kind:Crash ~invariant:"spurious-crashed-src-drop"
           (Printf.sprintf "drop blamed on crashed src %d, which is up" src)
   | Trace.Msg_duplicated _ | Trace.Msg_delivered _ -> ()
   | Trace.Squeue_send { src; dst; seq } ->
@@ -308,13 +317,13 @@ let feed t (r : Trace.record) =
         c.c_known <- true;
         if t.relaxed then c.c_base <- seq
         else if seq <> 0 then
-          v ~kind:Delivery ~invariant:"squeue-journal-gap"
+          flag t r ~kind:Delivery ~invariant:"squeue-journal-gap"
             (Printf.sprintf "channel %d->%d starts at seq %d, expected 0" src
                dst seq);
         c.c_sent <- seq + 1
       end
       else if seq <> c.c_sent then begin
-        v ~kind:Delivery ~invariant:"squeue-journal-gap"
+        flag t r ~kind:Delivery ~invariant:"squeue-journal-gap"
           (Printf.sprintf "channel %d->%d journaled seq %d, expected %d" src
              dst seq c.c_sent);
         c.c_sent <- Stdlib.max c.c_sent (seq + 1)
@@ -323,30 +332,37 @@ let feed t (r : Trace.record) =
   | Trace.Squeue_delivered { src; dst; seq } ->
       let c = chan t ~src ~dst in
       if (not t.relaxed) && Hashtbl.mem t.down dst then
-        v ~kind:Crash ~invariant:"squeue-deliver-while-down"
+        flag t r ~kind:Crash ~invariant:"squeue-deliver-while-down"
           (Printf.sprintf "channel %d->%d delivered seq %d at a crashed site"
              src dst seq);
       if (not t.relaxed) && (seq >= c.c_sent || (c.c_known && seq < c.c_base))
       then
-        v ~kind:Delivery ~invariant:"squeue-delivered-unsent"
+        flag t r ~kind:Delivery ~invariant:"squeue-delivered-unsent"
           (Printf.sprintf "channel %d->%d delivered seq %d, journal at %d" src
              dst seq c.c_sent);
-      if Hashtbl.mem c.c_delivered seq then
-        v ~kind:Delivery ~invariant:"squeue-double-delivery"
+      if (0 <= seq && seq < c.c_mark) || Hashtbl.mem c.c_above seq then
+        flag t r ~kind:Delivery ~invariant:"squeue-double-delivery"
           (Printf.sprintf "channel %d->%d handed seq %d up twice" src dst seq)
-      else begin
-        Hashtbl.replace c.c_delivered seq ();
-        c.c_n_delivered <- c.c_n_delivered + 1
+      else if seq = c.c_mark then begin
+        c.c_mark <- seq + 1;
+        (* Fold in the seqs the gap was holding back. *)
+        while
+          Hashtbl.length c.c_above > 0 && Hashtbl.mem c.c_above c.c_mark
+        do
+          Hashtbl.remove c.c_above c.c_mark;
+          c.c_mark <- c.c_mark + 1
+        done
       end
+      else Hashtbl.replace c.c_above seq ()
   | Trace.Squeue_dup { src; dst; seq } ->
       let c = chan t ~src ~dst in
       if (not t.relaxed) && seq >= c.c_sent then
-        v ~kind:Delivery ~invariant:"squeue-dup-unsent"
+        flag t r ~kind:Delivery ~invariant:"squeue-dup-unsent"
           (Printf.sprintf "channel %d->%d suppressed unsent seq %d" src dst seq)
   | Trace.Partition_event _ | Trace.Heal -> ()
   | Trace.Crash { site } ->
       if Hashtbl.mem t.down site then
-        v ~kind:Crash ~invariant:"double-crash"
+        flag t r ~kind:Crash ~invariant:"double-crash"
           (Printf.sprintf "site %d crashed while already down" site)
       else begin
         t.n_crashes <- t.n_crashes + 1;
@@ -359,12 +375,12 @@ let feed t (r : Trace.record) =
   | Trace.Recover { site } ->
       if not (Hashtbl.mem t.down site) then begin
         if not t.relaxed then
-          v ~kind:Crash ~invariant:"recover-while-up"
+          flag t r ~kind:Crash ~invariant:"recover-while-up"
             (Printf.sprintf "site %d recovered without a preceding crash" site)
       end
       else begin
         if (not t.relaxed) && not (Hashtbl.mem t.volatile_seen site) then
-          v ~kind:Crash ~invariant:"crash-without-volatile-drop"
+          flag t r ~kind:Crash ~invariant:"crash-without-volatile-drop"
             (Printf.sprintf
                "site %d finished a down-window without accounting for its \
                 volatile state"
@@ -374,7 +390,7 @@ let feed t (r : Trace.record) =
       end
   | Trace.Volatile_dropped { site; log; _ } ->
       if (not t.relaxed) && not (Hashtbl.mem t.down site) then
-        v ~kind:Crash ~invariant:"volatile-drop-while-up"
+        flag t r ~kind:Crash ~invariant:"volatile-drop-while-up"
           (Printf.sprintf "site %d dropped volatile state while up" site);
       Hashtbl.replace t.volatile_seen site ();
       Hashtbl.replace t.crash_log site log;
@@ -385,19 +401,19 @@ let feed t (r : Trace.record) =
       | Some expected ->
           Hashtbl.remove t.crash_log site;
           if n_actions <> expected then
-            v ~kind:Crash ~invariant:"incomplete-replay"
+            flag t r ~kind:Crash ~invariant:"incomplete-replay"
               (Printf.sprintf
                  "site %d replayed %d log actions; the crash recorded %d" site
                  n_actions expected)
       | None ->
           if not t.relaxed then
-            v ~kind:Crash ~invariant:"replay-without-crash"
+            flag t r ~kind:Crash ~invariant:"replay-without-crash"
               (Printf.sprintf "site %d replayed %d actions with no crash log"
                  site n_actions))
   | Trace.Checkpoint_cut { site; folded; reclaimed = _ } ->
       t.n_cuts <- t.n_cuts + 1;
       if Hashtbl.mem t.down site then
-        v ~kind:Checkpoint ~invariant:"cut-at-down-site"
+        flag t r ~kind:Checkpoint ~invariant:"cut-at-down-site"
           (Printf.sprintf "site %d took a cut (folded %d) while crashed" site
              folded)
   | Trace.Update_begin _ -> t.n_update_begin <- t.n_update_begin + 1
@@ -406,7 +422,7 @@ let feed t (r : Trace.record) =
   | Trace.Mset_enqueued { et; keys; _ } -> Hashtbl.replace t.et_keys et keys
   | Trace.Mset_applied { et; site; order; n_ops = _ } -> (
       if (not t.relaxed) && Hashtbl.mem t.down site then
-        v ~kind:Crash ~invariant:"apply-at-down-site"
+        flag t r ~kind:Crash ~invariant:"apply-at-down-site"
           (Printf.sprintf "ET %d applied at crashed site %d" et site);
       match order with
       | None -> ()
@@ -418,7 +434,7 @@ let feed t (r : Trace.record) =
           | None ->
               if t.relaxed then Hashtbl.replace t.applied_next site (o + 1)
               else if o <> 1 then begin
-                v ~kind:Ordering ~invariant:"ordup-stream-gap"
+                flag t r ~kind:Ordering ~invariant:"ordup-stream-gap"
                   (Printf.sprintf "site %d started its stream at ticket %d"
                      site o);
                 Hashtbl.replace t.applied_next site (o + 1)
@@ -426,14 +442,14 @@ let feed t (r : Trace.record) =
               else Hashtbl.replace t.applied_next site 2
           | Some next ->
               if o > next then begin
-                v ~kind:Ordering ~invariant:"ordup-stream-gap"
+                flag t r ~kind:Ordering ~invariant:"ordup-stream-gap"
                   (Printf.sprintf
                      "site %d executed ticket %d, expected %d: gap of %d" site
                      o next (o - next));
                 Hashtbl.replace t.applied_next site (o + 1)
               end
               else if o < next then
-                v ~kind:Ordering ~invariant:"ordup-stream-replay"
+                flag t r ~kind:Ordering ~invariant:"ordup-stream-replay"
                   (Printf.sprintf
                      "site %d re-executed ticket %d (stream already at %d)"
                      site o next)
@@ -457,7 +473,7 @@ let feed t (r : Trace.record) =
   | Trace.Query_window { w; site; point; missing; keys } ->
       t.n_windows <- t.n_windows + 1;
       if (not t.relaxed) && Hashtbl.mem t.down site then
-        v ~kind:Crash ~invariant:"window-at-down-site"
+        flag t r ~kind:Crash ~invariant:"window-at-down-site"
           (Printf.sprintf "query window %d opened at crashed site %d" w site);
       if not t.relaxed then begin
         (* The lump charge is exactly the issued-but-unexecuted gap at
@@ -469,14 +485,14 @@ let feed t (r : Trace.record) =
         in
         let expected = Stdlib.max 0 (point - applied) in
         if missing <> expected then
-          v ~kind:Epsilon ~invariant:"window-missing-mismatch"
+          flag t r ~kind:Epsilon ~invariant:"window-missing-mismatch"
             (Printf.sprintf
                "window %d at site %d charged %d missing updates; point %d \
                 less %d applied gives %d"
                w site missing point applied expected)
       end;
       if Hashtbl.mem t.open_windows w then
-        v ~kind:Epsilon ~invariant:"window-reopened"
+        flag t r ~kind:Epsilon ~invariant:"window-reopened"
           (Printf.sprintf "window id %d opened twice" w)
       else
         Hashtbl.replace t.open_windows w
@@ -492,7 +508,7 @@ let feed t (r : Trace.record) =
       match Hashtbl.find_opt t.open_windows w with
       | None ->
           if not t.relaxed then
-            v ~kind:Epsilon ~invariant:"window-close-unopened"
+            flag t r ~kind:Epsilon ~invariant:"window-close-unopened"
               (Printf.sprintf "window id %d closed but never opened" w)
       | Some win ->
           Hashtbl.remove t.open_windows w;
@@ -504,7 +520,7 @@ let feed t (r : Trace.record) =
                   if charged = win.win_model then
                     t.n_windows_exact <- t.n_windows_exact + 1
                   else
-                    v ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
+                    flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
                       (Printf.sprintf
                          "window %d at site %d charged %d; reconstructed \
                           overlap with concurrent update ETs is %d"
@@ -513,7 +529,7 @@ let feed t (r : Trace.record) =
                   (* Charging stopped at the first refusal, so the model
                      (which kept counting) is an upper bound. *)
                   if charged > win.win_model then
-                    v ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
+                    flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
                       (Printf.sprintf
                          "window %d fell back after charging %d, above the \
                           reconstructed overlap %d"
@@ -534,7 +550,7 @@ let feed t (r : Trace.record) =
          only the voluntary remainder is held to epsilon. *)
       (let voluntary = charged - forced in
        if forced < 0 || voluntary < 0 then
-         v ~kind:Epsilon ~invariant:"forced-charge-malformed"
+         flag t r ~kind:Epsilon ~invariant:"forced-charge-malformed"
            (Printf.sprintf "query %d declares %d forced of %d charged units"
               q forced charged);
        match epsilon with
@@ -542,7 +558,7 @@ let feed t (r : Trace.record) =
            t.n_bounded <- t.n_bounded + 1;
            if voluntary = e then t.n_at_bound <- t.n_at_bound + 1;
            if voluntary > e then
-             v ~kind:Epsilon ~invariant:"epsilon-exceeded"
+             flag t r ~kind:Epsilon ~invariant:"epsilon-exceeded"
                (Printf.sprintf
                   "query %d charged %d (%d forced) over its epsilon %d" q
                   charged forced e);
@@ -580,13 +596,13 @@ let feed t (r : Trace.record) =
             :: t.ledger_rev
       | None ->
           if not t.relaxed then
-            v ~kind:Convergence ~invariant:"served-without-begin"
+            flag t r ~kind:Convergence ~invariant:"served-without-begin"
               (Printf.sprintf "query %d served but never began" q))
   | Trace.Flush_round _ -> ()
   | Trace.Converged { ok } ->
       t.converged <- Some ok;
       if ok && (not t.relaxed) && Hashtbl.length t.down > 0 then
-        v ~kind:Convergence ~invariant:"converged-while-down"
+        flag t r ~kind:Convergence ~invariant:"converged-while-down"
           (Printf.sprintf "convergence claimed with %d sites still crashed"
              (Hashtbl.length t.down))
 
@@ -595,7 +611,8 @@ let note_oracle t ~q ~distance = Hashtbl.replace t.oracle q distance
 let finish t =
   let strict = not t.relaxed in
   let end_violation ~kind ~invariant detail =
-    violate t ~kind ~invariant ~time:t.last_time ~event:"(end of trace)" detail
+    violate t ~kind ~invariant ~time:t.clock.last_time ~event:"(end of trace)"
+      detail
   in
   let settled = t.converged = Some true && Hashtbl.length t.down = 0 in
   (* (a) completeness: once the run claims convergence with every site
@@ -603,10 +620,11 @@ let finish t =
   if strict && settled then
     Hashtbl.iter
       (fun (src, dst) c ->
-        if c.c_n_delivered <> c.c_sent then
+        let delivered = c.c_mark + Hashtbl.length c.c_above in
+        if delivered <> c.c_sent then
           end_violation ~kind:Delivery ~invariant:"squeue-undelivered"
             (Printf.sprintf "channel %d->%d delivered %d of %d journaled" src
-               dst c.c_n_delivered c.c_sent))
+               dst delivered c.c_sent))
       t.chans;
   (* (f) lifecycle completeness under the convergence claim. *)
   if strict && settled then begin

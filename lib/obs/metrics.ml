@@ -15,10 +15,12 @@ type source =
 type reg = { r_group : string; r_name : string; r_site : int option; src : source }
 
 (* Registrations in reverse order; snapshot reverses back.  Registration
-   happens a handful of times per run, so a list is plenty. *)
-type t = { mutable regs : reg list }
+   happens a handful of times per run, so a list is plenty.  [snapshots]
+   counts materializations, so gauges that share one read ({!gauges_fn})
+   can tell a new snapshot from the one they already read for. *)
+type t = { mutable regs : reg list; mutable snapshots : int }
 
-let create () = { regs = [] }
+let create () = { regs = []; snapshots = 0 }
 
 let register t ~group ~site name src =
   t.regs <- { r_group = group; r_name = name; r_site = site; src } :: t.regs
@@ -33,6 +35,20 @@ let add c v = c.c <- c.c +. v
 let value c = c.c
 
 let gauge_fn t ~group ?site name f = register t ~group ~site name (Gauge_s f)
+
+let gauges_fn t ~group ?site read gauges =
+  let last = ref None in
+  let value () =
+    match !last with
+    | Some (n, v) when n = t.snapshots -> v
+    | _ ->
+        let v = read () in
+        last := Some (t.snapshots, v);
+        v
+  in
+  List.iter
+    (fun (name, field) -> gauge_fn t ~group ?site name (fun () -> field (value ())))
+    gauges
 
 let histogram t ~group ?site ~buckets name =
   let limits = Array.of_list buckets in
@@ -97,7 +113,8 @@ let view_percentile view q =
   | Histogram_v { limits; counts; count; _ } ->
       percentile_of_buckets ~limits ~counts ~count q
 
-let materialize regs =
+let materialize t regs =
+  t.snapshots <- t.snapshots + 1;
   List.rev_map
     (fun r ->
       let view =
@@ -116,7 +133,7 @@ let materialize regs =
       { group = r.r_group; name = r.r_name; site = r.r_site; view })
     regs
 
-let snapshot t = materialize t.regs
+let snapshot t = materialize t t.regs
 
 let qualified e =
   match e.site with None -> e.name | Some s -> Printf.sprintf "%s.s%d" e.name s
@@ -127,7 +144,7 @@ let alist ?group t =
     match group with
     | None -> snapshot t
     | Some g ->
-        materialize (List.filter (fun r -> String.equal r.r_group g) t.regs)
+        materialize t (List.filter (fun r -> String.equal r.r_group g) t.regs)
   in
   List.concat_map
     (fun e ->

@@ -36,6 +36,13 @@ val value : counter -> float
 val gauge_fn : t -> group:string -> ?site:int -> string -> (unit -> float) -> unit
 (** The callback runs at snapshot time only. *)
 
+val gauges_fn :
+  t -> group:string -> ?site:int -> (unit -> 'a) -> (string * ('a -> float)) list -> unit
+(** [gauges_fn t ~group ?site read gauges] registers one gauge per
+    [(name, field)], in list order, over one probe: a snapshot calls
+    [read] once, and each gauge reads its [field] of the result.  For
+    gauges that are fields of one costly reading. *)
+
 type histogram
 
 val histogram :

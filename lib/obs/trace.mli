@@ -11,6 +11,19 @@
     branch — instrumented fast paths guard event construction with {!on}
     so tracing off costs one predictable branch and zero allocation.
 
+    The ring is stored as three columns of 8-byte slots, 24 bytes per
+    slot (6.3 MB at the default capacity): a float array of times, an
+    int array of packed events, and an event array for the rest.  The
+    seven message and stable-queue variants ([Msg_sent], [Msg_dropped],
+    [Msg_duplicated], [Msg_delivered], [Squeue_send], [Squeue_delivered],
+    [Squeue_dup]) are packed into one int, with the message class
+    interned per sink; one whose [src] or [dst] is outside [0, 65535],
+    whose [seq] is outside [0, 2{^28}), or whose class is past the 64th
+    distinct one, and every other variant, stays boxed.  So an enabled
+    sink with no tap stores a packed event without allocating, and the
+    GC never promotes it.  {!iter}, {!to_list} and the exporters rebuild
+    records on read, each structurally equal to the one emitted.
+
     Two export formats:
     - {e JSONL}: one self-describing JSON object per event
       ([{"ts":..,"type":..,...}]), parseable back via {!record_of_json};
@@ -108,15 +121,17 @@ type record = { time : float;  (** virtual ms *) ev : event }
 type t
 
 val make : ?capacity:int -> enabled:bool -> unit -> t
-(** [capacity] (default [262144]) bounds the ring buffer.  A disabled sink
-    never allocates its buffer. *)
+(** [capacity] (default [262144]) bounds the ring buffer.  Its columns
+    are allocated at the first {!emit} of an enabled sink; a disabled
+    sink never allocates them. *)
 
 val on : t -> bool
 (** Fast-path guard: instrumentation sites wrap event construction in
     [if Trace.on sink then Trace.emit sink ...]. *)
 
 val emit : t -> time:float -> event -> unit
-(** No-op on a disabled sink. *)
+(** No-op on a disabled sink.  Builds a {!record} only when a tap is
+    attached. *)
 
 val attach : t -> (record -> unit) -> unit
 (** [attach t f] registers a streaming tap: [f] sees every subsequent

@@ -96,22 +96,23 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
   in
   (* Per-site resource probes (group ["res"]): pure reads of each
      replica's durable/volatile footprint, evaluated only at snapshot
-     time.  Through the series registry binding they become [res/...]
-     columns, which is what the soak experiment and the report's
-     resources panel chart. *)
+     time, one [Replica.resources] (which walks the store) per site per
+     snapshot.  Through the series registry binding they become
+     [res/...] columns, which is what the soak experiment and the
+     report's resources panel chart. *)
   for site = 0 to sites - 1 do
-    let rg name f =
-      Metrics.gauge_fn m ~group:"res" ~site name (fun () ->
-          float_of_int (f (Replica.resources kernel ~site)))
-    in
-    rg "log_entries" (fun r -> r.Intf.log_entries);
-    rg "log_bytes" (fun r -> r.Intf.log_bytes);
-    rg "wal_entries" (fun r -> r.Intf.wal_entries);
-    rg "wal_appended" (fun r -> r.Intf.wal_appended);
-    rg "wal_high_water" (fun r -> r.Intf.wal_high_water);
-    rg "journal_depth" (fun r -> r.Intf.journal_depth);
-    rg "journal_enqueued" (fun r -> r.Intf.journal_enqueued);
-    rg "store_words" (fun r -> r.Intf.store_words)
+    Metrics.gauges_fn m ~group:"res" ~site
+      (fun () -> Replica.resources kernel ~site)
+      [
+        ("log_entries", fun r -> float_of_int r.Intf.log_entries);
+        ("log_bytes", fun r -> float_of_int r.Intf.log_bytes);
+        ("wal_entries", fun r -> float_of_int r.Intf.wal_entries);
+        ("wal_appended", fun r -> float_of_int r.Intf.wal_appended);
+        ("wal_high_water", fun r -> float_of_int r.Intf.wal_high_water);
+        ("journal_depth", fun r -> float_of_int r.Intf.journal_depth);
+        ("journal_enqueued", fun r -> float_of_int r.Intf.journal_enqueued);
+        ("store_words", fun r -> float_of_int r.Intf.store_words);
+      ]
   done;
   (* Checkpoint gauges (group ["ckpt"], [ckpt/] series columns): only
      registered when the run checkpoints, so a checkpoint-off run's

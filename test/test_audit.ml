@@ -96,6 +96,65 @@ let test_mutations () =
   checks "overcharge invariant" "epsilon-exceeded" v.Audit.v_invariant;
   checks "overcharge pinned event" "query_served" v.Audit.v_event
 
+(* --- stable-queue delivery state --- *)
+
+let squeue_records script =
+  List.mapi
+    (fun i (kind, seq) ->
+      let ev =
+        match kind with
+        | `Send -> Trace.Squeue_send { src = 0; dst = 1; seq }
+        | `Deliver -> Trace.Squeue_delivered { src = 0; dst = 1; seq }
+      in
+      { Trace.time = float_of_int i; ev })
+    script
+  @ [ { Trace.time = 100.0; ev = Trace.Converged { ok = true } } ]
+
+let invariants script =
+  List.map
+    (fun (v : Audit.violation) -> v.Audit.v_invariant)
+    (Audit.audit_records (squeue_records script)).Audit.violations
+
+(* The auditor keeps a channel's delivered seqs as a watermark plus the
+   out-of-order ones past it, yet flags exactly what a set of every
+   delivered seq would. *)
+let test_delivery_watermark () =
+  let sends = [ (`Send, 0); (`Send, 1); (`Send, 2) ] in
+  Alcotest.(check (list string))
+    "out-of-order deliveries fold into the mark" []
+    (invariants (sends @ [ (`Deliver, 0); (`Deliver, 2); (`Deliver, 1) ]));
+  Alcotest.(check (list string))
+    "a duplicate below the mark is a double delivery"
+    [ "squeue-double-delivery"; "squeue-double-delivery" ]
+    (invariants
+       (sends
+       @ [ (`Deliver, 0); (`Deliver, 2); (`Deliver, 1); (`Deliver, 1); (`Deliver, 2) ]
+       ));
+  Alcotest.(check (list string))
+    "a duplicate above the mark is a double delivery"
+    [ "squeue-double-delivery"; "squeue-undelivered" ]
+    (invariants (sends @ [ (`Deliver, 2); (`Deliver, 2) ]));
+  Alcotest.(check (list string))
+    "an unsent seq is flagged"
+    [ "squeue-delivered-unsent"; "squeue-undelivered" ]
+    (invariants [ (`Send, 0); (`Deliver, 0); (`Deliver, 1) ]);
+  Alcotest.(check (list string))
+    "a gap left at quiescence is undelivered" [ "squeue-undelivered" ]
+    (invariants (sends @ [ (`Deliver, 0); (`Deliver, 2) ]))
+
+(* Memory follows live state: a million in-order deliveries on one
+   channel leave the auditor as small as a handful do. *)
+let test_delivery_memory_bounded () =
+  let a = Audit.create () in
+  for seq = 0 to 999_999 do
+    let time = float_of_int seq in
+    Audit.feed a { Trace.time; ev = Trace.Squeue_send { src = 0; dst = 1; seq } };
+    Audit.feed a { Trace.time; ev = Trace.Squeue_delivered { src = 0; dst = 1; seq } }
+  done;
+  let words = Obj.reachable_words (Obj.repr a) in
+  checkb (Printf.sprintf "auditor holds %d words (< 4096)" words) true (words < 4096);
+  checkb "certified" true (Audit.ok (Audit.finish a))
+
 (* --- certificate JSON round-trip --- *)
 
 let test_certificate_roundtrip () =
@@ -217,6 +276,10 @@ let () =
         [
           Alcotest.test_case "each corruption trips its invariant" `Quick
             test_mutations;
+          Alcotest.test_case "delivery watermark flags duplicates" `Quick
+            test_delivery_watermark;
+          Alcotest.test_case "delivery state stays bounded" `Quick
+            test_delivery_memory_bounded;
         ] );
       ( "certificate",
         [

@@ -193,6 +193,132 @@ let test_wrapped_export_leads_with_meta () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "record unparseable: %s" e
 
+(* --- ring model --- *)
+
+(* Events over the whole vocabulary, weighted towards the packed message
+   and stable-queue variants as real traces are, with ints that do not
+   fit the ring's packed fields (negative, past 16 or 28 bits) and class
+   strings that are literals or built at run time, from enough spellings
+   to overflow the ring's class table. *)
+let gen_event =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        int_range 0 20;
+        oneofl [ -1; min_int; max_int; 0xFFFF; 0x10000; (1 lsl 28) - 1; 1 lsl 28 ];
+        int;
+      ]
+  in
+  let cls = oneof [ oneofl [ "data"; "ack" ]; map string_of_int (int_range 0 99) ] in
+  let reason =
+    oneofl [ Trace.Loss; Trace.Partition; Trace.Crashed_src; Trace.Crashed_dst ]
+  in
+  let opt = option num in
+  let keys = list_size (int_range 0 3) cls in
+  let packed =
+    [
+      map3 (fun src dst cls -> Trace.Msg_sent { src; dst; cls }) num num cls;
+      map3
+        (fun (src, dst) cls reason -> Trace.Msg_dropped { src; dst; cls; reason })
+        (pair num num) cls reason;
+      map3 (fun src dst cls -> Trace.Msg_duplicated { src; dst; cls }) num num cls;
+      map3 (fun src dst cls -> Trace.Msg_delivered { src; dst; cls }) num num cls;
+      map3 (fun src dst seq -> Trace.Squeue_send { src; dst; seq }) num num num;
+      map3 (fun src dst seq -> Trace.Squeue_delivered { src; dst; seq }) num num num;
+      map3 (fun src dst seq -> Trace.Squeue_dup { src; dst; seq }) num num num;
+    ]
+  in
+  let boxed =
+    [
+      map
+        (fun groups -> Trace.Partition_event { groups })
+        (list_size (int_range 0 3) (list_size (int_range 0 3) num));
+      return Trace.Heal;
+      map (fun site -> Trace.Crash { site }) num;
+      map3 (fun u origin n_ops -> Trace.Update_begin { u; origin; n_ops }) num num num;
+      map3
+        (fun q site epsilon -> Trace.Query_begin { q; site; n_keys = 2; epsilon })
+        num num opt;
+      map3
+        (fun et (site, n_ops) order -> Trace.Mset_applied { et; site; n_ops; order })
+        num (pair num num) opt;
+      map3
+        (fun et origin keys -> Trace.Mset_enqueued { et; origin; n_ops = 1; keys })
+        num num keys;
+      map (fun round -> Trace.Flush_round { round }) num;
+      map (fun ok -> Trace.Converged { ok }) bool;
+    ]
+  in
+  frequency (List.map (fun g -> (4, g)) packed @ List.map (fun g -> (1, g)) boxed)
+
+let gen_ring_case =
+  let open QCheck.Gen in
+  let time = map (fun i -> float_of_int i /. 8.0) (int_range (-1000) 100_000) in
+  pair (int_range 1 64) (list_size (int_range 0 400) (pair time gen_event))
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l
+
+(* The columnar ring against a plain list: it keeps the last [capacity]
+   records, each equal to the one emitted, counts the rest as dropped,
+   exports what the list would, and its taps see every record in emit
+   and attach order. *)
+let prop_ring_matches_list =
+  QCheck.Test.make ~count:300 ~name:"ring keeps what a list model keeps"
+    (QCheck.make gen_ring_case)
+    (fun (capacity, evs) ->
+      let t = Trace.make ~capacity ~enabled:true () in
+      let tapped = ref [] in
+      Trace.attach t (fun r -> tapped := (1, r) :: !tapped);
+      Trace.attach t (fun r -> tapped := (2, r) :: !tapped);
+      List.iter (fun (time, ev) -> Trace.emit t ~time ev) evs;
+      let emitted = List.map (fun (time, ev) -> { Trace.time; ev }) evs in
+      let n = List.length emitted in
+      let kept = drop (n - capacity) emitted in
+      let dropped = Stdlib.max 0 (n - capacity) in
+      let meta =
+        match kept with
+        | r :: _ when dropped > 0 ->
+            [ { Trace.time = r.Trace.time; ev = Trace.Trace_meta { dropped } } ]
+        | _ -> []
+      in
+      Trace.to_list t = kept
+      && Trace.length t = List.length kept
+      && Trace.dropped t = dropped
+      && write_jsonl_lines t = List.map Trace.record_to_json (meta @ kept)
+      && List.rev !tapped = List.concat_map (fun r -> [ (1, r); (2, r) ]) emitted)
+
+(* The packed variants are stored as scalars: emitting a prebuilt event
+   into an enabled, tapless ring allocates nothing (a boxed record per
+   emit would be 3 words). *)
+let test_emit_allocation () =
+  let t = Trace.make ~capacity:4096 ~enabled:true () in
+  let sent = Trace.Msg_sent { src = 3; dst = 1; cls = "data" } in
+  let delivered = Trace.Squeue_delivered { src = 1; dst = 3; seq = 12_345 } in
+  Trace.emit t ~time:0.5 sent;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Trace.emit t ~time:1.5 (if i land 1 = 0 then sent else delivered)
+  done;
+  let per_emit = (Gc.minor_words () -. before) /. float_of_int n in
+  checkb (Printf.sprintf "%.3f minor words per emit < 1" per_emit) true (per_emit < 1.0);
+  checki "the ring wrapped" (n + 1 - 4096) (Trace.dropped t)
+
+(* A packed event that overwrites a boxed one releases it: a ring that
+   wrapped past large boxed events holds only its own columns. *)
+let test_evicted_events_released () =
+  let t = Trace.make ~capacity:64 ~enabled:true () in
+  let keys = List.init 1000 string_of_int in
+  for et = 0 to 63 do
+    Trace.emit t ~time:1.0 (Trace.Mset_enqueued { et; origin = 0; n_ops = 1; keys })
+  done;
+  for seq = 0 to 63 do
+    Trace.emit t ~time:2.0 (Trace.Squeue_send { src = 0; dst = 1; seq })
+  done;
+  let words = Obj.reachable_words (Obj.repr t) in
+  checkb (Printf.sprintf "ring holds %d words (< 1000)" words) true (words < 1000)
+
 (* --- metrics registry --- *)
 
 let test_metrics_counter_and_alist () =
@@ -215,6 +341,30 @@ let test_metrics_snapshot_order () =
   Metrics.incr a;
   let names = List.map (fun e -> e.Metrics.name) (Metrics.snapshot m) in
   Alcotest.(check (list string)) "registration order" [ "a"; "b" ] names
+
+(* Gauges over one probe read it once per snapshot, whatever the number
+   of gauges, and each snapshot reads it afresh. *)
+let test_metrics_shared_probe () =
+  let m = Metrics.create () in
+  let reads = ref 0 and level = ref 1.0 in
+  Metrics.gauges_fn m ~group:"res" ~site:0
+    (fun () ->
+      incr reads;
+      (!level, 2.0 *. !level))
+    [ ("a", fst); ("b", snd) ];
+  let values () =
+    List.map
+      (fun e -> match e.Metrics.view with Metrics.Gauge_v v -> v | _ -> nan)
+      (Metrics.snapshot m)
+  in
+  Alcotest.(check (list (float 0.0))) "fields of one read" [ 1.0; 2.0 ] (values ());
+  checki "one read" 1 !reads;
+  level := 5.0;
+  Alcotest.(check (list (float 0.0))) "read afresh" [ 5.0; 10.0 ] (values ());
+  Alcotest.(check (list (pair string (float 0.0))))
+    "alist" [ ("a.s0", 5.0); ("b.s0", 10.0) ]
+    (Metrics.alist ~group:"res" m);
+  checki "one read per snapshot" 3 !reads
 
 let test_metrics_histogram () =
   let m = Metrics.create () in
@@ -456,6 +606,11 @@ let () =
           Alcotest.test_case "iter oldest-first" `Quick test_trace_iter_order;
           Alcotest.test_case "wrapped export leads with meta line" `Quick
             test_wrapped_export_leads_with_meta;
+          QCheck_alcotest.to_alcotest prop_ring_matches_list;
+          Alcotest.test_case "emit stores scalars, allocates nothing" `Quick
+            test_emit_allocation;
+          Alcotest.test_case "evicted events are released" `Quick
+            test_evicted_events_released;
         ] );
       ( "jsonl",
         [
@@ -473,6 +628,8 @@ let () =
             test_percentiles_known_distribution;
           Alcotest.test_case "openmetrics exposition" `Quick
             test_openmetrics_exposition;
+          Alcotest.test_case "gauges over one probe" `Quick
+            test_metrics_shared_probe;
         ] );
       ( "invisibility",
         [

@@ -261,6 +261,49 @@ let test_resources_match_history () =
     checkb "journal saw traffic" true (r.Intf.journal_enqueued > 0)
   done
 
+(* A snapshot's [res/] gauges are one [Replica.resources] per site, in
+   field order. *)
+let test_res_gauges_one_probe () =
+  let h = Harness.create ~seed:7 ~sites:3 ~method_name:"COMMU" () in
+  let engine = Harness.engine h in
+  for i = 0 to 9 do
+    ignore
+      (Engine.schedule_at engine
+         ~time:(float_of_int (i + 1) *. 10.0)
+         (fun () ->
+           Harness.submit_update h ~origin:(i mod 3) [ Intf.Add ("k", 1) ] (fun _ -> ())))
+  done;
+  ignore (Harness.settle_result h);
+  let res =
+    List.filter_map
+      (fun (e : Esr_obs.Metrics.entry) ->
+        match (e.Esr_obs.Metrics.group, e.Esr_obs.Metrics.view) with
+        | "res", Esr_obs.Metrics.Gauge_v v ->
+            Some (e.Esr_obs.Metrics.name, Option.get e.Esr_obs.Metrics.site, v)
+        | _ -> None)
+      (Harness.stats h)
+  in
+  let expected =
+    List.concat_map
+      (fun site ->
+        let r = Replica.resources (Harness.system h) ~site in
+        List.map
+          (fun (name, v) -> (name, site, float_of_int v))
+          [
+            ("log_entries", r.Intf.log_entries);
+            ("log_bytes", r.Intf.log_bytes);
+            ("wal_entries", r.Intf.wal_entries);
+            ("wal_appended", r.Intf.wal_appended);
+            ("wal_high_water", r.Intf.wal_high_water);
+            ("journal_depth", r.Intf.journal_depth);
+            ("journal_enqueued", r.Intf.journal_enqueued);
+            ("store_words", r.Intf.store_words);
+          ])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list (triple string int (float 0.0))))
+    "res gauges = one resources per site" expected res
+
 let () =
   Alcotest.run "prof"
     [
@@ -289,5 +332,7 @@ let () =
             test_resource_series_monotone;
           Alcotest.test_case "snapshots match structures" `Quick
             test_resources_match_history;
+          Alcotest.test_case "res gauges read one probe per site" `Quick
+            test_res_gauges_one_probe;
         ] );
     ]

@@ -5,8 +5,9 @@
 # the exit status, the trace event count and the MD5 of the trace, the
 # series dump, the metrics dump and stdout.  Stdout lines that echo a
 # dump path are dropped.  Two hot-key 2PC runs (8 keys, Zipf 0.99) come
-# last: they queue many waiters per key, so they pin the lock manager's
-# grant order and its deadlock refusals.
+# next: they queue many waiters per key, so they pin the lock manager's
+# grant order and its deadlock refusals.  A Chrome export that wraps the
+# trace ring comes last; it pins what the ring keeps and evicts.
 #
 #   sh test/trace_golden.sh _build/default/bin/esrsim.exe
 #
@@ -43,3 +44,16 @@ for placement in "-s 4" "-s 6 --placement ring --replication 3"; do
   run "-m 2PC --keys 8 --theta 0.99 --update-rate 0.2 --query-rate 0.2" \
     "$placement"
 done
+# A 16-site ORDUP run exported as a Chrome trace, which is read from the
+# in-memory ring: it emits over a million events, so the file holds the
+# newest 262,144 behind a trace_dropped record.  The line shows how many
+# events the file holds and how many the ring evicted.
+rc=0
+"$exe" run -m ORDUP -s 16 --duration 20000 --update-rate 0.5 \
+  --faults 'crash@17000:3;recover@18000:3;partition@18500:0 1 2 3 4 5 6 7|8 9 10 11 12 13 14 15;heal@19000' \
+  --checkpoint-interval 2000 --audit \
+  --trace "$dir/t.json" --trace-format chrome > "$dir/out" 2> "$dir/err" || rc=$?
+sed '/ -> /d' "$dir/out" > "$dir/stdout"
+echo "-m ORDUP -s 16 chrome: rc=$rc events=$(grep -c '"ph":"[iX]"' "$dir/t.json")" \
+  "$(sed -n 's/.*; \([0-9]*\) oldest events dropped$/dropped=\1/p' "$dir/err")"
+echo "  chrome $(md5 "$dir/t.json") stdout $(md5 "$dir/stdout")"
