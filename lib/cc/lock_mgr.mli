@@ -16,8 +16,6 @@ type t
 val create : ?table:Lock_table.t -> unit -> t
 (** [table] defaults to {!Lock_table.standard}. *)
 
-val table : t -> Lock_table.t
-
 type outcome =
   | Granted
   | Blocked  (** queued; [on_grant] fires when the lock is acquired *)
@@ -39,22 +37,21 @@ val release_all : t -> txn:int -> unit
     any now-compatible waiters (their [on_grant] callbacks run inside this
     call, in FIFO order per key).
 
-    {b Order across keys.}  Keys are visited in the order [Hashtbl.iter]
-    walks the manager's key table (bucket by bucket, newest key first
-    within a bucket), as if the walk covered every key ever locked; a key
-    added during the call counts only if that walk would have reached it.
-    Every grant runs an [on_grant] that may send messages, so this order
-    reaches event order, PRNG draws and every model digest: it is kept
-    exactly, not improved.  An [on_grant] may re-enter the manager.  A
-    nested [release_all] of another transaction may then grant [txn] a
-    key; [txn] loses that key again only if the walk has not passed it.
+    {b Order across keys.}  Keys are visited one at a time, in the order of
+    [txn]'s first request on each since it last released.  Every grant runs
+    an [on_grant] that may send messages, so this order reaches event order,
+    PRNG draws and every model digest.  An [on_grant] may re-enter the
+    manager, so [txn] can gain a key during the call: a nested [release_all]
+    of another transaction grants it a queued request, or its own [on_grant]
+    chain acquires another key.  Such a key is visited too: one [txn] waited
+    on keeps its place, a new one comes last.  The call returns only when
+    [txn] is on no key: it holds nothing and waits for nothing.
 
-    {b Cost.}  The call visits the keys [txn] holds or waits on, plus the
-    keys whose grants are still running an [on_grant] further up the
-    stack; every other queue head is already inadmissible.  Each visit
-    costs the key's holder and queue lists and the queue prefix it
-    grants.  Keys the manager locked once and no longer uses cost
-    nothing. *)
+    {b Cost.}  Each visit costs the key's holder and queue lists and the
+    queue prefix it grants; keys [txn] is not on cost nothing. *)
+
+val active : t -> txn:int -> bool
+(** [txn] holds or waits on some key. *)
 
 val holds : t -> txn:int -> key:string -> bool
 val holders : t -> key:string -> (int * Lock_table.mode) list

@@ -132,7 +132,7 @@ type t = {
   clock : clock;
   mutable violations : violation list;  (* reversed *)
   mutable n_violations : int;
-  chans : (int * int, chan) Hashtbl.t;
+  chans : (int, chan) Hashtbl.t;  (* by [chan_key] *)
   applied_next : (int, int) Hashtbl.t;  (* site -> next expected ticket *)
   et_keys : (int, string list) Hashtbl.t;
   open_windows : (int, window) Hashtbl.t;  (* by window id *)
@@ -243,10 +243,16 @@ let violate t ~kind ~invariant ~time ~event detail =
     }
     :: t.violations
 
+(* One int per (src, dst) channel, so a lookup allocates nothing.  Site
+   ids fit in 31 bits ([Net] caps them at 4,096), and keys sort by src,
+   then dst. *)
+let chan_key ~src ~dst = (src lsl 31) lor dst
+
 let chan t ~src ~dst =
-  match Hashtbl.find_opt t.chans (src, dst) with
-  | Some c -> c
-  | None ->
+  let key = chan_key ~src ~dst in
+  match Hashtbl.find t.chans key with
+  | c -> c
+  | exception Not_found ->
       let c =
         {
           c_sent = 0;
@@ -256,7 +262,7 @@ let chan t ~src ~dst =
           c_above = Hashtbl.create 8;
         }
       in
-      Hashtbl.add t.chans (src, dst) c;
+      Hashtbl.add t.chans key c;
       c
 
 let overlaps keys keys' = List.exists (fun k -> List.mem k keys') keys
@@ -608,6 +614,10 @@ let feed t (r : Trace.record) =
 
 let note_oracle t ~q ~distance = Hashtbl.replace t.oracle q distance
 
+(* [tbl]'s bindings in key order, so verdicts do not follow the table's. *)
+let sorted tbl =
+  List.sort (fun (a, _) (b, _) -> compare a b) (List.of_seq (Hashtbl.to_seq tbl))
+
 let finish t =
   let strict = not t.relaxed in
   let end_violation ~kind ~invariant detail =
@@ -618,14 +628,14 @@ let finish t =
   (* (a) completeness: once the run claims convergence with every site
      up, every journaled message has been handed up exactly once. *)
   if strict && settled then
-    Hashtbl.iter
-      (fun (src, dst) c ->
+    List.iter
+      (fun (key, c) ->
         let delivered = c.c_mark + Hashtbl.length c.c_above in
         if delivered <> c.c_sent then
           end_violation ~kind:Delivery ~invariant:"squeue-undelivered"
-            (Printf.sprintf "channel %d->%d delivered %d of %d journaled" src
-               dst delivered c.c_sent))
-      t.chans;
+            (Printf.sprintf "channel %d->%d delivered %d of %d journaled"
+               (key lsr 31) (key land 0x7FFF_FFFF) delivered c.c_sent))
+      (sorted t.chans);
   (* (f) lifecycle completeness under the convergence claim. *)
   if strict && settled then begin
     if t.n_update_begin <> t.n_update_done then
@@ -638,21 +648,21 @@ let finish t =
            t.n_query_served)
   end;
   if strict then begin
-    Hashtbl.iter
-      (fun w win ->
+    List.iter
+      (fun (w, win) ->
         end_violation ~kind:Epsilon ~invariant:"window-never-closed"
           (Printf.sprintf "query window %d at site %d%s never closed" w
              win.win_site
              (if win.win_crashed then " (site crashed)" else "")))
-      t.open_windows;
-    Hashtbl.iter
-      (fun site log ->
+      (sorted t.open_windows);
+    List.iter
+      (fun (site, log) ->
         if not (Hashtbl.mem t.down site) then
           end_violation ~kind:Crash ~invariant:"recovery-without-replay"
             (Printf.sprintf
                "site %d recovered but never replayed its %d-action log" site
                log))
-      t.crash_log
+      (sorted t.crash_log)
   end;
   if t.converged = Some false then
     end_violation ~kind:Convergence ~invariant:"diverged-at-quiescence"

@@ -78,7 +78,8 @@ type summary = {
 
 type report = {
   label : string;
-  violations : violation list;  (** chronological; head is the first *)
+  violations : violation list;
+      (** chronological; end-of-trace ones by channel, window id, site *)
   ledger : entry list;
   summary : summary;
 }

@@ -40,7 +40,8 @@ type msg =
   | Lock_granted of { et : Et.id }
   | Prepare of { et : Et.id; ops : (string * Op.t) list; coordinator : int }
   | Vote of { et : Et.id; yes : bool }
-  | Decision of { et : Et.id; commit : bool; coordinator : int }
+  | Decision of { et : Et.id; commit : bool; prepare_sent : bool; coordinator : int }
+      (** [prepare_sent]: the coordinator sent this site a Prepare *)
   | Done of { et : Et.id }
 
 type coord_state = {
@@ -53,6 +54,7 @@ type coord_state = {
   mutable c_votes : int;  (* votes still awaited *)
   mutable c_acks : int;  (* completion acks still awaited *)
   mutable c_aborted : bool;
+  mutable c_prepared : bool;  (* the Prepares have gone out *)
   mutable c_decided : bool;
   c_notify : Intf.update_outcome -> unit;
 }
@@ -65,6 +67,14 @@ type waiting_q = {
   wq_fail : unit -> unit;
 }
 
+(* A participant's record of one update ET, from its Prepare's arrival
+   to its Decision.  An abort that overtakes a Prepare still in flight
+   leaves [Overtaken] instead, and that Prepare's arrival consumes it. *)
+type part =
+  | Voting  (* W-locks still queued, or the vote was no *)
+  | Prepared of (string * Op.t) list  (* locked, and voted yes *)
+  | Overtaken
+
 type site = {
   id : int;
   replica : Replica.site;  (* durable log, store image, up/down *)
@@ -72,10 +82,7 @@ type site = {
       (* prepared W-locks are durable (classic prepared-state-in-the-WAL);
          query R-requests are cancelled at crash, so the table never holds
          volatile state across an outage *)
-  prepared : (Et.id, (string * Op.t) list) Hashtbl.t;  (* durable *)
-  aborted : (Et.id, unit) Hashtbl.t;
-      (* aborts decided while this site's prepare was still waiting for
-         locks: when the late grant finally lands, release immediately *)
+  parts : (Et.id, part) Hashtbl.t;  (* durable *)
   mutable waiting : waiting_q list;
 }
 
@@ -87,6 +94,8 @@ type t = {
       (* the lock service at site 0: serializes update ETs globally, in
          sorted key order, so update/update distributed deadlocks cannot
          form (primary-site 2PL à la Alsberg–Day) *)
+  late_reqs : (Et.id, unit) Hashtbl.t;
+      (* ETs decided before their Lock_req reached the lock service *)
   mutable n_aborted : int;
   mutable n_lock_waits : int;
 }
@@ -121,6 +130,9 @@ let post t ~src ~dst msg = Replica.post t.k ~src ~dst msg
 let rec receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
   match msg with
+  | Lock_req { et; _ } when Hashtbl.mem t.late_reqs et ->
+      (* The decision overtook this request: lock nothing. *)
+      Hashtbl.remove t.late_reqs et
   | Lock_req { et; keys; coordinator } ->
       (* Global locks are acquired in sorted key order with FIFO queues:
          a total acquisition order over a single lock space admits no
@@ -143,6 +155,7 @@ let rec receive t ~site:site_id msg =
             (* Phase 1 proper: prepare at every participant, coordinator
                included when it participates.  The fan-out is 2PC's update
                propagation, so it carries the Propagate profiling phase. *)
+            coord.c_prepared <- true;
             Prof.span t.k.env.Intf.obs.Esr_obs.Obs.prof ~site:coord.c_site
               Prof.Propagate (fun () ->
                 Array.iter
@@ -156,6 +169,9 @@ let rec receive t ~site:site_id msg =
                          }))
                   coord.c_parts)
           end)
+  | Prepare { et; _ } when Hashtbl.mem site.parts et ->
+      (* The abort overtook this Prepare: nothing to lock or vote on. *)
+      Hashtbl.remove site.parts et
   | Prepare { et; ops; coordinator } ->
       (* A participant locks, logs and applies only the ops of the shards
          it replicates (it joined the union for at least one of them). *)
@@ -169,35 +185,41 @@ let rec receive t ~site:site_id msg =
       let requests =
         List.map (fun (key, op) -> (key, Lock_table.W, Some op)) ops
       in
+      (* A grant or refusal that lands while an abort releases the locks
+         finds the record gone and stays silent. *)
+      let vote yes =
+        if Hashtbl.find_opt site.parts et = Some Voting then begin
+          if yes then Hashtbl.replace site.parts et (Prepared ops);
+          post t ~src:site_id ~dst:coordinator (Vote { et; yes })
+        end
+      in
+      Hashtbl.replace site.parts et Voting;
       acquire_all t site.locks ~txn:et requests
-        ~ok:(fun () ->
-          if Hashtbl.mem site.aborted et then begin
-            (* The coordinator gave up (timeout) while we were waiting for
-               locks; drop them right away. *)
-            Hashtbl.remove site.aborted et;
-            Lock_mgr.release_all site.locks ~txn:et
-          end
-          else begin
-            Hashtbl.replace site.prepared et ops;
-            post t ~src:site_id ~dst:coordinator (Vote { et; yes = true })
-          end)
-        ~fail:(fun () ->
-          post t ~src:site_id ~dst:coordinator (Vote { et; yes = false }))
+        ~ok:(fun () -> vote true)
+        ~fail:(fun () -> vote false)
   | Vote { et; yes } -> coordinator_vote t et yes
-  | Decision { et; commit; coordinator } ->
+  | Decision { et; commit; prepare_sent; coordinator } ->
       (* The lock service lives at site 0: any decision ends the update
-         ET's global locks (release also cancels a still-queued request). *)
-      if site_id = 0 then Lock_mgr.release_all t.global_locks ~txn:et;
-      (match Hashtbl.find_opt site.prepared et with
+         ET's global locks (release also cancels a still-queued request).
+         A Lock_req is always sent before the decision, so an ET on no
+         global key has its request still in flight. *)
+      if site_id = 0 then
+        if Lock_mgr.active t.global_locks ~txn:et then
+          Lock_mgr.release_all t.global_locks ~txn:et
+        else Hashtbl.replace t.late_reqs et ();
+      (match Hashtbl.find_opt site.parts et with
       | None ->
-          (* Either we voted no (nothing held) or our prepare is still
-             queued on locks; tombstone aborts so the late grant releases. *)
-          if not commit then Hashtbl.replace site.aborted et ()
-      | Some ops ->
-          Hashtbl.remove site.prepared et;
-          if commit then
-            Replica.apply t.k ~site:site_id ~et ~n_ops:(List.length ops)
-              ~order:(-1) Replica.apply_ops site.replica et ops;
+          (* An abort before this site's Prepare arrived: that Prepare, if
+             one is on its way, must not lock anything. *)
+          if prepare_sent then Hashtbl.replace site.parts et Overtaken
+      | Some part ->
+          Hashtbl.remove site.parts et;
+          (match part with
+          | Prepared ops when commit ->
+              Replica.apply t.k ~site:site_id ~et ~n_ops:(List.length ops)
+                ~order:(-1) Replica.apply_ops site.replica et ops
+          | Prepared _ | Voting | Overtaken -> ());
+          (* Frees the prepared locks, or cancels a prepare still queued. *)
           Lock_mgr.release_all site.locks ~txn:et);
       post t ~src:site_id ~dst:coordinator (Done { et })
   | Done { et } -> coordinator_done t et
@@ -227,12 +249,12 @@ and coordinator_vote t et yes =
    which must release the ET's global locks even when it replicates none
    of the touched shards. *)
 and send_decision t coord ~commit =
-  let msg dst =
+  let msg ~prepare_sent dst =
     post t ~src:coord.c_site ~dst
-      (Decision { et = coord.c_et; commit; coordinator = coord.c_site })
+      (Decision { et = coord.c_et; commit; prepare_sent; coordinator = coord.c_site })
   in
-  if coord.c_parts.(0) <> 0 then msg 0;
-  Array.iter msg coord.c_parts
+  if coord.c_parts.(0) <> 0 then msg ~prepare_sent:false 0;
+  Array.iter (msg ~prepare_sent:coord.c_prepared) coord.c_parts
 
 and coordinator_done t et =
   match Hashtbl.find_opt t.coords et with
@@ -279,7 +301,7 @@ let drop t ~site:site_id =
     updates_rejected = List.length orphaned;
   }
 
-(* 2PC's durable protocol state is the prepared table, not a receipt
+(* 2PC's durable protocol state is the participant records, not a receipt
    journal, so the WAL fields stay zero. *)
 let create (env : Intf.env) =
   Replica.create env ~mode:Squeue.Unordered ~receive ~drop (fun k ->
@@ -292,13 +314,13 @@ let create (env : Intf.env) =
                 id = replica.Replica.site;
                 replica;
                 locks = Lock_mgr.create ~table:Lock_table.standard ();
-                prepared = Hashtbl.create 16;
-                aborted = Hashtbl.create 16;
+                parts = Hashtbl.create 16;
                 waiting = [];
               })
             k.Replica.sites;
         coords = Hashtbl.create 32;
         global_locks = Lock_mgr.create ~table:Lock_table.standard ();
+        late_reqs = Hashtbl.create 8;
         n_aborted = 0;
         n_lock_waits = 0;
       })
@@ -326,6 +348,7 @@ let submit_update t ~origin intents notify =
         c_votes = votes;
         c_acks = acks;
         c_aborted = false;
+        c_prepared = false;
         c_decided = false;
         c_notify = notify;
       }
@@ -394,8 +417,15 @@ let submit_query t ~site:site_id ~keys ~epsilon:_ k =
 
 let flush _ = ()
 
-let quiescent t = Hashtbl.length t.coords = 0 && t.k.deferred = []
-let backlog t = Hashtbl.length t.coords + List.length t.k.deferred
+(* Participant records and late-request marks count: one left behind
+   would keep a run from settling. *)
+let backlog t =
+  Array.fold_left
+    (fun n site -> n + Hashtbl.length site.parts)
+    (Hashtbl.length t.coords + Hashtbl.length t.late_reqs + List.length t.k.deferred)
+    t.sites
+
+let quiescent t = backlog t = 0
 
 let stats t =
   Replica.stats t.k

@@ -14,11 +14,14 @@ let default_backoff = { multiplier = 2.0; max_interval = 800.0; jitter = 0.1 }
    where the receiver reads a message's payload ({!journal_payload}).
    Each entry remembers when it was last transmitted so a timer tick only
    retransmits messages that have actually been waiting a full interval.
-   Its iteration order is the retransmission order. *)
+   The table is only looked up: retransmission walks the seqs from
+   [oldest] to [next_seq - 1], so it goes in seq order. *)
 type 'a pending_msg = { payload : 'a; mutable last_sent : float }
 
 type 'a chan = {
   mutable next_seq : int;
+  mutable oldest : int;
+      (* no seq below it is unacked; advanced by [resend], not by acks *)
   unacked : (int, 'a pending_msg) Hashtbl.t;
   mutable timer_active : bool;
   mutable cur_interval : float;
@@ -191,25 +194,26 @@ let arm_timer t ~src ~dst =
     Engine.post (Net.engine t.net) ~delay t.timer src dst
   end
 
-let on_timer t ~src ~dst =
+(* Retransmit the channel's unacked messages in seq order, then re-arm
+   its timer: every one when [all], else those that have waited a full
+   interval (fresher ones may still be acked in flight). *)
+let resend t ~src ~dst ~all =
   let chan = t.chans.(src).(dst) in
-  chan.timer_active <- false;
   if Hashtbl.length chan.unacked > 0 then begin
-    let now = Engine.now (Net.engine t.net) in
-    let retransmitted = ref false in
-    Hashtbl.iter
-      (fun seq pending ->
-        (* Only retransmit messages that have waited a full interval;
-           fresher ones may still be acked in flight. *)
-        if now -. pending.last_sent >= t.retry_interval -. 1e-9 then begin
-          retransmitted := true;
+    while not (Hashtbl.mem chan.unacked chan.oldest) do
+      chan.oldest <- chan.oldest + 1
+    done;
+    let now = Engine.now (Net.engine t.net) and before = t.n_retx in
+    for seq = chan.oldest to chan.next_seq - 1 do
+      match Hashtbl.find chan.unacked seq with
+      | pending when all || now -. pending.last_sent >= t.retry_interval -. 1e-9 ->
           t.n_retx <- t.n_retx + 1;
           pending.last_sent <- now;
           transmit t ~src ~dst seq
-        end)
-      chan.unacked;
+      | _ | (exception Not_found) -> ()
+    done;
     (match t.backoff with
-    | Some b when !retransmitted ->
+    | Some b when (not all) && t.n_retx > before ->
         (* No ack since the last full interval: the peer is likely
            crashed or partitioned away, so widen the retry gap instead of
            storming the link. *)
@@ -219,27 +223,16 @@ let on_timer t ~src ~dst =
     arm_timer t ~src ~dst
   end
 
+let on_timer t ~src ~dst =
+  t.chans.(src).(dst).timer_active <- false;
+  resend t ~src ~dst ~all:false
+
 (* Immediate retransmission of everything outstanding on one channel —
    fired when a fault heals so recovery does not wait out a (possibly
    backed-off) retry interval. *)
 let kick_chan t ~src ~dst =
-  let chan = t.chans.(src).(dst) in
-  chan.cur_interval <- t.retry_interval;
-  if Hashtbl.length chan.unacked > 0 then begin
-    let now = Engine.now (Net.engine t.net) in
-    let seqs =
-      Hashtbl.fold (fun seq _ acc -> seq :: acc) chan.unacked []
-      |> List.sort compare
-    in
-    List.iter
-      (fun seq ->
-        let pending = Hashtbl.find chan.unacked seq in
-        t.n_retx <- t.n_retx + 1;
-        pending.last_sent <- now;
-        transmit t ~src ~dst seq)
-      seqs;
-    arm_timer t ~src ~dst
-  end
+  t.chans.(src).(dst).cur_interval <- t.retry_interval;
+  resend t ~src ~dst ~all:true
 
 let kick_site t site =
   for peer = 0 to Net.sites t.net - 1 do
@@ -264,8 +257,8 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
   let fresh_chan _ =
     {
       next_seq = 0;
-      (* Unseeded: [on_timer] retransmits in this table's order. *)
-      unacked = Hashtbl.create ~random:false 8;
+      oldest = 0;
+      unacked = Hashtbl.create 8;
       timer_active = false;
       cur_interval = retry_interval;
     }

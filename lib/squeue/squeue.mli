@@ -6,7 +6,8 @@
     persistent pipes).  This module implements that contract on top of the
     lossy {!Esr_sim.Net}:
 
-    - every enqueued message is retried until acknowledged;
+    - every enqueued message is retried until acknowledged, each channel
+      retransmitting its unacknowledged messages in seq order;
     - receivers deduplicate by per-channel sequence number, so the
       application sees each message exactly once;
     - delivery order is configurable: [Unordered] (a message is handed up

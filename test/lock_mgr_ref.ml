@@ -1,9 +1,11 @@
-(* The lock manager and wait-for graph as they stood before the
-   per-transaction key index, kept as the reference that test_cc's model
-   property runs every script against.  [release_all] walks every key the
-   manager has ever locked, and [acquire] installs one wait edge per
-   blocker, searching the graph for each.  Only the module wrapping
-   differs from the original files. *)
+(* The reference lock manager and wait-for graph that test_cc's model
+   property runs every script against.  [acquire] installs one wait edge
+   per blocker, searching the graph for each, and stamps every request.
+   [release_all] states the grant order naively: it scans every key for
+   the releasing transaction's earliest-stamped request, visits that key,
+   and repeats until the transaction is on no key.  It keeps no
+   per-transaction index, and no result depends on the key table's
+   order. *)
 
 module Lock_table = Esr_cc.Lock_table
 
@@ -61,6 +63,7 @@ type request = {
   mode : Lock_table.mode;
   op : Op.t option;
   on_grant : unit -> unit;
+  stamp : int;  (* acquires before this one *)
 }
 
 type key_state = { mutable holders : request list; mutable queue : request list }
@@ -71,6 +74,7 @@ type t = {
   table : Lock_table.t;
   keys : (string, key_state) Hashtbl.t;
   waitfor : Waitfor.t;
+  mutable stamps : int;
   mutable n_granted : int;
   mutable n_blocked : int;
   mutable n_deadlocks : int;
@@ -81,6 +85,7 @@ let create ?(table = Lock_table.standard) () =
     table;
     keys = Hashtbl.create 64;
     waitfor = Waitfor.create ();
+    stamps = 0;
     n_granted = 0;
     n_blocked = 0;
     n_deadlocks = 0;
@@ -129,7 +134,8 @@ let blockers t state request =
 
 let acquire t ~txn ~key ~mode ?op ?(on_grant = fun () -> ()) () =
   let state = key_state t key in
-  let request = { txn; mode; op; on_grant } in
+  let request = { txn; mode; op; on_grant; stamp = t.stamps } in
+  t.stamps <- t.stamps + 1;
   let already_queued = List.exists (fun r -> r.txn = txn) state.queue in
   (* A request compatible with every holder may still have to respect the
      FIFO queue — except when it is also compatible with every waiter, in
@@ -189,15 +195,34 @@ let pump t state =
   in
   loop ()
 
+(* The key with [txn]'s earliest-stamped request, if [txn] is on any.
+   Stamps are unique, so the scan order does not matter. *)
+let earliest t txn =
+  Hashtbl.fold
+    (fun _ state best ->
+      List.fold_left
+        (fun best r ->
+          if r.txn <> txn then best
+          else
+            match best with
+            | Some (stamp, _) when stamp < r.stamp -> best
+            | _ -> Some (r.stamp, state))
+        best (state.holders @ state.queue))
+    t.keys None
+
 let release_all t ~txn =
   Waitfor.remove_node t.waitfor txn;
-  Hashtbl.iter
-    (fun _ state ->
-      let had = List.exists (fun r -> r.txn = txn) state.holders in
-      state.holders <- List.filter (fun r -> r.txn <> txn) state.holders;
-      state.queue <- List.filter (fun r -> r.txn <> txn) state.queue;
-      if had || state.queue <> [] then pump t state)
-    t.keys
+  let rec loop () =
+    match earliest t txn with
+    | None -> ()
+    | Some (_, state) ->
+        let had = List.exists (fun r -> r.txn = txn) state.holders in
+        state.holders <- List.filter (fun r -> r.txn <> txn) state.holders;
+        state.queue <- List.filter (fun r -> r.txn <> txn) state.queue;
+        if had || state.queue <> [] then pump t state;
+        loop ()
+  in
+  loop ()
 
 let holds t ~txn ~key =
   match Hashtbl.find_opt t.keys key with

@@ -155,6 +155,91 @@ let test_delivery_memory_bounded () =
   checkb (Printf.sprintf "auditor holds %d words (< 4096)" words) true (words < 4096);
   checkb "certified" true (Audit.ok (Audit.finish a))
 
+(* An in-order send/deliver stream feeds without allocating: channels
+   are keyed by an int, and a warm channel needs no new record. *)
+let test_delivery_feeds_without_allocating () =
+  let a = Audit.create () in
+  let n = 100_000 in
+  let records =
+    Array.init (2 * n) (fun i ->
+        let src = i / 2 mod 7 and seq = i / 14 in
+        let ev =
+          if i mod 2 = 0 then Trace.Squeue_send { src; dst = 7; seq }
+          else Trace.Squeue_delivered { src; dst = 7; seq }
+        in
+        { Trace.time = float_of_int (i / 2); ev })
+  in
+  let warm = Array.sub records 0 1000 and rest = Array.sub records 1000 ((2 * n) - 1000) in
+  Array.iter (Audit.feed a) warm;
+  let w0 = Gc.minor_words () in
+  Array.iter (Audit.feed a) rest;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int (Array.length rest) in
+  checkb (Printf.sprintf "%.2f minor words per squeue event < 0.01" per_event) true
+    (per_event < 0.01);
+  checkb "certified" true (Audit.ok (Audit.finish a))
+
+(* End-of-trace verdicts come in channel, window and site order, however
+   the auditor's tables hash: with every table created after
+   [Hashtbl.randomize] seeded at random, five audits of one trace agree
+   and their verdicts are sorted. *)
+let test_end_verdicts_sorted () =
+  Hashtbl.randomize ();
+  let r time ev = { Trace.time; ev } in
+  let sends =
+    List.concat_map
+      (fun (src, dst) ->
+        [ r 0.0 (Trace.Squeue_send { src; dst; seq = 0 });
+          r 0.0 (Trace.Squeue_send { src; dst; seq = 1 }) ])
+      [ (3, 1); (0, 2); (2, 0); (1, 3); (0, 1); (3, 2); (1, 0); (2, 3) ]
+  in
+  let windows =
+    List.map
+      (fun w ->
+        r 1.0 (Trace.Query_window { w; site = 4 + (w mod 3); point = 0; missing = 0; keys = [] }))
+      [ 9; 2; 14; 5; 0; 11 ]
+  in
+  let crashes =
+    List.concat_map
+      (fun site ->
+        [ r 2.0 (Trace.Crash { site });
+          r 2.0
+            (Trace.Volatile_dropped
+               { site; buffered = 0; queries_failed = 0; updates_rejected = 0; log = 3 });
+          r 3.0 (Trace.Recover { site }) ])
+      [ 2; 0; 3; 1 ]
+  in
+  let records = sends @ windows @ crashes @ [ r 4.0 (Trace.Converged { ok = true }) ] in
+  let audit () =
+    List.map
+      (fun (v : Audit.violation) -> (v.Audit.v_invariant, v.Audit.v_detail))
+      (Audit.audit_records records).Audit.violations
+  in
+  let first = audit () in
+  for _ = 2 to 5 do
+    Alcotest.(check (list (pair string string))) "same verdicts" first (audit ())
+  done;
+  let details invariant =
+    List.filter_map (fun (i, d) -> if i = invariant then Some d else None) first
+  in
+  Alcotest.(check (list string))
+    "channels in order"
+    (List.map
+       (fun (src, dst) -> Printf.sprintf "channel %d->%d delivered 0 of 2 journaled" src dst)
+       [ (0, 1); (0, 2); (1, 0); (1, 3); (2, 0); (2, 3); (3, 1); (3, 2) ])
+    (details "squeue-undelivered");
+  Alcotest.(check (list string))
+    "windows in order"
+    (List.map
+       (fun w -> Printf.sprintf "query window %d at site %d never closed" w (4 + (w mod 3)))
+       [ 0; 2; 5; 9; 11; 14 ])
+    (details "window-never-closed");
+  Alcotest.(check (list string))
+    "sites in order"
+    (List.map
+       (fun site -> Printf.sprintf "site %d recovered but never replayed its 3-action log" site)
+       [ 0; 1; 2; 3 ])
+    (details "recovery-without-replay")
+
 (* --- certificate JSON round-trip --- *)
 
 let test_certificate_roundtrip () =
@@ -280,6 +365,8 @@ let () =
             test_delivery_watermark;
           Alcotest.test_case "delivery state stays bounded" `Quick
             test_delivery_memory_bounded;
+          Alcotest.test_case "squeue events feed without allocating" `Quick
+            test_delivery_feeds_without_allocating;
         ] );
       ( "certificate",
         [
@@ -295,4 +382,10 @@ let () =
         List.map
           (fun name -> QCheck_alcotest.to_alcotest (prop_nemesis_audits_clean name))
           methods );
+      (* Last: [Hashtbl.randomize] seeds every table created after it. *)
+      ( "verdict order",
+        [
+          Alcotest.test_case "end verdicts sorted under random hashing" `Quick
+            test_end_verdicts_sorted;
+        ] );
     ]

@@ -391,11 +391,11 @@ end
 module Current = Driver (Lock_mgr)
 module Reference = Driver (Lock_mgr_ref)
 
-(* A random script: a few hot keys and a cold tail (over 128 keys in some
-   runs, so the key table grows its bucket array mid-run), transactions
-   that queue several requests or chain them 2PC-style, and grant
-   callbacks that release the same or another transaction.  Ops are
-   chosen so Table 3's [If_commutes] resolves both ways. *)
+(* A random script: a few hot keys and a cold tail (300 keys in some
+   runs), transactions that queue several requests or chain them
+   2PC-style, and grant callbacks that release the same or another
+   transaction.  Ops are chosen so Table 3's [If_commutes] resolves both
+   ways. *)
 let gen_script prng =
   let table =
     [| Lock_table.standard; Lock_table.ordup; Lock_table.commu |].(Prng.int prng 3)
@@ -440,37 +440,23 @@ let gen_script prng =
   in
   (table, keys, txns, script)
 
-(* The key table doubles its 64 buckets at its 129th key.  Here that key
-   is added during A's release, by a grant that release made; a nested
-   release then hands A a lock, and A's callback adds a 130th key.  The
-   full walk was still reading the old bucket array, so it never met the
-   130th key and A kept that lock: the manager must agree.  The key names
-   are picked so the walk meets [h] before [q] and the 130th key falls
-   after [h] in the old array. *)
-let test_mgr_release_across_resize () =
-  let bucket key = Hashtbl.hash key land 63 in
-  let name i = Printf.sprintf "x%d" i in
-  let rec find i ok = if ok (name i) then name i else find (i + 1) ok in
-  let h = find 0 (fun k -> bucket k < 32) in
-  let q = find 0 (fun k -> bucket k > bucket h) in
-  let n2 = find 0 (fun k -> k <> q && bucket k > bucket h) in
-  let n1 = find 0 (fun k -> k <> h && k <> q && k <> n2) in
+(* A release nested in an [on_grant] can grant the releasing transaction
+   a key.  A's release of [h] grants it to B, whose chain takes [n1] and
+   then releases C; that grants A its queued [q], and A's callback takes
+   [n2].  [q] is still on A's worklist and [n2] joins its tail, so A's
+   release visits both and A holds nothing once it returns. *)
+let test_mgr_key_granted_during_release () =
   let w key = (key, Lock_table.W, None) in
-  let prefill =
-    List.init 126 (fun i ->
-        Acquire { txn = 100 + i; requests = [ w (Printf.sprintf "p%d" i) ]; finish = Release_self })
-  in
   let script =
-    prefill
-    @ [
-        Acquire { txn = 1; requests = [ w h ]; finish = Stay };
-        Acquire { txn = 3; requests = [ w q ]; finish = Stay };
-        Acquire { txn = 1; requests = [ w q; w n2 ]; finish = Stay };
-        Acquire { txn = 2; requests = [ w h; w n1 ]; finish = Release_other 3 };
-        Release 1;
-      ]
+    [
+      Acquire { txn = 1; requests = [ w "h" ]; finish = Stay };
+      Acquire { txn = 3; requests = [ w "q" ]; finish = Stay };
+      Acquire { txn = 1; requests = [ w "q"; w "n2" ]; finish = Stay };
+      Acquire { txn = 2; requests = [ w "h"; w "n1" ]; finish = Release_other 3 };
+      Release 1;
+    ]
   in
-  let keys = [| h; q; n1; n2 |] and txns = [ 1; 2; 3 ] in
+  let keys = [| "h"; "q"; "n1"; "n2" |] and txns = [ 1; 2; 3 ] in
   let m = Lock_mgr.create () in
   let ((log, _) as current) = Current.run m ~keys ~txns script in
   checkb "same as reference" true
@@ -479,9 +465,11 @@ let test_mgr_release_across_resize () =
     | [] -> false
     | line :: rest -> if line = first then List.mem later rest else after first later rest
   in
-  checkb "A gets the 130th key during its own release" true
-    (after "release 1" (Printf.sprintf "granted 1 %s" n2) log);
-  checkb "and keeps it" true (Lock_mgr.holds m ~txn:1 ~key:n2)
+  checkb "A gets n2 during its own release" true (after "release 1" "granted 1 n2" log);
+  checkb "and holds nothing after it" true
+    (Array.for_all (fun key -> not (Lock_mgr.holds m ~txn:1 ~key)) keys);
+  Alcotest.(check (list int)) "nothing queued" [ 0; 0; 0; 0 ]
+    (Array.to_list (Array.map (fun key -> Lock_mgr.queue_length m ~key) keys))
 
 let prop_mgr_matches_reference =
   QCheck.Test.make ~name:"lock manager matches its reference" ~count:300
@@ -649,8 +637,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_mgr_holders_always_compatible;
           Alcotest.test_case "release cost flat in keys ever locked" `Quick
             test_mgr_release_cost_flat;
-          Alcotest.test_case "release across a key-table resize" `Quick
-            test_mgr_release_across_resize;
+          Alcotest.test_case "a key granted during its own release is released too"
+            `Quick test_mgr_key_granted_during_release;
           QCheck_alcotest.to_alcotest prop_mgr_matches_reference;
         ] );
       ( "lock counters",

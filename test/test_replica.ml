@@ -15,6 +15,7 @@ module Replica = Esr_replica.Replica
 module Metrics = Esr_obs.Metrics
 module Obs = Esr_obs.Obs
 module Registry = Esr_replica.Registry
+module Series = Esr_obs.Series
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -26,8 +27,8 @@ let default = Intf.default_config
 let jittery = { Net.default_config with latency = Dist.Uniform (1.0, 80.0) }
 
 let mk ?(config = default) ?(net_config = Net.default_config) ?(seed = 1)
-    ?(sites = 3) name =
-  Harness.create ~config ~net_config ~seed ~sites ~method_name:name ()
+    ?obs ?(sites = 3) name =
+  Harness.create ~config ~net_config ~seed ?obs ~sites ~method_name:name ()
 
 (* Drain the system; a run that cannot drain fails with the reason. *)
 let run_settle h =
@@ -547,6 +548,60 @@ let test_twopc_timeout_aborts_under_partition () =
   (* The abort propagated: nothing applied anywhere. *)
   all_sites_equal h ~sites:4 "x" Value.zero
 
+(* The method's own backlog in the series row of the last drain round. *)
+let method_backlog h =
+  let s = (Harness.obs h).Obs.series in
+  match (Series.column_index s "esr/method_backlog", List.rev (Series.to_list s)) with
+  | Some i, (last : Series.sample) :: _ -> int_of_float last.Series.values.(i)
+  | _ -> Alcotest.fail "no esr/method_backlog sample"
+
+(* A participant's record of an update ET ends with the ET, on both
+   paths that used to leave one behind: a participant that voted no, and
+   a coordinator that timed out before sending any Prepare.  2PC's
+   backlog counts the records, so it must read 0 once the run settles. *)
+let test_twopc_records_end_with_their_ets () =
+  let obs = Obs.create ~series:true () in
+  let h = mk ~obs ~net_config:jittery ~sites:3 ~seed:7 "2PC" in
+  let reasons = ref [] in
+  (* A prepare granted [a] late asks for [b] while a query holds [b]
+     and waits behind it on [a]. *)
+  for i = 0 to 79 do
+    ignore
+      (Engine.schedule (Harness.engine h) ~delay:(float_of_int (i * 5)) (fun () ->
+           let intents =
+             if i mod 2 = 0 then [ Intf.Add ("a", 1) ] else [ Intf.Add ("a", 1); Intf.Add ("b", 1) ]
+           in
+           Harness.submit_update h ~origin:(i mod 3) intents (function
+             | Intf.Rejected m -> reasons := m :: !reasons
+             | Intf.Committed _ -> ());
+           for site = 0 to 2 do
+             Harness.submit_query h ~site ~keys:[ "b"; "a" ] ~epsilon:Epsilon.Unlimited ignore
+           done))
+  done;
+  run_settle h;
+  checkb "a participant voted no" true (List.mem "2PC: aborted (deadlock vote)" !reasons);
+  checki "hot keys: no record left" 0 (method_backlog h);
+  (* Site 2 coordinates, cut off from the lock service at site 0 for
+     longer than the timeout. *)
+  let config = { default with twopc_timeout = 300.0 } in
+  let obs = Obs.create ~series:true () in
+  let h = mk ~config ~obs ~net_config:jittery ~sites:4 "2PC" in
+  Net.partition (Harness.net h) [ [ 0; 1 ]; [ 2; 3 ] ];
+  let outcome = ref None in
+  Harness.submit_update h ~origin:2 [ Intf.Add ("x", 1) ] (fun o -> outcome := Some o);
+  Harness.run_for h 1_000.0;
+  (match !outcome with
+  | Some (Intf.Rejected m) -> Alcotest.(check string) "timed out" "2PC: aborted (timeout)" m
+  | _ -> Alcotest.fail "the coordinator should have timed out");
+  Net.heal (Harness.net h);
+  run_settle h;
+  checki "timeout: no record left" 0 (method_backlog h);
+  (* Whichever of the dead ET's Lock_req and Decision reached site 0
+     first, the lock service holds nothing for it, so [x] is free. *)
+  Harness.submit_update h ~origin:2 [ Intf.Add ("x", 1) ] expect_committed;
+  run_settle h;
+  all_sites_equal h ~sites:4 "x" (Value.int 1)
+
 (* --- QUORUM --- *)
 
 let test_quorum_commit_and_read () =
@@ -999,6 +1054,8 @@ let () =
           Alcotest.test_case "queries SR" `Quick test_twopc_queries_are_sr;
           Alcotest.test_case "timeout under partition" `Quick
             test_twopc_timeout_aborts_under_partition;
+          Alcotest.test_case "participant records end with their ETs" `Quick
+            test_twopc_records_end_with_their_ets;
         ] );
       ( "quorum",
         [

@@ -6,6 +6,8 @@ module Net = Esr_sim.Net
 module Squeue = Esr_squeue.Squeue
 module Prng = Esr_util.Prng
 module Dist = Esr_util.Dist
+module Obs = Esr_obs.Obs
+module Trace = Esr_obs.Trace
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -133,6 +135,38 @@ let test_counters_consistency () =
   checki "enqueued" 20 c.Squeue.enqueued;
   checki "first deliveries" 20 c.Squeue.delivered_first;
   checki "acks" 20 c.Squeue.acks_received
+
+(* A link slower than the 50 ms retry interval: every message in flight
+   is retransmitted before its ack can return, and the receiver
+   suppresses each copy as a duplicate.  The journal retransmits in seq
+   order, so each retransmission round reaches the receiver in seq
+   order. *)
+let test_retransmits_in_seq_order () =
+  let config = { Net.default_config with latency = Dist.Constant 80.0 } in
+  let e = Engine.create () in
+  let net = Net.create ~config e ~sites:2 ~prng:(Prng.create 1) in
+  let obs = Obs.create ~tracing:true () in
+  let dups = ref [] in
+  Trace.attach obs.Obs.trace (fun r ->
+      match r.Trace.ev with
+      | Trace.Squeue_dup { seq; _ } -> dups := (r.Trace.time, seq) :: !dups
+      | _ -> ());
+  let q = Squeue.create ~obs net ~handler:(fun ~site:_ ~src:_ () -> ()) in
+  let n = 12 in
+  for _ = 1 to n do
+    Squeue.send q ~src:0 ~dst:1 ()
+  done;
+  Engine.run e;
+  let dups = List.rev !dups in
+  let rounds = List.sort_uniq compare (List.map fst dups) in
+  checkb "several retransmission rounds" true (List.length rounds >= 2);
+  List.iter
+    (fun time ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "duplicates at t=%g in seq order" time)
+        (List.init n Fun.id)
+        (List.filter_map (fun (t, seq) -> if t = time then Some seq else None) dups))
+    rounds
 
 (* Sites 0 and 2 each send into site 1 while site 1 crashes and recovers
    at random; message [i] travels on channel [i mod 2 * 2 -> 1] with
@@ -298,6 +332,8 @@ let () =
             test_crash_recovery_redelivers;
           Alcotest.test_case "partition heals" `Quick
             test_partition_heals_and_delivers;
+          Alcotest.test_case "retransmits in seq order" `Quick
+            test_retransmits_in_seq_order;
         ] );
       ( "accounting",
         [
