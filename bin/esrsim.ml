@@ -178,6 +178,10 @@ let check_flags checks =
 let non_negative x = Float.is_finite x && x >= 0.0
 let positive x = Float.is_finite x && x > 0.0
 
+(* [Scenario.run] queues every arrival as an engine event before the run
+   starts, so the expected arrival count bounds its memory. *)
+let max_arrivals = 10_000_000
+
 (* Validate the knobs [run], [nemesis] and [audit] share and translate
    them into a scenario.  Every malformed value is refused here, before
    anything runs, instead of surfacing as an exception (or a run that
@@ -203,6 +207,12 @@ let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
         ("duration", positive duration, "positive");
         ("update-rate", non_negative update_rate, "a non-negative number");
         ("query-rate", non_negative query_rate, "a non-negative number");
+        ( "duration",
+          (update_rate +. query_rate) *. duration <= float_of_int max_arrivals,
+          Printf.sprintf
+            "at most %d / (update-rate + query-rate) ms: every arrival is \
+             queued up front"
+            max_arrivals );
         ("theta", non_negative theta, "a non-negative number");
         ("latency", non_negative latency, "a non-negative number");
         ( "loss",

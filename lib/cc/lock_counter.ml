@@ -3,9 +3,7 @@ type t = {
   weights : (string, float) Hashtbl.t;
 }
 
-let create ?(hint = 64) () =
-  let hint = Stdlib.max 1 hint in
-  { counts = Hashtbl.create hint; weights = Hashtbl.create hint }
+let create () = { counts = Hashtbl.create 16; weights = Hashtbl.create 16 }
 
 let count t key = Option.value (Hashtbl.find_opt t.counts key) ~default:0
 

@@ -13,9 +13,7 @@
 
 type t
 
-val create : ?hint:int -> unit -> t
-(** [hint] pre-sizes the counter tables (default 64) so heavy workloads
-    never rehash mid-run. *)
+val create : unit -> t
 
 val incr : t -> string -> int
 (** Returns the new count. *)

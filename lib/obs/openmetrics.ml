@@ -1,4 +1,4 @@
-(* OpenMetrics text exposition for registry snapshots and series dumps.
+(* OpenMetrics text exposition for registry snapshots.
 
    One metric family per (group, name) pair — per-site instruments fold
    into a single family with a {site="N"} label.  Families keep registry
@@ -92,23 +92,5 @@ let buf_snapshot b ~prefix entries =
 let write_snapshot oc ?(prefix = "esr") entries =
   let b = Buffer.create 4096 in
   buf_snapshot b ~prefix entries;
-  Buffer.add_string b "# EOF\n";
-  output_string oc (Buffer.contents b)
-
-(* A series dump becomes one gauge family per column, each sample an
-   explicitly timestamped MetricPoint (virtual ms rendered as seconds,
-   the exposition format's timestamp unit). *)
-let write_series oc ?(prefix = "esr_series") (d : Series.dump) =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  Array.iteri
-    (fun i col ->
-      let fam = Printf.sprintf "%s_%s" prefix (sanitize col) in
-      line "# TYPE %s gauge" fam;
-      List.iter
-        (fun (s : Series.sample) ->
-          line "%s %s %s" fam (float_repr s.values.(i)) (float_repr (s.at /. 1000.0)))
-        d.d_samples)
-    d.d_columns;
   Buffer.add_string b "# EOF\n";
   output_string oc (Buffer.contents b)

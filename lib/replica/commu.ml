@@ -190,7 +190,7 @@ let create (env : Intf.env) =
               {
                 id = replica.Replica.site;
                 replica;
-                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                counters = Lock_counter.create ();
                 parked_queries = [];
                 parked_updates = [];
                 active_queries = [];

@@ -540,7 +540,7 @@ let create (env : Intf.env) =
                 last_exec = 0;
                 buffer = Hashtbl.create 32;
                 log = [];
-                counters = Lock_counter.create ~hint:env.Intf.store_hint ();
+                counters = Lock_counter.create ();
                 early = Hashtbl.create 8;
                 parked_queries = [];
                 active = [];
@@ -552,7 +552,7 @@ let create (env : Intf.env) =
             k.Replica.sites;
         wal =
           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+            ~sites:env.Intf.sites ();
         decisions = Hashtbl.create 32;
         undecided = 0;
         next_saga = 0;

@@ -115,8 +115,6 @@ type config = {
           interval (fault-aware runs install
           {!Esr_squeue.Squeue.default_backoff} so long outages do not
           storm the links) *)
-  quorum_reads : int option;  (** read quorum; default majority *)
-  quorum_writes : int option;  (** write quorum; default majority *)
   twopc_timeout : float;
       (** coordinator aborts an update ET still undecided after this many
           virtual ms (covers distributed deadlocks and partitions) *)
@@ -137,8 +135,6 @@ let default_config =
     compe_abort_probability = 0.0;
     compe_decision_delay = 100.0;
     retry_backoff = None;
-    quorum_reads = None;
-    quorum_writes = None;
     twopc_timeout = 2_000.0;
     quasi_refresh = `Immediate;
   }
@@ -151,8 +147,9 @@ type env = {
   sites : int;
   config : config;
   store_hint : int;
-      (** expected keyspace size — methods pre-size their per-site store
-          cell arrays with it so replicas never resize mid-run *)
+      (** expected keyspace size — it pre-sizes the per-site store images
+          and the keyspace, so neither resizes mid-run; every other table
+          grows with what it holds *)
   keyspace : Keyspace.t;
       (** run-wide key interner shared by every replica store, so a key's
           dense id is stable across sites and MSets can carry ids *)

@@ -330,7 +330,7 @@ let create (env : Intf.env) =
         pending_commits = Hashtbl.create 32;
         wal =
           Recovery.Wal.create ~prof:env.Intf.obs.Esr_obs.Obs.prof
-            ~hint:env.Intf.store_hint ~sites:env.Intf.sites ();
+            ~sites:env.Intf.sites ();
         n_fallbacks = 0;
         n_charged_units = 0;
       })

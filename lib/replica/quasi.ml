@@ -234,11 +234,9 @@ let create (env : Intf.env) =
     (fun k ->
       {
         k;
-        versions =
-          Array.init env.Intf.sites (fun _ ->
-              Hashtbl.create (Stdlib.max 32 env.Intf.store_hint));
+        versions = Array.init env.Intf.sites (fun _ -> Hashtbl.create 32);
         refresh = env.Intf.config.Intf.quasi_refresh;
-        last_pushed = Hashtbl.create (Stdlib.max 32 env.Intf.store_hint);
+        last_pushed = Hashtbl.create 32;
         dirty = [];
         timer_armed = false;
         next_version = 0;

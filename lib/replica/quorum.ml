@@ -4,11 +4,12 @@
     Every copy carries a version number.  An update reads versions from a
     write quorum [w], picks [max+1], and writes value+version back to [w]
     sites; a query reads from a read quorum [r] and returns the
-    highest-version value.  With [r + w > n] every read quorum intersects
-    every write quorum, so queries always see the latest committed
-    update.  Both operations cost at least one WAN round trip and stall
-    whenever a quorum is unreachable — the availability/latency cost the
-    paper's asynchronous methods avoid.
+    highest-version value.  Both are a majority of the key's [n] copies,
+    so [r + w > n]: every read quorum intersects every write quorum, and
+    queries always see the latest committed update.  Both operations cost
+    at least one WAN round trip and stall whenever a quorum is
+    unreachable — the availability/latency cost the paper's asynchronous
+    methods avoid.
 
     Simplifications (documented in DESIGN.md): update ETs are single-key
     blind writes (no cross-key atomicity, hence no distributed locks);
@@ -76,8 +77,7 @@ type t = {
          atomically with each install *)
   reads : (int, read_round) Hashtbl.t;
   writes : (int, write_round) Hashtbl.t;
-  read_quorum : int;
-  write_quorum : int;
+  majority : int;  (* read and write quorum: most of a key's copies *)
   mutable next_round : int;
 }
 
@@ -168,7 +168,7 @@ let write_round t ~origin ~et ~key ~value ~version ~done_ ~fail =
   Hashtbl.replace t.writes wid
     {
       w_origin = origin;
-      w_needed = t.write_quorum;
+      w_needed = t.majority;
       w_acks = 0;
       w_done = done_;
       w_fail = fail;
@@ -213,22 +213,13 @@ let create (env : Intf.env) =
      map. *)
   let copies = Sharding.factor env.Intf.sharding in
   let majority = (copies / 2) + 1 in
-  let read_quorum = Option.value env.Intf.config.Intf.quorum_reads ~default:majority in
-  let write_quorum = Option.value env.Intf.config.Intf.quorum_writes ~default:majority in
-  if read_quorum + write_quorum <= copies then
-    invalid_arg "Quorum.create: r + w must exceed the number of copies";
-  if read_quorum > copies || write_quorum > copies then
-    invalid_arg "Quorum.create: a quorum cannot exceed the replication factor";
   Replica.create env ~mode:Squeue.Unordered ~receive ~drop (fun k ->
       {
         k;
-        versions =
-          Array.init env.Intf.sites (fun _ ->
-              Hashtbl.create (Stdlib.max 32 env.Intf.store_hint));
+        versions = Array.init env.Intf.sites (fun _ -> Hashtbl.create 32);
         reads = Hashtbl.create 32;
         writes = Hashtbl.create 32;
-        read_quorum;
-        write_quorum;
+        majority;
         next_round = 0;
       })
 
@@ -258,7 +249,7 @@ let submit_update t ~origin intents notify =
           true
         in
         (* Round 1: learn the highest version from a write quorum. *)
-        read_round t ~origin ~et ~key ~needed:t.write_quorum ~update:true ~fail
+        read_round t ~origin ~et ~key ~needed:t.majority ~update:true ~fail
           ~done_:(fun (best_version, _) ->
             let seq = t.next_round in
             t.next_round <- seq + 1;
@@ -290,7 +281,7 @@ let submit_query t ~site:site_id ~keys ~epsilon:_ k =
     in
     List.iter
       (fun key ->
-        read_round t ~origin:site_id ~et ~key ~needed:t.read_quorum ~update:false
+        read_round t ~origin:site_id ~et ~key ~needed:t.majority ~update:false
           ~fail
           ~done_:(fun (_, value) ->
             collected := (key, value) :: !collected;

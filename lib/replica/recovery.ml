@@ -32,14 +32,9 @@ module Wal = struct
     prof : Prof.t;
   }
 
-  let create ?(prof = Prof.disabled) ?(hint = 16) ~sites () =
-    (* [hint] scales the per-site tables with the workload (the run's
-       store hint) instead of the historical fixed 16: at the million-op
-       tier a journal holding thousands of in-flight MSets would
-       otherwise rehash repeatedly during bursts. *)
-    let hint = Stdlib.max 16 hint in
+  let create ?(prof = Prof.disabled) ~sites () =
     {
-      journals = Array.init sites (fun _ -> Hashtbl.create hint);
+      journals = Array.init sites (fun _ -> Hashtbl.create 16);
       next_seq = 0;
       appended_by = Array.make sites 0;
       high_water_by = Array.make sites 0;

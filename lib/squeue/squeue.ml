@@ -9,13 +9,21 @@ type backoff = { multiplier : float; max_interval : float; jitter : float }
 
 let default_backoff = { multiplier = 2.0; max_interval = 800.0; jitter = 0.1 }
 
-(* Sender-side state of one src->dst channel.  [unacked] is the journal: it
-   survives crashes of the sender (stable storage), drives retry, and is
-   where the receiver reads a message's payload ({!journal_payload}).
-   Each entry remembers when it was last transmitted so a timer tick only
-   retransmits messages that have actually been waiting a full interval.
-   The table is only looked up: retransmission walks the seqs from
-   [oldest] to [next_seq - 1], so it goes in seq order. *)
+(* One src->dst channel, made by its first {!send}.
+
+   Sender half: [unacked] is the journal.  It survives crashes of the
+   sender (stable storage), drives retry, and is where the receiver reads
+   a message's payload ({!journal_payload}).  Each entry remembers when
+   it was last transmitted so a timer tick only retransmits messages that
+   have actually been waiting a full interval.  The table is only looked
+   up: retransmission walks the seqs from [oldest] to [next_seq - 1], so
+   it goes in seq order.
+
+   Receiver half: every seq below [mark] has been handed up, and [early]
+   holds the seqs that arrived past [mark] — in [Fifo] mode the arrivals
+   waiting for the gap, in [Unordered] mode those already handed up out
+   of order.  [floor] is [mark] at the last checkpoint cut ({!gc_site}),
+   so [mark - floor] counts the dedup records a cut reclaims. *)
 type 'a pending_msg = { payload : 'a; mutable last_sent : float }
 
 type 'a chan = {
@@ -28,19 +36,9 @@ type 'a chan = {
       (* current retry interval; equals the base interval unless a backoff
          policy is installed, in which case it doubles (capped) while the
          channel makes no progress and resets on ack *)
-}
-
-(* Receiver-side state of one src->dst channel.  Every seq below [mark]
-   has been handed up: in [Fifo] mode [mark] is the next seq to deliver
-   and [reorder] buffers the early arrivals; in [Unordered] mode [above]
-   holds the seqs delivered out of order past [mark].  [floor] is [mark]
-   at the last checkpoint cut ({!gc_site}), so [mark - floor] counts the
-   dedup records a cut reclaims. *)
-type 'a recv = {
   mutable mark : int;
   mutable floor : int;
-  above : (int, unit) Hashtbl.t;  (* Unordered *)
-  reorder : (int, 'a) Hashtbl.t;  (* Fifo *)
+  early : (int, 'a) Hashtbl.t;
 }
 
 type counters = {
@@ -53,13 +51,13 @@ type counters = {
 
 type 'a t = {
   net : Net.t;
+  sites : int;
   mode : mode;
   retry_interval : float;
   backoff : backoff option;
   jitter_prng : Prng.t;  (* only consumed when [backoff] is installed *)
   handler : site:int -> src:int -> 'a -> unit;
-  chans : 'a chan array array;  (* [src].(dst) *)
-  recvs : 'a recv array array;  (* [dst].(src) *)
+  chans : 'a chan option array;  (* [src * sites + dst], made by a send *)
   data : Net.port;  (* carries seq src -> dst *)
   ack : Net.port;  (* carries seq dst -> src *)
   timer : Engine.port;  (* carries (src, dst) of the channel to retry *)
@@ -69,7 +67,6 @@ type 'a t = {
   mutable n_retx : int;
   mutable n_acks : int;
   mutable n_pending : int;
-  journaled_by : int array;  (* cumulative per-src journal appends *)
   trace : Trace.t;  (* session-layer events: send / first delivery / dup *)
 }
 
@@ -82,6 +79,19 @@ let register_metrics t (m : Esr_obs.Metrics.t) =
   g "acks_received" (fun () -> float_of_int t.n_acks);
   g "pending" (fun () -> float_of_int t.n_pending)
 
+(* The channel a data, ack or timer event names: its first send made it. *)
+let[@inline] chan t ~src ~dst = Option.get t.chans.((src * t.sites) + dst)
+
+(* Fold [f] over the made channels out of [site] when [out], else into
+   it, in ascending peer order. *)
+let fold_site t ~site ~out f init =
+  let acc = ref init in
+  for peer = 0 to t.sites - 1 do
+    let i = if out then (site * t.sites) + peer else (peer * t.sites) + site in
+    match t.chans.(i) with Some chan -> acc := f !acc chan | None -> ()
+  done;
+  !acc
+
 let[@inline] note_dup t ~src ~dst seq =
   t.n_dup <- t.n_dup + 1;
   if Trace.on t.trace then
@@ -89,12 +99,13 @@ let[@inline] note_dup t ~src ~dst seq =
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_dup { src; dst; seq })
 
-let[@inline] note_delivered t ~src ~dst seq =
+let[@inline] hand_up t ~src ~dst seq payload =
   t.n_delivered <- t.n_delivered + 1;
   if Trace.on t.trace then
     Trace.emit t.trace
       ~time:(Engine.now (Net.engine t.net))
-      (Trace.Squeue_delivered { src; dst; seq })
+      (Trace.Squeue_delivered { src; dst; seq });
+  t.handler ~site:dst ~src payload
 
 (* The payload of [seq] from the sender's journal.  A data message
    carries only its seq: the first arrival the receiver accepts reads the
@@ -102,8 +113,8 @@ let[@inline] note_delivered t ~src ~dst seq =
    leaves the journal only on an ack, an ack follows an arrival, and
    every arrival after the first is suppressed as a duplicate before
    this lookup. *)
-let journal_payload t ~src ~dst seq =
-  match Hashtbl.find t.chans.(src).(dst).unacked seq with
+let journal_payload chan ~src ~dst seq =
+  match Hashtbl.find chan.unacked seq with
   | pending -> pending.payload
   | exception Not_found ->
       failwith
@@ -111,55 +122,42 @@ let journal_payload t ~src ~dst seq =
            "Squeue: channel %d->%d accepted seq %d with no journal entry" src
            dst seq)
 
+(* Hand up [seq] on a FIFO channel, then the contiguous prefix it
+   completes; on a healthy link [early] is empty and nothing is
+   allocated. *)
+let rec hand_up_run t chan ~src ~dst seq payload =
+  chan.mark <- seq + 1;
+  hand_up t ~src ~dst seq payload;
+  if Hashtbl.length chan.early > 0 then
+    match Hashtbl.find chan.early chan.mark with
+    | exception Not_found -> ()
+    | next ->
+        Hashtbl.remove chan.early chan.mark;
+        hand_up_run t chan ~src ~dst chan.mark next
+
 let deliver t ~dst ~src seq =
-  let recv = t.recvs.(dst).(src) in
-  match t.mode with
-  | Unordered ->
-      if seq < recv.mark || Hashtbl.mem recv.above seq then
-        note_dup t ~src ~dst seq
-      else begin
-        let payload = journal_payload t ~src ~dst seq in
-        if seq = recv.mark then begin
-          recv.mark <- seq + 1;
-          (* Fold in any out-of-order seqs the gap was holding back. *)
+  let chan = chan t ~src ~dst in
+  if seq < chan.mark || Hashtbl.mem chan.early seq then note_dup t ~src ~dst seq
+  else begin
+    let payload = journal_payload chan ~src ~dst seq in
+    match t.mode with
+    | Unordered ->
+        if seq = chan.mark then begin
+          chan.mark <- seq + 1;
+          (* Fold in the out-of-order seqs the gap was holding back. *)
           while
-            Hashtbl.length recv.above > 0 && Hashtbl.mem recv.above recv.mark
+            Hashtbl.length chan.early > 0 && Hashtbl.mem chan.early chan.mark
           do
-            Hashtbl.remove recv.above recv.mark;
-            recv.mark <- recv.mark + 1
+            Hashtbl.remove chan.early chan.mark;
+            chan.mark <- chan.mark + 1
           done
         end
-        else Hashtbl.replace recv.above seq ();
-        note_delivered t ~src ~dst seq;
-        t.handler ~site:dst ~src payload
-      end
-  | Fifo ->
-      if seq < recv.mark || Hashtbl.mem recv.reorder seq then
-        note_dup t ~src ~dst seq
-      else if seq = recv.mark && Hashtbl.length recv.reorder = 0 then begin
-        (* In-order fast path — the overwhelmingly common case on a
-           healthy link: no reorder-buffer round trip, no allocation. *)
-        let payload = journal_payload t ~src ~dst seq in
-        recv.mark <- seq + 1;
-        note_delivered t ~src ~dst seq;
-        t.handler ~site:dst ~src payload
-      end
-      else begin
-        Hashtbl.replace recv.reorder seq (journal_payload t ~src ~dst seq);
-        (* Hand up the contiguous prefix. *)
-        let rec drain () =
-          match Hashtbl.find recv.reorder recv.mark with
-          | exception Not_found -> ()
-          | p ->
-              let seq = recv.mark in
-              Hashtbl.remove recv.reorder seq;
-              recv.mark <- seq + 1;
-              note_delivered t ~src ~dst seq;
-              t.handler ~site:dst ~src p;
-              drain ()
-        in
-        drain ()
-      end
+        else Hashtbl.replace chan.early seq payload;
+        hand_up t ~src ~dst seq payload
+    | Fifo ->
+        if seq > chan.mark then Hashtbl.replace chan.early seq payload
+        else hand_up_run t chan ~src ~dst seq payload
+  end
 
 (* A data message at [dst]: deliver (with dedup), then ack every copy. *)
 let on_data t ~src ~dst seq =
@@ -167,7 +165,7 @@ let on_data t ~src ~dst seq =
   Net.post t.net t.ack ~src:dst ~dst:src seq
 
 let on_ack t ~src ~dst seq =
-  let chan = t.chans.(src).(dst) in
+  let chan = chan t ~src ~dst in
   if Hashtbl.mem chan.unacked seq then begin
     Hashtbl.remove chan.unacked seq;
     t.n_acks <- t.n_acks + 1;
@@ -178,8 +176,7 @@ let on_ack t ~src ~dst seq =
 
 let transmit t ~src ~dst seq = Net.post t.net t.data ~src ~dst seq
 
-let arm_timer t ~src ~dst =
-  let chan = t.chans.(src).(dst) in
+let arm_timer t chan ~src ~dst =
   if not chan.timer_active then begin
     chan.timer_active <- true;
     let delay =
@@ -197,8 +194,7 @@ let arm_timer t ~src ~dst =
 (* Retransmit the channel's unacked messages in seq order, then re-arm
    its timer: every one when [all], else those that have waited a full
    interval (fresher ones may still be acked in flight). *)
-let resend t ~src ~dst ~all =
-  let chan = t.chans.(src).(dst) in
+let resend t chan ~src ~dst ~all =
   if Hashtbl.length chan.unacked > 0 then begin
     while not (Hashtbl.mem chan.unacked chan.oldest) do
       chan.oldest <- chan.oldest + 1
@@ -220,22 +216,27 @@ let resend t ~src ~dst ~all =
         chan.cur_interval <-
           Float.min (chan.cur_interval *. b.multiplier) b.max_interval
     | _ -> ());
-    arm_timer t ~src ~dst
+    arm_timer t chan ~src ~dst
   end
 
 let on_timer t ~src ~dst =
-  t.chans.(src).(dst).timer_active <- false;
-  resend t ~src ~dst ~all:false
+  let chan = chan t ~src ~dst in
+  chan.timer_active <- false;
+  resend t chan ~src ~dst ~all:false
 
 (* Immediate retransmission of everything outstanding on one channel —
    fired when a fault heals so recovery does not wait out a (possibly
-   backed-off) retry interval. *)
+   backed-off) retry interval.  A channel no send has made has nothing
+   outstanding. *)
 let kick_chan t ~src ~dst =
-  t.chans.(src).(dst).cur_interval <- t.retry_interval;
-  resend t ~src ~dst ~all:true
+  match t.chans.((src * t.sites) + dst) with
+  | Some chan ->
+      chan.cur_interval <- t.retry_interval;
+      resend t chan ~src ~dst ~all:true
+  | None -> ()
 
 let kick_site t site =
-  for peer = 0 to Net.sites t.net - 1 do
+  for peer = 0 to t.sites - 1 do
     if peer <> site then begin
       (* Both directions: the recovered site drains its own journal and
          peers flush what queued up for it while it was down. *)
@@ -245,8 +246,8 @@ let kick_site t site =
   done
 
 let kick_all t =
-  for src = 0 to Net.sites t.net - 1 do
-    for dst = 0 to Net.sites t.net - 1 do
+  for src = 0 to t.sites - 1 do
+    for dst = 0 to t.sites - 1 do
       if src <> dst then kick_chan t ~src ~dst
     done
   done
@@ -254,18 +255,6 @@ let kick_all t =
 let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
     ~handler =
   let n = Net.sites net in
-  let fresh_chan _ =
-    {
-      next_seq = 0;
-      oldest = 0;
-      unacked = Hashtbl.create 8;
-      timer_active = false;
-      cur_interval = retry_interval;
-    }
-  in
-  let fresh_recv _ =
-    { mark = 0; floor = 0; above = Hashtbl.create 8; reorder = Hashtbl.create 8 }
-  in
   (* The port handlers need the fabric, and the fabric holds the ports. *)
   let self = ref None in
   let fabric () = Option.get !self in
@@ -282,13 +271,13 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
   let t =
     {
       net;
+      sites = n;
       mode;
       retry_interval;
       backoff;
       jitter_prng = Prng.create 0x5132_77AB;
       handler;
-      chans = Array.init n (fun _ -> Array.init n fresh_chan);
-      recvs = Array.init n (fun _ -> Array.init n fresh_recv);
+      chans = Array.make (n * n) None;
       data;
       ack;
       timer;
@@ -298,7 +287,6 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
       n_retx = 0;
       n_acks = 0;
       n_pending = 0;
-      journaled_by = Array.make n 0;
       trace =
         (match obs with
         | Some (o : Esr_obs.Obs.t) -> o.Esr_obs.Obs.trace
@@ -317,23 +305,41 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
   t
 
 let send t ~src ~dst payload =
-  let chan = t.chans.(src).(dst) in
+  let i = (src * t.sites) + dst in
+  let chan =
+    match t.chans.(i) with
+    | Some chan -> chan
+    | None ->
+        let chan =
+          {
+            next_seq = 0;
+            oldest = 0;
+            unacked = Hashtbl.create 8;
+            timer_active = false;
+            cur_interval = t.retry_interval;
+            mark = 0;
+            floor = 0;
+            early = Hashtbl.create 8;
+          }
+        in
+        t.chans.(i) <- Some chan;
+        chan
+  in
   let seq = chan.next_seq in
   chan.next_seq <- seq + 1;
   Hashtbl.replace chan.unacked seq
     { payload; last_sent = Engine.now (Net.engine t.net) };
   t.n_enqueued <- t.n_enqueued + 1;
   t.n_pending <- t.n_pending + 1;
-  t.journaled_by.(src) <- t.journaled_by.(src) + 1;
   if Trace.on t.trace then
     Trace.emit t.trace
       ~time:(Engine.now (Net.engine t.net))
       (Trace.Squeue_send { src; dst; seq });
   transmit t ~src ~dst seq;
-  arm_timer t ~src ~dst
+  arm_timer t chan ~src ~dst
 
 let broadcast t ~src payload =
-  for dst = 0 to Net.sites t.net - 1 do
+  for dst = 0 to t.sites - 1 do
     if dst <> src then send t ~src ~dst payload
   done
 
@@ -346,11 +352,11 @@ let pending t = t.n_pending
 (* Sender-side journal footprint of one site: entries it has durably
    queued but not yet seen acknowledged, across all its channels. *)
 let journal_depth t ~site =
-  let n = ref 0 in
-  Array.iter (fun chan -> n := !n + Hashtbl.length chan.unacked) t.chans.(site);
-  !n
+  fold_site t ~site ~out:true (fun n chan -> n + Hashtbl.length chan.unacked) 0
 
-let journaled t ~site = t.journaled_by.(site)
+(* Every journal append by [site] took one seq on one of its channels. *)
+let journaled t ~site =
+  fold_site t ~site ~out:true (fun n chan -> n + chan.next_seq) 0
 
 (* Receiver-side dedup journal footprint of one site: the delivered seqs
    its inbound channels have not yet folded into a checkpoint cut — the
@@ -360,9 +366,9 @@ let dedup_depth t ~site =
   match t.mode with
   | Fifo -> 0
   | Unordered ->
-      Array.fold_left
-        (fun n recv -> n + (recv.mark - recv.floor) + Hashtbl.length recv.above)
-        0 t.recvs.(site)
+      fold_site t ~site ~out:false
+        (fun n chan -> n + (chan.mark - chan.floor) + Hashtbl.length chan.early)
+        0
 
 (* Checkpoint GC over one site's inbound dedup journals: move each
    channel's floor up to its watermark and return how far the floors
@@ -372,12 +378,12 @@ let gc_site t ~site =
   match t.mode with
   | Fifo -> 0
   | Unordered ->
-      Array.fold_left
-        (fun n recv ->
-          let advance = recv.mark - recv.floor in
-          recv.floor <- recv.mark;
+      fold_site t ~site ~out:false
+        (fun n chan ->
+          let advance = chan.mark - chan.floor in
+          chan.floor <- chan.mark;
           n + advance)
-        0 t.recvs.(site)
+        0
 
 let counters t =
   {

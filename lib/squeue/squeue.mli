@@ -17,7 +17,10 @@
     - queue state models stable storage: it survives simulated site
       crashes, and retransmission resumes on recovery.
 
-    A {!t} is a fabric covering all sites of one simulated system. *)
+    A {!t} is a fabric covering all sites of one simulated system.  Its
+    state grows with the traffic: a channel (one per ordered site pair,
+    holding its sender's journal and its receiver's dedup record) is
+    made by the first {!send} on it. *)
 
 type mode = Unordered | Fifo
 
@@ -56,6 +59,12 @@ val create :
     gauges in its metrics registry; data and ack messages are labelled
     with classes ["data"] / ["ack"] in the underlying network trace.
 
+    [create] allocates one empty slot per ordered site pair and no
+    per-pair record: a channel's state is made by its first {!send}.  A
+    receiver keeps a watermark (every seq below it handed up) and one
+    table of the seqs that arrived past it — in [Unordered] mode those
+    handed up out of order, in [Fifo] mode those waiting for the gap.
+
     Data, ack and retry-timer events are {!Esr_sim.Engine} port events
     carrying only (src, dst, seq): the receiver reads the payload from
     the sender's journal when it first accepts a seq, so a message
@@ -83,8 +92,9 @@ val journal_depth : 'a t -> site:int -> int
     that are not yet acknowledged, summed over its outbound channels. *)
 
 val journaled : 'a t -> site:int -> int
-(** Cumulative journal appends by [site] as sender — monotone, unlike
-    {!journal_depth}, so resource series can chart journal churn. *)
+(** Cumulative journal appends by [site] as sender (the seqs its
+    channels have issued) — monotone, unlike {!journal_depth}, so
+    resource series can chart journal churn. *)
 
 val dedup_depth : 'a t -> site:int -> int
 (** Receiver-side dedup journal footprint of [site]: the messages its

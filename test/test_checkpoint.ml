@@ -102,10 +102,10 @@ let test_retention_and_tail_stats () =
   checki "last tail" 2 (Checkpoint.last_tail c ~site:0);
   checki "max tail" 5 (Checkpoint.max_tail c ~site:0)
 
-(* --- WAL: size hint and high-water tracking --- *)
+(* --- WAL: high-water tracking --- *)
 
-let test_wal_hint_and_high_water () =
-  let wal = Recovery.Wal.create ~hint:4096 ~sites:2 () in
+let test_wal_high_water () =
+  let wal = Recovery.Wal.create ~sites:2 () in
   for i = 0 to 9 do
     Recovery.Wal.append wal ~site:0 ~key:i (Printf.sprintf "m%d" i)
   done;
@@ -366,8 +366,7 @@ let () =
         ] );
       ( "wal",
         [
-          Alcotest.test_case "hint + high water" `Quick
-            test_wal_hint_and_high_water;
+          Alcotest.test_case "high water" `Quick test_wal_high_water;
         ] );
       ( "squeue-gc",
         [

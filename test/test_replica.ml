@@ -715,14 +715,6 @@ let test_quasi_periodic_batches () =
   let refreshes = stat h "refreshes" in
   checkb (Printf.sprintf "batched (%d refreshes)" refreshes) true (refreshes <= 3)
 
-let test_quorum_invalid_quorum_config () =
-  let config = { default with quorum_reads = Some 1; quorum_writes = Some 1 } in
-  checkb "r+w<=n rejected" true
-    (try
-       ignore (mk ~config ~sites:3 "QUORUM");
-       false
-     with Invalid_argument _ -> true)
-
 (* --- interned-store observational equivalence --- *)
 
 (* The interned flat store (and its growth path) must be invisible:
@@ -1064,8 +1056,6 @@ let () =
             test_quorum_read_sees_committed_write;
           Alcotest.test_case "version ordering" `Quick test_quorum_version_ordering;
           Alcotest.test_case "rejects unsupported" `Quick test_quorum_rejects_unsupported;
-          Alcotest.test_case "invalid quorum config" `Quick
-            test_quorum_invalid_quorum_config;
         ] );
       ( "quasi",
         [

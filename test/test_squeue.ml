@@ -210,10 +210,13 @@ let prop_exactly_once_under_random_crashes =
                  Net.recover net 1)))
         outages;
       let src_of i = if i mod 2 = 0 then 0 else 2 in
+      let sent = [| 0; 0; 0 |] in
       for i = 0 to n - 1 do
         ignore
           (Engine.schedule e ~delay:(float_of_int (i * 10)) (fun () ->
-               Squeue.send q ~src:(src_of i) ~dst:1 i))
+               let src = src_of i in
+               Squeue.send q ~src ~dst:1 i;
+               sent.(src) <- sent.(src) + 1))
       done;
       (* Reference: delivered seqs per source channel, and each channel's
          watermark at the last cut. *)
@@ -260,6 +263,13 @@ let prop_exactly_once_under_random_crashes =
       got = List.init n Fun.id
       && Squeue.pending q = 0
       && !cuts_ok
+      (* Every send was one journal append at its source, and every
+         journal entry was acked. *)
+      && List.for_all
+           (fun site ->
+             Squeue.journaled q ~site = sent.(site)
+             && Squeue.journal_depth q ~site = 0)
+           [ 0; 1; 2 ]
       && in_order 0 && in_order 2)
 
 let prop_lossy_fifo_always_delivers_in_order =
@@ -309,6 +319,37 @@ let test_round_trip_allocation mode () =
   checkb (Printf.sprintf "%.1f minor words per message <= 48" per_msg) true
     (per_msg <= 48.0)
 
+(* A fabric's state follows its traffic: a fresh 200-site fabric adds one
+   empty slot per ordered site pair to its engine and network (a record
+   per pair would be about 3.2M words), and each channel a send makes
+   adds one record and its two small tables. *)
+let test_fabric_state_follows_traffic () =
+  let sites = 200 in
+  let e = Engine.create () in
+  let net = Net.create e ~sites ~prng:(Prng.create 5) in
+  let words () = Obj.reachable_words (Obj.repr (e, net)) in
+  let bare = words () in
+  let got = ref 0 in
+  let q = Squeue.create net ~handler:(fun ~site:_ ~src:_ () -> incr got) in
+  let fresh = words () in
+  checkb
+    (Printf.sprintf "fresh fabric adds %d words < 45,000" (fresh - bare))
+    true
+    (fresh - bare < 45_000);
+  (* Three sources, each sending once to every other site. *)
+  for src = 0 to 2 do
+    Squeue.broadcast q ~src ()
+  done;
+  Engine.run e;
+  let k = 3 * (sites - 1) in
+  checki "all delivered" k !got;
+  checki "all acked" 0 (Squeue.pending q);
+  let grown = words () - fresh in
+  checkb
+    (Printf.sprintf "%d channels add %d words < %d" k grown (100 * k))
+    true
+    (grown < 100 * k)
+
 let () =
   Alcotest.run "esr_squeue"
     [
@@ -344,5 +385,7 @@ let () =
             (test_round_trip_allocation Squeue.Unordered);
           Alcotest.test_case "round trip allocation, fifo" `Quick
             (test_round_trip_allocation Squeue.Fifo);
+          Alcotest.test_case "fabric state follows traffic" `Quick
+            test_fabric_state_follows_traffic;
         ] );
     ]
