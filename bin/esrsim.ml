@@ -178,17 +178,27 @@ let check_flags checks =
 let non_negative x = Float.is_finite x && x >= 0.0
 let positive x = Float.is_finite x && x > 0.0
 
-(* [Scenario.run] queues every arrival as an engine event before the run
-   starts, so the expected arrival count bounds its memory. *)
-let max_arrivals = 10_000_000
+(* [Scenario.run] queues every arrival, and every series sample and
+   checkpoint tick, as an engine event before the run starts, so their
+   expected count bounds its memory. *)
+let max_queued = 10_000_000
 
 (* Validate the knobs [run], [nemesis] and [audit] share and translate
    them into a scenario.  Every malformed value is refused here, before
    anything runs, instead of surfacing as an exception (or a run that
-   never drains) deep inside the simulator. *)
+   never drains) deep inside the simulator.  [ticks] are the periods of
+   the run's series samples and checkpoint cuts (a non-positive one is
+   off). *)
 let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
-    ~theta ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p =
+    ~theta ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode ~abort_p
+    ~ticks =
   let ( let* ) = Result.bind in
+  let queued =
+    List.fold_left
+      (fun n period -> if positive period then n +. (duration /. period) else n)
+      ((update_rate +. query_rate) *. duration)
+      ticks
+  in
   let* () =
     if Registry.find meth <> None then Ok ()
     else
@@ -208,11 +218,11 @@ let prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate ~keys
         ("update-rate", non_negative update_rate, "a non-negative number");
         ("query-rate", non_negative query_rate, "a non-negative number");
         ( "duration",
-          (update_rate +. query_rate) *. duration <= float_of_int max_arrivals,
+          queued <= float_of_int max_queued,
           Printf.sprintf
-            "at most %d / (update-rate + query-rate) ms: every arrival is \
-             queued up front"
-            max_arrivals );
+            "at most %d / (update-rate + query-rate + series and checkpoint \
+             ticks per ms) ms: every arrival and tick is queued up front"
+            max_queued );
         ("theta", non_negative theta, "a non-negative number");
         ("latency", non_negative latency, "a non-negative number");
         ( "loss",
@@ -473,7 +483,12 @@ let run_cmd =
       or_exit
         (prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate
            ~keys ~theta ~epsilon ~profile ~loss ~latency ~ordering ~ritu_mode
-           ~abort_p)
+           ~abort_p
+           ~ticks:
+             [
+               (if series_file <> None then series_interval else 0.0);
+               checkpoint_interval;
+             ])
     in
     or_exit
       (check_flags
@@ -645,7 +660,7 @@ let crash_bias_arg =
    printed.  Every flag is checked first: out of range, a bias turns every
    window into a crash (or, as NaN, into a partition). *)
 let campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
-    ~epsilon ~seed ~windows ~crash_bias =
+    ~epsilon ~seed ~windows ~crash_bias ~ticks =
   let scenarios =
     List.map
       (fun meth ->
@@ -653,7 +668,7 @@ let campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
           or_exit
             (prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate
                ~keys ~theta ~epsilon ~profile:"auto" ~loss:0.0 ~latency:10.0
-               ~ordering:`Sequencer ~ritu_mode:`Single ~abort_p:0.0) ))
+               ~ordering:`Sequencer ~ritu_mode:`Single ~abort_p:0.0 ~ticks) ))
       (if String.lowercase_ascii meth = "all" then Registry.names else [ meth ])
   in
   or_exit
@@ -706,9 +721,11 @@ let nemesis_cmd =
   in
   let run meth sites duration update_rate query_rate keys theta seed windows
       crash_bias trace_dir series_dir metrics_dir =
+    (* Every nemesis run samples the divergence series at this cadence. *)
+    let series_interval = 50.0 in
     let scenarios, schedule =
       campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
-        ~epsilon:(-1) ~seed ~windows ~crash_bias
+        ~epsilon:(-1) ~seed ~windows ~crash_bias ~ticks:[ series_interval ]
     in
     List.iter
       (function
@@ -736,7 +753,7 @@ let nemesis_cmd =
       (fun (meth, (spec, net_config, config)) ->
         (* Series always on here: the divergence columns come from it,
            and nemesis runs are already paying for tracing. *)
-        let obs = Obs.create ~tracing:true ~series:true () in
+        let obs = Obs.create ~tracing:true ~series:true ~series_interval () in
         let r =
           Scenario.run ~seed ~config ~net_config ~obs ~faults:schedule
             ~sites ~method_name:meth spec
@@ -925,6 +942,7 @@ let audit_cmd =
         let scenarios, schedule =
           campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys
             ~theta ~epsilon ~seed ~windows ~crash_bias
+            ~ticks:[ checkpoint_interval ]
         in
         let placements = `Full :: (if sharded then [ `Ring ] else []) in
         let t =

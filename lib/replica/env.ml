@@ -110,11 +110,11 @@ type config = {
   compe_decision_delay : float;
       (** virtual ms between optimistic apply and global commit/abort *)
   retry_backoff : Esr_squeue.Squeue.backoff option;
-      (** exponential-backoff policy for stable-queue retransmission;
-          [None] keeps {!Esr_squeue.Squeue.create}'s fixed 50 ms
-          interval (fault-aware runs install
-          {!Esr_squeue.Squeue.default_backoff} so long outages do not
-          storm the links) *)
+      (** parameters of the stable queues' retry rule: how far each
+          probe a silent channel sends widens its interval, and the
+          timer jitter; [None] keeps {!Esr_squeue.Squeue.create}'s fixed
+          50 ms interval.  Either way a channel that hears no ack sends
+          one probe per tick, not its whole window. *)
   twopc_timeout : float;
       (** coordinator aborts an update ET still undecided after this many
           virtual ms (covers distributed deadlocks and partitions) *)

@@ -72,17 +72,21 @@ val attach_audit : t -> Esr_obs.Audit.t -> unit
 val arm_series : t -> until:float -> unit
 (** Pre-schedule sampling ticks at the series cadence from now through
     [until].  Pre-scheduling keeps [Engine.run]'s drain semantics: the
-    sampler generates no work past the horizon.  {!settle_result}
-    additionally samples once per drain round, which captures the
-    divergence decay after the workload ends.  No-op when disabled. *)
+    sampler generates no work past the horizon.  It queues one engine
+    event per tick, [until / interval] in all, before the run starts, so
+    the caller bounds [until] (esrsim counts these ticks with the
+    arrivals).  {!settle_result} additionally samples once per drain
+    round, which captures the divergence decay after the workload
+    ends.  No-op when disabled. *)
 
 val arm_checkpoints : t -> until:float -> unit
 (** Pre-schedule checkpoint cuts at every multiple of the checkpoint
     interval from now through [until] — one consistent system-wide cut
     per tick, every site cut at the same virtual instant (each via
     {!Replica.cut}).  Mirrors {!arm_series}: pre-scheduling keeps
-    [Engine.run]'s drain semantics.  No-op when the harness was created
-    without [?checkpoint]. *)
+    [Engine.run]'s drain semantics, and queues [until / interval] events
+    up front.  No-op when the harness was created without
+    [?checkpoint]. *)
 
 val inject_faults : t -> Esr_fault.Schedule.t -> unit
 (** Arm a fault schedule on the engine before (or while) driving the

@@ -17,13 +17,18 @@ let default_backoff = { multiplier = 2.0; max_interval = 800.0; jitter = 0.1 }
    it was last transmitted so a timer tick only retransmits messages that
    have actually been waiting a full interval.  The table is only looked
    up: retransmission walks the seqs from [oldest] to [next_seq - 1], so
-   it goes in seq order.
+   it goes in seq order.  [flags] says whether the retry timer is armed,
+   whether an ack has removed a journal entry since the timer last fired
+   (the link is alive), and whether the last tick, hearing none, sent a
+   probe that the next ack answers by reopening the channel.
 
    Receiver half: every seq below [mark] has been handed up, and [early]
    holds the seqs that arrived past [mark] — in [Fifo] mode the arrivals
    waiting for the gap, in [Unordered] mode those already handed up out
-   of order.  [floor] is [mark] at the last checkpoint cut ({!gc_site}),
-   so [mark - floor] counts the dedup records a cut reclaims. *)
+   of order.  It is made by the first such arrival, so a link that does
+   not reorder never builds one.  [floor] is [mark] at the last
+   checkpoint cut ({!gc_site}), so [mark - floor] counts the dedup
+   records a cut reclaims. *)
 type 'a pending_msg = { payload : 'a; mutable last_sent : float }
 
 type 'a chan = {
@@ -31,15 +36,21 @@ type 'a chan = {
   mutable oldest : int;
       (* no seq below it is unacked; advanced by [resend], not by acks *)
   unacked : (int, 'a pending_msg) Hashtbl.t;
-  mutable timer_active : bool;
+  mutable flags : int;  (* [armed], [heard] and [probing] bits *)
   mutable cur_interval : float;
-      (* current retry interval; equals the base interval unless a backoff
-         policy is installed, in which case it doubles (capped) while the
-         channel makes no progress and resets on ack *)
+      (* the wait the next armed timer takes: the base interval, widened
+         by each probe under the backoff policy and reset when the
+         channel reopens *)
   mutable mark : int;
   mutable floor : int;
-  early : (int, 'a) Hashtbl.t;
+  mutable early : (int, 'a) Hashtbl.t;
+      (* the fabric's shared empty [no_early] until {!early_table} makes
+         the channel's own *)
 }
+
+let armed = 1
+let heard = 2
+let probing = 4
 
 type counters = {
   enqueued : int;
@@ -54,10 +65,11 @@ type 'a t = {
   sites : int;
   mode : mode;
   retry_interval : float;
-  backoff : backoff option;
-  jitter_prng : Prng.t;  (* only consumed when [backoff] is installed *)
+  backoff : backoff;
+  jitter_prng : Prng.t;  (* private, so jitter draws move no other stream *)
   handler : site:int -> src:int -> 'a -> unit;
   chans : 'a chan option array;  (* [src * sites + dst], made by a send *)
+  no_early : (int, 'a) Hashtbl.t;  (* always empty: nothing is added to it *)
   data : Net.port;  (* carries seq src -> dst *)
   ack : Net.port;  (* carries seq dst -> src *)
   timer : Engine.port;  (* carries (src, dst) of the channel to retry *)
@@ -122,6 +134,12 @@ let journal_payload chan ~src ~dst seq =
            "Squeue: channel %d->%d accepted seq %d with no journal entry" src
            dst seq)
 
+(* The channel's early-arrival table, made by its first arrival past
+   [mark]; every add goes through here. *)
+let early_table t chan =
+  if chan.early == t.no_early then chan.early <- Hashtbl.create 8;
+  chan.early
+
 (* Hand up [seq] on a FIFO channel, then the contiguous prefix it
    completes; on a healthy link [early] is empty and nothing is
    allocated. *)
@@ -152,10 +170,10 @@ let deliver t ~dst ~src seq =
             chan.mark <- chan.mark + 1
           done
         end
-        else Hashtbl.replace chan.early seq payload;
+        else Hashtbl.replace (early_table t chan) seq payload;
         hand_up t ~src ~dst seq payload
     | Fifo ->
-        if seq > chan.mark then Hashtbl.replace chan.early seq payload
+        if seq > chan.mark then Hashtbl.replace (early_table t chan) seq payload
         else hand_up_run t chan ~src ~dst seq payload
   end
 
@@ -164,75 +182,86 @@ let on_data t ~src ~dst seq =
   deliver t ~dst ~src seq;
   Net.post t.net t.ack ~src:dst ~dst:src seq
 
+let transmit t ~src ~dst seq = Net.post t.net t.data ~src ~dst seq
+
+let arm_timer t chan ~src ~dst =
+  if chan.flags land armed = 0 then begin
+    chan.flags <- chan.flags lor armed;
+    (* Bounded multiplicative jitter decorrelates channels that entered
+       backoff at the same instant; without a policy it is 0, and every
+       wait is exactly the base interval. *)
+    let delay =
+      chan.cur_interval *. (1.0 +. Prng.float t.jitter_prng t.backoff.jitter)
+    in
+    Engine.post (Net.engine t.net) ~delay t.timer src dst
+  end
+
+(* Retransmit, in seq order, the channel's messages that have waited at
+   least [stale] since they were last sent (fresher ones may still be
+   acked in flight), then re-arm its timer.  A [probe] sends only the
+   first of them and, if it sent one, widens the interval under the
+   backoff policy: the link has gone quiet, so one message per tick asks
+   whether it is back instead of the whole window storming it. *)
+let resend t chan ~src ~dst ~stale ~probe =
+  if Hashtbl.length chan.unacked > 0 then begin
+    while not (Hashtbl.mem chan.unacked chan.oldest) do
+      chan.oldest <- chan.oldest + 1
+    done;
+    let now = Engine.now (Net.engine t.net) and before = t.n_retx in
+    let seq = ref chan.oldest in
+    while !seq < chan.next_seq && not (probe && t.n_retx > before) do
+      (match Hashtbl.find chan.unacked !seq with
+      | pending when now -. pending.last_sent >= stale -. 1e-9 ->
+          t.n_retx <- t.n_retx + 1;
+          pending.last_sent <- now;
+          transmit t ~src ~dst !seq
+      | _ | (exception Not_found) -> ());
+      incr seq
+    done;
+    if probe && t.n_retx > before then begin
+      chan.flags <- chan.flags lor probing;
+      chan.cur_interval <-
+        Float.min
+          (chan.cur_interval *. t.backoff.multiplier)
+          t.backoff.max_interval
+    end;
+    arm_timer t chan ~src ~dst
+  end
+
+(* The link answered a probe, or a fault healed: back to the base
+   interval, and retransmit what has waited [stale] at once. *)
+let reopen t chan ~src ~dst ~stale =
+  chan.flags <- chan.flags land lnot probing;
+  chan.cur_interval <- t.retry_interval;
+  resend t chan ~src ~dst ~stale ~probe:false
+
 let on_ack t ~src ~dst seq =
   let chan = chan t ~src ~dst in
   if Hashtbl.mem chan.unacked seq then begin
     Hashtbl.remove chan.unacked seq;
     t.n_acks <- t.n_acks + 1;
     t.n_pending <- t.n_pending - 1;
-    (* Forward progress: the peer is reachable again, so retry promptly. *)
-    chan.cur_interval <- t.retry_interval
+    chan.flags <- chan.flags lor heard;
+    if chan.flags land probing <> 0 then
+      reopen t chan ~src ~dst ~stale:t.retry_interval
   end
 
-let transmit t ~src ~dst seq = Net.post t.net t.data ~src ~dst seq
-
-let arm_timer t chan ~src ~dst =
-  if not chan.timer_active then begin
-    chan.timer_active <- true;
-    let delay =
-      match t.backoff with
-      | None -> t.retry_interval
-      | Some b ->
-          (* Bounded multiplicative jitter decorrelates channels that
-             entered backoff at the same instant. *)
-          chan.cur_interval
-          *. (1.0 +. Prng.float t.jitter_prng (Float.max 0.0 b.jitter))
-    in
-    Engine.post (Net.engine t.net) ~delay t.timer src dst
-  end
-
-(* Retransmit the channel's unacked messages in seq order, then re-arm
-   its timer: every one when [all], else those that have waited a full
-   interval (fresher ones may still be acked in flight). *)
-let resend t chan ~src ~dst ~all =
-  if Hashtbl.length chan.unacked > 0 then begin
-    while not (Hashtbl.mem chan.unacked chan.oldest) do
-      chan.oldest <- chan.oldest + 1
-    done;
-    let now = Engine.now (Net.engine t.net) and before = t.n_retx in
-    for seq = chan.oldest to chan.next_seq - 1 do
-      match Hashtbl.find chan.unacked seq with
-      | pending when all || now -. pending.last_sent >= t.retry_interval -. 1e-9 ->
-          t.n_retx <- t.n_retx + 1;
-          pending.last_sent <- now;
-          transmit t ~src ~dst seq
-      | _ | (exception Not_found) -> ()
-    done;
-    (match t.backoff with
-    | Some b when (not all) && t.n_retx > before ->
-        (* No ack since the last full interval: the peer is likely
-           crashed or partitioned away, so widen the retry gap instead of
-           storming the link. *)
-        chan.cur_interval <-
-          Float.min (chan.cur_interval *. b.multiplier) b.max_interval
-    | _ -> ());
-    arm_timer t chan ~src ~dst
-  end
-
+(* A tick.  If an ack removed a journal entry since the last one, the
+   link is alive and every overdue message goes again; if none did, only
+   the oldest overdue one goes, as a probe. *)
 let on_timer t ~src ~dst =
   let chan = chan t ~src ~dst in
-  chan.timer_active <- false;
-  resend t chan ~src ~dst ~all:false
+  let alive = chan.flags land heard <> 0 in
+  chan.flags <- chan.flags land probing;
+  resend t chan ~src ~dst ~stale:t.retry_interval ~probe:(not alive)
 
 (* Immediate retransmission of everything outstanding on one channel —
    fired when a fault heals so recovery does not wait out a (possibly
-   backed-off) retry interval.  A channel no send has made has nothing
-   outstanding. *)
+   backed-off) retry interval; it reopens a probing channel.  A channel
+   no send has made has nothing outstanding. *)
 let kick_chan t ~src ~dst =
   match t.chans.((src * t.sites) + dst) with
-  | Some chan ->
-      chan.cur_interval <- t.retry_interval;
-      resend t chan ~src ~dst ~all:true
+  | Some chan -> reopen t chan ~src ~dst ~stale:0.0
   | None -> ()
 
 let kick_site t site =
@@ -274,10 +303,14 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
       sites = n;
       mode;
       retry_interval;
-      backoff;
+      backoff =
+        (match backoff with
+        | Some b -> { b with jitter = Float.max 0.0 b.jitter }
+        | None -> { multiplier = 1.0; max_interval = retry_interval; jitter = 0.0 });
       jitter_prng = Prng.create 0x5132_77AB;
       handler;
       chans = Array.make (n * n) None;
+      no_early = Hashtbl.create 1;
       data;
       ack;
       timer;
@@ -315,11 +348,11 @@ let send t ~src ~dst payload =
             next_seq = 0;
             oldest = 0;
             unacked = Hashtbl.create 8;
-            timer_active = false;
+            flags = 0;
             cur_interval = t.retry_interval;
             mark = 0;
             floor = 0;
-            early = Hashtbl.create 8;
+            early = t.no_early;
           }
         in
         t.chans.(i) <- Some chan;

@@ -7,7 +7,16 @@
     lossy {!Esr_sim.Net}:
 
     - every enqueued message is retried until acknowledged, each channel
-      retransmitting its unacknowledged messages in seq order;
+      retransmitting its unacknowledged messages in seq order.  When a
+      channel's retry timer fires, it resends every message that has
+      waited a full interval if an ack removed one of its journal
+      entries since the timer last fired (the link is alive); if none
+      did, it sends only the oldest such message, as a probe (RFC 6298
+      §5's rule: on a timeout, retransmit the earliest unacknowledged
+      segment).  The first ack that removes an entry after a probe
+      reopens the channel: every overdue message goes at once.  An
+      outage therefore costs one send per interval per channel, not one
+      per queued message;
     - receivers deduplicate by per-channel sequence number, so the
       application sees each message exactly once;
     - delivery order is configurable: [Unordered] (a message is handed up
@@ -25,7 +34,7 @@
 type mode = Unordered | Fifo
 
 type backoff = {
-  multiplier : float;  (** retry-interval growth factor per silent interval *)
+  multiplier : float;  (** retry-interval growth factor per probe *)
   max_interval : float;  (** backoff ceiling, virtual ms *)
   jitter : float;
       (** cap on the multiplicative jitter fraction: each armed timer waits
@@ -48,13 +57,16 @@ val create :
 (** [handler ~site ~src msg] is invoked exactly once per message, at the
     destination [site], when the message (from [src]) is first deliverable.
     [retry_interval] defaults to 50.0 (5x the default link latency).
-    Without [?backoff] every retry waits exactly [retry_interval]; with it,
-    a channel that retransmits without seeing an ack widens its retry gap
-    exponentially (jittered, capped) instead of storming a dead link, and
-    snaps back to [retry_interval] on the next ack.  Independent of the
-    policy, the fabric registers {!Esr_sim.Net.on_recover}/[on_heal] hooks
-    that kick an immediate retransmission pass when a site recovers or a
-    partition heals.
+    [?backoff] only supplies the parameters of the one retry rule: each
+    probe multiplies the channel's interval by [multiplier], up to
+    [max_interval], reopening resets it to [retry_interval], and every
+    armed timer waits [interval * (1 + U[0, jitter))].  Leaving it out
+    means [{multiplier = 1.0; max_interval = retry_interval; jitter =
+    0.0}]: every wait is exactly [retry_interval].  The fabric also
+    registers {!Esr_sim.Net.on_recover}/[on_heal] hooks that kick an
+    immediate pass when a site recovers or a partition heals: every
+    outstanding message on the channels they touch goes at once, and a
+    probing channel reopens.
     With [?obs], the fabric's counters are registered as group ["squeue"]
     gauges in its metrics registry; data and ack messages are labelled
     with classes ["data"] / ["ack"] in the underlying network trace.
@@ -63,7 +75,8 @@ val create :
     per-pair record: a channel's state is made by its first {!send}.  A
     receiver keeps a watermark (every seq below it handed up) and one
     table of the seqs that arrived past it — in [Unordered] mode those
-    handed up out of order, in [Fifo] mode those waiting for the gap.
+    handed up out of order, in [Fifo] mode those waiting for the gap —
+    made by the channel's first out-of-order arrival.
 
     Data, ack and retry-timer events are {!Esr_sim.Engine} port events
     carrying only (src, dst, seq): the receiver reads the payload from
