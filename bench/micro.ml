@@ -122,7 +122,7 @@ let bench_keys = Array.init 64 (fun i -> Printf.sprintf "key%02d" i)
 
 let warm_store () =
   let ks = Keyspace.create ~hint:64 () in
-  let s = Store.create ~size:64 ~keyspace:ks () in
+  let s = Store.create ~keyspace:ks () in
   Array.iter (fun k -> Store.set s k (Value.int 1)) bench_keys;
   s
 
@@ -184,7 +184,7 @@ let test_keyspace_intern =
    pre-interned ops applied at one replica via the id path. *)
 let test_mset_apply =
   let ks = Keyspace.create ~hint:64 () in
-  let s = Store.create ~size:64 ~keyspace:ks () in
+  let s = Store.create ~keyspace:ks () in
   let ops =
     Array.to_list
       (Array.map (fun k -> (Keyspace.intern ks k, Op.Incr 1)) bench_keys)

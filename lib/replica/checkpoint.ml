@@ -1,6 +1,6 @@
 (** Asynchronous per-site checkpoints with log/journal truncation.
 
-    Every durable structure the methods rely on — the Hist operation log,
+    Every durable structure the methods rely on — the operation log,
     the WAL receipt journals, the stable-queue journals — is append-mostly
     and, without GC, grows for the whole run, so crash-recovery replay
     cost and peak memory grow linearly with virtual run length.  This
@@ -11,7 +11,7 @@
 
     Why a cut at an engine-event boundary is consistent without pausing
     traffic: the simulation is single-threaded in virtual time, and every
-    method maintains the invariant [site.store = Logmerge.apply site.hist]
+    method maintains the invariant [site.store = Logmerge.replay site.log]
     between events — every store mutation is logged before the event
     returns.  Copying the store (and, for RITU-multiversion, the version
     store) at a scheduled tick therefore captures exactly the state the
@@ -38,7 +38,7 @@
 
 module Store = Esr_store.Store
 module Mvstore = Esr_store.Mvstore
-module Hist = Esr_core.Hist
+module Oplog = Esr_core.Oplog
 module Engine = Esr_sim.Engine
 module Trace = Esr_obs.Trace
 
@@ -102,9 +102,9 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let cut t ~engine ~site ?mv ~store ~hist ~reclaimed () =
+let cut t ~engine ~site ?mv ~store ~log ~reclaimed () =
   let s = t.states.(site) in
-  let folded = Hist.length hist in
+  let folded = Oplog.length log in
   s.cuts <- s.cuts + 1;
   s.folded <- s.folded + folded;
   s.reclaimed <- s.reclaimed + reclaimed;
@@ -121,7 +121,7 @@ let cut t ~engine ~site ?mv ~store ~hist ~reclaimed () =
   if Trace.on trace then
     Trace.emit trace ~time:snap.at
       (Trace.Checkpoint_cut { site; folded; reclaimed });
-  Hist.empty
+  Oplog.clear log
 
 let newest t ~site = match t.states.(site).snaps with [] -> None | s :: _ -> Some s
 

@@ -3,7 +3,7 @@
 
     At a configured virtual-time cadence, each site snapshots its
     materialized image at a consistent cut — without pausing traffic —
-    and truncates the durable Hist log behind it; the method's checkpoint
+    and truncates the durable log behind it; the method's checkpoint
     hook additionally reclaims stable-queue dedup records behind the
     per-stream delivery watermark and (COMPE) decided undo-journal
     entries.  Crash recovery then replays checkpoint + tail instead of
@@ -11,7 +11,7 @@
 
     The cut is consistent because the simulation is single-threaded in
     virtual time and every method maintains
-    [site.store = Logmerge.apply site.hist] between engine events; MSets
+    [site.store = Logmerge.replay site.log] between engine events; MSets
     in flight at the cut are retained in the receipt/sender journals,
     which are only truncated behind consumed positions.  Snapshots are
     private copies and recovery re-copies them before folding the tail,
@@ -42,17 +42,17 @@ val cut :
   site:int ->
   ?mv:Esr_store.Mvstore.t ->
   store:Esr_store.Store.t ->
-  hist:Esr_core.Hist.t ->
+  log:Esr_core.Oplog.t ->
   reclaimed:int ->
   unit ->
-  Esr_core.Hist.t
+  unit
 (** Take a cut for [site]: copy [store] (and [mv] when the method keeps a
-    version store), absorb all of [hist] into the snapshot, account
-    [reclaimed] journal records collected by the caller, emit a
-    [Checkpoint_cut] trace event, and return the truncated log — the new
-    (empty) tail the caller must install as the site's Hist.  Call only
-    from an engine-event boundary with the site up, so the image/log
-    invariant holds. *)
+    version store), absorb the [Oplog.length log] entries of the site's
+    log into the snapshot, account [reclaimed] journal records collected
+    by the caller, emit a [Checkpoint_cut] trace event, and reset [log]
+    to empty.  The log keeps its chunks, so the entries after the cut
+    reuse them instead of allocating.  Call only from an engine-event
+    boundary with the site up, so the image/log invariant holds. *)
 
 val base : t -> site:int -> Esr_store.Store.t option
 (** A {e fresh copy} of the newest snapshot image, ready to fold the log
@@ -73,7 +73,7 @@ val cuts : t -> site:int -> int
 (** Checkpoints taken. *)
 
 val truncated_log : t -> site:int -> int
-(** Cumulative Hist entries absorbed into snapshots. *)
+(** Cumulative log entries absorbed into snapshots. *)
 
 val truncated_journal : t -> site:int -> int
 (** Cumulative journal records reclaimed at this site's cuts. *)

@@ -104,7 +104,7 @@ let apply_ops t site mset =
         (match Store.apply_id_unit site.replica.store i.Intf.id i.Intf.op with
         | Ok () -> ()
         | Error _ -> invalid_arg "COMMU: commutative op failed to apply");
-        Replica.log site.replica ~et:mset.et ~key i.Intf.op
+        Replica.log_id site.replica ~et:mset.et ~id:i.Intf.id i.Intf.op
       end)
     mset.ops
 

@@ -147,9 +147,10 @@ type env = {
   sites : int;
   config : config;
   store_hint : int;
-      (** expected keyspace size — it pre-sizes the per-site store images
-          and the keyspace, so neither resizes mid-run; every other table
-          grows with what it holds *)
+      (** expected keyspace size — it pre-sizes the keyspace (and RITU
+          multi mode's version stores), so interning never rehashes
+          mid-run; the store images and every other table grow with what
+          they hold *)
   keyspace : Keyspace.t;
       (** run-wide key interner shared by every replica store, so a key's
           dense id is stable across sites and MSets can carry ids *)

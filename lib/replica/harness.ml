@@ -11,7 +11,6 @@ module Obs = Esr_obs.Obs
 module Trace = Esr_obs.Trace
 module Metrics = Esr_obs.Metrics
 module Series = Esr_obs.Series
-module Value = Esr_store.Value
 module Sharding = Esr_store.Sharding
 
 type t = {
@@ -136,62 +135,37 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
       done);
   Metrics.gauge_fn m ~group:"harness" "divergent_sites" (fun () ->
       float_of_int
-        (Sharding.divergent_replicas sharding ~keyspace ~store:(fun site ->
+        (Sharding.divergent_replicas sharding ~store:(fun site ->
              Replica.store kernel ~site)));
   let series = obs.Obs.series in
   if Series.on series then begin
     (* Derived ESR probes (the ["esr/"] prefix is what the report charts
        pick up).  All pure reads of replica state on the sampling path —
        nothing here can perturb the simulation. *)
-    let vdist a b =
-      match (a, b) with
-      | Value.Int x, Value.Int y -> float_of_int (abs (x - y))
-      | a, b -> if Value.equal a b then 0.0 else 1.0
-    in
-    (* Per-key replica spread: for each key anywhere in the system, the
-       largest pairwise distance between copies at the sites replicating
-       that key's shard (max - min for integer domains). *)
-    let spread_stats () =
-      let keys = Hashtbl.create 64 in
-      for site = 0 to sites - 1 do
-        List.iter
-          (fun k -> Hashtbl.replace keys k ())
-          (Intf.Store.keys (Replica.store kernel ~site))
-      done;
-      let n_keys = ref 0 and divergent = ref 0 in
-      let s_max = ref 0.0 and s_sum = ref 0.0 in
-      Hashtbl.iter
-        (fun k () ->
-          incr n_keys;
-          let spread = ref 0.0 in
-          let reps =
-            Sharding.replicas sharding
-              (Sharding.shard_of_id sharding (Esr_store.Keyspace.find keyspace k))
-          in
-          let n = Array.length reps in
-          for a = 0 to n - 1 do
-            for b = a + 1 to n - 1 do
-              let va = Intf.Store.get (Replica.store kernel ~site:reps.(a)) k in
-              let vb = Intf.Store.get (Replica.store kernel ~site:reps.(b)) k in
-              spread := Float.max !spread (vdist va vb)
-            done
-          done;
-          if !spread > 0.0 then incr divergent;
-          s_max := Float.max !s_max !spread;
-          s_sum := !s_sum +. !spread)
-        keys;
-      let mean = if !n_keys = 0 then 0.0 else !s_sum /. float_of_int !n_keys in
-      (!s_max, mean, !divergent)
+    (* Per-key replica spread, once per sample for its three columns:
+       the probes of one sample all run before its row is pushed, so the
+       count of rows taken so far names the sample. *)
+    let spread =
+      let at = ref (-1) in
+      let last =
+        ref { Sharding.spread_max = 0.0; spread_mean = 0.0; divergent_keys = 0 }
+      in
+      fun () ->
+        let n = Series.length series + Series.dropped series in
+        if n <> !at then begin
+          at := n;
+          last :=
+            Sharding.spread sharding ~keyspace ~store:(fun site ->
+                Replica.store kernel ~site)
+        end;
+        !last
     in
     Series.probe series ~name:"esr/spread_max" (fun () ->
-        let m, _, _ = spread_stats () in
-        m);
+        (spread ()).Sharding.spread_max);
     Series.probe series ~name:"esr/spread_mean" (fun () ->
-        let _, m, _ = spread_stats () in
-        m);
+        (spread ()).Sharding.spread_mean);
     Series.probe series ~name:"esr/divergent_keys" (fun () ->
-        let _, _, d = spread_stats () in
-        float_of_int d);
+        float_of_int (spread ()).Sharding.divergent_keys);
     (* Outstanding update ETs: submitted, no outcome yet — the harness
        view of the MSet backlog still working through the fabric. *)
     Series.probe series ~name:"esr/backlog" (fun () ->
@@ -207,7 +181,7 @@ let create ?(config = Intf.default_config) ?net_config ?(seed = 42)
     Series.probe series ~name:"esr/conv_lag" (fun () ->
         let t_now = Engine.now engine in
         if
-          Sharding.converged sharding ~keyspace ~store:(fun site ->
+          Sharding.converged sharding ~store:(fun site ->
               Replica.store kernel ~site)
         then begin
           last_equal := t_now;

@@ -31,7 +31,7 @@ val create :
 (** Build a fresh simulated system.  [seed] (default 42) makes the whole
     run deterministic.  [method_name] is resolved by {!Registry.make}.
     [store_hint] (expected keyspace size) and [engine_hint] (expected
-    event volume) pre-size the per-site stores and the event heap.
+    event volume) pre-size the keyspace and the event heap.
     [sharding] selects the replica placement map (default: full
     replication, {!Esr_store.Sharding.full}); it must be sized for
     [sites].  The divergence probes and the convergence oracle compare a

@@ -129,7 +129,7 @@ let apply_ops t site mset =
             invalid_arg
               (Printf.sprintf "ORDUP: op %s failed on %s"
                  (Op.to_string i.Intf.op) i.Intf.key));
-        Replica.log site.replica ~et:mset.et ~key:i.Intf.key i.Intf.op
+        Replica.log_id site.replica ~et:mset.et ~id:i.Intf.id i.Intf.op
       end)
     mset.ops;
   (* Charge active queries that this update interleaves: it executes after

@@ -145,9 +145,9 @@ let receive t ~site:site_id msg =
       let seen = Option.value (Hashtbl.find_opt versions key) ~default:0 in
       if version > seen then begin
         Hashtbl.replace versions key version;
-        Store.set site.store key value;
-        Replica.log site ~et:(t.k.env.Intf.next_et ()) ~key
-          (Op.Write value)
+        let id = Store.intern site.store key in
+        Store.set_id site.store id value;
+        Replica.log_id site ~et:(t.k.env.Intf.next_et ()) ~id (Op.Write value)
       end
   | Do_query { qid; keys; origin } ->
       let query_et = t.k.env.Intf.next_et () in

@@ -96,8 +96,9 @@ let local_version versions key =
 (* Install a newer version: value and version number, atomically. *)
 let install versions (r : Replica.site) w =
   Hashtbl.replace versions w.key w.version;
-  Store.set r.store w.key w.value;
-  Replica.log r ~et:w.et ~key:w.key (Op.Write w.value)
+  let id = Store.intern r.store w.key in
+  Store.set_id r.store id w.value;
+  Replica.log_id r ~et:w.et ~id (Op.Write w.value)
 
 let post t ~src ~dst msg = Replica.post t.k ~src ~dst msg
 

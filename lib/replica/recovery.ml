@@ -3,7 +3,7 @@
 
     The fault model (DESIGN.md §7) splits a site's state in two:
 
-    - {e durable}: the per-site operation log ({!Replica.site}'s [hist]), the
+    - {e durable}: the per-site operation log ({!Replica.site}'s [log]), the
       stable queue journals, and the receipt journal of order-buffered
       MSets ({!Wal});
     - {e volatile}: the materialized store image (a page cache over the

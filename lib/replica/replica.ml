@@ -5,17 +5,19 @@ module Op = Esr_store.Op
 module Store = Esr_store.Store
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
+module Oplog = Esr_core.Oplog
 module Et = Esr_core.Et
 module Squeue = Esr_squeue.Squeue
 module Engine = Esr_sim.Engine
 module Trace = Esr_obs.Trace
 module Prof = Esr_obs.Prof
 
+type log = Oplog.t
+
 type site = {
   site : int;
   mutable store : Store.t;
-  mutable hist : Hist.t;
+  log : log;
   mutable down : bool;
 }
 
@@ -26,7 +28,7 @@ let nothing_dropped = { buffered = 0; queries_failed = 0; updates_rejected = 0 }
 (* The method's hooks, closed over its lazily built state as [deliver]. *)
 type hooks = {
   drop : (site:int -> dropped) option;
-  replay : (site:int -> base:Store.t option -> Hist.t -> Store.t) option;
+  replay : (site:int -> base:Store.t option -> log -> Store.t) option;
   rejoin : (site:int -> unit) option;
   gc : (site:int -> int) option;
   mv : (site:int -> Esr_store.Mvstore.t) option;
@@ -70,14 +72,17 @@ let create ?drop ?replay ?rejoin ?gc ?mv ?wal ?agree (env : Env.env) ~mode
            ~obs:env.Env.obs env.Env.net
            ~handler:(fun ~site ~src:_ m -> receive (Lazy.force sys) ~site m)
        in
-       let store () =
-         Store.create ~size:env.Env.store_hint ~keyspace:env.Env.keyspace ()
-       in
+       let ks = env.Env.keyspace in
        {
          env;
          sites =
            Array.init env.Env.sites (fun site ->
-               { site; store = store (); hist = Hist.empty; down = false });
+               {
+                 site;
+                 store = Store.create ~keyspace:ks ();
+                 log = Oplog.create ks;
+                 down = false;
+               });
          fabric;
          deliver;
          hooks;
@@ -90,7 +95,9 @@ let create ?drop ?replay ?rejoin ?gc ?mv ?wal ?agree (env : Env.env) ~mode
   in
   Lazy.force sys
 
-let log r ~et ~key op = r.hist <- Hist.append r.hist (Et.action ~et ~key op)
+let log r ~et ~key op = Oplog.append_key r.log ~et ~key op
+let log_id r ~et ~id op = Oplog.append r.log ~et ~id op
+let iter_log = Oplog.iter
 let now k = Engine.now k.env.Env.engine
 let trace k = k.env.Env.obs.Esr_obs.Obs.trace
 
@@ -166,10 +173,11 @@ let apply k ~site ~et ~n_ops ~order f a b c =
 let apply_ops r et ops =
   List.iter
     (fun (key, op) ->
-      (match Store.apply_unit r.store key op with
+      let id = Store.intern r.store key in
+      (match Store.apply_id_unit r.store id op with
       | Ok () -> ()
       | Error _ -> invalid_arg "Replica.apply_ops: op failed to apply");
-      log r ~et ~key op)
+      log_id r ~et ~id op)
     ops
 
 let local k ~site m =
@@ -233,7 +241,7 @@ let crash (Any k) ~site =
              buffered = d.buffered;
              queries_failed = d.queries_failed;
              updates_rejected = d.updates_rejected;
-             log = Hist.length r.hist;
+             log = Oplog.length r.log;
            })
   end
 
@@ -252,13 +260,11 @@ let recover (Any k) ~site =
     in
     let rebuild () =
       match k.hooks.replay with
-      | Some f -> f ~site ~base r.hist
-      | None ->
-          Esr_core.Logmerge.apply ?base ~keyspace:env.Env.keyspace
-            ~size:env.Env.store_hint r.hist
+      | Some f -> f ~site ~base r.log
+      | None -> Esr_core.Logmerge.replay ?base ~keyspace:env.Env.keyspace r.log
     in
     r.store <- Prof.span env.Env.obs.Esr_obs.Obs.prof ~site Prof.Replay rebuild;
-    let len = Hist.length r.hist in
+    let len = Oplog.length r.log in
     let trace = trace k in
     if Trace.on trace then
       Trace.emit trace ~time:(now k)
@@ -283,15 +289,14 @@ let cut (Any k as any) ~site =
       let dedup = Squeue.gc_site k.fabric ~site in
       let gc = Option.fold k.hooks.gc ~none:0 ~some:(fun f -> f ~site) in
       let reclaimed = dedup + gc in
-      r.hist <-
-        Checkpoint.cut c ~engine:k.env.Env.engine ~site ?mv:(mvstore any ~site)
-          ~store:r.store ~hist:r.hist ~reclaimed ()
+      Checkpoint.cut c ~engine:k.env.Env.engine ~site ?mv:(mvstore any ~site)
+        ~store:r.store ~log:r.log ~reclaimed ()
   | Some _ | None -> ()
 
 (* --- accessors --- *)
 
 let store (Any k) ~site = k.sites.(site).store
-let history (Any k) ~site = k.sites.(site).hist
+let history (Any k) ~site = Oplog.to_hist k.sites.(site).log
 
 let resources (Any k) ~site =
   let r = k.sites.(site) in
@@ -299,8 +304,8 @@ let resources (Any k) ~site =
     match k.hooks.wal with Some f -> f ~site | None -> (0, 0, 0)
   in
   {
-    Env.log_entries = Hist.length r.hist;
-    log_bytes = Hist.approx_bytes r.hist;
+    Env.log_entries = Oplog.length r.log;
+    log_bytes = Oplog.bytes r.log;
     wal_entries;
     wal_appended;
     wal_high_water;
@@ -310,8 +315,7 @@ let resources (Any k) ~site =
   }
 
 let converged (Any k) =
-  Sharding.converged k.env.Env.sharding ~keyspace:k.env.Env.keyspace
-    ~store:(fun site -> k.sites.(site).store)
+  Sharding.converged k.env.Env.sharding ~store:(fun site -> k.sites.(site).store)
   && Option.fold k.hooks.agree ~none:true ~some:(fun f -> f ())
 
 let stats k rows =

@@ -13,18 +13,25 @@
 
     A {!site} is the site's durable operation log, the store image
     materialized from it, and the up/down flag.  The checkpoint cut relies
-    on the invariant [store = Logmerge.apply hist] between engine events
+    on the invariant [store = Logmerge.replay log] between engine events
     (folded onto the newest snapshot when the run checkpoints).  Both
-    records are [private]: only {!recover} and {!cut} replace the image or
-    the log, the log grows only through {!log}, and the counters move only
-    through {!admit}, {!reject} and {!open_query}.  A method still logs
-    every in-place store mutation before its event returns. *)
+    records are [private]: only {!recover} replaces the image, the log is
+    abstract and grows only through {!log} (a {!cut} empties it), and the
+    counters move only through {!admit}, {!reject} and {!open_query}.  A
+    method still logs every in-place store mutation before its event
+    returns. *)
+
+type log
+(** A site's durable operation log: {!Esr_core.Oplog} columns, one
+    entry per executed action (ET id, key id, shared operation), reused
+    across checkpoint cuts.  {!history} reads it as an
+    {!Esr_core.Hist.t}. *)
 
 type site = private {
   site : int;
   mutable store : Esr_store.Store.t;
-      (** volatile image; methods mutate its cells, never replace it *)
-  mutable hist : Esr_core.Hist.t;  (** the durable log *)
+      (** volatile image; methods mutate its keys, never replace it *)
+  log : log;  (** the durable log *)
   mutable down : bool;
 }
 
@@ -52,7 +59,7 @@ type 'm t = private {
 val create :
   ?drop:('s -> site:int -> dropped) ->
   ?replay:('s -> site:int -> base:Esr_store.Store.t option ->
-           Esr_core.Hist.t -> Esr_store.Store.t) ->
+           log -> Esr_store.Store.t) ->
   ?rejoin:('s -> site:int -> unit) ->
   ?gc:('s -> site:int -> int) ->
   ?mv:('s -> site:int -> Esr_store.Mvstore.t) ->
@@ -65,11 +72,11 @@ val create :
   's
 (** [create env ~mode ~receive make] builds the fabric (registering its
     [squeue] gauges and Net hooks) and one up site per replica, each with
-    an empty log and a store pre-sized from the run's store hint, and
-    returns [make k], the method's state around kernel [k].  Every message
+    an empty log and an empty store, and returns [make k], the method's
+    state around kernel [k].  Every message
     for a site goes to [receive sys ~site msg], [sys] being that state.
     The hooks receive [sys] too, and run only at a {!crash} ([drop]), a
-    {!recover} ([replay], by default {!Esr_core.Logmerge.apply}, then
+    {!recover} ([replay], by default {!Esr_core.Logmerge.replay}, then
     [rejoin]), a {!cut} ([gc], returning how many journal records it
     reclaimed, and [mv], the multi-version store to snapshot), a
     {!resources} probe ([wal], the receipt journal) or a {!converged}
@@ -77,7 +84,16 @@ val create :
     left out does nothing. *)
 
 val log : site -> et:Esr_core.Et.id -> key:string -> Esr_store.Op.t -> unit
-(** Append one executed action (update or read) to the durable log. *)
+(** Append one executed action (update or read) to the durable log.  The
+    log keeps a pointer to [op], so an op shared by an MSet's copies costs
+    each site one word. *)
+
+val log_id : site -> et:Esr_core.Et.id -> id:int -> Esr_store.Op.t -> unit
+(** {!log} by interned key id, for apply paths that carry it. *)
+
+val iter_log : log -> (Esr_core.Et.id -> int -> Esr_store.Op.t -> unit) -> unit
+(** Every entry as [et id op], in append order: what a [replay] hook
+    folds.  Only a read can carry a negative id (a key never interned). *)
 
 val now : 'm t -> float
 
@@ -204,13 +220,14 @@ val recover : any -> site:int -> unit
 val cut : any -> site:int -> unit
 (** Checkpoint cut (see {!Checkpoint.cut}): reclaim the stable-queue dedup
     records behind the delivery watermark, run [gc], then snapshot the
-    image (and [mv]) and truncate the log.  No-op when the run does not
-    checkpoint or the site is down. *)
+    image (and [mv]) and reset the log to empty, keeping its chunks.
+    No-op when the run does not checkpoint or the site is down. *)
 
 (** {1 Accessors} *)
 
 val store : any -> site:int -> Esr_store.Store.t
 val history : any -> site:int -> Esr_core.Hist.t
+(** The site's log since its last cut, built as a fresh history. *)
 
 val mvstore : any -> site:int -> Esr_store.Mvstore.t option
 (** The [mv] hook's store, when the method keeps one. *)

@@ -22,7 +22,6 @@ module Store = Esr_store.Store
 module Mvstore = Esr_store.Mvstore
 module Keyspace = Esr_store.Keyspace
 module Sharding = Esr_store.Sharding
-module Hist = Esr_core.Hist
 module Et = Esr_core.Et
 module Epsilon = Esr_core.Epsilon
 module Gtime = Esr_clock.Gtime
@@ -30,13 +29,12 @@ module Lamport = Esr_clock.Lamport
 module Squeue = Esr_squeue.Squeue
 module Prof = Esr_obs.Prof
 
-(* Writes carry keys pre-interned at the origin: (id, name, value). *)
-type mset = {
-  et : Et.id;
-  stamp : Gtime.t;
-  writes : (int * string * Value.t) list;
-  origin : int;
-}
+(* A write carries its key pre-interned at the origin, and the blind-write
+   op (stamped with the MSet's stamp) that every replica applies and logs:
+   one op per write, shared by all sites' logs. *)
+type write = { id : int; key : string; value : Value.t; op : Op.t }
+
+type mset = { et : Et.id; stamp : Gtime.t; writes : write list; origin : int }
 
 type msg = Update of mset | Watermark of Gtime.t
 
@@ -88,13 +86,8 @@ let apply_ops t site mset =
   note_watermark site ~origin:mset.origin mset.stamp;
   let stamp = mset.stamp in
   List.iter
-    (fun (id, key, value) ->
+    (fun { id; key; value; op } ->
       if Sharding.replicates_id t.k.env.Intf.sharding ~site:site.id ~id then begin
-        let op =
-          match t.mode with
-          | `Single -> Op.Timed_write { ts = stamp; value }
-          | `Multi -> Op.Append { ts = stamp; value }
-        in
         let store = site.replica.store in
         (match t.mode with
         | `Single ->
@@ -110,7 +103,7 @@ let apply_ops t site mset =
             (* Maintain the latest-version view for convergence checks. *)
             if Gtime.compare stamp (Store.get_ts_id store id) > 0 then
               Store.set_with_ts_id store id value stamp);
-        Replica.log site.replica ~et:mset.et ~key op
+        Replica.log_id site.replica ~et:mset.et ~id op
       end)
     mset.writes
 
@@ -118,7 +111,7 @@ let apply_mset t site mset =
   Replica.apply t.k ~site:site.id ~et:mset.et ~n_ops:(List.length mset.writes)
     ~order:(-1) apply_ops t site mset
 
-let write_key (_, key, _) = key
+let write_key w = w.key
 
 let receive t ~site:site_id msg =
   let site = t.sites.(site_id) in
@@ -128,19 +121,16 @@ let receive t ~site:site_id msg =
 
 (* Multi mode's log holds Append ops; replaying them naively is arrival
    order, but the latest-version view is last-writer-wins on the stamp —
-   rebuild both images timestamp-aware.  When the run checkpoints, both
-   images start from copies of the newest snapshot pair and only the log
-   tail folds on top (Append is idempotent and Timed_write is
-   latest-writer-wins, so a tail action already absorbed by the snapshot
-   would be harmless anyway). *)
-let replay_multi t ~site:id ~base hist =
+   rebuild both images timestamp-aware, folding the log's columns.  When
+   the run checkpoints, both images start from copies of the newest
+   snapshot pair and only the log tail folds on top (Append is idempotent
+   and Timed_write is latest-writer-wins, so a tail action already
+   absorbed by the snapshot would be harmless anyway). *)
+let replay_multi t ~site:id ~base log =
   let site = t.sites.(id) in
+  let ks = t.k.env.Intf.keyspace in
   let store =
-    match base with
-    | Some base -> base
-    | None ->
-        Store.create ~size:t.k.env.Intf.store_hint
-          ~keyspace:t.k.env.Intf.keyspace ()
+    match base with Some base -> base | None -> Store.create ~keyspace:ks ()
   in
   let mv =
     match
@@ -152,16 +142,16 @@ let replay_multi t ~site:id ~base hist =
         Mvstore.create ~size:t.k.env.Intf.store_hint
           ~keyspace:t.k.env.Intf.keyspace ()
   in
-  List.iter
-    (fun { Et.key; op; _ } ->
+  Replica.iter_log log (fun _ key_id op ->
       match op with
       | Op.Append { ts; value } ->
-          ignore (Mvstore.append mv key ~ts value);
-          ignore (Store.apply store key (Op.Timed_write { ts; value }))
+          ignore (Mvstore.append mv (Keyspace.name ks key_id) ~ts value);
+          (* Latest-writer-wins, as the live apply does it. *)
+          if Gtime.compare ts (Store.get_ts_id store key_id) > 0 then
+            Store.set_with_ts_id store key_id value ts
       | Op.Read -> ()
       | Op.Write _ | Op.Incr _ | Op.Mult _ | Op.Div _ | Op.Timed_write _ ->
-          invalid_arg "RITU: non-append update in a multi-version log")
-    (Hist.actions hist);
+          invalid_arg "RITU: non-append update in a multi-version log");
   Mvstore.advance_vtnc mv (Mvstore.vtnc site.mv);
   site.mv <- mv;
   store
@@ -243,8 +233,13 @@ let submit_update t ~origin intents k =
     let stamp = Gtime.next site.clock ~site:origin in
     let writes =
       List.map
-        (fun (key, v) ->
-          (Esr_store.Keyspace.intern env.Intf.keyspace key, key, v))
+        (fun (key, value) ->
+          let op =
+            match t.mode with
+            | `Single -> Op.Timed_write { ts = stamp; value }
+            | `Multi -> Op.Append { ts = stamp; value }
+          in
+          { id = Keyspace.intern env.Intf.keyspace key; key; value; op })
         writes
     in
     let mset = { et; stamp; writes; origin } in

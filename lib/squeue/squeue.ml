@@ -189,9 +189,13 @@ let arm_timer t chan ~src ~dst =
     chan.flags <- chan.flags lor armed;
     (* Bounded multiplicative jitter decorrelates channels that entered
        backoff at the same instant; without a policy it is 0, and every
-       wait is exactly the base interval. *)
+       wait is exactly the base interval.  A 0 fraction skips the draw:
+       the stream is the fabric's own and [Prng.float _ 0.0] is 0.0, so
+       nothing else moves, and no float is boxed per arm. *)
+    let jitter = t.backoff.jitter in
     let delay =
-      chan.cur_interval *. (1.0 +. Prng.float t.jitter_prng t.backoff.jitter)
+      if jitter = 0.0 then chan.cur_interval
+      else chan.cur_interval *. (1.0 +. Prng.float t.jitter_prng jitter)
     in
     Engine.post (Net.engine t.net) ~delay t.timer src dst
   end

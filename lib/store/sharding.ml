@@ -117,53 +117,95 @@ let route_site t ~id ~site =
     let reps = t.replicas.(shard_of_id t id) in
     reps.(site mod Array.length reps)
 
-(* A shard's key ids are [shard], [shard + shards], ... (see
-   [shard_of_id]), so both probes below walk one shard at a time and
-   compare each replica's store with the shard's first replica, store by
-   store: a sequential scan per store, as [Store.equal] does, instead of
-   a hop across every replica for each key. *)
-let converged t ~keyspace ~store =
-  let n = Keyspace.size keyspace in
-  let ok = ref true in
-  let shard = ref 0 in
-  while !ok && !shard < t.shards do
-    let reps = t.replicas.(!shard) in
-    let s0 = store reps.(0) in
-    let i = ref 1 in
-    while !ok && !i < Array.length reps do
-      let s = store reps.(!i) in
-      let id = ref !shard in
-      while !ok && !id < n do
-        if not (Value.equal (Store.get_id s0 !id) (Store.get_id s !id)) then
-          ok := false;
-        id := !id + t.shards
-      done;
-      incr i
-    done;
-    incr shard
-  done;
-  !ok
+(* Both probes walk each site's written keys once.  A key's first replica
+   compares its copy with every other replica of the key's shard, and any
+   other replica compares its copy with the first one: a key neither of a
+   pair holds reads zero on both sides, so the keys either holds are all
+   that can differ.  A site holding a key of a shard it does not
+   replicate is not compared on it. *)
+let converged t ~store =
+  let agree site =
+    let s = store site in
+    Store.for_all_present s (fun id v ->
+        let shard = shard_of_id t id in
+        (not (replicates t ~site ~shard))
+        ||
+        let reps = t.replicas.(shard) in
+        if reps.(0) = site then
+          Array.for_all
+            (fun r -> r = site || Value.equal v (Store.get_id (store r) id))
+            reps
+        else Value.equal v (Store.get_id (store reps.(0)) id))
+  in
+  let rec go site = site >= t.sites || (agree site && go (site + 1)) in
+  go 0
 
-let divergent_replicas t ~keyspace ~store =
-  let n_keys = Keyspace.size keyspace in
+let divergent_replicas t ~store =
   let diverged = Array.make t.sites false in
-  for shard = 0 to t.shards - 1 do
-    let reps = t.replicas.(shard) in
-    let s0 = store reps.(0) in
-    for i = 1 to Array.length reps - 1 do
-      let site = reps.(i) in
-      let s = store site in
-      let id = ref shard in
-      while (not diverged.(site)) && !id < n_keys do
-        if not (Value.equal (Store.get_id s0 !id) (Store.get_id s !id)) then
-          diverged.(site) <- true;
-        id := !id + t.shards
-      done
-    done
+  for site = 0 to t.sites - 1 do
+    Store.iter_present (store site) (fun id v ->
+        let shard = shard_of_id t id in
+        if replicates t ~site ~shard then begin
+          let reps = t.replicas.(shard) in
+          if reps.(0) = site then
+            Array.iter
+              (fun r ->
+                if r <> site && not (Value.equal v (Store.get_id (store r) id))
+                then diverged.(r) <- true)
+              reps
+          else if
+            (not diverged.(site))
+            && not (Value.equal v (Store.get_id (store reps.(0)) id))
+          then diverged.(site) <- true
+        end)
   done;
-  let n = ref 0 in
-  Array.iter (fun d -> if d then incr n) diverged;
-  !n
+  Array.fold_left (fun n d -> if d then n + 1 else n) 0 diverged
+
+type spread = { spread_max : float; spread_mean : float; divergent_keys : int }
+
+(* Every key is visited once, from the first site found holding it, and
+   its copies once each: the pairwise maximum of |x - y| over [Int]s is
+   max - min, and a non-[Int] copy is 1 from any copy it differs from,
+   which happens exactly when not all copies are equal. *)
+let spread t ~keyspace ~store =
+  let seen = Bytes.make (Keyspace.size keyspace) '\000' in
+  let n_keys = ref 0 and divergent = ref 0 in
+  let s_max = ref 0.0 and s_sum = ref 0.0 in
+  let visit id _ =
+    if Bytes.get seen id = '\000' then begin
+      Bytes.set seen id '\001';
+      incr n_keys;
+      let reps = t.replicas.(shard_of_id t id) in
+      let first = Store.get_id (store reps.(0)) id in
+      let lo = ref max_int and hi = ref min_int in
+      let all_equal = ref true and other = ref false in
+      Array.iter
+        (fun site ->
+          let v = Store.get_id (store site) id in
+          (match v with
+          | Value.Int x ->
+              if x < !lo then lo := x;
+              if x > !hi then hi := x
+          | Value.Str _ -> other := true);
+          if not (Value.equal v first) then all_equal := false)
+        reps;
+      let ints = if !lo <= !hi then float_of_int (!hi - !lo) else 0.0 in
+      let spread =
+        if !other && not !all_equal then Float.max ints 1.0 else ints
+      in
+      if spread > 0.0 then incr divergent;
+      s_max := Float.max !s_max spread;
+      s_sum := !s_sum +. spread
+    end
+  in
+  for site = 0 to t.sites - 1 do
+    Store.iter_present (store site) visit
+  done;
+  {
+    spread_max = !s_max;
+    spread_mean = (if !n_keys = 0 then 0.0 else !s_sum /. float_of_int !n_keys);
+    divergent_keys = !divergent;
+  }
 
 module Dests = struct
   type sharding = t

@@ -61,17 +61,34 @@ val route_site : t -> id:int -> site:int -> int
     the all-sites map.  Used to re-home queries onto an interested
     replica without consuming randomness. *)
 
-val converged : t -> keyspace:Keyspace.t -> store:(int -> Store.t) -> bool
-(** Shard-aware replica equality: for every interned key, all sites
-    replicating its shard hold the same value (absent reads
-    {!Value.zero}).  Under the all-sites map this is {!Store.equal}
-    across all sites. *)
+val converged : t -> store:(int -> Store.t) -> bool
+(** Shard-aware replica equality: for every key, all sites replicating
+    its shard hold the same value (absent reads {!Value.zero}).  Under
+    the all-sites map this is {!Store.equal} across all sites.  Each
+    replica is compared with its shard's first replica over the keys
+    either of the two holds, so the cost follows the keys written, not
+    the keyspace. *)
 
-val divergent_replicas : t -> keyspace:Keyspace.t -> store:(int -> Store.t) -> int
+val divergent_replicas : t -> store:(int -> Store.t) -> int
 (** Number of sites holding, for some key they replicate, a value that
     differs from the lowest-numbered replica of that key's shard.  Under
     the all-sites map that is the number of sites differing from
-    site 0. *)
+    site 0.  Walks the keys each store holds, as {!converged} does. *)
+
+type spread = {
+  spread_max : float;  (** the largest key spread *)
+  spread_mean : float;  (** mean spread over the keys some site holds *)
+  divergent_keys : int;  (** keys whose spread is above 0 *)
+}
+
+val spread : t -> keyspace:Keyspace.t -> store:(int -> Store.t) -> spread
+(** Per-key replica spread over every key some site holds: the largest
+    pairwise distance between the copies at the sites replicating the
+    key's shard, where two [Int]s are [|x - y|] apart and any other pair
+    is 0 apart when equal and 1 apart otherwise (absent reads
+    {!Value.zero}).  One pass over each key's copies: the distance is
+    max - min over the [Int] copies, raised to 1 when a non-[Int] copy
+    differs from another copy.  All zeros when no site holds a key. *)
 
 (** Zero-allocation destination-set cursor: accumulates the union of the
     replica sets of an MSet's shards, using epoch-stamped scratch arrays

@@ -11,7 +11,8 @@ module Dist = Esr_util.Dist
 module Store = Esr_store.Store
 module Mvstore = Esr_store.Mvstore
 module Value = Esr_store.Value
-module Hist = Esr_core.Hist
+module Oplog = Esr_core.Oplog
+module Op = Esr_store.Op
 module Squeue = Esr_squeue.Squeue
 module Metrics = Esr_obs.Metrics
 module Obs = Esr_obs.Obs
@@ -54,9 +55,11 @@ let test_cut_mechanics () =
   checkb "no base before the first cut" true (Checkpoint.base c ~site:0 = None);
   let store = Store.create () in
   Store.set store "a" (Value.Int 1);
-  let hist = Hist.of_string "W1(a) W2(a)" in
-  let tail = Checkpoint.cut c ~engine ~site:0 ~store ~hist ~reclaimed:3 () in
-  checki "returned tail is empty" 0 (Hist.length tail);
+  let log = Oplog.create (Store.keyspace store) in
+  Oplog.append_key log ~et:1 ~key:"a" (Op.Write (Value.Int 0));
+  Oplog.append_key log ~et:2 ~key:"a" (Op.Write (Value.Int 1));
+  Checkpoint.cut c ~engine ~site:0 ~store ~log ~reclaimed:3 ();
+  checki "the site's log is empty after the cut" 0 (Oplog.length log);
   checki "one cut" 1 (Checkpoint.cuts c ~site:0);
   checki "folded both log entries" 2 (Checkpoint.truncated_log c ~site:0);
   checki "accounted the reclaimed journal records" 3
@@ -84,10 +87,12 @@ let test_retention_and_tail_stats () =
   let engine = Engine.create () in
   let c = Checkpoint.create ~sites:1 { Checkpoint.interval = 10.0; retain = 2 } in
   let store = Store.create () in
-  let hist = Hist.of_string "W1(a)" in
+  let log = Oplog.create (Store.keyspace store) in
   for i = 1 to 3 do
     Store.set store "a" (Value.Int i);
-    ignore (Checkpoint.cut c ~engine ~site:0 ~store ~hist ~reclaimed:0 ())
+    Oplog.append_key log ~et:i ~key:"a" (Op.Write (Value.Int i));
+    Checkpoint.cut c ~engine ~site:0 ~store ~log ~reclaimed:0 ();
+    checki "the site's log is empty after the cut" 0 (Oplog.length log)
   done;
   checki "3 cuts" 3 (Checkpoint.cuts c ~site:0);
   checki "retention trims to 2" 2 (Checkpoint.retained c ~site:0);

@@ -305,24 +305,21 @@ let test_res_gauges_one_probe () =
     "res gauges = one resources per site" expected res
 
 (* A fresh system holds state only where it will do work: beyond its
-   store images and keyspace, which [store_hint] sizes, a 64-site harness
-   of any method takes under 1,000 words a site (no table is sized to
-   the keyspace, no stable-queue channel exists before its first send). *)
+   keyspace, which [store_hint] sizes, a 64-site harness of any method
+   takes under 1,000 words a site (no table, store images included, is
+   sized to the keyspace; no stable-queue channel exists before its first
+   send). *)
 let test_fresh_footprint () =
   let sites = 64 in
   List.iter
     (fun method_name ->
       let h = Harness.create ~store_hint:20_000 ~sites ~method_name () in
-      let kernel = Harness.system h in
-      let sized =
-        ( Array.init sites (fun site -> Replica.store kernel ~site),
-          (Harness.env h).Intf.keyspace )
-      in
       let words =
-        Obj.reachable_words (Obj.repr h) - Obj.reachable_words (Obj.repr sized)
+        Obj.reachable_words (Obj.repr h)
+        - Obj.reachable_words (Obj.repr (Harness.env h).Intf.keyspace)
       in
       checkb
-        (Printf.sprintf "%s: %d words beyond stores and keyspace < 64,000"
+        (Printf.sprintf "%s: %d words beyond the keyspace < 64,000"
            method_name words)
         true (words < 64_000))
     all_methods

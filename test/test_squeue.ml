@@ -385,8 +385,8 @@ let test_round_trip_allocation mode () =
   let per_msg = (Gc.minor_words () -. w0) /. float_of_int (batches * 12) in
   checki "all delivered" ((100 + batches) * 12) !got;
   checki "all acked" 0 (Squeue.pending q);
-  checkb (Printf.sprintf "%.1f minor words per message <= 48" per_msg) true
-    (per_msg <= 48.0)
+  checkb (Printf.sprintf "%.1f minor words per message <= 27" per_msg) true
+    (per_msg <= 27.0)
 
 (* A fabric's state follows its traffic: a fresh 200-site fabric adds one
    empty slot per ordered site pair to its engine and network (a record
