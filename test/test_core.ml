@@ -57,9 +57,11 @@ let test_filter_ets () =
 
 let test_append_order () =
   let h =
-    Hist.append
-      (Hist.append Hist.empty (Et.action ~et:1 ~key:"x" Op.Read))
-      (Et.action ~et:1 ~key:"y" (Op.Write Value.zero))
+    Hist.of_actions
+      [
+        Et.action ~et:1 ~key:"x" Op.Read;
+        Et.action ~et:1 ~key:"y" (Op.Write Value.zero);
+      ]
   in
   Alcotest.(check string) "order kept" "R1(x) W1(y)" (Hist.to_string h)
 
