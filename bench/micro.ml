@@ -91,10 +91,10 @@ let test_heap =
   Test.make ~name:"heap/push+drop_min x1000 (warm)"
     (Staged.stage (fun () ->
          for i = 0 to 999 do
-           Heap.push h ~time:(float_of_int (i mod 97)) ~seq:i ~key:i i
+           Heap.push h ~time:(float_of_int (i mod 97)) ~seq:i ~key:i
          done;
          while not (Heap.is_empty h) do
-           ignore (Heap.min_payload h);
+           ignore (Heap.min_key h);
            Heap.drop_min h
          done))
 
@@ -352,10 +352,10 @@ let bytes_report () =
    row "heap/push+drop_min"
      (bytes_per_op (fun () ->
           for i = 0 to 63 do
-            Heap.push h ~time:(float_of_int i) ~seq:i ~key:i i
+            Heap.push h ~time:(float_of_int i) ~seq:i ~key:i
           done;
           while not (Heap.is_empty h) do
-            ignore (Heap.min_payload h);
+            ignore (Heap.min_key h);
             Heap.drop_min h
           done))
      128);

@@ -60,13 +60,17 @@ let append t ~et ~id op =
 
 let append_key t ~et ~key op =
   let id = Keyspace.find t.ks key in
-  if id >= 0 then append t ~et ~id op
-  else begin
-    if t.n_strays = Array.length t.strays then t.strays <- widen t.strays "";
-    t.strays.(t.n_strays) <- key;
-    t.n_strays <- t.n_strays + 1;
-    append t ~et ~id:(-t.n_strays) op
-  end
+  let id =
+    if id >= 0 then id
+    else begin
+      if t.n_strays = Array.length t.strays then t.strays <- widen t.strays "";
+      t.strays.(t.n_strays) <- key;
+      t.n_strays <- t.n_strays + 1;
+      -t.n_strays
+    end
+  in
+  append t ~et ~id op;
+  id
 
 let length t = t.len
 

@@ -21,10 +21,11 @@ val create : Esr_store.Keyspace.t -> t
 val append : t -> et:Et.id -> id:int -> Esr_store.Op.t -> unit
 (** Append one executed action on the key with interned id [id] (>= 0). *)
 
-val append_key : t -> et:Et.id -> key:string -> Esr_store.Op.t -> unit
-(** {!append} by name.  A key the keyspace has never interned (a read of
-    a key no site has written yet) is kept by name and carries a negative
-    id, so logging never assigns ids. *)
+val append_key : t -> et:Et.id -> key:string -> Esr_store.Op.t -> int
+(** {!append} by name; returns the id the entry carries.  A key the
+    keyspace has never interned (a read of a key no site has written yet)
+    is kept by name and carries a negative id, so logging never assigns
+    ids. *)
 
 val length : t -> int
 (** Entries since creation or the last {!clear}.  O(1). *)

@@ -153,12 +153,18 @@ let wake_queries site =
 
 let entry_keys entry = List.map fst entry.e_ops
 
-let apply_entry_ops site entry =
+(* Interns each key once, for the store and, with [~log:true], for the
+   site's log, which then records every op under the entry's ET. *)
+let apply_entry_ops ?(log = false) site entry =
+  let store = site.replica.store in
   let undos =
     List.fold_left
       (fun acc (key, op) ->
-        match Store.apply site.replica.store key op with
-        | Ok undo -> undo :: acc
+        let id = Store.intern store key in
+        match Store.apply_id store id op with
+        | Ok undo ->
+            if log then Replica.log_id site.replica ~et:entry.e_et ~id op;
+            undo :: acc
         | Error _ -> invalid_arg "COMPE: op failed to apply")
       [] entry.e_ops
   in
@@ -207,11 +213,8 @@ let compensate_fast t site aborted =
       e_decided = true;
     }
   in
-  apply_entry_ops site entry;
-  site.log <- entry :: site.log;
-  List.iter
-    (fun (key, inv) -> Replica.log site.replica ~et:comp_et ~key inv)
-    inverse_ops
+  apply_entry_ops ~log:true site entry;
+  site.log <- entry :: site.log
 
 let compensate_full t site aborted later =
   t.n_full <- t.n_full + 1;
@@ -230,10 +233,11 @@ let compensate_full t site aborted later =
     (List.rev later);
   (* Log the repair as a compensation ET writing the restored values. *)
   let comp_et = t.k.env.Intf.next_et () in
+  let store = site.replica.store in
   List.iter
     (fun key ->
-      Replica.log site.replica ~et:comp_et ~key
-        (Op.Write (Store.get site.replica.store key)))
+      let id = Store.intern store key in
+      Replica.log_id site.replica ~et:comp_et ~id (Op.Write (Store.get_id store id)))
     (List.sort_uniq String.compare (entry_keys aborted))
 
 (* The compensation of [et] contaminates exactly the queries that read a
@@ -363,12 +367,8 @@ and remove_first key = function
   | head :: rest -> if String.equal head key then rest else head :: remove_first key rest
 
 let execute_entry t site entry =
-  apply_entry_ops site entry;
-  List.iter
-    (fun (key, op) ->
-      ignore (Lock_counter.incr site.counters key);
-      Replica.log site.replica ~et:entry.e_et ~key op)
-    entry.e_ops;
+  apply_entry_ops ~log:true site entry;
+  List.iter (fun (key, _) -> ignore (Lock_counter.incr site.counters key)) entry.e_ops;
   site.log <- entry :: site.log;
   (* A commit decision that overtook the MSet takes effect now. *)
   match Hashtbl.find_opt site.early entry.e_et with

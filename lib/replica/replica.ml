@@ -95,7 +95,7 @@ let create ?drop ?replay ?rejoin ?gc ?mv ?wal ?agree (env : Env.env) ~mode
   in
   Lazy.force sys
 
-let log r ~et ~key op = Oplog.append_key r.log ~et ~key op
+let log r ~et ~key op = ignore (Oplog.append_key r.log ~et ~key op)
 let log_id r ~et ~id op = Oplog.append r.log ~et ~id op
 let iter_log = Oplog.iter
 let now k = Engine.now k.env.Env.engine
@@ -204,10 +204,12 @@ let image k ~site keys =
   let store = k.sites.(site).store in
   List.map (fun key -> (key, Store.get store key)) keys
 
+(* One lookup serves the log and the store: a key no site has written
+   is logged by name under a negative id, which the store reads as
+   zero. *)
 let read k ~site ~et key =
   let r = k.sites.(site) in
-  log r ~et ~key Op.Read;
-  Store.get r.store key
+  Store.get_id r.store (Oplog.append_key r.log ~et ~key Op.Read)
 
 let read_all k ~site ~et keys =
   List.map (fun key -> (key, read k ~site ~et key)) keys

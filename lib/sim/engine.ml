@@ -1,12 +1,19 @@
 module Prof = Esr_obs.Prof
 
 (* An event is a heap entry: (time, seq) orders it, the key says what it
-   does.  Key -1 marks a closure event, whose payload is its body.  Any
-   other key is a port event, packed as port id (8 bits) | a (24 bits) |
-   b (30 bits); its payload is the shared [noop], so posting one stores
-   no pointer to a fresh block in the heap's payload column. *)
+   does.  A negative key is a closure event: [lnot key] is the slot of
+   [bodies] that holds its body.  Any other key is a port event, packed
+   as port id (8 bits) | a (24 bits) | b (30 bits).  The heap holds only
+   scalars, so sifting an event moves no pointer. *)
 type t = {
-  heap : (unit -> unit) Heap.t;
+  heap : Heap.t;
+  hint : int;
+  mutable bodies : (unit -> unit) array;
+      (* closure bodies by slot; a free slot holds [noop], so a fired
+         body and what it captures are released *)
+  mutable free : int array;  (* stack of freed slots, [n_free] deep *)
+  mutable n_free : int;
+  mutable n_slots : int;  (* slots handed out so far, free or not *)
   mutable clock : float;
       (* boxed on purpose: [now] then returns the stored box, so a caller
          in another module never allocates to read the clock *)
@@ -29,12 +36,16 @@ type port = int
 let max_ports = 1 lsl 8
 let a_bits = 24
 let b_bits = 30
-let closure_key = -1
 let noop () = ()
 
 let create ?(hint = 64) () =
   {
     heap = Heap.create ~hint ();
+    hint;
+    bodies = [||];
+    free = [||];
+    n_free = 0;
+    n_slots = 0;
     clock = 0.0;
     next_seq = 0;
     live = 0;
@@ -49,12 +60,48 @@ let set_prof t prof = t.prof <- prof
 
 let now t = t.clock
 
-let push t ~time ~key body =
+let push t ~time ~key =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Heap.push t.heap ~time ~seq ~key body;
+  Heap.push t.heap ~time ~seq ~key;
   t.live <- t.live + 1;
   seq
+
+(* The table is allocated at the first closure event, sized like the
+   heap's columns, and doubles when full.  A slot is taken from the free
+   stack first. *)
+let grow_bodies t =
+  let n = Array.length t.bodies in
+  let bodies = Array.make (if n = 0 then Stdlib.max t.hint 16 else 2 * n) noop in
+  Array.blit t.bodies 0 bodies 0 n;
+  t.bodies <- bodies
+
+let schedule_closure t ~time body =
+  let slot =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      Array.unsafe_get t.free t.n_free
+    end
+    else begin
+      if t.n_slots = Array.length t.bodies then grow_bodies t;
+      let slot = t.n_slots in
+      t.n_slots <- slot + 1;
+      slot
+    end
+  in
+  t.bodies.(slot) <- body;
+  push t ~time ~key:(lnot slot)
+
+(* Empty a slot whose entry has left the heap and stack it for reuse. *)
+let release t slot =
+  Array.unsafe_set t.bodies slot noop;
+  if t.n_free = Array.length t.free then begin
+    let free = Array.make (Stdlib.max 16 (2 * t.n_free)) 0 in
+    Array.blit t.free 0 free 0 t.n_free;
+    t.free <- free
+  end;
+  Array.unsafe_set t.free t.n_free slot;
+  t.n_free <- t.n_free + 1
 
 (* The guards are written [not (x >= y)] so that a NaN time or delay is
    refused: every comparison with NaN is false. *)
@@ -63,11 +110,11 @@ let schedule_at t ~time body =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
          t.clock);
-  push t ~time ~key:closure_key body
+  schedule_closure t ~time body
 
 let schedule t ~delay body =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
-  push t ~time:(t.clock +. delay) ~key:closure_key body
+  schedule_closure t ~time:(t.clock +. delay) body
 
 let port t handler =
   let id = Array.length t.ports in
@@ -84,13 +131,14 @@ let post t ~delay port a b =
          a b a_bits b_bits);
   ignore
     (push t ~time:(t.clock +. delay)
-       ~key:((port lsl (a_bits + b_bits)) lor (a lsl b_bits) lor b)
-       noop)
+       ~key:((port lsl (a_bits + b_bits)) lor (a lsl b_bits) lor b))
 
 (* Cancelled events stay in the heap and are skipped when they surface.
    Only a seq still in the heap and not yet cancelled is pending, so
-   cancelling a fired or already-cancelled event is a no-op.  Nothing in
-   the simulator cancels, so the scan is off every hot path. *)
+   cancelling a fired or already-cancelled event is a no-op.  A cancelled
+   closure keeps its slot until its entry surfaces: the entry's key names
+   the slot until then.  Nothing in the simulator cancels, so the scan is
+   off every hot path. *)
 let cancel t seq =
   if (not (Hashtbl.mem t.tombstones seq)) && Heap.mem_seq t.heap seq then begin
     Hashtbl.replace t.tombstones seq ();
@@ -98,14 +146,21 @@ let cancel t seq =
     t.cancelled <- t.cancelled + 1
   end
 
-let fire t key body =
-  if key = closure_key then body ()
+(* A closure's slot is emptied before its body runs, which may schedule
+   closures of its own. *)
+let fire t key =
+  if key < 0 then begin
+    let slot = lnot key in
+    let body = Array.unsafe_get t.bodies slot in
+    release t slot;
+    body ()
+  end
   else
     (Array.unsafe_get t.ports (key lsr (a_bits + b_bits)))
       ((key lsr b_bits) land ((1 lsl a_bits) - 1))
       (key land ((1 lsl b_bits) - 1))
 
-let execute t time key body =
+let execute t time key =
   t.clock <- time;
   t.live <- t.live - 1;
   t.executed <- t.executed + 1;
@@ -114,10 +169,10 @@ let execute t time key body =
   if Prof.on t.prof then begin
     let t0 = Prof.start t.prof in
     let a0 = Prof.alloc0 t.prof in
-    fire t key body;
+    fire t key;
     Prof.record t.prof Prof.Engine_dispatch ~t0 ~a0
   end
-  else fire t key body
+  else fire t key
 
 (* Whether the heap minimum was cancelled; forgets its tombstone if so. *)
 let tombstoned t =
@@ -130,13 +185,15 @@ let tombstoned t =
      end
 
 (* Remove the heap minimum, due at [time], and execute it unless it was
-   cancelled; true when it ran.  The minimum is read in place, so a warm
-   event loop allocates nothing per event beyond the clock's box. *)
+   cancelled (a cancelled closure's slot is released then); true when it
+   ran.  The minimum is read in place, so a warm event loop allocates
+   nothing per event beyond the clock's box. *)
 let pop_execute t time =
-  let key = Heap.min_key t.heap and body = Heap.min_payload t.heap in
+  let key = Heap.min_key t.heap in
   let skip = tombstoned t in
   Heap.drop_min t.heap;
-  if not skip then execute t time key body;
+  if not skip then execute t time key
+  else if key < 0 then release t (lnot key);
   not skip
 
 let rec step t =

@@ -23,8 +23,9 @@ type port
 (** A handler registered with {!port}. *)
 
 val create : ?hint:int -> unit -> t
-(** [hint] pre-sizes the event heap (default 64); workload drivers that
-    know their arrival volume pass it to skip the growth cascade. *)
+(** [hint] sizes the event heap's columns and, at the first closure
+    event, the table of closure bodies (default 64); workload drivers
+    that know their arrival volume pass it to skip the growth cascade. *)
 
 val set_prof : t -> Esr_obs.Prof.t -> unit
 (** Install a host-time profiler: every dispatched event body is then

@@ -155,7 +155,10 @@ let rec hand_up_run t chan ~src ~dst seq payload =
 
 let deliver t ~dst ~src seq =
   let chan = chan t ~src ~dst in
-  if seq < chan.mark || Hashtbl.mem chan.early seq then note_dup t ~src ~dst seq
+  if
+    seq < chan.mark
+    || (Hashtbl.length chan.early > 0 && Hashtbl.mem chan.early seq)
+  then note_dup t ~src ~dst seq
   else begin
     let payload = journal_payload chan ~src ~dst seq in
     match t.mode with
@@ -239,10 +242,12 @@ let reopen t chan ~src ~dst ~stale =
   chan.cur_interval <- t.retry_interval;
   resend t chan ~src ~dst ~stale ~probe:false
 
+(* One hash per ack: the journal shrinks only when [seq] was in it. *)
 let on_ack t ~src ~dst seq =
   let chan = chan t ~src ~dst in
-  if Hashtbl.mem chan.unacked seq then begin
-    Hashtbl.remove chan.unacked seq;
+  let outstanding = Hashtbl.length chan.unacked in
+  Hashtbl.remove chan.unacked seq;
+  if Hashtbl.length chan.unacked < outstanding then begin
     t.n_acks <- t.n_acks + 1;
     t.n_pending <- t.n_pending - 1;
     chan.flags <- chan.flags lor heard;

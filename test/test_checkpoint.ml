@@ -56,8 +56,8 @@ let test_cut_mechanics () =
   let store = Store.create () in
   Store.set store "a" (Value.Int 1);
   let log = Oplog.create (Store.keyspace store) in
-  Oplog.append_key log ~et:1 ~key:"a" (Op.Write (Value.Int 0));
-  Oplog.append_key log ~et:2 ~key:"a" (Op.Write (Value.Int 1));
+  ignore (Oplog.append_key log ~et:1 ~key:"a" (Op.Write (Value.Int 0)));
+  ignore (Oplog.append_key log ~et:2 ~key:"a" (Op.Write (Value.Int 1)));
   Checkpoint.cut c ~engine ~site:0 ~store ~log ~reclaimed:3 ();
   checki "the site's log is empty after the cut" 0 (Oplog.length log);
   checki "one cut" 1 (Checkpoint.cuts c ~site:0);
@@ -90,7 +90,7 @@ let test_retention_and_tail_stats () =
   let log = Oplog.create (Store.keyspace store) in
   for i = 1 to 3 do
     Store.set store "a" (Value.Int i);
-    Oplog.append_key log ~et:i ~key:"a" (Op.Write (Value.Int i));
+    ignore (Oplog.append_key log ~et:i ~key:"a" (Op.Write (Value.Int i)));
     Checkpoint.cut c ~engine ~site:0 ~store ~log ~reclaimed:0 ();
     checki "the site's log is empty after the cut" 0 (Oplog.length log)
   done;

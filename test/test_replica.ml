@@ -1022,6 +1022,30 @@ let test_log_append_words () =
     (Printf.sprintf "%.3f words per append after a cut <= 0.01" reused)
     true (reused <= 0.01)
 
+(* A logged read looks its key up once, for the log and the store: a key
+   a site wrote reads its value there and zero at a site that did not,
+   and a key no site has written reads zero, is logged by name and is not
+   interned. *)
+let test_log_read () =
+  let h = mk ~sites:2 "ORDUP" in
+  let (Replica.Any k) = Harness.system h in
+  let store = Harness.store h ~site:0 in
+  Store.set store "w" (Value.int 7);
+  let read site et key = Value.to_string (Replica.read k ~site ~et key) in
+  Alcotest.(check string) "written here" "7" (read 0 1 "w");
+  Alcotest.(check string) "written elsewhere" "0" (read 1 2 "w");
+  Alcotest.(check string) "written nowhere" "0" (read 0 3 "never");
+  checkb "a read interns nothing" false
+    (Esr_store.Keyspace.mem (Store.keyspace store) "never");
+  let logged site =
+    List.map
+      (fun a -> (a.Esr_core.Et.et, a.Esr_core.Et.key, a.Esr_core.Et.op = Op.Read))
+      (Esr_core.Hist.actions (Harness.history h ~site))
+  in
+  checkb "site 0 logs both reads by name" true
+    (logged 0 = [ (1, "w", true); (3, "never", true) ]);
+  checkb "site 1 logs its read" true (logged 1 = [ (2, "w", true) ])
+
 let () =
   Alcotest.run "esr_replica"
     [
@@ -1131,6 +1155,7 @@ let () =
         [
           Alcotest.test_case "an append costs its three column words" `Quick
             test_log_append_words;
+          Alcotest.test_case "a read finds its key once" `Quick test_log_read;
         ] );
       ( "converge",
         [
