@@ -11,7 +11,6 @@
 open Cmdliner
 module Stats = Esr_util.Stats
 module Tablefmt = Esr_util.Tablefmt
-module Json = Esr_util.Json
 module Obs = Esr_obs.Obs
 module Prof = Esr_obs.Prof
 module Trace = Esr_obs.Trace
@@ -406,62 +405,16 @@ let with_out file f =
   let oc = open_out file in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
-(* Registry snapshot as a self-describing JSON document (the .json branch
-   of --metrics; the default branch is the OpenMetrics exposition). *)
-let write_metrics_json oc entries =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"esr-metrics/1\",\"metrics\":[\n";
-  List.iteri
-    (fun i (e : Metrics.entry) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "{\"group\":\"";
-      Json.buf_add_escaped b e.group;
-      Buffer.add_string b "\",\"name\":\"";
-      Json.buf_add_escaped b e.name;
-      Buffer.add_char b '"';
-      (match e.site with
-      | Some s -> Buffer.add_string b (Printf.sprintf ",\"site\":%d" s)
-      | None -> ());
-      (match e.view with
-      | Metrics.Counter_v v ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"kind\":\"counter\",\"value\":%s" (Json.float_repr v))
-      | Metrics.Gauge_v v ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"kind\":\"gauge\",\"value\":%s" (Json.float_repr v))
-      | Metrics.Histogram_v { limits; counts; sum; count } ->
-          Buffer.add_string b ",\"kind\":\"histogram\",\"limits\":[";
-          Array.iteri
-            (fun j l ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Json.float_repr l))
-            limits;
-          Buffer.add_string b "],\"counts\":[";
-          Array.iteri
-            (fun j c ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (string_of_int c))
-            counts;
-          Buffer.add_string b
-            (Printf.sprintf "],\"sum\":%s,\"count\":%d,\"p50\":%s,\"p99\":%s"
-               (Json.float_repr sum) count
-               (Json.float_repr (Metrics.view_percentile e.view 50.0))
-               (Json.float_repr (Metrics.view_percentile e.view 99.0))));
-      Buffer.add_char b '}')
-    entries;
-  Buffer.add_string b "\n]}\n";
-  output_string oc (Buffer.contents b)
-
 let export_metrics ~file metrics =
   let entries = Metrics.snapshot metrics in
   with_out file (fun oc ->
-      if Filename.check_suffix file ".json" then write_metrics_json oc entries
+      if Filename.check_suffix file ".json" then Metrics.write_json oc entries
       else Openmetrics.write_snapshot oc entries)
 
 let export_series ~file series =
   with_out file (fun oc ->
       if Filename.check_suffix file ".csv" then Series.write_csv oc series
-      else Series.write_json oc series)
+      else Series.write_json oc (Series.dump series))
 
 let audit_flag_arg =
   Arg.(
@@ -605,7 +558,7 @@ let run_cmd =
     | None -> ());
     (match prof_file with
     | Some file ->
-        with_out file (fun oc -> Prof.write_json oc obs.Obs.prof);
+        with_out file (fun oc -> Prof.write_json oc (Prof.dump obs.Obs.prof));
         Printf.printf "profile: %d spans -> %s\n"
           (Prof.span_count obs.Obs.prof) file
     | None -> ());
@@ -845,23 +798,37 @@ let read_file file =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Parse a JSONL trace dump back into records.  Unparseable lines are
-   counted and reported rather than silently skipped. *)
-let read_trace_jsonl file =
+   skipped but not silently: [cmd] names the first one's error, and ends
+   the command when no line parsed. *)
+let read_trace_jsonl ~cmd file =
   let ic = open_in_file file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let records = ref [] and bad = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Trace.record_of_json line with
-             | Ok r -> records := r :: !records
-             | Error _ -> incr bad
-         done
-       with End_of_file -> ());
-      (List.rev !records, !bad))
+  let records, bad, first =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let records = ref [] and bad = ref 0 and first = ref "" and n = ref 0 in
+        (try
+           while true do
+             let line = input_line ic in
+             incr n;
+             if String.trim line <> "" then
+               match Trace.record_of_json line with
+               | Ok r -> records := r :: !records
+               | Error m ->
+                   if !bad = 0 then first := Printf.sprintf "line %d: %s" !n m;
+                   incr bad
+           done
+         with End_of_file -> ());
+        (List.rev !records, !bad, !first))
+  in
+  if records = [] then begin
+    Printf.eprintf "%s: no parseable trace records in %s%s\n" cmd file
+      (if bad > 0 then " (" ^ first ^ ")" else "");
+    exit 1
+  end;
+  if bad > 0 then
+    Printf.eprintf "warning: %d unparseable trace lines skipped (%s)\n" bad first;
+  records
 
 (* --- audit --- *)
 
@@ -919,13 +886,7 @@ let audit_cmd =
     in
     (match trace_in with
     | Some file ->
-        let records, bad = read_trace_jsonl file in
-        if records = [] then begin
-          Printf.eprintf "audit: no parseable trace records in %s\n" file;
-          exit 1
-        end;
-        if bad > 0 then
-          Printf.eprintf "warning: %d unparseable trace lines skipped\n" bad;
+        let records = read_trace_jsonl ~cmd:"audit" file in
         let label =
           match label with
           | Some l -> l
@@ -1090,13 +1051,7 @@ let report_cmd =
   in
   let run trace_file series_file profile_file label html_file chrome_file
       audit_file =
-    let records, bad = read_trace_jsonl trace_file in
-    if records = [] then begin
-      Printf.eprintf "report: no parseable trace records in %s\n" trace_file;
-      exit 1
-    end;
-    if bad > 0 then
-      Printf.eprintf "warning: %d unparseable trace lines skipped\n" bad;
+    let records = read_trace_jsonl ~cmd:"report" trace_file in
     let series =
       match series_file with
       | None -> None

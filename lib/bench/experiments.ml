@@ -1111,12 +1111,13 @@ let e16_soak () =
                  (String.lowercase_ascii
                     (String.map (function '/' -> '_' | c -> c) name)))
           in
-          out (base ^ ".series.json") (fun oc -> Series.write_json oc series);
+          out (base ^ ".series.json") (fun oc ->
+              Series.write_json oc (Series.dump series));
           out (base ^ ".om") (fun oc ->
               Openmetrics.write_snapshot oc (Metrics.snapshot obs.Obs.metrics));
           if Prof.on obs.Obs.prof then
             out (base ^ ".profile.json") (fun oc ->
-                Prof.write_json oc obs.Obs.prof);
+                Prof.write_json oc (Prof.dump obs.Obs.prof));
           let records = ref [] in
           Trace.iter obs.Obs.trace (fun r -> records := r :: !records);
           let input =

@@ -9,8 +9,6 @@ let mode_to_string = function
   | W_u -> "WU"
   | R_q -> "RQ"
 
-let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
-
 type verdict = Compatible | Conflict | If_commutes
 
 let verdict_to_string = function

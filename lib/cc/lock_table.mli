@@ -16,7 +16,6 @@ type mode =
   | R_q  (** read lock held by a query ET *)
 
 val mode_to_string : mode -> string
-val pp_mode : Format.formatter -> mode -> unit
 
 type verdict =
   | Compatible  (** "OK" in the paper's tables *)

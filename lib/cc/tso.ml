@@ -35,6 +35,3 @@ type query_read = In_order | Out_of_order
 let check_query_read t ~key ~ts =
   let s = stamps t key in
   if ts < s.write then Out_of_order else In_order
-
-let read_ts t ~key = (stamps t key).read
-let write_ts t ~key = (stamps t key).write

@@ -32,6 +32,3 @@ type query_read = In_order | Out_of_order
 
 val check_query_read : t -> key:string -> ts:int -> query_read
 (** Never mutates scheduler state: query ETs do not constrain updates. *)
-
-val read_ts : t -> key:string -> int
-val write_ts : t -> key:string -> int

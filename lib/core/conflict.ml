@@ -31,6 +31,3 @@ let edges ?(mode = Classic) hist =
     done
   done;
   List.rev !acc
-
-let pp_edge ppf e =
-  Format.fprintf ppf "ET%d@%d -> ET%d@%d" e.from_et e.pos_from e.to_et e.pos_to

@@ -22,5 +22,3 @@ type edge = { from_et : Et.id; to_et : Et.id; pos_from : int; pos_to : int }
 val edges : ?mode:mode -> Hist.t -> edge list
 (** All conflict dependencies of a history, in position order.
     [mode] defaults to [Classic]. *)
-
-val pp_edge : Format.formatter -> edge -> unit

@@ -1,7 +1,6 @@
 type kind = Query | Update
 
 let kind_to_string = function Query -> "query" | Update -> "update"
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
 
 type id = int
 
@@ -24,7 +23,3 @@ let pp_action ppf a =
     | Esr_store.Op.Append _ -> "A"
   in
   Format.fprintf ppf "%s%d(%s)" code a.et a.key
-
-let kind_of_actions actions =
-  if List.exists (fun a -> Esr_store.Op.is_update a.op) actions then Update
-  else Query

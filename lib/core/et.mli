@@ -8,7 +8,6 @@
 type kind = Query | Update
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 type id = int
 (** ETs are numbered; ids are unique within one history / one system run. *)
@@ -18,6 +17,3 @@ type action = { et : id; key : string; op : Esr_store.Op.t }
 
 val action : et:id -> key:string -> Esr_store.Op.t -> action
 val pp_action : Format.formatter -> action -> unit
-
-val kind_of_actions : action list -> kind
-(** [Update] iff at least one operation is an update. *)

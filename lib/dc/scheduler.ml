@@ -98,7 +98,6 @@ let begin_et t ~kind ?(epsilon = Epsilon.Unlimited) () =
   Hashtbl.replace t.live handle.id handle;
   handle
 
-let et_id h = h.id
 let kind h = h.kind
 let charged h = Epsilon.value h.eps
 let status h = h.hstatus

@@ -48,7 +48,6 @@ val begin_et :
 (** [epsilon] (default [Unlimited]) is the inconsistency budget of a
     query ET under [Timestamp_esr]; update ETs ignore it. *)
 
-val et_id : handle -> Esr_core.Et.id
 val kind : handle -> Esr_core.Et.kind
 val charged : handle -> int
 (** Inconsistency units accumulated so far (query ETs). *)

@@ -25,15 +25,6 @@ let kind_to_string = function
   | Checkpoint -> "checkpoint"
   | Convergence -> "convergence"
 
-let kind_of_string = function
-  | "delivery" -> Some Delivery
-  | "ordering" -> Some Ordering
-  | "epsilon" -> Some Epsilon
-  | "crash" -> Some Crash
-  | "checkpoint" -> Some Checkpoint
-  | "convergence" -> Some Convergence
-  | _ -> None
-
 type violation = {
   v_kind : kind;
   v_invariant : string;  (* stable slug, e.g. "squeue-double-delivery" *)
@@ -712,225 +703,123 @@ let audit_records ?label records =
 
 let schema = "esr-audit/1"
 
-let report_to_json (r : report) =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    Esr_util.Json.buf_add_escaped b s;
-    Buffer.add_char b '"'
-  in
-  let num f = Buffer.add_string b (Esr_util.Json.float_repr f) in
-  let int i = Buffer.add_string b (string_of_int i) in
-  let int_opt = function
-    | None -> Buffer.add_string b "null"
-    | Some i -> int i
-  in
-  let bool_opt = function
-    | None -> Buffer.add_string b "null"
-    | Some v -> Buffer.add_string b (if v then "true" else "false")
-  in
-  Buffer.add_string b "{\"schema\":";
-  str schema;
-  Buffer.add_string b ",\"label\":";
-  str r.label;
-  Buffer.add_string b ",\"ok\":";
-  Buffer.add_string b (if ok r then "true" else "false");
-  Buffer.add_string b ",\"events\":";
-  int r.summary.s_events;
-  Buffer.add_string b ",\"dropped\":";
-  int r.summary.s_dropped;
-  Buffer.add_string b ",\"violations\":[";
-  List.iteri
-    (fun i vi ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"kind\":";
-      str (kind_to_string vi.v_kind);
-      Buffer.add_string b ",\"invariant\":";
-      str vi.v_invariant;
-      Buffer.add_string b ",\"detail\":";
-      str vi.v_detail;
-      Buffer.add_string b ",\"ts\":";
-      num vi.v_time;
-      Buffer.add_string b ",\"event\":";
-      str vi.v_event;
-      Buffer.add_char b '}')
-    r.violations;
-  Buffer.add_string b "],\"summary\":{\"queries\":";
-  int r.summary.s_queries;
-  Buffer.add_string b ",\"bounded\":";
-  int r.summary.s_bounded;
-  Buffer.add_string b ",\"at_bound\":";
-  int r.summary.s_at_bound;
-  Buffer.add_string b ",\"charged_total\":";
-  int r.summary.s_charged_total;
-  Buffer.add_string b ",\"windows\":";
-  int r.summary.s_windows;
-  Buffer.add_string b ",\"windows_exact\":";
-  int r.summary.s_windows_exact;
-  Buffer.add_string b ",\"max_replay\":";
-  int r.summary.s_max_replay;
-  Buffer.add_string b ",\"max_crash_log\":";
-  int r.summary.s_max_crash_log;
-  Buffer.add_string b ",\"crashes\":";
-  int r.summary.s_crashes;
-  Buffer.add_string b ",\"cuts\":";
-  int r.summary.s_cuts;
-  Buffer.add_string b ",\"converged\":";
-  bool_opt r.summary.s_converged;
-  Buffer.add_string b "},\"ledger\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"q\":";
-      int e.l_q;
-      Buffer.add_string b ",\"site\":";
-      int e.l_site;
-      Buffer.add_string b ",\"keys\":";
-      int e.l_keys;
-      Buffer.add_string b ",\"epsilon\":";
-      int_opt e.l_epsilon;
-      Buffer.add_string b ",\"charged\":";
-      int e.l_charged;
-      Buffer.add_string b ",\"forced\":";
-      int e.l_forced;
-      Buffer.add_string b ",\"consistent\":";
-      Buffer.add_string b (if e.l_consistent then "true" else "false");
-      Buffer.add_string b ",\"latency\":";
-      num e.l_latency;
-      Buffer.add_string b ",\"reconstructed\":";
-      int_opt e.l_reconstructed;
-      Buffer.add_string b ",\"oracle\":";
-      (match e.l_oracle with
-      | None -> Buffer.add_string b "null"
-      | Some d -> num d);
-      Buffer.add_char b '}')
-    r.ledger;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 module Json = Esr_util.Json
 
-exception Parse of string
+let report_to_json (r : report) =
+  let int = Json.int and int_opt = Json.nullable Json.int in
+  let s = r.summary in
+  Json.render
+    (Obj
+       [
+         ("schema", Str schema);
+         ("label", Str r.label);
+         ("ok", Bool (ok r));
+         ("events", int s.s_events);
+         ("dropped", int s.s_dropped);
+         ( "violations",
+           Arr
+             (List.map
+                (fun vi ->
+                  Json.Obj
+                    [
+                      ("kind", Str (kind_to_string vi.v_kind));
+                      ("invariant", Str vi.v_invariant);
+                      ("detail", Str vi.v_detail);
+                      ("ts", Num vi.v_time);
+                      ("event", Str vi.v_event);
+                    ])
+                r.violations) );
+         ( "summary",
+           Obj
+             [
+               ("queries", int s.s_queries);
+               ("bounded", int s.s_bounded);
+               ("at_bound", int s.s_at_bound);
+               ("charged_total", int s.s_charged_total);
+               ("windows", int s.s_windows);
+               ("windows_exact", int s.s_windows_exact);
+               ("max_replay", int s.s_max_replay);
+               ("max_crash_log", int s.s_max_crash_log);
+               ("crashes", int s.s_crashes);
+               ("cuts", int s.s_cuts);
+               ("converged", Json.nullable (fun b -> Json.Bool b) s.s_converged);
+             ] );
+         ( "ledger",
+           Arr
+             (List.map
+                (fun e ->
+                  Json.Obj
+                    [
+                      ("q", int e.l_q);
+                      ("site", int e.l_site);
+                      ("keys", int e.l_keys);
+                      ("epsilon", int_opt e.l_epsilon);
+                      ("charged", int e.l_charged);
+                      ("forced", int e.l_forced);
+                      ("consistent", Bool e.l_consistent);
+                      ("latency", Num e.l_latency);
+                      ("reconstructed", int_opt e.l_reconstructed);
+                      ("oracle", Json.nullable (fun d -> Json.Num d) e.l_oracle);
+                    ])
+                r.ledger) );
+       ])
 
 let report_of_json text =
-  match Json.parse_exn text with
-  | exception Json.Parse_error msg -> Error msg
-  | Json.Obj fields -> (
-      let find name = List.assoc_opt name fields in
-      let get_obj name fields' =
-        match List.assoc_opt name fields' with
-        | Some (Json.Obj o) -> o
-        | _ -> raise (Parse ("missing object field " ^ name))
+  let open Json.Decode in
+  let violation v =
+    {
+      v_kind =
+        field "kind"
+          (enum kind_to_string [ Delivery; Ordering; Epsilon; Crash; Checkpoint; Convergence ])
+          v;
+      v_invariant = field "invariant" string v;
+      v_detail = field "detail" string v;
+      v_time = field "ts" float v;
+      v_event = field "event" string v;
+    }
+  in
+  let entry e =
+    {
+      l_q = field "q" int e;
+      l_site = field "site" int e;
+      l_keys = field "keys" int e;
+      l_epsilon = field "epsilon" (nullable int) e;
+      l_charged = field "charged" int e;
+      l_forced = field "forced" int e;
+      l_consistent = field "consistent" bool e;
+      l_latency = field "latency" float e;
+      l_reconstructed = field "reconstructed" (nullable int) e;
+      l_oracle = field "oracle" (nullable float) e;
+    }
+  in
+  of_string
+    (fun j ->
+      ignore (field "schema" (enum Fun.id [ schema ]) j);
+      let s_events = field "events" int j and s_dropped = field "dropped" int j in
+      let summary s =
+        {
+          s_events;
+          s_dropped;
+          s_queries = field "queries" int s;
+          s_bounded = field "bounded" int s;
+          s_at_bound = field "at_bound" int s;
+          s_charged_total = field "charged_total" int s;
+          s_windows = field "windows" int s;
+          s_windows_exact = field "windows_exact" int s;
+          s_max_replay = field "max_replay" int s;
+          s_max_crash_log = field "max_crash_log" int s;
+          s_crashes = field "crashes" int s;
+          s_cuts = field "cuts" int s;
+          s_converged = field "converged" (nullable bool) s;
+        }
       in
-      let get_arr name fields' =
-        match List.assoc_opt name fields' with
-        | Some (Json.Arr items) -> items
-        | _ -> raise (Parse ("missing array field " ^ name))
-      in
-      let g_int fields' name =
-        match List.assoc_opt name fields' with
-        | Some (Json.Num v) -> int_of_float v
-        | _ -> raise (Parse ("missing int field " ^ name))
-      in
-      let g_num fields' name =
-        match List.assoc_opt name fields' with
-        | Some (Json.Num v) -> v
-        | _ -> raise (Parse ("missing number field " ^ name))
-      in
-      let g_str fields' name =
-        match List.assoc_opt name fields' with
-        | Some (Json.Str v) -> v
-        | _ -> raise (Parse ("missing string field " ^ name))
-      in
-      let g_bool fields' name =
-        match List.assoc_opt name fields' with
-        | Some (Json.Bool v) -> v
-        | _ -> raise (Parse ("missing bool field " ^ name))
-      in
-      let g_int_opt fields' name =
-        match List.assoc_opt name fields' with
-        | Some Json.Null -> None
-        | Some (Json.Num v) -> Some (int_of_float v)
-        | _ -> raise (Parse ("missing nullable int field " ^ name))
-      in
-      try
-        (match find "schema" with
-        | Some (Json.Str s) when String.equal s schema -> ()
-        | _ -> raise (Parse "not an esr-audit/1 document"));
-        let violations =
-          List.map
-            (function
-              | Json.Obj f ->
-                  let kind =
-                    match kind_of_string (g_str f "kind") with
-                    | Some k -> k
-                    | None -> raise (Parse "bad violation kind")
-                  in
-                  {
-                    v_kind = kind;
-                    v_invariant = g_str f "invariant";
-                    v_detail = g_str f "detail";
-                    v_time = g_num f "ts";
-                    v_event = g_str f "event";
-                  }
-              | _ -> raise (Parse "bad violation"))
-            (get_arr "violations" fields)
-        in
-        let ledger =
-          List.map
-            (function
-              | Json.Obj f ->
-                  {
-                    l_q = g_int f "q";
-                    l_site = g_int f "site";
-                    l_keys = g_int f "keys";
-                    l_epsilon = g_int_opt f "epsilon";
-                    l_charged = g_int f "charged";
-                    l_forced =
-                      (match List.assoc_opt "forced" f with
-                      | Some (Json.Num v) -> int_of_float v
-                      | _ -> 0);
-                    l_consistent = g_bool f "consistent";
-                    l_latency = g_num f "latency";
-                    l_reconstructed = g_int_opt f "reconstructed";
-                    l_oracle =
-                      (match List.assoc_opt "oracle" f with
-                      | Some Json.Null -> None
-                      | Some (Json.Num v) -> Some v
-                      | _ -> raise (Parse "bad oracle field"));
-                  }
-              | _ -> raise (Parse "bad ledger entry"))
-            (get_arr "ledger" fields)
-        in
-        let s = get_obj "summary" fields in
-        Ok
-          {
-            label = g_str fields "label";
-            violations;
-            ledger;
-            summary =
-              {
-                s_events = g_int fields "events";
-                s_dropped = g_int fields "dropped";
-                s_queries = g_int s "queries";
-                s_bounded = g_int s "bounded";
-                s_at_bound = g_int s "at_bound";
-                s_charged_total = g_int s "charged_total";
-                s_windows = g_int s "windows";
-                s_windows_exact = g_int s "windows_exact";
-                s_max_replay = g_int s "max_replay";
-                s_max_crash_log = g_int s "max_crash_log";
-                s_crashes = g_int s "crashes";
-                s_cuts = g_int s "cuts";
-                s_converged =
-                  (match List.assoc_opt "converged" s with
-                  | Some Json.Null -> None
-                  | Some (Json.Bool v) -> Some v
-                  | _ -> raise (Parse "bad converged field"));
-              };
-          }
-      with Parse msg -> Error msg)
-  | _ -> Error "not a JSON object"
+      {
+        label = field "label" string j;
+        violations = field "violations" (list violation) j;
+        ledger = field "ledger" (list entry) j;
+        summary = field "summary" summary j;
+      })
+    text
 
 (* --- rendering --- *)
 

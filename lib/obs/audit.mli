@@ -33,7 +33,6 @@
 type kind = Delivery | Ordering | Epsilon | Crash | Checkpoint | Convergence
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 type violation = {
   v_kind : kind;
@@ -118,7 +117,12 @@ val schema : string
 (** Certificate schema tag, ["esr-audit/1"]. *)
 
 val report_to_json : report -> string
+(** One line: the [esr-audit/1] certificate. *)
+
 val report_of_json : string -> (report, string) result
+(** Inverse of {!report_to_json}; a missing or ill-typed field is an
+    [Error] naming it. *)
+
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
 

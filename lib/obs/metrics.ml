@@ -175,3 +175,29 @@ let pp_entry ppf e =
         (fun i limit -> Format.fprintf ppf "%s<=%g:%d" (if i = 0 then "" else " ") limit counts.(i))
         limits;
       Format.fprintf ppf " inf:%d]" counts.(Array.length limits)
+
+module Json = Esr_util.Json
+
+let write_json oc entries =
+  let entry e =
+    let view =
+      match e.view with
+      | Counter_v v -> [ ("kind", Json.Str "counter"); ("value", Num v) ]
+      | Gauge_v v -> [ ("kind", Str "gauge"); ("value", Num v) ]
+      | Histogram_v { limits; counts; sum; count } ->
+          let pct = percentile_of_buckets ~limits ~counts ~count in
+          [
+            ("kind", Str "histogram");
+            ("limits", Arr (Array.fold_right (fun l acc -> Json.Num l :: acc) limits []));
+            ("counts", Arr (Array.fold_right (fun c acc -> Json.int c :: acc) counts []));
+            ("sum", Num sum);
+            ("count", Json.int count);
+            ("p50", Num (pct 50.0));
+            ("p99", Num (pct 99.0));
+          ]
+    in
+    let site = match e.site with Some s -> [ ("site", Json.int s) ] | None -> [] in
+    Json.Obj ((("group", Json.Str e.group) :: ("name", Str e.name) :: site) @ view)
+  in
+  Json.output_lines oc
+    [ Same ("schema", Str "esr-metrics/1"); Block ("metrics", Seq.map entry (List.to_seq entries)) ]

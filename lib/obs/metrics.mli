@@ -87,3 +87,8 @@ val alist : ?group:string -> t -> (string * float) list
     pre-observability method stats lists are [alist ~group:"method"]. *)
 
 val pp_entry : Format.formatter -> entry -> unit
+
+val write_json : out_channel -> entry list -> unit
+(** The [esr-metrics/1] dump of a {!snapshot}: one instrument per line,
+    each with its group, name, site when it has one, kind and value (a
+    histogram's limits, counts, sum, count, p50 and p99). *)

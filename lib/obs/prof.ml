@@ -183,7 +183,6 @@ let spans t =
   List.rev !acc
 
 let span_count t = t.len
-let spans_dropped t = t.n_dropped
 
 (* --- global per-sweep totals ---------------------------------------- *)
 
@@ -211,7 +210,9 @@ let totals () =
 
 (* --- exports --------------------------------------------------------- *)
 
-let float_repr = Esr_util.Json.float_repr
+module Json = Esr_util.Json
+
+let float_repr = Json.float_repr
 
 (* Host-time track for the Chrome/Perfetto export: pid 1 (the virtual-time
    trace owns pid 0), one named thread per phase, "X" spans in host
@@ -259,97 +260,67 @@ let schema = "esr-profile/1"
 let dump t =
   { d_phases = aggs t; d_spans = spans t; d_spans_dropped = t.n_dropped }
 
-let write_json oc t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"";
-  Buffer.add_string b schema;
-  Buffer.add_string b "\",\"phases\":[";
-  List.iteri
-    (fun i (p, a) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"phase\":\"%s\",\"count\":%d,\"seconds\":%s,\"alloc_bytes\":%s}"
-           (phase_name p) a.count (float_repr a.seconds)
-           (float_repr a.alloc_bytes)))
-    (aggs t);
-  Buffer.add_string b "],\n\"spans_dropped\":";
-  Buffer.add_string b (string_of_int t.n_dropped);
-  Buffer.add_string b ",\n\"spans\":[";
-  output_string oc (Buffer.contents b);
-  Buffer.clear b;
-  let first = ref true in
-  iter_spans t (fun s ->
-      if !first then first := false else Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf "[\"%s\",%d,%s,%s,%s]" (phase_name s.sp_phase)
-           s.sp_site
-           (float_repr s.sp_start)
-           (float_repr s.sp_dur)
-           (float_repr s.sp_bytes));
-      output_string oc (Buffer.contents b);
-      Buffer.clear b);
-  output_string oc "]}\n"
+let write_json oc d =
+  Json.output_lines oc
+    [
+      Same ("schema", Str schema);
+      Same
+        ( "phases",
+          Arr
+            (List.map
+               (fun (p, a) ->
+                 Json.Obj
+                   [
+                     ("phase", Str (phase_name p));
+                     ("count", Json.int a.count);
+                     ("seconds", Num a.seconds);
+                     ("alloc_bytes", Num a.alloc_bytes);
+                   ])
+               d.d_phases) );
+      Next ("spans_dropped", Json.int d.d_spans_dropped);
+      Rows
+        ( "spans",
+          Seq.map
+            (fun s ->
+              Json.Arr
+                [
+                  Str (phase_name s.sp_phase);
+                  Json.int s.sp_site;
+                  Num s.sp_start;
+                  Num s.sp_dur;
+                  Num s.sp_bytes;
+                ])
+            (List.to_seq d.d_spans) );
+    ]
 
 let dump_of_json text =
-  let module J = Esr_util.Json in
-  match J.parse text with
-  | Error e -> Error e
-  | Ok json -> (
-      match J.member "schema" json with
-      | Some (J.Str s) when String.equal s schema ->
-          let phases =
-            match Option.bind (J.member "phases" json) J.to_list with
-            | None -> []
-            | Some l ->
-                List.filter_map
-                  (fun o ->
-                    match
-                      Option.bind
-                        (Option.bind (J.member "phase" o) J.to_string)
-                        phase_of_name
-                    with
-                    | None -> None
-                    | Some p ->
-                        let num k =
-                          Option.value ~default:0.0
-                            (Option.bind (J.member k o) J.to_float)
-                        in
-                        Some
-                          ( p,
-                            {
-                              count = int_of_float (num "count");
-                              seconds = num "seconds";
-                              alloc_bytes = num "alloc_bytes";
-                            } ))
-                  l
-          in
-          let spans =
-            match Option.bind (J.member "spans" json) J.to_list with
-            | None -> []
-            | Some l ->
-                List.filter_map
-                  (function
-                    | J.Arr
-                        [ J.Str name; J.Num site; J.Num st; J.Num dur; J.Num by ]
-                      -> (
-                        match phase_of_name name with
-                        | None -> None
-                        | Some p ->
-                            Some
-                              {
-                                sp_phase = p;
-                                sp_site = int_of_float site;
-                                sp_start = st;
-                                sp_dur = dur;
-                                sp_bytes = by;
-                              })
-                    | _ -> None)
-                  l
-          in
-          let dropped =
-            Option.value ~default:0
-              (Option.bind (J.member "spans_dropped" json) J.to_int)
-          in
-          Ok { d_phases = phases; d_spans = spans; d_spans_dropped = dropped }
-      | _ -> Error "profile dump: missing or unknown schema")
+  let open Json.Decode in
+  let phase = enum phase_name all_phases in
+  let agg o =
+    ( field "phase" phase o,
+      {
+        count = field "count" int o;
+        seconds = field "seconds" float o;
+        alloc_bytes = field "alloc_bytes" float o;
+      } )
+  in
+  let span = function
+    | Json.Arr [ p; site; start; dur; bytes ] ->
+        {
+          sp_phase = phase p;
+          sp_site = int site;
+          sp_start = float start;
+          sp_dur = float dur;
+          sp_bytes = float bytes;
+        }
+    | _ -> fail "expected [phase, site, start, dur, bytes]"
+  in
+  of_string
+    (fun j ->
+      ignore (field "schema" (enum Fun.id [ schema ]) j);
+      {
+        d_phases = field "phases" (list agg) j;
+        d_spans = field "spans" (list span) j;
+        d_spans_dropped = field "spans_dropped" int j;
+      })
+    text

@@ -94,8 +94,6 @@ val iter_spans : t -> (span -> unit) -> unit
 (** Oldest to newest. *)
 
 val span_count : t -> int
-val spans_dropped : t -> int
-(** Spans evicted because the ring wrapped. *)
 
 (** {2 Sweep totals} *)
 
@@ -120,7 +118,7 @@ val chrome_events : t -> string list
 type dump = {
   d_phases : (phase * agg) list;
   d_spans : span list;
-  d_spans_dropped : int;
+  d_spans_dropped : int;  (** spans evicted because the ring wrapped *)
 }
 
 val schema : string
@@ -128,9 +126,12 @@ val schema : string
 
 val dump : t -> dump
 
-val write_json : out_channel -> t -> unit
+val write_json : out_channel -> dump -> unit
 (** One [esr-profile/1] object: per-phase aggregates plus the span ring
-    ([[phase, site, start_s, dur_s, alloc_bytes]] rows). *)
+    ([[phase, site, start_s, dur_s, alloc_bytes]] rows, one per line).
+    [write_json oc (dump t)] writes [t]. *)
 
 val dump_of_json : string -> (dump, string) result
-(** Parse a {!write_json} document (whole file contents). *)
+(** Parse a {!write_json} document (whole file contents).  Every field
+    is required, phase names must be known and every span row must have
+    the five cells; the [Error] names the field that is not. *)

@@ -169,50 +169,26 @@ let dump t =
 
 let schema = "esr-series/1"
 
-let write_json oc t =
-  let module J = Esr_util.Json in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"";
-  Buffer.add_string b schema;
-  Buffer.add_string b "\",\"interval\":";
-  Buffer.add_string b (J.float_repr t.interval);
-  Buffer.add_string b ",\"dropped\":";
-  Buffer.add_string b (string_of_int t.n_dropped);
-  Buffer.add_string b ",\"columns\":[\"time\"";
-  Array.iter
-    (fun c ->
-      Buffer.add_string b ",\"";
-      J.buf_add_escaped b c;
-      Buffer.add_char b '"')
-    t.columns;
-  Buffer.add_string b "],\n\"samples\":[";
-  output_string oc (Buffer.contents b);
-  Buffer.clear b;
-  let first = ref true in
-  iter t (fun s ->
-      if !first then first := false else Buffer.add_string b ",\n";
-      Buffer.add_char b '[';
-      Buffer.add_string b (J.float_repr s.at);
-      Array.iter
-        (fun v ->
-          Buffer.add_char b ',';
-          Buffer.add_string b (J.float_repr v))
-        s.values;
-      Buffer.add_char b ']';
-      output_string oc (Buffer.contents b);
-      Buffer.clear b);
-  Buffer.add_string b "],\n\"annotations\":[";
-  List.iteri
-    (fun i (a : annotation) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"ts\":";
-      Buffer.add_string b (J.float_repr a.at);
-      Buffer.add_string b ",\"label\":\"";
-      J.buf_add_escaped b a.label;
-      Buffer.add_string b "\"}")
-    (annotations t);
-  Buffer.add_string b "]}\n";
-  output_string oc (Buffer.contents b)
+module Json = Esr_util.Json
+
+let write_json oc d =
+  let nums l = Json.Arr (List.map (fun v -> Json.Num v) l) in
+  Json.output_lines oc
+    [
+      Same ("schema", Str schema);
+      Same ("interval", Num d.d_interval);
+      Same ("dropped", Json.int d.d_dropped);
+      Same ("columns", Arr (Str "time" :: Array.fold_right (fun c l -> Json.Str c :: l) d.d_columns []));
+      Rows
+        ( "samples",
+          Seq.map (fun (s : sample) -> nums (s.at :: Array.to_list s.values)) (List.to_seq d.d_samples) );
+      Next
+        ( "annotations",
+          Arr
+            (List.map
+               (fun (a : annotation) -> Json.Obj [ ("ts", Num a.at); ("label", Str a.label) ])
+               d.d_annotations) );
+    ]
 
 let write_csv oc t =
   let b = Buffer.create 4096 in
@@ -226,80 +202,44 @@ let write_csv oc t =
   output_string oc (Buffer.contents b);
   Buffer.clear b;
   iter t (fun s ->
-      Buffer.add_string b (Esr_util.Json.float_repr s.at);
+      Buffer.add_string b (Json.float_repr s.at);
       Array.iter
         (fun v ->
           Buffer.add_char b ',';
-          Buffer.add_string b (Esr_util.Json.float_repr v))
+          Buffer.add_string b (Json.float_repr v))
         s.values;
       Buffer.add_char b '\n';
       output_string oc (Buffer.contents b);
       Buffer.clear b)
 
 let dump_of_json text =
-  let module J = Esr_util.Json in
-  match J.parse text with
-  | Error e -> Error e
-  | Ok json -> (
-      let ( let* ) o f = match o with None -> Error "series dump: bad shape" | Some v -> f v in
-      match J.member "schema" json with
-      | Some (J.Str s) when String.equal s schema ->
-          let* interval = Option.bind (J.member "interval" json) J.to_float in
-          let* dropped = Option.bind (J.member "dropped" json) J.to_int in
-          let* cols = Option.bind (J.member "columns" json) J.to_list in
-          let* samples = Option.bind (J.member "samples" json) J.to_list in
-          let annots =
-            match Option.bind (J.member "annotations" json) J.to_list with
-            | None -> []
-            | Some l ->
-                List.filter_map
-                  (fun a ->
-                    match
-                      ( Option.bind (J.member "ts" a) J.to_float,
-                        Option.bind (J.member "label" a) J.to_string )
-                    with
-                    | Some at, Some label -> Some { at; label }
-                    | _ -> None)
-                  l
-          in
-          let* cols =
-            let rec strings acc = function
-              | [] -> Some (List.rev acc)
-              | J.Str s :: rest -> strings (s :: acc) rest
-              | _ -> None
-            in
-            strings [] cols
-          in
-          let* cols =
-            match cols with "time" :: rest -> Some rest | _ -> None
-          in
-          let n = List.length cols in
-          let* rows =
-            let row = function
-              | J.Arr (J.Num at :: vs) when List.length vs = n ->
-                  let values =
-                    Array.of_list
-                      (List.map (function J.Num v -> v | _ -> 0.0) vs)
-                  in
-                  Some { at; values }
-              | _ -> None
-            in
-            let rec all acc = function
-              | [] -> Some (List.rev acc)
-              | s :: rest -> (
-                  match row s with None -> None | Some r -> all (r :: acc) rest)
-            in
-            all [] samples
-          in
-          Ok
-            {
-              d_interval = interval;
-              d_columns = Array.of_list cols;
-              d_samples = rows;
-              d_annotations = annots;
-              d_dropped = dropped;
-            }
-      | _ -> Error "series dump: missing or unknown schema")
+  let open Json.Decode in
+  of_string
+    (fun j ->
+      ignore (field "schema" (enum Fun.id [ schema ]) j);
+      let columns =
+        field "columns"
+          (fun c ->
+            match list string c with
+            | "time" :: rest -> Array.of_list rest
+            | _ -> fail "expected \"time\" first")
+          j
+      in
+      let n = Array.length columns in
+      let sample row =
+        match list float row with
+        | at :: values when List.length values = n -> { at; values = Array.of_list values }
+        | _ -> fail (Printf.sprintf "expected %d numbers" (n + 1))
+      in
+      let annotation a = { at = field "ts" float a; label = field "label" string a } in
+      {
+        d_interval = field "interval" float j;
+        d_columns = columns;
+        d_samples = field "samples" (list sample) j;
+        d_annotations = field "annotations" (list annotation) j;
+        d_dropped = field "dropped" int j;
+      })
+    text
 
 let dump_column d name =
   let n = Array.length d.d_columns in

@@ -70,14 +70,17 @@ val dump : t -> dump
 val schema : string
 (** ["esr-series/1"]. *)
 
-val write_json : out_channel -> t -> unit
+val write_json : out_channel -> dump -> unit
 (** One [esr-series/1] object: schema, interval, dropped, columns
-    (leading ["time"]), row-major samples, annotations. *)
+    (leading ["time"]), row-major samples one row per line, annotations.
+    [write_json oc (dump t)] writes [t]. *)
 
 val write_csv : out_channel -> t -> unit
 (** Plain CSV, header row first. *)
 
 val dump_of_json : string -> (dump, string) result
-(** Parse a {!write_json} document (whole file contents). *)
+(** Parse a {!write_json} document (whole file contents).  Every field
+    is required and every sample row must hold one number per column;
+    the [Error] names the field that is not. *)
 
 val dump_column : dump -> string -> int option

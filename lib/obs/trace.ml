@@ -230,10 +230,9 @@ let to_list t =
   iter t (fun r -> acc := r :: !acc);
   List.rev !acc
 
-(* --- JSON writing --- *)
+(* --- JSONL --- *)
 
-let buf_add_escaped = Esr_util.Json.buf_add_escaped
-let float_repr = Esr_util.Json.float_repr
+module Json = Esr_util.Json
 
 let reason_to_string = function
   | Loss -> "loss"
@@ -241,31 +240,12 @@ let reason_to_string = function
   | Crashed_src -> "crashed_src"
   | Crashed_dst -> "crashed_dst"
 
-let reason_of_string = function
-  | "loss" -> Some Loss
-  | "partition" -> Some Partition
-  | "crashed_src" -> Some Crashed_src
-  | "crashed_dst" -> Some Crashed_dst
-  | _ -> None
-
 let kind_to_string = function `Fast -> "fast" | `Full -> "full" | `Revoke -> "revoke"
-
-let kind_of_string = function
-  | "fast" -> Some `Fast
-  | "full" -> Some `Full
-  | "revoke" -> Some `Revoke
-  | _ -> None
 
 let outcome_to_string = function
   | `Ok -> "ok"
   | `Fallback -> "fallback"
   | `Killed -> "killed"
-
-let outcome_of_string = function
-  | "ok" -> Some `Ok
-  | "fallback" -> Some `Fallback
-  | "killed" -> Some `Killed
-  | _ -> None
 
 let type_name = function
   | Msg_sent _ -> "msg_sent"
@@ -296,383 +276,211 @@ let type_name = function
   | Converged _ -> "converged"
   | Trace_meta _ -> "meta"
 
-let record_to_json r =
-  let b = Buffer.create 96 in
-  let field_sep () = Buffer.add_char b ',' in
-  let str name v =
-    field_sep ();
-    Buffer.add_char b '"';
-    Buffer.add_string b name;
-    Buffer.add_string b "\":\"";
-    buf_add_escaped b v;
-    Buffer.add_char b '"'
-  in
-  let int name v =
-    field_sep ();
-    Buffer.add_char b '"';
-    Buffer.add_string b name;
-    Buffer.add_string b "\":";
-    Buffer.add_string b (string_of_int v)
-  in
-  let num name v =
-    field_sep ();
-    Buffer.add_char b '"';
-    Buffer.add_string b name;
-    Buffer.add_string b "\":";
-    Buffer.add_string b (float_repr v)
-  in
-  let boolean name v =
-    field_sep ();
-    Buffer.add_char b '"';
-    Buffer.add_string b name;
-    Buffer.add_string b "\":";
-    Buffer.add_string b (if v then "true" else "false")
-  in
-  let int_opt name = function
-    | Some v -> int name v
-    | None ->
-        field_sep ();
-        Buffer.add_char b '"';
-        Buffer.add_string b name;
-        Buffer.add_string b "\":null"
-  in
-  let strs name vs =
-    field_sep ();
-    Buffer.add_char b '"';
-    Buffer.add_string b name;
-    Buffer.add_string b "\":[";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        buf_add_escaped b v;
-        Buffer.add_char b '"')
-      vs;
-    Buffer.add_char b ']'
-  in
-  Buffer.add_string b "{\"ts\":";
-  Buffer.add_string b (float_repr r.time);
-  str "type" (type_name r.ev);
-  (match r.ev with
+(* An event's payload: the fields after [ts] and [type], in the order
+   the JSONL line and the Chrome [args] print them. *)
+let event_fields ev : (string * Json.t) list =
+  let int = Json.int and int_opt = Json.nullable Json.int in
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  match ev with
   | Msg_sent { src; dst; cls } | Msg_duplicated { src; dst; cls } | Msg_delivered { src; dst; cls } ->
-      int "src" src;
-      int "dst" dst;
-      str "cls" cls
+      [ ("src", int src); ("dst", int dst); ("cls", Str cls) ]
   | Msg_dropped { src; dst; cls; reason } ->
-      int "src" src;
-      int "dst" dst;
-      str "cls" cls;
-      str "reason" (reason_to_string reason)
+      [ ("src", int src); ("dst", int dst); ("cls", Str cls);
+        ("reason", Str (reason_to_string reason)) ]
   | Partition_event { groups } ->
-      field_sep ();
-      Buffer.add_string b "\"groups\":[";
-      List.iteri
-        (fun i group ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          List.iteri
-            (fun j s ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (string_of_int s))
-            group;
-          Buffer.add_char b ']')
-        groups;
-      Buffer.add_char b ']'
-  | Heal -> ()
-  | Crash { site } | Recover { site } -> int "site" site
+      [ ("groups", Arr (List.map (fun g -> Json.Arr (List.map int g)) groups)) ]
+  | Heal -> []
+  | Crash { site } | Recover { site } -> [ ("site", int site) ]
   | Update_begin { u; origin; n_ops } ->
-      int "u" u;
-      int "origin" origin;
-      int "n_ops" n_ops
+      [ ("u", int u); ("origin", int origin); ("n_ops", int n_ops) ]
   | Update_committed { u; origin; latency } ->
-      int "u" u;
-      int "origin" origin;
-      num "latency" latency
+      [ ("u", int u); ("origin", int origin); ("latency", Num latency) ]
   | Update_rejected { u; origin; reason } ->
-      int "u" u;
-      int "origin" origin;
-      str "reason" reason
+      [ ("u", int u); ("origin", int origin); ("reason", Str reason) ]
   | Query_begin { q; site; n_keys; epsilon } ->
-      int "q" q;
-      int "site" site;
-      int "n_keys" n_keys;
-      int_opt "epsilon" epsilon
+      [ ("q", int q); ("site", int site); ("n_keys", int n_keys);
+        ("epsilon", int_opt epsilon) ]
   | Query_served { q; site; charged; forced; epsilon; consistent_path; latency } ->
-      int "q" q;
-      int "site" site;
-      int "charged" charged;
-      if forced > 0 then int "forced" forced;
-      int_opt "epsilon" epsilon;
-      boolean "consistent_path" consistent_path;
-      num "latency" latency
+      (* [forced] is left out when 0, as it is for every method but COMPE. *)
+      ("q", int q) :: ("site", int site) :: ("charged", int charged)
+      :: (if forced > 0 then [ ("forced", int forced) ] else [])
+      @ [ ("epsilon", int_opt epsilon); ("consistent_path", Bool consistent_path);
+          ("latency", Num latency) ]
   | Mset_enqueued { et; origin; n_ops; keys } ->
-      int "et" et;
-      int "origin" origin;
-      int "n_ops" n_ops;
-      strs "keys" keys
+      [ ("et", int et); ("origin", int origin); ("n_ops", int n_ops); ("keys", strs keys) ]
   | Mset_applied { et; site; n_ops; order } ->
-      int "et" et;
-      int "site" site;
-      int "n_ops" n_ops;
-      int_opt "order" order
+      [ ("et", int et); ("site", int site); ("n_ops", int n_ops); ("order", int_opt order) ]
   | Compensation_fired { et; site; kind } ->
-      int "et" et;
-      int "site" site;
-      str "kind" (kind_to_string kind)
-  | Squeue_send { src; dst; seq }
-  | Squeue_delivered { src; dst; seq }
-  | Squeue_dup { src; dst; seq } ->
-      int "src" src;
-      int "dst" dst;
-      int "seq" seq
+      [ ("et", int et); ("site", int site); ("kind", Str (kind_to_string kind)) ]
+  | Squeue_send { src; dst; seq } | Squeue_delivered { src; dst; seq } | Squeue_dup { src; dst; seq } ->
+      [ ("src", int src); ("dst", int dst); ("seq", int seq) ]
   | Query_window { w; site; point; missing; keys } ->
-      int "w" w;
-      int "site" site;
-      int "point" point;
-      int "missing" missing;
-      strs "keys" keys
+      [ ("w", int w); ("site", int site); ("point", int point); ("missing", int missing);
+        ("keys", strs keys) ]
   | Query_window_closed { w; site; charged; outcome } ->
-      int "w" w;
-      int "site" site;
-      int "charged" charged;
-      str "outcome" (outcome_to_string outcome)
+      [ ("w", int w); ("site", int site); ("charged", int charged);
+        ("outcome", Str (outcome_to_string outcome)) ]
   | Volatile_dropped { site; buffered; queries_failed; updates_rejected; log } ->
-      int "site" site;
-      int "buffered" buffered;
-      int "queries_failed" queries_failed;
-      int "updates_rejected" updates_rejected;
-      int "log" log
-  | Recovery_replay { site; n_actions } ->
-      int "site" site;
-      int "n_actions" n_actions
+      [ ("site", int site); ("buffered", int buffered); ("queries_failed", int queries_failed);
+        ("updates_rejected", int updates_rejected); ("log", int log) ]
+  | Recovery_replay { site; n_actions } -> [ ("site", int site); ("n_actions", int n_actions) ]
   | Checkpoint_cut { site; folded; reclaimed } ->
-      int "site" site;
-      int "folded" folded;
-      int "reclaimed" reclaimed
-  | Flush_round { round } -> int "round" round
-  | Converged { ok } -> boolean "ok" ok
+      [ ("site", int site); ("folded", int folded); ("reclaimed", int reclaimed) ]
+  | Flush_round { round } -> [ ("round", int round) ]
+  | Converged { ok } -> [ ("ok", Bool ok) ]
   | Trace_meta { dropped } ->
-      field_sep ();
-      Buffer.add_string b "\"meta\":{\"generator\":\"esrsim\"}";
-      int "dropped" dropped);
-  Buffer.add_char b '}';
-  Buffer.contents b
+      [ ("meta", Obj [ ("generator", Str "esrsim") ]); ("dropped", int dropped) ]
 
-(* --- JSON reading (the subset the writer produces) --- *)
+let record_json r =
+  Json.Obj (("ts", Num r.time) :: ("type", Str (type_name r.ev)) :: event_fields r.ev)
 
-module Json = Esr_util.Json
-
-exception Parse of string
+let record_to_json r = Json.render (record_json r)
 
 let record_of_json line =
-  match Json.parse_exn line with
-  | exception Json.Parse_error msg -> Error msg
-  | Json.Obj fields -> (
-      let find name = List.assoc_opt name fields in
-      let get_int name =
-        match find name with
-        | Some (Json.Num v) -> int_of_float v
-        | _ -> raise (Parse ("missing int field " ^ name))
+  let open Json.Decode in
+  of_string
+    (fun j ->
+      let msg () = (field "src" int j, field "dst" int j, field "cls" string j) in
+      let ev =
+        match field "type" string j with
+        | "msg_sent" ->
+            let src, dst, cls = msg () in
+            Msg_sent { src; dst; cls }
+        | "msg_duplicated" ->
+            let src, dst, cls = msg () in
+            Msg_duplicated { src; dst; cls }
+        | "msg_delivered" ->
+            let src, dst, cls = msg () in
+            Msg_delivered { src; dst; cls }
+        | "msg_dropped" ->
+            let src, dst, cls = msg () in
+            let reason = field "reason" (enum reason_to_string (Array.to_list reasons)) j in
+            Msg_dropped { src; dst; cls; reason }
+        | "partition" -> Partition_event { groups = field "groups" (list (list int)) j }
+        | "heal" -> Heal
+        | "crash" -> Crash { site = field "site" int j }
+        | "recover" -> Recover { site = field "site" int j }
+        | "update_begin" ->
+            Update_begin
+              { u = field "u" int j; origin = field "origin" int j; n_ops = field "n_ops" int j }
+        | "update_committed" ->
+            Update_committed
+              { u = field "u" int j; origin = field "origin" int j; latency = field "latency" float j }
+        | "update_rejected" ->
+            Update_rejected
+              { u = field "u" int j; origin = field "origin" int j; reason = field "reason" string j }
+        | "query_begin" ->
+            Query_begin
+              {
+                q = field "q" int j;
+                site = field "site" int j;
+                n_keys = field "n_keys" int j;
+                epsilon = field "epsilon" (nullable int) j;
+              }
+        | "query_served" ->
+            Query_served
+              {
+                q = field "q" int j;
+                site = field "site" int j;
+                charged = field "charged" int j;
+                forced = field_or "forced" 0 int j;
+                epsilon = field "epsilon" (nullable int) j;
+                consistent_path = field "consistent_path" bool j;
+                latency = field "latency" float j;
+              }
+        | "mset_enqueued" ->
+            Mset_enqueued
+              {
+                et = field "et" int j;
+                origin = field "origin" int j;
+                n_ops = field "n_ops" int j;
+                keys = field "keys" (list string) j;
+              }
+        | "mset_applied" ->
+            Mset_applied
+              {
+                et = field "et" int j;
+                site = field "site" int j;
+                n_ops = field "n_ops" int j;
+                order = field "order" (nullable int) j;
+              }
+        | "compensation_fired" ->
+            Compensation_fired
+              {
+                et = field "et" int j;
+                site = field "site" int j;
+                kind = field "kind" (enum kind_to_string [ `Fast; `Full; `Revoke ]) j;
+              }
+        | "squeue_send" ->
+            Squeue_send { src = field "src" int j; dst = field "dst" int j; seq = field "seq" int j }
+        | "squeue_delivered" ->
+            Squeue_delivered
+              { src = field "src" int j; dst = field "dst" int j; seq = field "seq" int j }
+        | "squeue_dup" ->
+            Squeue_dup { src = field "src" int j; dst = field "dst" int j; seq = field "seq" int j }
+        | "query_window" ->
+            Query_window
+              {
+                w = field "w" int j;
+                site = field "site" int j;
+                point = field "point" int j;
+                missing = field "missing" int j;
+                keys = field "keys" (list string) j;
+              }
+        | "query_window_closed" ->
+            Query_window_closed
+              {
+                w = field "w" int j;
+                site = field "site" int j;
+                charged = field "charged" int j;
+                outcome = field "outcome" (enum outcome_to_string [ `Ok; `Fallback; `Killed ]) j;
+              }
+        | "volatile_dropped" ->
+            Volatile_dropped
+              {
+                site = field "site" int j;
+                buffered = field "buffered" int j;
+                queries_failed = field "queries_failed" int j;
+                updates_rejected = field "updates_rejected" int j;
+                log = field "log" int j;
+              }
+        | "recovery_replay" ->
+            Recovery_replay { site = field "site" int j; n_actions = field "n_actions" int j }
+        | "checkpoint_cut" ->
+            Checkpoint_cut
+              {
+                site = field "site" int j;
+                folded = field "folded" int j;
+                reclaimed = field "reclaimed" int j;
+              }
+        | "flush_round" -> Flush_round { round = field "round" int j }
+        | "converged" -> Converged { ok = field "ok" bool j }
+        | "meta" -> Trace_meta { dropped = field "dropped" int j }
+        | other -> fail ("unknown event type " ^ other)
       in
-      let get_num name =
-        match find name with
-        | Some (Json.Num v) -> v
-        | _ -> raise (Parse ("missing number field " ^ name))
-      in
-      let get_str name =
-        match find name with
-        | Some (Json.Str v) -> v
-        | _ -> raise (Parse ("missing string field " ^ name))
-      in
-      let get_bool name =
-        match find name with
-        | Some (Json.Bool v) -> v
-        | _ -> raise (Parse ("missing bool field " ^ name))
-      in
-      let get_int_opt name =
-        match find name with
-        | Some Json.Null -> None
-        | Some (Json.Num v) -> Some (int_of_float v)
-        | _ -> raise (Parse ("missing nullable int field " ^ name))
-      in
-      (* Absent-tolerant: fields written only when nonzero. *)
-      let get_int_default name d =
-        match find name with
-        | Some (Json.Num v) -> int_of_float v
-        | _ -> d
-      in
-      let get_str_list name =
-        match find name with
-        | Some (Json.Arr items) ->
-            List.map
-              (function
-                | Json.Str s -> s
-                | _ -> raise (Parse ("bad string in " ^ name)))
-              items
-        | _ -> raise (Parse ("missing string list field " ^ name))
-      in
-      let msg_fields () = (get_int "src", get_int "dst", get_str "cls") in
-      try
-        let time = get_num "ts" in
-        let ev =
-          match get_str "type" with
-          | "msg_sent" ->
-              let src, dst, cls = msg_fields () in
-              Msg_sent { src; dst; cls }
-          | "msg_duplicated" ->
-              let src, dst, cls = msg_fields () in
-              Msg_duplicated { src; dst; cls }
-          | "msg_delivered" ->
-              let src, dst, cls = msg_fields () in
-              Msg_delivered { src; dst; cls }
-          | "msg_dropped" ->
-              let src, dst, cls = msg_fields () in
-              let reason =
-                match reason_of_string (get_str "reason") with
-                | Some r -> r
-                | None -> raise (Parse "bad drop reason")
-              in
-              Msg_dropped { src; dst; cls; reason }
-          | "partition" ->
-              let groups =
-                match find "groups" with
-                | Some (Json.Arr groups) ->
-                    List.map
-                      (function
-                        | Json.Arr members ->
-                            List.map
-                              (function
-                                | Json.Num v -> int_of_float v
-                                | _ -> raise (Parse "bad group member"))
-                              members
-                        | _ -> raise (Parse "bad group"))
-                      groups
-                | _ -> raise (Parse "missing groups")
-              in
-              Partition_event { groups }
-          | "heal" -> Heal
-          | "crash" -> Crash { site = get_int "site" }
-          | "recover" -> Recover { site = get_int "site" }
-          | "update_begin" ->
-              Update_begin { u = get_int "u"; origin = get_int "origin"; n_ops = get_int "n_ops" }
-          | "update_committed" ->
-              Update_committed
-                { u = get_int "u"; origin = get_int "origin"; latency = get_num "latency" }
-          | "update_rejected" ->
-              Update_rejected
-                { u = get_int "u"; origin = get_int "origin"; reason = get_str "reason" }
-          | "query_begin" ->
-              Query_begin
-                {
-                  q = get_int "q";
-                  site = get_int "site";
-                  n_keys = get_int "n_keys";
-                  epsilon = get_int_opt "epsilon";
-                }
-          | "query_served" ->
-              Query_served
-                {
-                  q = get_int "q";
-                  site = get_int "site";
-                  charged = get_int "charged";
-                  forced = get_int_default "forced" 0;
-                  epsilon = get_int_opt "epsilon";
-                  consistent_path = get_bool "consistent_path";
-                  latency = get_num "latency";
-                }
-          | "mset_enqueued" ->
-              Mset_enqueued
-                {
-                  et = get_int "et";
-                  origin = get_int "origin";
-                  n_ops = get_int "n_ops";
-                  keys = get_str_list "keys";
-                }
-          | "mset_applied" ->
-              Mset_applied
-                {
-                  et = get_int "et";
-                  site = get_int "site";
-                  n_ops = get_int "n_ops";
-                  order = get_int_opt "order";
-                }
-          | "compensation_fired" ->
-              let kind =
-                match kind_of_string (get_str "kind") with
-                | Some k -> k
-                | None -> raise (Parse "bad compensation kind")
-              in
-              Compensation_fired { et = get_int "et"; site = get_int "site"; kind }
-          | "squeue_send" ->
-              Squeue_send { src = get_int "src"; dst = get_int "dst"; seq = get_int "seq" }
-          | "squeue_delivered" ->
-              Squeue_delivered
-                { src = get_int "src"; dst = get_int "dst"; seq = get_int "seq" }
-          | "squeue_dup" ->
-              Squeue_dup { src = get_int "src"; dst = get_int "dst"; seq = get_int "seq" }
-          | "query_window" ->
-              Query_window
-                {
-                  w = get_int "w";
-                  site = get_int "site";
-                  point = get_int "point";
-                  missing = get_int "missing";
-                  keys = get_str_list "keys";
-                }
-          | "query_window_closed" ->
-              let outcome =
-                match outcome_of_string (get_str "outcome") with
-                | Some o -> o
-                | None -> raise (Parse "bad window outcome")
-              in
-              Query_window_closed
-                { w = get_int "w"; site = get_int "site"; charged = get_int "charged"; outcome }
-          | "volatile_dropped" ->
-              Volatile_dropped
-                {
-                  site = get_int "site";
-                  buffered = get_int "buffered";
-                  queries_failed = get_int "queries_failed";
-                  updates_rejected = get_int "updates_rejected";
-                  log = get_int "log";
-                }
-          | "recovery_replay" ->
-              Recovery_replay
-                { site = get_int "site"; n_actions = get_int "n_actions" }
-          | "checkpoint_cut" ->
-              Checkpoint_cut
-                {
-                  site = get_int "site";
-                  folded = get_int "folded";
-                  reclaimed = get_int "reclaimed";
-                }
-          | "flush_round" -> Flush_round { round = get_int "round" }
-          | "converged" -> Converged { ok = get_bool "ok" }
-          | "meta" -> Trace_meta { dropped = get_int "dropped" }
-          | other -> raise (Parse ("unknown event type " ^ other))
-        in
-        Ok { time; ev }
-      with Parse msg -> Error msg)
-  | _ -> Error "not a JSON object"
+      { time = field "ts" float j; ev })
+    line
 
-let file_sink t oc =
-  attach t (fun r ->
-      output_string oc (record_to_json r);
-      output_char oc '\n')
+(* Each record is rendered into one reused buffer. *)
+let jsonl_writer oc =
+  let b = Buffer.create 256 in
+  fun r ->
+    Buffer.clear b;
+    Json.to_buffer b (record_json r);
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b
+
+let file_sink t oc = attach t (jsonl_writer oc)
 
 let write_jsonl oc t =
+  let write = jsonl_writer oc in
   (* Evictions are not silent: a wrapped ring leads the dump with a
      self-describing meta record so consumers know the prefix is gone. *)
   if t.n_dropped > 0 then begin
     let oldest = if t.len > 0 then t.times.(t.head) else 0.0 in
-    output_string oc
-      (record_to_json
-         { time = oldest; ev = Trace_meta { dropped = t.n_dropped } });
-    output_char oc '\n'
+    write { time = oldest; ev = Trace_meta { dropped = t.n_dropped } }
   end;
-  iter t (fun r ->
-      output_string oc (record_to_json r);
-      output_char oc '\n')
+  iter t write
 
 (* --- Chrome trace_event --- *)
 
@@ -695,18 +503,10 @@ let event_track ~sites = function
   | Partition_event _ | Heal | Flush_round _ | Converged _ | Trace_meta _ ->
       sites
 
-(* Trace-viewer args payload: reuse the JSONL object minus ts/type. *)
-let event_args r =
-  let line = record_to_json r in
-  (* line = {"ts":<num>,"type":"<name>"...}; strip the first two fields. *)
-  match String.index_opt line ',' with
-  | None -> "{}"
-  | Some first_comma -> (
-      let rest = String.sub line (first_comma + 1) (String.length line - first_comma - 1) in
-      match String.index_opt rest ',' with
-      | None -> "{}"  (* only the type field: no payload *)
-      | Some second_comma ->
-          "{" ^ String.sub rest (second_comma + 1) (String.length rest - second_comma - 1))
+let float_repr = Json.float_repr
+
+(* Trace-viewer args payload: the JSONL object minus ts/type. *)
+let event_args r = Json.render (Obj (event_fields r.ev))
 
 let write_chrome ?(extra = []) oc ~sites t =
   output_string oc "{\"traceEvents\":[\n";

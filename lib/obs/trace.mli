@@ -166,6 +166,9 @@ val record_to_json : record -> string
 (** One line, no trailing newline, valid JSON object. *)
 
 val record_of_json : string -> (record, string) result
+(** Inverse of {!record_to_json}.  An absent [forced] reads as 0 (the
+    writer leaves it out when 0); any other field missing or of the
+    wrong type is an [Error] naming it. *)
 
 val write_jsonl : out_channel -> t -> unit
 (** When the ring wrapped ({!dropped} [> 0]) the first line is a

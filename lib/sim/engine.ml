@@ -11,9 +11,8 @@ type t = {
   mutable bodies : (unit -> unit) array;
       (* closure bodies by slot; a free slot holds [noop], so a fired
          body and what it captures are released *)
-  mutable free : int array;  (* stack of freed slots, [n_free] deep *)
-  mutable n_free : int;
-  mutable n_slots : int;  (* slots handed out so far, free or not *)
+  mutable cursor : int;  (* where the scan for a free slot starts *)
+  mutable n_bodies : int;  (* slots holding a body *)
   mutable clock : float;
       (* boxed on purpose: [now] then returns the stored box, so a caller
          in another module never allocates to read the clock *)
@@ -43,9 +42,8 @@ let create ?(hint = 64) () =
     heap = Heap.create ~hint ();
     hint;
     bodies = [||];
-    free = [||];
-    n_free = 0;
-    n_slots = 0;
+    cursor = 0;
+    n_bodies = 0;
     clock = 0.0;
     next_seq = 0;
     live = 0;
@@ -68,40 +66,33 @@ let push t ~time ~key =
   seq
 
 (* The table is allocated at the first closure event, sized like the
-   heap's columns, and doubles when full.  A slot is taken from the free
-   stack first. *)
+   heap's columns, and doubles once a body would fill more than 3/4 of
+   it; the scan then starts in the new half.  A free slot holds the
+   shared [noop], and a quarter of the slots are free, so the scan from
+   the cursor always ends, and soon. *)
 let grow_bodies t =
   let n = Array.length t.bodies in
   let bodies = Array.make (if n = 0 then Stdlib.max t.hint 16 else 2 * n) noop in
   Array.blit t.bodies 0 bodies 0 n;
-  t.bodies <- bodies
+  t.bodies <- bodies;
+  t.cursor <- n
+
+let rec free_slot bodies i =
+  if Array.unsafe_get bodies i == noop then i
+  else free_slot bodies (if i + 1 = Array.length bodies then 0 else i + 1)
 
 let schedule_closure t ~time body =
-  let slot =
-    if t.n_free > 0 then begin
-      t.n_free <- t.n_free - 1;
-      Array.unsafe_get t.free t.n_free
-    end
-    else begin
-      if t.n_slots = Array.length t.bodies then grow_bodies t;
-      let slot = t.n_slots in
-      t.n_slots <- slot + 1;
-      slot
-    end
-  in
-  t.bodies.(slot) <- body;
+  if 4 * (t.n_bodies + 1) > 3 * Array.length t.bodies then grow_bodies t;
+  let slot = free_slot t.bodies t.cursor in
+  t.cursor <- (if slot + 1 = Array.length t.bodies then 0 else slot + 1);
+  t.n_bodies <- t.n_bodies + 1;
+  Array.unsafe_set t.bodies slot body;
   push t ~time ~key:(lnot slot)
 
-(* Empty a slot whose entry has left the heap and stack it for reuse. *)
+(* Empty a slot whose entry has left the heap. *)
 let release t slot =
   Array.unsafe_set t.bodies slot noop;
-  if t.n_free = Array.length t.free then begin
-    let free = Array.make (Stdlib.max 16 (2 * t.n_free)) 0 in
-    Array.blit t.free 0 free 0 t.n_free;
-    t.free <- free
-  end;
-  Array.unsafe_set t.free t.n_free slot;
-  t.n_free <- t.n_free + 1
+  t.n_bodies <- t.n_bodies - 1
 
 (* The guards are written [not (x >= y)] so that a NaN time or delay is
    refused: every comparison with NaN is false. *)

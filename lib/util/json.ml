@@ -1,8 +1,9 @@
-(* Minimal JSON reader for the subset the repo's writers produce: the
-   trace JSONL exporter, the series dump, and the bench trajectory file.
-   Writers stay hand-rolled (each knows its own escaping and float
-   canonicalization); this is the one shared parser they round-trip
-   through, so the reader lives in [esr_util] below every consumer. *)
+(* The one JSON codec every run artifact goes through: the trace JSONL
+   exporter, the audit certificate, the series, profile and metrics
+   dumps, and the bench trajectory file.  Writers build a [t] and print
+   it with [to_buffer]/[render]/[output_lines]; readers parse and then
+   decode with [Decode], whose one error path names the field.  It lives
+   in [esr_util], below every consumer. *)
 
 type t =
   | Null
@@ -43,6 +44,13 @@ let parse_exn (s : string) : t =
     end
     else fail ("bad literal " ^ word)
   in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad \\u escape"
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -63,9 +71,12 @@ let parse_exn (s : string) : t =
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
               if !pos + 4 >= n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
+              let code = ref 0 in
+              for i = 1 to 4 do
+                code := (!code lsl 4) lor hex_digit s.[!pos + i]
+              done;
               pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
+              if !code < 0x80 then Buffer.add_char b (Char.chr !code)
               else fail "non-ASCII \\u escape unsupported"
           | _ -> fail "bad escape");
           advance ();
@@ -167,29 +178,36 @@ let member name = function
 let to_float = function Num v -> Some v | _ -> None
 let to_int = function Num v -> Some (int_of_float v) | _ -> None
 let to_string = function Str v -> Some v | _ -> None
-let to_bool = function Bool v -> Some v | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 
-(* --- string escaping shared by the writers --- *)
+(* --- writing --- *)
+
+let int i = Num (float_of_int i)
+let nullable f = function None -> Null | Some v -> f v
+
+(* A string with nothing to escape, as every key and nearly every value
+   is, is copied whole. *)
+let rec plain s i =
+  i = String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1)
 
 let buf_add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  buf_add_escaped b s;
-  Buffer.contents b
+  if plain s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 (* Shortest decimal representation that round-trips exactly; JSON numbers
    must not be "inf"/"nan" (callers only feed finite values, guarded). *)
@@ -199,15 +217,19 @@ let float_repr v =
     let s = Printf.sprintf "%.12g" v in
     if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
-let rec buf_add_json b = function
+(* Integral floats below 10^15 print without a fraction, so counters
+   round-trip as JSON integers: the digits "%.0f" would print, read off
+   the int (a negative zero keeps its sign). *)
+let add_num b v =
+  let i = int_of_float v in
+  if Float.of_int i = v && i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000
+  then Buffer.add_string b (if i = 0 && Float.sign_bit v then "-0" else string_of_int i)
+  else Buffer.add_string b (float_repr v)
+
+let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Num v ->
-      (* Integral floats print without a fraction so counters round-trip
-         as JSON integers. *)
-      if Float.is_integer v && Float.abs v < 1e15 then
-        Buffer.add_string b (Printf.sprintf "%.0f" v)
-      else Buffer.add_string b (float_repr v)
+  | Num v -> add_num b v
   | Str s ->
       Buffer.add_char b '"';
       buf_add_escaped b s;
@@ -217,7 +239,7 @@ let rec buf_add_json b = function
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char b ',';
-          buf_add_json b item)
+          to_buffer b item)
         items;
       Buffer.add_char b ']'
   | Obj fields ->
@@ -225,14 +247,148 @@ let rec buf_add_json b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          buf_add_escaped b k;
-          Buffer.add_string b "\":";
-          buf_add_json b v)
+          add_key b k;
+          to_buffer b v)
         fields;
       Buffer.add_char b '}'
 
+and add_key b k =
+  Buffer.add_char b '"';
+  buf_add_escaped b k;
+  Buffer.add_string b "\":"
+
 let render v =
   let b = Buffer.create 256 in
-  buf_add_json b v;
+  to_buffer b v;
   Buffer.contents b
+
+type line =
+  | Same of string * t
+  | Next of string * t
+  | Rows of string * t Seq.t
+  | Block of string * t Seq.t
+
+let output_lines oc fields =
+  let b = Buffer.create 4096 in
+  let flush () =
+    Buffer.output_buffer oc b;
+    Buffer.clear b
+  in
+  let rows xs =
+    Seq.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b ",\n";
+        to_buffer b x;
+        flush ())
+      xs
+  in
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i field ->
+      if i > 0 then Buffer.add_char b ',';
+      match field with
+      | Same (k, v) ->
+          add_key b k;
+          to_buffer b v
+      | Next (k, v) ->
+          Buffer.add_char b '\n';
+          add_key b k;
+          to_buffer b v
+      | Rows (k, xs) ->
+          Buffer.add_char b '\n';
+          add_key b k;
+          Buffer.add_char b '[';
+          rows xs;
+          Buffer.add_char b ']'
+      | Block (k, xs) ->
+          add_key b k;
+          Buffer.add_string b "[\n";
+          rows xs;
+          Buffer.add_string b "\n]")
+    fields;
+  Buffer.add_string b "}\n";
+  flush ()
+
+(* --- typed decoding --- *)
+
+module Decode = struct
+  type json = t
+  type 'a t = json -> 'a
+
+  (* The path from the document root to the failing value, outermost
+     first, and what is wrong with it. *)
+  exception Fail of string list * string
+
+  let fail msg = raise (Fail ([], msg))
+
+  let expected what j =
+    let got =
+      match j with
+      | Null -> "null"
+      | Bool v -> string_of_bool v
+      | Num v -> float_repr v
+      | Str _ -> "a string"
+      | Arr _ -> "an array"
+      | Obj _ -> "an object"
+    in
+    fail (Printf.sprintf "expected %s, got %s" what got)
+
+  (* Every integer up to 2^53 is a float; past it, neighbours collide. *)
+  let max_exact = 9007199254740992.0
+
+  let int = function
+    | Num v when Float.is_integer v && Float.abs v <= max_exact ->
+        int_of_float v
+    | j -> expected "an integer" j
+
+  let float = function Num v -> v | j -> expected "a number" j
+  let string = function Str v -> v | j -> expected "a string" j
+  let bool = function Bool v -> v | j -> expected "a boolean" j
+  let nullable d = function Null -> None | j -> Some (d j)
+
+  let list d = function
+    | Arr items ->
+        List.mapi
+          (fun i x ->
+            try d x
+            with Fail (path, msg) ->
+              raise (Fail (Printf.sprintf "[%d]" i :: path, msg)))
+          items
+    | j -> expected "an array" j
+
+  let enum name values j =
+    let s = string j in
+    match List.find_opt (fun v -> String.equal (name v) s) values with
+    | Some v -> v
+    | None -> fail (Printf.sprintf "unknown name %S" s)
+
+  let lookup name = function
+    | Obj fields -> List.assoc_opt name fields
+    | j -> expected "an object" j
+
+  let within name d v =
+    try d v with Fail (path, msg) -> raise (Fail (name :: path, msg))
+
+  let field name d j =
+    match lookup name j with
+    | Some v -> within name d v
+    | None -> raise (Fail ([ name ], "missing"))
+
+  let field_or name default d j =
+    match lookup name j with Some v -> within name d v | None -> default
+
+  let run d j =
+    match d j with
+    | v -> Ok v
+    | exception Fail (path, msg) ->
+        let where =
+          List.fold_left
+            (fun acc seg ->
+              if acc = "" || String.starts_with ~prefix:"[" seg then acc ^ seg
+              else acc ^ "." ^ seg)
+            "" path
+        in
+        Error (if where = "" then msg else where ^ ": " ^ msg)
+
+  let of_string d s = Result.bind (parse s) (run d)
+end

@@ -150,7 +150,18 @@ let test_jsonl_rejects_garbage () =
       match Trace.record_of_json line with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted garbage: %s" line)
-    [ ""; "{}"; "not json"; {|{"ts":1.0}|}; {|{"ts":1.0,"type":"nope"}|} ]
+    [
+      "";
+      "{}";
+      "not json";
+      {|{"ts":1.0}|};
+      {|{"ts":1.0,"type":"nope"}|};
+      {|{"ts":1.0,"type":"crash","site":1.5}|};
+      {|{"ts":1.0,"type":"crash","site":1e300}|};
+      {|{"ts":1.0,"type":"update_rejected","u":1,"origin":0,"reason":"\uZZZZ"}|};
+      {|{"ts":1.0,"type":"msg_dropped","src":0,"dst":1,"cls":"m","reason":"eaten"}|};
+      {|{"ts":1.0,"type":"partition","groups":[[0,1],[2.5]]}|};
+    ]
 
 let write_jsonl_lines t =
   let path = Filename.temp_file "esr_trace" ".jsonl" in
@@ -594,6 +605,216 @@ let test_jsonl_export_parses_back () =
   Sys.remove path;
   checki "one line per record" (Trace.length obs.Obs.trace) !n
 
+(* --- codec: every reader fails cleanly, every writer round-trips --- *)
+
+module Json = Esr_util.Json
+module Audit = Esr_obs.Audit
+module Series = Esr_obs.Series
+module Prof = Esr_obs.Prof
+module Schedule = Esr_fault.Schedule
+
+let write_to_string write =
+  let path = Filename.temp_file "esr_codec" ".json" in
+  let oc = open_out_bin path in
+  write oc;
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+let gen_string =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '/'; 'a' ]; char ])
+      (int_bound 8))
+
+(* Finite floats, most of them needing 17 significant digits. *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun b -> let v = Int64.float_of_bits b in if Float.is_finite v then v else 0.1) ui64;
+        map (fun i -> float_of_int i /. 3.0) (int_range (-1000000) 1000000);
+        map float_of_int (int_range (-100) 100);
+        oneofl [ 0.0; -0.0; 1e12; 1e15; 2.5e-310 ];
+      ])
+
+let gen_int = QCheck.Gen.int_range (-1) 1_000_000_000
+let gen_opt g = QCheck.Gen.opt g
+let gen_keys = QCheck.Gen.(list_size (int_bound 3) gen_string)
+
+let gen_event =
+  let open QCheck.Gen in
+  oneof
+    [
+      map3 (fun src dst cls -> Trace.Msg_sent { src; dst; cls }) gen_int gen_int gen_string;
+      map3
+        (fun (src, dst) cls reason -> Trace.Msg_dropped { src; dst; cls; reason })
+        (pair gen_int gen_int) gen_string
+        (oneofl [ Trace.Loss; Partition; Crashed_src; Crashed_dst ]);
+      map (fun groups -> Trace.Partition_event { groups })
+        (list_size (int_bound 3) (list_size (int_bound 3) gen_int));
+      map3 (fun u origin latency -> Trace.Update_committed { u; origin; latency }) gen_int gen_int gen_float;
+      map3 (fun u origin reason -> Trace.Update_rejected { u; origin; reason }) gen_int gen_int gen_string;
+      map3
+        (fun (q, site) (charged, forced) (epsilon, consistent_path, latency) ->
+          Trace.Query_served { q; site; charged; forced; epsilon; consistent_path; latency })
+        (pair gen_int gen_int) (pair gen_int (int_range (-1) 3))
+        (triple (gen_opt gen_int) bool gen_float);
+      map3 (fun et n_ops keys -> Trace.Mset_enqueued { et; origin = 0; n_ops; keys }) gen_int gen_int gen_keys;
+      map3 (fun et site order -> Trace.Mset_applied { et; site; n_ops = 1; order }) gen_int gen_int
+        (gen_opt gen_int);
+      map3 (fun w point keys -> Trace.Query_window { w; site = 0; point; missing = 1; keys }) gen_int
+        gen_int gen_keys;
+      map2 (fun w outcome -> Trace.Query_window_closed { w; site = 1; charged = 2; outcome }) gen_int
+        (oneofl [ `Ok; `Fallback; `Killed ]);
+      map2 (fun et kind -> Trace.Compensation_fired { et; site = 0; kind }) gen_int
+        (oneofl [ `Fast; `Full; `Revoke ]);
+      map (fun dropped -> Trace.Trace_meta { dropped }) gen_int;
+      map (fun ok -> Trace.Converged { ok }) bool;
+      return Trace.Heal;
+    ]
+
+let gen_record = QCheck.Gen.map2 (fun time ev -> { Trace.time; ev }) gen_float gen_event
+
+let gen_report =
+  let open QCheck.Gen in
+  let violation =
+    map3
+      (fun (k, inv) (detail, v_time) v_event ->
+        { Audit.v_kind = k; v_invariant = inv; v_detail = detail; v_time; v_event })
+      (pair (oneofl Audit.[ Delivery; Ordering; Epsilon; Crash; Checkpoint; Convergence ]) gen_string)
+      (pair gen_string gen_float) gen_string
+  in
+  let entry =
+    map3
+      (fun (l_q, l_epsilon, l_charged) (l_consistent, l_latency) (l_reconstructed, l_oracle) ->
+        {
+          Audit.l_q; l_site = 1; l_keys = 2; l_epsilon; l_charged; l_forced = 0; l_consistent;
+          l_latency; l_reconstructed; l_oracle;
+        })
+      (triple gen_int (gen_opt gen_int) gen_int) (pair bool gen_float)
+      (pair (gen_opt gen_int) (gen_opt gen_float))
+  in
+  map3
+    (fun label (violations, ledger) (n, converged) ->
+      {
+        Audit.label;
+        violations;
+        ledger;
+        summary =
+          {
+            Audit.s_events = n; s_dropped = 0; s_queries = n; s_bounded = 1; s_at_bound = 2;
+            s_charged_total = 3; s_windows = 4; s_windows_exact = 5; s_max_replay = 6;
+            s_max_crash_log = 7; s_crashes = 8; s_cuts = 9; s_converged = converged;
+          };
+      })
+    gen_string
+    (pair (list_size (int_bound 3) violation) (list_size (int_bound 3) entry))
+    (pair gen_int (gen_opt bool))
+
+let gen_series =
+  let open QCheck.Gen in
+  int_bound 3 >>= fun n ->
+  map3
+    (fun (d_interval, d_dropped) (cols, samples) notes ->
+      {
+        Series.d_interval;
+        d_columns = Array.of_list cols;
+        d_samples = samples;
+        d_annotations = List.map (fun (at, label) -> { Series.at; label }) notes;
+        d_dropped;
+      })
+    (pair gen_float gen_int)
+    (pair (list_repeat n gen_string)
+       (list_size (int_bound 4)
+          (map2 (fun at vs -> { Series.at; values = Array.of_list vs }) gen_float (list_repeat n gen_float))))
+    (list_size (int_bound 3) (pair gen_float gen_string))
+
+let gen_profile =
+  let open QCheck.Gen in
+  let agg = map3 (fun count seconds alloc_bytes -> { Prof.count; seconds; alloc_bytes }) gen_int gen_float gen_float in
+  let span =
+    map3
+      (fun (sp_phase, sp_site) sp_start (sp_dur, sp_bytes) -> { Prof.sp_phase; sp_site; sp_start; sp_dur; sp_bytes })
+      (pair (oneofl Prof.all_phases) gen_int) gen_float (pair gen_float gen_float)
+  in
+  map3
+    (fun d_phases d_spans d_spans_dropped -> { Prof.d_phases; d_spans; d_spans_dropped })
+    (flatten_l (List.map (fun p -> map (fun a -> (p, a)) agg) Prof.all_phases))
+    (list_size (int_bound 4) span) gen_int
+
+(* [write], then [read], then [write] again: the two writes agree. *)
+let round_trip ~name gen write read =
+  QCheck.Test.make ~name ~count:300 (QCheck.make gen) (fun v ->
+      let first = write v in
+      match read first with
+      | Ok v' -> String.equal first (write v')
+      | Error m -> QCheck.Test.fail_reportf "%s did not read back: %s" first m)
+
+let prop_trace_round_trip =
+  round_trip ~name:"trace record write-read-write" gen_record Trace.record_to_json Trace.record_of_json
+
+let prop_audit_round_trip =
+  round_trip ~name:"audit certificate write-read-write" gen_report Audit.report_to_json
+    Audit.report_of_json
+
+let prop_series_round_trip =
+  round_trip ~name:"series dump write-read-write" gen_series
+    (fun d -> write_to_string (fun oc -> Series.write_json oc d))
+    Series.dump_of_json
+
+let prop_profile_round_trip =
+  round_trip ~name:"profile dump write-read-write" gen_profile
+    (fun d -> write_to_string (fun oc -> Prof.write_json oc d))
+    Prof.dump_of_json
+
+(* Every reader, fed anything: [Ok] or [Error], never an exception. *)
+let readers =
+  [
+    ("json", fun s -> Result.is_ok (Json.parse s));
+    ("trace", fun s -> Result.is_ok (Trace.record_of_json s));
+    ("audit", fun s -> Result.is_ok (Audit.report_of_json s));
+    ("series", fun s -> Result.is_ok (Series.dump_of_json s));
+    ("profile", fun s -> Result.is_ok (Prof.dump_of_json s));
+    ("faults", fun s -> Result.is_ok (Schedule.of_spec s));
+  ]
+
+(* Valid documents of every format, to truncate and flip. *)
+let corpus =
+  let rand = Random.State.make [| 28 |] in
+  let sample gen n = List.init n (fun _ -> QCheck.Gen.generate1 ~rand gen) in
+  List.map Trace.record_to_json (sample gen_record 8)
+  @ List.map Audit.report_to_json (sample gen_report 4)
+  @ List.map (fun d -> write_to_string (fun oc -> Series.write_json oc d)) (sample gen_series 4)
+  @ List.map (fun d -> write_to_string (fun oc -> Prof.write_json oc d)) (sample gen_profile 4)
+  @ [ "crash@400:2;recover@900:2;partition@1000:0 1|2 3;heal@1500"; "crash@1:0" ]
+
+let gen_garbage =
+  let open QCheck.Gen in
+  oneof
+    [
+      string_size ~gen:char (int_bound 40);
+      (oneofl corpus >>= fun doc -> map (fun k -> String.sub doc 0 (k mod (String.length doc + 1))) nat);
+      ( oneofl corpus >>= fun doc ->
+        map2
+          (fun k c ->
+            if doc = "" then doc
+            else String.mapi (fun i x -> if i = k mod String.length doc then c else x) doc)
+          nat char );
+    ]
+
+let prop_readers_total =
+  QCheck.Test.make ~name:"readers return Ok or Error on any input" ~count:2000
+    (QCheck.make ~print:String.escaped gen_garbage) (fun text ->
+      List.for_all
+        (fun (name, read) ->
+          match read text with
+          | _ -> true
+          | exception e -> QCheck.Test.fail_reportf "%s reader raised %s" name (Printexc.to_string e))
+        readers)
+
 let () =
   Alcotest.run "esr_obs"
     [
@@ -648,4 +869,13 @@ let () =
           Alcotest.test_case "jsonl export parses back" `Quick
             test_jsonl_export_parses_back;
         ] );
+      ( "codec",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_trace_round_trip;
+            prop_audit_round_trip;
+            prop_series_round_trip;
+            prop_profile_round_trip;
+            prop_readers_total;
+          ] );
     ]

@@ -81,7 +81,7 @@ let test_dump_json_roundtrip () =
   done;
   let path = Filename.temp_file "esr_prof" ".json" in
   let oc = open_out path in
-  Prof.write_json oc p;
+  Prof.write_json oc (Prof.dump p);
   close_out oc;
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
@@ -97,6 +97,34 @@ let test_dump_json_roundtrip () =
       checki "parsed net_delivery count" 5 nd.Prof.count;
       checki "parsed spans" 5 (List.length d.Prof.d_spans);
       checki "no drops" 0 d.Prof.d_spans_dropped
+
+(* An unknown phase or a span row of the wrong shape fails the dump
+   rather than vanishing from it. *)
+let test_dump_rejects_malformed () =
+  let phase name =
+    Printf.sprintf {|{"phase":"%s","count":1,"seconds":0.5,"alloc_bytes":8}|} name
+  in
+  let doc ~phases ~spans =
+    Printf.sprintf {|{"schema":"esr-profile/1","phases":[%s],
+"spans_dropped":0,
+"spans":[%s]}|}
+      (String.concat "," phases) spans
+  in
+  (match Prof.dump_of_json (doc ~phases:[ phase "apply" ] ~spans:{|["apply",1,0.5,0.25,8]|}) with
+  | Ok d -> checki "good dump reads" 1 (List.length d.Prof.d_spans)
+  | Error m -> Alcotest.failf "good dump rejected: %s" m);
+  List.iter
+    (fun (phases, spans) ->
+      match Prof.dump_of_json (doc ~phases ~spans) with
+      | Ok _ -> Alcotest.failf "accepted spans %s" spans
+      | Error _ -> ())
+    [
+      ([ phase "apply"; phase "nope" ], "");
+      ([ phase "apply" ], {|["apply",1,0.5,0.25]|});
+      ([ phase "apply" ], {|["nope",1,0.5,0.25,8]|});
+      ([ phase "apply" ], {|["apply",1.5,0.5,0.25,8]|});
+      ([ phase "apply" ], {|{"phase":"apply"}|});
+    ]
 
 (* --- profiling must not perturb outcomes --- *)
 
@@ -337,6 +365,8 @@ let () =
             test_phase_names_roundtrip;
           Alcotest.test_case "dump JSON round-trip" `Quick
             test_dump_json_roundtrip;
+          Alcotest.test_case "dump reader rejects malformed rows" `Quick
+            test_dump_rejects_malformed;
         ] );
       ( "invisibility",
         [

@@ -74,7 +74,7 @@ let test_dump_round_trip () =
   Series.annotate s ~time:10.0 "crash:1";
   let path = Filename.temp_file "esr_series" ".json" in
   let oc = open_out path in
-  Series.write_json oc s;
+  Series.write_json oc (Series.dump s);
   close_out oc;
   let ic = open_in_bin path in
   let body = really_input_string ic (in_channel_length ic) in
@@ -96,6 +96,33 @@ let test_dump_round_trip () =
       match d.Series.d_samples with
       | { Series.at = 0.0; values } :: _ -> checkf "value" 3.5 values.(0)
       | _ -> Alcotest.fail "first sample wrong"
+
+(* A series reader takes nothing it cannot represent: a non-number cell
+   or a malformed annotation fails the whole dump, naming the field. *)
+let test_dump_rejects_malformed () =
+  let doc ~samples ~annotations =
+    Printf.sprintf
+      {|{"schema":"esr-series/1","interval":50,"dropped":0,"columns":["time","a"],
+"samples":%s,
+"annotations":%s}|}
+      samples annotations
+  in
+  (match Series.dump_of_json (doc ~samples:"[[0,1],\n[50,2]]" ~annotations:"[]") with
+  | Ok d -> checki "good dump reads" 2 (List.length d.Series.d_samples)
+  | Error m -> Alcotest.failf "good dump rejected: %s" m);
+  List.iter
+    (fun (samples, annotations) ->
+      match Series.dump_of_json (doc ~samples ~annotations) with
+      | Ok _ -> Alcotest.failf "accepted samples %s annotations %s" samples annotations
+      | Error _ -> ())
+    [
+      ({|[[0,"1"]]|}, "[]");
+      ("[[0,1,2]]", "[]");
+      ("[[0]]", "[]");
+      ("[[0,1]]", {|[{"ts":1}]|});
+      ("[[0,1]]", {|[{"ts":"x","label":"crash"}]|});
+      ("[[0,1]]", {|[{"ts":1,"label":"\uZZZZ"}]|});
+    ]
 
 (* --- sampling is observationally invisible --- *)
 
@@ -229,6 +256,8 @@ let () =
             test_columns_freeze_at_first_sample;
           Alcotest.test_case "ring bounds memory" `Quick test_ring_bounds_memory;
           Alcotest.test_case "dump round-trips" `Quick test_dump_round_trip;
+          Alcotest.test_case "dump reader rejects malformed rows" `Quick
+            test_dump_rejects_malformed;
         ] );
       ( "invisibility",
         [

@@ -1,10 +1,11 @@
 (* Unit and property tests for Esr_util: PRNG, distributions, statistics,
-   and the table renderer. *)
+   the table renderer and the JSON codec. *)
 
 module Prng = Esr_util.Prng
 module Dist = Esr_util.Dist
 module Stats = Esr_util.Stats
 module Tablefmt = Esr_util.Tablefmt
+module Json = Esr_util.Json
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -345,6 +346,84 @@ let prop_shuffle_preserves_multiset =
       Prng.shuffle (Prng.create seed) arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
+(* --- Json --- *)
+
+let is_error = function Ok _ -> false | Error _ -> true
+
+let test_json_bad_unicode_escape () =
+  List.iter
+    (fun text -> checkb text true (is_error (Json.parse text)))
+    [ {|"\uZZZZ"|}; {|"\u00zz"|}; {|"\u_1_2"|}; {|"\u+123"|}; {|"\u12"|}; {|["\u0041", "\uZZ"]|} ];
+  check Alcotest.(result string string) "a good escape reads"
+    (Ok "A\n") (Result.map (fun j -> Option.get (Json.to_string j)) (Json.parse {|"\u0041\u000a"|}))
+
+let test_json_render_numbers () =
+  List.iter
+    (fun (v, text) -> check Alcotest.string text text (Json.render (Json.Num v)))
+    [
+      (0.0, "0"); (-0.0, "-0"); (42.0, "42"); (-7.0, "-7"); (0.5, "0.5");
+      (0.1, "0.1"); (1e12, "1000000000000"); (999999999999999.0, "999999999999999");
+      (1e15, "1e+15"); (Float.nan, "0"); (Float.infinity, "0");
+    ];
+  check Alcotest.string "int" "123" (Json.render (Json.int 123));
+  check Alcotest.string "null" "null" (Json.render (Json.nullable Json.int None))
+
+let test_json_output_lines () =
+  let path = Filename.temp_file "esr_json" ".json" in
+  let oc = open_out path in
+  let rows = List.to_seq [ Json.int 1; Json.int 2 ] in
+  Json.output_lines oc
+    [ Same ("a", Json.Str "x\"y"); Next ("b", Json.Null); Rows ("r", rows); Block ("k", rows) ];
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  check Alcotest.string "layout" "{\"a\":\"x\\\"y\",\n\"b\":null,\n\"r\":[1,\n2],\"k\":[\n1,\n2\n]}\n" text
+
+(* One decoder for the tests below: an object with a required int, an
+   optional int, a nullable float and a list of named records. *)
+type doc = { n : int; opt : int; x : float option; items : (string * bool) list }
+
+let doc_decoder j =
+  let open Json.Decode in
+  let item i = (field "name" (enum Fun.id [ "a"; "b" ]) i, field "on" bool i) in
+  {
+    n = field "n" int j;
+    opt = field_or "opt" 7 int j;
+    x = field "x" (nullable float) j;
+    items = field "items" (list item) j;
+  }
+
+let test_json_decode () =
+  let decode text = Json.Decode.of_string doc_decoder text in
+  (match decode {|{"n":3,"x":null,"items":[{"name":"a","on":true}]}|} with
+  | Ok d ->
+      checki "n" 3 d.n;
+      checki "absent optional takes its default" 7 d.opt;
+      checkb "null" true (d.x = None);
+      checkb "items" true (d.items = [ ("a", true) ])
+  | Error m -> Alcotest.failf "rejected a good document: %s" m);
+  List.iter
+    (fun (text, msg) ->
+      check Alcotest.(result reject string) text (Error msg) (decode text))
+    [
+      ({|{"n":1.5,"x":1,"items":[]}|}, "n: expected an integer, got 1.5");
+      ({|{"n":1e300,"x":1,"items":[]}|}, "n: expected an integer, got 1e+300");
+      ({|{"n":9007199254740994,"x":1,"items":[]}|}, "n: expected an integer, got 9007199254740994");
+      ({|{"x":1,"items":[]}|}, "n: missing");
+      ({|{"n":1,"opt":"2","x":1,"items":[]}|}, "opt: expected an integer, got a string");
+      ({|{"n":1,"x":"1","items":[]}|}, "x: expected a number, got a string");
+      ({|{"n":1,"x":1,"items":[{"name":"a","on":true},{"name":"c","on":true}]}|},
+        {|items[1].name: unknown name "c"|});
+      ({|{"n":1,"x":1,"items":[{"name":"a","on":1}]}|}, "items[0].on: expected a boolean, got 1");
+      ({|{"n":1,"x":1,"items":{}}|}, "items: expected an array, got an object");
+      ("[1]", "expected an object, got an array");
+    ];
+  checkb "a parse error is an Error" true (is_error (decode "{\"n\":"));
+  check Alcotest.(result int string) "fail names the field" (Error "n: odd")
+    (Json.Decode.(of_string (field "n" (fun j -> if int j mod 2 = 1 then fail "odd" else 0))) {|{"n":3}|})
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_percentile_monotone; prop_mean_between_min_max; prop_shuffle_preserves_multiset ]
@@ -396,6 +475,15 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render_fixed;
           Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
           Alcotest.test_case "cell formatting" `Quick test_table_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "bad \\u escape is a parse error" `Quick
+            test_json_bad_unicode_escape;
+          Alcotest.test_case "numbers render as integers or shortest floats" `Quick
+            test_json_render_numbers;
+          Alcotest.test_case "multi-line layouts" `Quick test_json_output_lines;
+          Alcotest.test_case "decoder names the failing field" `Quick test_json_decode;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -7,7 +7,8 @@
 # dump path are dropped.  Two hot-key 2PC runs (8 keys, Zipf 0.99) come
 # next: they queue many waiters per key, so they pin the lock manager's
 # grant order and its deadlock refusals.  A Chrome export that wraps the
-# trace ring comes last; it pins what the ring keeps and evicts.
+# trace ring follows; it pins what the ring keeps and evicts.  The
+# esr-audit/1 certificates of a seeded audit campaign come last.
 #
 #   sh test/trace_golden.sh _build/default/bin/esrsim.exe
 #
@@ -57,3 +58,10 @@ sed '/ -> /d' "$dir/out" > "$dir/stdout"
 echo "-m ORDUP -s 16 chrome: rc=$rc events=$(grep -c '"ph":"[iX]"' "$dir/t.json")" \
   "$(sed -n 's/.*; \([0-9]*\) oldest events dropped$/dropped=\1/p' "$dir/err")"
 echo "  chrome $(md5 "$dir/t.json") stdout $(md5 "$dir/stdout")"
+# The 14 certificates of every method, full and ring-sharded, under one
+# seeded nemesis schedule: pins the certificate and ledger bytes.
+rc=0
+"$exe" audit -m all --sharded --seed 7 -e 3 --checkpoint-interval 300 \
+  --ledger "$dir/certs.jsonl" > /dev/null || rc=$?
+echo "audit -m all --sharded --seed 7: rc=$rc" \
+  "certificates=$(wc -l < "$dir/certs.jsonl" | tr -d ' ') ledger $(md5 "$dir/certs.jsonl")"
