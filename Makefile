@@ -8,9 +8,9 @@ build:
 test:
 	dune runtest
 
-# Timed experiment sweep: runs every experiment on 1 domain and on the
-# configured pool (ESR_DOMAINS or cores-1), byte-compares the outputs,
-# and writes BENCH_experiments.json. Same as `dune build @bench`.
+# Timed experiment sweep: runs every experiment plain, traced and
+# profiled, byte-compares the three outputs, and writes
+# BENCH_experiments.json. Same as `dune build @bench`.
 bench:
 	dune exec bench/main.exe -- timed
 

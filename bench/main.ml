@@ -11,17 +11,11 @@
      dune exec bench/main.exe -- timed        # timed sweep -> BENCH_experiments.json
      dune exec bench/main.exe -- list         # list available targets
 
-   Experiments fan their independent simulation jobs out over an OCaml 5
-   domain pool; control the worker count with --domains N (or the
-   ESR_DOMAINS environment variable) — the default is the machine's core
-   count minus one (min 1).  The E15 scale tier shrinks or grows with
-   --scale F (or ESR_SCALE).  --profile turns on the host-time/allocation
-   phase profiler in every harness the experiments create (e16_soak then
-   also writes per-method profile dumps when ESR_SOAK_DIR is set).
-   Tables are byte-identical for any worker count and either profiling
-   state. *)
-
-module Pool = Esr_exec.Pool
+   The scale tiers E15-E18 shrink or grow with --scale F (or ESR_SCALE).
+   --profile turns on the host-time/allocation phase profiler in every
+   harness the experiments create (e16_soak then also writes per-method
+   profile dumps when ESR_SOAK_DIR is set).  Tables are byte-identical
+   in either profiling state. *)
 
 let targets =
   [ ("tables", Esr_bench.Tables.run_all) ]
@@ -51,23 +45,12 @@ let set_scale ~source s =
       Printf.eprintf "%s expects a finite positive number, got %S\n" source s;
       exit 1
 
-(* Strip --domains N / --scale F / --profile anywhere in the argument
-   list; remaining arguments are target names. *)
+(* Strip --scale F / --profile anywhere in the argument list; remaining
+   arguments are target names. *)
 let rec parse_args = function
   | "--profile" :: rest ->
-      Esr_obs.Obs.set_default_profiling true;
+      Esr_obs.Obs.default_profiling := true;
       parse_args rest
-  | "--domains" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some d when d >= 1 ->
-          Pool.set_default_domains d;
-          parse_args rest
-      | Some _ | None ->
-          Printf.eprintf "--domains expects a positive integer, got %S\n" n;
-          exit 1)
-  | [ "--domains" ] ->
-      prerr_endline "--domains expects a positive integer";
-      exit 1
   | "--scale" :: f :: rest ->
       set_scale ~source:"--scale" f;
       parse_args rest
@@ -86,9 +69,6 @@ let main () =
          (Pu & Leff, 1991)";
       print_endline
         "Reproduction bench harness - all tables, experiments, microbenches.";
-      Printf.printf "(experiment jobs run on %d domain(s); --domains N or \
-                     ESR_DOMAINS overrides)\n"
-        (Pool.default_domains ());
       print_newline ();
       List.iter (fun (_, f) -> f ()) targets
   | [ "list" ] -> list_targets ()

@@ -8,10 +8,8 @@
    Execution model: an experiment is a title, a parameter list and a row
    job — one self-contained simulation ([Scenario.run] or an inline
    harness) per parameter, returning its row as (header, cell) pairs.
-   {!grid} fans the jobs out over the {!Esr_exec.Pool} domain pool; rows
-   come back in parameter order and are only then appended to the table,
-   so the printed output is byte-identical to a sequential run for any
-   worker count (ESR_DOMAINS=1 and =N produce the same bytes). *)
+   {!grid} runs the jobs in parameter order and only then appends the
+   rows to the table. *)
 
 module Tablefmt = Esr_util.Tablefmt
 module Stats = Esr_util.Stats
@@ -32,7 +30,6 @@ module Nemesis = Esr_fault.Nemesis
 module Obs = Esr_obs.Obs
 module Series = Esr_obs.Series
 module Trace = Esr_obs.Trace
-module Pool = Esr_exec.Pool
 
 let seed = 20260704
 
@@ -71,14 +68,14 @@ let fmt_rate p = Printf.sprintf "%.0f%%" (p *. 100.0)
 
 (* --- the table path ------------------------------------------------ *)
 
-(* Run [row] for every parameter on the pool and print one table row per
+(* Run [row] for every parameter and print one table row per
    parameter, in parameter order, with a separator after every [group]
    rows (the grids are ordered outer-dimension-major).  A row is its
    (header, cell) pairs, so the headers come from the rows.  [applied]
    names the integer columns whose sum is the applied update-op volume
    the timed sweep divides by wall-clock. *)
 let grid ~title ?group ?(applied = []) params row =
-  let rows = Pool.map row params in
+  let rows = List.map row params in
   note_applied
     (List.fold_left
        (fun a row ->
@@ -836,7 +833,7 @@ let e14_divergence_profile () =
      divergent sample); the same update stream as E13, queries omitted
      since replica spread is a pure update-propagation phenomenon. *)
   let profiles =
-    Pool.map
+    List.map
       (fun name ->
         let obs = Obs.create ~series:true ~series_interval:100.0 () in
         let h = Harness.create ~config:fault_config ~obs ~seed ~sites:4 ~method_name:name () in
@@ -968,7 +965,7 @@ let a2_squeue_retry () =
    to re-measure 2PC's round trips.
 
    The table prints only deterministic values (the timed sweep
-   byte-compares it across domain counts and tracing); wall-clock
+   byte-compares it with tracing and profiling on); wall-clock
    throughput goes through {!note_applied} into BENCH_experiments.json,
    and a human-readable ops/sec line is printed to *stderr*. *)
 let e15_scale () =
@@ -1036,8 +1033,8 @@ let e15_scale () =
    availability with.
 
    Printed columns are all counts on virtual time, so the timed sweep
-   byte-compares this table across domain counts, tracing and profiling
-   like every other experiment.  Per-method dumps — the esr-series/1
+   byte-compares this table with tracing and profiling on like every
+   other experiment.  Per-method dumps — the esr-series/1
    resource series, an OpenMetrics exposition, the HTML report and (when
    profiling is on) the esr-profile/1 dump — are only written when
    ESR_SOAK_DIR names a directory, so they never perturb stdout. *)
@@ -1056,7 +1053,7 @@ let e16_soak () =
   (match soak_dir with
   | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
   | Some _ | None -> ());
-  let profiling = Atomic.get Obs.default_profiling in
+  let profiling = !Obs.default_profiling in
   let schedule =
     Nemesis.generate ~seed ~sites ~duration:(duration *. 0.7) ()
   in
@@ -1185,7 +1182,7 @@ let e17_sharded_scale () =
           "vs full"; "Store words/site"; "Settled"; "Converged" ]
   in
   let results =
-    Pool.map
+    List.map
       (fun (name, copies) ->
         let spec =
           {
@@ -1284,8 +1281,8 @@ let e17_sharded_scale () =
    times are multiples of the interval and nemesis crash times come from
    a continuous PRNG, so the exact ties {!Esr_fault.Schedule.validate}
    rejects cannot occur.  All printed columns are virtual-time counts,
-   so the table byte-compares across domain counts, tracing and
-   profiling like every other experiment. *)
+   so the table byte-compares with tracing and profiling on like every
+   other experiment. *)
 let e18_bounded_soak () =
   let module Checkpoint = Esr_replica.Checkpoint in
   let module Store = Esr_store.Store in

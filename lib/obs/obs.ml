@@ -10,12 +10,10 @@
     metrics registry plus whatever derived probes the layers above
     install.
 
-    [set_default_tracing] / [set_default_profiling] flip the defaults for
+    [default_tracing] / [default_profiling] are the defaults for
     harnesses that do not get an explicit [t] — the timed bench sweep
-    uses them to measure the tracing-on and profiling-on overhead of
-    whole experiments without threading a sink through every call site.
-    They are [Atomic]s because the bench pool runs experiment jobs on
-    worker domains. *)
+    sets them to measure the tracing-on and profiling-on overhead of
+    whole experiments without threading a sink through every call site. *)
 
 type t = {
   trace : Trace.t;
@@ -38,14 +36,8 @@ let create ?(tracing = false) ?trace_capacity ?(series = false) ?series_interval
     prof = Prof.make ?span_capacity:prof_span_capacity ~enabled:profiling ();
   }
 
-let default_tracing = Atomic.make false
-let set_default_tracing b = Atomic.set default_tracing b
-
-let default_profiling = Atomic.make false
-let set_default_profiling b = Atomic.set default_profiling b
+let default_tracing = ref false
+let default_profiling = ref false
 
 let default () =
-  create
-    ~tracing:(Atomic.get default_tracing)
-    ~profiling:(Atomic.get default_profiling)
-    ()
+  create ~tracing:!default_tracing ~profiling:!default_profiling ()

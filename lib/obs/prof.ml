@@ -53,12 +53,24 @@ type span = {
   sp_bytes : float;  (** minor+major allocation during the span *)
 }
 
+(* Per-phase span counts, host seconds and allocated bytes. *)
+type sums = { counts : int array; seconds : float array; bytes : float array }
+
+let make_sums n =
+  { counts = Array.make n 0; seconds = Array.make n 0.0; bytes = Array.make n 0.0 }
+
+let add s i ~dt ~db =
+  s.counts.(i) <- s.counts.(i) + 1;
+  s.seconds.(i) <- s.seconds.(i) +. dt;
+  s.bytes.(i) <- s.bytes.(i) +. db
+
+let sum_at s i =
+  { count = s.counts.(i); seconds = s.seconds.(i); alloc_bytes = s.bytes.(i) }
+
 type t = {
   enabled : bool;
   epoch : float;  (* Unix.gettimeofday at creation; 0 when disabled *)
-  counts : int array;
-  seconds : float array;
-  bytes : float array;
+  sums : sums;
   span_capacity : int;
   mutable spans : span array;  (* lazily allocated ring, like Trace *)
   mutable head : int;
@@ -66,13 +78,10 @@ type t = {
   mutable n_dropped : int;
 }
 
-(* Enabled profilers register here so the timed bench sweep can sum
-   per-phase totals over every harness an experiment created — including
-   harnesses built on pool worker domains.  The list is only mutated
-   under the mutex (once per harness); the aggregates themselves are
-   plain mutable cells read after the worker domains have joined. *)
-let registered : t list ref = ref []
-let registered_mu = Mutex.create ()
+(* Every span an enabled profiler records since [reset_totals], whatever
+   profiler recorded it: the timed bench sweep's per-experiment phase
+   breakdown, kept without holding on to any profiler. *)
+let totals_since_reset = make_sums n_phases
 
 let default_span_capacity = 16_384
 
@@ -80,9 +89,7 @@ let disabled =
   {
     enabled = false;
     epoch = 0.0;
-    counts = [||];
-    seconds = [||];
-    bytes = [||];
+    sums = make_sums 0;
     span_capacity = 0;
     spans = [||];
     head = 0;
@@ -95,24 +102,16 @@ let make ?(span_capacity = default_span_capacity) ~enabled () =
   else begin
     if span_capacity < 1 then
       invalid_arg "Prof.make: span_capacity must be positive";
-    let t =
-      {
-        enabled = true;
-        epoch = Unix.gettimeofday ();
-        counts = Array.make n_phases 0;
-        seconds = Array.make n_phases 0.0;
-        bytes = Array.make n_phases 0.0;
-        span_capacity;
-        spans = [||];
-        head = 0;
-        len = 0;
-        n_dropped = 0;
-      }
-    in
-    Mutex.lock registered_mu;
-    registered := t :: !registered;
-    Mutex.unlock registered_mu;
-    t
+    {
+      enabled = true;
+      epoch = Unix.gettimeofday ();
+      sums = make_sums n_phases;
+      span_capacity;
+      spans = [||];
+      head = 0;
+      len = 0;
+      n_dropped = 0;
+    }
   end
 
 let on t = t.enabled
@@ -141,9 +140,8 @@ let record t ?(site = -1) phase ~t0 ~a0 =
     let db = Gc.allocated_bytes () -. a0 in
     let dt = Float.max 0.0 (now -. t0) in
     let i = phase_index phase in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.seconds.(i) <- t.seconds.(i) +. dt;
-    t.bytes.(i) <- t.bytes.(i) +. db;
+    add t.sums i ~dt ~db;
+    add totals_since_reset i ~dt ~db;
     push_span t
       {
         sp_phase = phase;
@@ -164,11 +162,7 @@ let span t ~site phase f =
   end
   else f ()
 
-let agg t phase =
-  if not t.enabled then zero_agg
-  else
-    let i = phase_index phase in
-    { count = t.counts.(i); seconds = t.seconds.(i); alloc_bytes = t.bytes.(i) }
+let agg t phase = if not t.enabled then zero_agg else sum_at t.sums (phase_index phase)
 
 let aggs t = List.map (fun p -> (p, agg t p)) all_phases
 
@@ -184,29 +178,16 @@ let spans t =
 
 let span_count t = t.len
 
-(* --- global per-sweep totals ---------------------------------------- *)
+(* --- sweep totals ------------------------------------------------- *)
 
 let reset_totals () =
-  Mutex.lock registered_mu;
-  registered := [];
-  Mutex.unlock registered_mu
+  let s = totals_since_reset in
+  Array.fill s.counts 0 n_phases 0;
+  Array.fill s.seconds 0 n_phases 0.0;
+  Array.fill s.bytes 0 n_phases 0.0
 
 let totals () =
-  Mutex.lock registered_mu;
-  let profs = !registered in
-  Mutex.unlock registered_mu;
-  List.map
-    (fun p ->
-      let i = phase_index p in
-      let sum f = List.fold_left (fun a t -> a +. f t) 0.0 profs in
-      ( p,
-        {
-          count =
-            List.fold_left (fun a t -> a + t.counts.(i)) 0 profs;
-          seconds = sum (fun t -> t.seconds.(i));
-          alloc_bytes = sum (fun t -> t.bytes.(i));
-        } ))
-    all_phases
+  List.map (fun p -> (p, sum_at totals_since_reset (phase_index p))) all_phases
 
 (* --- exports --------------------------------------------------------- *)
 

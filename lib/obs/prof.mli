@@ -24,10 +24,10 @@
 
     Per-phase aggregates are always kept; recent spans additionally land
     in a bounded ring for the Perfetto host-time track and the profile
-    dump.  Enabled profilers also register themselves in a process-wide
-    list so the timed bench sweep can total phases across every harness
-    an experiment created, including ones built on pool worker domains
-    ({!reset_totals} / {!totals}). *)
+    dump.  Every span an enabled profiler records is also added to
+    process-wide phase totals, so the timed bench sweep can total phases
+    across every harness an experiment created without keeping any of
+    them alive ({!reset_totals} / {!totals}). *)
 
 type phase =
   | Engine_dispatch
@@ -57,7 +57,7 @@ type span = {
 type t
 
 val disabled : t
-(** The shared always-off profiler; never registers globally. *)
+(** The shared always-off profiler. *)
 
 val make : ?span_capacity:int -> enabled:bool -> unit -> t
 (** [span_capacity] (default [16384]) bounds the span ring.
@@ -98,14 +98,12 @@ val span_count : t -> int
 (** {2 Sweep totals} *)
 
 val reset_totals : unit -> unit
-(** Forget every profiler registered so far.  The timed bench sweep calls
-    this before each profiled experiment so {!totals} is per-experiment. *)
+(** Zero the process-wide totals.  The timed bench sweep calls this
+    before each profiled experiment so {!totals} is per-experiment. *)
 
 val totals : unit -> (phase * agg) list
-(** Per-phase sums over every enabled profiler created since the last
-    {!reset_totals}.  Only meaningful once the harnesses have finished
-    running (worker domains joined): the underlying cells are plain
-    mutable fields, not atomics. *)
+(** Per-phase sums of every span any enabled profiler recorded since the
+    last {!reset_totals}, in {!all_phases} order. *)
 
 (** {2 Exports} *)
 

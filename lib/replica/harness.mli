@@ -38,7 +38,8 @@ val create :
     site only on the keys it replicates — every key under the default
     map.
     [obs] supplies the observability bundle; by default a fresh one is
-    created with tracing set from {!Esr_obs.Obs.set_default_tracing}
+    created with tracing and profiling set from
+    {!Esr_obs.Obs.default_tracing} and {!Esr_obs.Obs.default_profiling}
     (normally off, which makes instrumentation zero-cost).
     [checkpoint] enables asynchronous checkpointing (DESIGN.md §12): cuts
     are taken at the configured cadence once {!arm_checkpoints} arms

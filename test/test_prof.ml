@@ -126,6 +126,68 @@ let test_dump_rejects_malformed () =
       ([ phase "apply" ], {|{"phase":"apply"}|});
     ]
 
+(* A profiler nothing refers to any more is garbage, span ring and all:
+   the sweep totals are kept process-wide, not by holding on to every
+   enabled profiler. *)
+let test_dropped_profilers_collected () =
+  let finalised = ref 0 in
+  let make_and_drop () =
+    let p = Prof.make ~enabled:true () in
+    for _ = 1 to 1_000 do
+      let t0 = Prof.start p and a0 = Prof.alloc0 p in
+      Prof.record p ~site:0 Prof.Apply ~t0 ~a0
+    done;
+    Gc.finalise (fun _ -> incr finalised) p
+  in
+  for _ = 1 to 10 do
+    (make_and_drop [@inlined never]) ()
+  done;
+  Gc.full_major ();
+  checki "finalisers run" 10 !finalised
+
+(* [Prof.totals] is the sum of every enabled profiler's aggregates since
+   the last [reset_totals]; the disabled profiler adds nothing. *)
+let test_totals_sum_profilers () =
+  Prof.reset_totals ();
+  let record p phase n =
+    for i = 1 to n do
+      let t0 = Prof.start p and a0 = Prof.alloc0 p in
+      ignore (Sys.opaque_identity (Array.make 8 i));
+      Prof.record p phase ~t0 ~a0
+    done
+  in
+  let a = Prof.make ~enabled:true () and b = Prof.make ~enabled:true () in
+  record a Prof.Apply 3;
+  record b Prof.Apply 2;
+  record b Prof.Replay 4;
+  record Prof.disabled Prof.Apply 5;
+  let check_agg name (want : Prof.agg) (got : Prof.agg) =
+    checki (name ^ " count") want.Prof.count got.Prof.count;
+    Alcotest.(check (float 1e-9)) (name ^ " seconds") want.Prof.seconds
+      got.Prof.seconds;
+    Alcotest.(check (float 0.0)) (name ^ " bytes") want.Prof.alloc_bytes
+      got.Prof.alloc_bytes
+  in
+  List.iter
+    (fun (phase, got) ->
+      let x = Prof.agg a phase and y = Prof.agg b phase in
+      check_agg (Prof.phase_name phase)
+        {
+          Prof.count = x.Prof.count + y.Prof.count;
+          seconds = x.Prof.seconds +. y.Prof.seconds;
+          alloc_bytes = x.Prof.alloc_bytes +. y.Prof.alloc_bytes;
+        }
+        got)
+    (Prof.totals ());
+  checki "apply spans" 5 (List.assoc Prof.Apply (Prof.totals ())).Prof.count;
+  Prof.reset_totals ();
+  List.iter
+    (fun (phase, got) ->
+      check_agg (Prof.phase_name phase ^ " after reset")
+        { Prof.count = 0; seconds = 0.0; alloc_bytes = 0.0 }
+        got)
+    (Prof.totals ())
+
 (* --- profiling must not perturb outcomes --- *)
 
 let small_spec =
@@ -367,6 +429,10 @@ let () =
             test_dump_json_roundtrip;
           Alcotest.test_case "dump reader rejects malformed rows" `Quick
             test_dump_rejects_malformed;
+          Alcotest.test_case "dropped profilers are collected" `Quick
+            test_dropped_profilers_collected;
+          Alcotest.test_case "totals sum every profiler" `Quick
+            test_totals_sum_profilers;
         ] );
       ( "invisibility",
         [

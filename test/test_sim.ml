@@ -5,7 +5,6 @@ module Engine = Esr_sim.Engine
 module Net = Esr_sim.Net
 module Prng = Esr_util.Prng
 module Dist = Esr_util.Dist
-module Pool = Esr_exec.Pool
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -347,66 +346,6 @@ let test_engine_releases_fired () =
   Printf.printf "drained engine: %d words reachable\n" words;
   checkb "under 2,000 words" true (words < 2_000)
 
-(* --- Pool --- *)
-
-let test_pool_map_matches_list_map () =
-  let xs = List.init 500 (fun i -> i - 250) in
-  let f x = (x * x) - (3 * x) + 7 in
-  let expected = List.map f xs in
-  Alcotest.(check (list int)) "1 domain" expected (Pool.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "4 domains" expected (Pool.map ~domains:4 f xs);
-  Alcotest.(check (list int)) "more domains than items" [ f 1; f 2 ]
-    (Pool.map ~domains:8 f [ 1; 2 ]);
-  Alcotest.(check (list int)) "empty" [] (Pool.map ~domains:4 f [])
-
-let test_pool_map_order_under_skew () =
-  (* Uneven job costs: later jobs finish before earlier ones on a real
-     pool, so order preservation is what's under test. *)
-  let xs = List.init 64 (fun i -> i) in
-  let f i =
-    let spin = if i mod 7 = 0 then 20_000 else 10 in
-    let acc = ref i in
-    for _ = 1 to spin do
-      acc := (!acc * 31) land 0xFFFF
-    done;
-    (i, !acc)
-  in
-  Alcotest.(check bool) "deterministic across domain counts" true
-    (Pool.map ~domains:1 f xs = Pool.map ~domains:4 f xs)
-
-exception Boom of int
-
-let test_pool_map_propagates_exception () =
-  let xs = List.init 20 (fun i -> i) in
-  let f x = if x = 13 then raise (Boom x) else x in
-  Alcotest.check_raises "raises job exception" (Boom 13) (fun () ->
-      ignore (Pool.map ~domains:4 f xs))
-
-let test_pool_reuse () =
-  Pool.with_pool ~domains:3 (fun p ->
-      Alcotest.(check int) "size" 3 (Pool.size p);
-      let a = Pool.run p (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.run p (fun x -> x * 2) [ 4; 5 ] in
-      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "second batch" [ 8; 10 ] b)
-
-(* The determinism-under-parallelism contract the bench harness relies
-   on: simulation jobs fanned out over domains give the same results as
-   running them one by one. *)
-let test_pool_scenario_determinism () =
-  let module Scenario = Esr_workload.Scenario in
-  let module Spec = Esr_workload.Spec in
-  let run_one sites =
-    let spec =
-      { Spec.default with Spec.duration = 300.0; n_keys = 8; update_rate = 0.03 }
-    in
-    let r = Scenario.run ~seed:11 ~sites ~method_name:"COMMU" spec in
-    (r.Scenario.committed, r.Scenario.served, r.Scenario.converged)
-  in
-  let sites = [ 2; 3; 4; 5 ] in
-  Alcotest.(check bool) "parallel matches sequential" true
-    (Pool.map ~domains:4 run_one sites = List.map run_one sites)
-
 (* --- Net --- *)
 
 let mk_net ?config ~sites seed =
@@ -582,18 +521,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_lazy_cancellation;
           Alcotest.test_case "fired closures are released" `Quick
             test_engine_releases_fired;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "map matches List.map" `Quick
-            test_pool_map_matches_list_map;
-          Alcotest.test_case "order under skewed job costs" `Quick
-            test_pool_map_order_under_skew;
-          Alcotest.test_case "exception propagation" `Quick
-            test_pool_map_propagates_exception;
-          Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
-          Alcotest.test_case "scenario jobs deterministic" `Quick
-            test_pool_scenario_determinism;
         ] );
       ( "net",
         [
