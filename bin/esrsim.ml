@@ -182,7 +182,7 @@ let positive x = Float.is_finite x && x > 0.0
    expected count bounds its memory. *)
 let max_queued = 10_000_000
 
-(* Validate the knobs [run], [nemesis] and [audit] share and translate
+(* Validate the knobs [run] and [audit] share and translate
    them into a scenario.  Every malformed value is refused here, before
    anything runs, instead of surfacing as an exception (or a run that
    never drains) deep inside the simulator.  [ticks] are the periods of
@@ -271,19 +271,6 @@ let or_exit = function
   | Error (`Msg m) ->
       prerr_endline m;
       exit 1
-
-let write_trace ?(extra = []) ~file ~format ~sites (trace : Trace.t) =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      match format with
-      | `Jsonl -> Trace.write_jsonl oc trace
-      | `Chrome -> Trace.write_chrome ~extra oc ~sites trace);
-  if Trace.dropped trace > 0 then
-    Printf.eprintf
-      "warning: trace ring buffer overflowed; %d oldest events dropped\n"
-      (Trace.dropped trace)
 
 let trace_format_conv =
   Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]
@@ -401,20 +388,7 @@ let prof_file_arg =
               dump to $(docv).  A chrome-format --trace export gains a \
               host-time track (pid 1) next to the virtual timeline.")
 
-let with_out file f =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
-let export_metrics ~file metrics =
-  let entries = Metrics.snapshot metrics in
-  with_out file (fun oc ->
-      if Filename.check_suffix file ".json" then Metrics.write_json oc entries
-      else Openmetrics.write_snapshot oc entries)
-
-let export_series ~file series =
-  with_out file (fun oc ->
-      if Filename.check_suffix file ".csv" then Series.write_csv oc series
-      else Series.write_json oc (Series.dump series))
+let with_out = Out_channel.with_open_text
 
 let audit_flag_arg =
   Arg.(
@@ -519,26 +493,27 @@ let run_cmd =
          (Tablefmt.cell_bool r.Scenario.converged));
     List.iter (fun (k, v) -> add ("method: " ^ k) (Tablefmt.cell_float v)) r.Scenario.method_stats;
     Tablefmt.print t;
-    (match trace_file with
-    | Some file -> (
-        match streamed with
-        | Some oc ->
-            close_out oc;
-            Printf.printf "trace: %d events -> %s\n"
-              (Trace.length obs.Obs.trace + Trace.dropped obs.Obs.trace)
-              file
-        | None ->
-            (* With profiling on, a chrome export carries the host-time
-               phase spans as a second process track. *)
-            let extra =
-              if Prof.on obs.Obs.prof then Prof.chrome_events obs.Obs.prof
-              else []
-            in
-            write_trace ~extra ~file ~format:trace_format ~sites
-              obs.Obs.trace;
-            Printf.printf "trace: %d events -> %s\n"
-              (Trace.length obs.Obs.trace) file)
-    | None -> ());
+    (match (trace_file, streamed) with
+    | Some file, Some oc ->
+        close_out oc;
+        Printf.printf "trace: %d events -> %s\n"
+          (Trace.length obs.Obs.trace + Trace.dropped obs.Obs.trace)
+          file
+    | Some file, None ->
+        (* With profiling on, a chrome export carries the host-time phase
+           spans as a second process track. *)
+        let extra =
+          if Prof.on obs.Obs.prof then Prof.chrome_events obs.Obs.prof else []
+        in
+        with_out file (fun oc ->
+            Trace.write_chrome ~extra oc ~sites obs.Obs.trace);
+        if Trace.dropped obs.Obs.trace > 0 then
+          Printf.eprintf
+            "warning: trace ring buffer overflowed; %d oldest events dropped\n"
+            (Trace.dropped obs.Obs.trace);
+        Printf.printf "trace: %d events -> %s\n"
+          (Trace.length obs.Obs.trace) file
+    | None, _ -> ());
     if show_metrics then begin
       print_endline "metrics:";
       List.iter
@@ -547,12 +522,19 @@ let run_cmd =
     end;
     (match metrics_file with
     | Some file ->
-        export_metrics ~file obs.Obs.metrics;
+        let entries = Metrics.snapshot obs.Obs.metrics in
+        with_out file (fun oc ->
+            if Filename.check_suffix file ".json" then
+              Metrics.write_json oc entries
+            else Openmetrics.write_snapshot oc entries);
         Printf.printf "metrics -> %s\n" file
     | None -> ());
     (match series_file with
     | Some file ->
-        export_series ~file obs.Obs.series;
+        with_out file (fun oc ->
+            if Filename.check_suffix file ".csv" then
+              Series.write_csv oc obs.Obs.series
+            else Series.write_json oc (Series.dump obs.Obs.series));
         Printf.printf "series: %d samples -> %s\n"
           (Series.length obs.Obs.series) file
     | None -> ());
@@ -589,198 +571,6 @@ let run_cmd =
       $ checkpoint_interval_arg $ checkpoint_retain_arg $ trace_file_arg
       $ trace_format_arg $ print_metrics_arg $ metrics_file_arg
       $ series_file_arg $ series_interval_arg $ prof_file_arg $ audit_flag_arg)
-
-(* --- nemesis and audit: seeded fault campaigns --- *)
-
-let campaign_method_arg verb =
-  let doc = Printf.sprintf "Method to %s, or 'all' for the whole registry." verb in
-  Arg.(value & opt string "all" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
-
-let windows_arg =
-  Arg.(
-    value & opt int Nemesis.default_profile.Nemesis.max_faults
-    & info [ "windows" ] ~docv:"N" ~doc:"Fault windows to generate.")
-
-let crash_bias_arg =
-  Arg.(
-    value
-    & opt float Nemesis.default_profile.Nemesis.crash_bias
-    & info [ "crash-bias" ] ~docv:"P"
-        ~doc:"Probability a window is a crash rather than a partition.")
-
-(* A campaign's scenario per method ([-m all]: every registered one) under
-   the fixed flags both commands use, and its seeded nemesis schedule,
-   printed.  Every flag is checked first: out of range, a bias turns every
-   window into a crash (or, as NaN, into a partition). *)
-let campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
-    ~epsilon ~seed ~windows ~crash_bias ~ticks =
-  let scenarios =
-    List.map
-      (fun meth ->
-        ( meth,
-          or_exit
-            (prepare_scenario ~meth ~sites ~duration ~update_rate ~query_rate
-               ~keys ~theta ~epsilon ~profile:"auto" ~loss:0.0 ~latency:10.0
-               ~ordering:`Sequencer ~ritu_mode:`Single ~abort_p:0.0 ~ticks) ))
-      (if String.lowercase_ascii meth = "all" then Registry.names else [ meth ])
-  in
-  or_exit
-    (check_flags
-       [
-         ("windows", windows >= 0, "at least 0");
-         ("crash-bias", crash_bias >= 0.0 && crash_bias <= 1.0, "in [0, 1]");
-       ]);
-  let profile =
-    { Nemesis.default_profile with Nemesis.max_faults = windows; crash_bias }
-  in
-  let schedule =
-    Nemesis.generate ~profile ~seed ~sites ~duration:(duration *. 0.8) ()
-  in
-  Printf.printf "nemesis schedule (seed %d): %s\n" seed
-    (Schedule.to_spec schedule);
-  (scenarios, schedule)
-
-let nemesis_cmd =
-  let doc =
-    "Generate a seeded random fault schedule (crash/recover and \
-     partition/heal windows, all healed before quiescence) and assert \
-     that the method survives it: the system settles and the replicas \
-     converge.  With --method all, every registered method faces the \
-     same schedule; any failure makes the exit status non-zero."
-  in
-  let trace_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-dir" ] ~docv:"DIR"
-          ~doc:"Record each run's event trace into \
-                $(docv)/nemesis_METHOD_seedN.jsonl.")
-  in
-  let series_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-dir" ] ~docv:"DIR"
-          ~doc:"Dump each run's divergence series into \
-                $(docv)/nemesis_METHOD_seedN.series.json.")
-  in
-  let metrics_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-dir" ] ~docv:"DIR"
-          ~doc:"Export each run's final metrics registry (OpenMetrics) \
-                into $(docv)/nemesis_METHOD_seedN.om.")
-  in
-  let run meth sites duration update_rate query_rate keys theta seed windows
-      crash_bias trace_dir series_dir metrics_dir =
-    (* Every nemesis run samples the divergence series at this cadence. *)
-    let series_interval = 50.0 in
-    let scenarios, schedule =
-      campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys ~theta
-        ~epsilon:(-1) ~seed ~windows ~crash_bias ~ticks:[ series_interval ]
-    in
-    List.iter
-      (function
-        | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-        | Some _ | None -> ())
-      [ trace_dir; series_dir; metrics_dir ];
-    let t =
-      Tablefmt.create
-        ~title:
-          (Printf.sprintf "nemesis on %d sites (seed %d, %d windows)" sites
-             seed windows)
-        ~headers:
-          [
-            "Method";
-            "Settled";
-            "Converged";
-            "Replays";
-            "Committed";
-            "PeakDiv";
-            "ConvLag(ms)";
-          ]
-    in
-    let failures = ref [] in
-    List.iter
-      (fun (meth, (spec, net_config, config)) ->
-        (* Series always on here: the divergence columns come from it,
-           and nemesis runs are already paying for tracing. *)
-        let obs = Obs.create ~tracing:true ~series:true ~series_interval () in
-        let r =
-          Scenario.run ~seed ~config ~net_config ~obs ~faults:schedule
-            ~sites ~method_name:meth spec
-        in
-        let replays = ref 0 in
-        Trace.iter obs.Obs.trace (fun record ->
-            match record.Trace.ev with
-            | Trace.Recovery_replay _ -> incr replays
-            | _ -> ());
-        let dump_name ext =
-          Printf.sprintf "nemesis_%s_seed%d%s"
-            (String.lowercase_ascii
-               (String.map (function '/' -> '_' | c -> c) meth))
-            seed ext
-        in
-        (match trace_dir with
-        | Some dir ->
-            write_trace
-              ~file:(Filename.concat dir (dump_name ".jsonl"))
-              ~format:`Jsonl ~sites obs.Obs.trace
-        | None -> ());
-        (match series_dir with
-        | Some dir ->
-            export_series
-              ~file:(Filename.concat dir (dump_name ".series.json"))
-              obs.Obs.series
-        | None -> ());
-        (match metrics_dir with
-        | Some dir ->
-            export_metrics
-              ~file:(Filename.concat dir (dump_name ".om"))
-              obs.Obs.metrics
-        | None -> ());
-        (* Peak replica spread over the run and how long past the last
-           fault-schedule step the system needed to fully drain. *)
-        let peak_div =
-          match Series.column_index obs.Obs.series "esr/spread_max" with
-          | None -> 0.0
-          | Some i ->
-              let peak = ref 0.0 in
-              Series.iter obs.Obs.series (fun s ->
-                  peak := Float.max !peak s.Series.values.(i));
-              !peak
-        in
-        let conv_lag =
-          Float.max 0.0 (r.Scenario.quiesce_time -. Schedule.clear_time schedule)
-        in
-        let ok = r.Scenario.settled && r.Scenario.converged in
-        if not ok then failures := meth :: !failures;
-        Tablefmt.add_row t
-          [
-            meth;
-            Tablefmt.cell_bool r.Scenario.settled;
-            Tablefmt.cell_bool r.Scenario.converged;
-            string_of_int !replays;
-            Printf.sprintf "%d/%d" r.Scenario.committed
-              r.Scenario.submitted_updates;
-            Tablefmt.cell_float peak_div;
-            Tablefmt.cell_float conv_lag;
-          ])
-      scenarios;
-    Tablefmt.print t;
-    match List.rev !failures with
-    | [] -> ()
-    | fs ->
-        Printf.eprintf "nemesis: %s did not converge\n" (String.concat ", " fs);
-        exit 2
-  in
-  Cmd.v (Cmd.info "nemesis" ~doc)
-    Term.(
-      const run $ campaign_method_arg "stress" $ sites_arg $ duration_arg
-      $ update_rate_arg $ query_rate_arg $ keys_arg $ theta_arg $ seed_arg
-      $ windows_arg $ crash_bias_arg $ trace_dir_arg $ series_dir_arg
-      $ metrics_dir_arg)
 
 (* --- report --- *)
 
@@ -830,7 +620,7 @@ let read_trace_jsonl ~cmd file =
     Printf.eprintf "warning: %d unparseable trace lines skipped (%s)\n" bad first;
   records
 
-(* --- audit --- *)
+(* --- audit: seeded fault campaigns --- *)
 
 let audit_cmd =
   let doc =
@@ -842,9 +632,28 @@ let audit_cmd =
      squeue delivery, in-order dense ORDUP apply streams, the epsilon \
      bound and the reconstructed overlap behind every charge, crash \
      discipline (no effects from down sites, complete log replay), \
-     checkpoint cuts, and the convergence certificate.  Exit status 2 \
-     when any invariant is violated; each violation pins the first \
-     offending trace event."
+     checkpoint cuts, and the convergence certificate; a live run must \
+     also settle and converge once the schedule has healed.  Exit status \
+     2 when any invariant is violated or a live run does not converge; \
+     each violation pins the first offending trace event."
+  in
+  let method_arg =
+    Arg.(
+      value & opt string "all"
+      & info [ "m"; "method" ] ~docv:"METHOD"
+          ~doc:"Method to audit, or 'all' for the whole registry.")
+  in
+  let windows_arg =
+    Arg.(
+      value & opt int Nemesis.default_profile.Nemesis.max_faults
+      & info [ "windows" ] ~docv:"N" ~doc:"Fault windows to generate.")
+  in
+  let crash_bias_arg =
+    Arg.(
+      value
+      & opt float Nemesis.default_profile.Nemesis.crash_bias
+      & info [ "crash-bias" ] ~docv:"P"
+          ~doc:"Probability a window is a crash rather than a partition.")
   in
   let trace_in_arg =
     Arg.(
@@ -876,9 +685,20 @@ let audit_cmd =
       & info [ "label" ] ~docv:"NAME"
           ~doc:"Certificate label for --trace mode (default: file name).")
   in
+  let dump_dir_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "dump-dir" ] ~docv:"DIR"
+          ~doc:"Live mode: write each run's complete event trace, its \
+                divergence series and its final metrics registry \
+                (OpenMetrics) to \
+                $(docv)/audit_METHOD_PLACEMENT_seedN.jsonl, .series.json \
+                and .om.")
+  in
   let run meth sites duration update_rate query_rate keys theta epsilon seed
       windows crash_bias sharded checkpoint_interval checkpoint_retain
-      trace_in ledger_file label =
+      trace_in ledger_file label dump_dir =
     let certs = ref [] and failed = ref false in
     let record report =
       certs := report :: !certs;
@@ -886,6 +706,8 @@ let audit_cmd =
     in
     (match trace_in with
     | Some file ->
+        or_exit
+          (check_flags [ ("dump-dir", dump_dir = None, "left out with --trace") ]);
         let records = read_trace_jsonl ~cmd:"audit" file in
         let label =
           match label with
@@ -900,11 +722,47 @@ let audit_cmd =
           make_checkpoint ~interval:checkpoint_interval
             ~retain:checkpoint_retain
         in
-        let scenarios, schedule =
-          campaign ~meth ~sites ~duration ~update_rate ~query_rate ~keys
-            ~theta ~epsilon ~seed ~windows ~crash_bias
-            ~ticks:[ checkpoint_interval ]
+        (* Every live run samples the divergence series at this cadence,
+           which the model does not see; the PeakDiv column reads it. *)
+        let series_interval = 50.0 in
+        let scenarios =
+          List.map
+            (fun meth ->
+              ( meth,
+                or_exit
+                  (prepare_scenario ~meth ~sites ~duration ~update_rate
+                     ~query_rate ~keys ~theta ~epsilon ~profile:"auto"
+                     ~loss:0.0 ~latency:10.0 ~ordering:`Sequencer
+                     ~ritu_mode:`Single ~abort_p:0.0
+                     ~ticks:[ series_interval; checkpoint_interval ]) ))
+            (if String.lowercase_ascii meth = "all" then Registry.names
+             else [ meth ])
         in
+        (* Out of range, a bias turns every window into a crash (or, as
+           NaN, into a partition). *)
+        or_exit
+          (check_flags
+             [
+               ("windows", windows >= 0, "at least 0");
+               ( "crash-bias",
+                 crash_bias >= 0.0 && crash_bias <= 1.0,
+                 "in [0, 1]" );
+             ]);
+        let schedule =
+          Nemesis.generate
+            ~profile:
+              {
+                Nemesis.default_profile with
+                Nemesis.max_faults = windows;
+                crash_bias;
+              }
+            ~seed ~sites ~duration:(duration *. 0.8) ()
+        in
+        Printf.printf "nemesis schedule (seed %d): %s\n" seed
+          (Schedule.to_spec schedule);
+        Option.iter
+          (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+          dump_dir;
         let placements = `Full :: (if sharded then [ `Ring ] else []) in
         let t =
           Tablefmt.create
@@ -912,16 +770,11 @@ let audit_cmd =
               (Printf.sprintf "audit on %d sites (seed %d, %d windows)" sites
                  seed windows)
             ~headers:
-              [
-                "Method";
-                "Placement";
-                "Events";
-                "Queries";
-                "Windows";
-                "Exact";
-                "Violations";
-              ]
+              [ "Method"; "Placement"; "Settled"; "Converged"; "Committed";
+                "Replays"; "PeakDiv"; "ConvLag(ms)"; "Events"; "Queries";
+                "Windows"; "Exact"; "Violations" ]
         in
+        let unconverged = ref [] in
         List.iter
           (fun (meth, (spec, net_config, config)) ->
             List.iter
@@ -934,23 +787,72 @@ let audit_cmd =
                         make_sharding ~sites ~placement:"ring" ~shards:None
                           ~replication:None )
                 in
-                let obs = Obs.create ~tracing:true () in
-                let audit =
-                  Audit.create
-                    ~label:
-                      (Printf.sprintf "%s/%s/seed%d" meth placement_name seed)
-                    ()
+                let label =
+                  Printf.sprintf "%s/%s/seed%d" meth placement_name seed
                 in
-                ignore
-                  (Scenario.run ~seed ~config ~net_config ?sharding ~obs ~audit
-                     ?checkpoint ~faults:schedule ~sites ~method_name:meth spec);
+                let obs =
+                  Obs.create ~tracing:true ~series:true ~series_interval ()
+                in
+                let replays = ref 0 in
+                Trace.attach obs.Obs.trace (fun r ->
+                    match r.Trace.ev with
+                    | Trace.Recovery_replay _ -> incr replays
+                    | _ -> ());
+                (* The JSONL dump streams through a file sink, so it holds
+                   every event however far the ring wraps. *)
+                let dump =
+                  Option.map
+                    (fun dir ->
+                      let base =
+                        Filename.concat dir
+                          (Printf.sprintf "audit_%s_%s_seed%d"
+                             (String.lowercase_ascii meth) placement_name seed)
+                      in
+                      let oc = open_out (base ^ ".jsonl") in
+                      Trace.file_sink obs.Obs.trace oc;
+                      (base, oc))
+                    dump_dir
+                in
+                let audit = Audit.create ~label () in
+                let r =
+                  Scenario.run ~seed ~config ~net_config ?sharding ~obs ~audit
+                    ?checkpoint ~faults:schedule ~sites ~method_name:meth spec
+                in
+                Option.iter
+                  (fun (base, oc) ->
+                    close_out oc;
+                    Obs.write_dumps obs ~base)
+                  dump;
                 let report = Audit.finish audit in
                 record report;
+                if not (r.Scenario.settled && r.Scenario.converged) then
+                  unconverged := label :: !unconverged;
+                (* Peak replica spread over the run, and how long past the
+                   schedule's last step the system took to drain. *)
+                let peak_div =
+                  match Series.column_index obs.Obs.series "esr/spread_max" with
+                  | None -> 0.0
+                  | Some i ->
+                      let peak = ref 0.0 in
+                      Series.iter obs.Obs.series (fun s ->
+                          peak := Float.max !peak s.Series.values.(i));
+                      !peak
+                in
                 let s = report.Audit.summary in
                 Tablefmt.add_row t
                   [
                     meth;
                     placement_name;
+                    Tablefmt.cell_bool r.Scenario.settled;
+                    Tablefmt.cell_bool r.Scenario.converged;
+                    Printf.sprintf "%d/%d" r.Scenario.committed
+                      r.Scenario.submitted_updates;
+                    string_of_int !replays;
+                    Tablefmt.cell_float peak_div;
+                    Tablefmt.cell_float
+                      (Float.max 0.0
+                         (r.Scenario.quiesce_time
+                         -. Schedule.clear_time schedule));
                     string_of_int s.Audit.s_events;
                     string_of_int s.Audit.s_queries;
                     string_of_int s.Audit.s_windows;
@@ -967,7 +869,12 @@ let audit_cmd =
         Tablefmt.print t;
         print_endline
           (if !failed then "audit: VIOLATIONS found"
-           else "audit: all runs certified"));
+           else "audit: all runs certified");
+        if !unconverged <> [] then begin
+          Printf.eprintf "audit: %s did not settle and converge\n"
+            (String.concat ", " (List.rev !unconverged));
+          failed := true
+        end);
     (match ledger_file with
     | Some file ->
         with_out file (fun oc ->
@@ -982,11 +889,11 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const run $ campaign_method_arg "audit" $ sites_arg $ duration_arg
-      $ update_rate_arg $ query_rate_arg $ keys_arg $ theta_arg $ epsilon_arg
-      $ seed_arg $ windows_arg $ crash_bias_arg $ sharded_arg
-      $ checkpoint_interval_arg
-      $ checkpoint_retain_arg $ trace_in_arg $ ledger_arg $ label_arg)
+      const run $ method_arg $ sites_arg $ duration_arg $ update_rate_arg
+      $ query_rate_arg $ keys_arg $ theta_arg $ epsilon_arg $ seed_arg
+      $ windows_arg $ crash_bias_arg $ sharded_arg $ checkpoint_interval_arg
+      $ checkpoint_retain_arg $ trace_in_arg $ ledger_arg $ label_arg
+      $ dump_dir_arg)
 
 let report_cmd =
   let doc =
@@ -1000,7 +907,7 @@ let report_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"JSONL trace dump to analyze (from 'run --trace' or \
-                'nemesis --trace-dir').")
+                'audit --dump-dir').")
   in
   let series_arg =
     Arg.(
@@ -1188,7 +1095,6 @@ let main_cmd =
     [
       methods_cmd;
       run_cmd;
-      nemesis_cmd;
       audit_cmd;
       report_cmd;
       check_cmd;

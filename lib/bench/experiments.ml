@@ -1041,8 +1041,6 @@ let e15_scale () =
 let e16_soak () =
   let module Prof = Esr_obs.Prof in
   let module Report = Esr_obs.Report in
-  let module Openmetrics = Esr_obs.Openmetrics in
-  let module Metrics = Esr_obs.Metrics in
   let s = !scale in
   let sites = 4 in
   let duration = Stdlib.max 1_200.0 (12_000.0 *. s) in
@@ -1098,23 +1096,10 @@ let e16_soak () =
       (* Dump the observability artefacts for this method, if asked. *)
       (match soak_dir with
       | Some dir ->
-          let out file f =
-            let oc = open_out file in
-            Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-          in
           let base =
-            Filename.concat dir
-              (Printf.sprintf "e16_%s"
-                 (String.lowercase_ascii
-                    (String.map (function '/' -> '_' | c -> c) name)))
+            Filename.concat dir ("e16_" ^ String.lowercase_ascii name)
           in
-          out (base ^ ".series.json") (fun oc ->
-              Series.write_json oc (Series.dump series));
-          out (base ^ ".om") (fun oc ->
-              Openmetrics.write_snapshot oc (Metrics.snapshot obs.Obs.metrics));
-          if Prof.on obs.Obs.prof then
-            out (base ^ ".profile.json") (fun oc ->
-                Prof.write_json oc (Prof.dump obs.Obs.prof));
+          Obs.write_dumps obs ~base;
           let records = ref [] in
           Trace.iter obs.Obs.trace (fun r -> records := r :: !records);
           let input =
@@ -1125,7 +1110,8 @@ let e16_soak () =
                  else None)
               (List.rev !records)
           in
-          out (base ^ ".html") (fun oc -> output_string oc (Report.html input))
+          Out_channel.with_open_text (base ^ ".html") (fun oc ->
+              output_string oc (Report.html input))
       | None -> ());
       [
         ("Method", name);

@@ -187,11 +187,12 @@ let history_of_string text =
     text
 
 (* The history of the file at [path]; a missing file is no history, so
-   the bench runs on a fresh checkout. *)
+   the bench runs on a fresh checkout.  A directory is an [Error], as it
+   cannot be read. *)
 let read_history path =
-  if Sys.file_exists path then
-    history_of_string (In_channel.with_open_bin path In_channel.input_all)
-  else Ok []
+  if not (Sys.file_exists path) then Ok []
+  else if Sys.is_directory path then Error "Is a directory"
+  else history_of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* Newest entry recorded at the same --scale, if any: a 2% smoke
    baseline must never gate a full-scale run, or the reverse. *)

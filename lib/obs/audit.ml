@@ -91,6 +91,7 @@ type chan = {
 
 type window = {
   win_w : int;
+  win_serial : int;  (* [n_windows] once it opened *)
   win_site : int;
   win_point : int;
   win_keys : string list;
@@ -125,7 +126,14 @@ type t = {
   mutable n_violations : int;
   chans : (int, chan) Hashtbl.t;  (* by [chan_key] *)
   applied_next : (int, int) Hashtbl.t;  (* site -> next expected ticket *)
-  et_keys : (int, string list) Hashtbl.t;
+  (* The keys of an ET enqueued while a window was open, with [n_windows]
+     at its enqueue.  A window counts an apply only past its point, and
+     tickets are issued at enqueue, so only an ET enqueued while the
+     window was open can land in it: the keys go once every window with
+     a serial up to the ET's has closed ([et_fifo] holds (serial, ET) in
+     enqueue order). *)
+  et_keys : (int, int * string list) Hashtbl.t;
+  et_fifo : (int * int) Queue.t;
   open_windows : (int, window) Hashtbl.t;  (* by window id *)
   last_closed : (int, closed_window) Hashtbl.t;  (* by site *)
   down : (int, unit) Hashtbl.t;
@@ -167,6 +175,7 @@ let create ?(label = "run") () =
     chans = Hashtbl.create 64;
     applied_next = Hashtbl.create 16;
     et_keys = Hashtbl.create 256;
+    et_fifo = Queue.create ();
     open_windows = Hashtbl.create 16;
     last_closed = Hashtbl.create 16;
     down = Hashtbl.create 8;
@@ -263,6 +272,20 @@ let overlaps keys keys' = List.exists (fun k -> List.mem k keys') keys
 let flag t (r : Trace.record) ~kind ~invariant detail =
   violate t ~kind ~invariant ~time:r.Trace.time
     ~event:(Trace.type_name r.Trace.ev) detail
+
+(* Forget the keys of every ET whose windows have all closed. *)
+let drop_keys t =
+  let oldest =
+    Hashtbl.fold (fun _ w m -> Stdlib.min w.win_serial m) t.open_windows max_int
+  in
+  while
+    (not (Queue.is_empty t.et_fifo)) && fst (Queue.peek t.et_fifo) < oldest
+  do
+    let serial, et = Queue.pop t.et_fifo in
+    match Hashtbl.find_opt t.et_keys et with
+    | Some (s, _) when s = serial -> Hashtbl.remove t.et_keys et
+    | _ -> ()
+  done
 
 let feed t (r : Trace.record) =
   let { Trace.time; ev } = r in
@@ -416,7 +439,11 @@ let feed t (r : Trace.record) =
   | Trace.Update_begin _ -> t.n_update_begin <- t.n_update_begin + 1
   | Trace.Update_committed _ | Trace.Update_rejected _ ->
       t.n_update_done <- t.n_update_done + 1
-  | Trace.Mset_enqueued { et; keys; _ } -> Hashtbl.replace t.et_keys et keys
+  | Trace.Mset_enqueued { et; keys; _ } ->
+      if Hashtbl.length t.open_windows > 0 then begin
+        Hashtbl.replace t.et_keys et (t.n_windows, keys);
+        Queue.add (t.n_windows, et) t.et_fifo
+      end
   | Trace.Mset_applied { et; site; order; n_ops = _ } -> (
       if (not t.relaxed) && Hashtbl.mem t.down site then
         flag t r ~kind:Crash ~invariant:"apply-at-down-site"
@@ -454,14 +481,16 @@ let feed t (r : Trace.record) =
           (* (c) charge reconstruction: the apply lands in every open
              window it interleaves — ordered past the query's point and
              touching its read set. *)
-          let keys =
-            Option.value ~default:[] (Hashtbl.find_opt t.et_keys et)
-          in
-          Hashtbl.iter
-            (fun _ w ->
-              if w.win_site = site && o > w.win_point && overlaps keys w.win_keys
-              then w.win_model <- w.win_model + 1)
-            t.open_windows)
+          match Hashtbl.find_opt t.et_keys et with
+          | None -> ()
+          | Some (_, keys) ->
+              Hashtbl.iter
+                (fun _ w ->
+                  if
+                    w.win_site = site && o > w.win_point
+                    && overlaps keys w.win_keys
+                  then w.win_model <- w.win_model + 1)
+                t.open_windows)
   | Trace.Compensation_fired _ -> ()
   | Trace.Query_begin { q; site; n_keys; epsilon } ->
       t.n_query_begin <- t.n_query_begin + 1;
@@ -495,6 +524,7 @@ let feed t (r : Trace.record) =
         Hashtbl.replace t.open_windows w
           {
             win_w = w;
+            win_serial = t.n_windows;
             win_site = site;
             win_point = point;
             win_keys = keys;
@@ -509,6 +539,7 @@ let feed t (r : Trace.record) =
               (Printf.sprintf "window id %d closed but never opened" w)
       | Some win ->
           Hashtbl.remove t.open_windows w;
+          drop_keys t;
           let model =
             if t.relaxed then None
             else begin

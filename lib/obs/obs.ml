@@ -36,6 +36,16 @@ let create ?(tracing = false) ?trace_capacity ?(series = false) ?series_interval
     prof = Prof.make ?span_capacity:prof_span_capacity ~enabled:profiling ();
   }
 
+(* A run's dump files beside [base]: [base.series.json] (esr-series/1),
+   [base.om] (the final registry as OpenMetrics text) and, with profiling
+   on, [base.profile.json] (esr-profile/1). *)
+let write_dumps t ~base =
+  let out ext f = Out_channel.with_open_text (base ^ ext) f in
+  out ".series.json" (fun oc -> Series.write_json oc (Series.dump t.series));
+  out ".om" (fun oc -> Openmetrics.write_snapshot oc (Metrics.snapshot t.metrics));
+  if Prof.on t.prof then
+    out ".profile.json" (fun oc -> Prof.write_json oc (Prof.dump t.prof))
+
 let default_tracing = ref false
 let default_profiling = ref false
 

@@ -38,20 +38,10 @@ type span = {
   s_msets : mset list;  (* enqueue order *)
 }
 
-type qspan = {
-  qs_id : int;
-  qs_site : int;
-  qs_began : float;
-  qs_served : float option;
-  qs_charged : int;
-  qs_consistent : bool;
-}
-
 type breakdown = { b_queued : float; b_in_flight : float; b_blocked : float }
 
 type t = {
   spans : span list;  (* begin order *)
-  queries : qspan list;
   orphan_msets : mset list;
   n_commit_events : int;
   unmatched_commits : int list;  (* u's with no Update_begin in the dump *)
@@ -84,8 +74,6 @@ let reconstruct records =
   let open_by_origin : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let msets_tbl : (int, mset_b) Hashtbl.t = Hashtbl.create 256 in
   let mset_owner : (int, int option) Hashtbl.t = Hashtbl.create 256 in
-  let queries_tbl : (int, qspan) Hashtbl.t = Hashtbl.create 256 in
-  let query_order = ref [] in
   let n_commit_events = ref 0 in
   let unmatched = ref [] in
   let duplicates = ref [] in
@@ -168,40 +156,6 @@ let reconstruct records =
           (match Hashtbl.find_opt mb.mb_legs site with
           | None -> Hashtbl.replace mb.mb_legs site (time, time, 1)
           | Some (first, _, n) -> Hashtbl.replace mb.mb_legs site (first, time, n + 1))
-      | Query_begin { q; site; n_keys = _; epsilon = _ } ->
-          if not (Hashtbl.mem queries_tbl q) then begin
-            Hashtbl.replace queries_tbl q
-              {
-                qs_id = q;
-                qs_site = site;
-                qs_began = time;
-                qs_served = None;
-                qs_charged = 0;
-                qs_consistent = false;
-              };
-            query_order := q :: !query_order
-          end
-      | Query_served { q; site; charged; consistent_path; latency; _ } ->
-          let qs =
-            match Hashtbl.find_opt queries_tbl q with
-            | Some qs -> qs
-            | None ->
-                let qs =
-                  {
-                    qs_id = q;
-                    qs_site = site;
-                    qs_began = Float.max 0.0 (time -. latency);
-                    qs_served = None;
-                    qs_charged = 0;
-                    qs_consistent = false;
-                  }
-                in
-                Hashtbl.replace queries_tbl q qs;
-                query_order := q :: !query_order;
-                qs
-          in
-          Hashtbl.replace queries_tbl q
-            { qs with qs_served = Some time; qs_charged = charged; qs_consistent = consistent_path }
       | _ -> ())
     records;
   let freeze_mset mb =
@@ -243,10 +197,8 @@ let reconstruct records =
       mset_owner []
     |> List.sort (fun a b -> compare a.m_et b.m_et)
   in
-  let queries = List.rev_map (fun q -> Hashtbl.find queries_tbl q) !query_order in
   {
     spans;
-    queries;
     orphan_msets;
     n_commit_events = !n_commit_events;
     unmatched_commits = List.rev !unmatched;

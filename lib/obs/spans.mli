@@ -36,15 +36,6 @@ type span = {
   s_msets : mset list;  (** enqueue order *)
 }
 
-type qspan = {
-  qs_id : int;
-  qs_site : int;
-  qs_began : float;
-  qs_served : float option;
-  qs_charged : int;
-  qs_consistent : bool;
-}
-
 type breakdown = {
   b_queued : float;  (** submit to first MSet enqueue *)
   b_in_flight : float;  (** fastest leg: pure transport time *)
@@ -54,7 +45,6 @@ type breakdown = {
 
 type t = {
   spans : span list;  (** begin order *)
-  queries : qspan list;
   orphan_msets : mset list;
   n_commit_events : int;
   unmatched_commits : int list;  (** committed [u]s with no begin in the dump *)

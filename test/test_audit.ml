@@ -314,6 +314,42 @@ let test_paper_overlap_example () =
   checks "mismatch invariant" "charge-overlap-mismatch"
     (List.hd report.Audit.violations).Audit.v_invariant
 
+(* The key store follows the windows: with none open, an enqueue stores
+   nothing, and a window's ETs are dropped when it closes, while the
+   §2.1 window still counts U2, which was enqueued inside it. *)
+let test_key_store_bounded () =
+  let enqueue a et =
+    Audit.feed a
+      {
+        Trace.time = 10.0;
+        ev = Trace.Mset_enqueued { et; origin = 0; n_ops = 1; keys = [ "a" ] };
+      }
+  in
+  let words n =
+    let a = Audit.create () in
+    List.iter (Audit.feed a) (paper_records ~charged:1);
+    for et = 3 to n + 2 do enqueue a et done;
+    let report = Audit.finish a in
+    checkb "certified" true (Audit.ok report);
+    checki "§2.1 window reconstructed" 1
+      report.Audit.summary.Audit.s_windows_exact;
+    Obj.reachable_words (Obj.repr a)
+  in
+  checki "100,000 enqueues outside a window store nothing" (words 10)
+    (words 100_000);
+  let a = Audit.create () in
+  let window ev = Audit.feed a { Trace.time = 1.0; ev } in
+  window
+    (Trace.Query_window { w = 0; site = 0; point = 0; missing = 0; keys = [ "a" ] });
+  for et = 1 to 10_000 do enqueue a et done;
+  let held = Obj.reachable_words (Obj.repr a) in
+  window (Trace.Query_window_closed { w = 0; site = 0; charged = 0; outcome = `Ok });
+  let left = Obj.reachable_words (Obj.repr a) in
+  checkb
+    (Printf.sprintf "closing the window drops its ETs (%d -> %d words)" held left)
+    true
+    (held - left > 10 * 10_000)
+
 (* --- partial traces audit in relaxed mode --- *)
 
 let test_relaxed_partial () =
@@ -377,6 +413,8 @@ let () =
         [
           Alcotest.test_case "§2.1 overlap example reconstructs" `Quick
             test_paper_overlap_example;
+          Alcotest.test_case "key store follows the open windows" `Quick
+            test_key_store_bounded;
         ] );
       ( "audit-property",
         List.map

@@ -101,6 +101,14 @@ let test_history_other_schema () =
   in
   checki "a v6 document is no history" 0 (List.length (history_ok v6))
 
+let test_history_directory () =
+  let dir = Filename.temp_dir "esr_bench" "" in
+  let result = Timing.read_history dir in
+  Sys.rmdir dir;
+  match result with
+  | Ok _ -> Alcotest.fail "a directory read as a history"
+  | Error m -> Alcotest.(check string) "the error says why" "Is a directory" m
+
 let () =
   Alcotest.run "esr_bench"
     [
@@ -131,5 +139,7 @@ let () =
             test_history_missing_wall;
           Alcotest.test_case "a v6 document is no history" `Quick
             test_history_other_schema;
+          Alcotest.test_case "a directory is an error" `Quick
+            test_history_directory;
         ] );
     ]

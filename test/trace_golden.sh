@@ -8,7 +8,8 @@
 # next: they queue many waiters per key, so they pin the lock manager's
 # grant order and its deadlock refusals.  A Chrome export that wraps the
 # trace ring follows; it pins what the ring keeps and evicts.  The
-# esr-audit/1 certificates of a seeded audit campaign come last.
+# esr-audit/1 certificates of a seeded audit campaign come next, and the
+# complete JSONL dumps of a crash-biased campaign last.
 #
 #   sh test/trace_golden.sh _build/default/bin/esrsim.exe
 #
@@ -65,3 +66,14 @@ rc=0
   --ledger "$dir/certs.jsonl" > /dev/null || rc=$?
 echo "audit -m all --sharded --seed 7: rc=$rc" \
   "certificates=$(wc -l < "$dir/certs.jsonl" | tr -d ' ') ledger $(md5 "$dir/certs.jsonl")"
+# The seven JSONL dumps of a crash-biased campaign, streamed through a
+# file sink and concatenated in registry order: pins every event of the
+# runs, however far the ring wraps.
+rc=0
+"$exe" audit -s 4 --seed 11 --windows 3 --crash-bias 1.0 \
+  --dump-dir "$dir/d" > /dev/null || rc=$?
+echo "audit -s 4 --seed 11 --windows 3 --crash-bias 1.0: rc=$rc" \
+  "dumps=$(ls "$dir"/d/*.jsonl | wc -l | tr -d ' ') jsonl $(
+    for m in ordup commu ritu compe 2pc quorum quasi; do
+      cat "$dir/d/audit_${m}_full_seed11.jsonl"
+    done | md5sum | cut -d' ' -f1)"
