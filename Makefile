@@ -44,7 +44,7 @@ report:
 # The CI audit gate, locally: three seeded nemesis schedules against
 # all seven methods, full and ring-sharded placement, with the runtime
 # consistency auditor tapped into every run. Exits 2 on any violation;
-# per-run esr-audit/1 certificates land in audit-certs/.
+# per-run esr-audit/2 certificates land in audit-certs/.
 audit:
 	mkdir -p audit-certs
 	for seed in 7 23 47; do \

@@ -431,17 +431,32 @@ let run_cmd =
         ~series:(series_file <> None) ~series_interval
         ~profiling:(prof_file <> None) ()
     in
-    (* A JSONL --trace streams through a file sink as events are
-       emitted, so long horizons keep their full history even after
-       the in-memory ring wraps.  Chrome exports still come from the
-       ring (the format needs the whole timeline up front). *)
-    let streamed =
-      match (trace_file, trace_format) with
-      | Some file, `Jsonl ->
+    (* --trace streams every event into the file as it is emitted; a
+       Chrome file is closed after the run, with the profiler's host-time
+       track when profiling is on. *)
+    let trace_out =
+      Option.map
+        (fun file ->
           let oc = open_out file in
-          Trace.file_sink obs.Obs.trace oc;
-          Some oc
-      | _ -> None
+          let events = ref 0 in
+          Trace.attach obs.Obs.trace (fun _ -> incr events);
+          let close =
+            match trace_format with
+            | `Jsonl ->
+                Trace.file_sink obs.Obs.trace oc;
+                ignore
+            | `Chrome ->
+                let write, close = Trace.chrome_writer oc ~sites in
+                Trace.attach obs.Obs.trace write;
+                fun () ->
+                  close
+                    ~extra:
+                      (if Prof.on obs.Obs.prof then
+                         Prof.chrome_events obs.Obs.prof
+                       else [])
+          in
+          (file, oc, events, close))
+        trace_file
     in
     let audit =
       if do_audit then Some (Audit.create ~label:meth ()) else None
@@ -493,27 +508,12 @@ let run_cmd =
          (Tablefmt.cell_bool r.Scenario.converged));
     List.iter (fun (k, v) -> add ("method: " ^ k) (Tablefmt.cell_float v)) r.Scenario.method_stats;
     Tablefmt.print t;
-    (match (trace_file, streamed) with
-    | Some file, Some oc ->
+    Option.iter
+      (fun (file, oc, events, close) ->
+        close ();
         close_out oc;
-        Printf.printf "trace: %d events -> %s\n"
-          (Trace.length obs.Obs.trace + Trace.dropped obs.Obs.trace)
-          file
-    | Some file, None ->
-        (* With profiling on, a chrome export carries the host-time phase
-           spans as a second process track. *)
-        let extra =
-          if Prof.on obs.Obs.prof then Prof.chrome_events obs.Obs.prof else []
-        in
-        with_out file (fun oc ->
-            Trace.write_chrome ~extra oc ~sites obs.Obs.trace);
-        if Trace.dropped obs.Obs.trace > 0 then
-          Printf.eprintf
-            "warning: trace ring buffer overflowed; %d oldest events dropped\n"
-            (Trace.dropped obs.Obs.trace);
-        Printf.printf "trace: %d events -> %s\n"
-          (Trace.length obs.Obs.trace) file
-    | None, _ -> ());
+        Printf.printf "trace: %d events -> %s\n" !events file)
+      trace_out;
     if show_metrics then begin
       print_endline "metrics:";
       List.iter
@@ -587,10 +587,12 @@ let read_file file =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Parse a JSONL trace dump back into records.  Unparseable lines are
-   skipped but not silently: [cmd] names the first one's error, and ends
-   the command when no line parsed. *)
-let read_trace_jsonl ~cmd file =
+(* Parse a JSONL trace dump back into records.  A line that does not parse
+   is never skipped silently: with [~complete] (a certificate over a gap
+   is not one) the first such line ends [cmd]; otherwise the lines are
+   skipped with a warning naming the first, and [cmd] ends when no line
+   parsed. *)
+let read_trace_jsonl ~cmd ~complete file =
   let ic = open_in_file file in
   let records, bad, first =
     Fun.protect
@@ -611,6 +613,11 @@ let read_trace_jsonl ~cmd file =
          with End_of_file -> ());
         (List.rev !records, !bad, !first))
   in
+  if complete && bad > 0 then begin
+    Printf.eprintf "%s: %s: %s; a certificate needs every record\n" cmd file
+      first;
+    exit 1
+  end;
   if records = [] then begin
     Printf.eprintf "%s: no parseable trace records in %s%s\n" cmd file
       (if bad > 0 then " (" ^ first ^ ")" else "");
@@ -667,7 +674,7 @@ let audit_cmd =
       value
       & opt (some string) None
       & info [ "ledger" ] ~docv:"FILE"
-          ~doc:"Write the esr-audit/1 certificate of every audited run \
+          ~doc:"Write the esr-audit/2 certificate of every audited run \
                 (violations, summary and the per-query epsilon ledger) to \
                 $(docv), one JSON document per line.")
   in
@@ -706,9 +713,33 @@ let audit_cmd =
     in
     (match trace_in with
     | Some file ->
+        (* The live campaign's flags, each at its default, or a replay
+           would silently ignore them. *)
         or_exit
-          (check_flags [ ("dump-dir", dump_dir = None, "left out with --trace") ]);
-        let records = read_trace_jsonl ~cmd:"audit" file in
+          (check_flags
+             (List.map
+                (fun (flag, at_default) ->
+                  (flag, at_default, "left out with --trace"))
+                [
+                  ("method", meth = "all");
+                  ("sites", sites = 4);
+                  ("duration", duration = 2_000.0);
+                  ("update-rate", update_rate = 0.05);
+                  ("query-rate", query_rate = 0.05);
+                  ("keys", keys = 32);
+                  ("theta", theta = 0.6);
+                  ("epsilon", epsilon = -1);
+                  ("seed", seed = 42);
+                  ("windows", windows = Nemesis.default_profile.Nemesis.max_faults);
+                  ( "crash-bias",
+                    crash_bias = Nemesis.default_profile.Nemesis.crash_bias );
+                  ("sharded", not sharded);
+                  ("checkpoint-interval", checkpoint_interval = 0.0);
+                  ( "checkpoint-retain",
+                    checkpoint_retain = Esr_replica.Checkpoint.default_retain );
+                  ("dump-dir", dump_dir = None);
+                ]));
+        let records = read_trace_jsonl ~cmd:"audit" ~complete:true file in
         let label =
           match label with
           | Some l -> l
@@ -718,6 +749,8 @@ let audit_cmd =
         Format.printf "%a" Audit.pp_report report;
         record report
     | None ->
+        or_exit
+          (check_flags [ ("label", label = None, "given only with --trace") ]);
         let checkpoint =
           make_checkpoint ~interval:checkpoint_interval
             ~retain:checkpoint_retain
@@ -798,8 +831,6 @@ let audit_cmd =
                     match r.Trace.ev with
                     | Trace.Recovery_replay _ -> incr replays
                     | _ -> ());
-                (* The JSONL dump streams through a file sink, so it holds
-                   every event however far the ring wraps. *)
                 let dump =
                   Option.map
                     (fun dir ->
@@ -937,7 +968,7 @@ let report_cmd =
       value
       & opt (some string) None
       & info [ "audit" ] ~docv:"FILE"
-          ~doc:"esr-audit/1 certificate matching the trace (from 'audit \
+          ~doc:"esr-audit/2 certificate matching the trace (from 'audit \
                 --ledger'; the first document when $(docv) holds several): \
                 adds the audit certificate and epsilon-ledger panel.")
   in
@@ -958,7 +989,7 @@ let report_cmd =
   in
   let run trace_file series_file profile_file label html_file chrome_file
       audit_file =
-    let records = read_trace_jsonl ~cmd:"report" trace_file in
+    let records = read_trace_jsonl ~cmd:"report" ~complete:false trace_file in
     let series =
       match series_file with
       | None -> None
@@ -1012,20 +1043,10 @@ let report_cmd =
     | Some f ->
         let sites = Report.sites_of records in
         let spans = Spans.reconstruct records in
-        (* Rebuild a sink so the standard exporter does the base timeline;
-           the span flows ride in through [extra]. *)
-        let sink =
-          Trace.make ~capacity:(Stdlib.max 1 (List.length records)) ~enabled:true ()
-        in
-        List.iter
-          (fun (r : Trace.record) ->
-            match r.Trace.ev with
-            | Trace.Trace_meta _ -> ()
-            | ev -> Trace.emit sink ~time:r.Trace.time ev)
-          records;
         with_out f (fun oc ->
-            Trace.write_chrome ~extra:(Spans.chrome_events ~sites spans) oc ~sites
-              sink);
+            let write, close = Trace.chrome_writer oc ~sites in
+            List.iter write records;
+            close ~extra:(Spans.chrome_events ~sites spans));
         Printf.printf "chrome trace -> %s\n" f
     | None -> ()
   in

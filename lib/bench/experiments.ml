@@ -112,12 +112,13 @@ let count committed = function
   | Intf.Committed _ -> incr committed
   | Intf.Rejected _ -> ()
 
-(* Durable-log replays in the trace, one per recovery. *)
-let replays obs =
+(* Durable-log replays, one per recovery, counted by a tap on [obs]'s
+   trace: attach it before the run. *)
+let count_replays obs =
   let n = ref 0 in
-  Trace.iter obs.Obs.trace (fun r ->
+  Trace.attach obs.Obs.trace (fun r ->
       match r.Trace.ev with Trace.Recovery_replay _ -> incr n | _ -> ());
-  !n
+  n
 
 (* [f site] summed over the sites of [h], and a resource gauge summed. *)
 let sum_sites h f =
@@ -757,6 +758,7 @@ let e13_fault_availability () =
     Registry.names
     (fun name ->
       let obs = Obs.create ~tracing:true () in
+      let replays = count_replays obs in
       let h = Harness.create ~config:fault_config ~obs ~seed ~sites:4 ~method_name:name () in
       let net = Harness.net h in
       let oracle = Oracle.create ~size:8 () in
@@ -796,8 +798,6 @@ let e13_fault_availability () =
       done;
       Harness.inject_faults h e13_faults;
       let settled = Harness.settle_result h = Harness.Drained in
-      (* Counted before [converged] adds its own trace event. *)
-      let replays = replays obs in
       [
         ("Method", name);
         ("Upd avail (faulty)", fmt_pct !f_com !f_sub);
@@ -805,7 +805,7 @@ let e13_fault_availability () =
         int "Degraded queries" !degraded;
         mean "Staleness (faulty)" f_stale;
         mean "Staleness (clear)" c_stale;
-        int "Log replays" replays;
+        int "Log replays" !replays;
         bool "Converged" (settled && Harness.converged h);
       ])
 
@@ -1071,6 +1071,11 @@ let e16_soak () =
         Obs.create ~tracing:true ~series:true ~series_interval:interval
           ~profiling ()
       in
+      let replays = count_replays obs in
+      (* The HTML report's records, collected only when it is written. *)
+      let records = ref [] in
+      if soak_dir <> None then
+        Trace.attach obs.Obs.trace (fun r -> records := r :: !records);
       let h = Harness.create ~config:fault_config ~obs ~seed ~sites ~method_name:name () in
       let committed = ref 0 in
       update_stream h ~name ~n:n_updates ~every:update_every ~keys:16
@@ -1078,7 +1083,6 @@ let e16_soak () =
       Harness.inject_faults h schedule;
       Harness.arm_series h ~until:duration;
       let settled = Harness.settle_result h = Harness.Drained in
-      let replays = replays obs in
       (* Growth rate of the summed durable log over the sampled window
          (virtual time, hence deterministic). *)
       let series = obs.Obs.series in
@@ -1100,8 +1104,6 @@ let e16_soak () =
             Filename.concat dir ("e16_" ^ String.lowercase_ascii name)
           in
           Obs.write_dumps obs ~base;
-          let records = ref [] in
-          Trace.iter obs.Obs.trace (fun r -> records := r :: !records);
           let input =
             Report.make ~label:("e16 " ^ name)
               ~series:(Series.dump series)
@@ -1123,7 +1125,7 @@ let e16_soak () =
         int "WAL appends" (sum_res h (fun r -> r.Intf.wal_appended));
         int "Journal enq" (sum_res h (fun r -> r.Intf.journal_enqueued));
         int "Journal depth" (sum_res h (fun r -> r.Intf.journal_depth));
-        int "Replays" replays;
+        int "Replays" !replays;
         ("Log growth /1k ms", Printf.sprintf "%.1f" growth);
         bool "Converged" (settled && Harness.converged h);
       ])
@@ -1360,9 +1362,7 @@ let e18_bounded_soak () =
         int "Max depth" (int_of_float !max_depth);
         int "Final log" (sum_res h (fun r -> r.Intf.log_entries));
         int "WAL hw" (sum_res h (fun r -> r.Intf.wal_high_water));
-        (* Counted from the checkpoint stats rather than the trace: over
-           a days-long horizon the bounded trace ring wraps and evicts
-           the early Recovery_replay events. *)
+        (* Counted from the checkpoint stats: these runs are not traced. *)
         int "Replays" (sum_sites h (fun i -> Checkpoint.tail_replays c ~site:i));
         int "Max tail"
           (List.fold_left

@@ -6,14 +6,11 @@
    per-channel delivery state, per-site order cursors, open query
    windows, and the down-site set.  Each broken invariant produces a
    typed {!violation} pinning the first offending event; a clean run
-   yields a certificate ({!ok}) plus the per-query epsilon ledger.
-
-   A dump that lost its prefix to ring eviction (leading [Trace_meta])
-   switches the auditor into {e relaxed} mode: per-event checks that
-   depend on history before the first surviving record (dense sequence
-   baselines, overlap reconstruction, crash pairing, end-of-run
-   completeness) are disabled rather than reported as false positives,
-   and the certificate is marked partial. *)
+   yields a certificate ({!ok}) plus the per-query epsilon ledger.  The
+   checks read the whole history (dense sequences from 0, crash pairing,
+   end-of-run completeness), so the auditor is fed every record of the
+   run: a tap sees the complete stream, and an offline dump with a line
+   that does not parse is refused before it gets here. *)
 
 type kind = Delivery | Ordering | Epsilon | Crash | Checkpoint | Convergence
 
@@ -51,7 +48,6 @@ type entry = {
 
 type summary = {
   s_events : int;
-  s_dropped : int;  (* ring evictions announced by the leading meta *)
   s_queries : int;
   s_bounded : int;  (* served with a finite epsilon *)
   s_at_bound : int;  (* charged = epsilon exactly *)
@@ -73,7 +69,7 @@ type report = {
 }
 
 let ok r = r.violations = []
-let partial r = r.summary.s_dropped > 0
+let partial _ = false
 
 (* --- live state --- *)
 
@@ -83,8 +79,6 @@ let partial r = r.summary.s_dropped > 0
    the mark), so delivery state grows with reordering, not history. *)
 type chan = {
   mutable c_sent : int;  (* next expected dense send seq *)
-  mutable c_base : int;  (* first seq observed (relaxed baseline) *)
-  mutable c_known : bool;
   mutable c_mark : int;
   c_above : (int, unit) Hashtbl.t;
 }
@@ -102,7 +96,7 @@ type window = {
 type closed_window = {
   cl_time : float;
   cl_charged : int;
-  cl_model : int option;  (* [Some] for `Ok closes in strict mode *)
+  cl_model : int option;  (* [Some] for `Ok closes *)
 }
 
 (* A record of one float field is stored flat, so advancing the clock
@@ -119,8 +113,6 @@ type pending_query = {
 type t = {
   label : string;
   mutable n_events : int;
-  mutable dropped : int;
-  mutable relaxed : bool;
   clock : clock;
   mutable violations : violation list;  (* reversed *)
   mutable n_violations : int;
@@ -167,8 +159,6 @@ let create ?(label = "run") () =
   {
     label;
     n_events = 0;
-    dropped = 0;
-    relaxed = false;
     clock = { last_time = neg_infinity };
     violations = [];
     n_violations = 0;
@@ -253,15 +243,7 @@ let chan t ~src ~dst =
   match Hashtbl.find t.chans key with
   | c -> c
   | exception Not_found ->
-      let c =
-        {
-          c_sent = 0;
-          c_base = 0;
-          c_known = false;
-          c_mark = 0;
-          c_above = Hashtbl.create 8;
-        }
-      in
+      let c = { c_sent = 0; c_mark = 0; c_above = Hashtbl.create 8 } in
       Hashtbl.add t.chans key c;
       c
 
@@ -313,17 +295,11 @@ let feed t (r : Trace.record) =
                 drop it"
                src cls dst)));
   match ev with
-  | Trace.Trace_meta { dropped } ->
-      t.dropped <- t.dropped + dropped;
-      t.relaxed <- true
   | Trace.Msg_sent { src; dst; cls } ->
-      if (not t.relaxed) && Hashtbl.mem t.down src then
+      if Hashtbl.mem t.down src then
         t.expect_drop <- Some (src, dst, cls, time)
   | Trace.Msg_dropped { src; dst = _; cls = _; reason } ->
-      if
-        (not t.relaxed) && reason = Trace.Crashed_src
-        && not (Hashtbl.mem t.down src)
-      then
+      if reason = Trace.Crashed_src && not (Hashtbl.mem t.down src) then
         flag t r ~kind:Crash ~invariant:"spurious-crashed-src-drop"
           (Printf.sprintf "drop blamed on crashed src %d, which is up" src)
   | Trace.Msg_duplicated _ | Trace.Msg_delivered _ -> ()
@@ -333,16 +309,7 @@ let feed t (r : Trace.record) =
          [drop]); the crash discipline audited here is the network's
          — physical transmissions from a down site must be dropped. *)
       let c = chan t ~src ~dst in
-      if not c.c_known then begin
-        c.c_known <- true;
-        if t.relaxed then c.c_base <- seq
-        else if seq <> 0 then
-          flag t r ~kind:Delivery ~invariant:"squeue-journal-gap"
-            (Printf.sprintf "channel %d->%d starts at seq %d, expected 0" src
-               dst seq);
-        c.c_sent <- seq + 1
-      end
-      else if seq <> c.c_sent then begin
+      if seq <> c.c_sent then begin
         flag t r ~kind:Delivery ~invariant:"squeue-journal-gap"
           (Printf.sprintf "channel %d->%d journaled seq %d, expected %d" src
              dst seq c.c_sent);
@@ -351,12 +318,11 @@ let feed t (r : Trace.record) =
       else c.c_sent <- seq + 1
   | Trace.Squeue_delivered { src; dst; seq } ->
       let c = chan t ~src ~dst in
-      if (not t.relaxed) && Hashtbl.mem t.down dst then
+      if Hashtbl.mem t.down dst then
         flag t r ~kind:Crash ~invariant:"squeue-deliver-while-down"
           (Printf.sprintf "channel %d->%d delivered seq %d at a crashed site"
              src dst seq);
-      if (not t.relaxed) && (seq >= c.c_sent || (c.c_known && seq < c.c_base))
-      then
+      if seq < 0 || seq >= c.c_sent then
         flag t r ~kind:Delivery ~invariant:"squeue-delivered-unsent"
           (Printf.sprintf "channel %d->%d delivered seq %d, journal at %d" src
              dst seq c.c_sent);
@@ -376,7 +342,7 @@ let feed t (r : Trace.record) =
       else Hashtbl.replace c.c_above seq ()
   | Trace.Squeue_dup { src; dst; seq } ->
       let c = chan t ~src ~dst in
-      if (not t.relaxed) && seq >= c.c_sent then
+      if seq >= c.c_sent then
         flag t r ~kind:Delivery ~invariant:"squeue-dup-unsent"
           (Printf.sprintf "channel %d->%d suppressed unsent seq %d" src dst seq)
   | Trace.Partition_event _ | Trace.Heal -> ()
@@ -393,13 +359,11 @@ let feed t (r : Trace.record) =
           t.open_windows
       end
   | Trace.Recover { site } ->
-      if not (Hashtbl.mem t.down site) then begin
-        if not t.relaxed then
-          flag t r ~kind:Crash ~invariant:"recover-while-up"
-            (Printf.sprintf "site %d recovered without a preceding crash" site)
-      end
+      if not (Hashtbl.mem t.down site) then
+        flag t r ~kind:Crash ~invariant:"recover-while-up"
+          (Printf.sprintf "site %d recovered without a preceding crash" site)
       else begin
-        if (not t.relaxed) && not (Hashtbl.mem t.volatile_seen site) then
+        if not (Hashtbl.mem t.volatile_seen site) then
           flag t r ~kind:Crash ~invariant:"crash-without-volatile-drop"
             (Printf.sprintf
                "site %d finished a down-window without accounting for its \
@@ -409,7 +373,7 @@ let feed t (r : Trace.record) =
         Hashtbl.remove t.volatile_seen site
       end
   | Trace.Volatile_dropped { site; log; _ } ->
-      if (not t.relaxed) && not (Hashtbl.mem t.down site) then
+      if not (Hashtbl.mem t.down site) then
         flag t r ~kind:Crash ~invariant:"volatile-drop-while-up"
           (Printf.sprintf "site %d dropped volatile state while up" site);
       Hashtbl.replace t.volatile_seen site ();
@@ -426,10 +390,9 @@ let feed t (r : Trace.record) =
                  "site %d replayed %d log actions; the crash recorded %d" site
                  n_actions expected)
       | None ->
-          if not t.relaxed then
-            flag t r ~kind:Crash ~invariant:"replay-without-crash"
-              (Printf.sprintf "site %d replayed %d actions with no crash log"
-                 site n_actions))
+          flag t r ~kind:Crash ~invariant:"replay-without-crash"
+            (Printf.sprintf "site %d replayed %d actions with no crash log"
+               site n_actions))
   | Trace.Checkpoint_cut { site; folded; reclaimed = _ } ->
       t.n_cuts <- t.n_cuts + 1;
       if Hashtbl.mem t.down site then
@@ -445,7 +408,7 @@ let feed t (r : Trace.record) =
         Queue.add (t.n_windows, et) t.et_fifo
       end
   | Trace.Mset_applied { et; site; order; n_ops = _ } -> (
-      if (not t.relaxed) && Hashtbl.mem t.down site then
+      if Hashtbl.mem t.down site then
         flag t r ~kind:Crash ~invariant:"apply-at-down-site"
           (Printf.sprintf "ET %d applied at crashed site %d" et site);
       match order with
@@ -456,8 +419,7 @@ let feed t (r : Trace.record) =
              same because tickets are assigned per interested site). *)
           (match Hashtbl.find_opt t.applied_next site with
           | None ->
-              if t.relaxed then Hashtbl.replace t.applied_next site (o + 1)
-              else if o <> 1 then begin
+              if o <> 1 then begin
                 flag t r ~kind:Ordering ~invariant:"ordup-stream-gap"
                   (Printf.sprintf "site %d started its stream at ticket %d"
                      site o);
@@ -498,25 +460,23 @@ let feed t (r : Trace.record) =
         { pq_q = q; pq_site = site; pq_keys = n_keys; pq_eps = epsilon }
   | Trace.Query_window { w; site; point; missing; keys } ->
       t.n_windows <- t.n_windows + 1;
-      if (not t.relaxed) && Hashtbl.mem t.down site then
+      if Hashtbl.mem t.down site then
         flag t r ~kind:Crash ~invariant:"window-at-down-site"
           (Printf.sprintf "query window %d opened at crashed site %d" w site);
-      if not t.relaxed then begin
-        (* The lump charge is exactly the issued-but-unexecuted gap at
-           the query's serialization point. *)
-        let applied =
-          match Hashtbl.find_opt t.applied_next site with
-          | Some next -> next - 1
-          | None -> 0
-        in
-        let expected = Stdlib.max 0 (point - applied) in
-        if missing <> expected then
-          flag t r ~kind:Epsilon ~invariant:"window-missing-mismatch"
-            (Printf.sprintf
-               "window %d at site %d charged %d missing updates; point %d \
-                less %d applied gives %d"
-               w site missing point applied expected)
-      end;
+      (* The lump charge is exactly the issued-but-unexecuted gap at the
+         query's serialization point. *)
+      let applied =
+        match Hashtbl.find_opt t.applied_next site with
+        | Some next -> next - 1
+        | None -> 0
+      in
+      let expected = Stdlib.max 0 (point - applied) in
+      if missing <> expected then
+        flag t r ~kind:Epsilon ~invariant:"window-missing-mismatch"
+          (Printf.sprintf
+             "window %d at site %d charged %d missing updates; point %d less \
+              %d applied gives %d"
+             w site missing point applied expected);
       if Hashtbl.mem t.open_windows w then
         flag t r ~kind:Epsilon ~invariant:"window-reopened"
           (Printf.sprintf "window id %d opened twice" w)
@@ -534,37 +494,34 @@ let feed t (r : Trace.record) =
   | Trace.Query_window_closed { w; site; charged; outcome } -> (
       match Hashtbl.find_opt t.open_windows w with
       | None ->
-          if not t.relaxed then
-            flag t r ~kind:Epsilon ~invariant:"window-close-unopened"
-              (Printf.sprintf "window id %d closed but never opened" w)
+          flag t r ~kind:Epsilon ~invariant:"window-close-unopened"
+            (Printf.sprintf "window id %d closed but never opened" w)
       | Some win ->
           Hashtbl.remove t.open_windows w;
           drop_keys t;
           let model =
-            if t.relaxed then None
-            else begin
-              (match outcome with
-              | `Ok ->
-                  if charged = win.win_model then
-                    t.n_windows_exact <- t.n_windows_exact + 1
-                  else
-                    flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
-                      (Printf.sprintf
-                         "window %d at site %d charged %d; reconstructed \
-                          overlap with concurrent update ETs is %d"
-                         w site charged win.win_model)
-              | `Fallback ->
-                  (* Charging stopped at the first refusal, so the model
-                     (which kept counting) is an upper bound. *)
-                  if charged > win.win_model then
-                    flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
-                      (Printf.sprintf
-                         "window %d fell back after charging %d, above the \
-                          reconstructed overlap %d"
-                         w charged win.win_model)
-              | `Killed -> ());
-              match outcome with `Ok -> Some win.win_model | _ -> None
-            end
+            match outcome with
+            | `Ok ->
+                if charged = win.win_model then
+                  t.n_windows_exact <- t.n_windows_exact + 1
+                else
+                  flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
+                    (Printf.sprintf
+                       "window %d at site %d charged %d; reconstructed \
+                        overlap with concurrent update ETs is %d"
+                       w site charged win.win_model);
+                Some win.win_model
+            | `Fallback ->
+                (* Charging stopped at the first refusal, so the model
+                   (which kept counting) is an upper bound. *)
+                if charged > win.win_model then
+                  flag t r ~kind:Epsilon ~invariant:"charge-overlap-mismatch"
+                    (Printf.sprintf
+                       "window %d fell back after charging %d, above the \
+                        reconstructed overlap %d"
+                       w charged win.win_model);
+                None
+            | `Killed -> None
           in
           Hashtbl.replace t.last_closed site
             { cl_time = time; cl_charged = charged; cl_model = model })
@@ -623,13 +580,12 @@ let feed t (r : Trace.record) =
             }
             :: t.ledger_rev
       | None ->
-          if not t.relaxed then
-            flag t r ~kind:Convergence ~invariant:"served-without-begin"
-              (Printf.sprintf "query %d served but never began" q))
+          flag t r ~kind:Convergence ~invariant:"served-without-begin"
+            (Printf.sprintf "query %d served but never began" q))
   | Trace.Flush_round _ -> ()
   | Trace.Converged { ok } ->
       t.converged <- Some ok;
-      if ok && (not t.relaxed) && Hashtbl.length t.down > 0 then
+      if ok && Hashtbl.length t.down > 0 then
         flag t r ~kind:Convergence ~invariant:"converged-while-down"
           (Printf.sprintf "convergence claimed with %d sites still crashed"
              (Hashtbl.length t.down))
@@ -641,7 +597,6 @@ let sorted tbl =
   List.sort (fun (a, _) (b, _) -> compare a b) (List.of_seq (Hashtbl.to_seq tbl))
 
 let finish t =
-  let strict = not t.relaxed in
   let end_violation ~kind ~invariant detail =
     violate t ~kind ~invariant ~time:t.clock.last_time ~event:"(end of trace)"
       detail
@@ -649,7 +604,7 @@ let finish t =
   let settled = t.converged = Some true && Hashtbl.length t.down = 0 in
   (* (a) completeness: once the run claims convergence with every site
      up, every journaled message has been handed up exactly once. *)
-  if strict && settled then
+  if settled then
     List.iter
       (fun (key, c) ->
         let delivered = c.c_mark + Hashtbl.length c.c_above in
@@ -659,7 +614,7 @@ let finish t =
                (key lsr 31) (key land 0x7FFF_FFFF) delivered c.c_sent))
       (sorted t.chans);
   (* (f) lifecycle completeness under the convergence claim. *)
-  if strict && settled then begin
+  if settled then begin
     if t.n_update_begin <> t.n_update_done then
       end_violation ~kind:Convergence ~invariant:"updates-unresolved"
         (Printf.sprintf "%d update ETs began, %d resolved" t.n_update_begin
@@ -669,29 +624,26 @@ let finish t =
         (Printf.sprintf "%d queries began, %d served" t.n_query_begin
            t.n_query_served)
   end;
-  if strict then begin
-    List.iter
-      (fun (w, win) ->
-        end_violation ~kind:Epsilon ~invariant:"window-never-closed"
-          (Printf.sprintf "query window %d at site %d%s never closed" w
-             win.win_site
-             (if win.win_crashed then " (site crashed)" else "")))
-      (sorted t.open_windows);
-    List.iter
-      (fun (site, log) ->
-        if not (Hashtbl.mem t.down site) then
-          end_violation ~kind:Crash ~invariant:"recovery-without-replay"
-            (Printf.sprintf
-               "site %d recovered but never replayed its %d-action log" site
-               log))
-      (sorted t.crash_log)
-  end;
+  List.iter
+    (fun (w, win) ->
+      end_violation ~kind:Epsilon ~invariant:"window-never-closed"
+        (Printf.sprintf "query window %d at site %d%s never closed" w
+           win.win_site
+           (if win.win_crashed then " (site crashed)" else "")))
+    (sorted t.open_windows);
+  List.iter
+    (fun (site, log) ->
+      if not (Hashtbl.mem t.down site) then
+        end_violation ~kind:Crash ~invariant:"recovery-without-replay"
+          (Printf.sprintf
+             "site %d recovered but never replayed its %d-action log" site log))
+    (sorted t.crash_log);
   if t.converged = Some false then
     end_violation ~kind:Convergence ~invariant:"diverged-at-quiescence"
       "replicas report divergence at the end of the run";
   (* The live registry agrees with the trace-level certificate. *)
   (match t.metrics with
-  | Some m when strict && t.converged = Some true -> (
+  | Some m when t.converged = Some true -> (
       match List.assoc_opt "divergent_sites" (Metrics.alist ~group:"harness" m) with
       | Some d when d > 0.0 ->
           end_violation ~kind:Convergence ~invariant:"divergent-sites-metric"
@@ -710,7 +662,6 @@ let finish t =
     summary =
       {
         s_events = t.n_events;
-        s_dropped = t.dropped;
         s_queries = t.n_query_served;
         s_bounded = t.n_bounded;
         s_at_bound = t.n_at_bound;
@@ -730,9 +681,9 @@ let audit_records ?label records =
   List.iter (feed t) records;
   finish t
 
-(* --- JSON certificate ([esr-audit/1]) --- *)
+(* --- JSON certificate ([esr-audit/2]) --- *)
 
-let schema = "esr-audit/1"
+let schema = "esr-audit/2"
 
 module Json = Esr_util.Json
 
@@ -746,7 +697,6 @@ let report_to_json (r : report) =
          ("label", Str r.label);
          ("ok", Bool (ok r));
          ("events", int s.s_events);
-         ("dropped", int s.s_dropped);
          ( "violations",
            Arr
              (List.map
@@ -826,11 +776,10 @@ let report_of_json text =
   of_string
     (fun j ->
       ignore (field "schema" (enum Fun.id [ schema ]) j);
-      let s_events = field "events" int j and s_dropped = field "dropped" int j in
+      let s_events = field "events" int j in
       let summary s =
         {
           s_events;
-          s_dropped;
           s_queries = field "queries" int s;
           s_bounded = field "bounded" int s;
           s_at_bound = field "at_bound" int s;
@@ -861,15 +810,11 @@ let pp_violation ppf vi =
 
 let pp_report ppf r =
   let s = r.summary in
-  Format.fprintf ppf "audit %s: %s (%d events%s)@."
-    r.label
+  Format.fprintf ppf "audit %s: %s (%d events)@." r.label
     (if ok r then "CERTIFIED"
      else Printf.sprintf "%d VIOLATION%s" (List.length r.violations)
          (if List.length r.violations = 1 then "" else "S"))
-    s.s_events
-    (if s.s_dropped > 0 then
-       Printf.sprintf ", PARTIAL: %d dropped" s.s_dropped
-     else "");
+    s.s_events;
   Format.fprintf ppf
     "  queries %d (bounded %d, at-bound %d, charged %d total)@."
     s.s_queries s.s_bounded s.s_at_bound s.s_charged_total;

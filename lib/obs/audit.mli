@@ -25,10 +25,10 @@
       claims convergence with all sites up, and the divergence gauge
       agrees with the trace-level certificate.
 
-    Traces whose prefix was evicted from the ring (leading
-    [Trace_meta { dropped > 0 }]) are audited in {e relaxed} mode:
-    history-dependent checks are suppressed instead of misfiring, and
-    the resulting report is {!partial}. *)
+    Every check reads the whole history, so a certificate covers the
+    complete event stream: a live auditor is a tap that sees every
+    record, and [esrsim audit --trace] refuses a dump with a line it
+    cannot read. *)
 
 type kind = Delivery | Ordering | Epsilon | Crash | Checkpoint | Convergence
 
@@ -61,7 +61,6 @@ type entry = {
 
 type summary = {
   s_events : int;
-  s_dropped : int;
   s_queries : int;
   s_bounded : int;
   s_at_bound : int;
@@ -87,7 +86,8 @@ val ok : report -> bool
 (** No violations: the run is certified. *)
 
 val partial : report -> bool
-(** The audited trace lost events to ring eviction. *)
+(** Always [false]: every certificate covers the complete stream.  Kept
+    because the benchmark runner still calls it. *)
 
 type t
 
@@ -114,14 +114,14 @@ val audit_records : ?label:string -> Trace.record list -> report
 (** [create] + [feed] each + [finish], for offline dumps. *)
 
 val schema : string
-(** Certificate schema tag, ["esr-audit/1"]. *)
+(** Certificate schema tag, ["esr-audit/2"]. *)
 
 val report_to_json : report -> string
-(** One line: the [esr-audit/1] certificate. *)
+(** One line: the [esr-audit/2] certificate. *)
 
 val report_of_json : string -> (report, string) result
-(** Inverse of {!report_to_json}; a missing or ill-typed field is an
-    [Error] naming it. *)
+(** Inverse of {!report_to_json}; another schema, or a missing or
+    ill-typed field, is an [Error] naming it. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -22,7 +22,7 @@ type t = {
   prof : Prof.t;
 }
 
-let create ?(tracing = false) ?trace_capacity ?(series = false) ?series_interval
+let create ?(tracing = false) ?(series = false) ?series_interval
     ?series_capacity ?(profiling = false) ?prof_span_capacity () =
   let metrics = Metrics.create () in
   let series =
@@ -30,7 +30,7 @@ let create ?(tracing = false) ?trace_capacity ?(series = false) ?series_interval
   in
   Series.bind_registry series metrics;
   {
-    trace = Trace.make ?capacity:trace_capacity ~enabled:tracing ();
+    trace = Trace.make ~enabled:tracing ();
     metrics;
     series;
     prof = Prof.make ?span_capacity:prof_span_capacity ~enabled:profiling ();
@@ -49,5 +49,10 @@ let write_dumps t ~base =
 let default_tracing = ref false
 let default_profiling = ref false
 
+(* A default traced sink gets a tap that renders every record's JSONL
+   line and discards it, so the timed sweep's traced pass measures the
+   encoding a dump would pay, not just building the events. *)
 let default () =
-  create ~tracing:!default_tracing ~profiling:!default_profiling ()
+  let t = create ~tracing:!default_tracing ~profiling:!default_profiling () in
+  if !default_tracing then Trace.attach t.trace (Trace.jsonl_tap ignore);
+  t

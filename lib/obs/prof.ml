@@ -72,7 +72,7 @@ type t = {
   epoch : float;  (* Unix.gettimeofday at creation; 0 when disabled *)
   sums : sums;
   span_capacity : int;
-  mutable spans : span array;  (* lazily allocated ring, like Trace *)
+  mutable spans : span array;  (* lazily allocated ring *)
   mutable head : int;
   mutable len : int;
   mutable n_dropped : int;
@@ -198,7 +198,7 @@ let float_repr = Json.float_repr
 (* Host-time track for the Chrome/Perfetto export: pid 1 (the virtual-time
    trace owns pid 0), one named thread per phase, "X" spans in host
    microseconds since the profiler epoch.  The strings splice into
-   [Trace.write_chrome ~extra]. *)
+   the [extra] of [Trace.chrome_writer]'s close. *)
 let chrome_events t =
   if not t.enabled then []
   else begin

@@ -110,8 +110,8 @@ val totals : unit -> (phase * agg) list
 val chrome_events : t -> string list
 (** Chrome trace_event objects for the host-time track — pid 1 (the
     virtual-time trace is pid 0), one named thread per phase, "X" spans
-    in host microseconds since the profiler epoch.  Splice into
-    {!Trace.write_chrome} via [?extra]. *)
+    in host microseconds since the profiler epoch.  Splice in through
+    the [extra] of {!Trace.chrome_writer}'s close. *)
 
 type dump = {
   d_phases : (phase * agg) list;

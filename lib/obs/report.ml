@@ -20,27 +20,6 @@ type input = {
 let make ?(label = "run") ?series ?profile ?audit records =
   { label; records; series; profile; audit }
 
-(* Ring evictions make every derived view an under-count; say so loudly
-   rather than letting a truncated dump read as a complete run. *)
-let dropped_of records =
-  List.fold_left
-    (fun acc (r : Trace.record) ->
-      match r.Trace.ev with
-      | Trace.Trace_meta { dropped } -> acc + dropped
-      | _ -> acc)
-    0 records
-
-let partial_banner input =
-  let d = dropped_of input.records in
-  if d = 0 then None
-  else
-    Some
-      (Printf.sprintf
-         "WARNING: %d events dropped from the trace ring; span/audit results \
-          are partial (stream with a .jsonl --trace file to keep full \
-          history)"
-         d)
-
 let sites_of records =
   let open Trace in
   let m = ref 0 in
@@ -73,7 +52,7 @@ let sites_of records =
       | Checkpoint_cut { site; _ } ->
           see site
       | Partition_event { groups } -> List.iter (List.iter see) groups
-      | Heal | Flush_round _ | Converged _ | Trace_meta _ -> ())
+      | Heal | Flush_round _ | Converged _ -> ())
     records;
   !m
 
@@ -398,9 +377,6 @@ let audit_tables input =
       row "status"
         (if Audit.ok r then "CERTIFIED"
          else Printf.sprintf "%d VIOLATIONS" (List.length r.Audit.violations));
-      if Audit.partial r then
-        row "coverage"
-          (Printf.sprintf "PARTIAL (%d events dropped)" s.Audit.s_dropped);
       row "events audited" (string_of_int s.Audit.s_events);
       row "queries (bounded / at bound)"
         (Printf.sprintf "%d (%d / %d)" s.Audit.s_queries s.Audit.s_bounded
@@ -464,12 +440,6 @@ let audit_tables input =
 let dashboard input =
   let spans = Spans.reconstruct input.records in
   let b = Buffer.create 4096 in
-  (match partial_banner input with
-  | Some banner ->
-      Buffer.add_string b "!! ";
-      Buffer.add_string b banner;
-      Buffer.add_string b "\n\n"
-  | None -> ());
   Buffer.add_string b (Tablefmt.render (summary_table input spans));
   List.iter
     (fun t ->
@@ -608,14 +578,6 @@ let html input =
     "<style>body{font-family:monospace;max-width:860px;margin:2em \
      auto;color:#222}h1{font-size:1.3em}h2{font-size:1.1em;margin-top:1.6em}pre{background:#f6f6f6;padding:8px;overflow-x:auto}</style></head><body>\n";
   out "<h1>esrsim report: %s</h1>\n" (html_escape input.label);
-  (match partial_banner input with
-  | Some banner ->
-      out
-        "<div style=\"background:#fdecea;border:1px solid \
-         #d62728;color:#a00;padding:10px;margin:10px 0;font-weight:bold\">&#9888; \
-         %s</div>\n"
-        (html_escape banner)
-  | None -> ());
   out "%s" (html_table (summary_table input spans));
   List.iter (fun t -> out "%s" (html_table t)) (audit_tables input);
   (match input.series with

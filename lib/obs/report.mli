@@ -23,11 +23,6 @@ val make :
   Trace.record list ->
   input
 
-val partial_banner : input -> string option
-(** Loud warning when the trace ring dropped events: every derived view
-    (spans, audit, counts) is an under-count.  Rendered at the top of
-    both the terminal dashboard and the HTML report. *)
-
 val sites_of : Trace.record list -> int
 (** Largest site id referenced, plus one. *)
 

@@ -9,7 +9,7 @@
    origin [o] belongs to the most recently begun still-open update at
    [o].  Root spans keyed on [u] are exact — the completeness check
    relies only on those; MSet legs are a best-effort causal attachment
-   and orphans (enqueue evicted from the ring, replayed applies) are
+   and orphans (an enqueue missing from the dump, replayed applies) are
    kept separately rather than guessed at. *)
 
 type leg = {
@@ -137,8 +137,8 @@ let reconstruct records =
             match Hashtbl.find_opt msets_tbl et with
             | Some mb -> mb
             | None ->
-                (* Apply without an enqueue in the dump: ring eviction or a
-                   recovery replay of a pre-trace MSet.  Keep it as an
+                (* Apply without an enqueue in the dump: a truncated dump
+                   or a recovery replay of a pre-trace MSet.  Keep it as an
                    orphan so every apply is accounted for. *)
                 let mb =
                   {
@@ -204,8 +204,6 @@ let reconstruct records =
     unmatched_commits = List.rev !unmatched;
     duplicate_commits = List.rev !duplicates;
   }
-
-let of_trace trace = reconstruct (Trace.to_list trace)
 
 let n_committed t =
   List.length (List.filter (fun s -> match s.s_outcome with Committed _ -> true | _ -> false) t.spans)
@@ -295,7 +293,7 @@ let n_retransmit_legs t =
 
 let float_repr = Esr_util.Json.float_repr
 
-(* Span-tree events layered on top of {!Trace.write_chrome}'s timeline:
+(* Span-tree events layered on top of {!Trace.chrome_writer}'s timeline:
    one "X" slice per MSet leg on the destination site's track, plus flow
    arrows ("s"/"f") from the enqueue at the origin to each leg's first
    apply, so Perfetto draws the propagation fan-out of every update. *)

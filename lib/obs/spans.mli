@@ -52,13 +52,12 @@ type t = {
 }
 
 val reconstruct : Trace.record list -> t
-val of_trace : Trace.t -> t
 val n_committed : t -> int
 
 val complete : t -> bool
 (** Every [Update_committed] in the dump maps to exactly one root span:
     no unmatched or duplicate commits, committed-span count equals commit
-    events.  False implies the ring evicted lifecycle records. *)
+    events.  False implies the dump lost lifecycle records. *)
 
 val span_breakdown : span -> breakdown
 
@@ -72,4 +71,4 @@ val chrome_events : sites:int -> t -> string list
 (** Span-tree enrichment for a Chrome trace: one ["X"] slice per MSet leg
     on the destination track plus ["s"]/["f"] flow arrows from each
     enqueue to its applies.  JSON objects, no separators — spliced into
-    {!Trace.write_chrome}'s event array by the exporter. *)
+    the event array by {!Trace.chrome_writer}'s [close]. *)

@@ -52,133 +52,19 @@ type event =
   | Checkpoint_cut of { site : int; folded : int; reclaimed : int }
   | Flush_round of { round : int }
   | Converged of { ok : bool }
-  | Trace_meta of { dropped : int }
-      (* exporter-synthesized header: ring-buffer evictions that preceded
-         the first surviving record; never emitted by instrumentation *)
 
 type record = { time : float; ev : event }
 
-(* Ring buffer sink, stored as columns (as [Esr_sim.Heap] stores the
-   event heap) so that a slot holds scalars, not a pointer to a record
-   the GC must promote.  Slot [i] is [times.(i)], the virtual time
-   unboxed in a float array, and [codes.(i)]: one of the seven message
-   and stable-queue variants packed into an int (see [pack]), or
-   [tag_boxed], in which case the event is [boxed.(i)].  A packed slot
-   keeps [Heal] in [boxed], so an evicted event is not kept alive.
-   Records are rebuilt on read.  The columns are allocated on the first
-   emit of an enabled sink, so a disabled sink (the default everywhere)
-   costs one record.  [taps] see every record as it is emitted, before
-   ring eviction can touch it — a streaming consumer (file sink,
-   auditor) is therefore immune to ring wrap. *)
-type t = {
-  enabled : bool;
-  capacity : int;
-  mutable times : float array;
-  mutable codes : int array;
-  mutable boxed : event array;
-  mutable classes : string array;  (* interned message classes *)
-  mutable n_classes : int;
-  mutable len : int;  (* valid records, <= capacity *)
-  mutable head : int;  (* index of the oldest record *)
-  mutable n_dropped : int;
-  mutable taps : (record -> unit) list;  (* attach order *)
-}
+(* A sink holds no records: [emit] hands each one to the taps, in attach
+   order, and returns at once when there are none. *)
+type t = { enabled : bool; mutable taps : (record -> unit) list }
 
-let make ?(capacity = 262_144) ~enabled () =
-  if capacity <= 0 then invalid_arg "Trace.make: capacity must be positive";
-  {
-    enabled;
-    capacity;
-    times = [||];
-    codes = [||];
-    boxed = [||];
-    classes = [||];
-    n_classes = 0;
-    len = 0;
-    head = 0;
-    n_dropped = 0;
-    taps = [];
-  }
-
+let make ~enabled () = { enabled; taps = [] }
 let[@inline] on t = t.enabled
 
 let attach t f =
   if not t.enabled then invalid_arg "Trace.attach: sink is disabled";
   t.taps <- t.taps @ [ f ]
-
-(* A packed code: bits 0-2 are the tag, 3-18 [src], 19-34 [dst] and
-   35-62 a payload: a stable-queue event's [seq], or a message event's
-   drop reason (bits 0-1) and class id.  Tags: 0 [Msg_sent],
-   1 [Msg_dropped], 2 [Msg_duplicated], 3 [Msg_delivered],
-   4 [Squeue_send], 5 [Squeue_delivered], 6 [Squeue_dup].  An event with
-   a field that does not fit (a negative or too large int, a class past
-   [max_classes]) is boxed. *)
-let tag_boxed = 7
-let site_mask = 0xFFFF
-let payload_mask = (1 lsl 28) - 1
-let max_classes = 64
-
-(* A port's class is one of a handful of long-lived strings, so a scan
-   that compares pointers first finds it in a step or two.  -1 once
-   [max_classes] distinct classes are taken. *)
-let rec class_id t cls i =
-  if i = t.n_classes then
-    if i = max_classes then -1
-    else begin
-      t.classes.(i) <- cls;
-      t.n_classes <- i + 1;
-      i
-    end
-  else if t.classes.(i) == cls || String.equal t.classes.(i) cls then i
-  else class_id t cls (i + 1)
-
-let code tag ~src ~dst x =
-  if src land site_mask = src && dst land site_mask = dst && x land payload_mask = x
-  then tag lor (src lsl 3) lor (dst lsl 19) lor (x lsl 35)
-  else tag_boxed
-
-(* [reason_code] indexes [reasons]. *)
-let reasons = [| Loss; Partition; Crashed_src; Crashed_dst |]
-
-let reason_code = function
-  | Loss -> 0
-  | Partition -> 1
-  | Crashed_src -> 2
-  | Crashed_dst -> 3
-
-let msg_code t tag ~src ~dst cls reason =
-  let id = class_id t cls 0 in
-  if id < 0 then tag_boxed else code tag ~src ~dst (reason lor (id lsl 2))
-
-let pack t = function
-  | Msg_sent { src; dst; cls } -> msg_code t 0 ~src ~dst cls 0
-  | Msg_dropped { src; dst; cls; reason } ->
-      msg_code t 1 ~src ~dst cls (reason_code reason)
-  | Msg_duplicated { src; dst; cls } -> msg_code t 2 ~src ~dst cls 0
-  | Msg_delivered { src; dst; cls } -> msg_code t 3 ~src ~dst cls 0
-  | Squeue_send { src; dst; seq } -> code 4 ~src ~dst seq
-  | Squeue_delivered { src; dst; seq } -> code 5 ~src ~dst seq
-  | Squeue_dup { src; dst; seq } -> code 6 ~src ~dst seq
-  | _ -> tag_boxed
-
-let unpack t i =
-  let c = t.codes.(i) in
-  let tag = c land 7 in
-  if tag = tag_boxed then t.boxed.(i)
-  else
-    let src = (c lsr 3) land site_mask and dst = (c lsr 19) land site_mask in
-    let x = c lsr 35 in
-    match tag with
-    | 4 -> Squeue_send { src; dst; seq = x }
-    | 5 -> Squeue_delivered { src; dst; seq = x }
-    | 6 -> Squeue_dup { src; dst; seq = x }
-    | _ -> (
-        let cls = t.classes.(x lsr 2) in
-        match tag with
-        | 0 -> Msg_sent { src; dst; cls }
-        | 1 -> Msg_dropped { src; dst; cls; reason = reasons.(x land 3) }
-        | 2 -> Msg_duplicated { src; dst; cls }
-        | _ -> Msg_delivered { src; dst; cls })
 
 let rec run_taps r = function
   | [] -> ()
@@ -187,48 +73,7 @@ let rec run_taps r = function
       run_taps r rest
 
 let emit t ~time ev =
-  if t.enabled then begin
-    if Array.length t.times = 0 then begin
-      t.times <- Array.create_float t.capacity;
-      t.codes <- Array.make t.capacity 0;
-      t.boxed <- Array.make t.capacity Heal;
-      t.classes <- Array.make max_classes ""
-    end;
-    let i =
-      if t.len < t.capacity then begin
-        let i = (t.head + t.len) mod t.capacity in
-        t.len <- t.len + 1;
-        i
-      end
-      else begin
-        (* Full: overwrite the oldest. *)
-        let i = t.head in
-        t.head <- (t.head + 1) mod t.capacity;
-        t.n_dropped <- t.n_dropped + 1;
-        i
-      end
-    in
-    t.times.(i) <- time;
-    let c = pack t ev in
-    if c = tag_boxed then t.boxed.(i) <- ev
-    else if t.codes.(i) = tag_boxed then t.boxed.(i) <- Heal;
-    t.codes.(i) <- c;
-    match t.taps with [] -> () | taps -> run_taps { time; ev } taps
-  end
-
-let length t = t.len
-let dropped t = t.n_dropped
-
-let iter t f =
-  for k = 0 to t.len - 1 do
-    let i = (t.head + k) mod t.capacity in
-    f { time = t.times.(i); ev = unpack t i }
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun r -> acc := r :: !acc);
-  List.rev !acc
+  match t.taps with [] -> () | taps -> run_taps { time; ev } taps
 
 (* --- JSONL --- *)
 
@@ -274,7 +119,6 @@ let type_name = function
   | Checkpoint_cut _ -> "checkpoint_cut"
   | Flush_round _ -> "flush_round"
   | Converged _ -> "converged"
-  | Trace_meta _ -> "meta"
 
 (* An event's payload: the fields after [ts] and [type], in the order
    the JSONL line and the Chrome [args] print them. *)
@@ -328,8 +172,6 @@ let event_fields ev : (string * Json.t) list =
       [ ("site", int site); ("folded", int folded); ("reclaimed", int reclaimed) ]
   | Flush_round { round } -> [ ("round", int round) ]
   | Converged { ok } -> [ ("ok", Bool ok) ]
-  | Trace_meta { dropped } ->
-      [ ("meta", Obj [ ("generator", Str "esrsim") ]); ("dropped", int dropped) ]
 
 let record_json r =
   Json.Obj (("ts", Num r.time) :: ("type", Str (type_name r.ev)) :: event_fields r.ev)
@@ -354,7 +196,7 @@ let record_of_json line =
             Msg_delivered { src; dst; cls }
         | "msg_dropped" ->
             let src, dst, cls = msg () in
-            let reason = field "reason" (enum reason_to_string (Array.to_list reasons)) j in
+            let reason = field "reason" (enum reason_to_string [ Loss; Partition; Crashed_src; Crashed_dst ]) j in
             Msg_dropped { src; dst; cls; reason }
         | "partition" -> Partition_event { groups = field "groups" (list (list int)) j }
         | "heal" -> Heal
@@ -455,32 +297,21 @@ let record_of_json line =
               }
         | "flush_round" -> Flush_round { round = field "round" int j }
         | "converged" -> Converged { ok = field "ok" bool j }
-        | "meta" -> Trace_meta { dropped = field "dropped" int j }
         | other -> fail ("unknown event type " ^ other)
       in
       { time = field "ts" float j; ev })
     line
 
-(* Each record is rendered into one reused buffer. *)
-let jsonl_writer oc =
+(* Each record is rendered into one reused buffer, then handed to [out]. *)
+let jsonl_tap out =
   let b = Buffer.create 256 in
   fun r ->
     Buffer.clear b;
     Json.to_buffer b (record_json r);
     Buffer.add_char b '\n';
-    Buffer.output_buffer oc b
+    out b
 
-let file_sink t oc = attach t (jsonl_writer oc)
-
-let write_jsonl oc t =
-  let write = jsonl_writer oc in
-  (* Evictions are not silent: a wrapped ring leads the dump with a
-     self-describing meta record so consumers know the prefix is gone. *)
-  if t.n_dropped > 0 then begin
-    let oldest = if t.len > 0 then t.times.(t.head) else 0.0 in
-    write { time = oldest; ev = Trace_meta { dropped = t.n_dropped } }
-  end;
-  iter t write
+let file_sink t oc = attach t (jsonl_tap (Buffer.output_buffer oc))
 
 (* --- Chrome trace_event --- *)
 
@@ -500,15 +331,14 @@ let event_track ~sites = function
   | Volatile_dropped { site; _ } | Recovery_replay { site; _ }
   | Checkpoint_cut { site; _ } ->
       site
-  | Partition_event _ | Heal | Flush_round _ | Converged _ | Trace_meta _ ->
-      sites
+  | Partition_event _ | Heal | Flush_round _ | Converged _ -> sites
 
 let float_repr = Json.float_repr
 
 (* Trace-viewer args payload: the JSONL object minus ts/type. *)
 let event_args r = Json.render (Obj (event_fields r.ev))
 
-let write_chrome ?(extra = []) oc ~sites t =
+let chrome_writer oc ~sites =
   output_string oc "{\"traceEvents\":[\n";
   let first = ref true in
   let item line =
@@ -524,30 +354,27 @@ let write_chrome ?(extra = []) oc ~sites t =
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
          site name)
   done;
-  if t.n_dropped > 0 then
+  let write r =
+    let tid = event_track ~sites r.ev in
+    let args = event_args r in
     item
-      (Printf.sprintf
-         "{\"name\":\"trace_dropped\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"dropped\":%d}}"
-         sites t.n_dropped);
-  iter t (fun r ->
-      let tid = event_track ~sites r.ev in
-      let ts_us = r.time *. 1000.0 in
-      let args = event_args r in
-      let line =
-        match r.ev with
-        | Update_committed { latency; _ } | Query_served { latency; _ } ->
-            (* Render the ET's span: [submit, outcome]. *)
-            let start_us = Float.max 0.0 ((r.time -. latency) *. 1000.0) in
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d,\"args\":%s}"
-              (type_name r.ev) (float_repr start_us)
-              (float_repr (Float.max 0.0 (latency *. 1000.0)))
-              tid args
-        | _ ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":%s}"
-              (type_name r.ev) (float_repr ts_us) tid args
-      in
-      item line);
-  List.iter item extra;
-  output_string oc "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"esrsim\",\"time_unit\":\"virtual ms\"}}\n"
+      (match r.ev with
+      | Update_committed { latency; _ } | Query_served { latency; _ } ->
+          (* Render the ET's span: [submit, outcome]. *)
+          let start_us = Float.max 0.0 ((r.time -. latency) *. 1000.0) in
+          Printf.sprintf
+            "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d,\"args\":%s}"
+            (type_name r.ev) (float_repr start_us)
+            (float_repr (Float.max 0.0 (latency *. 1000.0)))
+            tid args
+      | _ ->
+          Printf.sprintf
+            "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":%s}"
+            (type_name r.ev) (float_repr (r.time *. 1000.0)) tid args)
+  in
+  let close ~extra =
+    List.iter item extra;
+    output_string oc
+      "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"esrsim\",\"time_unit\":\"virtual ms\"}}\n"
+  in
+  (write, close)

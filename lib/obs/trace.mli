@@ -5,24 +5,12 @@
     lifecycles (with charged inconsistency against the epsilon spec),
     MSet propagation, COMPE compensation, and end-of-run convergence.
 
-    A {!t} is a per-run sink: a fixed-capacity ring buffer of timestamped
-    events (oldest records are dropped once full, counted in {!dropped}).
-    A disabled sink allocates nothing and {!emit} is a single load-and-
-    branch — instrumented fast paths guard event construction with {!on}
-    so tracing off costs one predictable branch and zero allocation.
-
-    The ring is stored as three columns of 8-byte slots, 24 bytes per
-    slot (6.3 MB at the default capacity): a float array of times, an
-    int array of packed events, and an event array for the rest.  The
-    seven message and stable-queue variants ([Msg_sent], [Msg_dropped],
-    [Msg_duplicated], [Msg_delivered], [Squeue_send], [Squeue_delivered],
-    [Squeue_dup]) are packed into one int, with the message class
-    interned per sink; one whose [src] or [dst] is outside [0, 65535],
-    whose [seq] is outside [0, 2{^28}), or whose class is past the 64th
-    distinct one, and every other variant, stays boxed.  So an enabled
-    sink with no tap stores a packed event without allocating, and the
-    GC never promotes it.  {!iter}, {!to_list} and the exporters rebuild
-    records on read, each structurally equal to the one emitted.
+    A {!t} is a per-run sink that holds no records: {!emit} hands each
+    one to the taps attached to it ({!attach}, {!file_sink}, the
+    auditor), so every consumer sees the complete stream, and returns at
+    once when there are none.  A disabled sink refuses taps, and
+    instrumented fast paths guard event construction with {!on}, so
+    tracing off costs one predictable branch and zero allocation.
 
     Two export formats:
     - {e JSONL}: one self-describing JSON object per event
@@ -110,51 +98,30 @@ type event =
           collected behind the watermark *)
   | Flush_round of { round : int }
   | Converged of { ok : bool }
-  | Trace_meta of { dropped : int }
-      (** exporter-synthesized header record: how many oldest events the
-          ring buffer evicted before the first surviving record.  Never
-          emitted by instrumentation; {!write_jsonl} leads with one when
-          {!dropped} [> 0], and {!record_of_json} round-trips it. *)
 
 type record = { time : float;  (** virtual ms *) ev : event }
 
 type t
 
-val make : ?capacity:int -> enabled:bool -> unit -> t
-(** [capacity] (default [262144]) bounds the ring buffer.  Its columns
-    are allocated at the first {!emit} of an enabled sink; a disabled
-    sink never allocates them. *)
+val make : enabled:bool -> unit -> t
 
 val on : t -> bool
 (** Fast-path guard: instrumentation sites wrap event construction in
     [if Trace.on sink then Trace.emit sink ...]. *)
 
 val emit : t -> time:float -> event -> unit
-(** No-op on a disabled sink.  Builds a {!record} only when a tap is
-    attached. *)
+(** Hands the record to every tap; builds it only when one is attached. *)
 
 val attach : t -> (record -> unit) -> unit
 (** [attach t f] registers a streaming tap: [f] sees every subsequent
-    record at emit time, before ring eviction — a tap observes the
-    complete event stream even when the ring wraps.  Taps run in attach
-    order.  Raises [Invalid_argument] on a disabled sink (the tap would
-    silently see nothing). *)
+    record at emit time.  Taps run in attach order.  Raises
+    [Invalid_argument] on a disabled sink (the tap would silently see
+    nothing). *)
 
 val file_sink : t -> out_channel -> unit
 (** [file_sink t oc] attaches a write-through JSONL tap: every record is
-    appended to [oc] as it is emitted.  Unlike {!write_jsonl} on a
-    wrapped ring, the resulting file is complete — suitable for
-    day-horizon runs whose event count exceeds any ring capacity.  The
-    caller flushes/closes [oc] after the run. *)
-
-val length : t -> int
-val dropped : t -> int
-(** Records evicted because the ring wrapped. *)
-
-val iter : t -> (record -> unit) -> unit
-(** Oldest to newest. *)
-
-val to_list : t -> record list
+    appended to [oc] as it is emitted.  The caller flushes/closes [oc]
+    after the run. *)
 
 (** {2 JSONL} *)
 
@@ -168,20 +135,21 @@ val record_to_json : record -> string
 val record_of_json : string -> (record, string) result
 (** Inverse of {!record_to_json}.  An absent [forced] reads as 0 (the
     writer leaves it out when 0); any other field missing or of the
-    wrong type is an [Error] naming it. *)
+    wrong type, or an unknown [type], is an [Error] naming it. *)
 
-val write_jsonl : out_channel -> t -> unit
-(** When the ring wrapped ({!dropped} [> 0]) the first line is a
-    [Trace_meta] record
-    ([{"ts":..,"type":"meta","meta":{...},"dropped":N}]) so consumers
-    can tell a truncated dump from a complete one. *)
+val jsonl_tap : (Buffer.t -> unit) -> record -> unit
+(** [jsonl_tap out] renders each record's JSONL line, newline included,
+    into one reused buffer and hands it to [out]. *)
 
 (** {2 Chrome trace_event} *)
 
-val write_chrome : ?extra:string list -> out_channel -> sites:int -> t -> unit
-(** Complete ("X") events for served queries and committed updates (their
-    latency becomes the span), instants for everything else; [tid] is the
-    site, [tid = sites] is the system track.  A wrapped ring additionally
-    emits a ["trace_dropped"] metadata ("M") event on the system track.
-    [extra] event objects (e.g. {!Spans.chrome_events} span-tree flows)
-    are spliced into the event array after the trace's own events. *)
+val chrome_writer :
+  out_channel -> sites:int -> (record -> unit) * (extra:string list -> unit)
+(** [chrome_writer oc ~sites] writes the envelope and the per-site track
+    names at once, and returns [(write, close)]: [write] streams one
+    record's event, so it serves as a tap or over a record list, and
+    [close ~extra] splices in the [extra] event objects (e.g.
+    {!Spans.chrome_events} span-tree flows, {!Prof.chrome_events}) and
+    ends the document.  Served queries and committed updates become
+    complete ("X") events whose latency is the span; everything else is
+    an instant.  [tid] is the site, [tid = sites] is the system track. *)

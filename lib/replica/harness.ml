@@ -211,7 +211,7 @@ let flush t = t.system.flush ()
 let sample_series t = Series.sample t.obs.Obs.series ~time:(now t)
 
 (* Tap the auditor into the run: it sees every trace record as it is
-   emitted (immune to ring eviction) and registers its [audit/] gauges.
+   emitted and registers its [audit/] gauges.
    Must run before {!arm_series} so the columns freeze into the series;
    requires tracing on, since a disabled sink refuses taps. *)
 let attach_audit t (a : Esr_obs.Audit.t) =

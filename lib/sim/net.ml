@@ -97,7 +97,7 @@ let create ?(config = default_config) ?obs engine ~sites ~prng =
       trace =
         (match obs with
         | Some (o : Esr_obs.Obs.t) -> o.Esr_obs.Obs.trace
-        | None -> Trace.make ~capacity:1 ~enabled:false ());
+        | None -> Trace.make ~enabled:false ());
       prof =
         (match obs with
         | Some o -> o.Esr_obs.Obs.prof

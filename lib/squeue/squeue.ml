@@ -332,7 +332,7 @@ let create ?(mode = Unordered) ?(retry_interval = 50.0) ?backoff ?obs net
       trace =
         (match obs with
         | Some (o : Esr_obs.Obs.t) -> o.Esr_obs.Obs.trace
-        | None -> Trace.make ~capacity:1 ~enabled:false ());
+        | None -> Trace.make ~enabled:false ());
     }
   in
   self := Some t;

@@ -221,6 +221,7 @@ let drained = function
 
 let test_crash_recover_converges name () =
   let obs = Obs.create ~tracing:true () in
+  let records = Tap.collect obs.Obs.trace in
   let sites = 4 in
   let h = quiet_harness ~obs ~sites name in
   let schedule =
@@ -237,7 +238,8 @@ let test_crash_recover_converges name () =
   checkb "drained" true (drained outcome);
   checkb "converged" true (Harness.converged h);
   let wiped = ref 0 and replayed = ref 0 in
-  Trace.iter obs.Obs.trace (fun r ->
+  List.iter
+    (fun (r : Trace.record) ->
       match r.Trace.ev with
       | Trace.Volatile_dropped { site; _ } ->
           checki "wipe at the crashed site" 1 site;
@@ -245,7 +247,8 @@ let test_crash_recover_converges name () =
       | Trace.Recovery_replay { site; _ } ->
           checki "replay at the crashed site" 1 site;
           incr replayed
-      | _ -> ());
+      | _ -> ())
+    (records ());
   checki "one volatile wipe" 1 !wiped;
   checki "one recovery replay" 1 !replayed
 

@@ -200,8 +200,9 @@ let test_derived_columns_present () =
 
 let traced ~method_name =
   let obs = Obs.create ~tracing:true () in
+  let records = Tap.collect obs.Obs.trace in
   let r = Scenario.run ~obs ~seed:17 ~sites:3 ~method_name small_spec in
-  (r, Spans.of_trace obs.Obs.trace)
+  (r, Spans.reconstruct (records ()))
 
 (* The ISSUE's accounting invariant: every Update_committed in the trace
    maps to exactly one reconstructed span tree — no lost, duplicated, or
